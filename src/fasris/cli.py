@@ -187,7 +187,7 @@ def cmd_validate(args) -> int:
         print(f"{c['name']:<{width}}  {status}  measured={c['measured']:.3e} "
               f"tol={c['tolerance']:.3e}  {c['detail']}")
     print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_figure(args) -> int:

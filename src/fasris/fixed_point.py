@@ -1,11 +1,13 @@
 """Fixed-point systems behind the deterministic SINR equivalents.
 
 Four solvers (RZF/ZF x per-user/shared correlation) plus the i.i.d. closed
-form. Each solver runs a damped Picard iteration in Gauss-Seidel order
-(delta first, then the RIS-side traces, then the per-user scalars), with the
-damping factor halved whenever the residual oscillates. The returned
-solutions carry the auxiliary inverse matrices needed by the second-order
-interference terms downstream.
+form. One driver, `_picard`, runs a damped Picard iteration over a flat float
+state, with the damping factor halved whenever the residual oscillates. Each
+correlation regime supplies one map, evaluated in Gauss-Seidel order (delta
+first, then the RIS-side traces, then the per-user scalars) and parameterized
+by (z, shift): RZF is (z, 1) and ZF is the same map with z -> 1 and
+1 + mu -> mu, i.e. (1, 0). The returned solutions carry the auxiliary inverse
+matrices needed by the second-order interference terms downstream.
 """
 
 from __future__ import annotations
@@ -47,42 +49,28 @@ DEFAULT_SETTINGS = SolverSettings()
 
 
 def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
-    new = np.atleast_1d(np.asarray(new, dtype=float))
-    old = np.atleast_1d(np.asarray(old, dtype=float))
     return float(np.max(np.abs(new - old) / np.maximum(np.abs(new), EPS)))
-
-
-class _Damper:
-    """Adaptive damping: halve the step on residual growth or oscillation."""
-
-    def __init__(self, damping: float):
-        self.d = damping
-        self.prev = np.inf
-        self.prev_sign = 0
-        self.flips = 0
-
-    def mix(self, old, new):
-        return old + self.d * (new - old)
-
-    def update(self, residual: float, probe_change: float = 0.0):
-        sign = int(np.sign(probe_change))
-        if sign != 0 and sign == -self.prev_sign:
-            self.flips += 1
-        else:
-            self.flips = 0
-        if (residual > self.prev or self.flips >= 3) and self.d > 1.0 / 256.0:
-            self.d *= 0.5
-            self.flips = 0
-        self.prev = residual
-        self.prev_sign = sign if sign != 0 else self.prev_sign
 
 
 # ---------------------------------------------------------------------------
 # solution containers
 # ---------------------------------------------------------------------------
 
+class _Solution:
+    """`path` records how the solve got there: "cold" (generic initial
+    values), "warm" (the caller's x0) or "continuation" (z-continuation)."""
+
+    _state: tuple = ()    # the fixed-point fields, in warm-start order
+
+    @property
+    def x0(self) -> dict:
+        """Warm-start dict that reproduces the returned state."""
+        return {name.removesuffix("_u"): getattr(self, name)
+                for name in self._state}
+
+
 @dataclass
-class RzfUncommonSolution:
+class RzfUncommonSolution(_Solution):
     z: float
     delta: float
     mu: np.ndarray
@@ -92,10 +80,12 @@ class RzfUncommonSolution:
     residual: float
     iterations: int
     m_norm: int
+    path: str
+    _state = ("delta", "mu", "omega")
 
 
 @dataclass
-class ZfUncommonSolution:
+class ZfUncommonSolution(_Solution):
     delta_u: float
     mu_u: np.ndarray
     omega_u: np.ndarray
@@ -104,10 +94,12 @@ class ZfUncommonSolution:
     residual: float
     iterations: int
     m_norm: int
+    path: str
+    _state = ("delta_u", "mu_u", "omega_u")
 
 
 @dataclass
-class RzfCommonSolution:
+class RzfCommonSolution(_Solution):
     z: float
     delta: float
     kappa: float
@@ -120,13 +112,15 @@ class RzfCommonSolution:
     residual: float
     iterations: int
     m_norm: int
+    path: str
+    _state = ("delta", "kappa", "omega", "kappa_bar", "omega_bar")
 
     def mu_k(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
         return t * self.omega + u * self.kappa
 
 
 @dataclass
-class ZfCommonSolution:
+class ZfCommonSolution(_Solution):
     delta_u: float
     kappa_u: float
     omega_u: float
@@ -138,6 +132,8 @@ class ZfCommonSolution:
     residual: float
     iterations: int
     m_norm: int
+    path: str
+    _state = ("delta_u", "kappa_u", "omega_u", "kappa_bar_u", "omega_bar_u")
 
     def mu_k(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
         return u * self.kappa_u + t * self.omega_u
@@ -158,14 +154,221 @@ class IidSolution:
 
 
 # ---------------------------------------------------------------------------
-# RZF / ZF with per-user correlation
+# the driver and the continuation wrapper
 # ---------------------------------------------------------------------------
 
-def _is_zero(A: np.ndarray) -> bool:
-    return not np.any(A)
+def _picard(system, x0: dict | None, settings: SolverSettings):
+    """Damped Picard iteration of `system` from `x0` (or `settings.init`).
+
+    The residual is the max relative change over the whole state. Adaptive
+    damping halves the step (down to 1/256) when the residual grows or when
+    the change in delta flips sign three times running.
+    """
+    x = system.start(x0, settings.init)
+    d = settings.damping
+    residual, prev, prev_sign, flips = np.inf, np.inf, 0, 0
+    for it in range(1, settings.max_iter + 1):
+        new = system(x)
+        residual = _rel_change(new, x)
+        sign = int(np.sign(new[0] - x[0]))
+        x = x + d * (new - x)
+        flips = flips + 1 if sign != 0 and sign == -prev_sign else 0
+        if (residual > prev or flips >= 3) and d > 1.0 / 256.0:
+            d *= 0.5
+            flips = 0
+        prev = residual
+        prev_sign = sign if sign != 0 else prev_sign
+        if residual < settings.tol:
+            return system.solution(x, residual, it, "warm" if x0 else "cold")
+    raise ConvergenceError(f"{system.name} fixed point did not converge",
+                           residual)
 
 
-def _solve_rzf_uncommon_once(F_list: list[np.ndarray], R: np.ndarray,
+def _continued(map_at, z: float, x0: dict | None, settings: SolverSettings):
+    """Solve the RZF map `map_at(z)`; on a stall, continue geometrically in z.
+
+    Very small z (deep in the ZF limit) makes the Picard map oscillate from
+    generic initial values; walking down from 1e6 z with warm starts keeps
+    every step inside the contraction basin.
+    """
+    if z <= 0:
+        raise ValueError("regularization z must be positive")
+    try:
+        return _picard(map_at(z), x0, settings)
+    except ConvergenceError:
+        pass
+    sol = None
+    for zz in z * np.logspace(6, 0, 13):
+        sol = _picard(map_at(zz), None if sol is None else sol.x0, settings)
+    sol.path = "continuation"
+    return sol
+
+
+# ---------------------------------------------------------------------------
+# regime maps: per-user and shared correlation
+# ---------------------------------------------------------------------------
+
+class _Map:
+    """One regime's map at (z, shift): RZF is (z, 1), ZF is (1, 0).
+
+    `start(x0, init)` gives the flat initial state, calling the map gives the
+    next state, and `finish(x)` the solution fields that the state fixes.
+    Under shift 0 the map also runs the ZF feasibility checks.
+    """
+
+    def __init__(self, R, K, L, z, shift, m_norm):
+        self.R, self.K, self.L, self.z, self.shift = R, K, L, z, shift
+        self.M = R.shape[0] if m_norm is None else m_norm
+        if shift == 0.0 and self.M < K:
+            raise FeasibilityError(f"ZF needs M >= K (got M={self.M}, K={K})")
+        self.I_M = np.eye(R.shape[0])
+        self.I_L = np.eye(L)
+        self.name = self.regime + ("RZF" if shift else "ZF")
+
+    def solution(self, x, residual, iterations, path):
+        # the ZF fields are the RZF fields without the leading z
+        fields = (*self.finish(x), residual, iterations, self.M, path)
+        return self.zf(*fields) if self.shift == 0.0 else self.rzf(self.z, *fields)
+
+
+class _UncommonMap(_Map):
+    """State [delta, omega_1..K, mu_1..K] of the per-user-correlation system."""
+
+    regime = ""
+    rzf, zf = RzfUncommonSolution, ZfUncommonSolution
+
+    def __init__(self, F_list, R, C_list, z, shift, m_norm):
+        super().__init__(R, len(F_list), C_list[0].shape[0], z, shift, m_norm)
+        self.F_list, self.C_list = F_list, C_list
+        self.cascaded = bool(np.any(R)) and any(np.any(C) for C in C_list)
+
+    def start(self, x0, init):
+        x0 = x0 or {}
+        K = self.K
+        mu = np.array(x0.get("mu", np.full(K, init)), dtype=float)
+        omega = (np.array(x0.get("omega", np.full(K, init)), dtype=float)
+                 if self.cascaded else np.zeros(K))
+        return np.concatenate(([x0.get("delta", init)], omega, mu))
+
+    def split(self, x):
+        return x[0], x[1:self.K + 1], x[self.K + 1:]
+
+    def psi_r(self, delta, omega, mu):
+        M, R = self.M, self.R
+        A = self.z * self.I_M.astype(complex)
+        for k in range(self.K):
+            A += self.F_list[k] / (M * (self.shift + mu[k]))
+            if self.cascaded and omega[k] != 0.0:
+                A += (omega[k] / (M * delta * (self.shift + mu[k]))) * R
+        return np.linalg.inv(A)
+
+    def psi_c(self, delta, mu):
+        L = self.L
+        A = self.I_L / delta + sum(self.C_list[k] / (L * (self.shift + mu[k]))
+                                   for k in range(self.K))
+        return np.linalg.inv(A)
+
+    def __call__(self, x):
+        delta, omega, mu = self.split(x)
+        M, L, K = self.M, self.L, self.K
+        Psi_R = self.psi_r(delta, omega, mu)
+        delta_new = np.real(np.trace(self.R @ Psi_R)) / M
+        if self.cascaded:
+            Psi_C = self.psi_c(delta_new, mu)
+            omega_new = np.array([np.real(np.trace(self.C_list[k] @ Psi_C)) / L
+                                  for k in range(K)])
+        else:
+            omega_new = np.zeros(K)
+        mu_new = np.array([np.real(np.trace(self.F_list[k] @ Psi_R)) / M
+                           for k in range(K)]) + omega_new
+        if self.shift == 0.0 and (mu_new <= 0).any():
+            raise FeasibilityError("ZF system produced a nonpositive mu; "
+                                   "a user has no usable link")
+        return np.concatenate(([delta_new], omega_new, mu_new))
+
+    def finish(self, x):
+        delta, omega, mu = self.split(x)
+        Psi_R = self.psi_r(delta, omega, mu)
+        if self.cascaded:
+            Psi_C = self.psi_c(delta, mu)
+        else:
+            # harmless placeholder: with no cascaded link Psi_C never enters rates
+            Psi_C = (delta * self.I_L.astype(complex) if delta > 0
+                     else np.zeros((self.L, self.L), complex))
+        return delta, mu, omega, herm(Psi_R), herm(Psi_C)
+
+
+class _CommonMap(_Map):
+    """State [delta, kappa, omega, kappa_bar, omega_bar] of the shared system."""
+
+    regime = "common "
+    rzf, zf = RzfCommonSolution, ZfCommonSolution
+
+    def __init__(self, F, R, C, u, t, z, shift, m_norm):
+        super().__init__(R, len(u), C.shape[0], z, shift, m_norm)
+        self.F, self.C = F, C
+        self.u = np.asarray(u, dtype=float)
+        self.t = np.asarray(t, dtype=float)
+        self.cascaded = bool(np.any(R) and np.any(C)
+                             and not np.all(self.t == 0.0))
+
+    def start(self, x0, init):
+        x0 = x0 or {}
+        cascaded = self.cascaded
+        return np.array([x0.get("delta", init), x0.get("kappa", init),
+                         x0.get("omega", init) if cascaded else 0.0,
+                         x0.get("kappa_bar", init if cascaded else 0.0),
+                         x0.get("omega_bar", init) if cascaded else 0.0],
+                        dtype=float)
+
+    def psi_r(self, delta, omega, kappa_bar, omega_bar):
+        M, L = self.M, self.L
+        A = self.z * self.I_M.astype(complex) + (L * kappa_bar / M) * self.F
+        if self.cascaded and omega * omega_bar != 0.0:
+            A += (L * omega * omega_bar / (M * delta)) * self.R
+        return np.linalg.inv(A)
+
+    def psi_c(self, delta, omega_bar):
+        return np.linalg.inv(self.I_L / delta + omega_bar * self.C)
+
+    def user_gain(self, kappa, omega):
+        """shift + omega t + kappa u: 1 + mu_k for RZF, mu_k for ZF."""
+        return self.shift + omega * self.t + kappa * self.u
+
+    def __call__(self, x):
+        delta, kappa, omega, kappa_bar, omega_bar = x
+        M, L = self.M, self.L
+        Psi_R = self.psi_r(delta, omega, kappa_bar, omega_bar)
+        delta_new = np.real(np.trace(self.R @ Psi_R)) / M
+        kappa_new = np.real(np.trace(self.F @ Psi_R)) / M
+        if self.cascaded:
+            Psi_C = self.psi_c(delta_new, omega_bar)
+            omega_new = np.real(np.trace(self.C @ Psi_C)) / L
+        else:
+            omega_new = 0.0
+        gain = self.user_gain(kappa_new, omega_new)
+        if self.shift == 0.0 and (gain <= 0).any():
+            raise FeasibilityError("ZF system produced a nonpositive user gain")
+        psi_T = 1.0 / gain
+        kappa_bar_new = float(np.sum(self.u * psi_T) / L)
+        omega_bar_new = float(np.sum(self.t * psi_T) / L)
+        return np.array([delta_new, kappa_new, omega_new, kappa_bar_new,
+                         omega_bar_new])
+
+    def finish(self, x):
+        delta, kappa, omega, kappa_bar, omega_bar = x
+        Psi_R = self.psi_r(delta, omega, kappa_bar, omega_bar)
+        Psi_C = (self.psi_c(delta, omega_bar) if self.cascaded
+                 else delta * self.I_L.astype(complex))
+        return (*x, herm(Psi_R), herm(Psi_C),
+                1.0 / self.user_gain(kappa, omega))
+
+
+# ---------------------------------------------------------------------------
+# public solvers
+# ---------------------------------------------------------------------------
+
+def solve_rzf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
                        C_list: list[np.ndarray], z: float,
                        settings: SolverSettings = DEFAULT_SETTINGS,
                        m_norm: int | None = None,
@@ -181,74 +384,11 @@ def _solve_rzf_uncommon_once(F_list: list[np.ndarray], R: np.ndarray,
     F_k and C_k carry the per-user link gains. m_norm overrides the trace
     normalization M when the matrices are full-size selection surrogates.
     Degenerate links (R = 0 or every C_k = 0) are branch-detected so no
-    0/0 ratio is ever formed.
+    0/0 ratio is ever formed. A stalled direct solve falls back to
+    z-continuation (`path == "continuation"`).
     """
-    if z <= 0:
-        raise ValueError("regularization z must be positive")
-    K = len(F_list)
-    Mdim = R.shape[0]
-    M = Mdim if m_norm is None else m_norm
-    L = C_list[0].shape[0]
-    I_M = np.eye(Mdim)
-    I_L = np.eye(L)
-
-    cascaded = not (_is_zero(R) or all(_is_zero(C) for C in C_list))
-
-    x0 = x0 or {}
-    delta = x0.get("delta", settings.init)
-    mu = np.array(x0.get("mu", np.full(K, settings.init)), dtype=float)
-    omega = (np.array(x0.get("omega", np.full(K, settings.init)), dtype=float)
-             if cascaded else np.zeros(K))
-    damper = _Damper(settings.damping)
-
-    def psi_r(delta, mu, omega):
-        A = z * I_M.astype(complex)
-        for k in range(K):
-            A += F_list[k] / (M * (1.0 + mu[k]))
-            if cascaded and omega[k] != 0.0:
-                A += (omega[k] / (M * delta * (1.0 + mu[k]))) * R
-        return np.linalg.inv(A)
-
-    def psi_c(delta, mu):
-        A = I_L / delta + sum(C_list[k] / (L * (1.0 + mu[k])) for k in range(K))
-        return np.linalg.inv(A)
-
-    Psi_C = None
-    residual = np.inf
-    for it in range(1, settings.max_iter + 1):
-        Psi_R = psi_r(delta, mu, omega)
-        delta_new = np.real(np.trace(R @ Psi_R)) / M
-        if cascaded:
-            Psi_C = psi_c(delta_new, mu)
-            omega_new = np.array([np.real(np.trace(C_list[k] @ Psi_C)) / L
-                                  for k in range(K)])
-        else:
-            omega_new = np.zeros(K)
-        mu_new = np.array([np.real(np.trace(F_list[k] @ Psi_R)) / M
-                           for k in range(K)]) + omega_new
-
-        residual = max(_rel_change(delta_new, delta),
-                       _rel_change(omega_new, omega),
-                       _rel_change(mu_new, mu))
-        probe = delta_new - delta
-        delta = damper.mix(delta, delta_new)
-        omega = damper.mix(omega, omega_new)
-        mu = damper.mix(mu, mu_new)
-        damper.update(residual, probe)
-        if residual < settings.tol:
-            break
-    else:
-        raise ConvergenceError("RZF fixed point did not converge", residual)
-
-    Psi_R = psi_r(delta, mu, omega)
-    if cascaded:
-        Psi_C = psi_c(delta, mu)
-    else:
-        # harmless placeholder: with no cascaded link Psi_C never enters rates
-        Psi_C = delta * I_L.astype(complex) if delta > 0 else np.zeros((L, L), complex)
-    return RzfUncommonSolution(z=z, delta=delta, mu=mu, omega=omega,
-                               Psi_R=herm(Psi_R), Psi_C=herm(Psi_C),
-                               residual=residual, iterations=it, m_norm=M)
+    return _continued(lambda zz: _UncommonMap(F_list, R, C_list, zz, 1.0, m_norm),
+                      z, x0, settings)
 
 
 def solve_zf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
@@ -263,81 +403,11 @@ def solve_zf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
         K_R = (I + sum_k [omega_u_k R / delta_u + F_k] / (M mu_u_k))^{-1}
         K_C = (I/delta_u + sum_k C_k / (L mu_u_k))^{-1}
     """
-    K = len(F_list)
-    Mdim = R.shape[0]
-    M = Mdim if m_norm is None else m_norm
-    if M < K:
-        raise FeasibilityError(f"ZF needs M >= K (got M={M}, K={K})")
-    L = C_list[0].shape[0]
-    I_M = np.eye(Mdim)
-    I_L = np.eye(L)
-
-    cascaded = not (_is_zero(R) or all(_is_zero(C) for C in C_list))
-
-    x0 = x0 or {}
-    delta = x0.get("delta", settings.init)
-    mu = np.array(x0.get("mu", np.full(K, settings.init)), dtype=float)
-    omega = (np.array(x0.get("omega", np.full(K, settings.init)), dtype=float)
-             if cascaded else np.zeros(K))
-    damper = _Damper(settings.damping)
-
-    def k_r(delta, mu, omega):
-        A = I_M.astype(complex).copy()
-        for k in range(K):
-            A += F_list[k] / (M * mu[k])
-            if cascaded and omega[k] != 0.0:
-                A += (omega[k] / (M * delta * mu[k])) * R
-        return np.linalg.inv(A)
-
-    def k_c(delta, mu):
-        A = I_L / delta + sum(C_list[k] / (L * mu[k]) for k in range(K))
-        return np.linalg.inv(A)
-
-    K_C = None
-    residual = np.inf
-    for it in range(1, settings.max_iter + 1):
-        K_R = k_r(delta, mu, omega)
-        delta_new = np.real(np.trace(R @ K_R)) / M
-        if cascaded:
-            K_C = k_c(delta_new, mu)
-            omega_new = np.array([np.real(np.trace(C_list[k] @ K_C)) / L
-                                  for k in range(K)])
-        else:
-            omega_new = np.zeros(K)
-        mu_new = omega_new + np.array([np.real(np.trace(F_list[k] @ K_R)) / M
-                                       for k in range(K)])
-        if (mu_new <= 0).any():
-            raise FeasibilityError("ZF system produced a nonpositive mu; "
-                                   "a user has no usable link")
-
-        residual = max(_rel_change(delta_new, delta),
-                       _rel_change(omega_new, omega),
-                       _rel_change(mu_new, mu))
-        probe = delta_new - delta
-        delta = damper.mix(delta, delta_new)
-        omega = damper.mix(omega, omega_new)
-        mu = damper.mix(mu, mu_new)
-        damper.update(residual, probe)
-        if residual < settings.tol:
-            break
-    else:
-        raise ConvergenceError("ZF fixed point did not converge", residual)
-
-    K_R = k_r(delta, mu, omega)
-    if cascaded:
-        K_C = k_c(delta, mu)
-    else:
-        K_C = delta * I_L.astype(complex) if delta > 0 else np.zeros((L, L), complex)
-    return ZfUncommonSolution(delta_u=delta, mu_u=mu, omega_u=omega,
-                              K_R=herm(K_R), K_C=herm(K_C),
-                              residual=residual, iterations=it, m_norm=M)
+    return _picard(_UncommonMap(F_list, R, C_list, 1.0, 0.0, m_norm), x0,
+                   settings)
 
 
-# ---------------------------------------------------------------------------
-# RZF / ZF with shared correlation
-# ---------------------------------------------------------------------------
-
-def _solve_rzf_common_once(F: np.ndarray, R: np.ndarray, C: np.ndarray,
+def solve_rzf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
                      u: np.ndarray, t: np.ndarray, z: float,
                      settings: SolverSettings = DEFAULT_SETTINGS,
                      m_norm: int | None = None,
@@ -351,74 +421,10 @@ def _solve_rzf_common_once(F: np.ndarray, R: np.ndarray, C: np.ndarray,
         Psi_T = (I_K + omega T + kappa U)^{-1}
 
     F and C are correlation matrices (unit-scale); the gains live in u, t.
+    A stalled direct solve falls back to z-continuation.
     """
-    if z <= 0:
-        raise ValueError("regularization z must be positive")
-    Mdim = R.shape[0]
-    M = Mdim if m_norm is None else m_norm
-    L = C.shape[0]
-    K = len(u)
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)
-    I_M = np.eye(Mdim)
-    I_L = np.eye(L)
-
-    cascaded = not (_is_zero(R) or _is_zero(C) or np.all(t == 0.0))
-
-    x0 = x0 or {}
-    delta = x0.get("delta", settings.init)
-    kappa = x0.get("kappa", settings.init)
-    omega = x0.get("omega", settings.init) if cascaded else 0.0
-    kappa_bar = x0.get("kappa_bar", settings.init if cascaded else 0.0)
-    omega_bar = x0.get("omega_bar", settings.init) if cascaded else 0.0
-    damper = _Damper(settings.damping)
-
-    def psi_r(delta, kappa_bar, omega, omega_bar):
-        A = z * I_M.astype(complex) + (L * kappa_bar / M) * F
-        if cascaded and omega * omega_bar != 0.0:
-            A += (L * omega * omega_bar / (M * delta)) * R
-        return np.linalg.inv(A)
-
-    residual = np.inf
-    for it in range(1, settings.max_iter + 1):
-        Psi_R = psi_r(delta, kappa_bar, omega, omega_bar)
-        delta_new = np.real(np.trace(R @ Psi_R)) / M
-        kappa_new = np.real(np.trace(F @ Psi_R)) / M
-        if cascaded:
-            Psi_C = np.linalg.inv(I_L / delta_new + omega_bar * C)
-            omega_new = np.real(np.trace(C @ Psi_C)) / L
-        else:
-            omega_new = 0.0
-        psi_T = 1.0 / (1.0 + omega_new * t + kappa_new * u)
-        kappa_bar_new = float(np.sum(u * psi_T) / L)
-        omega_bar_new = float(np.sum(t * psi_T) / L)
-
-        residual = max(_rel_change(delta_new, delta), _rel_change(kappa_new, kappa),
-                       _rel_change(omega_new, omega),
-                       _rel_change(kappa_bar_new, kappa_bar),
-                       _rel_change(omega_bar_new, omega_bar))
-        probe = delta_new - delta
-        delta = damper.mix(delta, delta_new)
-        kappa = damper.mix(kappa, kappa_new)
-        omega = damper.mix(omega, omega_new)
-        kappa_bar = damper.mix(kappa_bar, kappa_bar_new)
-        omega_bar = damper.mix(omega_bar, omega_bar_new)
-        damper.update(residual, probe)
-        if residual < settings.tol:
-            break
-    else:
-        raise ConvergenceError("common RZF fixed point did not converge", residual)
-
-    Psi_R = psi_r(delta, kappa_bar, omega, omega_bar)
-    if cascaded:
-        Psi_C = np.linalg.inv(I_L / delta + omega_bar * C)
-    else:
-        Psi_C = delta * I_L.astype(complex)
-    psi_T = 1.0 / (1.0 + omega * t + kappa * u)
-    return RzfCommonSolution(z=z, delta=delta, kappa=kappa, omega=omega,
-                             kappa_bar=kappa_bar, omega_bar=omega_bar,
-                             Psi_R=herm(Psi_R), Psi_C=herm(Psi_C), psi_T=psi_T,
-                             residual=residual, iterations=it, m_norm=M)
+    return _continued(lambda zz: _CommonMap(F, R, C, u, t, zz, 1.0, m_norm),
+                      z, x0, settings)
 
 
 def solve_zf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
@@ -432,119 +438,7 @@ def solve_zf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
         Psi_C = (I/delta_u + omega_bar_u C)^{-1}
         Psi_T = (kappa_u U + omega_u T)^{-1}
     """
-    Mdim = R.shape[0]
-    M = Mdim if m_norm is None else m_norm
-    L = C.shape[0]
-    K = len(u)
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if M < K:
-        raise FeasibilityError(f"ZF needs M >= K (got M={M}, K={K})")
-    I_M = np.eye(Mdim)
-    I_L = np.eye(L)
-
-    cascaded = not (_is_zero(R) or _is_zero(C) or np.all(t == 0.0))
-
-    x0 = x0 or {}
-    delta = x0.get("delta", settings.init)
-    kappa = x0.get("kappa", settings.init)
-    omega = x0.get("omega", settings.init) if cascaded else 0.0
-    kappa_bar = x0.get("kappa_bar", settings.init if cascaded else 0.0)
-    omega_bar = x0.get("omega_bar", settings.init) if cascaded else 0.0
-    damper = _Damper(settings.damping)
-
-    def psi_r(delta, kappa_bar, omega, omega_bar):
-        A = I_M.astype(complex) + (L * kappa_bar / M) * F
-        if cascaded and omega * omega_bar != 0.0:
-            A += (L * omega * omega_bar / (M * delta)) * R
-        return np.linalg.inv(A)
-
-    residual = np.inf
-    for it in range(1, settings.max_iter + 1):
-        Psi_R = psi_r(delta, kappa_bar, omega, omega_bar)
-        delta_new = np.real(np.trace(R @ Psi_R)) / M
-        kappa_new = np.real(np.trace(F @ Psi_R)) / M
-        if cascaded:
-            Psi_C = np.linalg.inv(I_L / delta_new + omega_bar * C)
-            omega_new = np.real(np.trace(C @ Psi_C)) / L
-        else:
-            omega_new = 0.0
-        mu_k = kappa_new * u + omega_new * t
-        if (mu_k <= 0).any():
-            raise FeasibilityError("ZF system produced a nonpositive user gain")
-        psi_T = 1.0 / mu_k
-        kappa_bar_new = float(np.sum(u * psi_T) / L)
-        omega_bar_new = float(np.sum(t * psi_T) / L)
-
-        residual = max(_rel_change(delta_new, delta), _rel_change(kappa_new, kappa),
-                       _rel_change(omega_new, omega),
-                       _rel_change(kappa_bar_new, kappa_bar),
-                       _rel_change(omega_bar_new, omega_bar))
-        probe = delta_new - delta
-        delta = damper.mix(delta, delta_new)
-        kappa = damper.mix(kappa, kappa_new)
-        omega = damper.mix(omega, omega_new)
-        kappa_bar = damper.mix(kappa_bar, kappa_bar_new)
-        omega_bar = damper.mix(omega_bar, omega_bar_new)
-        damper.update(residual, probe)
-        if residual < settings.tol:
-            break
-    else:
-        raise ConvergenceError("common ZF fixed point did not converge", residual)
-
-    Psi_R = psi_r(delta, kappa_bar, omega, omega_bar)
-    if cascaded:
-        Psi_C = np.linalg.inv(I_L / delta + omega_bar * C)
-    else:
-        Psi_C = delta * I_L.astype(complex)
-    psi_T = 1.0 / (kappa * u + omega * t)
-    return ZfCommonSolution(delta_u=delta, kappa_u=kappa, omega_u=omega,
-                            kappa_bar_u=kappa_bar, omega_bar_u=omega_bar,
-                            Psi_R=herm(Psi_R), Psi_C=herm(Psi_C), psi_T=psi_T,
-                            residual=residual, iterations=it, m_norm=M)
-
-
-
-
-def solve_rzf_uncommon(F_list, R, C_list, z, settings=DEFAULT_SETTINGS,
-                       m_norm=None, x0=None) -> RzfUncommonSolution:
-    """Robust entry point: geometric continuation in z on a cold-start stall.
-
-    Very small z (deep in the ZF limit) makes the Picard map oscillate from
-    generic initial values; walking down from 1e6 z with warm starts keeps
-    every step inside the contraction basin.
-    """
-    try:
-        return _solve_rzf_uncommon_once(F_list, R, C_list, z, settings,
-                                        m_norm=m_norm, x0=x0)
-    except ConvergenceError:
-        pass
-    sol = None
-    for zz in z * np.logspace(6, 0, 13):
-        w = None if sol is None else {"delta": sol.delta, "mu": sol.mu,
-                                      "omega": sol.omega}
-        sol = _solve_rzf_uncommon_once(F_list, R, C_list, zz, settings,
-                                       m_norm=m_norm, x0=w)
-    return sol
-
-
-def solve_rzf_common(F, R, C, u, t, z, settings=DEFAULT_SETTINGS,
-                     m_norm=None, x0=None) -> RzfCommonSolution:
-    """Robust entry point: geometric continuation in z on a cold-start stall."""
-    try:
-        return _solve_rzf_common_once(F, R, C, u, t, z, settings,
-                                      m_norm=m_norm, x0=x0)
-    except ConvergenceError:
-        pass
-    sol = None
-    for zz in z * np.logspace(6, 0, 13):
-        w = None if sol is None else {"delta": sol.delta, "kappa": sol.kappa,
-                                      "omega": sol.omega,
-                                      "kappa_bar": sol.kappa_bar,
-                                      "omega_bar": sol.omega_bar}
-        sol = _solve_rzf_common_once(F, R, C, u, t, zz, settings,
-                                     m_norm=m_norm, x0=w)
-    return sol
+    return _picard(_CommonMap(F, R, C, u, t, 1.0, 0.0, m_norm), x0, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -577,25 +471,14 @@ def solve_iid_zf(u: float, t: float, c1: float, c2: float) -> IidSolution:
 
 def backsubstitution_residual(sol, F=None, R=None, C=None, u=None, t=None,
                               F_list=None, C_list=None, z=None) -> float:
-    """One extra sweep starting at the returned solution; max relative change."""
-    one = SolverSettings(tol=np.inf, max_iter=1, damping=1.0)
-    if isinstance(sol, RzfUncommonSolution):
-        re = solve_rzf_uncommon(F_list, R, C_list, sol.z, one, m_norm=sol.m_norm,
-                                x0={"delta": sol.delta, "mu": sol.mu, "omega": sol.omega})
-    elif isinstance(sol, ZfUncommonSolution):
-        re = solve_zf_uncommon(F_list, R, C_list, one, m_norm=sol.m_norm,
-                               x0={"delta": sol.delta_u, "mu": sol.mu_u,
-                                   "omega": sol.omega_u})
-    elif isinstance(sol, RzfCommonSolution):
-        re = solve_rzf_common(F, R, C, u, t, sol.z, one, m_norm=sol.m_norm,
-                              x0={"delta": sol.delta, "kappa": sol.kappa,
-                                  "omega": sol.omega, "kappa_bar": sol.kappa_bar,
-                                  "omega_bar": sol.omega_bar})
-    elif isinstance(sol, ZfCommonSolution):
-        re = solve_zf_common(F, R, C, u, t, one, m_norm=sol.m_norm,
-                             x0={"delta": sol.delta_u, "kappa": sol.kappa_u,
-                                 "omega": sol.omega_u, "kappa_bar": sol.kappa_bar_u,
-                                 "omega_bar": sol.omega_bar_u})
+    """One extra map step at the returned solution; max relative change."""
+    rzf = isinstance(sol, (RzfUncommonSolution, RzfCommonSolution))
+    z, shift = (sol.z, 1.0) if rzf else (1.0, 0.0)
+    if isinstance(sol, (RzfUncommonSolution, ZfUncommonSolution)):
+        system = _UncommonMap(F_list, R, C_list, z, shift, sol.m_norm)
+    elif isinstance(sol, (RzfCommonSolution, ZfCommonSolution)):
+        system = _CommonMap(F, R, C, u, t, z, shift, sol.m_norm)
     else:
         raise TypeError(f"unknown solution type {type(sol)}")
-    return re.residual
+    x = system.start(sol.x0, DEFAULT_SETTINGS.init)
+    return _rel_change(system(x), x)

@@ -206,17 +206,14 @@ class RelaxedZfObjective:
                                   self._embed(self.R_root, s), self.C,
                                   sc.u, sc.t, self.settings, m_norm=self.M,
                                   x0=self._x0)
-            self._x0 = {"delta": sol.delta_u, "kappa": sol.kappa_u,
-                        "omega": sol.omega_u, "kappa_bar": sol.kappa_bar_u,
-                        "omega_bar": sol.omega_bar_u}
+            self._x0 = sol.x0
             rep = sinr_zf_common(sol, sc.u, sc.t, sc.p, sc.sigma2)
         else:
             F_emb = [self._embed(Fr, s) for Fr in self.F_roots]
             sol = solve_zf_uncommon(F_emb, self._embed(self.R_root, s),
                                     self.C_list, self.settings, m_norm=self.M,
                                     x0=self._x0)
-            self._x0 = {"delta": sol.delta_u, "mu": sol.mu_u,
-                        "omega": sol.omega_u}
+            self._x0 = sol.x0
             rep = sinr_zf_uncommon(sol, sc.p, sc.sigma2)
         return rep, sol
 
@@ -398,15 +395,13 @@ class _WarmRzfEsr:
         if self.common:
             F, R, C, u, t, p = self.stats
             sol = solve_rzf_common(F, R, C, u, t, z, self.settings, x0=self._x0)
-            self._x0 = {"delta": sol.delta, "kappa": sol.kappa,
-                        "omega": sol.omega, "kappa_bar": sol.kappa_bar,
-                        "omega_bar": sol.omega_bar}
+            self._x0 = sol.x0
             rep, _ = sinr_rzf_common(sol, F, R, C, u, t, p, self.sigma2)
         else:
             F_list, R, C_list, p = self.stats
             sol = solve_rzf_uncommon(F_list, R, C_list, z, self.settings,
                                      x0=self._x0)
-            self._x0 = {"delta": sol.delta, "mu": sol.mu, "omega": sol.omega}
+            self._x0 = sol.x0
             rep, _ = sinr_rzf_uncommon(sol, F_list, R, C_list, p, self.sigma2)
         return rep.esr
 

@@ -1,5 +1,6 @@
 """Config parsing, matrix files, CLI subcommands, output determinism."""
 
+import functools
 import json
 import os
 
@@ -212,6 +213,11 @@ class TestCli:
         assert rc == 2
 
 
+def _scale_lambda(name, so):
+    # fault injection: corrupt the interference block
+    so.Lambda_kl = so.Lambda_kl * 1.5
+
+
 class TestValidate:
     def test_clean_run_passes(self):
         checks = validate(None, trials=400, seed=7)
@@ -224,13 +230,16 @@ class TestValidate:
     def test_fault_injection_flags_block(self):
         # corrupting the interference block must be caught by the
         # second-order probe and localized to the lambda check
-        def tamper(name, so):
-            so.Lambda_kl = so.Lambda_kl * 1.5
-
-        checks = validate(None, trials=400, seed=7, _tamper=tamper)
+        checks = validate(None, trials=400, seed=7, _tamper=_scale_lambda)
         by_name = {c["name"]: c for c in checks}
         assert not by_name["probe_bilinear_traces"]["passed"]
         assert by_name["probe_first_order"]["passed"]
+
+    def test_cli_exit_code_on_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "validate",
+                            functools.partial(validate, _tamper=_scale_lambda))
+        assert cli.main(["validate", "--trials", "400"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestFigureRecipes:

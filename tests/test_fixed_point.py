@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from fasris import (FeasibilityError, SolverSettings,
+from fasris import (ConvergenceError, FeasibilityError, SolverSettings,
                     backsubstitution_residual, solve_iid_zf, solve_rzf_common,
                     solve_rzf_uncommon, solve_zf_common, solve_zf_uncommon)
 from fasris.scenarios import random_correlation, random_scenario
-from conftest import single_hop_mu
+from conftest import rel_err, single_hop_mu
 
 TIGHT = SolverSettings(tol=1e-12, max_iter=30000)
 
@@ -144,6 +144,51 @@ class TestCommon:
         solz = solve_zf_common(F, R, C, u, t)
         res = backsubstitution_residual(solz, F=F, R=R, C=C, u=u, t=t)
         assert res <= 10 * 1e-10
+
+
+@pytest.fixture(params=["common", "uncommon"])
+def rzf_at_03(request):
+    """RZF solve at z = 0.3 on the small scenario of each regime."""
+    sc = request.getfixturevalue(f"small_{request.param}")
+    if request.param == "common":
+        F, R, C, u, t, _ = sc.stats_common()
+        return lambda settings, x0=None: solve_rzf_common(
+            F, R, C, u, t, 0.3, settings, x0=x0)
+    F_list, R, C_list, _ = sc.stats_uncommon()
+    return lambda settings, x0=None: solve_rzf_uncommon(
+        F_list, R, C_list, 0.3, settings, x0=x0)
+
+
+class TestSolvePath:
+    def test_cold_and_warm(self, rzf_at_03):
+        cold = rzf_at_03(SolverSettings())
+        assert cold.path == "cold"
+        warm = rzf_at_03(SolverSettings(), x0=cold.x0)
+        assert warm.path == "warm" and warm.iterations <= 2
+        assert rel_err(warm.delta, cold.delta) < 1e-9
+
+    def test_continuation_fallback(self, rzf_at_03):
+        # one iteration short of the cold solve: the direct attempt stalls,
+        # while every warm-started continuation step converges within budget
+        cold = rzf_at_03(SolverSettings())
+        sol = rzf_at_03(SolverSettings(max_iter=cold.iterations - 1))
+        assert sol.path == "continuation"
+        ref = rzf_at_03(TIGHT)
+        for name, value in ref.x0.items():
+            assert rel_err(sol.x0[name], value) < 1e-8, name
+
+    def test_continuation_failure_carries_residual(self, small_common):
+        F, R, C, u, t, _ = small_common.stats_common()
+        with pytest.raises(ConvergenceError) as err:
+            solve_rzf_common(F, R, C, u, t, 0.3, SolverSettings(max_iter=5))
+        assert np.isfinite(err.value.residual) and err.value.residual > 0
+
+    def test_zf_paths(self, small_common):
+        F, R, C, u, t, _ = small_common.stats_common()
+        cold = solve_zf_common(F, R, C, u, t)
+        assert cold.path == "cold"
+        warm = solve_zf_common(F, R, C, u, t, x0=cold.x0)
+        assert warm.path == "warm" and warm.iterations <= 2
 
 
 class TestIid:
