@@ -189,18 +189,21 @@ def _continued(map_at, z: float, x0: dict | None, settings: SolverSettings):
 
     Very small z (deep in the ZF limit) makes the Picard map oscillate from
     generic initial values; walking down from 1e6 z with warm starts keeps
-    every step inside the contraction basin.
+    every step inside the contraction basin. A continued solution's
+    `iterations` counts every map evaluation: the failed direct attempt plus
+    all continuation steps.
     """
     if z <= 0:
         raise ValueError("regularization z must be positive")
     try:
         return _picard(map_at(z), x0, settings)
     except ConvergenceError:
-        pass
+        total = settings.max_iter       # _picard raises only after all of them
     sol = None
     for zz in z * np.logspace(6, 0, 13):
         sol = _picard(map_at(zz), None if sol is None else sol.x0, settings)
-    sol.path = "continuation"
+        total += sol.iterations
+    sol.path, sol.iterations = "continuation", total
     return sol
 
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .channel import herm, phase_matrix, psd_sqrt
 from .fixed_point import ZfCommonSolution, ZfUncommonSolution
-from .rates import SecondOrderCommon, SecondOrderUncommon, _solve_checked
+from .rates import (SecondOrderCommon, SecondOrderUncommon, _solve_checked,
+                    common_pi, rzf_sinr, uncommon_pi)
 
 LN2 = np.log(2.0)
 
@@ -75,8 +76,7 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
     F, R, C = so.F, so.R, so.C
     M = sol.m_norm
     L = C.shape[0]
-    delta, kappa, omega = sol.delta, sol.kappa, sol.omega
-    kappa_bar, omega_bar = sol.kappa_bar, sol.omega_bar
+    delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
     Psi_R, Psi_C, psi_T = sol.Psi_R, sol.Psi_C, sol.psi_T
 
     if delta == 0.0 or omega_bar == 0.0:
@@ -84,8 +84,7 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
 
     CL_root = psd_sqrt(C_L, "C_L")
     mu = sol.mu_k(u, t)
-    one_mu = 1.0 + mu
-    gam, Dk = _common_sinr_parts(so, sigma2)
+    gam, Dk = rzf_sinr(so.Psi_kl, so.Cbar, mu, p, sigma2, L)
 
     # l-independent products
     RP = R @ Psi_R
@@ -94,8 +93,6 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
     PCC = Psi_C @ CP                        # Psi_C C Psi_C
     Psi_C2 = Psi_C @ Psi_C
     a = L * omega * omega_bar / (M * delta ** 2)
-    lam_zz = (so.Xi + (L / M) * so.Xi * so.eta_TU * so.x_F[2]
-              + (L / M) * so.Xi_I * so.x_R[2] / delta ** 2) / so.Delta
     tt = np.outer(t, t)
     tu = np.outer(t, u)
     uu = np.outer(u, u)
@@ -142,10 +139,6 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
         w_omega = omega_bar - omega * so.eta_TT
         w_omega_ = ob_ - o_ * so.eta_TT - omega * eta_TT_
 
-        def ups(chi_RA, chi_FA):
-            return (L * omega / (M * delta)) * chi_RA * so.eta_TU \
-                + (L / M) * chi_FA * so.eta_UU
-
         def ups_(chi_RA, chi_FA, chi_RA_, chi_FA_):
             return (L / M) * ((o_ / delta - omega * d_ / delta ** 2)
                               * chi_RA * so.eta_TU
@@ -184,7 +177,7 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
                     + (L / M) * (Xi_I_ * so.x_R[2] / delta ** 2
                                  + so.Xi_I * x_R_[2] / delta ** 2
                                  - 2.0 * so.Xi_I * so.x_R[2] * d_ / delta ** 3))
-                   - lam_zz * Delta_) / so.Delta
+                   - so.lam_zz * Delta_) / so.Delta
         Psi_kl_ = tt * lam_zz_ + (L / M) * (tu.T + tu) * x_F_[2] \
             + (L / M) * uu * x_F_[1]
         Cbar_ = (L / M) * (eta_PT_ * so.x_I[2] + so.eta_PT * x_I_[2]
@@ -194,18 +187,6 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
         grad[l] = _sinr_chain(gam, Dk, p, mu, mu_, so.Psi_kl, Psi_kl_,
                               so.Cbar, Cbar_, sigma2, L)
     return grad
-
-
-def _common_sinr_parts(so: SecondOrderCommon, sigma2: float):
-    """(sinr, denominator) of the shared-correlation RZF rate."""
-    sol = so.sol
-    L = so.C.shape[0]
-    mu = sol.mu_k(so.u, so.t)
-    one_mu2 = (1.0 + mu) ** 2
-    interf = (so.Psi_kl / (L * one_mu2[None, :])) @ so.p \
-        - np.diag(so.Psi_kl) * so.p / (L * one_mu2)
-    Dk = interf + sigma2 * one_mu2 * so.Cbar
-    return so.p * mu ** 2 / Dk, Dk
 
 
 def _sinr_chain(gam, Dk, p, mu, mu_, Psi_kl, Psi_kl_, Cbar, Cbar_, sigma2, L):
@@ -245,7 +226,7 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
     CL_root = psd_sqrt(C_L, "C_L")
     one_mu = 1.0 + mu
     one_mu2 = one_mu ** 2
-    gam, Dk = _uncommon_sinr_parts(so, p, sigma2, L)
+    gam, Dk = rzf_sinr(so.Psi_kl, so.Cbar, mu, p, sigma2, L)
 
     # l-independent pieces
     E, ER, D = so.E, so.ER, so.D                       # F_k Psi_R, R Psi_R, C_k Psi_C
@@ -253,8 +234,6 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
     Psi_C2 = Psi_C @ Psi_C
     dinv = 1.0 / delta
     dinv2 = dinv * dinv
-    # base W of the interference solve (recomputed: cheap at these sizes)
-    B_base, W_base = _uncommon_interference_rhs(so, L, M)
 
     grad = np.zeros(len(phi))
     for l in range(len(phi)):
@@ -315,8 +294,8 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
 
         B_ = _uncommon_interference_rhs_prime(so, mu_, d_, om_, Xi_, Xi_I_,
                                         chi_FF_, chi_FR_, chi_RR_, M, L)
-        W_ = _solve_checked(so.Pi, B_ - Pi_ @ W_base, "Pi")
-        W_adj = W_base[:K, :].copy()
+        W_ = _solve_checked(so.Pi, B_ - Pi_ @ so.W, "Pi")
+        W_adj = so.W[:K, :].copy()
         W_adj[np.diag_indices(K)] -= mu
         W_adj_ = W_[:K, :].copy()
         W_adj_[np.diag_indices(K)] -= mu_
@@ -326,33 +305,6 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
         grad[l] = _sinr_chain(gam, Dk, p, mu, mu_, so.Psi_kl, Psi_kl_,
                               so.Cbar, Cbar_, sigma2, L)
     return grad
-
-
-def _uncommon_sinr_parts(so: SecondOrderUncommon, p, sigma2, L):
-    mu = so.sol.mu
-    one_mu2 = (1.0 + mu) ** 2
-    interf = (so.Psi_kl / (L * one_mu2[None, :])) @ p \
-        - np.diag(so.Psi_kl) * p / (L * one_mu2)
-    Dk = interf + sigma2 * one_mu2 * so.Cbar
-    return p * mu ** 2 / Dk, Dk
-
-
-def _uncommon_interference_rhs(so: SecondOrderUncommon, L, M):
-    """RHS matrix of the interference solve and its solution W."""
-    sol = so.sol
-    K = len(so.F_list)
-    mu, omega, delta = sol.mu, sol.omega, sol.delta
-    one_mu = 1.0 + mu
-    B = np.zeros((K + 1, K))
-    for l in range(K):
-        e_om = -so.Xi[:, l] / (L * one_mu[l])
-        e_om[l] += omega[l]
-        S_l = np.sum(e_om / (M * delta * one_mu)) if delta > 0 else 0.0
-        B[:K, l] = e_om - so.chi_FF[:, l] / (M * one_mu[l]) - so.chi_FR * S_l
-        B[l, l] += mu[l] - omega[l]
-        B[K, l] = -so.chi_FR[l] / (M * one_mu[l]) - so.chi_RR * S_l
-    W = _solve_checked(so.Pi, B, "Pi")
-    return B, W
 
 
 def _uncommon_pi_prime(so, mu_, d_, om_, chi_FF_, chi_FR_, chi_RR_, Xi_, Xi_I_,
@@ -417,45 +369,17 @@ def _uncommon_interference_rhs_prime(so, mu_, d_, om_, Xi_, Xi_I_, chi_FF_, chi_
 
 
 # ---------------------------------------------------------------------------
-# ZF phase gradient (shared correlation)
+# ZF gradients: the Pi systems of rates.py at the ZF point
 # ---------------------------------------------------------------------------
 
-def zf_common_pi(sol: ZfCommonSolution, F, R, C, u, t):
-    """Pi_com analogue at the ZF (z->0 scaled) point, plus the trace tables."""
-    M = sol.m_norm
-    L = C.shape[0]
-    delta, omega, omega_bar = sol.delta_u, sol.omega_u, sol.omega_bar_u
-    Psi_R, Psi_C, psi_T = sol.Psi_R, sol.Psi_C, sol.psi_T
-
-    RP = R @ Psi_R
-    FP = F @ Psi_R
-    CP = C @ Psi_C
-    chi_RR = float(np.real(np.sum(RP * RP.T)) / M)
-    chi_RF = float(np.real(np.sum(RP * FP.T)) / M)
-    chi_FF = float(np.real(np.sum(FP * FP.T)) / M)
-    psi2 = psi_T ** 2
-    eta_TT = float(np.sum(t * t * psi2) / L)
-    eta_TU = float(np.sum(t * u * psi2) / L)
-    eta_UU = float(np.sum(u * u * psi2) / L)
-    Xi = float(np.real(np.sum(CP * CP.T)) / L)
-    Xi_I = float(np.real(np.sum(CP * Psi_C.T)) / L)
-
-    dinv = 0.0 if delta == 0 else 1.0 / delta
-    a = L * omega * omega_bar * dinv ** 2 / M
-
-    def ups(chi_RA, chi_FA):
-        return (L * omega * dinv / M) * chi_RA * eta_TU + (L / M) * chi_FA * eta_UU
-
-    def lam(chi_RA, chi_FA):
-        return (L / M) * chi_FA * eta_TU \
-            - (L * dinv / M) * chi_RA * (omega_bar - omega * eta_TT)
-
-    Pi = np.array([
-        [1.0 - a * chi_RR, -ups(chi_RR, chi_RF), -lam(chi_RR, chi_RF)],
-        [-a * chi_RF, 1.0 - ups(chi_RF, chi_FF), -lam(chi_RF, chi_FF)],
-        [-Xi_I * dinv ** 2, -Xi * eta_TU, 1.0 - Xi * eta_TT],
-    ])
-    return Pi
+def _zf_chain(p, mu, mu_d, M, sigma2) -> np.ndarray:
+    """Quotient rule through gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_l)),
+    summed into dESR (bits); column i of mu_d holds d mu / d x_i."""
+    SS = float(np.sum(p / (M * mu)))
+    gam = p / (sigma2 * SS)
+    SS_d = -np.einsum("k,ki->i", p / (M * mu ** 2), mu_d)
+    gam_d = -np.outer(gam / SS, SS_d)
+    return np.einsum("ki,k->i", gam_d, 1.0 / (1.0 + gam)) / LN2
 
 
 def esr_gradient_phases_zf_common(sol: ZfCommonSolution, F, R, C_L, C_R,
@@ -470,29 +394,42 @@ def esr_gradient_phases_zf_common(sol: ZfCommonSolution, F, R, C_L, C_R,
     CL_root = psd_sqrt(C_L, "C_L")
     Phi = phase_matrix(phi, L)
     C = herm(CL_root @ Phi @ C_R @ Phi.conj().T @ CL_root)
-    Pi = zf_common_pi(sol, F, R, C, u, t)
+    Pi = common_pi(F, R, C, u, t, sol).Pi_com
     Psi_C = sol.Psi_C
-    CP = C @ Psi_C
-    PCC = Psi_C @ CP
-    mu = sol.mu_k(u, t)
-    SS = float(np.sum(p / (sol.m_norm * mu)))
-    gam = p / (sigma2 * SS)
+    PCC = Psi_C @ (C @ Psi_C)
 
-    grad = np.zeros(L)
+    U = np.empty(L)                  # explicit d omega_u / d phi_l
     for l in range(L):
         A_l = phase_perturbation(CL_root, C_R, phi, l)
-        U_Al = _tr2(A_l, Psi_C) / L - sol.omega_bar_u * _tr2(A_l, PCC) / L
-        _, k_, o_ = _solve_checked(Pi, np.array([0.0, 0.0, U_Al]), "Pi_com(zf)")
-        mu_ = u * k_ + t * o_
-        SS_ = -float(np.sum(p * mu_ / (sol.m_norm * mu ** 2)))
-        gam_ = -gam * SS_ / SS
-        grad[l] = float(np.sum(gam_ / (1.0 + gam)) / LN2)
-    return grad
+        U[l] = (_tr2(A_l, Psi_C) - sol.omega_bar_u * _tr2(A_l, PCC)) / L
+    # every phase enters through the same RHS direction [0, 0, 1]
+    _, k_, o_ = _solve_checked(Pi, np.array([0.0, 0.0, 1.0]), "Pi_com(zf)")
+    return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),
+                     sol.m_norm, sigma2)
 
 
 # ---------------------------------------------------------------------------
 # port-selection gradients (ZF, relaxed diag(s) embedding)
 # ---------------------------------------------------------------------------
+
+def _diag3(root, mid) -> np.ndarray:
+    """Real diagonal of root mid root."""
+    return np.real(np.einsum("ij,jk,ki->i", root, mid, root))
+
+
+def _port_rows(roots, embs, K_R, F_roots, cF, R_root, cR, M) -> np.ndarray:
+    """d/ds_i of tr(A(s) K_R)/M at fixed scalars, one row per A(s) = emb =
+    root diag(s) root. cF_m and cR are the coefficients of F_m(s) and R(s)
+    in K_R^{-1}, divided by M."""
+    rows = []
+    for root, emb in zip(roots, embs):
+        mid = K_R @ emb @ K_R
+        row = np.real(np.einsum("ij,ji->i", root @ K_R, root)) / M
+        for c, F_root in zip(cF, F_roots):
+            row = row - c * _diag3(F_root, mid)
+        rows.append(row - cR * _diag3(R_root, mid))
+    return np.array(rows)
+
 
 def esr_gradient_ports_zf_common(sol: ZfCommonSolution, R_root, F_root,
                                  R_emb, F_emb, C, u, t, p, sigma2) -> np.ndarray:
@@ -509,63 +446,15 @@ def esr_gradient_ports_zf_common(sol: ZfCommonSolution, R_root, F_root,
     Psi = sol.Psi_R
     kappa_bar, omega, omega_bar, delta = (sol.kappa_bar_u, sol.omega_u,
                                           sol.omega_bar_u, sol.delta_u)
-    Pi = zf_common_pi(sol, F_emb, R_emb, C, u, t)
-
-    RPsi = R_root @ Psi
-    FPsi = F_root @ Psi
-    mid_R = Psi @ R_emb @ Psi
-    mid_F = Psi @ F_emb @ Psi
-    d_RR = np.real(np.einsum("ij,ji->i", RPsi, R_root))
-    d_FF = np.real(np.einsum("ij,ji->i", FPsi, F_root))
-    d_FRF = np.real(np.einsum("ij,jk,ki->i", F_root, mid_R, F_root))
-    d_RRR = np.real(np.einsum("ij,jk,ki->i", R_root, mid_R, R_root))
-    d_FFF = np.real(np.einsum("ij,jk,ki->i", F_root, mid_F, F_root))
-    d_RFR = np.real(np.einsum("ij,jk,ki->i", R_root, mid_F, R_root))
+    Pi = common_pi(F_emb, R_emb, C, u, t, sol).Pi_com
 
     cW = L * omega * omega_bar / (M * delta) if delta > 0 else 0.0
-    B = np.vstack([
-        d_RR / M - (L * kappa_bar / M ** 2) * d_FRF - (cW / M) * d_RRR,
-        d_FF / M - (L * kappa_bar / M ** 2) * d_FFF - (cW / M) * d_RFR,
-        np.zeros(len(d_RR)),
-    ])
+    B = _port_rows([R_root, F_root], [R_emb, F_emb], Psi, [F_root],
+                   [L * kappa_bar / M ** 2], R_root, cW / M, M)
+    B = np.vstack([B, np.zeros(B.shape[1])])    # C has no port dependence
     V = _solve_checked(Pi, B, "Pi_com(zf)")
-    mu = sol.mu_k(u, t)
     mu_i = u[:, None] * V[1][None, :] + t[:, None] * V[2][None, :]   # (K, M_tot)
-    SS = float(np.sum(p / (M * mu)))
-    gam = p / (sigma2 * SS)
-    SS_i = -np.einsum("k,ki->i", p / (M * mu ** 2), mu_i)
-    gam_i = -np.outer(gam / SS, SS_i)
-    return np.einsum("ki,k->i", gam_i, 1.0 / (1.0 + gam)) / LN2
-
-
-def zf_uncommon_pi(sol: ZfUncommonSolution, F_list, R, C_list):
-    """(K+1) Pi analogue at the per-user ZF point, plus chi tables."""
-    K = len(F_list)
-    M = sol.m_norm
-    L = C_list[0].shape[0]
-    mu, omega, delta = sol.mu_u, sol.omega_u, sol.delta_u
-    K_R, K_C = sol.K_R, sol.K_C
-
-    E = np.stack([F @ K_R for F in F_list])
-    ER = R @ K_R
-    D = np.stack([C @ K_C for C in C_list])
-    chi_FF = np.real(np.einsum("kij,lji->kl", E, E)) / M
-    chi_FR = np.real(np.einsum("kij,ji->k", E, ER)) / M
-    chi_RR = float(np.real(np.einsum("ij,ji->", ER, ER)) / M)
-    Xi = np.real(np.einsum("kij,lji->kl", D, D)) / L
-    Xi_I = np.real(np.einsum("kij,ji->k", D, K_C)) / L
-
-    dinv = 0.0 if delta == 0 else 1.0 / delta
-    dinv2 = dinv * dinv
-    mu2 = mu ** 2
-    wI = (omega - Xi_I * dinv) * dinv2 / (M * mu) if delta > 0 else np.zeros(K)
-    Pi = np.zeros((K + 1, K + 1))
-    Pi[:K, :K] = np.eye(K) - Xi / (L * mu2[None, :]) \
-        - (Xi_I[None, :] * dinv2 * chi_FR[:, None] + chi_FF) / (M * mu2[None, :])
-    Pi[K, :K] = -(Xi_I * dinv2 * chi_RR + chi_FR) / (M * mu2)
-    Pi[:K, K] = -Xi_I * dinv2 - np.sum(wI) * chi_FR
-    Pi[K, K] = 1.0 - np.sum(wI) * chi_RR
-    return Pi
+    return _zf_chain(p, sol.mu_k(u, t), mu_i, M, sigma2)
 
 
 def esr_gradient_ports_zf_uncommon(sol: ZfUncommonSolution, R_root,
@@ -579,38 +468,17 @@ def esr_gradient_ports_zf_uncommon(sol: ZfUncommonSolution, R_root,
     mu, omega, delta = sol.mu_u, sol.omega_u, sol.delta_u
     K_R = sol.K_R
     p = np.asarray(p, dtype=float)
-    n = R_root.shape[0]
-    Pi = zf_uncommon_pi(sol, F_emb_list, R_emb, C_list)
+    Pi = uncommon_pi(F_emb_list, R_emb, C_list, K_R, sol.K_C, delta, omega,
+                     mu, 0.0, M).Pi
 
     # coefficients of the embedded-matrix terms inside K_R^{-1}
     cF = 1.0 / (M * mu)
     cR = float(np.sum(omega / (M * delta * mu))) if delta > 0 else 0.0
-
-    B = np.zeros((K + 1, n))
-    mids = [K_R @ F_emb_list[k] @ K_R for k in range(K)]
-    mid_R = K_R @ R_emb @ K_R
-    for k in range(K):
-        row = np.real(np.einsum("ij,jk,ki->i", F_roots[k], K_R, F_roots[k])) / M
-        for m in range(K):
-            row -= cF[m] / M * np.real(
-                np.einsum("ij,jk,ki->i", F_roots[m], mids[k], F_roots[m]))
-        row -= cR / M * np.real(
-            np.einsum("ij,jk,ki->i", R_root, mids[k], R_root))
-        B[k, :] = row
-    rowR = np.real(np.einsum("ij,jk,ki->i", R_root, K_R, R_root)) / M
-    for m in range(K):
-        rowR -= cF[m] / M * np.real(
-            np.einsum("ij,jk,ki->i", F_roots[m], mid_R, F_roots[m]))
-    rowR -= cR / M * np.real(np.einsum("ij,jk,ki->i", R_root, mid_R, R_root))
-    B[K, :] = rowR
+    B = _port_rows([*F_roots, R_root], [*F_emb_list, R_emb], K_R, F_roots,
+                   cF / M, R_root, cR / M, M)      # rows ordered as in Pi
 
     V = _solve_checked(Pi, B, "Pi(zf)")
-    mu_i = V[:K, :]                                   # (K, M_tot)
-    SS = float(np.sum(p / (M * mu)))
-    gam = p / (sigma2 * SS)
-    SS_i = -np.einsum("k,ki->i", p / (M * mu ** 2), mu_i)
-    gam_i = -np.outer(gam / SS, SS_i)
-    return np.einsum("ki,k->i", gam_i, 1.0 / (1.0 + gam)) / LN2
+    return _zf_chain(p, mu, V[:K, :], M, sigma2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,14 @@ correlation regimes, including the second-order interference/normalization
 blocks (Psi_{k,l}, Cbar, the Pi and Delta linear systems). Also the i.i.d.
 closed forms for ZF and MRT and the minimum-port count.
 
+Each regime's second-order system is built in one place: `common_pi` gives
+the trace tables and the 3x3 Pi_com of the shared regime, `uncommon_pi` the
+trace tables and the (K+1)x(K+1) Pi of the per-user regime. The ZF
+gradients reuse both at the ZF point, where 1 + mu becomes mu.
+`SecondOrderUncommon.W` keeps the solved interference system whose rows give
+Psi_{k,l}, and `SecondOrderCommon.lam_zz` the limit of
+(1/L)tr(Z Z^H Q Z Z^H Q).
+
 Rates are in bits (log2). The noise term of every RZF SINR is
 sigma^2 (1+mu_k)^2 Cbar with Cbar the per-antenna-power normalization limit
 (precoders scaled so tr(G P G^H) = M); the Monte-Carlo oracle applies the
@@ -47,7 +55,13 @@ class RateReport:
         return f"regime={self.regime} esr={self.esr:.10g} sinr=[{sinrs}] {dig}"
 
 
-def _report(sinr: np.ndarray, regime: str, digest: dict) -> RateReport:
+def _report(sinr: np.ndarray, regime: str, digest: dict | None,
+            sol=None) -> RateReport:
+    """Rates and ESR; a fixed-point `sol` leads the digest with its solve."""
+    if sol is not None:
+        head = {"z": sol.z} if hasattr(sol, "z") else {}    # RZF only
+        digest = {**head, "regime": regime, "residual": sol.residual,
+                  **(digest or {})}
     sinr = np.asarray(sinr, dtype=float)
     if (sinr < 0).any():
         raise NumericalError(f"negative SINR in {regime}: {sinr.min():.3e}")
@@ -79,20 +93,40 @@ def _solve_checked(A: np.ndarray, B: np.ndarray, block: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the per-user SINR formulas, shared by both regimes and the gradients
+# ---------------------------------------------------------------------------
+
+def rzf_sinr(Psi_kl: np.ndarray, Cbar: float, mu: np.ndarray, p, sigma2: float,
+             L: int) -> tuple[np.ndarray, np.ndarray]:
+    """RZF SINR gamma_k = p_k mu_k^2 / D_k and its denominator D_k."""
+    one_mu2 = (1.0 + mu) ** 2
+    interf = (Psi_kl / (L * one_mu2[None, :])) @ p - np.diag(Psi_kl) * p / (L * one_mu2)
+    Dk = interf + sigma2 * one_mu2 * Cbar
+    return p * mu ** 2 / Dk, Dk
+
+
+def zf_sinr(mu: np.ndarray, p, sigma2: float, M: int) -> np.ndarray:
+    """ZF SINR gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_u_l))."""
+    return p / (sigma2 * np.sum(p / (M * mu)))
+
+
+def _clip_psi(Psi_kl: np.ndarray) -> np.ndarray:
+    """Clip roundoff-level negatives of Psi_kl to 0; raise on significant ones."""
+    scale = max(np.abs(Psi_kl).max(), 1e-300)
+    if Psi_kl.min() < -PSI_CLIP * scale:
+        raise NumericalError(f"Psi_kl has significant negativity "
+                             f"({Psi_kl.min():.3e} vs scale {scale:.3e})")
+    return np.clip(Psi_kl, 0.0, None)
+
+
+# ---------------------------------------------------------------------------
 # second-order terms, per-user correlation (uncommon)
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SecondOrderUncommon:
-    """Interference blocks of the per-user-correlation RZF equivalent.
+class UncommonPi:
+    """Trace tables and the (K+1)x(K+1) Pi of the per-user-correlation system."""
 
-    Keeps the trace tables and solved Pi/Delta systems so the resolvent
-    probes and the phase-gradient chain can reuse them.
-    """
-
-    sol: RzfUncommonSolution
-    F_list: list[np.ndarray]
-    R: np.ndarray
     E: np.ndarray            # stack F_k Psi_R
     ER: np.ndarray           # R Psi_R
     D: np.ndarray            # stack C_k Psi_C
@@ -103,13 +137,65 @@ class SecondOrderUncommon:
     chi_RI: float
     Xi: np.ndarray           # (K,K)
     Xi_I: np.ndarray         # (K,)
-    Delta: np.ndarray        # (K,K)
     Pi: np.ndarray           # (K+1,K+1)
-    ups_R: np.ndarray        # Pi^{-1} chi(R), length K+1
-    ups_I: np.ndarray        # Pi^{-1} chi(I_M)
+
+
+def uncommon_pi(F_list: list[np.ndarray], R: np.ndarray,
+                C_list: list[np.ndarray], Psi_R: np.ndarray,
+                Psi_C: np.ndarray, delta: float, omega: np.ndarray,
+                mu: np.ndarray, shift: float, M: int) -> UncommonPi:
+    """Pi at a per-user fixed point, with shift + mu_k in place of 1 + mu_k.
+
+    RZF passes its (Psi_R, Psi_C) and shift 1; ZF passes (K_R, K_C), the
+    underlined scalars and shift 0.
+    """
+    K = len(F_list)
+    L = C_list[0].shape[0]
+    dinv = 0.0 if delta == 0 else 1.0 / delta
+    dinv2 = dinv * dinv
+
+    E = np.stack([F @ Psi_R for F in F_list])            # (K, M, M)
+    ER = R @ Psi_R
+    D = np.stack([C @ Psi_C for C in C_list])            # (K, L, L)
+
+    chi_FF = np.real(np.einsum("kij,lji->kl", E, E)) / M
+    chi_FR = np.real(np.einsum("kij,ji->k", E, ER)) / M
+    chi_RR = float(np.real(np.einsum("ij,ji->", ER, ER)) / M)
+    chi_FI = np.real(np.einsum("kij,ji->k", E, Psi_R)) / M
+    chi_RI = float(np.real(np.einsum("ij,ji->", ER, Psi_R)) / M)
+
+    Xi = np.real(np.einsum("kij,lji->kl", D, D)) / L
+    Xi_I = np.real(np.einsum("kij,ji->k", D, Psi_C)) / L
+
+    # Pi rows 1..K / row K+1, and the Gamma(R, .) column
+    gain2 = (shift + mu) ** 2
+    wI = (omega - Xi_I * dinv) / (M * delta ** 2 * (shift + mu)) if delta > 0 \
+        else np.zeros(K)
+    Pi = np.zeros((K + 1, K + 1))
+    Pi[:K, :K] = np.eye(K) - Xi / (L * gain2[None, :]) \
+        - (Xi_I[None, :] * dinv2 * chi_FR[:, None] + chi_FF) / (M * gain2[None, :])
+    Pi[K, :K] = -(Xi_I * dinv2 * chi_RR + chi_FR) / (M * gain2)
+    Pi[:K, K] = -Xi_I * dinv2 - np.sum(wI) * chi_FR
+    Pi[K, K] = 1.0 - np.sum(wI) * chi_RR
+    return UncommonPi(E=E, ER=ER, D=D, chi_FF=chi_FF, chi_FR=chi_FR,
+                      chi_RR=chi_RR, chi_FI=chi_FI, chi_RI=chi_RI, Xi=Xi,
+                      Xi_I=Xi_I, Pi=Pi)
+
+
+@dataclass
+class SecondOrderUncommon(UncommonPi):
+    """Interference blocks of the per-user-correlation RZF equivalent.
+
+    Keeps the trace tables and solved Pi systems so the resolvent
+    probes and the phase-gradient chain can reuse them.
+    """
+
+    sol: RzfUncommonSolution
+    F_list: list[np.ndarray]
+    R: np.ndarray
+    ups_I: np.ndarray        # Pi^{-1} chi(I_M), length K+1
     ups_F: np.ndarray        # (K+1,K), column k = Pi^{-1} chi(F_k)
-    ups_Fbar: np.ndarray     # (K+1,K), column k = Pi^{-1} chi(Fbar_k)
-    cbar_coeffs: np.ndarray  # Delta^{-1} - I (Fbar mixing coefficients)
+    W: np.ndarray            # (K+1,K), column l = Pi^{-1} (user-l scaling RHS)
     Lambda_kl: np.ndarray    # (K,K) bilinear cascaded-trace limits
     Psi_kl: np.ndarray       # (K,K)
     Cbar: float
@@ -137,47 +223,16 @@ def second_order_uncommon(F_list: list[np.ndarray], R: np.ndarray,
     M = sol.m_norm
     L = C_list[0].shape[0]
     mu, omega, delta = sol.mu, sol.omega, sol.delta
-    Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
-    dinv = 0.0 if delta == 0 else 1.0 / delta
-    dinv2 = dinv * dinv
-
-    E = np.stack([F @ Psi_R for F in F_list])            # (K, M, M)
-    ER = R @ Psi_R
-    D = np.stack([C @ Psi_C for C in C_list])            # (K, L, L)
-
-    chi_FF = np.real(np.einsum("kij,lji->kl", E, E)) / M
-    chi_FR = np.real(np.einsum("kij,ji->k", E, ER)) / M
-    chi_RR = float(np.real(np.einsum("ij,ji->", ER, ER)) / M)
-    chi_FI = np.real(np.einsum("kij,ji->k", E, Psi_R)) / M
-    chi_RI = float(np.real(np.einsum("ij,ji->", ER, Psi_R)) / M)
-
-    Xi = np.real(np.einsum("kij,lji->kl", D, D)) / L
-    Xi_I = np.real(np.einsum("kij,ji->k", D, Psi_C)) / L
-
-    Delta = np.eye(K) - Xi / L
+    pi = uncommon_pi(F_list, R, C_list, sol.Psi_R, sol.Psi_C, delta, omega,
+                     mu, 1.0, M)
+    Xi, chi_FF, chi_FR, chi_RR = pi.Xi, pi.chi_FF, pi.chi_FR, pi.chi_RR
     one_mu2 = (1.0 + mu) ** 2
 
-    # Pi rows 1..K / row K+1, and the Gamma(R, .) column
-    wI = (omega - Xi_I * dinv) / (M * delta ** 2 * (1.0 + mu)) if delta > 0 \
-        else np.zeros(K)
-    Pi = np.zeros((K + 1, K + 1))
-    Pi[:K, :K] = np.eye(K) - Xi / (L * one_mu2[None, :]) \
-        - (Xi_I[None, :] * dinv2 * chi_FR[:, None] + chi_FF) / (M * one_mu2[None, :])
-    Pi[K, :K] = -(Xi_I * dinv2 * chi_RR + chi_FR) / (M * one_mu2)
-    Pi[:K, K] = -Xi_I * dinv2 - np.sum(wI) * chi_FR
-    Pi[K, K] = 1.0 - np.sum(wI) * chi_RR
-
-    # chi vectors for R, I, every F_k and every Fbar_k (Fbar handled linearly)
-    chi_R = np.concatenate([chi_FR, [chi_RR]])
-    chi_I = np.concatenate([chi_FI, [chi_RI]])
+    # chi vectors for I and every F_k; `upsilon` gives any other matrix
+    chi_I = np.concatenate([pi.chi_FI, [pi.chi_RI]])
     chi_F = np.vstack([chi_FF, chi_FR[None, :]])          # (K+1, K): column l = chi(F_l)
-    cbar_coeffs = _solve_checked(Delta, np.eye(K), "Delta") - np.eye(K)
-    chi_Fbar = chi_F @ cbar_coeffs.T                      # column k = chi(Fbar_k)
-
-    ups_R = _solve_checked(Pi, chi_R, "Pi")
-    ups_I = _solve_checked(Pi, chi_I, "Pi")
-    ups_F = _solve_checked(Pi, chi_F, "Pi")
-    ups_Fbar = _solve_checked(Pi, chi_Fbar, "Pi")
+    ups_I = _solve_checked(pi.Pi, chi_I, "Pi")
+    ups_F = _solve_checked(pi.Pi, chi_F, "Pi")
 
     # Psi_{k,l}/L is the limit of tr(E_k Q E_l Q) with E_l = F_l/M + Z_l Z_l^H/L
     # the conditional covariance of user l. It equals -(1+mu_l)^2 times the
@@ -194,29 +249,20 @@ def second_order_uncommon(F_list: list[np.ndarray], R: np.ndarray,
         b[l] += mu[l] - omega[l]                         # tr(F_l Psi_R)/M
         b[K] = -chi_FR[l] / (M * one_mu[l]) - chi_RR * S_l
         B_rhs[:, l] = b
-    W = _solve_checked(Pi, B_rhs, "Pi")
+    W = _solve_checked(pi.Pi, B_rhs, "Pi")
     # diagonal: scaling user l also scales its own test covariance, which
     # contributes +mu_l to d mu_l / d eps on top of the resolvent response
     W_adj = W[:K, :].copy()
     W_adj[np.diag_indices(K)] -= mu
     Psi_kl = -L * one_mu2[None, :] * W_adj
     Lambda_kl = Psi_kl - (L / M) * ups_F[:K, :].T        # strip (L/M) Ups_l(F_k)
-
-    scale = max(np.abs(Psi_kl).max(), 1e-300)
-    if Psi_kl.min() < -PSI_CLIP * scale:
-        raise NumericalError(f"Psi_kl has significant negativity "
-                             f"({Psi_kl.min():.3e} vs scale {scale:.3e})")
-    Psi_kl = np.clip(Psi_kl, 0.0, None)
+    Psi_kl = _clip_psi(Psi_kl)
 
     Cbar = float(np.sum(p * ups_I[:K] / (M * one_mu2)))
 
-    return SecondOrderUncommon(sol=sol, F_list=F_list, R=R, E=E, ER=ER, D=D,
-                               chi_FF=chi_FF, chi_FR=chi_FR, chi_RR=chi_RR,
-                               chi_FI=chi_FI, chi_RI=chi_RI, Xi=Xi, Xi_I=Xi_I,
-                               Delta=Delta, Pi=Pi, ups_R=ups_R, ups_I=ups_I,
-                               ups_F=ups_F, ups_Fbar=ups_Fbar,
-                               cbar_coeffs=cbar_coeffs, Lambda_kl=Lambda_kl,
-                               Psi_kl=Psi_kl, Cbar=Cbar)
+    return SecondOrderUncommon(**vars(pi), sol=sol, F_list=F_list, R=R,
+                               ups_I=ups_I, ups_F=ups_F, W=W,
+                               Lambda_kl=Lambda_kl, Psi_kl=Psi_kl, Cbar=Cbar)
 
 
 def sinr_rzf_uncommon(sol: RzfUncommonSolution, F_list, R, C_list,
@@ -226,25 +272,15 @@ def sinr_rzf_uncommon(sol: RzfUncommonSolution, F_list, R, C_list,
     """Per-user RZF SINR and ESR, per-user-correlation regime."""
     if so is None:
         so = second_order_uncommon(F_list, R, C_list, p, sol)
-    K = len(F_list)
-    L = C_list[0].shape[0]
-    mu = sol.mu
-    one_mu2 = (1.0 + mu) ** 2
-    interf = (so.Psi_kl / (L * one_mu2[None, :])) @ p - np.diag(so.Psi_kl) * p / (L * one_mu2)
-    sinr = p * mu ** 2 / (interf + sigma2 * one_mu2 * so.Cbar)
-    dig = {"z": sol.z, "regime": "rzf/uncommon", "residual": sol.residual,
-           **(digest or {})}
-    return _report(sinr, "rzf/uncommon", dig), so
+    sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu, p, sigma2, C_list[0].shape[0])
+    return _report(sinr, "rzf/uncommon", digest, sol), so
 
 
 def sinr_zf_uncommon(sol: ZfUncommonSolution, p: np.ndarray, sigma2: float,
                      digest: dict | None = None) -> RateReport:
     """ZF SINR: gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_u_l))."""
-    denom = sigma2 * np.sum(p / (sol.m_norm * sol.mu_u))
-    sinr = p / denom
-    return _report(sinr, "zf/uncommon", {"regime": "zf/uncommon",
-                                         "residual": sol.residual,
-                                         **(digest or {})})
+    sinr = zf_sinr(sol.mu_u, p, sigma2, sol.m_norm)
+    return _report(sinr, "zf/uncommon", digest, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +288,9 @@ def sinr_zf_uncommon(sol: ZfUncommonSolution, p: np.ndarray, sigma2: float,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SecondOrderCommon:
-    sol: RzfCommonSolution
-    F: np.ndarray
-    R: np.ndarray
-    C: np.ndarray
-    u: np.ndarray
-    t: np.ndarray
-    p: np.ndarray
+class CommonPi:
+    """Trace tables and the 3x3 Pi_com of the shared-correlation system."""
+
     chi_RR: float
     chi_RF: float
     chi_FF: float
@@ -268,50 +299,21 @@ class SecondOrderCommon:
     eta_TT: float
     eta_TU: float
     eta_UU: float
-    eta_PT: float
-    eta_PU: float
     Xi: float
     Xi_I: float
-    Delta: float
     Pi_com: np.ndarray       # (3,3)
-    x_R: np.ndarray          # Pi_com^{-1} [chi(R,R), chi(F,R), 0]
-    x_F: np.ndarray
-    x_I: np.ndarray
-    Psi_kl: np.ndarray       # (K,K)
-    Cbar: float
-
-    def theta(self, Kmat: np.ndarray) -> float:
-        """Limit of (1/L)tr(Z Z^H Q K Q) = third component of Pi^{-1} chi(K)."""
-        return float(self._solve_chain(Kmat)[2])
-
-    def gamma_f(self, Kmat: np.ndarray) -> float:
-        """Limit of (1/M)tr(F Q K Q) = second component."""
-        return float(self._solve_chain(Kmat)[1])
-
-    def lambda_zz(self) -> float:
-        """Limit of (1/L)tr(Z Z^H Q Z Z^H Q)."""
-        L, M = self.C.shape[0], self.sol.m_norm
-        dinv2 = 0.0 if self.sol.delta == 0 else 1.0 / self.sol.delta ** 2
-        return float((self.Xi + (L / M) * self.Xi * self.eta_TU * self.x_F[2]
-                      + (L / M) * self.Xi_I * dinv2 * self.x_R[2]) / self.Delta)
-
-    def _solve_chain(self, Kmat: np.ndarray) -> np.ndarray:
-        M = self.sol.m_norm
-        Psi = self.sol.Psi_R
-        KP = Kmat @ Psi
-        chi = np.array([np.real(np.trace(self.R @ Psi @ KP)) / M,
-                        np.real(np.trace(self.F @ Psi @ KP)) / M,
-                        0.0])
-        return _solve_checked(self.Pi_com, chi, "Pi_com")
 
 
-def second_order_common(F, R, C, u, t, p, sol: RzfCommonSolution) -> SecondOrderCommon:
+def common_pi(F, R, C, u, t, sol) -> CommonPi:
+    """Pi_com at a shared-correlation fixed point, RZF or ZF.
+
+    The scalars come from `sol.x0`, so a ZF solution gives its own Pi_com;
+    1 + mu versus mu enters only through sol.psi_T.
+    """
     M = sol.m_norm
     L = C.shape[0]
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
-    delta, kappa, omega, omega_bar = sol.delta, sol.kappa, sol.omega, sol.omega_bar
+    x = sol.x0
+    delta, omega, omega_bar = x["delta"], x["omega"], x["omega_bar"]
     Psi_R, Psi_C, psi_T = sol.Psi_R, sol.Psi_C, sol.psi_T
     dinv = 0.0 if delta == 0 else 1.0 / delta
     dinv2 = dinv * dinv
@@ -329,12 +331,9 @@ def second_order_common(F, R, C, u, t, p, sol: RzfCommonSolution) -> SecondOrder
     eta_TT = float(np.sum(t * t * psi2) / L)
     eta_TU = float(np.sum(t * u * psi2) / L)
     eta_UU = float(np.sum(u * u * psi2) / L)
-    eta_PT = float(np.sum(p * t * psi2) / L)
-    eta_PU = float(np.sum(p * u * psi2) / L)
 
     Xi = float(np.real(np.einsum("ij,ji->", CP, CP)) / L)
     Xi_I = float(np.real(np.einsum("ij,ji->", CP, Psi_C)) / L)
-    Delta = 1.0 - Xi * eta_TT
 
     def ups(chi_RA, chi_FA):
         return (L * omega * dinv / M) * chi_RA * eta_TU + (L / M) * chi_FA * eta_UU
@@ -349,31 +348,63 @@ def second_order_common(F, R, C, u, t, p, sol: RzfCommonSolution) -> SecondOrder
         [-a * chi_RF, 1.0 - ups(chi_RF, chi_FF), -lam(chi_RF, chi_FF)],
         [-Xi_I * dinv2, -Xi * eta_TU, 1.0 - Xi * eta_TT],
     ])
+    return CommonPi(chi_RR=chi_RR, chi_RF=chi_RF, chi_FF=chi_FF, chi_RI=chi_RI,
+                    chi_FI=chi_FI, eta_TT=eta_TT, eta_TU=eta_TU, eta_UU=eta_UU,
+                    Xi=Xi, Xi_I=Xi_I, Pi_com=Pi_com)
 
-    x_R = _solve_checked(Pi_com, np.array([chi_RR, chi_RF, 0.0]), "Pi_com")
-    x_F = _solve_checked(Pi_com, np.array([chi_RF, chi_FF, 0.0]), "Pi_com")
-    x_I = _solve_checked(Pi_com, np.array([chi_RI, chi_FI, 0.0]), "Pi_com")
+
+@dataclass
+class SecondOrderCommon(CommonPi):
+    sol: RzfCommonSolution
+    F: np.ndarray
+    R: np.ndarray
+    C: np.ndarray
+    u: np.ndarray
+    t: np.ndarray
+    p: np.ndarray
+    eta_PT: float
+    eta_PU: float
+    Delta: float
+    x_R: np.ndarray          # Pi_com^{-1} [chi(R,R), chi(F,R), 0]
+    x_F: np.ndarray
+    x_I: np.ndarray
+    lam_zz: float            # limit of (1/L)tr(Z Z^H Q Z Z^H Q)
+    Psi_kl: np.ndarray       # (K,K)
+    Cbar: float
+
+
+def second_order_common(F, R, C, u, t, p, sol: RzfCommonSolution) -> SecondOrderCommon:
+    M = sol.m_norm
+    L = C.shape[0]
+    u = np.asarray(u, dtype=float)
+    t = np.asarray(t, dtype=float)
+    p = np.asarray(p, dtype=float)
+    pi = common_pi(F, R, C, u, t, sol)
+    Xi, Xi_I = pi.Xi, pi.Xi_I
+    dinv = 0.0 if sol.delta == 0 else 1.0 / sol.delta
+    dinv2 = dinv * dinv
+
+    psi2 = sol.psi_T ** 2
+    eta_PT = float(np.sum(p * t * psi2) / L)
+    eta_PU = float(np.sum(p * u * psi2) / L)
+    Delta = 1.0 - Xi * pi.eta_TT
+
+    x_R = _solve_checked(pi.Pi_com, np.array([pi.chi_RR, pi.chi_RF, 0.0]), "Pi_com")
+    x_F = _solve_checked(pi.Pi_com, np.array([pi.chi_RF, pi.chi_FF, 0.0]), "Pi_com")
+    x_I = _solve_checked(pi.Pi_com, np.array([pi.chi_RI, pi.chi_FI, 0.0]), "Pi_com")
 
     tt = np.outer(t, t)
     tu = np.outer(t, u)       # tu[k,l] = t_k u_l
     uu = np.outer(u, u)
-    lam_zz = (Xi + (L / M) * Xi * eta_TU * x_F[2] + (L / M) * Xi_I * dinv2 * x_R[2]) / Delta
+    lam_zz = (Xi + (L / M) * Xi * pi.eta_TU * x_F[2] + (L / M) * Xi_I * dinv2 * x_R[2]) / Delta
     Psi_kl = tt * lam_zz + (L / M) * (tu.T + tu) * x_F[2] + (L / M) * uu * x_F[1]
-
-    scale = max(np.abs(Psi_kl).max(), 1e-300)
-    if Psi_kl.min() < -PSI_CLIP * scale:
-        raise NumericalError(f"Psi_kl has significant negativity "
-                             f"({Psi_kl.min():.3e} vs scale {scale:.3e})")
-    Psi_kl = np.clip(Psi_kl, 0.0, None)
+    Psi_kl = _clip_psi(Psi_kl)
 
     Cbar = (L / M) * (eta_PT * x_I[2] + eta_PU * x_I[1])
 
-    return SecondOrderCommon(sol=sol, F=F, R=R, C=C, u=u, t=t, p=p,
-                             chi_RR=chi_RR, chi_RF=chi_RF, chi_FF=chi_FF,
-                             chi_RI=chi_RI, chi_FI=chi_FI, eta_TT=eta_TT,
-                             eta_TU=eta_TU, eta_UU=eta_UU, eta_PT=eta_PT,
-                             eta_PU=eta_PU, Xi=Xi, Xi_I=Xi_I, Delta=Delta,
-                             Pi_com=Pi_com, x_R=x_R, x_F=x_F, x_I=x_I,
+    return SecondOrderCommon(**vars(pi), sol=sol, F=F, R=R, C=C, u=u, t=t, p=p,
+                             eta_PT=eta_PT, eta_PU=eta_PU, Delta=Delta,
+                             x_R=x_R, x_F=x_F, x_I=x_I, lam_zz=float(lam_zz),
                              Psi_kl=Psi_kl, Cbar=float(Cbar))
 
 
@@ -383,27 +414,18 @@ def sinr_rzf_common(sol: RzfCommonSolution, F, R, C, u, t, p, sigma2,
     """Per-user RZF SINR and ESR, shared-correlation regime."""
     if so is None:
         so = second_order_common(F, R, C, u, t, p, sol)
-    L = C.shape[0]
-    p = np.asarray(p, dtype=float)
     mu = sol.mu_k(np.asarray(u, float), np.asarray(t, float))
-    one_mu2 = (1.0 + mu) ** 2
-    interf = (so.Psi_kl / (L * one_mu2[None, :])) @ p - np.diag(so.Psi_kl) * p / (L * one_mu2)
-    sinr = p * mu ** 2 / (interf + sigma2 * one_mu2 * so.Cbar)
-    dig = {"z": sol.z, "regime": "rzf/common", "residual": sol.residual,
-           **(digest or {})}
-    return _report(sinr, "rzf/common", dig), so
+    sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, mu, np.asarray(p, dtype=float),
+                       sigma2, C.shape[0])
+    return _report(sinr, "rzf/common", digest, sol), so
 
 
 def sinr_zf_common(sol: ZfCommonSolution, u, t, p, sigma2,
                    digest: dict | None = None) -> RateReport:
-    """ZF SINR, shared correlation: gamma_k = p_k / (sigma^2 sum_l p_l/(M mu_u_l))."""
+    """ZF SINR, shared correlation: gamma_k = p_k / (sigma^2 sum_l p_l/(M mu_l))."""
     mu = sol.mu_k(np.asarray(u, float), np.asarray(t, float))
-    p = np.asarray(p, dtype=float)
-    denom = sigma2 * np.sum(p / (sol.m_norm * mu))
-    sinr = p / denom
-    return _report(sinr, "zf/common", {"regime": "zf/common",
-                                       "residual": sol.residual,
-                                       **(digest or {})})
+    sinr = zf_sinr(mu, np.asarray(p, dtype=float), sigma2, sol.m_norm)
+    return _report(sinr, "zf/common", digest, sol)
 
 
 # ---------------------------------------------------------------------------

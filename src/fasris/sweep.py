@@ -179,28 +179,38 @@ def figure_fig2(out_dir: Path, trials: int, seed: int, threads: int,
                    "ESR [bit/s/Hz]", "DE accuracy vs system size")
 
 
+def _joint_vs_uniform(out_dir: Path, name: str, points, axis_name: str,
+                      xlabel: str, title: str) -> dict:
+    """Joint design vs uniform selection + AO, two rows per (x, id, sc, M)."""
+    rows, xs, opt_y, uni_y = [], [], [], []
+    for x, scenario_id, sc, M in points:
+        rep = joint_optimize(sc, M, T_iter=1)[3]
+        s_uni = sc_mod.uniform_selection(M, sc.correlations.R_tot.shape[0])
+        esr_u = alternating_optimization(sc, s_uni, np.zeros(sc.dims.L))[2]
+        rows.append(format_row(scenario_id, axis_name, x, "rzf", "de_joint",
+                               rep.esr))
+        rows.append(format_row(scenario_id, axis_name, x, "rzf", "de_uniform",
+                               esr_u))
+        xs.append(x)
+        opt_y.append(rep.esr)
+        uni_y.append(esr_u)
+    series = [{"x": xs, "y": opt_y, "label": "proposed selection"},
+              {"x": xs, "y": uni_y, "label": "uniform selection",
+               "dashed": True}]
+    return _finish(out_dir, name, rows, series, xlabel, "ESR [bit/s/Hz]",
+                   title)
+
+
 def figure_fig3(out_dir: Path, trials: int, seed: int, threads: int,
                 timing: bool, snrs=(60, 70, 80, 90, 100)) -> dict:
     """Optimized port selection vs uniform baseline (RZF)."""
-    rows, series = [], []
-    opt_y, uni_y = [], []
-    for snr in snrs:
-        sc, M = sc_mod.fig3_scenario(snr)
-        L = sc.dims.L
-        s_opt, z_opt, phases, rep, _ = joint_optimize(sc, M, T_iter=1)
-        rows.append(format_row(sc.name, "snr_db", snr, "rzf", "de_joint",
-                               rep.esr))
-        s_uni = sc_mod.uniform_selection(M, sc.correlations.R_tot.shape[0])
-        z_u, ph_u, esr_u, _ = alternating_optimization(sc, s_uni, np.zeros(L))
-        rows.append(format_row(sc.name, "snr_db", snr, "rzf", "de_uniform",
-                               esr_u))
-        opt_y.append(rep.esr)
-        uni_y.append(esr_u)
-    series = [{"x": list(snrs), "y": opt_y, "label": "proposed selection"},
-              {"x": list(snrs), "y": uni_y, "label": "uniform selection",
-               "dashed": True}]
-    return _finish(out_dir, "fig3", rows, series, "1/sigma^2 [dB]",
-                   "ESR [bit/s/Hz]", "Optimization vs uniform selection")
+    def points():
+        for snr in snrs:
+            sc, M = sc_mod.fig3_scenario(snr)
+            yield snr, sc.name, sc, M
+    return _joint_vs_uniform(out_dir, "fig3", points(), "snr_db",
+                             "1/sigma^2 [dB]",
+                             "Optimization vs uniform selection")
 
 
 def figure_fig4(out_dir: Path, trials: int, seed: int, threads: int,
@@ -249,45 +259,26 @@ def figure_fig5(out_dir: Path, trials: int, seed: int, threads: int,
 def figure_fig6(out_dir: Path, trials: int, seed: int, threads: int,
                 timing: bool, Ks=(4, 8, 12, 16)) -> dict:
     """User-count sweep: joint optimization vs uniform+AO (80 dB)."""
-    rows, opt_y, uni_y = [], [], []
-    for K in Ks:
-        sc, M = sc_mod.fig6_scenario(K, 80.0)
-        L = sc.dims.L
-        s_opt, z_opt, phases, rep, _ = joint_optimize(sc, M, T_iter=1)
-        s_uni = sc_mod.uniform_selection(M, sc.correlations.R_tot.shape[0])
-        z_u, ph_u, esr_u, _ = alternating_optimization(sc, s_uni, np.zeros(L))
-        rows.append(format_row(sc.name, "K", K, "rzf", "de_joint", rep.esr))
-        rows.append(format_row(sc.name, "K", K, "rzf", "de_uniform", esr_u))
-        opt_y.append(rep.esr)
-        uni_y.append(esr_u)
-    series = [{"x": list(Ks), "y": opt_y, "label": "proposed selection"},
-              {"x": list(Ks), "y": uni_y, "label": "uniform selection",
-               "dashed": True}]
-    return _finish(out_dir, "fig6", rows, series, "number of users K",
-                   "ESR [bit/s/Hz]", "Impact of user count")
+    def points():
+        for K in Ks:
+            sc, M = sc_mod.fig6_scenario(K, 80.0)
+            yield K, sc.name, sc, M
+    return _joint_vs_uniform(out_dir, "fig6", points(), "K",
+                             "number of users K", "Impact of user count")
 
 
 def figure_fig7(out_dir: Path, trials: int, seed: int, threads: int,
                 timing: bool, Ms=(12, 16, 20, 24, 28)) -> dict:
     """Selected-port sweep at 90 dB: joint optimization vs uniform+AO."""
-    rows, opt_y, uni_y = [], [], []
-    for M in Ms:
-        sc, _ = sc_mod.fig3_scenario(90.0)
-        sc.dims = type(sc.dims)(M=M, K=sc.dims.K, L=sc.dims.L,
-                                M_tot=sc.dims.M_tot)
-        L = sc.dims.L
-        s_opt, z_opt, phases, rep, _ = joint_optimize(sc, M, T_iter=1)
-        s_uni = sc_mod.uniform_selection(M, sc.correlations.R_tot.shape[0])
-        z_u, ph_u, esr_u, _ = alternating_optimization(sc, s_uni, np.zeros(L))
-        rows.append(format_row(f"fig7_M{M}", "M", M, "rzf", "de_joint", rep.esr))
-        rows.append(format_row(f"fig7_M{M}", "M", M, "rzf", "de_uniform", esr_u))
-        opt_y.append(rep.esr)
-        uni_y.append(esr_u)
-    series = [{"x": list(Ms), "y": opt_y, "label": "proposed selection"},
-              {"x": list(Ms), "y": uni_y, "label": "uniform selection",
-               "dashed": True}]
-    return _finish(out_dir, "fig7", rows, series, "selected ports M",
-                   "ESR [bit/s/Hz]", "Impact of selected-port count")
+    def points():
+        for M in Ms:
+            sc, _ = sc_mod.fig3_scenario(90.0)
+            sc.dims = type(sc.dims)(M=M, K=sc.dims.K, L=sc.dims.L,
+                                    M_tot=sc.dims.M_tot)
+            yield M, f"fig7_M{M}", sc, M
+    return _joint_vs_uniform(out_dir, "fig7", points(), "M",
+                             "selected ports M",
+                             "Impact of selected-port count")
 
 
 def figure_fig8(out_dir: Path, trials: int, seed: int, threads: int,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fasris import fixed_point
 from fasris import (ConvergenceError, FeasibilityError, SolverSettings,
                     backsubstitution_residual, solve_iid_zf, solve_rzf_common,
                     solve_rzf_uncommon, solve_zf_common, solve_zf_uncommon)
@@ -167,12 +168,21 @@ class TestSolvePath:
         assert warm.path == "warm" and warm.iterations <= 2
         assert rel_err(warm.delta, cold.delta) < 1e-9
 
-    def test_continuation_fallback(self, rzf_at_03):
+    def test_continuation_fallback(self, rzf_at_03, monkeypatch):
         # one iteration short of the cold solve: the direct attempt stalls,
         # while every warm-started continuation step converges within budget
         cold = rzf_at_03(SolverSettings())
+        calls = []
+        for cls in (fixed_point._CommonMap, fixed_point._UncommonMap):
+            def counted(self, x, _call=cls.__call__):
+                calls.append(None)
+                return _call(self, x)
+            monkeypatch.setattr(cls, "__call__", counted)
         sol = rzf_at_03(SolverSettings(max_iter=cold.iterations - 1))
         assert sol.path == "continuation"
+        # every map evaluation counts: the failed attempt and all 13 steps
+        assert sol.iterations == len(calls) > cold.iterations
+        monkeypatch.undo()
         ref = rzf_at_03(TIGHT)
         for name, value in ref.x0.items():
             assert rel_err(sol.x0[name], value) < 1e-8, name

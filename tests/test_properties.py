@@ -1,0 +1,104 @@
+"""Property tests: invariances that the deterministic equivalents satisfy exactly.
+
+Relabelling the users permutes every per-user output and leaves the phase
+gradient alone. Scaling every gain, the noise power and the regularizer by one
+constant leaves every RZF SINR unchanged. The solves are tight, so the
+tolerance only has to absorb roundoff.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from fasris import (SolverSettings, esr_gradient_phases_uncommon,
+                    sinr_rzf_common, sinr_rzf_uncommon, solve_rzf_common,
+                    solve_rzf_uncommon)
+from fasris.scenarios import random_scenario
+
+TIGHT = SolverSettings(tol=1e-12, max_iter=30000)
+M, K, L = 8, 3, 6
+TOL = 1e-9
+EXAMPLES = settings(max_examples=20, deadline=None)
+
+seeds = st.integers(0, 2 ** 32 - 1)
+perms = st.permutations(range(K)).map(list)
+scales = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+def rel(a, b) -> float:
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+def scenario(seed: int, mode: str):
+    sc = random_scenario(np.random.default_rng(seed), mode, M=M, K=K, L=L)
+    return sc, K * sc.sigma2 / M
+
+
+def rzf_uncommon(F_list, R, C_list, p, z, sigma2):
+    sol = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT)
+    return sinr_rzf_uncommon(sol, F_list, R, C_list, p, sigma2)
+
+
+def rzf_common(F, R, C, u, t, p, z, sigma2):
+    sol = solve_rzf_common(F, R, C, u, t, z, TIGHT)
+    return sinr_rzf_common(sol, F, R, C, u, t, p, sigma2)[0].sinr
+
+
+@EXAMPLES
+@given(seeds, perms)
+def test_user_permutation_uncommon(seed, perm):
+    sc, z = scenario(seed, "uncommon")
+    F_list, R, C_list, p = sc.stats_uncommon()
+    sinr = rzf_uncommon(F_list, R, C_list, p, z, sc.sigma2)[0].sinr
+    permuted = rzf_uncommon([F_list[k] for k in perm], R,
+                            [C_list[k] for k in perm], p[perm], z,
+                            sc.sigma2)[0].sinr
+    assert rel(permuted, sinr[perm]) < TOL
+
+
+@EXAMPLES
+@given(seeds, perms)
+def test_user_permutation_common(seed, perm):
+    sc, z = scenario(seed, "common")
+    F, R, C, u, t, p = sc.stats_common()
+    sinr = rzf_common(F, R, C, u, t, p, z, sc.sigma2)
+    permuted = rzf_common(F, R, C, u[perm], t[perm], p[perm], z, sc.sigma2)
+    assert rel(permuted, sinr[perm]) < TOL
+
+
+@EXAMPLES
+@given(seeds, perms)
+def test_phase_gradient_ignores_user_order(seed, perm):
+    sc, z = scenario(seed, "uncommon")
+    phi = np.random.default_rng([seed, 1]).uniform(0.0, 2.0 * np.pi, L)
+    F_list, R, C_list, p = sc.stats_uncommon(phi=phi)
+    C_R = sc.correlations.c_r_list(K)
+
+    def gradient(order):
+        Fo, Co = [F_list[k] for k in order], [C_list[k] for k in order]
+        _, so = rzf_uncommon(Fo, R, Co, p[order], z, sc.sigma2)
+        return esr_gradient_phases_uncommon(
+            so, Co, sc.correlations.C_L, [C_R[k] for k in order],
+            sc.t[order], phi, p[order], sc.sigma2)
+
+    g = gradient(list(range(K)))
+    assert np.max(np.abs(gradient(perm) - g)) < TOL * np.max(np.abs(g))
+
+
+@EXAMPLES
+@given(seeds, scales)
+def test_gain_noise_regularizer_scaling(seed, c):
+    # (u, t, sigma2, z) -> c (u, t, sigma2, z) scales the channel covariance,
+    # the noise and the regularizer alike
+    sc, z = scenario(seed, "uncommon")
+    scaled = replace(sc, u=c * sc.u, t=c * sc.t, sigma2=c * sc.sigma2)
+    base = rzf_uncommon(*sc.stats_uncommon(), z, sc.sigma2)[0].sinr
+    out = rzf_uncommon(*scaled.stats_uncommon(), c * z, scaled.sigma2)[0].sinr
+    assert rel(out, base) < TOL
+
+    sc, z = scenario(seed, "common")
+    scaled = replace(sc, u=c * sc.u, t=c * sc.t, sigma2=c * sc.sigma2)
+    base = rzf_common(*sc.stats_common(), z, sc.sigma2)
+    out = rzf_common(*scaled.stats_common(), c * z, scaled.sigma2)
+    assert rel(out, base) < TOL

@@ -8,7 +8,8 @@ from fasris import (Dimensions, CorrelationSet, Scenario, SolverSettings,
                     solve_rzf_common, solve_rzf_uncommon, solve_zf_common,
                     solve_zf_uncommon, sinr_rzf_common, sinr_rzf_uncommon,
                     sinr_zf_common, sinr_zf_uncommon)
-from fasris.rates import NumericalError, second_order_uncommon
+from fasris.rates import (NumericalError, _clip_psi, _solve_checked,
+                          second_order_uncommon)
 from fasris.scenarios import random_correlation, random_scenario
 
 TIGHT = SolverSettings(tol=1e-12, max_iter=30000)
@@ -244,6 +245,22 @@ class TestSecondOrderEdges:
         sol = solve_rzf_uncommon(F_list, R, C_list, 0.2, TIGHT)
         so = second_order_uncommon(F_list, R, C_list, p, sol)
         assert so.Psi_kl.min() >= 0.0
+
+
+class TestNumericalGuards:
+    def test_clip_psi_raises_on_significant_negativity(self):
+        Psi = np.array([[2.0, 0.5], [-1e-3, 1.0]])
+        with pytest.raises(NumericalError, match="negativity"):
+            _clip_psi(Psi)
+
+    def test_clip_psi_zeroes_roundoff_negatives(self):
+        Psi = np.array([[2.0, 0.5], [-1e-12, 1.0]])
+        out = _clip_psi(Psi)
+        assert np.array_equal(out, [[2.0, 0.5], [0.0, 1.0]])
+
+    def test_singular_block_raises(self):
+        with pytest.raises(NumericalError, match="Pi block is ill-conditioned"):
+            _solve_checked(np.ones((2, 2)), np.ones(2), "Pi")
 
 
 class TestReferenceScenarioProperties:
