@@ -181,20 +181,18 @@ class PathLossParams:
 class CorrelationSet:
     """Correlation matrices of a scenario.
 
-    mode "uncommon": per-user F_tot list and C_R list; "common": shared
-    F_tot and C_R; "iid": all identity. R_tot is the BS-side correlation
-    toward the RIS, C_L the RIS receive side.
+    F_tot (direct link) and C_R (RIS transmit side) are either one matrix
+    shared by every user or a per-user list; R_tot is the BS-side
+    correlation toward the RIS, C_L the RIS receive side. The data alone
+    decides the correlation regime, see `shared`.
     """
 
-    mode: str
     R_tot: np.ndarray
     F_tot: np.ndarray | list[np.ndarray]
     C_L: np.ndarray
     C_R: np.ndarray | list[np.ndarray]
 
     def __post_init__(self):
-        if self.mode not in ("uncommon", "common", "iid"):
-            raise ValueError(f"unknown correlation mode {self.mode!r}")
         self.R_tot = check_psd(self.R_tot, "R_tot")
         self.C_L = check_psd(self.C_L, "C_L")
         if isinstance(self.F_tot, list):
@@ -205,6 +203,14 @@ class CorrelationSet:
             self.C_R = [check_psd(C, f"C_R[{k}]") for k, C in enumerate(self.C_R)]
         else:
             self.C_R = check_psd(self.C_R, "C_R")
+
+    @property
+    def shared(self) -> bool:
+        """True when every user sees the same F_tot and C_R (shared regime).
+
+        The shared-correlation solvers apply; otherwise the per-user ones do.
+        """
+        return not (isinstance(self.F_tot, list) or isinstance(self.C_R, list))
 
     def f_tot_list(self, K: int) -> list[np.ndarray]:
         return list(self.F_tot) if isinstance(self.F_tot, list) else [self.F_tot] * K
@@ -248,9 +254,15 @@ class Scenario:
         """True iff every user shares gains, power and correlation matrices."""
         same_scalars = (np.ptp(self.u) == 0.0 and np.ptp(self.t) == 0.0
                         and np.ptp(self.p) == 0.0)
-        shared = not (isinstance(self.correlations.F_tot, list)
-                      or isinstance(self.correlations.C_R, list))
-        return bool(same_scalars and shared)
+        return bool(same_scalars and self.correlations.shared)
+
+    def default_z(self, s: np.ndarray | None = None) -> float:
+        """The RZF regularizer K sigma^2 / M(s), M(s) the selected-port count.
+
+        It is the optimal z for homogeneous users and the default elsewhere.
+        """
+        M = int(np.sum(s)) if s is not None else self.dims.M
+        return self.dims.K * self.sigma2 / M
 
     # -- selected-port views -------------------------------------------------
 
@@ -262,7 +274,7 @@ class Scenario:
     def stats_common(self, s: np.ndarray | None = None,
                      phi: np.ndarray | None = None):
         """(F, R, C, u, t, p) inputs for the common-correlation solvers."""
-        if isinstance(self.correlations.F_tot, list) or isinstance(self.correlations.C_R, list):
+        if not self.correlations.shared:
             raise ValueError("scenario has per-user correlations; use stats_uncommon")
         F = self.correlations.F_tot if s is None else select_submatrix(self.correlations.F_tot, s)
         R = self.select_R(s)

@@ -39,22 +39,17 @@ def _load(args) -> dict:
     return load_config(args.config)
 
 
-def _default_selection(s, scenario):
-    """Fall back to the uniform baseline when ports outnumber RF chains."""
-    if s is not None:
-        return s
-    M_tot = scenario.correlations.R_tot.shape[0]
-    if M_tot > scenario.dims.M:
-        from .scenarios import uniform_selection
-        return uniform_selection(scenario.dims.M, M_tot)
-    return None
+def _problem(args):
+    """(cfg, scenario, selection, phases, seed) of --config; --seed wins."""
+    cfg = _load(args)
+    scenario = scenario_from_config(cfg)
+    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    return (cfg, scenario, selection_from_config(cfg, scenario),
+            phases_from_config(cfg, scenario.dims.L), seed)
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load(args)
-    scenario = scenario_from_config(cfg)
-    s = _default_selection(selection_from_config(cfg, scenario), scenario)
-    phi = phases_from_config(cfg, scenario.dims.L)
+    cfg, scenario, s, phi, _ = _problem(args)
     rows = []
     for precoder in args.precoder or cfg.get("precoders", ["rzf"]):
         rep = deterministic_esr(scenario, s, phi, precoder)
@@ -69,16 +64,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    cfg = _load(args)
-    scenario = scenario_from_config(cfg)
-    s = _default_selection(selection_from_config(cfg, scenario), scenario)
-    phi = phases_from_config(cfg, scenario.dims.L)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    cfg, scenario, s, phi, seed = _problem(args)
     trials = args.trials or int(cfg.get("trials", 2000))
-    z = None
-    if args.precoder == "rzf":
-        M = int(np.sum(s)) if s is not None else scenario.dims.M
-        z = scenario.dims.K * scenario.sigma2 / M
+    z = scenario.default_z(s)             # only RZF reads it
     est = empirical_esr(scenario, s, phi, args.precoder, trials, seed, z,
                         threads=_threads(args))
     snr_db = -10.0 * np.log10(scenario.sigma2)
@@ -94,15 +82,9 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    cfg = _load(args)
-    scenario = scenario_from_config(cfg)
-    dims = scenario.dims
-    M = dims.M
-    L = dims.L
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    phi0 = phases_from_config(cfg, L)
-    phi0 = np.zeros(L) if phi0 is None else phi0
-    s0 = _default_selection(selection_from_config(cfg, scenario), scenario)
+    _, scenario, s0, phi0, seed = _problem(args)
+    M = scenario.dims.M
+    phi0 = np.zeros(scenario.dims.L) if phi0 is None else phi0
 
     if args.mode == "joint":
         s, z, phases, rep, trace = joint_optimize(
@@ -110,19 +92,16 @@ def cmd_optimize(args) -> int:
         phi = phases.phi
     elif args.mode == "ports":
         s = fw_port_selection(scenario, phi0, M)
-        z = dims.K * scenario.sigma2 / M
+        z = scenario.default_z(s)
         phi = phi0
-        rep = deterministic_esr(scenario, s, phi, args.precoder,
-                                z if args.precoder == "rzf" else None)
+        rep = deterministic_esr(scenario, s, phi, args.precoder, z)
         trace = None
     elif args.mode == "phases":
         s = s0
-        z = dims.K * scenario.sigma2 / (int(np.sum(s)) if s is not None else M)
         z, phases, esr, trace = alternating_optimization(
-            scenario, s, phi0, z, precoder=args.precoder)
+            scenario, s, phi0, scenario.default_z(s), precoder=args.precoder)
         phi = phases.phi
-        rep = deterministic_esr(scenario, s, phi, args.precoder,
-                                z if args.precoder == "rzf" else None)
+        rep = deterministic_esr(scenario, s, phi, args.precoder, z)
     elif args.mode == "zsearch":
         s = s0
         phi = phi0
@@ -132,9 +111,8 @@ def cmd_optimize(args) -> int:
     else:
         raise UsageError(f"unknown mode {args.mode!r}")
 
-    confirmation = empirical_esr(
-        scenario, s, phi, args.precoder, args.trials, seed,
-        z if args.precoder == "rzf" else None, threads=_threads(args))
+    confirmation = empirical_esr(scenario, s, phi, args.precoder, args.trials,
+                                 seed, z, threads=_threads(args))
     solution = {
         "mode": args.mode,
         "precoder": args.precoder,
@@ -167,9 +145,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    seed = args.seed if args.seed is not None else None
-    out = run_experiment(cfg, args.out_dir, seed=seed,
+    out = run_experiment(_load(args), args.out_dir, seed=args.seed,
                          threads=_threads(args), timing=args.timing)
     print(f"wrote {out['csv']} and {out['svg']} ({out['rows']} rows)")
     return 0

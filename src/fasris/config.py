@@ -129,7 +129,10 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if C_L is None:
         C_L = _ris_profile(profiles["C_L"], L) if "C_L" in profiles else np.eye(L)
 
+    # `mode` shapes the matrices built here; the regime then follows the data
     mode = block.get("mode", "common")
+    if mode not in ("common", "uncommon", "iid"):
+        raise ConfigError(f"unknown correlation mode {mode!r}")
     if mode == "uncommon":
         F_tot = [from_file(f"F_tot_{k}") if f"F_tot_{k}" in files
                  else (_ris_profile(block["F_profiles"][k], n_ports)
@@ -185,8 +188,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         raise ConfigError("scenario needs `sigma2_inv_db`")
     sigma2 = db2lin(-float(block["sigma2_inv_db"]))
 
-    corr = CorrelationSet(mode=mode, R_tot=R_tot, F_tot=F_tot,
-                          C_L=C_L, C_R=C_R)
+    corr = CorrelationSet(R_tot=R_tot, F_tot=F_tot, C_L=C_L, C_R=C_R)
     return Scenario(dims=dims, correlations=corr, u=u, t=t, p=p,
                     sigma2=sigma2, name=block.get("name", "config"))
 
@@ -197,10 +199,16 @@ def load_config(path: str | Path) -> dict:
 
 
 def selection_from_config(cfg: dict, scenario: Scenario) -> np.ndarray | None:
-    """Resolve the `selection` block to a binary vector (or None = all ports)."""
+    """Resolve the `selection` block to a binary vector.
+
+    Without a block, the uniform baseline when ports outnumber RF chains,
+    else None (all ports).
+    """
     block = cfg.get("selection")
     M_tot = scenario.correlations.R_tot.shape[0]
     if block is None:
+        if M_tot > scenario.dims.M:
+            return sc_mod.uniform_selection(scenario.dims.M, M_tot)
         return None
     kind = block.get("type", "uniform")
     M = int(block.get("M", scenario.dims.M))

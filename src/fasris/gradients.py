@@ -18,8 +18,8 @@ import numpy as np
 
 from .channel import herm, phase_matrix, psd_sqrt
 from .fixed_point import ZfCommonSolution, ZfUncommonSolution
-from .rates import (SecondOrderCommon, SecondOrderUncommon, _solve_checked,
-                    common_pi, rzf_sinr, uncommon_pi)
+from .rates import (SecondOrderCommon, SecondOrderUncommon, _checked,
+                    _solve_checked, common_pi, rzf_sinr, uncommon_pi)
 
 LN2 = np.log(2.0)
 
@@ -96,12 +96,13 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
     tt = np.outer(t, t)
     tu = np.outer(t, u)
     uu = np.outer(u, u)
+    solve_pi = _checked(so.Pi_com, "Pi_com")
 
     grad = np.zeros(len(phi))
     for l in range(len(phi)):
         A_l = phase_perturbation(CL_root, C_R, phi, l)
         U_Al = _tr2(A_l, Psi_C) / L - omega_bar * _tr2(A_l, PCC) / L
-        d_, k_, o_ = _solve_checked(so.Pi_com, np.array([0.0, 0.0, U_Al]), "Pi_com")
+        d_, k_, o_ = solve_pi(np.array([0.0, 0.0, U_Al]))
 
         kb_ = -(k_ * so.eta_UU + o_ * so.eta_TU)
         ob_ = -(k_ * so.eta_TU + o_ * so.eta_TT)
@@ -164,12 +165,9 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
              -(Xi_ * so.eta_TT + so.Xi * eta_TT_)],
         ])
 
-        def x_prime(x, chi_vec_):
-            return _solve_checked(so.Pi_com, chi_vec_ - Pi_ @ x, "Pi_com")
-
-        x_R_ = x_prime(so.x_R, np.array([chi_RR_, chi_RF_, 0.0]))
-        x_F_ = x_prime(so.x_F, np.array([chi_RF_, chi_FF_, 0.0]))
-        x_I_ = x_prime(so.x_I, np.array([chi_RI_, chi_FI_, 0.0]))
+        x_R_ = solve_pi(np.array([chi_RR_, chi_RF_, 0.0]) - Pi_ @ so.x_R)
+        x_F_ = solve_pi(np.array([chi_RF_, chi_FF_, 0.0]) - Pi_ @ so.x_F)
+        x_I_ = solve_pi(np.array([chi_RI_, chi_FI_, 0.0]) - Pi_ @ so.x_I)
 
         lam_zz_ = ((Xi_ + (L / M) * (Xi_ * so.eta_TU * so.x_F[2]
                                      + so.Xi * eta_TU_ * so.x_F[2]
@@ -234,6 +232,7 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
     Psi_C2 = Psi_C @ Psi_C
     dinv = 1.0 / delta
     dinv2 = dinv * dinv
+    solve_pi = _checked(so.Pi, "Pi")
 
     grad = np.zeros(len(phi))
     for l in range(len(phi)):
@@ -249,7 +248,7 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
         n = np.empty(K + 1)
         n[:K] = e_om - so.chi_FR * S
         n[K] = -so.chi_RR * S
-        w_sol = _solve_checked(so.Pi, n, "Pi")
+        w_sol = solve_pi(n)
         mu_, d_ = w_sol[:K], w_sol[K]
 
         om_ = e_om + so.Xi_I * d_ * dinv2 + (so.Xi / (L * one_mu2[None, :])) @ mu_
@@ -287,14 +286,13 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
         Pi_ = _uncommon_pi_prime(so, mu_, d_, om_, chi_FF_, chi_FR_, chi_RR_,
                                  Xi_, Xi_I_, M, L)
 
-        ups_I_ = _solve_checked(
-            so.Pi, np.concatenate([chi_FI_, [chi_RI_]]) - Pi_ @ so.ups_I, "Pi")
+        ups_I_ = solve_pi(np.concatenate([chi_FI_, [chi_RI_]]) - Pi_ @ so.ups_I)
         Cbar_ = float(np.sum(p * (ups_I_[:K] / one_mu2
                                   - 2.0 * so.ups_I[:K] * mu_ / one_mu ** 3)) / M)
 
         B_ = _uncommon_interference_rhs_prime(so, mu_, d_, om_, Xi_, Xi_I_,
                                         chi_FF_, chi_FR_, chi_RR_, M, L)
-        W_ = _solve_checked(so.Pi, B_ - Pi_ @ so.W, "Pi")
+        W_ = solve_pi(B_ - Pi_ @ so.W)
         W_adj = so.W[:K, :].copy()
         W_adj[np.diag_indices(K)] -= mu
         W_adj_ = W_[:K, :].copy()

@@ -120,46 +120,62 @@ def _digest(arr) -> str:
 # deterministic ESR evaluation at scenario level
 # ---------------------------------------------------------------------------
 
+def _stats(scenario: Scenario, s, phi):
+    """(solver inputs at (s, phi), shared) in the regime the data decides."""
+    shared = scenario.correlations.shared
+    if shared:
+        return scenario.stats_common(s, phi), shared
+    return scenario.stats_uncommon(s, phi), shared
+
+
+def _evaluate(stats, shared, precoder, z, sigma2, settings, x0=None,
+              m_norm=None, digest=None):
+    """Solve one fixed point and turn it into SINRs: the only dispatch over
+    the four solver/SINR pairs.
+
+    `stats` is (F, R, C, u, t, p) when `shared`, else (F_list, R, C_list, p).
+    Returns (report, so, sol); so holds the second-order blocks, None for ZF.
+    """
+    if precoder not in ("rzf", "zf"):
+        raise ValueError(f"no deterministic equivalent for precoder {precoder!r}")
+    if shared:
+        F, R, C, u, t, p = stats
+        if precoder == "rzf":
+            sol = solve_rzf_common(F, R, C, u, t, z, settings, m_norm=m_norm,
+                                   x0=x0)
+            rep, so = sinr_rzf_common(sol, F, R, C, u, t, p, sigma2,
+                                      digest=digest)
+            return rep, so, sol
+        sol = solve_zf_common(F, R, C, u, t, settings, m_norm=m_norm, x0=x0)
+        return sinr_zf_common(sol, u, t, p, sigma2, digest=digest), None, sol
+    F_list, R, C_list, p = stats
+    if precoder == "rzf":
+        sol = solve_rzf_uncommon(F_list, R, C_list, z, settings, m_norm=m_norm,
+                                 x0=x0)
+        rep, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sigma2,
+                                    digest=digest)
+        return rep, so, sol
+    sol = solve_zf_uncommon(F_list, R, C_list, settings, m_norm=m_norm, x0=x0)
+    return sinr_zf_uncommon(sol, p, sigma2, digest=digest), None, sol
+
+
 def deterministic_esr(scenario: Scenario, s: np.ndarray | None = None,
                       phi: np.ndarray | None = None, precoder: str = "rzf",
                       z: float | None = None,
-                      settings: SolverSettings = DEFAULT_SETTINGS,
-                      need_so: bool = False):
+                      settings: SolverSettings = DEFAULT_SETTINGS) -> RateReport:
     """Deterministic-equivalent RateReport for a binary selection.
 
-    Dispatches on the scenario correlation mode. For RZF, z defaults to
-    K sigma^2 / M. Returns the report, or (report, sol, so) when need_so.
+    The correlation data picks the regime (`CorrelationSet.shared`): shared
+    F_tot and C_R use the shared-correlation solvers, a per-user list of
+    either uses the per-user ones. For RZF, z defaults to
+    `scenario.default_z(s)` = K sigma^2 / M.
     """
-    dims = scenario.dims
-    M = int(np.sum(s)) if s is not None else dims.M
+    if precoder == "rzf" and z is None:
+        z = scenario.default_z(s)
+    stats, shared = _stats(scenario, s, phi)
     dig = {"s": _digest(s), "phi": _digest(phi)}
-    common = scenario.correlations.mode in ("common", "iid") and \
-        not isinstance(scenario.correlations.F_tot, list)
-    if precoder == "rzf":
-        if z is None:
-            z = dims.K * scenario.sigma2 / M
-        if common:
-            F, R, C, u, t, p = scenario.stats_common(s, phi)
-            sol = solve_rzf_common(F, R, C, u, t, z, settings)
-            rep, so = sinr_rzf_common(sol, F, R, C, u, t, p,
-                                      scenario.sigma2, digest=dig)
-        else:
-            F_list, R, C_list, p = scenario.stats_uncommon(s, phi)
-            sol = solve_rzf_uncommon(F_list, R, C_list, z, settings)
-            rep, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p,
-                                        scenario.sigma2, digest=dig)
-        return (rep, sol, so) if need_so else rep
-    if precoder == "zf":
-        if common:
-            F, R, C, u, t, p = scenario.stats_common(s, phi)
-            sol = solve_zf_common(F, R, C, u, t, settings)
-            rep = sinr_zf_common(sol, u, t, p, scenario.sigma2, digest=dig)
-        else:
-            F_list, R, C_list, p = scenario.stats_uncommon(s, phi)
-            sol = solve_zf_uncommon(F_list, R, C_list, settings)
-            rep = sinr_zf_uncommon(sol, p, scenario.sigma2, digest=dig)
-        return (rep, sol, None) if need_so else rep
-    raise ValueError(f"no deterministic equivalent for precoder {precoder!r}")
+    return _evaluate(stats, shared, precoder, z, scenario.sigma2, settings,
+                     digest=dig)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +195,10 @@ class RelaxedZfObjective:
         self.M = M
         self.settings = settings
         corr = scenario.correlations
-        self.common = not (isinstance(corr.F_tot, list) or isinstance(corr.C_R, list))
+        self.shared = corr.shared
         self.R_root = psd_sqrt(corr.R_tot, "R_tot")
         K = scenario.dims.K
-        if self.common:
+        if self.shared:
             self.F_root = psd_sqrt(corr.F_tot, "F_tot")
             _, self.C = effective_ris_correlation(corr.C_L, phi, corr.C_R, 1.0)
         else:
@@ -200,38 +216,32 @@ class RelaxedZfObjective:
         return herm((root * np.asarray(s, float)[None, :]) @ root)
 
     def solve(self, s: np.ndarray):
+        """(report, sol, stats) of the ZF solve on the embedded matrices."""
         sc = self.scenario
-        if self.common:
-            sol = solve_zf_common(self._embed(self.F_root, s),
-                                  self._embed(self.R_root, s), self.C,
-                                  sc.u, sc.t, self.settings, m_norm=self.M,
-                                  x0=self._x0)
-            self._x0 = sol.x0
-            rep = sinr_zf_common(sol, sc.u, sc.t, sc.p, sc.sigma2)
+        R = self._embed(self.R_root, s)
+        if self.shared:
+            stats = (self._embed(self.F_root, s), R, self.C, sc.u, sc.t, sc.p)
         else:
-            F_emb = [self._embed(Fr, s) for Fr in self.F_roots]
-            sol = solve_zf_uncommon(F_emb, self._embed(self.R_root, s),
-                                    self.C_list, self.settings, m_norm=self.M,
-                                    x0=self._x0)
-            self._x0 = sol.x0
-            rep = sinr_zf_uncommon(sol, sc.p, sc.sigma2)
-        return rep, sol
+            stats = ([self._embed(Fr, s) for Fr in self.F_roots], R,
+                     self.C_list, sc.p)
+        rep, _, sol = _evaluate(stats, self.shared, "zf", None, sc.sigma2,
+                                self.settings, x0=self._x0, m_norm=self.M)
+        self._x0 = sol.x0
+        return rep, sol, stats
 
     def esr(self, s: np.ndarray) -> float:
         return self.solve(s)[0].esr
 
     def gradient(self, s: np.ndarray):
-        rep, sol = self.solve(s)
+        # F and C are per-user lists outside the shared regime
+        rep, sol, (F, R, C, *_) = self.solve(s)
         sc = self.scenario
-        if self.common:
-            g = esr_gradient_ports_zf_common(
-                sol, self.R_root, self.F_root, self._embed(self.R_root, s),
-                self._embed(self.F_root, s), self.C, sc.u, sc.t, sc.p, sc.sigma2)
+        if self.shared:
+            g = esr_gradient_ports_zf_common(sol, self.R_root, self.F_root, R,
+                                             F, C, sc.u, sc.t, sc.p, sc.sigma2)
         else:
-            g = esr_gradient_ports_zf_uncommon(
-                sol, self.R_root, self.F_roots, self._embed(self.R_root, s),
-                [self._embed(Fr, s) for Fr in self.F_roots], self.C_list,
-                sc.p, sc.sigma2)
+            g = esr_gradient_ports_zf_uncommon(sol, self.R_root, self.F_roots,
+                                               R, F, C, sc.p, sc.sigma2)
         return rep.esr, g
 
 
@@ -291,39 +301,36 @@ def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
 def _phase_objective(scenario: Scenario, s, precoder, z, settings):
     """Closure pair (esr(phi), esr_and_grad(phi)) for the selected scenario."""
     corr = scenario.correlations
-    common = not (isinstance(corr.F_tot, list) or isinstance(corr.C_R, list))
+    if precoder not in ("rzf", "zf"):
+        raise ValueError(f"unsupported precoder {precoder!r}")
+    if precoder == "zf" and not corr.shared:
+        raise ValueError("ZF phase ascent is implemented for the "
+                         "shared-correlation regime")
+    if precoder == "rzf" and z is None:
+        z = scenario.default_z(s)
 
     def value(phi):
         return deterministic_esr(scenario, s, phi, precoder, z, settings).esr
 
-    if precoder == "rzf":
-        def value_grad(phi):
-            rep, sol, so = deterministic_esr(scenario, s, phi, "rzf", z,
-                                             settings, need_so=True)
-            if common:
-                g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi,
-                                               scenario.sigma2)
-            else:
-                K = scenario.dims.K
-                F_list, R, C_list, p = scenario.stats_uncommon(s, phi)
-                g = esr_gradient_phases_uncommon(so, C_list, corr.C_L,
-                                                 corr.c_r_list(K), scenario.t,
-                                                 phi, p, scenario.sigma2)
-            return rep.esr, g
-    elif precoder == "zf":
-        if not common:
-            raise ValueError("ZF phase ascent is implemented for the "
-                             "shared-correlation regime")
-
-        def value_grad(phi):
-            rep, sol, _ = deterministic_esr(scenario, s, phi, "zf", None,
-                                            settings, need_so=True)
-            F, R, C, u, t, p = scenario.stats_common(s, phi)
+    def value_grad(phi):
+        stats, shared = _stats(scenario, s, phi)
+        rep, so, sol = _evaluate(stats, shared, precoder, z, scenario.sigma2,
+                                 settings)
+        if precoder == "zf":
+            F, R, _, u, t, p = stats
             g = esr_gradient_phases_zf_common(sol, F, R, corr.C_L, corr.C_R,
                                               phi, u, t, p, scenario.sigma2)
-            return rep.esr, g
-    else:
-        raise ValueError(f"unsupported precoder {precoder!r}")
+        elif shared:
+            g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi,
+                                           scenario.sigma2)
+        else:
+            _, _, C_list, p = stats
+            g = esr_gradient_phases_uncommon(so, C_list, corr.C_L,
+                                             corr.c_r_list(scenario.dims.K),
+                                             scenario.t, phi, p,
+                                             scenario.sigma2)
+        return rep.esr, g
+
     return value, value_grad
 
 
@@ -382,27 +389,13 @@ class _WarmRzfEsr:
     def __init__(self, scenario: Scenario, s, phi, settings: SolverSettings):
         self.sigma2 = scenario.sigma2
         self.settings = settings
-        corr = scenario.correlations
-        self.common = not (isinstance(corr.F_tot, list)
-                           or isinstance(corr.C_R, list))
-        if self.common:
-            self.stats = scenario.stats_common(s, phi)
-        else:
-            self.stats = scenario.stats_uncommon(s, phi)
+        self.stats, self.shared = _stats(scenario, s, phi)
         self._x0 = None
 
     def __call__(self, z: float) -> float:
-        if self.common:
-            F, R, C, u, t, p = self.stats
-            sol = solve_rzf_common(F, R, C, u, t, z, self.settings, x0=self._x0)
-            self._x0 = sol.x0
-            rep, _ = sinr_rzf_common(sol, F, R, C, u, t, p, self.sigma2)
-        else:
-            F_list, R, C_list, p = self.stats
-            sol = solve_rzf_uncommon(F_list, R, C_list, z, self.settings,
-                                     x0=self._x0)
-            self._x0 = sol.x0
-            rep, _ = sinr_rzf_uncommon(sol, F_list, R, C_list, p, self.sigma2)
+        rep, _, sol = _evaluate(self.stats, self.shared, "rzf", z, self.sigma2,
+                                self.settings, x0=self._x0)
+        self._x0 = sol.x0
         return rep.esr
 
 
@@ -410,9 +403,7 @@ def z_search_profile(scenario: Scenario, s, phi,
                      opt: OptimizerSettings = DEFAULT_OPT):
     """Grid + golden-section profile of ESR_RZF over z. Returns
     (z_star, grid, values, golden_width)."""
-    dims = scenario.dims
-    M = int(np.sum(s)) if s is not None else dims.M
-    z_center = dims.K * scenario.sigma2 / M
+    z_center = scenario.default_z(s)
     esr_of = _WarmRzfEsr(scenario, s, phi, opt.solver)
 
     grid = z_center * np.logspace(-opt.z_span_decades, opt.z_span_decades,
@@ -448,10 +439,8 @@ def search_regularization(scenario: Scenario, s: np.ndarray | None,
                           opt: OptimizerSettings = DEFAULT_OPT,
                           force_search: bool = False) -> float:
     """Best RZF regularizer. Homogeneous scenarios shortcut to K sigma^2 / M."""
-    dims = scenario.dims
-    M = int(np.sum(s)) if s is not None else dims.M
     if scenario.homogeneous and not force_search:
-        return dims.K * scenario.sigma2 / M
+        return scenario.default_z(s)
     z_star, _, _, _ = z_search_profile(scenario, s, phi, opt)
     return z_star
 

@@ -70,12 +70,13 @@ def _report(sinr: np.ndarray, regime: str, digest: dict | None,
                       regime=regime, digest=digest)
 
 
-def _solve_checked(A: np.ndarray, B: np.ndarray, block: str) -> np.ndarray:
-    """Dense solve with a conditioning guard.
+def _checked(A: np.ndarray, block: str):
+    """Equilibrate A and check its conditioning once; returns solve(B).
 
     The Pi blocks mix units (powers of delta), so rows/columns are first
     equilibrated by their max moduli; the condition limit applies to the
     scaled matrix, which reflects actual solvability rather than scaling.
+    Every right-hand side is then solved with the same scaled matrix.
     """
     r = np.abs(A).max(axis=1)
     r[r == 0] = 1.0
@@ -87,9 +88,18 @@ def _solve_checked(A: np.ndarray, B: np.ndarray, block: str) -> np.ndarray:
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise NumericalError(f"{block} block is ill-conditioned "
                              f"(equilibrated cond={cond:.3e})")
-    y = np.linalg.solve(As, np.asarray(B) / r[:, None] if np.ndim(B) == 2
-                        else np.asarray(B) / r)
-    return y / c[:, None] if np.ndim(B) == 2 else y / c
+
+    def solve(B: np.ndarray) -> np.ndarray:
+        B = np.asarray(B)
+        if B.ndim == 2:
+            return np.linalg.solve(As, B / r[:, None]) / c[:, None]
+        return np.linalg.solve(As, B / r) / c
+    return solve
+
+
+def _solve_checked(A: np.ndarray, B: np.ndarray, block: str) -> np.ndarray:
+    """Dense solve with the conditioning guard of `_checked`, for one B."""
+    return _checked(A, block)(B)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +241,9 @@ def second_order_uncommon(F_list: list[np.ndarray], R: np.ndarray,
     # chi vectors for I and every F_k; `upsilon` gives any other matrix
     chi_I = np.concatenate([pi.chi_FI, [pi.chi_RI]])
     chi_F = np.vstack([chi_FF, chi_FR[None, :]])          # (K+1, K): column l = chi(F_l)
-    ups_I = _solve_checked(pi.Pi, chi_I, "Pi")
-    ups_F = _solve_checked(pi.Pi, chi_F, "Pi")
+    solve_pi = _checked(pi.Pi, "Pi")
+    ups_I = solve_pi(chi_I)
+    ups_F = solve_pi(chi_F)
 
     # Psi_{k,l}/L is the limit of tr(E_k Q E_l Q) with E_l = F_l/M + Z_l Z_l^H/L
     # the conditional covariance of user l. It equals -(1+mu_l)^2 times the
@@ -249,7 +260,7 @@ def second_order_uncommon(F_list: list[np.ndarray], R: np.ndarray,
         b[l] += mu[l] - omega[l]                         # tr(F_l Psi_R)/M
         b[K] = -chi_FR[l] / (M * one_mu[l]) - chi_RR * S_l
         B_rhs[:, l] = b
-    W = _solve_checked(pi.Pi, B_rhs, "Pi")
+    W = solve_pi(B_rhs)
     # diagonal: scaling user l also scales its own test covariance, which
     # contributes +mu_l to d mu_l / d eps on top of the resolvent response
     W_adj = W[:K, :].copy()
@@ -389,9 +400,10 @@ def second_order_common(F, R, C, u, t, p, sol: RzfCommonSolution) -> SecondOrder
     eta_PU = float(np.sum(p * u * psi2) / L)
     Delta = 1.0 - Xi * pi.eta_TT
 
-    x_R = _solve_checked(pi.Pi_com, np.array([pi.chi_RR, pi.chi_RF, 0.0]), "Pi_com")
-    x_F = _solve_checked(pi.Pi_com, np.array([pi.chi_RF, pi.chi_FF, 0.0]), "Pi_com")
-    x_I = _solve_checked(pi.Pi_com, np.array([pi.chi_RI, pi.chi_FI, 0.0]), "Pi_com")
+    solve_pi = _checked(pi.Pi_com, "Pi_com")
+    x_R = solve_pi(np.array([pi.chi_RR, pi.chi_RF, 0.0]))
+    x_F = solve_pi(np.array([pi.chi_RF, pi.chi_FF, 0.0]))
+    x_I = solve_pi(np.array([pi.chi_RI, pi.chi_FI, 0.0]))
 
     tt = np.outer(t, t)
     tu = np.outer(t, u)       # tu[k,l] = t_k u_l

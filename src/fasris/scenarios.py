@@ -65,8 +65,7 @@ def fig1_scenario(M: int, sigma2_inv_db: float, K: int = 12,
     CR_list = [ris_corr(0.5, 5.0 + 10.0 * i, 30.0, L) for i in range(K)]
     C_L = ris_corr(0.5, 5.0, 30.0, L)
     R = ris_corr(0.5, 10.0, 5.0, M)
-    corr = CorrelationSet(mode="uncommon", R_tot=R, F_tot=F_list,
-                          C_L=C_L, C_R=CR_list)
+    corr = CorrelationSet(R_tot=R, F_tot=F_list, C_L=C_L, C_R=CR_list)
     return Scenario(dims=Dimensions(M=M, K=K, L=L), correlations=corr,
                     u=u, t=t, p=np.ones(K), sigma2=db2lin(-sigma2_inv_db),
                     name=f"fig1_M{M}")
@@ -103,8 +102,7 @@ def fig3_scenario(sigma2_inv_db: float, K: int = 8, L: int = 32,
     t = np.array([ris_leg_gain(d) for d in d_ris])
     u = np.array([direct_gain(d) for d in d_bs])
     p = np.array([(k // 2) + 1.0 for k in range(K)])
-    corr = CorrelationSet(mode="common", R_tot=R_tot, F_tot=R_tot.copy(),
-                          C_L=C_L, C_R=C_R)
+    corr = CorrelationSet(R_tot=R_tot, F_tot=R_tot.copy(), C_L=C_L, C_R=C_R)
     sc = Scenario(dims=Dimensions(M=M, K=K, L=L, M_tot=N * N),
                   correlations=corr, u=u, t=t, p=p,
                   sigma2=db2lin(-sigma2_inv_db), name=f"fig3_K{K}")
@@ -167,7 +165,12 @@ def random_correlation(n: int, rng: np.random.Generator,
 def random_scenario(rng: np.random.Generator, mode: str, M: int, K: int,
                     L: int, M_tot: int | None = None,
                     sigma2: float = 0.3) -> Scenario:
-    """O(1)-scale random scenario; gains in [0.3, 1.5], powers in [0.5, 2]."""
+    """O(1)-scale random scenario; gains in [0.3, 1.5], powers in [0.5, 2].
+
+    mode "uncommon" draws per-user F_tot and C_R lists, "common"/"iid" one each.
+    """
+    if mode not in ("common", "uncommon", "iid"):
+        raise ValueError(f"unknown correlation mode {mode!r}")
     n = M_tot if M_tot is not None else M
     R_tot = random_correlation(n, rng)
     C_L = random_correlation(L, rng)
@@ -177,7 +180,7 @@ def random_scenario(rng: np.random.Generator, mode: str, M: int, K: int,
     else:
         F_tot = random_correlation(n, rng)
         C_R = random_correlation(L, rng)
-    corr = CorrelationSet(mode=mode, R_tot=R_tot, F_tot=F_tot, C_L=C_L, C_R=C_R)
+    corr = CorrelationSet(R_tot=R_tot, F_tot=F_tot, C_L=C_L, C_R=C_R)
     return Scenario(dims=Dimensions(M=M, K=K, L=L, M_tot=M_tot),
                     correlations=corr,
                     u=rng.uniform(0.5, 1.5, K),

@@ -16,12 +16,11 @@ import numpy as np
 from .config import (phases_from_config, scenario_from_config,
                      selection_from_config)
 from .fixed_point import SolverSettings, backsubstitution_residual
-from .gradients import (esr_gradient_phases_common,
-                        esr_gradient_ports_zf_common, fd_gradient)
+from .gradients import fd_gradient
 from .montecarlo import empirical_esr, resolvent_probe
-from .optimize import (alternating_optimization, deterministic_esr,
+from .optimize import (RelaxedZfObjective, _evaluate, _phase_objective,
+                       alternating_optimization, deterministic_esr,
                        joint_optimize, z_search_profile)
-from .rates import sinr_rzf_uncommon
 from . import scenarios as sc_mod
 from .svgplot import line_plot
 
@@ -48,12 +47,10 @@ def write_csv(path: Path, rows: list[str]) -> None:
             fh.write(row + "\n")
 
 
-def _eval_point(scenario, s, phi, precoder, method, z, trials, seed, threads,
+def _eval_point(scenario, s, phi, precoder, method, trials, seed, threads,
                 timing):
     t0 = time.perf_counter()
-    if precoder == "rzf" and z is None:
-        M = int(np.sum(s)) if s is not None else scenario.dims.M
-        z = scenario.dims.K * scenario.sigma2 / M
+    z = scenario.default_z(s) if precoder == "rzf" else None
     if method == "de":
         rep = deterministic_esr(scenario, s, phi, precoder, z)
         esr, stderr = rep.esr, None
@@ -65,18 +62,40 @@ def _eval_point(scenario, s, phi, precoder, method, z, trials, seed, threads,
     return esr, stderr, rt
 
 
+def _precoder_sweep(points, precoders, methods, trials, seed, threads,
+                    timing):
+    """Rows and one series per (precoder, method) over SNR points.
+
+    points yield (snr_db, scenario, s, phi); MRT has no DE, so MC only.
+    """
+    rows, series = [], {}
+    for snr_db, scenario, s, phi in points:
+        for precoder in precoders:
+            for method in methods:
+                if precoder == "mrt" and method == "de":
+                    continue
+                esr, stderr, rt = _eval_point(scenario, s, phi, precoder,
+                                              method, trials, seed, threads,
+                                              timing)
+                rows.append(format_row(scenario.name, "snr_db", snr_db,
+                                       precoder, method, esr, stderr, rt))
+                xs, ys = series.setdefault((precoder, method), ([], []))
+                xs.append(snr_db)
+                ys.append(esr)
+    return rows, [{"x": x, "y": y, "label": f"{p} ({m})", "dashed": m == "mc"}
+                  for (p, m), (x, y) in sorted(series.items())]
+
+
 def run_experiment(cfg: dict, out_dir: str | Path, seed: int | None = None,
                    threads: int = 1, timing: bool = False) -> dict:
     """Config-driven sweep. Writes one CSV and one SVG; returns their paths."""
-    out_dir = Path(out_dir)
     sweep = cfg.get("sweep")
     if not sweep or not sweep.get("values"):
         raise UsageError("config has no sweep values")
     values = list(sweep["values"])
     if sorted(values) != values:
         raise UsageError("sweep values must be sorted ascending")
-    axis = sweep.get("axis", "snr_db")
-    if axis != "snr_db":
+    if sweep.get("axis", "snr_db") != "snr_db":
         raise UsageError("config-driven sweeps support axis 'snr_db'; "
                          "named figures cover the other axes")
     precoders = cfg.get("precoders", ["rzf"])
@@ -84,9 +103,7 @@ def run_experiment(cfg: dict, out_dir: str | Path, seed: int | None = None,
     trials = int(cfg.get("trials", 2000))
     seed = int(cfg.get("seed", 0)) if seed is None else seed
 
-    rows = []
-    series = {}
-    name = None
+    points = []
     for snr_db in values:
         cfg_point = dict(cfg)
         cfg_point["scenario"] = dict(cfg["scenario"])
@@ -97,86 +114,68 @@ def run_experiment(cfg: dict, out_dir: str | Path, seed: int | None = None,
         else:
             cfg_point["scenario"]["sigma2_inv_db"] = snr_db
         scenario = scenario_from_config(cfg_point)
-        name = scenario.name
-        s = selection_from_config(cfg, scenario)
-        if s is None and scenario.correlations.R_tot.shape[0] > scenario.dims.M:
-            s = sc_mod.uniform_selection(scenario.dims.M,
-                                         scenario.correlations.R_tot.shape[0])
-        phi = phases_from_config(cfg, scenario.dims.L)
-        for precoder in precoders:
-            for method in methods:
-                if precoder == "mrt" and method == "de":
-                    continue          # correlated MRT has no DE; MC only
-                esr, stderr, rt = _eval_point(scenario, s, phi, precoder,
-                                              method, None, trials, seed,
-                                              threads, timing)
-                rows.append(format_row(scenario.name, axis, snr_db, precoder,
-                                       method, esr, stderr, rt))
-                series.setdefault((precoder, method), ([], []))
-                series[(precoder, method)][0].append(snr_db)
-                series[(precoder, method)][1].append(esr)
-
-    csv_path = out_dir / f"{name}_sweep.csv"
-    write_csv(csv_path, rows)
-    svg = line_plot([{"x": x, "y": y, "label": f"{p} ({m})",
-                      "dashed": m == "mc"}
-                     for (p, m), (x, y) in sorted(series.items())],
-                    "1/sigma^2 [dB]", "ESR [bit/s/Hz]", name)
-    svg_path = out_dir / f"{name}_sweep.svg"
-    svg_path.parent.mkdir(parents=True, exist_ok=True)
-    svg_path.write_text(svg)
-    return {"csv": csv_path, "svg": svg_path, "rows": len(rows)}
+        points.append((snr_db, scenario, selection_from_config(cfg, scenario),
+                       phases_from_config(cfg, scenario.dims.L)))
+    rows, series = _precoder_sweep(points, precoders, methods, trials, seed,
+                                   threads, timing)
+    name = points[-1][1].name
+    return _finish(out_dir, f"{name}_sweep", rows, series, "1/sigma^2 [dB]",
+                   "ESR [bit/s/Hz]", name)
 
 
 # ---------------------------------------------------------------------------
 # figure recipes
 # ---------------------------------------------------------------------------
 
+def _de_vs_mc(out_dir: Path, name: str, groups, axis_name: str, trials: int,
+              seed: int, threads: int, timing: bool, xlabel: str,
+              title: str) -> dict:
+    """RZF analysis (DE) vs simulation (MC) at z = K sigma^2/M, all ports.
+
+    Each (label, points) group, points yielding (x, scenario_id, scenario),
+    gives a DE and an MC row per point and one series of each.
+    """
+    rows, series = [], []
+    for label, points in groups:
+        xs, de_y, mc_y = [], [], []
+        for x, scenario_id, sc in points:
+            for method, store in (("de", de_y), ("mc", mc_y)):
+                esr, stderr, rt = _eval_point(sc, None, None, "rzf", method,
+                                              trials, seed, threads, timing)
+                rows.append(format_row(scenario_id, axis_name, x, "rzf",
+                                       method, esr, stderr, rt))
+                store.append(esr)
+            xs.append(x)
+        series.append({"x": xs, "y": de_y, "label": f"{label} analysis"})
+        series.append({"x": xs, "y": mc_y, "label": f"{label} simulation",
+                       "dashed": True})
+    return _finish(out_dir, name, rows, series, xlabel, "ESR [bit/s/Hz]",
+                   title)
+
+
 def figure_fig1(out_dir: Path, trials: int, seed: int, threads: int,
                 timing: bool, snrs=(60, 70, 80, 90, 100),
                 Ms=(16, 20, 24)) -> dict:
     """ESR accuracy vs SNR for M in {16, 20, 24} (RZF, z = K sigma^2/M)."""
-    rows, series = [], []
-    for M in Ms:
-        xs, de_y, mc_y = [], [], []
+    def points(M):
         for snr in snrs:
             sc = sc_mod.fig1_scenario(M, snr)
-            for method, store in (("de", de_y), ("mc", mc_y)):
-                esr, stderr, rt = _eval_point(sc, None, None, "rzf", method,
-                                              None, trials, seed, threads,
-                                              timing)
-                rows.append(format_row(sc.name, "snr_db", snr, "rzf", method,
-                                       esr, stderr, rt))
-                store.append(esr)
-            xs.append(snr)
-        series.append({"x": xs, "y": de_y, "label": f"M={M} analysis"})
-        series.append({"x": xs, "y": mc_y, "label": f"M={M} simulation",
-                       "dashed": True})
-    return _finish(out_dir, "fig1", rows, series, "1/sigma^2 [dB]",
-                   "ESR [bit/s/Hz]", "ESR vs SNR, per-user correlation")
+            yield snr, sc.name, sc
+    return _de_vs_mc(out_dir, "fig1", [(f"M={M}", points(M)) for M in Ms],
+                     "snr_db", trials, seed, threads, timing,
+                     "1/sigma^2 [dB]", "ESR vs SNR, per-user correlation")
 
 
 def figure_fig2(out_dir: Path, trials: int, seed: int, threads: int,
                 timing: bool, scales=(1, 2, 3, 4)) -> dict:
     """DE accuracy vs proportional system size, cases (8,6,16)/(12,6,16)."""
-    rows, series = [], []
-    for case in (1, 2):
-        xs, de_y, mc_y = [], [], []
+    def points(case):
         for scale in scales:
-            sc = sc_mod.fig2_scenario(case, scale)
-            for method, store in (("de", de_y), ("mc", mc_y)):
-                esr, stderr, rt = _eval_point(sc, None, None, "rzf", method,
-                                              None, trials, seed, threads,
-                                              timing)
-                rows.append(format_row(f"fig2_case{case}", "scale", scale,
-                                       "rzf", method, esr, stderr, rt))
-                store.append(esr)
-            xs.append(scale)
-        series.append({"x": xs, "y": de_y, "label": f"case {case} analysis"})
-        series.append({"x": xs, "y": mc_y, "label": f"case {case} simulation",
-                       "dashed": True})
-    return _finish(out_dir, "fig2", rows, series, "size multiple",
-                   "ESR [bit/s/Hz]", "DE accuracy vs system size")
+            yield scale, f"fig2_case{case}", sc_mod.fig2_scenario(case, scale)
+    return _de_vs_mc(out_dir, "fig2",
+                     [(f"case {case}", points(case)) for case in (1, 2)],
+                     "scale", trials, seed, threads, timing, "size multiple",
+                     "DE accuracy vs system size")
 
 
 def _joint_vs_uniform(out_dir: Path, name: str, points, axis_name: str,
@@ -216,26 +215,13 @@ def figure_fig3(out_dir: Path, trials: int, seed: int, threads: int,
 def figure_fig4(out_dir: Path, trials: int, seed: int, threads: int,
                 timing: bool, snrs=(60, 70, 80, 90, 100)) -> dict:
     """RZF vs ZF vs MRT on the optimization scenario (uniform ports)."""
-    rows = []
-    series_map = {}
-    for snr in snrs:
-        sc, M = sc_mod.fig3_scenario(snr)
-        s = sc_mod.uniform_selection(M, sc.correlations.R_tot.shape[0])
-        phi = np.zeros(sc.dims.L)
-        for precoder in ("rzf", "zf", "mrt"):
-            methods = ("mc",) if precoder == "mrt" else ("de", "mc")
-            for method in methods:
-                esr, stderr, rt = _eval_point(sc, s, phi, precoder, method,
-                                              None, trials, seed, threads,
-                                              timing)
-                rows.append(format_row(sc.name, "snr_db", snr, precoder,
-                                       method, esr, stderr, rt))
-                key = (precoder, method)
-                series_map.setdefault(key, ([], []))
-                series_map[key][0].append(snr)
-                series_map[key][1].append(esr)
-    series = [{"x": x, "y": y, "label": f"{p} ({m})", "dashed": m == "mc"}
-              for (p, m), (x, y) in sorted(series_map.items())]
+    def points():
+        for snr in snrs:
+            sc, M = sc_mod.fig3_scenario(snr)
+            s = sc_mod.uniform_selection(M, sc.correlations.R_tot.shape[0])
+            yield snr, sc, s, np.zeros(sc.dims.L)
+    rows, series = _precoder_sweep(points(), ("rzf", "zf", "mrt"),
+                                   ("de", "mc"), trials, seed, threads, timing)
     return _finish(out_dir, "fig4", rows, series, "1/sigma^2 [dB]",
                    "ESR [bit/s/Hz]", "Precoder comparison")
 
@@ -288,7 +274,7 @@ def figure_fig8(out_dir: Path, trials: int, seed: int, threads: int,
     s = sc_mod.uniform_selection(M, sc.correlations.R_tot.shape[0])
     phi = np.zeros(sc.dims.L)
     z_star, grid, vals, width = z_search_profile(sc, s, phi)
-    z_prop = sc.dims.K * sc.sigma2 / M
+    z_prop = sc.default_z(s)
     rows = [format_row(sc.name, "z", z, "rzf", "de", v)
             for z, v in zip(grid, vals)]
     series = [{"x": grid, "y": vals, "label": "ESR(z)", "markers": False}]
@@ -312,7 +298,6 @@ def _finish(out_dir: Path, name: str, rows, series, xlabel, ylabel, title,
     csv_path = out_dir / f"{name}.csv"
     write_csv(csv_path, rows)
     svg_path = out_dir / f"{name}.svg"
-    svg_path.parent.mkdir(parents=True, exist_ok=True)
     svg_path.write_text(line_plot(series, xlabel, ylabel, title, logx=logx,
                                   vlines=list(vlines)))
     return {"csv": csv_path, "svg": svg_path, "rows": len(rows)}
@@ -358,11 +343,13 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
     record("correlation_psd", max(-min_eig, 0.0), 1e-10,
            f"min eigenvalue {min_eig:.3e}")
 
-    # 2. solver consistency on the scenario
-    F_list, R, C_list, p = scenario.stats_uncommon()
-    z = scenario.dims.K * scenario.sigma2 / scenario.dims.M
+    # 2. solver consistency on the scenario, solved by the per-user solvers
+    stats = scenario.stats_uncommon()
+    F_list, R, C_list, p = stats
+    z = scenario.default_z()
+    rep, so, sol = _evaluate(stats, False, "rzf", z, scenario.sigma2,
+                             SolverSettings())
     from .fixed_point import solve_rzf_uncommon, solve_zf_uncommon
-    sol = solve_rzf_uncommon(F_list, R, C_list, z)
     res = backsubstitution_residual(sol, F_list=F_list, R=R, C_list=C_list)
     record("backsubstitution", res, 10 * 1e-10, "one extra sweep")
 
@@ -390,20 +377,23 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
     record("iid_closed_form", abs((1 - 0.5) * beta - mu_fp) / mu_fp, 1e-8,
            "closed form vs fixed-point iteration")
 
-    # 5. FD gradient spot checks on a small random scenario
+    # 5. FD spot checks of the optimizer's own objectives, solved tightly
+    tight = SolverSettings(tol=1e-13, max_iter=30000)
     rng = np.random.default_rng(seed)
     sc_small = sc_mod.random_scenario(rng, "common", M=10, K=3, L=6)
     phi0 = rng.uniform(0, 2 * np.pi, 6)
-    dev = _phase_gradient_deviation(sc_small, phi0, _tamper)
-    record("fd_phase_gradient", dev, 1e-3, "analytic vs central differences")
+    value, value_grad = _phase_objective(sc_small, None, "rzf", None, tight)
+    record("fd_phase_gradient", _fd_deviation(value, value_grad(phi0)[1], phi0),
+           1e-3, "analytic vs central differences")
 
     sc_ports = sc_mod.random_scenario(rng, "common", M=6, K=3, L=6, M_tot=12)
-    dev = _port_gradient_deviation(sc_ports, rng)
-    record("fd_port_gradient", dev, 1e-3, "analytic vs central differences")
+    s0 = rng.uniform(0.3, 0.9, 12)
+    obj = RelaxedZfObjective(sc_ports, None, 6, tight)
+    record("fd_port_gradient", _fd_deviation(obj.esr, obj.gradient(s0)[1], s0),
+           1e-3, "analytic vs central differences")
 
     # 6. resolvent probes (first and second order)
     pr = resolvent_probe(scenario, None, None, z, trials, seed)
-    rep, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, scenario.sigma2)
     if _tamper is not None:
         _tamper("pi_block", so)
     d1 = abs(pr.delta_hat - sol.delta) / sol.delta
@@ -456,58 +446,9 @@ def _iid_fixed_point(u, t, c1, c2, iters=20000):
     return mu
 
 
-def _phase_gradient_deviation(scenario, phi0, _tamper=None) -> float:
-    from .channel import herm, phase_matrix, psd_sqrt
-    from .fixed_point import solve_rzf_common
-    from .rates import sinr_rzf_common
-    corr = scenario.correlations
-    F, R = corr.F_tot, corr.R_tot
-    u, t, p = scenario.u, scenario.t, scenario.p
-    z = scenario.dims.K * scenario.sigma2 / scenario.dims.M
-    st = SolverSettings(tol=1e-13, max_iter=30000)
-    CLroot = psd_sqrt(corr.C_L)
-
-    def esr(phi):
-        Phi = phase_matrix(phi, scenario.dims.L)
-        C = herm(CLroot @ Phi @ corr.C_R @ Phi.conj().T @ CLroot)
-        sol = solve_rzf_common(F, R, C, u, t, z, st)
-        return sinr_rzf_common(sol, F, R, C, u, t, p, scenario.sigma2)[0].esr
-
-    Phi0 = phase_matrix(phi0, scenario.dims.L)
-    C0 = herm(CLroot @ Phi0 @ corr.C_R @ Phi0.conj().T @ CLroot)
-    sol = solve_rzf_common(F, R, C0, u, t, z, st)
-    _, so = sinr_rzf_common(sol, F, R, C0, u, t, p, scenario.sigma2)
-    g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi0,
-                                   scenario.sigma2)
-    g_fd = fd_gradient(esr, phi0, 1e-5)
+def _fd_deviation(fun, grad: np.ndarray, x: np.ndarray) -> float:
+    """Largest relative deviation of `grad` from central differences of `fun`
+    at x; entries below 1e-3 of the largest difference use that floor."""
+    g_fd = fd_gradient(fun, x, 1e-5)
     floor = 1e-3 * max(np.abs(g_fd).max(), 1e-12)
-    return float(np.max(np.abs(g - g_fd) / np.maximum(np.abs(g_fd), floor)))
-
-
-def _port_gradient_deviation(scenario, rng) -> float:
-    from .channel import herm, psd_sqrt
-    from .fixed_point import solve_zf_common
-    from .rates import sinr_zf_common
-    corr = scenario.correlations
-    M = scenario.dims.M
-    u, t, p = scenario.u, scenario.t, scenario.p
-    Rh = psd_sqrt(corr.R_tot)
-    Fh = psd_sqrt(corr.F_tot)
-    C = corr.C_L.copy()
-    st = SolverSettings(tol=1e-13, max_iter=30000)
-    M_tot = corr.R_tot.shape[0]
-    s0 = rng.uniform(0.3, 0.9, M_tot)
-
-    def emb(root, s):
-        return herm((root * s[None, :]) @ root)
-
-    def esr(s):
-        sol = solve_zf_common(emb(Fh, s), emb(Rh, s), C, u, t, st, m_norm=M)
-        return sinr_zf_common(sol, u, t, p, scenario.sigma2).esr
-
-    sol = solve_zf_common(emb(Fh, s0), emb(Rh, s0), C, u, t, st, m_norm=M)
-    g = esr_gradient_ports_zf_common(sol, Rh, Fh, emb(Rh, s0), emb(Fh, s0),
-                                     C, u, t, p, scenario.sigma2)
-    g_fd = fd_gradient(esr, s0, 1e-5)
-    floor = 1e-3 * max(np.abs(g_fd).max(), 1e-12)
-    return float(np.max(np.abs(g - g_fd) / np.maximum(np.abs(g_fd), floor)))
+    return float(np.max(np.abs(grad - g_fd) / np.maximum(np.abs(g_fd), floor)))

@@ -185,8 +185,7 @@ class TestEffectiveRisCorrelation:
 class TestSampling:
     def _scenario(self, rng, u=None, t=None):
         M, K, L = 10, 3, 6
-        corr = CorrelationSet(mode="uncommon",
-                              R_tot=random_correlation(M, rng),
+        corr = CorrelationSet(R_tot=random_correlation(M, rng),
                               F_tot=[random_correlation(M, rng) for _ in range(K)],
                               C_L=random_correlation(L, rng),
                               C_R=[random_correlation(L, rng) for _ in range(K)])

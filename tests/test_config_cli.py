@@ -10,7 +10,7 @@ import pytest
 from fasris import cli
 from fasris.config import (ConfigError, load_matrix, save_matrix,
                            scenario_from_config, selection_from_config)
-from fasris.scenarios import random_correlation
+from fasris.scenarios import random_correlation, uniform_selection
 from fasris.sweep import CSV_HEADER, validate
 
 
@@ -105,6 +105,20 @@ class TestScenarioFromConfig:
                                                "gains_db": {"u": -60, "t": -70}}})
         with pytest.raises(ConfigError):
             scenario_from_config({"scenario": {"preset": "nope"}})
+
+    def test_unknown_mode_raises(self):
+        cfg = small_cfg()
+        cfg["scenario"]["mode"] = "foo"
+        with pytest.raises(ConfigError, match="foo"):
+            scenario_from_config(cfg)
+
+    def test_no_selection_block_defaults_to_uniform(self):
+        cfg = small_cfg()
+        assert selection_from_config(cfg, scenario_from_config(cfg)) is None
+        cfg["scenario"]["dims"]["M_tot"] = 14
+        sc = scenario_from_config(cfg)
+        assert np.array_equal(selection_from_config(cfg, sc),
+                              uniform_selection(10, 14))
 
     def test_selection_blocks(self):
         sc = scenario_from_config(small_cfg())

@@ -115,8 +115,7 @@ class TestInstantaneousSinr:
 class TestEmpiricalEsr:
     def test_zero_gains(self, rng):
         M, K, L = 8, 3, 6
-        corr = CorrelationSet(mode="uncommon",
-                              R_tot=random_correlation(M, rng),
+        corr = CorrelationSet(R_tot=random_correlation(M, rng),
                               F_tot=[random_correlation(M, rng) for _ in range(K)],
                               C_L=random_correlation(L, rng),
                               C_R=[random_correlation(L, rng) for _ in range(K)])
@@ -199,7 +198,7 @@ class TestConventionCalibration:
 class TestResolventProbe:
     def test_identity_large_z(self, rng):
         M, K, L = 8, 3, 6
-        corr = CorrelationSet(mode="uncommon", R_tot=np.eye(M),
+        corr = CorrelationSet(R_tot=np.eye(M),
                               F_tot=[np.eye(M)] * K, C_L=np.eye(L),
                               C_R=[np.eye(L)] * K)
         sc = Scenario(dims=Dimensions(M=M, K=K, L=L), correlations=corr,

@@ -1,5 +1,6 @@
 """Two-timescale optimizer: FW selection, phase ascent, z search, AO, joint."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -11,8 +12,10 @@ from fasris import (OptimizerSettings, PhaseShifts, PortSelection,
                     gradient_ascent_phases, joint_optimize,
                     search_regularization, z_search_profile)
 from fasris.channel import ConstraintError
-from fasris.optimize import OptimizationTrace, top_m_rounding
-from fasris.scenarios import random_correlation, random_scenario
+from fasris.optimize import (OptimizationTrace, RelaxedZfObjective,
+                             top_m_rounding)
+from fasris.scenarios import (random_correlation, random_scenario,
+                              uniform_selection)
 
 FAST = OptimizerSettings(solver=SolverSettings(tol=1e-10, max_iter=4000),
                          fw_max_iter=120, ascent_max_iter=60)
@@ -152,6 +155,49 @@ class TestGradientAscent:
         phases, esr, _ = gradient_ascent_phases(sc, None, 0.15, phi0, FAST)
         fresh = deterministic_esr(sc, None, phases.phi, "rzf", 0.15).esr
         assert esr == pytest.approx(fresh, abs=1e-10)
+
+
+class TestMixedRegime:
+    """Shared F_tot with per-user C_R: the data picks the per-user regime.
+
+    F_tot = R_tot as in the optimization figures, so the diag(s) surrogate
+    at a binary selection is unitarily equivalent to the submatrices.
+    """
+
+    M, M_TOT, L = 6, 10, 5
+
+    def scenario(self):
+        rng = np.random.default_rng(11)
+        sc = random_scenario(rng, "common", M=self.M, K=3, L=self.L,
+                             M_tot=self.M_TOT)
+        C_R = [random_correlation(self.L, rng) for _ in range(3)]
+        corr = replace(sc.correlations, F_tot=sc.correlations.R_tot.copy(),
+                       C_R=C_R)
+        sc = replace(sc, correlations=corr)
+        return sc, rng.uniform(0, 2 * np.pi, self.L), \
+            uniform_selection(self.M, self.M_TOT)
+
+    def test_deterministic_esr_runs(self):
+        sc, phi, s = self.scenario()
+        assert not sc.correlations.shared
+        for precoder in ("rzf", "zf"):
+            rep = deterministic_esr(sc, s, phi, precoder)
+            assert rep.regime == f"{precoder}/uncommon"
+            assert np.isfinite(rep.esr) and rep.esr > 0
+
+    def test_phase_ascent_reevaluates(self):
+        sc, phi, s = self.scenario()
+        opt = OptimizerSettings(ascent_max_iter=5)
+        phases, esr, _ = gradient_ascent_phases(sc, s, None, phi, opt)
+        fresh = deterministic_esr(sc, s, phases.phi, "rzf").esr
+        assert esr == pytest.approx(fresh, rel=1e-12)
+        assert esr >= deterministic_esr(sc, s, phi, "rzf").esr
+
+    def test_relaxed_objective_matches_at_binary_selection(self):
+        sc, phi, s = self.scenario()
+        relaxed = RelaxedZfObjective(sc, phi, self.M).esr(s)
+        assert relaxed == pytest.approx(
+            deterministic_esr(sc, s, phi, "zf").esr, rel=1e-9)
 
 
 class TestRegularizerSearch:

@@ -2,8 +2,9 @@
 
 Relabelling the users permutes every per-user output and leaves the phase
 gradient alone. Scaling every gain, the noise power and the regularizer by one
-constant leaves every RZF SINR unchanged. The solves are tight, so the
-tolerance only has to absorb roundoff.
+constant leaves every RZF SINR unchanged. Shared correlations fed to the
+per-user solvers give the SINRs of the shared-correlation solvers. The solves
+are tight, so the tolerance only has to absorb roundoff.
 """
 
 from dataclasses import replace
@@ -12,8 +13,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fasris import (SolverSettings, esr_gradient_phases_uncommon,
-                    sinr_rzf_common, sinr_rzf_uncommon, solve_rzf_common,
-                    solve_rzf_uncommon)
+                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf_common,
+                    sinr_zf_uncommon, solve_rzf_common, solve_rzf_uncommon,
+                    solve_zf_common, solve_zf_uncommon)
 from fasris.scenarios import random_scenario
 
 TIGHT = SolverSettings(tol=1e-12, max_iter=30000)
@@ -102,3 +104,20 @@ def test_gain_noise_regularizer_scaling(seed, c):
     base = rzf_common(*sc.stats_common(), z, sc.sigma2)
     out = rzf_common(*scaled.stats_common(), c * z, scaled.sigma2)
     assert rel(out, base) < TOL
+
+
+@EXAMPLES
+@given(seeds)
+def test_shared_correlations_through_per_user_solvers(seed):
+    sc, z = scenario(seed, "common")
+    F, R, C, u, t, p = sc.stats_common()
+    F_list, R_u, C_list, _ = sc.stats_uncommon()
+    shared = rzf_common(F, R, C, u, t, p, z, sc.sigma2)
+    per_user = rzf_uncommon(F_list, R_u, C_list, p, z, sc.sigma2)[0].sinr
+    assert rel(per_user, shared) < TOL
+
+    shared = sinr_zf_common(solve_zf_common(F, R, C, u, t, TIGHT), u, t, p,
+                            sc.sigma2).sinr
+    per_user = sinr_zf_uncommon(solve_zf_uncommon(F_list, R_u, C_list, TIGHT),
+                                p, sc.sigma2).sinr
+    assert rel(per_user, shared) < TOL
