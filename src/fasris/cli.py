@@ -81,7 +81,21 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
+def _cell(value) -> str:
+    """One trace CSV cell; empty where the record lacks the key."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
 def cmd_optimize(args) -> int:
+    if args.mode == "zsearch" and args.precoder != "rzf":
+        raise UsageError("--mode zsearch searches the RZF regularizer; "
+                         f"precoder {args.precoder!r} has none")
     _, scenario, s0, phi0, seed = _problem(args)
     M = scenario.dims.M
     phi0 = np.zeros(scenario.dims.L) if phi0 is None else phi0
@@ -133,10 +147,10 @@ def cmd_optimize(args) -> int:
         tp = Path(args.trace)
         tp.parent.mkdir(parents=True, exist_ok=True)
         with open(tp, "w", newline="\n") as fh:
-            fh.write("stage,iteration,objective\n")
+            fh.write(",".join(trace.COLUMNS) + "\n")
             for r in trace.records:
-                fh.write(f"{r['stage']},{r.get('iteration', '')},"
-                         f"{r['objective']:.12g}\n")
+                fh.write(",".join(_cell(r.get(k)) for k in trace.COLUMNS)
+                         + "\n")
         print(f"wrote trace {tp}")
     print(f"ESR (deterministic) = {rep.esr:.6f}; "
           f"MC confirmation = {confirmation.mean:.6f} "

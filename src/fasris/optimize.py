@@ -5,7 +5,9 @@ the diag(s) embedding, with a top-M linear oracle and 2/(t+2) steps),
 backtracking gradient ascent on the RIS phases, 1-D search for the RZF
 regularizer with the homogeneous shortcut z = K sigma^2 / M, alternating
 optimization of (z, Phi) at fixed selection, and the outer joint loop that
-keeps the best recorded iterate.
+keeps the best recorded iterate. Searches warm-start each solve from the
+previous fixed point; the ESRs that the phase ascent, the alternating
+optimization and the joint loop return come from cold solves.
 """
 
 from __future__ import annotations
@@ -98,12 +100,25 @@ class OptimizerSettings:
 
 DEFAULT_OPT = OptimizerSettings()
 
+# points of the z-search bracket around an incumbent, at the full grid's step
+Z_BRACKET_POINTS = 11
+
 
 @dataclass
 class OptimizationTrace:
+    """One record per optimizer iteration. Every record carries stage,
+    iteration and objective; the other keys depend on the stage. COLUMNS
+    lists every key a record may carry, in the order `--trace` writes them.
+    """
+
     records: list[dict] = field(default_factory=list)
+    COLUMNS = ("stage", "iteration", "objective", "step", "gradient_norm",
+               "halvings", "evals", "z", "stalled", "s_indices")
 
     def add(self, **kw):
+        unknown = kw.keys() - set(self.COLUMNS)
+        if unknown:
+            raise ValueError(f"trace keys without a column: {sorted(unknown)}")
         self.records.append(kw)
 
     def objectives(self) -> np.ndarray:
@@ -299,7 +314,13 @@ def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
 # ---------------------------------------------------------------------------
 
 def _phase_objective(scenario: Scenario, s, precoder, z, settings):
-    """Closure pair (esr(phi), esr_and_grad(phi)) for the selected scenario."""
+    """Closure pair (esr(phi), esr_and_grad(phi)) for the selected scenario.
+
+    Both closures share one warm start: each solve begins at the fixed point
+    of the previous one, whichever closure made it. The fixed point is
+    unique, so the start changes the iteration count, not the limit; results
+    differ from cold solves only within the solver tolerance.
+    """
     corr = scenario.correlations
     if precoder not in ("rzf", "zf"):
         raise ValueError(f"unsupported precoder {precoder!r}")
@@ -308,19 +329,26 @@ def _phase_objective(scenario: Scenario, s, precoder, z, settings):
                          "shared-correlation regime")
     if precoder == "rzf" and z is None:
         z = scenario.default_z(s)
+    x0 = None
 
-    def value(phi):
-        return deterministic_esr(scenario, s, phi, precoder, z, settings).esr
-
-    def value_grad(phi):
+    def solve(phi):
+        nonlocal x0
         stats, shared = _stats(scenario, s, phi)
         rep, so, sol = _evaluate(stats, shared, precoder, z, scenario.sigma2,
-                                 settings)
+                                 settings, x0=x0)
+        x0 = sol.x0
+        return stats, rep, so, sol
+
+    def value(phi):
+        return solve(phi)[1].esr
+
+    def value_grad(phi):
+        stats, rep, so, sol = solve(phi)
         if precoder == "zf":
             F, R, _, u, t, p = stats
             g = esr_gradient_phases_zf_common(sol, F, R, corr.C_L, corr.C_R,
                                               phi, u, t, p, scenario.sigma2)
-        elif shared:
+        elif corr.shared:
             g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi,
                                            scenario.sigma2)
         else:
@@ -343,7 +371,9 @@ def gradient_ascent_phases(scenario: Scenario, s: np.ndarray | None, z: float | 
     Accepted steps satisfy R(phi + a g) - R(phi) >= a beta ||grad|| with the
     normalized direction g, so the deterministic ESR never decreases. A
     failed line search (max halvings) returns the current iterate with
-    stalled=True.
+    stalled=True. The search solves warm (`_phase_objective`); the returned
+    ESR is one cold `deterministic_esr` at the returned phases, so it does
+    not depend on the path the search took.
     """
     value, value_grad = _phase_objective(scenario, s, precoder, z, opt.solver)
     phi = np.mod(np.asarray(phi0, dtype=float), 2.0 * np.pi)
@@ -373,9 +403,11 @@ def gradient_ascent_phases(scenario: Scenario, s: np.ndarray | None, z: float | 
         esr, grad = value_grad(phi)
         if trace is not None:
             trace.add(stage="phases", iteration=it, objective=esr,
-                      step=alpha, gradient_norm=norm)
+                      step=alpha, gradient_norm=norm, halvings=halvings,
+                      evals=halvings + 1)
         if abs(esr - esr_prev) < opt.ascent_tol * abs(esr_prev):
             break
+    esr = deterministic_esr(scenario, s, phi, precoder, z, opt.solver).esr
     return PhaseShifts(phi), esr, stalled
 
 
@@ -400,19 +432,31 @@ class _WarmRzfEsr:
 
 
 def z_search_profile(scenario: Scenario, s, phi,
-                     opt: OptimizerSettings = DEFAULT_OPT):
+                     opt: OptimizerSettings = DEFAULT_OPT,
+                     incumbent: float | None = None):
     """Grid + golden-section profile of ESR_RZF over z. Returns
-    (z_star, grid, values, golden_width)."""
-    z_center = scenario.default_z(s)
-    esr_of = _WarmRzfEsr(scenario, s, phi, opt.solver)
+    (z_star, grid, values, golden_width).
 
-    grid = z_center * np.logspace(-opt.z_span_decades, opt.z_span_decades,
-                                  opt.z_grid_points)
+    The grid spans z_span_decades either side of K sigma^2 / M in
+    z_grid_points points. With an incumbent z, an 11-point bracket centred
+    on it, at the same step, is swept instead; when its argmax lands on an
+    edge of the bracket the full grid is searched as without an incumbent.
+    """
+    esr_of = _WarmRzfEsr(scenario, s, phi, opt.solver)
+    if incumbent is None:
+        grid = scenario.default_z(s) * np.logspace(
+            -opt.z_span_decades, opt.z_span_decades, opt.z_grid_points)
+    else:
+        step = 2.0 * opt.z_span_decades / (opt.z_grid_points - 1)
+        half = Z_BRACKET_POINTS // 2
+        grid = incumbent * 10.0 ** (step * np.arange(-half, half + 1))
     # sweep from the best-conditioned (largest) z downward, warm-starting
     vals = np.empty(len(grid))
     for j in range(len(grid) - 1, -1, -1):
         vals[j] = esr_of(grid[j])
     i = int(np.argmax(vals))
+    if incumbent is not None and i in (0, len(grid) - 1):
+        return z_search_profile(scenario, s, phi, opt)
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
 
@@ -437,11 +481,15 @@ def z_search_profile(scenario: Scenario, s, phi,
 def search_regularization(scenario: Scenario, s: np.ndarray | None,
                           phi: np.ndarray | None,
                           opt: OptimizerSettings = DEFAULT_OPT,
-                          force_search: bool = False) -> float:
-    """Best RZF regularizer. Homogeneous scenarios shortcut to K sigma^2 / M."""
+                          force_search: bool = False,
+                          incumbent: float | None = None) -> float:
+    """Best RZF regularizer. Homogeneous scenarios shortcut to K sigma^2 / M.
+
+    `incumbent` narrows the search to a bracket around it
+    (`z_search_profile`)."""
     if scenario.homogeneous and not force_search:
         return scenario.default_z(s)
-    z_star, _, _, _ = z_search_profile(scenario, s, phi, opt)
+    z_star, _, _, _ = z_search_profile(scenario, s, phi, opt, incumbent)
     return z_star
 
 
@@ -466,18 +514,18 @@ def alternating_optimization(scenario: Scenario, s: np.ndarray | None,
     esr_prev = None
     for it in range(opt.ao_max_iter):
         if precoder == "rzf":
-            z_cand = search_regularization(scenario, s, phi, opt)
+            # from the second round on, bracket the search around z
+            z_cand = search_regularization(scenario, s, phi, opt,
+                                           incumbent=z if it else None)
             # keep the incumbent if the search (rarely) lands lower
             if z is not None:
-                esr_keep = deterministic_esr(scenario, s, phi, "rzf", z,
-                                             opt.solver).esr
-                esr_new = deterministic_esr(scenario, s, phi, "rzf", z_cand,
-                                            opt.solver).esr
-                z = z_cand if esr_new >= esr_keep else z
+                esr_of = _WarmRzfEsr(scenario, s, phi, opt.solver)
+                esr_keep = esr_of(z)
+                z = z_cand if esr_of(z_cand) >= esr_keep else z
             else:
                 z = z_cand
         phases, esr, stalled = gradient_ascent_phases(scenario, s, z, phi,
-                                                      opt, precoder)
+                                                      opt, precoder, trace)
         phi = phases.phi
         trace.add(stage="ao", iteration=it, objective=esr, z=z,
                   stalled=stalled)

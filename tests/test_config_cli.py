@@ -215,6 +215,18 @@ class TestCli:
         sol = json.loads(out.read_text())
         assert len(sol["selected_ports"]) == 6
 
+    def test_optimize_zsearch_rejects_zf(self, tmp_path, capsys):
+        # ZF has no regularizer: the RZF ESR must not be written next to a
+        # ZF Monte-Carlo mean
+        cfg_path = self._write_cfg(tmp_path, small_cfg())
+        out = tmp_path / "sol.json"
+        rc = cli.main(["--config", cfg_path, "optimize", "--mode", "zsearch",
+                       "--precoder", "zf", "--trials", "16",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "zsearch" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_figure_fig8(self, tmp_path):
         rc = cli.main(["--out-dir", str(tmp_path / "f"), "figure", "fig8"])
         assert rc == 0
@@ -324,5 +336,20 @@ class TestCliJoint:
         assert len(sol["phi"]) == 6 and sol["z"] > 0
         assert sol["esr_monte_carlo"]["trials"] == 48
         lines = trace.read_text().splitlines()
-        assert lines[0] == "stage,iteration,objective"
+        assert lines[0] == ("stage,iteration,objective,step,gradient_norm,"
+                            "halvings,evals,z,stalled,s_indices")
         assert any(ln.startswith("joint,") for ln in lines[1:])
+        rows = [dict(zip(lines[0].split(","), ln.split(",")))
+                for ln in lines[1:]]
+        for row in rows:
+            assert len(row) == 10
+            if row["stage"] == "phases":
+                assert int(row["evals"]) == int(row["halvings"]) + 1
+            else:
+                assert row["halvings"] == row["evals"] == ""
+        ao = [row for row in rows if row["stage"] == "ao"]
+        assert ao and all(row["stalled"] == "False" and float(row["z"]) > 0
+                          for row in ao)
+        joint = [row for row in rows if row["stage"] == "joint"]
+        assert [int(i) for i in joint[0]["s_indices"].split()] \
+            == sol["selected_ports"]

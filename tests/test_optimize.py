@@ -156,6 +156,20 @@ class TestGradientAscent:
         fresh = deterministic_esr(sc, None, phases.phi, "rzf", 0.15).esr
         assert esr == pytest.approx(fresh, abs=1e-10)
 
+    def test_unreachable_armijo_stalls(self):
+        rng = np.random.default_rng(4)
+        sc = random_scenario(rng, "common", M=10, K=3, L=6, sigma2=0.3)
+        phi0 = rng.uniform(0, 2 * np.pi, 6)
+        opt = replace(FAST, armijo_beta=1e6)
+        trace = OptimizationTrace()
+        phases, esr, stalled = gradient_ascent_phases(sc, None, 0.15, phi0,
+                                                      opt, trace=trace)
+        assert stalled and not trace.records
+        assert np.array_equal(phases.phi, phi0)
+        fresh = deterministic_esr(sc, None, phi0, "rzf", 0.15,
+                                  FAST.solver).esr
+        assert esr == pytest.approx(fresh, abs=1e-10)
+
 
 class TestMixedRegime:
     """Shared F_tot with per-user C_R: the data picks the per-user regime.
@@ -227,6 +241,26 @@ class TestRegularizerSearch:
         z_star, grid, vals, width = z_search_profile(sc, None, None)
         assert len(grid) == len(vals) == 41
         assert width > 0 and grid[0] < z_star < grid[-1]
+
+    def test_bracket_around_incumbent(self):
+        rng = np.random.default_rng(9)
+        sc = random_scenario(rng, "common", M=12, K=4, L=8, sigma2=0.4)
+        z_full = z_search_profile(sc, None, None)[0]
+        z_inc = 1.1 * z_full
+        z_star, grid, vals, _ = z_search_profile(sc, None, None,
+                                                 incumbent=z_inc)
+        assert len(grid) == len(vals) == 11 and grid[5] == z_inc
+        assert np.allclose(np.diff(np.log10(grid)), 0.2, rtol=1e-12)
+        assert z_star == pytest.approx(z_full, rel=1e-3)
+
+    def test_bracket_edge_falls_back_to_full_grid(self):
+        rng = np.random.default_rng(9)
+        sc = random_scenario(rng, "common", M=12, K=4, L=8, sigma2=0.4)
+        full = z_search_profile(sc, None, None)
+        # two decades above the optimum the bracket's argmax is its low edge
+        far = z_search_profile(sc, None, None, incumbent=100.0 * full[0])
+        assert len(far[1]) == 41
+        assert far[0] == full[0] and np.array_equal(far[2], full[2])
 
 
 class TestAlternatingOptimization:

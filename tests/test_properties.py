@@ -4,7 +4,8 @@ Relabelling the users permutes every per-user output and leaves the phase
 gradient alone. Scaling every gain, the noise power and the regularizer by one
 constant leaves every RZF SINR unchanged. Shared correlations fed to the
 per-user solvers give the SINRs of the shared-correlation solvers. The solves
-are tight, so the tolerance only has to absorb roundoff.
+are tight, so the tolerance only has to absorb roundoff. The fixed point is
+unique, so a solve warm-started elsewhere lands where a cold solve does.
 """
 
 from dataclasses import replace
@@ -16,6 +17,8 @@ from fasris import (SolverSettings, esr_gradient_phases_uncommon,
                     sinr_rzf_common, sinr_rzf_uncommon, sinr_zf_common,
                     sinr_zf_uncommon, solve_rzf_common, solve_rzf_uncommon,
                     solve_zf_common, solve_zf_uncommon)
+from fasris.fixed_point import DEFAULT_SETTINGS
+from fasris.optimize import _evaluate, _stats
 from fasris.scenarios import random_scenario
 
 TIGHT = SolverSettings(tol=1e-12, max_iter=30000)
@@ -121,3 +124,25 @@ def test_shared_correlations_through_per_user_solvers(seed):
     per_user = sinr_zf_uncommon(solve_zf_uncommon(F_list, R_u, C_list, TIGHT),
                                 p, sc.sigma2).sinr
     assert rel(per_user, shared) < TOL
+
+
+@EXAMPLES
+@given(seeds, st.sampled_from(["common", "uncommon"]))
+def test_warm_start_reaches_the_cold_fixed_point(seed, mode):
+    # the optimizer's warm starts, at its own tolerance: start at phases
+    # phi_b from the fixed point at phi_a
+    sc, z = scenario(seed, mode)
+    phi_a, phi_b = np.random.default_rng([seed, 2]).uniform(0.0, 2.0 * np.pi,
+                                                            (2, L))
+    stats_a, shared = _stats(sc, None, phi_a)
+    stats_b, _ = _stats(sc, None, phi_b)
+    assert shared == (mode == "common")
+    for precoder in ("rzf", "zf"):
+        def solve(stats, x0=None):
+            return _evaluate(stats, shared, precoder, z, sc.sigma2,
+                             DEFAULT_SETTINGS, x0=x0)
+        x0 = solve(stats_a)[2].x0
+        cold, _, cold_sol = solve(stats_b)
+        warm, _, warm_sol = solve(stats_b, x0)
+        assert cold_sol.path == "cold" and warm_sol.path == "warm"
+        assert rel(warm.esr, cold.esr) < TOL
