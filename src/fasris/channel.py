@@ -191,6 +191,8 @@ class CorrelationSet:
     F_tot: np.ndarray | list[np.ndarray]
     C_L: np.ndarray
     C_R: np.ndarray | list[np.ndarray]
+    _roots: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         self.R_tot = check_psd(self.R_tot, "R_tot")
@@ -211,6 +213,19 @@ class CorrelationSet:
         The shared-correlation solvers apply; otherwise the per-user ones do.
         """
         return not (isinstance(self.F_tot, list) or isinstance(self.C_R, list))
+
+    def root(self, A: np.ndarray, name: str = "matrix") -> np.ndarray:
+        """psd_sqrt(A), computed once per matrix object held by this set.
+
+        The cache holds A itself, so its id is never reused while cached; a
+        field that is reassigned gets the root of its new matrix.
+        """
+        hit = self._roots.get(id(A))
+        if hit is None:
+            root = psd_sqrt(A, name)
+            root.flags.writeable = False    # shared by every caller
+            hit = self._roots[id(A)] = (A, root)
+        return hit[1]
 
     def f_tot_list(self, K: int) -> list[np.ndarray]:
         return list(self.F_tot) if isinstance(self.F_tot, list) else [self.F_tot] * K
@@ -276,23 +291,25 @@ class Scenario:
         """(F, R, C, u, t, p) inputs for the common-correlation solvers."""
         if not self.correlations.shared:
             raise ValueError("scenario has per-user correlations; use stats_uncommon")
-        F = self.correlations.F_tot if s is None else select_submatrix(self.correlations.F_tot, s)
+        corr = self.correlations
+        F = corr.F_tot if s is None else select_submatrix(corr.F_tot, s)
         R = self.select_R(s)
-        C = effective_ris_correlation(self.correlations.C_L, phi,
-                                      self.correlations.C_R, 1.0)[1]
+        C = effective_ris_correlation(corr.C_L, phi, corr.C_R, 1.0,
+                                      corr.root)[1]
         return F, R, C, self.u, self.t, self.p
 
     def stats_uncommon(self, s: np.ndarray | None = None,
                        phi: np.ndarray | None = None):
         """(F_k list with gains, R, C_k list with gains, p) for the uncommon solvers."""
-        K = self.dims.K
+        K, corr = self.dims.K, self.correlations
         R = self.select_R(s)
         F_list = []
-        for k, F in enumerate(self.correlations.f_tot_list(K)):
+        for k, F in enumerate(corr.f_tot_list(K)):
             Fk = F if s is None else select_submatrix(F, s)
             F_list.append(self.u[k] * Fk)
-        C_list = [effective_ris_correlation(self.correlations.C_L, phi, CR, self.t[k])[1]
-                  for k, CR in enumerate(self.correlations.c_r_list(K))]
+        C_list = [effective_ris_correlation(corr.C_L, phi, CR, self.t[k],
+                                            corr.root)[1]
+                  for k, CR in enumerate(corr.c_r_list(K))]
         return F_list, R, C_list, self.p
 
 
@@ -429,17 +446,18 @@ def phase_matrix(phi: np.ndarray | None, L: int) -> np.ndarray:
 
 
 def effective_ris_correlation(C_L: np.ndarray, phi: np.ndarray | None,
-                              C_R: np.ndarray, t: float):
+                              C_R: np.ndarray, t: float, root=psd_sqrt):
     """Cascaded RIS correlation factor and its Gram matrix.
 
     Returns (C_half, C) with C_half = sqrt(t) C_L^{1/2} Phi C_R^{1/2} and
     C = C_half C_half^H. C is Hermitian PSD; when C_R is diagonal its trace
-    is independent of the phase configuration.
+    is independent of the phase configuration. `root(A, name)` takes the
+    square roots; `CorrelationSet.root` serves them from its cache.
     """
     if t < 0:
         raise DomainError("cascaded gain t must be nonnegative")
     L = C_L.shape[0]
-    C_half = np.sqrt(t) * psd_sqrt(C_L, "C_L") @ phase_matrix(phi, L) @ psd_sqrt(C_R, "C_R")
+    C_half = np.sqrt(t) * root(C_L, "C_L") @ phase_matrix(phi, L) @ root(C_R, "C_R")
     C = herm(C_half @ C_half.conj().T)
     return C_half, C
 
@@ -480,10 +498,10 @@ class ChannelSampler:
         self.F_half = [np.sqrt(scenario.u[k]) * psd_sqrt(F_list[k], f"F[{k}]")
                        for k in range(self.K)]
         Phi = phase_matrix(phi, self.L)
-        CL_half = psd_sqrt(corr.C_L, "C_L")
+        CL_half = corr.root(corr.C_L, "C_L")
         # cascaded factors C_k^{+/2} = sqrt(t_k) C_L^{1/2} Phi C_{R,k}^{1/2}
         self.C_half = [np.sqrt(scenario.t[k]) * CL_half @ Phi
-                       @ psd_sqrt(CR, f"C_R[{k}]")
+                       @ corr.root(CR, f"C_R[{k}]")
                        for k, CR in enumerate(corr.c_r_list(self.K))]
 
     def draw(self, rng: np.random.Generator, keep_components: bool = True) -> ChannelSample:

@@ -2,7 +2,8 @@
 
 Four solvers (RZF/ZF x per-user/shared correlation) plus the i.i.d. closed
 form. One driver, `_picard`, runs a damped Picard iteration over a flat float
-state, with the damping factor halved whenever the residual oscillates. Each
+state, with the damping factor halved whenever the residual oscillates; a map
+may ask for Anderson mixing first (the per-user one does). Each
 correlation regime supplies one map, evaluated in Gauss-Seidel order (delta
 first, then the RIS-side traces, then the per-user scalars) and parameterized
 by (z, shift): RZF is (z, 1) and ZF is the same map with z -> 1 and
@@ -12,13 +13,15 @@ matrices needed by the second-order interference terms downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .channel import herm
 
 EPS = 1e-12
+LOG_STEP = np.log(1e6)    # largest Anderson move past the Picard image, in log
 
 
 class ConvergenceError(RuntimeError):
@@ -56,11 +59,23 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
 # solution containers
 # ---------------------------------------------------------------------------
 
+@dataclass(kw_only=True)
 class _Solution:
-    """`path` records how the solve got there: "cold" (generic initial
-    values), "warm" (the caller's x0) or "continuation" (z-continuation)."""
+    """How the solve got there. `path` is "cold" (generic initial values),
+    "warm" (the caller's x0) or "continuation" (z-continuation); `iterations`
+    counts map evaluations and `halvings` damping halvings; `anderson` is
+    "off", "converged" or "fallback" (a safeguard handed the solve to damped
+    Picard). A continued solve reports `halvings` and `anderson` of its last
+    step.
+    """
 
-    _state: tuple = ()    # the fixed-point fields, in warm-start order
+    residual: float
+    iterations: int
+    m_norm: int
+    path: str
+    halvings: int
+    anderson: str
+    _state: ClassVar[tuple] = ()    # the fixed-point fields, in warm-start order
 
     @property
     def x0(self) -> dict:
@@ -77,10 +92,6 @@ class RzfUncommonSolution(_Solution):
     omega: np.ndarray
     Psi_R: np.ndarray
     Psi_C: np.ndarray
-    residual: float
-    iterations: int
-    m_norm: int
-    path: str
     _state = ("delta", "mu", "omega")
 
 
@@ -91,10 +102,6 @@ class ZfUncommonSolution(_Solution):
     omega_u: np.ndarray
     K_R: np.ndarray
     K_C: np.ndarray
-    residual: float
-    iterations: int
-    m_norm: int
-    path: str
     _state = ("delta_u", "mu_u", "omega_u")
 
 
@@ -109,10 +116,6 @@ class RzfCommonSolution(_Solution):
     Psi_R: np.ndarray
     Psi_C: np.ndarray
     psi_T: np.ndarray          # diagonal of Psi_T = (I + omega T + kappa U)^{-1}
-    residual: float
-    iterations: int
-    m_norm: int
-    path: str
     _state = ("delta", "kappa", "omega", "kappa_bar", "omega_bar")
 
     def mu_k(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -129,10 +132,6 @@ class ZfCommonSolution(_Solution):
     Psi_R: np.ndarray
     Psi_C: np.ndarray
     psi_T: np.ndarray          # diagonal of (kappa_u U + omega_u T)^{-1}
-    residual: float
-    iterations: int
-    m_norm: int
-    path: str
     _state = ("delta_u", "kappa_u", "omega_u", "kappa_bar_u", "omega_bar_u")
 
     def mu_k(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -157,29 +156,83 @@ class IidSolution:
 # the driver and the continuation wrapper
 # ---------------------------------------------------------------------------
 
+class _Anderson:
+    """Anderson mixing (Walker & Ni 2011) of the log of the state.
+
+    Entries that the first map output leaves at exactly zero (omega without
+    a cascaded link) are structural: they stay zero and out of the log
+    state. Called with each map output and its residual, it returns the next
+    state, or None when a safeguard trips: a non-finite or nonpositive
+    output, a mixed step more than LOG_STEP past the Picard image, or
+    `depth` evaluations without a new best residual.
+    """
+
+    def __init__(self, depth: int):
+        self.depth, self.live, self.y = depth, None, None
+        self.gs, self.fs, self.best, self.stale = [], [], np.inf, 0
+
+    def __call__(self, new, residual):
+        if self.live is None:
+            self.live = new != 0.0
+        self.stale = 0 if residual < self.best else self.stale + 1
+        self.best = min(self.best, residual)
+        if self.stale >= self.depth or not (np.isfinite(new).all()
+                                            and (new[self.live] > 0.0).all()):
+            return None
+        g = y = np.log(new[self.live])
+        if self.y is not None:
+            self.gs = [*self.gs[-self.depth:], g]
+            self.fs = [*self.fs[-self.depth:], g - self.y]
+            if len(self.fs) > 1:
+                gamma = np.linalg.lstsq(np.diff(self.fs, axis=0).T,
+                                        self.fs[-1], rcond=None)[0]
+                y = g - np.diff(self.gs, axis=0).T @ gamma
+        if not (np.abs(y - g) <= LOG_STEP).all():
+            return None
+        self.y = y
+        x = np.zeros_like(new)
+        x[self.live] = np.exp(y)
+        return x
+
+
 def _picard(system, x0: dict | None, settings: SolverSettings):
     """Damped Picard iteration of `system` from `x0` (or `settings.init`).
 
     The residual is the max relative change over the whole state. Adaptive
     damping halves the step (down to 1/256) when the residual grows or when
-    the change in delta flips sign three times running.
+    the change in delta flips sign three times running. A map with
+    `anderson` > 0 is mixed by `_Anderson` of that depth instead until a
+    safeguard trips; damped Picard then goes on from the last mixed state,
+    within the same `max_iter` budget.
     """
     x = system.start(x0, settings.init)
+    mixer = _Anderson(system.anderson) if system.anderson else None
+    anderson = "converged" if mixer else "off"
     d = settings.damping
-    residual, prev, prev_sign, flips = np.inf, np.inf, 0, 0
+    residual, prev, prev_sign, flips, halvings = np.inf, np.inf, 0, 0, 0
     for it in range(1, settings.max_iter + 1):
         new = system(x)
         residual = _rel_change(new, x)
+        if mixer and residual >= settings.tol:
+            mixed = mixer(new, residual)
+            if mixed is None:
+                mixer, anderson = None, "fallback"
+            else:
+                x = mixed
+            continue
         sign = int(np.sign(new[0] - x[0]))
         x = x + d * (new - x)
         flips = flips + 1 if sign != 0 and sign == -prev_sign else 0
         if (residual > prev or flips >= 3) and d > 1.0 / 256.0:
             d *= 0.5
             flips = 0
+            halvings += 1
         prev = residual
         prev_sign = sign if sign != 0 else prev_sign
         if residual < settings.tol:
-            return system.solution(x, residual, it, "warm" if x0 else "cold")
+            return system.solution(x, residual=residual, iterations=it,
+                                   path="warm" if x0 else "cold",
+                                   halvings=halvings, anderson=anderson)
     raise ConvergenceError(f"{system.name} fixed point did not converge",
                            residual)
 
@@ -189,9 +242,11 @@ def _continued(map_at, z: float, x0: dict | None, settings: SolverSettings):
 
     Very small z (deep in the ZF limit) makes the Picard map oscillate from
     generic initial values; walking down from 1e6 z with warm starts keeps
-    every step inside the contraction basin. A continued solution's
-    `iterations` counts every map evaluation: the failed direct attempt plus
-    all continuation steps.
+    every step inside the contraction basin. Each step may use `max_iter`
+    map evaluations plus those the earlier steps left unused, so a step that
+    converges within `max_iter` runs exactly as it would alone. A continued
+    solution's `iterations` counts every map evaluation: the failed direct
+    attempt plus all continuation steps.
     """
     if z <= 0:
         raise ValueError("regularization z must be positive")
@@ -199,9 +254,11 @@ def _continued(map_at, z: float, x0: dict | None, settings: SolverSettings):
         return _picard(map_at(z), x0, settings)
     except ConvergenceError:
         total = settings.max_iter       # _picard raises only after all of them
-    sol = None
+    sol, spare = None, 0
     for zz in z * np.logspace(6, 0, 13):
-        sol = _picard(map_at(zz), None if sol is None else sol.x0, settings)
+        sol = _picard(map_at(zz), None if sol is None else sol.x0,
+                      replace(settings, max_iter=settings.max_iter + spare))
+        spare += settings.max_iter - sol.iterations
         total += sol.iterations
     sol.path, sol.iterations = "continuation", total
     return sol
@@ -219,6 +276,8 @@ class _Map:
     Under shift 0 the map also runs the ZF feasibility checks.
     """
 
+    anderson = 0    # depth of Anderson mixing in _picard; 0 is damped Picard
+
     def __init__(self, R, K, L, z, shift, m_norm):
         self.R, self.K, self.L, self.z, self.shift = R, K, L, z, shift
         self.M = R.shape[0] if m_norm is None else m_norm
@@ -228,22 +287,35 @@ class _Map:
         self.I_L = np.eye(L)
         self.name = self.regime + ("RZF" if shift else "ZF")
 
-    def solution(self, x, residual, iterations, path):
+    def solution(self, x, **how):
         # the ZF fields are the RZF fields without the leading z
-        fields = (*self.finish(x), residual, iterations, self.M, path)
-        return self.zf(*fields) if self.shift == 0.0 else self.rzf(self.z, *fields)
+        if self.shift == 0.0:
+            return self.zf(*self.finish(x), m_norm=self.M, **how)
+        return self.rzf(self.z, *self.finish(x), m_norm=self.M, **how)
 
 
 class _UncommonMap(_Map):
-    """State [delta, omega_1..K, mu_1..K] of the per-user-correlation system."""
+    """State [delta, omega_1..K, mu_1..K] of the per-user-correlation system.
+
+    F_k and C_k are stacked once, so Psi_R and Psi_C are weighted sums over
+    the stacks. The stacks are also kept transposed and flattened, since
+    tr(A Psi) = vec(A^T) . vec(Psi): every trace of a map evaluation is one
+    matrix-vector product, O(K M^2) instead of K matrix products.
+    """
 
     regime = ""
+    anderson = 5
     rzf, zf = RzfUncommonSolution, ZfUncommonSolution
 
     def __init__(self, F_list, R, C_list, z, shift, m_norm):
         super().__init__(R, len(F_list), C_list[0].shape[0], z, shift, m_norm)
-        self.F_list, self.C_list = F_list, C_list
-        self.cascaded = bool(np.any(R)) and any(np.any(C) for C in C_list)
+        self.F = np.asarray(F_list, dtype=complex)      # (K, M, M)
+        self.C = np.asarray(C_list, dtype=complex)      # (K, L, L)
+        self.cascaded = bool(np.any(R)) and bool(np.any(self.C))
+        # rows vec(R^T), vec(F_1^T), ..., vec(F_K^T) and vec(C_k^T)
+        RF = np.concatenate(([R], self.F))
+        self.RF_T = RF.transpose(0, 2, 1).reshape(self.K + 1, -1)
+        self.C_T = self.C.transpose(0, 2, 1).reshape(self.K, -1)
 
     def start(self, x0, init):
         x0 = x0 or {}
@@ -257,33 +329,27 @@ class _UncommonMap(_Map):
         return x[0], x[1:self.K + 1], x[self.K + 1:]
 
     def psi_r(self, delta, omega, mu):
-        M, R = self.M, self.R
-        A = self.z * self.I_M.astype(complex)
-        for k in range(self.K):
-            A += self.F_list[k] / (M * (self.shift + mu[k]))
-            if self.cascaded and omega[k] != 0.0:
-                A += (omega[k] / (M * delta * (self.shift + mu[k]))) * R
+        w = 1.0 / (self.M * (self.shift + mu))
+        A = self.z * self.I_M + np.tensordot(w, self.F, 1)
+        if self.cascaded:
+            A += (w @ omega / delta) * self.R
         return np.linalg.inv(A)
 
     def psi_c(self, delta, mu):
-        L = self.L
-        A = self.I_L / delta + sum(self.C_list[k] / (L * (self.shift + mu[k]))
-                                   for k in range(self.K))
-        return np.linalg.inv(A)
+        w = 1.0 / (self.L * (self.shift + mu))
+        return np.linalg.inv(self.I_L / delta + np.tensordot(w, self.C, 1))
 
     def __call__(self, x):
         delta, omega, mu = self.split(x)
-        M, L, K = self.M, self.L, self.K
         Psi_R = self.psi_r(delta, omega, mu)
-        delta_new = np.real(np.trace(self.R @ Psi_R)) / M
+        traces = np.real(self.RF_T @ Psi_R.reshape(-1)) / self.M
+        delta_new = traces[0]
         if self.cascaded:
             Psi_C = self.psi_c(delta_new, mu)
-            omega_new = np.array([np.real(np.trace(self.C_list[k] @ Psi_C)) / L
-                                  for k in range(K)])
+            omega_new = np.real(self.C_T @ Psi_C.reshape(-1)) / self.L
         else:
-            omega_new = np.zeros(K)
-        mu_new = np.array([np.real(np.trace(self.F_list[k] @ Psi_R)) / M
-                           for k in range(K)]) + omega_new
+            omega_new = np.zeros(self.K)
+        mu_new = traces[1:] + omega_new
         if self.shift == 0.0 and (mu_new <= 0).any():
             raise FeasibilityError("ZF system produced a nonpositive mu; "
                                    "a user has no usable link")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (ConstraintError, Scenario, effective_ris_correlation,
-                      herm, phase_matrix, psd_sqrt)
+                      herm, phase_matrix)
 from .fixed_point import (DEFAULT_SETTINGS, SolverSettings, solve_rzf_common,
                           solve_rzf_uncommon, solve_zf_common,
                           solve_zf_uncommon)
@@ -211,19 +211,20 @@ class RelaxedZfObjective:
         self.settings = settings
         corr = scenario.correlations
         self.shared = corr.shared
-        self.R_root = psd_sqrt(corr.R_tot, "R_tot")
+        self.R_root = corr.root(corr.R_tot, "R_tot")
         K = scenario.dims.K
         if self.shared:
-            self.F_root = psd_sqrt(corr.F_tot, "F_tot")
-            _, self.C = effective_ris_correlation(corr.C_L, phi, corr.C_R, 1.0)
+            self.F_root = corr.root(corr.F_tot, "F_tot")
+            _, self.C = effective_ris_correlation(corr.C_L, phi, corr.C_R, 1.0,
+                                                  corr.root)
         else:
             # fold the per-user gain into the root so F_k(s) = u_k F_k-embedded
             self.F_roots = [np.sqrt(scenario.u[k])
-                            * psd_sqrt(corr.f_tot_list(K)[k], f"F_tot[{k}]")
+                            * corr.root(corr.f_tot_list(K)[k], f"F_tot[{k}]")
                             for k in range(K)]
             self.C_list = [effective_ris_correlation(corr.C_L, phi,
                                                      corr.c_r_list(K)[k],
-                                                     scenario.t[k])[1]
+                                                     scenario.t[k], corr.root)[1]
                            for k in range(K)]
         self._x0 = None
 

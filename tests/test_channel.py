@@ -182,6 +182,52 @@ class TestEffectiveRisCorrelation:
             tr = cur
 
 
+class TestRootCache:
+    def test_cached_root_is_psd_sqrt_of_the_stored_matrix(self, small_uncommon):
+        corr = small_uncommon.correlations
+        for A in (corr.C_L, *corr.C_R, corr.R_tot):
+            assert corr.root(A).tobytes() == psd_sqrt(A).tobytes()
+        # stats_uncommon builds C_k from the cached roots, bit for bit
+        phi = np.linspace(0.0, 3.0, small_uncommon.dims.L)
+        C_list = small_uncommon.stats_uncommon(phi=phi)[2]
+        for k, CR in enumerate(corr.C_R):
+            _, C = effective_ris_correlation(corr.C_L, phi, CR,
+                                             small_uncommon.t[k])
+            assert C_list[k].tobytes() == C.tobytes()
+
+    def test_reassigned_field_gets_its_own_root(self, small_uncommon, rng):
+        corr = small_uncommon.correlations
+        L = small_uncommon.dims.L
+        corr.root(corr.C_L)
+        corr.root(corr.C_R[0])
+        corr.C_L = random_correlation(L, rng)
+        corr.C_R = [random_correlation(L, rng) for _ in corr.C_R]
+        assert np.array_equal(corr.root(corr.C_L), psd_sqrt(corr.C_L))
+        assert np.array_equal(corr.root(corr.C_R[0]), psd_sqrt(corr.C_R[0]))
+        _, C = effective_ris_correlation(corr.C_L, None, corr.C_R[0],
+                                         small_uncommon.t[0])
+        assert np.array_equal(small_uncommon.stats_uncommon()[2][0], C)
+
+    def test_stats_take_each_root_once(self, small_uncommon, small_common,
+                                       monkeypatch):
+        calls = []
+
+        def counted(A, *args, _eigh=np.linalg.eigh, **kw):
+            calls.append(None)
+            return _eigh(A, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for _ in range(3):
+            small_uncommon.stats_uncommon(phi=np.zeros(small_uncommon.dims.L))
+        # C_L and each distinct C_R
+        assert len(calls) <= 1 + len(small_uncommon.correlations.C_R)
+        calls.clear()
+        for _ in range(3):
+            small_common.stats_common()
+            small_common.stats_uncommon()
+        assert len(calls) <= 2
+
+
 class TestSampling:
     def _scenario(self, rng, u=None, t=None):
         M, K, L = 10, 3, 6

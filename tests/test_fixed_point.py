@@ -201,6 +201,36 @@ class TestSolvePath:
         assert warm.path == "warm" and warm.iterations <= 2
 
 
+class TestAnderson:
+    def test_per_user_solves_mix_and_shared_do_not(self, small_uncommon,
+                                                   small_common):
+        sol = solve_rzf_uncommon(*small_uncommon.stats_uncommon()[:3], 0.3)
+        assert sol.anderson == "converged" and sol.halvings == 0
+        F, R, C, u, t, _ = small_common.stats_common()
+        sol = solve_rzf_common(F, R, C, u, t, 0.3)
+        assert sol.anderson == "off"
+
+    def test_nonpositive_state_falls_back_to_picard(self, small_uncommon,
+                                                    monkeypatch):
+        F_list, R, C_list, _ = small_uncommon.stats_uncommon()
+        ref = solve_rzf_uncommon(F_list, R, C_list, 0.3, TIGHT)
+        calls = []
+
+        def corrupted(self, x, _call=fixed_point._UncommonMap.__call__):
+            calls.append(None)
+            new = _call(self, x)
+            if len(calls) == 3:
+                new[self.K + 1:] *= -1.0        # a nonpositive mu
+            return new
+
+        monkeypatch.setattr(fixed_point._UncommonMap, "__call__", corrupted)
+        sol = solve_rzf_uncommon(F_list, R, C_list, 0.3, TIGHT)
+        assert sol.path == "cold" and sol.anderson == "fallback"
+        assert sol.iterations == len(calls)
+        for name, value in ref.x0.items():
+            assert rel_err(sol.x0[name], value) < 1e-9, name
+
+
 class TestIid:
     def test_t_zero(self):
         assert solve_iid_zf(0.9, 0.0, 0.5, 0.5).beta_val == pytest.approx(0.9)

@@ -5,7 +5,10 @@ gradient alone. Scaling every gain, the noise power and the regularizer by one
 constant leaves every RZF SINR unchanged. Shared correlations fed to the
 per-user solvers give the SINRs of the shared-correlation solvers. The solves
 are tight, so the tolerance only has to absorb roundoff. The fixed point is
-unique, so a solve warm-started elsewhere lands where a cold solve does.
+unique, so a solve warm-started elsewhere lands where a cold solve does,
+and Anderson mixing lands where damped Picard does. Rotating the BS side by
+one unitary and the RIS side by another leaves every fixed-point scalar
+unchanged.
 """
 
 from dataclasses import replace
@@ -17,7 +20,8 @@ from fasris import (SolverSettings, esr_gradient_phases_uncommon,
                     sinr_rzf_common, sinr_rzf_uncommon, sinr_zf_common,
                     sinr_zf_uncommon, solve_rzf_common, solve_rzf_uncommon,
                     solve_zf_common, solve_zf_uncommon)
-from fasris.fixed_point import DEFAULT_SETTINGS
+from fasris.fixed_point import (DEFAULT_SETTINGS, _continued, _picard,
+                                _UncommonMap)
 from fasris.optimize import _evaluate, _stats
 from fasris.scenarios import random_scenario
 
@@ -146,3 +150,65 @@ def test_warm_start_reaches_the_cold_fixed_point(seed, mode):
         warm, _, warm_sol = solve(stats_b, x0)
         assert cold_sol.path == "cold" and warm_sol.path == "warm"
         assert rel(warm.esr, cold.esr) < TOL
+
+
+class _PlainUncommonMap(_UncommonMap):
+    anderson = 0      # damped Picard, the reference for Anderson mixing
+
+
+def state(sol) -> np.ndarray:
+    return np.concatenate([np.ravel(v) for v in sol.x0.values()])
+
+
+@EXAMPLES
+@given(seeds, st.sampled_from([1e-4, 0.3, 1.0, None]))
+def test_anderson_matches_damped_picard(seed, z):
+    # z None is ZF
+    sc, _ = scenario(seed, "uncommon")
+    F_list, R, C_list, _ = sc.stats_uncommon()
+    if z is None:
+        mixed = solve_zf_uncommon(F_list, R, C_list, TIGHT)
+        plain = _picard(_PlainUncommonMap(F_list, R, C_list, 1.0, 0.0, None),
+                        None, TIGHT)
+    else:
+        mixed = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT)
+        plain = _continued(lambda zz: _PlainUncommonMap(F_list, R, C_list, zz,
+                                                        1.0, None),
+                           z, None, TIGHT)
+    assert mixed.anderson != "off" and plain.anderson == "off"
+    assert rel(state(mixed), state(plain)) < TOL
+
+
+def unitary(n: int, rng) -> np.ndarray:
+    Q, R = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+@EXAMPLES
+@given(seeds, st.sampled_from(["common", "uncommon"]))
+def test_unitary_rotation_leaves_fixed_point(seed, mode):
+    # F_k, R -> U_M F_k U_M^H and C_k -> U_L C_k U_L^H
+    sc, z = scenario(seed, mode)
+    rng = np.random.default_rng([seed, 3])
+    U_M, U_L = unitary(M, rng), unitary(L, rng)
+
+    def rot(A, U):
+        return U @ A @ U.conj().T
+
+    if mode == "common":
+        F, R, C, u, t, _ = sc.stats_common()
+        inputs = [(F, R, C, u, t),
+                  (rot(F, U_M), rot(R, U_M), rot(C, U_L), u, t)]
+        solvers = [lambda *a: solve_rzf_common(*a, z, TIGHT),
+                   lambda *a: solve_zf_common(*a, TIGHT)]
+    else:
+        F_list, R, C_list, _ = sc.stats_uncommon()
+        inputs = [(F_list, R, C_list),
+                  ([rot(F, U_M) for F in F_list], rot(R, U_M),
+                   [rot(C, U_L) for C in C_list])]
+        solvers = [lambda *a: solve_rzf_uncommon(*a, z, TIGHT),
+                   lambda *a: solve_zf_uncommon(*a, TIGHT)]
+    for solve in solvers:
+        base, turned = (solve(*args) for args in inputs)
+        assert rel(state(turned), state(base)) < TOL
