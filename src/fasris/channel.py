@@ -4,7 +4,7 @@ Builds the statistical description of a fluid-antenna (FAS) + RIS downlink:
 spatial correlation matrices for the port grid and the RIS array, path-loss
 gains, and the per-user channel covariances. Also draws channel realizations
 for the Monte-Carlo oracle, with counter-based per-trial RNG substreams so
-parallel and serial runs produce identical samples.
+a trial's sample does not depend on how trials are stacked.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ class Scenario:
 
 @dataclass
 class ChannelSample:
-    """One channel draw: H (M x K) plus the factors it was assembled from."""
+    """Channel draw(s): H (..., M, K) plus the factors it was assembled from."""
 
     H: np.ndarray
     X: np.ndarray
@@ -469,11 +469,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _cn(rng: np.random.Generator, shape, var: float) -> np.ndarray:
-    scale = np.sqrt(var / 2.0)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
-
-
 class ChannelSampler:
     """Caches matrix square roots so repeated trials only draw Gaussians.
 
@@ -488,35 +483,48 @@ class ChannelSampler:
         self.K, self.L = dims.K, dims.L
         corr = scenario.correlations
 
-        R = scenario.select_R(s)
-        F_list = corr.f_tot_list(self.K)
-        if s is not None:
-            F_list = [select_submatrix(F, s) for F in F_list]
-
-        self.R_half = psd_sqrt(R, "R")
-        # gain-weighted direct-link factors sqrt(u_k) F_{c,k}^{1/2}
-        self.F_half = [np.sqrt(scenario.u[k]) * psd_sqrt(F_list[k], f"F[{k}]")
-                       for k in range(self.K)]
+        root = corr.root if s is None else psd_sqrt     # cached when unselected
+        F_list = [F if s is None else select_submatrix(F, s)
+                  for F in corr.f_tot_list(self.K)]
+        self.R_half = root(scenario.select_R(s), "R")
+        # gain-weighted direct-link factors sqrt(u_k) F_{c,k}^{1/2}, (K, M, M)
+        self.F_half = np.stack([np.sqrt(scenario.u[k]) * root(F, f"F[{k}]")
+                                for k, F in enumerate(F_list)])
         Phi = phase_matrix(phi, self.L)
         CL_half = corr.root(corr.C_L, "C_L")
         # cascaded factors C_k^{+/2} = sqrt(t_k) C_L^{1/2} Phi C_{R,k}^{1/2}
-        self.C_half = [np.sqrt(scenario.t[k]) * CL_half @ Phi
-                       @ corr.root(CR, f"C_R[{k}]")
-                       for k, CR in enumerate(corr.c_r_list(self.K))]
+        self.C_half = np.stack([np.sqrt(scenario.t[k]) * CL_half @ Phi
+                                @ corr.root(CR, f"C_R[{k}]")
+                                for k, CR in enumerate(corr.c_r_list(self.K))])
 
-    def draw(self, rng: np.random.Generator, keep_components: bool = True) -> ChannelSample:
+    def draw(self, rng, keep_components: bool = True) -> ChannelSample:
+        """One draw from a Generator, or a (T, ...) stack from a sequence of
+        them; trial t reads only rng[t], so no stack changes its channel."""
+        single = isinstance(rng, np.random.Generator)
+        rngs = [rng] if single else list(rng)
         M, K, L = self.M, self.K, self.L
-        X = _cn(rng, (M, L), 1.0 / M)
-        W = _cn(rng, (M, K), 1.0 / M)
-        Y = _cn(rng, (L, K), 1.0 / L)
-        RX = self.R_half @ X
-        H = np.zeros((M, K), dtype=complex)
-        Z: list[np.ndarray] = []
-        for k in range(K):
-            Zk = RX @ self.C_half[k]
-            H[:, k] = self.F_half[k] @ W[:, k] + Zk @ Y[:, k]
-            if keep_components:
-                Z.append(Zk)
+        # per trial: real then imaginary parts of X, then of W, then of Y
+        g = np.empty((len(rngs), 2 * (M * L + M * K + L * K)))
+        for t, r in enumerate(rngs):
+            r.standard_normal(out=g[t])
+        factors, at = [], 0
+        for rows, cols, var in ((M, L, 1.0 / M), (M, K, 1.0 / M),
+                                (L, K, 1.0 / L)):
+            n = rows * cols
+            re, im = g[:, at:at + n], g[:, at + n:at + 2 * n]
+            factors.append(((re + 1j * im) * np.sqrt(var / 2.0))
+                           .reshape(-1, rows, cols))
+            at += 2 * n
+        X, W, Y = factors
+        # h_k = F_k^{1/2} w_k + R^{1/2} X (C_k^{+/2} y_k): batched per-user
+        # matrix-vector products, then one (M, L) x (L, K) product per trial
+        CY = (self.C_half @ Y.transpose(0, 2, 1)[..., None])[..., 0]
+        FW = (self.F_half @ W.transpose(0, 2, 1)[..., None])[..., 0]
+        H = FW.transpose(0, 2, 1) + self.R_half @ (X @ CY.transpose(0, 2, 1))
+        if single:
+            H, X, W, Y = H[0], X[0], W[0], Y[0]
+        Z = ([self.R_half @ X @ Ck for Ck in self.C_half] if keep_components
+             else [])
         return ChannelSample(H=H, X=X, W=W, Y=Y, Z=Z)
 
 

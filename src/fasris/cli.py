@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Subcommands: evaluate, montecarlo, optimize, sweep, validate, figure.
-Global flags: --config, --seed, --threads, --out-dir. The FASRIS_THREADS
-environment variable overrides the thread count. All outputs derive from
-the configured seed only; runtimes are recorded only with --timing.
+Global flags: --config, --seed, --threads, --out-dir. --threads and the
+FASRIS_THREADS environment variable are accepted for compatibility and
+change nothing: Monte-Carlo trials run batched. All outputs derive from the
+configured seed only; runtimes are recorded only with --timing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,13 +24,6 @@ from .optimize import (alternating_optimization, deterministic_esr,
                        search_regularization)
 from .sweep import (CSV_HEADER, UsageError, format_row, run_experiment,
                     run_figure, validate, write_csv)
-
-
-def _threads(args) -> int:
-    env = os.environ.get("FASRIS_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, args.threads)
 
 
 def _load(args) -> dict:
@@ -67,8 +60,7 @@ def cmd_montecarlo(args) -> int:
     cfg, scenario, s, phi, seed = _problem(args)
     trials = args.trials or int(cfg.get("trials", 2000))
     z = scenario.default_z(s)             # only RZF reads it
-    est = empirical_esr(scenario, s, phi, args.precoder, trials, seed, z,
-                        threads=_threads(args))
+    est = empirical_esr(scenario, s, phi, args.precoder, trials, seed, z)
     snr_db = -10.0 * np.log10(scenario.sigma2)
     out = Path(args.out) if args.out else Path(args.out_dir) / "results.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -126,7 +118,7 @@ def cmd_optimize(args) -> int:
         raise UsageError(f"unknown mode {args.mode!r}")
 
     confirmation = empirical_esr(scenario, s, phi, args.precoder, args.trials,
-                                 seed, z, threads=_threads(args))
+                                 seed, z)
     solution = {
         "mode": args.mode,
         "precoder": args.precoder,
@@ -160,7 +152,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_sweep(args) -> int:
     out = run_experiment(_load(args), args.out_dir, seed=args.seed,
-                         threads=_threads(args), timing=args.timing)
+                         timing=args.timing)
     print(f"wrote {out['csv']} and {out['svg']} ({out['rows']} rows)")
     return 0
 
@@ -184,7 +176,7 @@ def cmd_figure(args) -> int:
     out = run_figure(args.name, args.out_dir,
                      trials=args.trials or 2000,
                      seed=args.seed if args.seed is not None else 0,
-                     threads=_threads(args), timing=args.timing)
+                     timing=args.timing)
     print(f"wrote {out['csv']} and {out['svg']} ({out['rows']} rows)")
     return 0
 
@@ -196,7 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "optimization for FAS-RIS downlinks")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; changes nothing "
+                        "(Monte-Carlo trials run batched)")
     p.add_argument("--out-dir", default="out")
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock runtimes in CSV output "

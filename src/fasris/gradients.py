@@ -69,8 +69,9 @@ def _tr2(A: np.ndarray, B: np.ndarray) -> float:
 
 def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
                                C_R: np.ndarray, phi: np.ndarray,
-                               sigma2: float) -> np.ndarray:
-    """d ESR_RZF / d phi_l, shared-correlation regime (bits)."""
+                               sigma2: float, root=psd_sqrt) -> np.ndarray:
+    """d ESR_RZF / d phi_l, shared-correlation regime (bits); `root` takes
+    C_L^{1/2}, as in effective_ris_correlation."""
     sol = so.sol
     u, t, p = so.u, so.t, so.p
     F, R, C = so.F, so.R, so.C
@@ -82,7 +83,7 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
     if delta == 0.0 or omega_bar == 0.0:
         return np.zeros(len(phi))          # no cascaded link: rate ignores Phi
 
-    CL_root = psd_sqrt(C_L, "C_L")
+    CL_root = root(C_L, "C_L")
     mu = sol.mu_k(u, t)
     gam, Dk = rzf_sinr(so.Psi_kl, so.Cbar, mu, p, sigma2, L)
 
@@ -206,7 +207,7 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
                                  C_list: list[np.ndarray], C_L: np.ndarray,
                                  C_R_list: list[np.ndarray], t: np.ndarray,
                                  phi: np.ndarray, p: np.ndarray,
-                                 sigma2: float) -> np.ndarray:
+                                 sigma2: float, root=psd_sqrt) -> np.ndarray:
     """d ESR_RZF / d phi_l, per-user-correlation regime (bits)."""
     sol = so.sol
     F_list, R = so.F_list, so.R
@@ -221,7 +222,7 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
     if delta == 0.0 or np.all(t == 0.0):
         return np.zeros(len(phi))
 
-    CL_root = psd_sqrt(C_L, "C_L")
+    CL_root = root(C_L, "C_L")
     one_mu = 1.0 + mu
     one_mu2 = one_mu ** 2
     gam, Dk = rzf_sinr(so.Psi_kl, so.Cbar, mu, p, sigma2, L)
@@ -381,7 +382,8 @@ def _zf_chain(p, mu, mu_d, M, sigma2) -> np.ndarray:
 
 
 def esr_gradient_phases_zf_common(sol: ZfCommonSolution, F, R, C_L, C_R,
-                                  phi, u, t, p, sigma2) -> np.ndarray:
+                                  phi, u, t, p, sigma2,
+                                  root=psd_sqrt) -> np.ndarray:
     """d ESR_ZF / d phi_l, shared correlation (bits)."""
     u = np.asarray(u, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -389,7 +391,7 @@ def esr_gradient_phases_zf_common(sol: ZfCommonSolution, F, R, C_L, C_R,
     L = len(phi)
     if sol.delta_u == 0.0 or sol.omega_bar_u == 0.0 or np.all(t == 0.0):
         return np.zeros(L)
-    CL_root = psd_sqrt(C_L, "C_L")
+    CL_root = root(C_L, "C_L")
     Phi = phase_matrix(phi, L)
     C = herm(CL_root @ Phi @ C_R @ Phi.conj().T @ CL_root)
     Pi = common_pi(F, R, C, u, t, sol).Pi_com

@@ -7,13 +7,14 @@ per-antenna convention tr(G P G^H) = M, which is the normalization the
 deterministic equivalents are written in; test_montecarlo pins the exact
 factor-M relation between the two conventions so it cannot drift silently.
 
-Trials run on counter-based RNG substreams keyed by (seed, trial index), so
-the estimate is bit-identical no matter how trials are chunked or threaded.
+Trials run batched: each draws from a counter-based RNG substream keyed by
+(seed, trial index), and a block's channels, precoders and SINRs are
+(T, ...) stacks, so per-trial rates are bit-identical however trials are
+blocked. `threads` is accepted for compatibility and parallelizes nothing.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .channel import ChannelSampler, Scenario, trial_rng
 from .fixed_point import FeasibilityError
 
 RANK_TOL = 1e-10
+_BLOCK = 16         # trials per stacked block; bounds the stacks' memory
 
 
 @dataclass(frozen=True)
@@ -31,10 +33,6 @@ class EsrEstimate:
     ci95: float
     trials: int
     seed: int
-
-    @property
-    def per_trial_std(self) -> float:
-        return self.stderr * np.sqrt(self.trials)
 
 
 @dataclass
@@ -55,54 +53,75 @@ class ResolventProbe:
     lambda_hat: np.ndarray
 
 
+def _herm_t(A: np.ndarray) -> np.ndarray:     # conjugate transpose, stacked
+    return np.swapaxes(A.conj(), -1, -2)
+
+
 def build_precoder(H: np.ndarray, kind: str, p: np.ndarray,
                    z: float | None = None) -> np.ndarray:
     """Linear precoder scaled so tr(G P G^H) = 1.
 
-    rzf: (H H^H + z I)^{-1} H; zf: H (H^H H)^{-1}; mrt: H.
+    rzf: (H H^H + z I)^{-1} H; zf: H (H^H H)^{-1}; mrt: H. H is one (M, K)
+    channel or a (T, M, K) stack of them; each trial is scaled on its own.
     """
-    M, K = H.shape
+    Hs = H[None] if H.ndim == 2 else H
+    M, K = Hs.shape[-2:]
     p = np.asarray(p, dtype=float)
     if kind == "rzf":
         if z is None or z <= 0:
             raise ValueError("rzf needs a positive regularization z")
-        G0 = np.linalg.solve(H @ H.conj().T + z * np.eye(M), H)
+        G0 = np.linalg.solve(Hs @ _herm_t(Hs) + z * np.eye(M), Hs)
     elif kind == "zf":
         if M < K:
             raise FeasibilityError(f"ZF infeasible: M={M} < K={K}")
-        sv = np.linalg.svd(H, compute_uv=False)
-        if sv[-1] < RANK_TOL * sv[0]:
+        sv = np.linalg.svd(Hs, compute_uv=False)
+        bad = np.flatnonzero(sv[:, -1] < RANK_TOL * sv[:, 0])
+        if bad.size:
+            t = bad[0]
             raise FeasibilityError(
                 f"ZF infeasible: H numerically rank deficient "
-                f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.3e})")
-        G0 = H @ np.linalg.inv(H.conj().T @ H)
+                f"(sigma_min/sigma_max = {sv[t, -1] / sv[t, 0]:.3e})")
+        G0 = Hs @ np.linalg.inv(_herm_t(Hs) @ Hs)
     elif kind == "mrt":
-        G0 = H.copy()
+        G0 = Hs.copy()
     else:
         raise ValueError(f"unknown precoder kind {kind!r}")
-    power = np.real(np.einsum("mk,k,mk->", G0.conj(), p, G0))
-    if power == 0.0:
-        return G0          # zero channel: SINRs are zero for any scaling
-    return G0 / np.sqrt(power)
+    power = np.real(np.einsum("tmk,k,tmk->t", G0.conj(), p, G0))
+    # a zero channel keeps G0: its SINRs are zero for any scaling
+    G = G0 / np.sqrt(np.where(power == 0.0, 1.0, power))[:, None, None]
+    return G[0] if H.ndim == 2 else G
 
 
 def instantaneous_sinr(H: np.ndarray, G: np.ndarray, p: np.ndarray,
                        sigma2: float) -> np.ndarray:
-    """gamma_k = p_k |h_k^H g_k|^2 / (sum_{i != k} p_i |h_k^H g_i|^2 + sigma^2)."""
-    A = H.conj().T @ G                      # A[k, i] = h_k^H g_i
-    p = np.asarray(p, dtype=float)
-    powers = p[None, :] * np.abs(A) ** 2
-    signal = np.diag(powers).copy()
-    interference = powers.sum(axis=1) - signal
+    """gamma_k = p_k |h_k^H g_k|^2 / (sum_{i != k} p_i |h_k^H g_i|^2 + sigma^2).
+
+    H and G are (M, K) or (T, M, K) stacks; the SINRs are (K,) or (T, K).
+    """
+    A = _herm_t(H) @ G                      # A[..., k, i] = h_k^H g_i
+    powers = np.asarray(p, dtype=float) * np.abs(A) ** 2
+    signal = np.diagonal(powers, axis1=-2, axis2=-1).copy()
+    interference = powers.sum(axis=-1) - signal
     return signal / (interference + sigma2)
 
 
-def _sum_rate_one(sampler: ChannelSampler, p, sigma2, kind, z, seed, trial,
-                  m_scale) -> float:
-    sample = sampler.draw(trial_rng(seed, trial), keep_components=False)
-    G = build_precoder(sample.H, kind, p, z)
-    gam = instantaneous_sinr(sample.H, m_scale * G, p, sigma2)
-    return float(np.log2(1.0 + gam).sum())
+def _blocks(trials: int):
+    """(lo, hi) trial ranges of at most _BLOCK trials."""
+    return ((lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK))
+
+
+def _trial_rates(sampler: ChannelSampler, p, sigma2, kind, z, seed,
+                 trials) -> np.ndarray:
+    """Sum rate of every trial, computed block by block on stacks."""
+    m_scale = np.sqrt(sampler.M)
+    rates = np.empty(trials)
+    for lo, hi in _blocks(trials):
+        rngs = [trial_rng(seed, trial) for trial in range(lo, hi)]
+        H = sampler.draw(rngs, keep_components=False).H
+        G = build_precoder(H, kind, p, z)
+        gam = instantaneous_sinr(H, m_scale * G, p, sigma2)
+        rates[lo:hi] = np.log2(1.0 + gam).sum(axis=-1)
+    return rates
 
 
 def empirical_esr(scenario: Scenario, s: np.ndarray | None,
@@ -112,35 +131,27 @@ def empirical_esr(scenario: Scenario, s: np.ndarray | None,
 
     The per-antenna power convention (tr(G P G^H) = M) matches the
     deterministic equivalents; it is applied by scaling the unit-trace
-    precoder by sqrt(M) before the SINR evaluation. Results are identical
-    for any thread count because every trial owns an RNG substream and the
-    reduction runs over a trial-indexed array.
+    precoder by sqrt(M) before the SINR evaluation. Trials run batched (see
+    the module notes); `threads` is accepted for compatibility only.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     sampler = ChannelSampler(scenario, s, phi)
-    m_scale = np.sqrt(sampler.M)
-    rates = np.empty(trials)
-
-    def run_block(block):
-        lo, hi = block
-        for trial in range(lo, hi):
-            rates[trial] = _sum_rate_one(sampler, scenario.p, scenario.sigma2,
-                                         kind, z, seed, trial, m_scale)
-
-    if threads <= 1:
-        run_block((0, trials))
-    else:
-        bounds = np.linspace(0, trials, threads + 1).astype(int)
-        blocks = [(bounds[i], bounds[i + 1]) for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, blocks))
-
+    rates = _trial_rates(sampler, scenario.p, scenario.sigma2, kind, z, seed,
+                         trials)
     mean = float(np.add.reduce(rates) / trials)
     var = float(np.add.reduce((rates - mean) ** 2) / (trials - 1))
     stderr = np.sqrt(var / trials)
     return EsrEstimate(mean=mean, stderr=stderr, ci95=1.96 * stderr,
                        trials=trials, seed=seed)
+
+
+def _pair_traces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re tr(A_k B_l) for (..., K, M, M) and (..., J, M, M) stacks: (..., K, J)."""
+    M = A.shape[-1]
+    A_flat = A.reshape(A.shape[:-2] + (M * M,))
+    Bt_flat = np.swapaxes(B, -1, -2).reshape(B.shape[:-2] + (M * M,))
+    return np.real(A_flat @ np.swapaxes(Bt_flat, -1, -2))
 
 
 def resolvent_probe(scenario: Scenario, s: np.ndarray | None,
@@ -151,52 +162,39 @@ def resolvent_probe(scenario: Scenario, s: np.ndarray | None,
     Q = (z I + H H^H)^{-1}; Z_k is the cascaded factor R^{1/2} X C_k^{+/2}.
     Used to validate the fixed-point solutions (first order) and the
     Pi/Delta interference blocks (second order, bilinear traces).
+    With B_k = Z_k Z_k^H = (R^{1/2} X) C_k (R^{1/2} X)^H, U_k = Q B_k and
+    V_k = U_k Q: omega_k = tr U_k / L, ups_I_k = tr V_k / L + tr(F_k Q^2) / M
+    and lambda[k,l] = tr(U_k U_l) / L + tr(V_k F_l) / M. Terms linear in Q,
+    Q^2 or V_k are summed over trials before their traces are taken.
     """
     if z <= 0:
         raise ValueError("resolvent probe needs z > 0")
     sampler = ChannelSampler(scenario, s, phi)
     M, K, L = sampler.M, sampler.K, sampler.L
-    R = scenario.select_R(s)
-    # gain-weighted direct covariances F_k = u_k F_{c,k}
-    F_stack = np.stack([sampler.F_half[k] @ sampler.F_half[k].conj().T
-                        for k in range(K)])
+    # gain-weighted direct covariances F_k = u_k F_{c,k} and cascaded Grams
+    F = sampler.F_half @ _herm_t(sampler.F_half)
+    C = sampler.C_half @ _herm_t(sampler.C_half)
 
-    delta_acc = 0.0
-    omega_acc = np.zeros(K)
-    mu_acc = np.zeros(K)
-    upsI_acc = np.zeros(K)
-    lam_acc = np.zeros((K, K))
-    for trial in range(trials):
-        sample = sampler.draw(trial_rng(seed, trial), keep_components=True)
-        H = sample.H
-        Q = np.linalg.inv(z * np.eye(M) + H @ H.conj().T)
-        Z = np.stack(sample.Z)                          # (K, M, L)
-        delta_acc += np.real(np.trace(R @ Q)) / M
-        QZ = np.einsum("mn,knl->kml", Q, Z)
-        omega_t = np.real(np.einsum("kml,kml->k", Z.conj(), QZ)) / L
-        omega_acc += omega_t
-        trF = np.real(np.einsum("kij,ji->k", F_stack, Q)) / M
-        mu_acc += trF + omega_t
-        Q2 = Q @ Q
-        Q2Z = np.einsum("mn,knl->kml", Q2, Z)
-        upsI_acc += np.real(np.einsum("kml,kml->k", Z.conj(), Q2Z)) / L \
-            + np.real(np.einsum("kij,ji->k", F_stack, Q2)) / M
-        lam_acc += _bilinear_traces(Z, QZ, F_stack, L, M)
-    n = float(trials)
-    return ResolventProbe(z=z, trials=trials, delta_hat=delta_acc / n,
-                          omega_hat=omega_acc / n, mu_hat=mu_acc / n,
-                          ups_I_hat=upsI_acc / n, lambda_hat=lam_acc / n)
-
-
-def _bilinear_traces(Z, QZ, F_stack, L, M) -> np.ndarray:
-    """lambda[k,l] = (1/L)tr(Z_k Z_k^H Q Z_l Z_l^H Q) + (1/M)tr(Z_k Z_k^H Q F_l Q)."""
-    K = Z.shape[0]
-    # S[k,l] = Z_k^H Q Z_l; tr(Z_k Z_k^H Q Z_l Z_l^H Q) = tr(S[k,l] S[l,k])
-    S = np.einsum("kma,lmb->klab", Z.conj(), QZ)
-    term1 = np.real(np.einsum("klab,lkba->kl", S, S)) / L
-    # tr(Z_k Z_k^H Q F_l Q) = tr((Q Z_k)^H F_l (Q Z_k)) with Q Hermitian
-    term2 = np.empty((K, K))
-    for l in range(K):
-        FQZ = np.einsum("ij,kjl->kil", F_stack[l], QZ)
-        term2[:, l] = np.real(np.einsum("kml,kml->k", QZ.conj(), FQZ)) / M
-    return term1 + term2
+    Q_sums = np.zeros((2, M, M), dtype=complex)     # sums of Q and Q^2
+    V_sum = np.zeros((K, M, M), dtype=complex)
+    omega_acc, upsZ_acc, lam_acc = np.zeros(K), np.zeros(K), np.zeros((K, K))
+    for lo, hi in _blocks(trials):
+        sample = sampler.draw([trial_rng(seed, t) for t in range(lo, hi)],
+                              keep_components=False)
+        Q = np.linalg.inv(z * np.eye(M) + sample.H @ _herm_t(sample.H))
+        RX = (sampler.R_half @ sample.X)[:, None]       # (T, 1, M, L)
+        U = Q[:, None] @ (RX @ C @ _herm_t(RX))         # (T, K, M, M)
+        V = U @ Q[:, None]
+        omega_acc += np.einsum("tkii->k", U).real
+        upsZ_acc += np.einsum("tkii->k", V).real
+        lam_acc += _pair_traces(U, U).sum(axis=0)
+        Q_sums += [Q.sum(axis=0), (Q @ Q).sum(axis=0)]
+        V_sum += V.sum(axis=0)
+    omega = omega_acc / (trials * L)
+    trF, trF2 = _pair_traces(F, Q_sums).T / (trials * M)
+    tr_RQ = np.real(np.vdot(scenario.select_R(s), Q_sums[0]))
+    return ResolventProbe(
+        z=z, trials=trials, delta_hat=float(tr_RQ) / (trials * M),
+        omega_hat=omega, mu_hat=trF + omega,
+        ups_I_hat=upsZ_acc / (trials * L) + trF2,
+        lambda_hat=(lam_acc / L + _pair_traces(V_sum, F) / M) / trials)

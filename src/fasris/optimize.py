@@ -348,16 +348,17 @@ def _phase_objective(scenario: Scenario, s, precoder, z, settings):
         if precoder == "zf":
             F, R, _, u, t, p = stats
             g = esr_gradient_phases_zf_common(sol, F, R, corr.C_L, corr.C_R,
-                                              phi, u, t, p, scenario.sigma2)
+                                              phi, u, t, p, scenario.sigma2,
+                                              root=corr.root)
         elif corr.shared:
             g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi,
-                                           scenario.sigma2)
+                                           scenario.sigma2, root=corr.root)
         else:
             _, _, C_list, p = stats
             g = esr_gradient_phases_uncommon(so, C_list, corr.C_L,
                                              corr.c_r_list(scenario.dims.K),
                                              scenario.t, phi, p,
-                                             scenario.sigma2)
+                                             scenario.sigma2, root=corr.root)
         return rep.esr, g
 
     return value, value_grad

@@ -3,7 +3,8 @@
 CSV schema is fixed: scenario_id, axis_name, axis_value, precoder, method,
 esr, stderr, runtime_ms. All randomness flows from the configured seed; the
 runtime column stays empty unless timing is explicitly requested, so output
-files are byte-identical for a fixed seed regardless of thread count.
+files are byte-identical for a fixed seed. `threads` arguments are accepted
+for compatibility; Monte-Carlo trials run batched, not in parallel.
 """
 
 from __future__ import annotations
@@ -47,23 +48,20 @@ def write_csv(path: Path, rows: list[str]) -> None:
             fh.write(row + "\n")
 
 
-def _eval_point(scenario, s, phi, precoder, method, trials, seed, threads,
-                timing):
+def _eval_point(scenario, s, phi, precoder, method, trials, seed, timing):
     t0 = time.perf_counter()
     z = scenario.default_z(s) if precoder == "rzf" else None
     if method == "de":
         rep = deterministic_esr(scenario, s, phi, precoder, z)
         esr, stderr = rep.esr, None
     else:
-        est = empirical_esr(scenario, s, phi, precoder, trials, seed, z,
-                            threads)
+        est = empirical_esr(scenario, s, phi, precoder, trials, seed, z)
         esr, stderr = est.mean, est.stderr
     rt = (time.perf_counter() - t0) * 1e3 if timing else None
     return esr, stderr, rt
 
 
-def _precoder_sweep(points, precoders, methods, trials, seed, threads,
-                    timing):
+def _precoder_sweep(points, precoders, methods, trials, seed, timing):
     """Rows and one series per (precoder, method) over SNR points.
 
     points yield (snr_db, scenario, s, phi); MRT has no DE, so MC only.
@@ -75,8 +73,7 @@ def _precoder_sweep(points, precoders, methods, trials, seed, threads,
                 if precoder == "mrt" and method == "de":
                     continue
                 esr, stderr, rt = _eval_point(scenario, s, phi, precoder,
-                                              method, trials, seed, threads,
-                                              timing)
+                                              method, trials, seed, timing)
                 rows.append(format_row(scenario.name, "snr_db", snr_db,
                                        precoder, method, esr, stderr, rt))
                 xs, ys = series.setdefault((precoder, method), ([], []))
@@ -117,7 +114,7 @@ def run_experiment(cfg: dict, out_dir: str | Path, seed: int | None = None,
         points.append((snr_db, scenario, selection_from_config(cfg, scenario),
                        phases_from_config(cfg, scenario.dims.L)))
     rows, series = _precoder_sweep(points, precoders, methods, trials, seed,
-                                   threads, timing)
+                                   timing)
     name = points[-1][1].name
     return _finish(out_dir, f"{name}_sweep", rows, series, "1/sigma^2 [dB]",
                    "ESR [bit/s/Hz]", name)
@@ -128,7 +125,7 @@ def run_experiment(cfg: dict, out_dir: str | Path, seed: int | None = None,
 # ---------------------------------------------------------------------------
 
 def _de_vs_mc(out_dir: Path, name: str, groups, axis_name: str, trials: int,
-              seed: int, threads: int, timing: bool, xlabel: str,
+              seed: int, timing: bool, xlabel: str,
               title: str) -> dict:
     """RZF analysis (DE) vs simulation (MC) at z = K sigma^2/M, all ports.
 
@@ -141,7 +138,7 @@ def _de_vs_mc(out_dir: Path, name: str, groups, axis_name: str, trials: int,
         for x, scenario_id, sc in points:
             for method, store in (("de", de_y), ("mc", mc_y)):
                 esr, stderr, rt = _eval_point(sc, None, None, "rzf", method,
-                                              trials, seed, threads, timing)
+                                              trials, seed, timing)
                 rows.append(format_row(scenario_id, axis_name, x, "rzf",
                                        method, esr, stderr, rt))
                 store.append(esr)
@@ -162,7 +159,7 @@ def figure_fig1(out_dir: Path, trials: int, seed: int, threads: int,
             sc = sc_mod.fig1_scenario(M, snr)
             yield snr, sc.name, sc
     return _de_vs_mc(out_dir, "fig1", [(f"M={M}", points(M)) for M in Ms],
-                     "snr_db", trials, seed, threads, timing,
+                     "snr_db", trials, seed, timing,
                      "1/sigma^2 [dB]", "ESR vs SNR, per-user correlation")
 
 
@@ -174,7 +171,7 @@ def figure_fig2(out_dir: Path, trials: int, seed: int, threads: int,
             yield scale, f"fig2_case{case}", sc_mod.fig2_scenario(case, scale)
     return _de_vs_mc(out_dir, "fig2",
                      [(f"case {case}", points(case)) for case in (1, 2)],
-                     "scale", trials, seed, threads, timing, "size multiple",
+                     "scale", trials, seed, timing, "size multiple",
                      "DE accuracy vs system size")
 
 
@@ -221,7 +218,7 @@ def figure_fig4(out_dir: Path, trials: int, seed: int, threads: int,
             s = sc_mod.uniform_selection(M, sc.correlations.R_tot.shape[0])
             yield snr, sc, s, np.zeros(sc.dims.L)
     rows, series = _precoder_sweep(points(), ("rzf", "zf", "mrt"),
-                                   ("de", "mc"), trials, seed, threads, timing)
+                                   ("de", "mc"), trials, seed, timing)
     return _finish(out_dir, "fig4", rows, series, "1/sigma^2 [dB]",
                    "ESR [bit/s/Hz]", "Precoder comparison")
 

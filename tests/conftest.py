@@ -10,6 +10,19 @@ def rng():
 
 
 @pytest.fixture
+def eigh_calls(monkeypatch):
+    """A list that gains one entry per np.linalg.eigh call in the test."""
+    calls = []
+
+    def counted(A, *args, _eigh=np.linalg.eigh, **kw):
+        calls.append(None)
+        return _eigh(A, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.fixture
 def small_uncommon(rng):
     return random_scenario(rng, "uncommon", M=12, K=4, L=8, sigma2=0.4)
 

@@ -19,9 +19,10 @@ from fasris import (SolverSettings, alternating_optimization,
                     z_search_profile)
 from fasris.gradients import (esr_gradient_phases_common,
                               esr_gradient_phases_uncommon,
-                              esr_gradient_ports_zf_common, fd_gradient)
+                              esr_gradient_ports_zf_common)
 from fasris.channel import herm, phase_matrix, psd_sqrt
 from fasris.optimize import OptimizerSettings
+from fasris.sweep import _fd_deviation
 from fasris.scenarios import (fig1_scenario, fig2_scenario, fig3_scenario,
                               fig6_scenario, fig8_scenario, random_scenario,
                               uniform_selection)
@@ -156,11 +157,6 @@ def test_criterion_06_gradient_correctness():
     worst = 0.0
     tight = SolverSettings(tol=1e-13, max_iter=40000)
 
-    def check(analytic, fd):
-        floor = 1e-3 * max(np.abs(fd).max(), 1e-12)
-        return float(np.max(np.abs(analytic - fd)
-                            / np.maximum(np.abs(fd), floor)))
-
     for seed in range(7):                       # shared-correlation phases
         rng = np.random.default_rng(2000 + seed)
         sc = random_scenario(rng, "common", M=10, K=3, L=6, sigma2=0.3)
@@ -185,7 +181,7 @@ def test_criterion_06_gradient_correctness():
                                 sc.p, sc.sigma2)
         g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi0,
                                        sc.sigma2)
-        worst = max(worst, check(g, fd_gradient(esr, phi0, 1e-5)))
+        worst = max(worst, _fd_deviation(esr, g, phi0))
 
     for seed in range(7):                       # per-user-correlation phases
         rng = np.random.default_rng(3000 + seed)
@@ -206,7 +202,7 @@ def test_criterion_06_gradient_correctness():
         g = esr_gradient_phases_uncommon(so, C_list, corr.C_L,
                                          corr.c_r_list(3), sc.t, phi0, p,
                                          sc.sigma2)
-        worst = max(worst, check(g, fd_gradient(esr, phi0, 1e-5)))
+        worst = max(worst, _fd_deviation(esr, g, phi0))
 
     for seed in range(6):                       # ZF port gradients
         rng = np.random.default_rng(4000 + seed)
@@ -230,7 +226,7 @@ def test_criterion_06_gradient_correctness():
         g = esr_gradient_ports_zf_common(sol, Rh, Fh, emb(Rh, s0),
                                          emb(Fh, s0), C, sc.u, sc.t, sc.p,
                                          sc.sigma2)
-        worst = max(worst, check(g, fd_gradient(esr_s, s0, 1e-5)))
+        worst = max(worst, _fd_deviation(esr_s, g, s0))
 
     elapsed = time.time() - t0
     verdict("criterion 6 (gradient correctness)",

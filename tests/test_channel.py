@@ -209,14 +209,8 @@ class TestRootCache:
         assert np.array_equal(small_uncommon.stats_uncommon()[2][0], C)
 
     def test_stats_take_each_root_once(self, small_uncommon, small_common,
-                                       monkeypatch):
-        calls = []
-
-        def counted(A, *args, _eigh=np.linalg.eigh, **kw):
-            calls.append(None)
-            return _eigh(A, *args, **kw)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+                                       eigh_calls):
+        calls = eigh_calls
         for _ in range(3):
             small_uncommon.stats_uncommon(phi=np.zeros(small_uncommon.dims.L))
         # C_L and each distinct C_R
@@ -226,6 +220,25 @@ class TestRootCache:
             small_common.stats_common()
             small_common.stats_uncommon()
         assert len(calls) <= 2
+
+    def test_sampler_reads_the_cached_roots(self, small_uncommon):
+        sc = small_uncommon
+        corr, K = sc.correlations, sc.dims.K
+        first = ChannelSampler(sc, None, None)
+        assert first.R_half.tobytes() == psd_sqrt(corr.R_tot).tobytes()
+        for k, F in enumerate(corr.F_tot):
+            assert first.F_half[k].tobytes() == \
+                (np.sqrt(sc.u[k]) * psd_sqrt(F)).tobytes()
+
+    def test_later_samplers_take_no_root(self, small_uncommon, eigh_calls):
+        sc, K = small_uncommon, small_uncommon.dims.K
+        ChannelSampler(sc, None, None)
+        eigh_calls.clear()
+        for _ in range(3):
+            ChannelSampler(sc, None, np.linspace(0.0, 1.0, sc.dims.L))
+        assert not eigh_calls
+        ChannelSampler(sc, np.ones(sc.dims.M), None)   # selected: fresh roots
+        assert len(eigh_calls) == 1 + K
 
 
 class TestSampling:

@@ -307,3 +307,21 @@ class TestPortGradients:
                                              emb(Fh, s0), C, sc.u, sc.t,
                                              sc.p, sc.sigma2)
             assert np.all(g >= -1e-10)
+
+
+@pytest.mark.parametrize("regime,precoder", [("common", "rzf"),
+                                             ("uncommon", "rzf"),
+                                             ("common", "zf")])
+def test_phase_gradients_take_no_new_root(rng, eigh_calls, regime,
+                                          precoder):
+    # the optimizer's phase objective passes CorrelationSet.root, so after
+    # the first evaluation no gradient takes the C_L square root again
+    from fasris.optimize import _phase_objective
+    sc = random_scenario(rng, regime, M=10, K=3, L=6, sigma2=0.3)
+    z = sc.default_z() if precoder == "rzf" else None
+    _, value_grad = _phase_objective(sc, None, precoder, z, SolverSettings())
+    phi = rng.uniform(0, 2 * np.pi, 6)
+    value_grad(phi)
+    eigh_calls.clear()
+    value_grad(phi + 0.1)
+    assert not eigh_calls

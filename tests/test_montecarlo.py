@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from conftest import rel_err
 
 from fasris import (Dimensions, CorrelationSet, Scenario, build_precoder,
-                    empirical_esr, instantaneous_sinr, resolvent_probe,
-                    solve_rzf_uncommon, sinr_rzf_uncommon, trial_rng)
+                    empirical_esr, instantaneous_sinr, montecarlo,
+                    resolvent_probe, solve_rzf_uncommon, sinr_rzf_uncommon,
+                    trial_rng)
+from fasris.channel import ChannelSampler
 from fasris.fixed_point import FeasibilityError
 from fasris.scenarios import random_correlation, random_scenario
 
@@ -218,3 +221,104 @@ class TestResolventProbe:
         assert abs(pr.delta_hat - sol.delta) / sol.delta < 0.03
         assert np.max(np.abs(pr.omega_hat - sol.omega)
                       / np.maximum(sol.omega, 1e-6)) < 0.05
+
+
+class TestBatchedTrials:
+    """Trials run as (T, ...) stacks; no result may depend on the stacking."""
+
+    @pytest.mark.parametrize("kind,z", [("rzf", 0.2), ("zf", None),
+                                        ("mrt", None)])
+    def test_rates_independent_of_block_size(self, small_uncommon,
+                                             monkeypatch, kind, z):
+        sc, trials = small_uncommon, 23
+        rates = []
+        for block in (1, 7, trials):
+            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+            sampler = ChannelSampler(sc, None, None)
+            rates.append(montecarlo._trial_rates(sampler, sc.p, sc.sigma2,
+                                                 kind, z, 11, trials))
+        assert np.array_equal(rates[0], rates[1])
+        assert np.array_equal(rates[0], rates[2])
+
+    def test_stacked_draw_matches_single_draws(self, small_uncommon, rng):
+        sampler = ChannelSampler(small_uncommon, None,
+                                 rng.uniform(0, 2 * np.pi, 8))
+        stack = sampler.draw([trial_rng(4, t) for t in range(5)])
+        for t in range(5):
+            one = sampler.draw(trial_rng(4, t))
+            for name in ("H", "X", "W", "Y"):
+                assert np.array_equal(getattr(stack, name)[t],
+                                      getattr(one, name))
+            for Zs, Z1 in zip(stack.Z, one.Z):
+                assert np.allclose(Zs[t], Z1, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind,z", [("rzf", 0.1), ("zf", None),
+                                        ("mrt", None)])
+    def test_stacked_precoder_and_sinr_equal_per_trial(self, rng, kind, z):
+        H = np.stack([rand_H(rng, 12, 5) for _ in range(6)])
+        p = rng.uniform(0.5, 2.0, 5)
+        G = build_precoder(H, kind, p, z)
+        gam = instantaneous_sinr(H, G, p, 0.3)
+        assert G.shape == H.shape and gam.shape == (6, 5)
+        for t in range(6):
+            G_t = build_precoder(H[t], kind, p, z)
+            assert np.array_equal(G[t], G_t)
+            assert np.array_equal(gam[t], instantaneous_sinr(H[t], G_t, p,
+                                                             0.3))
+
+    def test_one_rank_deficient_trial_fails_the_block(self, rng):
+        H = np.stack([rand_H(rng, 8, 3) for _ in range(5)])
+        H[3, :, 2] = H[3, :, 0]
+        with pytest.raises(FeasibilityError, match="rank deficient"):
+            build_precoder(H, "zf", np.ones(3))
+        build_precoder(np.delete(H, 3, axis=0), "zf", np.ones(3))
+
+
+def _probe_oracle(scenario, phi, z, trials, seed):
+    """Per-trial einsum evaluation of every probe trace (reference)."""
+    sampler = ChannelSampler(scenario, None, phi)
+    M, K, L = sampler.M, sampler.K, sampler.L
+    R = scenario.select_R(None)
+    F_stack = np.stack([Fh @ Fh.conj().T for Fh in sampler.F_half])
+    delta, omega, mu = 0.0, np.zeros(K), np.zeros(K)
+    ups, lam = np.zeros(K), np.zeros((K, K))
+    for trial in range(trials):
+        sample = sampler.draw(trial_rng(seed, trial), keep_components=True)
+        H = sample.H
+        Q = np.linalg.inv(z * np.eye(M) + H @ H.conj().T)
+        Z = np.stack(sample.Z)                          # (K, M, L)
+        delta += np.real(np.trace(R @ Q)) / M
+        QZ = np.einsum("mn,knl->kml", Q, Z)
+        omega_t = np.real(np.einsum("kml,kml->k", Z.conj(), QZ)) / L
+        omega += omega_t
+        mu += np.real(np.einsum("kij,ji->k", F_stack, Q)) / M + omega_t
+        Q2 = Q @ Q
+        Q2Z = np.einsum("mn,knl->kml", Q2, Z)
+        ups += np.real(np.einsum("kml,kml->k", Z.conj(), Q2Z)) / L \
+            + np.real(np.einsum("kij,ji->k", F_stack, Q2)) / M
+        # lambda[k,l] = (1/L)tr(Z_k Z_k^H Q Z_l Z_l^H Q)
+        #             + (1/M)tr(Z_k Z_k^H Q F_l Q)
+        S = np.einsum("kma,lmb->klab", Z.conj(), QZ)
+        lam += np.real(np.einsum("klab,lkba->kl", S, S)) / L
+        for l in range(K):
+            FQZ = np.einsum("ij,kjl->kil", F_stack[l], QZ)
+            lam[:, l] += np.real(np.einsum("kml,kml->k", QZ.conj(), FQZ)) / M
+    return [v / trials for v in (delta, omega, mu, ups, lam)]
+
+
+class TestProbeAgainstEinsumOracle:
+    @pytest.mark.parametrize("trials", [1, 5, 19])
+    def test_every_trace_matches(self, small_uncommon, rng, trials):
+        phi = rng.uniform(0, 2 * np.pi, 8)
+        pr = resolvent_probe(small_uncommon, None, phi, 0.2, trials, 13)
+        got = [pr.delta_hat, pr.omega_hat, pr.mu_hat, pr.ups_I_hat,
+               pr.lambda_hat]
+        for g, ref in zip(got, _probe_oracle(small_uncommon, phi, 0.2,
+                                             trials, 13)):
+            assert rel_err(g, ref) < 1e-12
+
+    def test_shared_regime(self, small_common):
+        pr = resolvent_probe(small_common, None, None, 0.05, 3, 2)
+        ref = _probe_oracle(small_common, None, 0.05, 3, 2)
+        assert rel_err(pr.lambda_hat, ref[4]) < 1e-12
+        assert rel_err(pr.ups_I_hat, ref[3]) < 1e-12
