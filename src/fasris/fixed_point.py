@@ -368,14 +368,21 @@ class _UncommonMap(_Map):
 
 
 class _CommonMap(_Map):
-    """State [delta, kappa, omega, kappa_bar, omega_bar] of the shared system."""
+    """State [delta, kappa, omega, kappa_bar, omega_bar] of the shared system.
+
+    tr(C Psi_C) is a sum over the eigenvalues g of C; when F equals R,
+    delta = kappa is a sum over the eigenvalues lam of R, else the R side
+    solves for Psi_R. `spectra` = (lam or None, g) comes from `_spectra`,
+    once per solve. `finish` inverts explicitly, for the second-order blocks.
+    """
 
     regime = "common "
     rzf, zf = RzfCommonSolution, ZfCommonSolution
 
-    def __init__(self, F, R, C, u, t, z, shift, m_norm):
+    def __init__(self, F, R, C, u, t, z, shift, m_norm, spectra):
         super().__init__(R, len(u), C.shape[0], z, shift, m_norm)
         self.F, self.C = F, C
+        self.lam, self.g = spectra
         self.u = np.asarray(u, dtype=float)
         self.t = np.asarray(t, dtype=float)
         self.cascaded = bool(np.any(R) and np.any(C)
@@ -390,15 +397,16 @@ class _CommonMap(_Map):
                          x0.get("omega_bar", init) if cascaded else 0.0],
                         dtype=float)
 
-    def psi_r(self, delta, omega, kappa_bar, omega_bar):
+    def r_coefs(self, delta, omega, kappa_bar, omega_bar):
+        """(a, b) with Psi_R^{-1} = z I + a F + b R."""
         M, L = self.M, self.L
-        A = self.z * self.I_M.astype(complex) + (L * kappa_bar / M) * self.F
-        if self.cascaded and omega * omega_bar != 0.0:
-            A += (L * omega * omega_bar / (M * delta)) * self.R
-        return np.linalg.inv(A)
+        b = (L * omega * omega_bar / (M * delta)
+             if self.cascaded and omega * omega_bar != 0.0 else 0.0)
+        return L * kappa_bar / M, b
 
-    def psi_c(self, delta, omega_bar):
-        return np.linalg.inv(self.I_L / delta + omega_bar * self.C)
+    def psi_r_inv(self, a, b):
+        A = self.z * self.I_M.astype(complex) + a * self.F
+        return A + b * self.R if b else A
 
     def user_gain(self, kappa, omega):
         """shift + omega t + kappa u: 1 + mu_k for RZF, mu_k for ZF."""
@@ -407,12 +415,17 @@ class _CommonMap(_Map):
     def __call__(self, x):
         delta, kappa, omega, kappa_bar, omega_bar = x
         M, L = self.M, self.L
-        Psi_R = self.psi_r(delta, omega, kappa_bar, omega_bar)
-        delta_new = np.real(np.trace(self.R @ Psi_R)) / M
-        kappa_new = np.real(np.trace(self.F @ Psi_R)) / M
+        a, b = self.r_coefs(delta, omega, kappa_bar, omega_bar)
+        if self.lam is not None:
+            lam = self.lam
+            delta_new = kappa_new = float(np.sum(lam / (self.z + (a + b) * lam))) / M
+        else:
+            Psi_R = np.linalg.solve(self.psi_r_inv(a, b), self.I_M)
+            delta_new = float(np.real(np.sum(self.R * Psi_R.T))) / M
+            kappa_new = float(np.real(np.sum(self.F * Psi_R.T))) / M
         if self.cascaded:
-            Psi_C = self.psi_c(delta_new, omega_bar)
-            omega_new = np.real(np.trace(self.C @ Psi_C)) / L
+            g = self.g
+            omega_new = float(np.sum(g / (1.0 / delta_new + omega_bar * g))) / L
         else:
             omega_new = 0.0
         gain = self.user_gain(kappa_new, omega_new)
@@ -426,9 +439,10 @@ class _CommonMap(_Map):
 
     def finish(self, x):
         delta, kappa, omega, kappa_bar, omega_bar = x
-        Psi_R = self.psi_r(delta, omega, kappa_bar, omega_bar)
-        Psi_C = (self.psi_c(delta, omega_bar) if self.cascaded
-                 else delta * self.I_L.astype(complex))
+        Psi_R = np.linalg.inv(self.psi_r_inv(*self.r_coefs(
+            delta, omega, kappa_bar, omega_bar)))
+        Psi_C = (np.linalg.inv(self.I_L / delta + omega_bar * self.C)
+                 if self.cascaded else delta * self.I_L.astype(complex))
         return (*x, herm(Psi_R), herm(Psi_C),
                 1.0 / self.user_gain(kappa, omega))
 
@@ -476,6 +490,12 @@ def solve_zf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
                    settings)
 
 
+def _spectra(F, R, C):
+    """Eigenvalues of R (None unless F equals R) and of C, for `_CommonMap`."""
+    return (np.linalg.eigvalsh(R) if np.array_equal(F, R) else None,
+            np.linalg.eigvalsh(C))
+
+
 def solve_rzf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
                      u: np.ndarray, t: np.ndarray, z: float,
                      settings: SolverSettings = DEFAULT_SETTINGS,
@@ -492,8 +512,9 @@ def solve_rzf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
     F and C are correlation matrices (unit-scale); the gains live in u, t.
     A stalled direct solve falls back to z-continuation.
     """
-    return _continued(lambda zz: _CommonMap(F, R, C, u, t, zz, 1.0, m_norm),
-                      z, x0, settings)
+    spectra = _spectra(F, R, C)
+    return _continued(lambda zz: _CommonMap(F, R, C, u, t, zz, 1.0, m_norm,
+                                            spectra), z, x0, settings)
 
 
 def solve_zf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
@@ -507,7 +528,8 @@ def solve_zf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
         Psi_C = (I/delta_u + omega_bar_u C)^{-1}
         Psi_T = (kappa_u U + omega_u T)^{-1}
     """
-    return _picard(_CommonMap(F, R, C, u, t, 1.0, 0.0, m_norm), x0, settings)
+    return _picard(_CommonMap(F, R, C, u, t, 1.0, 0.0, m_norm,
+                              _spectra(F, R, C)), x0, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +562,24 @@ def solve_iid_zf(u: float, t: float, c1: float, c2: float) -> IidSolution:
 
 def backsubstitution_residual(sol, F=None, R=None, C=None, u=None, t=None,
                               F_list=None, C_list=None, z=None) -> float:
-    """One extra map step at the returned solution; max relative change."""
-    rzf = isinstance(sol, (RzfUncommonSolution, RzfCommonSolution))
-    z, shift = (sol.z, 1.0) if rzf else (1.0, 0.0)
+    """One extra step of the fixed-point equations at the returned solution;
+    max relative change. The shared regime evaluates the trace formulas of
+    `solve_rzf_common` on the solution's explicit-inverse Psi_R, Psi_C and
+    psi_T, not through the eigenvalue shortcut that produced the solution.
+    """
     if isinstance(sol, (RzfUncommonSolution, ZfUncommonSolution)):
-        system = _UncommonMap(F_list, R, C_list, z, shift, sol.m_norm)
-    elif isinstance(sol, (RzfCommonSolution, ZfCommonSolution)):
-        system = _CommonMap(F, R, C, u, t, z, shift, sol.m_norm)
-    else:
+        rzf = isinstance(sol, RzfUncommonSolution)
+        system = _UncommonMap(F_list, R, C_list, sol.z if rzf else 1.0,
+                              1.0 if rzf else 0.0, sol.m_norm)
+        x = system.start(sol.x0, DEFAULT_SETTINGS.init)
+        return _rel_change(system(x), x)
+    if not isinstance(sol, (RzfCommonSolution, ZfCommonSolution)):
         raise TypeError(f"unknown solution type {type(sol)}")
-    x = system.start(sol.x0, DEFAULT_SETTINGS.init)
-    return _rel_change(system(x), x)
+    M, L = sol.m_norm, C.shape[0]
+    # omega is 0 where every t is; with R or C zero, C or the placeholder
+    # Psi_C (delta I, delta = 0) makes the trace 0
+    new = np.array([np.real(np.sum(R * sol.Psi_R.T)) / M,
+                    np.real(np.sum(F * sol.Psi_R.T)) / M,
+                    np.real(np.sum(C * sol.Psi_C.T)) / L if np.any(t) else 0.0,
+                    np.sum(u * sol.psi_T) / L, np.sum(t * sol.psi_T) / L])
+    return _rel_change(new, np.array(list(sol.x0.values())))

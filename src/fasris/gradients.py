@@ -63,6 +63,21 @@ def _tr2(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.real(np.sum(A * B.T)))
 
 
+def _phase_traces(CL_root: np.ndarray, C_R: np.ndarray, phi: np.ndarray,
+                  Xs: list[np.ndarray]) -> np.ndarray:
+    """tr(A_l X) for every l and every Hermitian X in Xs, (len(Xs), L).
+
+    A_l = dC/dphi_l = w_l s_l^T + h.c. (`phase_perturbation`): w_l is column
+    l of C_L^{1/2} and s_l^T row l of B C_L^{1/2}, with B[l, q] =
+    j e^{j(phi_l - phi_q)} C_R[l, q] off the diagonal. So tr(A_l X) =
+    2 Re(s_l^T X w_l), and one product per X gives every l.
+    """
+    B = 1j * np.exp(1j * (phi[:, None] - phi[None, :])) * C_R
+    np.fill_diagonal(B, 0.0)
+    return 2.0 * np.real(np.sum(((B @ CL_root) @ np.asarray(Xs))
+                                * CL_root.T, axis=-1))
+
+
 # ---------------------------------------------------------------------------
 # shared-correlation phase gradient (RZF)
 # ---------------------------------------------------------------------------
@@ -71,7 +86,12 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
                                C_R: np.ndarray, phi: np.ndarray,
                                sigma2: float, root=psd_sqrt) -> np.ndarray:
     """d ESR_RZF / d phi_l, shared-correlation regime (bits); `root` takes
-    C_L^{1/2}, as in effective_ris_correlation."""
+    C_L^{1/2}, as in effective_ris_correlation.
+
+    Every l at once: tr(A_l X) comes from `_phase_traces`, dPsi_R^{-1} =
+    alpha_l R + beta_l F makes the chi derivatives linear in (alpha_l,
+    beta_l), and each Pi_com solve takes one column per l.
+    """
     sol = so.sol
     u, t, p = so.u, so.t, so.p
     F, R, C = so.F, so.R, so.C
@@ -83,120 +103,122 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
     if delta == 0.0 or omega_bar == 0.0:
         return np.zeros(len(phi))          # no cascaded link: rate ignores Phi
 
-    CL_root = root(C_L, "C_L")
     mu = sol.mu_k(u, t)
     gam, Dk = rzf_sinr(so.Psi_kl, so.Cbar, mu, p, sigma2, L)
-
-    # l-independent products
-    RP = R @ Psi_R
-    FP = F @ Psi_R
-    CP = C @ Psi_C
-    PCC = Psi_C @ CP                        # Psi_C C Psi_C
-    Psi_C2 = Psi_C @ Psi_C
     a = L * omega * omega_bar / (M * delta ** 2)
     tt = np.outer(t, t)
     tu = np.outer(t, u)
     uu = np.outer(u, u)
     solve_pi = _checked(so.Pi_com, "Pi_com")
+    zero = np.zeros(len(phi))
 
-    grad = np.zeros(len(phi))
-    for l in range(len(phi)):
-        A_l = phase_perturbation(CL_root, C_R, phi, l)
-        U_Al = _tr2(A_l, Psi_C) / L - omega_bar * _tr2(A_l, PCC) / L
-        d_, k_, o_ = solve_pi(np.array([0.0, 0.0, U_Al]))
+    # Psi_C and C commute, so every product of them is Hermitian; with
+    # dPsi_C = (d_/delta^2) Psi_C^2 - ob_ PCC - omega_bar Psi_C A_l Psi_C,
+    # the A_l terms of d omega, dXi and dXi_I are traces against A_l
+    CP = C @ Psi_C
+    PCC = Psi_C @ CP                        # Psi_C C Psi_C
+    Psi_C2 = Psi_C @ Psi_C
+    CPC = CP @ C                            # C Psi_C C
+    U_A, Xi_A, Xi_I_A = _phase_traces(root(C_L, "C_L"), C_R, phi, [
+        Psi_C - omega_bar * PCC, PCC - omega_bar * (PCC @ CP),
+        Psi_C2 - 2.0 * omega_bar * (PCC @ Psi_C)]) / L
+    d_, k_, o_ = solve_pi(np.array([zero, zero, U_A]))
+    kb_ = -(k_ * so.eta_UU + o_ * so.eta_TU)
+    ob_ = -(k_ * so.eta_TU + o_ * so.eta_TT)
 
-        kb_ = -(k_ * so.eta_UU + o_ * so.eta_TU)
-        ob_ = -(k_ * so.eta_TU + o_ * so.eta_TT)
+    # d/dphi tr(X Psi_R Y Psi_R)/M for X, Y in (R, F, I), with dPsi_R =
+    # -(alpha Psi_R R Psi_R + beta Psi_R F Psi_R); T[a, b, c] = Re tr(P_a P_b P_c)
+    alpha = (L / M) * ((o_ * omega_bar + omega * ob_) / delta
+                       - omega * omega_bar * d_ / delta ** 2)
+    beta = (L / M) * kb_
+    P = np.stack([R @ Psi_R, F @ Psi_R, Psi_R])
+    T = np.real(np.einsum("abij,cji->abc", P[:, None] @ P[None], P))
 
-        dPsiR_inv = (L / M) * ((o_ * omega_bar + omega * ob_) / delta
-                               - omega * omega_bar * d_ / delta ** 2) * R \
-            + (L / M) * kb_ * F
-        PsiR_ = -Psi_R @ dPsiR_inv @ Psi_R
-        dPsiC_inv = (-d_ / delta ** 2) * np.eye(L) + ob_ * C + omega_bar * A_l
-        PsiC_ = -Psi_C @ dPsiC_inv @ Psi_C
-        psiT_ = -(o_ * t + k_ * u) * psi_T ** 2
+    def chi_(x, y):
+        return -(alpha * (T[x, 0, y] + T[x, y, 0])
+                 + beta * (T[x, 1, y] + T[x, y, 1])) / M
 
-        RP_ = R @ PsiR_
-        FP_ = F @ PsiR_
-        chi_RR_ = (_tr2(RP_, RP) + _tr2(RP, RP_)) / M
-        chi_RF_ = (_tr2(RP_, FP) + _tr2(RP, FP_)) / M
-        chi_FF_ = (_tr2(FP_, FP) + _tr2(FP, FP_)) / M
-        chi_RI_ = (_tr2(RP_, Psi_R) + _tr2(RP, PsiR_)) / M
-        chi_FI_ = (_tr2(FP_, Psi_R) + _tr2(FP, PsiR_)) / M
+    chi_RR_, chi_RF_, chi_FF_ = chi_(0, 0), chi_(0, 1), chi_(1, 1)
+    chi_RI_, chi_FI_ = chi_(0, 2), chi_(1, 2)
 
-        def eta_(a_vec, b_vec):
-            return 2.0 * float(np.sum(a_vec * b_vec * psi_T * psiT_)) / L
+    psiT_ = -(np.outer(o_, t) + np.outer(k_, u)) * psi_T ** 2
 
-        eta_TT_, eta_TU_, eta_UU_ = eta_(t, t), eta_(t, u), eta_(u, u)
-        eta_PT_, eta_PU_ = eta_(p, t), eta_(p, u)
+    def eta_(a_vec, b_vec):
+        return 2.0 * psiT_ @ (a_vec * b_vec * psi_T) / L
 
-        CP_ = A_l @ Psi_C + C @ PsiC_
-        Xi_ = 2.0 * _tr2(CP_, CP) / L
-        Xi_I_ = (_tr2(A_l, Psi_C2) + 2.0 * _tr2(CP, PsiC_)) / L
-        Delta_ = -Xi_ * so.eta_TT - so.Xi * eta_TT_
+    eta_TT_, eta_TU_, eta_UU_ = eta_(t, t), eta_(t, u), eta_(u, u)
+    eta_PT_, eta_PU_ = eta_(p, t), eta_(p, u)
 
-        # entry-wise derivative of Pi_com
-        a_ = (L / (M * delta ** 2)) * (o_ * omega_bar + omega * ob_) \
-            - 2.0 * a * d_ / delta
-        w_omega = omega_bar - omega * so.eta_TT
-        w_omega_ = ob_ - o_ * so.eta_TT - omega * eta_TT_
+    Xi_ = 2.0 * (Xi_A + (d_ / delta ** 2 * _tr2(Psi_C2, CPC)
+                         - ob_ * _tr2(PCC, CPC)) / L)
+    Xi_I_ = Xi_I_A + 2.0 * (d_ / delta ** 2 * _tr2(Psi_C2, CP)
+                            - ob_ * _tr2(PCC, CP)) / L
+    Delta_ = -Xi_ * so.eta_TT - so.Xi * eta_TT_
 
-        def ups_(chi_RA, chi_FA, chi_RA_, chi_FA_):
-            return (L / M) * ((o_ / delta - omega * d_ / delta ** 2)
-                              * chi_RA * so.eta_TU
-                              + (omega / delta) * (chi_RA_ * so.eta_TU
-                                                   + chi_RA * eta_TU_)) \
-                + (L / M) * (chi_FA_ * so.eta_UU + chi_FA * eta_UU_)
+    # entry-wise derivative of Pi_com
+    a_ = (L / (M * delta ** 2)) * (o_ * omega_bar + omega * ob_) \
+        - 2.0 * a * d_ / delta
+    w_omega = omega_bar - omega * so.eta_TT
+    w_omega_ = ob_ - o_ * so.eta_TT - omega * eta_TT_
 
-        def lam_(chi_RA, chi_FA, chi_RA_, chi_FA_):
-            return (L / M) * (chi_FA_ * so.eta_TU + chi_FA * eta_TU_) \
-                - (L / M) * (-d_ / delta ** 2 * chi_RA * w_omega
-                             + chi_RA_ * w_omega / delta
-                             + chi_RA * w_omega_ / delta)
+    def ups_(chi_RA, chi_FA, chi_RA_, chi_FA_):
+        return (L / M) * ((o_ / delta - omega * d_ / delta ** 2)
+                          * chi_RA * so.eta_TU
+                          + (omega / delta) * (chi_RA_ * so.eta_TU
+                                               + chi_RA * eta_TU_)) \
+            + (L / M) * (chi_FA_ * so.eta_UU + chi_FA * eta_UU_)
 
-        Pi_ = np.array([
-            [-(a_ * so.chi_RR + a * chi_RR_),
-             -ups_(so.chi_RR, so.chi_RF, chi_RR_, chi_RF_),
-             -lam_(so.chi_RR, so.chi_RF, chi_RR_, chi_RF_)],
-            [-(a_ * so.chi_RF + a * chi_RF_),
-             -ups_(so.chi_RF, so.chi_FF, chi_RF_, chi_FF_),
-             -lam_(so.chi_RF, so.chi_FF, chi_RF_, chi_FF_)],
-            [-(Xi_I_ / delta ** 2 - 2.0 * so.Xi_I * d_ / delta ** 3),
-             -(Xi_ * so.eta_TU + so.Xi * eta_TU_),
-             -(Xi_ * so.eta_TT + so.Xi * eta_TT_)],
-        ])
+    def lam_(chi_RA, chi_FA, chi_RA_, chi_FA_):
+        return (L / M) * (chi_FA_ * so.eta_TU + chi_FA * eta_TU_) \
+            - (L / M) * (-d_ / delta ** 2 * chi_RA * w_omega
+                         + chi_RA_ * w_omega / delta
+                         + chi_RA * w_omega_ / delta)
 
-        x_R_ = solve_pi(np.array([chi_RR_, chi_RF_, 0.0]) - Pi_ @ so.x_R)
-        x_F_ = solve_pi(np.array([chi_RF_, chi_FF_, 0.0]) - Pi_ @ so.x_F)
-        x_I_ = solve_pi(np.array([chi_RI_, chi_FI_, 0.0]) - Pi_ @ so.x_I)
+    Pi_ = np.moveaxis(np.array([
+        [-(a_ * so.chi_RR + a * chi_RR_),
+         -ups_(so.chi_RR, so.chi_RF, chi_RR_, chi_RF_),
+         -lam_(so.chi_RR, so.chi_RF, chi_RR_, chi_RF_)],
+        [-(a_ * so.chi_RF + a * chi_RF_),
+         -ups_(so.chi_RF, so.chi_FF, chi_RF_, chi_FF_),
+         -lam_(so.chi_RF, so.chi_FF, chi_RF_, chi_FF_)],
+        [-(Xi_I_ / delta ** 2 - 2.0 * so.Xi_I * d_ / delta ** 3),
+         -(Xi_ * so.eta_TU + so.Xi * eta_TU_),
+         -(Xi_ * so.eta_TT + so.Xi * eta_TT_)],
+    ]), -1, 0)                              # (L, 3, 3)
 
-        lam_zz_ = ((Xi_ + (L / M) * (Xi_ * so.eta_TU * so.x_F[2]
-                                     + so.Xi * eta_TU_ * so.x_F[2]
-                                     + so.Xi * so.eta_TU * x_F_[2])
-                    + (L / M) * (Xi_I_ * so.x_R[2] / delta ** 2
-                                 + so.Xi_I * x_R_[2] / delta ** 2
-                                 - 2.0 * so.Xi_I * so.x_R[2] * d_ / delta ** 3))
-                   - so.lam_zz * Delta_) / so.Delta
-        Psi_kl_ = tt * lam_zz_ + (L / M) * (tu.T + tu) * x_F_[2] \
-            + (L / M) * uu * x_F_[1]
-        Cbar_ = (L / M) * (eta_PT_ * so.x_I[2] + so.eta_PT * x_I_[2]
-                           + eta_PU_ * so.x_I[1] + so.eta_PU * x_I_[1])
+    x_R_ = solve_pi(np.array([chi_RR_, chi_RF_, zero]) - (Pi_ @ so.x_R).T)
+    x_F_ = solve_pi(np.array([chi_RF_, chi_FF_, zero]) - (Pi_ @ so.x_F).T)
+    x_I_ = solve_pi(np.array([chi_RI_, chi_FI_, zero]) - (Pi_ @ so.x_I).T)
 
-        mu_ = t * o_ + u * k_
-        grad[l] = _sinr_chain(gam, Dk, p, mu, mu_, so.Psi_kl, Psi_kl_,
-                              so.Cbar, Cbar_, sigma2, L)
-    return grad
+    lam_zz_ = ((Xi_ + (L / M) * (Xi_ * so.eta_TU * so.x_F[2]
+                                 + so.Xi * eta_TU_ * so.x_F[2]
+                                 + so.Xi * so.eta_TU * x_F_[2])
+                + (L / M) * (Xi_I_ * so.x_R[2] / delta ** 2
+                             + so.Xi_I * x_R_[2] / delta ** 2
+                             - 2.0 * so.Xi_I * so.x_R[2] * d_ / delta ** 3))
+               - so.lam_zz * Delta_) / so.Delta
+    Psi_kl_ = tt * lam_zz_[:, None, None] \
+        + (L / M) * (tu.T + tu) * x_F_[2][:, None, None] \
+        + (L / M) * uu * x_F_[1][:, None, None]
+    Cbar_ = (L / M) * (eta_PT_ * so.x_I[2] + so.eta_PT * x_I_[2]
+                       + eta_PU_ * so.x_I[1] + so.eta_PU * x_I_[1])
+
+    mu_ = np.outer(o_, t) + np.outer(k_, u)
+    return _sinr_chain(gam, Dk, p, mu, mu_, so.Psi_kl, Psi_kl_,
+                       so.Cbar, Cbar_, sigma2, L)
 
 
 def _sinr_chain(gam, Dk, p, mu, mu_, Psi_kl, Psi_kl_, Cbar, Cbar_, sigma2, L):
-    """Quotient rule through gamma_k = p_k mu_k^2 / D_k, summed into dESR (bits)."""
+    """Quotient rule through gamma_k = p_k mu_k^2 / D_k, summed into dESR
+    (bits); mu_, Psi_kl_, Cbar_ and the result may lead with an axis of l."""
     one_mu = 1.0 + mu
-    W = Psi_kl_ / (L * one_mu[None, :] ** 2) \
-        - 2.0 * Psi_kl * mu_[None, :] / (L * one_mu[None, :] ** 3)
-    interf_ = W @ p - np.diag(W) * p
-    Dk_ = interf_ + sigma2 * (2.0 * one_mu * mu_ * Cbar + one_mu ** 2 * Cbar_)
+    W = Psi_kl_ / (L * one_mu ** 2) \
+        - 2.0 * Psi_kl * mu_[..., None, :] / (L * one_mu ** 3)
+    interf_ = W @ p - np.diagonal(W, axis1=-2, axis2=-1) * p
+    Dk_ = interf_ + sigma2 * (2.0 * one_mu * mu_ * Cbar
+                              + one_mu ** 2 * np.asarray(Cbar_)[..., None])
     gam_ = p * (2.0 * mu * mu_ * Dk - mu ** 2 * Dk_) / Dk ** 2
-    return float(np.sum(gam_ / (1.0 + gam)) / LN2)
+    return np.sum(gam_ / (1.0 + gam), axis=-1) / LN2
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +419,8 @@ def esr_gradient_phases_zf_common(sol: ZfCommonSolution, F, R, C_L, C_R,
     Pi = common_pi(F, R, C, u, t, sol).Pi_com
     Psi_C = sol.Psi_C
     PCC = Psi_C @ (C @ Psi_C)
-
-    U = np.empty(L)                  # explicit d omega_u / d phi_l
-    for l in range(L):
-        A_l = phase_perturbation(CL_root, C_R, phi, l)
-        U[l] = (_tr2(A_l, Psi_C) - sol.omega_bar_u * _tr2(A_l, PCC)) / L
+    U = _phase_traces(CL_root, C_R, phi,            # explicit d omega_u / d phi_l
+                      [Psi_C - sol.omega_bar_u * PCC])[0] / L
     # every phase enters through the same RHS direction [0, 0, 1]
     _, k_, o_ = _solve_checked(Pi, np.array([0.0, 0.0, 1.0]), "Pi_com(zf)")
     return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),

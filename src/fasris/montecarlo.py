@@ -105,17 +105,18 @@ def instantaneous_sinr(H: np.ndarray, G: np.ndarray, p: np.ndarray,
     return signal / (interference + sigma2)
 
 
-def _blocks(trials: int):
-    """(lo, hi) trial ranges of at most _BLOCK trials."""
-    return ((lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK))
+def _blocks(trials: int, block: int | None = None):
+    """(lo, hi) trial ranges of at most `block` (default _BLOCK) trials."""
+    block = block or _BLOCK
+    return ((lo, min(lo + block, trials)) for lo in range(0, trials, block))
 
 
 def _trial_rates(sampler: ChannelSampler, p, sigma2, kind, z, seed,
-                 trials) -> np.ndarray:
+                 trials, block: int | None = None) -> np.ndarray:
     """Sum rate of every trial, computed block by block on stacks."""
     m_scale = np.sqrt(sampler.M)
     rates = np.empty(trials)
-    for lo, hi in _blocks(trials):
+    for lo, hi in _blocks(trials, block):
         rngs = [trial_rng(seed, trial) for trial in range(lo, hi)]
         H = sampler.draw(rngs, keep_components=False).H
         G = build_precoder(H, kind, p, z)

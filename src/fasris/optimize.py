@@ -113,7 +113,7 @@ class OptimizationTrace:
 
     records: list[dict] = field(default_factory=list)
     COLUMNS = ("stage", "iteration", "objective", "step", "gradient_norm",
-               "halvings", "evals", "z", "stalled", "s_indices")
+               "halvings", "evals", "z", "stalled", "s_indices", "gap")
 
     def add(self, **kw):
         unknown = kw.keys() - set(self.COLUMNS)
@@ -287,7 +287,9 @@ def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
 
     s^(0) = (M/M_tot) 1; update s += 2/(t+2) (s_bar - s) with the top-M
     vertex s_bar; stops on relative objective change < fw_tol; returns the
-    top-M binary rounding of the final iterate.
+    top-M binary rounding of the final iterate. Trace records carry the
+    duality gap <s_bar - s, grad> (Jaggi 2013), nonnegative and zero only
+    at a stationary point of the relaxation.
     """
     M_tot = scenario.correlations.R_tot.shape[0]
     if M > M_tot:
@@ -299,12 +301,12 @@ def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
     prev = None
     for it in range(opt.fw_max_iter):
         esr, grad = obj.gradient(s)
+        s_bar = fw_linear_oracle(grad, M)
         if trace is not None:
             trace.add(stage="fw", iteration=it, objective=esr,
-                      step=2.0 / (it + 2.0))
+                      step=2.0 / (it + 2.0), gap=float((s_bar - s) @ grad))
         if prev is not None and abs(esr - prev) < opt.fw_tol * abs(prev):
             break
-        s_bar = fw_linear_oracle(grad, M)
         s = s + (2.0 / (it + 2.0)) * (s_bar - s)
         prev = esr
     return top_m_rounding(s, M)

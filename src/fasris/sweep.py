@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import ChannelSampler
 from .config import (phases_from_config, scenario_from_config,
                      selection_from_config)
 from .fixed_point import SolverSettings, backsubstitution_residual
 from .gradients import fd_gradient
-from .montecarlo import empirical_esr, resolvent_probe
+from .montecarlo import _trial_rates, empirical_esr, resolvent_probe
 from .optimize import (RelaxedZfObjective, _evaluate, _phase_objective,
                        alternating_optimization, deterministic_esr,
                        joint_optimize, z_search_profile)
@@ -419,11 +420,13 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
     record("de_vs_mc", abs(rep.esr - est.mean) / est.mean, 0.05,
            f"DE {rep.esr:.3f} vs MC {est.mean:.3f}")
 
-    # 8. MC determinism across thread counts
-    e1 = empirical_esr(scenario, None, None, "rzf", 64, seed, z, threads=1)
-    e2 = empirical_esr(scenario, None, None, "rzf", 64, seed, z, threads=4)
-    record("mc_thread_determinism", abs(e1.mean - e2.mean), 0.0,
-           "bit-identical across 1 and 4 threads")
+    # 8. per-trial MC rates do not depend on how trials are stacked
+    sampler = ChannelSampler(scenario, None, None)
+    single, stacked = (_trial_rates(sampler, scenario.p, scenario.sigma2,
+                                    "rzf", z, seed, 64, block)
+                       for block in (1, None))
+    record("mc_block_determinism", float(np.max(np.abs(single - stacked))),
+           0.0, "per-trial rates bit-identical for blocks of 1 and the default")
     return checks
 
 

@@ -249,7 +249,7 @@ class TestValidate:
         checks = validate(None, trials=400, seed=7)
         names = {c["name"] for c in checks}
         assert {"correlation_psd", "backsubstitution", "probe_first_order",
-                "probe_bilinear_traces", "de_vs_mc", "mc_thread_determinism"} <= names
+                "probe_bilinear_traces", "de_vs_mc", "mc_block_determinism"} <= names
         failed = [c for c in checks if not c["passed"]]
         assert not failed, f"failed checks: {failed}"
 
@@ -260,6 +260,17 @@ class TestValidate:
         by_name = {c["name"]: c for c in checks}
         assert not by_name["probe_bilinear_traces"]["passed"]
         assert by_name["probe_first_order"]["passed"]
+
+    def test_block_dependent_rates_are_flagged(self, monkeypatch):
+        # a precoder scaled by the stack size makes rates depend on blocking
+        from fasris import montecarlo
+        build = montecarlo.build_precoder
+        monkeypatch.setattr(montecarlo, "build_precoder",
+                            lambda H, *a: build(H, *a) * (1.0 + 1e-3 * len(H)))
+        checks = validate(None, trials=400, seed=7)
+        by_name = {c["name"]: c for c in checks}
+        assert not by_name["mc_block_determinism"]["passed"]
+        assert by_name["de_vs_mc"]["passed"]
 
     def test_cli_exit_code_on_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "validate",
@@ -337,16 +348,20 @@ class TestCliJoint:
         assert sol["esr_monte_carlo"]["trials"] == 48
         lines = trace.read_text().splitlines()
         assert lines[0] == ("stage,iteration,objective,step,gradient_norm,"
-                            "halvings,evals,z,stalled,s_indices")
+                            "halvings,evals,z,stalled,s_indices,gap")
         assert any(ln.startswith("joint,") for ln in lines[1:])
         rows = [dict(zip(lines[0].split(","), ln.split(",")))
                 for ln in lines[1:]]
         for row in rows:
-            assert len(row) == 10
+            assert len(row) == 11
             if row["stage"] == "phases":
                 assert int(row["evals"]) == int(row["halvings"]) + 1
             else:
                 assert row["halvings"] == row["evals"] == ""
+        fw = [row for row in rows if row["stage"] == "fw"]
+        assert fw and all(np.isfinite(float(row["gap"]))
+                          and float(row["gap"]) >= 0.0 for row in fw)
+        assert all(row["gap"] == "" for row in rows if row["stage"] != "fw")
         ao = [row for row in rows if row["stage"] == "ao"]
         assert ao and all(row["stalled"] == "False" and float(row["z"]) > 0
                           for row in ao)

@@ -138,13 +138,18 @@ class TestCommon:
         assert np.max(np.abs(com.mu_k(u, t) - unc.mu_u) / unc.mu_u) < 1e-8
 
     def test_backsubstitution_common(self, small_common):
-        F, R, C, u, t, p = small_common.stats_common()
-        sol = solve_rzf_common(F, R, C, u, t, 0.3)
-        res = backsubstitution_residual(sol, F=F, R=R, C=C, u=u, t=t)
-        assert res <= 10 * 1e-10
-        solz = solve_zf_common(F, R, C, u, t)
-        res = backsubstitution_residual(solz, F=F, R=R, C=C, u=u, t=t)
-        assert res <= 10 * 1e-10
+        # F_tot = R_tot sends the shared map down its eigenvalue path; the
+        # residual evaluates the trace formulas on explicit inverses
+        corr = small_common.correlations
+        for F_tot in (corr.F_tot, corr.R_tot.copy()):
+            corr.F_tot = F_tot
+            F, R, C, u, t, p = small_common.stats_common()
+            sol = solve_rzf_common(F, R, C, u, t, 0.3)
+            res = backsubstitution_residual(sol, F=F, R=R, C=C, u=u, t=t)
+            assert res <= 10 * 1e-10
+            solz = solve_zf_common(F, R, C, u, t)
+            res = backsubstitution_residual(solz, F=F, R=R, C=C, u=u, t=t)
+            assert res <= 10 * 1e-10
 
 
 @pytest.fixture(params=["common", "uncommon"])
@@ -229,6 +234,46 @@ class TestAnderson:
         assert sol.iterations == len(calls)
         for name, value in ref.x0.items():
             assert rel_err(sol.x0[name], value) < 1e-9, name
+
+
+class TestSpectralMap:
+    def test_one_spectrum_each_and_no_inverse_per_evaluation(
+            self, small_common, monkeypatch):
+        corr = small_common.correlations
+        corr.F_tot = corr.R_tot.copy()
+        F, R, C, u, t, _ = small_common.stats_common()
+        cold = solve_rzf_common(F, R, C, u, t, 0.3)
+        spectra, evaluations, inverses_in_map = [], [], []
+
+        def eigvalsh(A, _eigvalsh=np.linalg.eigvalsh):
+            spectra.append(A)
+            return _eigvalsh(A)
+
+        def inv(A, _inv=np.linalg.inv):
+            if evaluations and evaluations[-1] == "open":
+                inverses_in_map.append(None)
+            return _inv(A)
+
+        def evaluation(self, x, _call=fixed_point._CommonMap.__call__):
+            evaluations.append("open")
+            new = _call(self, x)
+            evaluations[-1] = "done"
+            return new
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        monkeypatch.setattr(fixed_point._CommonMap, "__call__", evaluation)
+        solves = [
+            lambda: solve_rzf_common(F, R, C, u, t, 0.3),
+            lambda: solve_rzf_common(F, R, C, u, t, 0.3, SolverSettings(
+                max_iter=cold.iterations - 1)),
+            lambda: solve_zf_common(F, R, C, u, t)]
+        for solve, path in zip(solves, ["cold", "continuation", "cold"]):
+            spectra.clear()
+            evaluations.clear()
+            assert solve().path == path
+            assert len(spectra) == 2 and spectra[0] is R and spectra[1] is C
+            assert evaluations and not inverses_in_map
 
 
 class TestIid:

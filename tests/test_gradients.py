@@ -325,3 +325,187 @@ def test_phase_gradients_take_no_new_root(rng, eigh_calls, regime,
     eigh_calls.clear()
     value_grad(phi + 0.1)
     assert not eigh_calls
+
+
+# ---------------------------------------------------------------------------
+# the shared phase gradients against their per-l loops
+# ---------------------------------------------------------------------------
+
+def _tr2(A, B):
+    return float(np.real(np.sum(A * B.T)))
+
+
+def _loop_sinr_chain(gam, Dk, p, mu, mu_, Psi_kl, Psi_kl_, Cbar, Cbar_,
+                     sigma2, L):
+    one_mu = 1.0 + mu
+    W = Psi_kl_ / (L * one_mu[None, :] ** 2) \
+        - 2.0 * Psi_kl * mu_[None, :] / (L * one_mu[None, :] ** 3)
+    interf_ = W @ p - np.diag(W) * p
+    Dk_ = interf_ + sigma2 * (2.0 * one_mu * mu_ * Cbar + one_mu ** 2 * Cbar_)
+    gam_ = p * (2.0 * mu * mu_ * Dk - mu ** 2 * Dk_) / Dk ** 2
+    return float(np.sum(gam_ / (1.0 + gam)) / np.log(2.0))
+
+
+def _loop_phases_common(so, C_L, C_R, phi, sigma2):
+    """The shared RZF phase gradient as one pass per RIS element."""
+    from fasris.rates import _checked, rzf_sinr
+    sol = so.sol
+    u, t, p = so.u, so.t, so.p
+    F, R, C = so.F, so.R, so.C
+    M = sol.m_norm
+    L = C.shape[0]
+    delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
+    Psi_R, Psi_C, psi_T = sol.Psi_R, sol.Psi_C, sol.psi_T
+    CL_root = psd_sqrt(C_L, "C_L")
+    mu = sol.mu_k(u, t)
+    gam, Dk = rzf_sinr(so.Psi_kl, so.Cbar, mu, p, sigma2, L)
+    RP = R @ Psi_R
+    FP = F @ Psi_R
+    CP = C @ Psi_C
+    PCC = Psi_C @ CP
+    Psi_C2 = Psi_C @ Psi_C
+    a = L * omega * omega_bar / (M * delta ** 2)
+    tt = np.outer(t, t)
+    tu = np.outer(t, u)
+    uu = np.outer(u, u)
+    solve_pi = _checked(so.Pi_com, "Pi_com")
+
+    grad = np.zeros(len(phi))
+    for l in range(len(phi)):
+        A_l = phase_perturbation(CL_root, C_R, phi, l)
+        U_Al = _tr2(A_l, Psi_C) / L - omega_bar * _tr2(A_l, PCC) / L
+        d_, k_, o_ = solve_pi(np.array([0.0, 0.0, U_Al]))
+        kb_ = -(k_ * so.eta_UU + o_ * so.eta_TU)
+        ob_ = -(k_ * so.eta_TU + o_ * so.eta_TT)
+        dPsiR_inv = (L / M) * ((o_ * omega_bar + omega * ob_) / delta
+                               - omega * omega_bar * d_ / delta ** 2) * R \
+            + (L / M) * kb_ * F
+        PsiR_ = -Psi_R @ dPsiR_inv @ Psi_R
+        dPsiC_inv = (-d_ / delta ** 2) * np.eye(L) + ob_ * C + omega_bar * A_l
+        PsiC_ = -Psi_C @ dPsiC_inv @ Psi_C
+        psiT_ = -(o_ * t + k_ * u) * psi_T ** 2
+        RP_ = R @ PsiR_
+        FP_ = F @ PsiR_
+        chi_RR_ = (_tr2(RP_, RP) + _tr2(RP, RP_)) / M
+        chi_RF_ = (_tr2(RP_, FP) + _tr2(RP, FP_)) / M
+        chi_FF_ = (_tr2(FP_, FP) + _tr2(FP, FP_)) / M
+        chi_RI_ = (_tr2(RP_, Psi_R) + _tr2(RP, PsiR_)) / M
+        chi_FI_ = (_tr2(FP_, Psi_R) + _tr2(FP, PsiR_)) / M
+
+        def eta_(a_vec, b_vec):
+            return 2.0 * float(np.sum(a_vec * b_vec * psi_T * psiT_)) / L
+
+        eta_TT_, eta_TU_, eta_UU_ = eta_(t, t), eta_(t, u), eta_(u, u)
+        eta_PT_, eta_PU_ = eta_(p, t), eta_(p, u)
+        CP_ = A_l @ Psi_C + C @ PsiC_
+        Xi_ = 2.0 * _tr2(CP_, CP) / L
+        Xi_I_ = (_tr2(A_l, Psi_C2) + 2.0 * _tr2(CP, PsiC_)) / L
+        Delta_ = -Xi_ * so.eta_TT - so.Xi * eta_TT_
+        a_ = (L / (M * delta ** 2)) * (o_ * omega_bar + omega * ob_) \
+            - 2.0 * a * d_ / delta
+        w_omega = omega_bar - omega * so.eta_TT
+        w_omega_ = ob_ - o_ * so.eta_TT - omega * eta_TT_
+
+        def ups_(chi_RA, chi_FA, chi_RA_, chi_FA_):
+            return (L / M) * ((o_ / delta - omega * d_ / delta ** 2)
+                              * chi_RA * so.eta_TU
+                              + (omega / delta) * (chi_RA_ * so.eta_TU
+                                                   + chi_RA * eta_TU_)) \
+                + (L / M) * (chi_FA_ * so.eta_UU + chi_FA * eta_UU_)
+
+        def lam_(chi_RA, chi_FA, chi_RA_, chi_FA_):
+            return (L / M) * (chi_FA_ * so.eta_TU + chi_FA * eta_TU_) \
+                - (L / M) * (-d_ / delta ** 2 * chi_RA * w_omega
+                             + chi_RA_ * w_omega / delta
+                             + chi_RA * w_omega_ / delta)
+
+        Pi_ = np.array([
+            [-(a_ * so.chi_RR + a * chi_RR_),
+             -ups_(so.chi_RR, so.chi_RF, chi_RR_, chi_RF_),
+             -lam_(so.chi_RR, so.chi_RF, chi_RR_, chi_RF_)],
+            [-(a_ * so.chi_RF + a * chi_RF_),
+             -ups_(so.chi_RF, so.chi_FF, chi_RF_, chi_FF_),
+             -lam_(so.chi_RF, so.chi_FF, chi_RF_, chi_FF_)],
+            [-(Xi_I_ / delta ** 2 - 2.0 * so.Xi_I * d_ / delta ** 3),
+             -(Xi_ * so.eta_TU + so.Xi * eta_TU_),
+             -(Xi_ * so.eta_TT + so.Xi * eta_TT_)],
+        ])
+        x_R_ = solve_pi(np.array([chi_RR_, chi_RF_, 0.0]) - Pi_ @ so.x_R)
+        x_F_ = solve_pi(np.array([chi_RF_, chi_FF_, 0.0]) - Pi_ @ so.x_F)
+        x_I_ = solve_pi(np.array([chi_RI_, chi_FI_, 0.0]) - Pi_ @ so.x_I)
+        lam_zz_ = ((Xi_ + (L / M) * (Xi_ * so.eta_TU * so.x_F[2]
+                                     + so.Xi * eta_TU_ * so.x_F[2]
+                                     + so.Xi * so.eta_TU * x_F_[2])
+                    + (L / M) * (Xi_I_ * so.x_R[2] / delta ** 2
+                                 + so.Xi_I * x_R_[2] / delta ** 2
+                                 - 2.0 * so.Xi_I * so.x_R[2] * d_ / delta ** 3))
+                   - so.lam_zz * Delta_) / so.Delta
+        Psi_kl_ = tt * lam_zz_ + (L / M) * (tu.T + tu) * x_F_[2] \
+            + (L / M) * uu * x_F_[1]
+        Cbar_ = (L / M) * (eta_PT_ * so.x_I[2] + so.eta_PT * x_I_[2]
+                           + eta_PU_ * so.x_I[1] + so.eta_PU * x_I_[1])
+        mu_ = t * o_ + u * k_
+        grad[l] = _loop_sinr_chain(gam, Dk, p, mu, mu_, so.Psi_kl, Psi_kl_,
+                                   so.Cbar, Cbar_, sigma2, L)
+    return grad
+
+
+def _loop_phases_zf_common(sol, F, R, C_L, C_R, phi, u, t, p, sigma2):
+    """The shared ZF phase gradient with one trace pair per RIS element."""
+    from fasris.gradients import _zf_chain
+    from fasris.rates import _solve_checked, common_pi
+    L = len(phi)
+    CL_root = psd_sqrt(C_L, "C_L")
+    Phi = phase_matrix(phi, L)
+    C = herm(CL_root @ Phi @ C_R @ Phi.conj().T @ CL_root)
+    Pi = common_pi(F, R, C, u, t, sol).Pi_com
+    Psi_C = sol.Psi_C
+    PCC = Psi_C @ (C @ Psi_C)
+    U = np.empty(L)
+    for l in range(L):
+        A_l = phase_perturbation(CL_root, C_R, phi, l)
+        U[l] = (_tr2(A_l, Psi_C) - sol.omega_bar_u * _tr2(A_l, PCC)) / L
+    _, k_, o_ = _solve_checked(Pi, np.array([0.0, 0.0, 1.0]), "Pi_com(zf)")
+    return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),
+                     sol.m_norm, sigma2)
+
+
+def _shared_case(case):
+    """(scenario, selection, phases) of one shared-regime oracle case."""
+    from fasris.scenarios import fig3_scenario
+    rng = np.random.default_rng(31)
+    if case == "fig3":
+        sc, M = fig3_scenario(80.0)
+        s = np.zeros(sc.correlations.R_tot.shape[0])
+        s[rng.choice(len(s), M, replace=False)] = 1.0
+        return sc, s, rng.uniform(0, 2 * np.pi, sc.dims.L)
+    sc = random_scenario(rng, "common", M=10, K=4, L=7, sigma2=0.3)
+    if case == "F=R":
+        sc.correlations.F_tot = sc.correlations.R_tot.copy()
+    return sc, None, rng.uniform(0, 2 * np.pi, 7)
+
+
+class TestPhaseGradientsAgainstLoopOracle:
+    @pytest.mark.parametrize("case", ["fig3", "F=R", "F!=R"])
+    def test_rzf(self, case):
+        from fasris.optimize import _evaluate, _stats
+        sc, s, phi = _shared_case(case)
+        stats, shared = _stats(sc, s, phi)
+        assert shared and np.array_equal(stats[0], stats[1]) == (case != "F!=R")
+        _, so, _ = _evaluate(stats, shared, "rzf", sc.default_z(s), sc.sigma2,
+                             SolverSettings())
+        corr = sc.correlations
+        g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi, sc.sigma2)
+        ref = _loop_phases_common(so, corr.C_L, corr.C_R, phi, sc.sigma2)
+        assert np.abs(g - ref).max() < 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", ["fig3", "F=R", "F!=R"])
+    def test_zf(self, case):
+        sc, s, phi = _shared_case(case)
+        F, R, C, u, t, p = sc.stats_common(s, phi)
+        sol = solve_zf_common(F, R, C, u, t)
+        corr = sc.correlations
+        args = (sol, F, R, corr.C_L, corr.C_R, phi, u, t, p, sc.sigma2)
+        g = esr_gradient_phases_zf_common(*args)
+        ref = _loop_phases_zf_common(*args)
+        assert np.abs(g - ref).max() < 1e-10 * np.abs(ref).max()

@@ -8,7 +8,8 @@ are tight, so the tolerance only has to absorb roundoff. The fixed point is
 unique, so a solve warm-started elsewhere lands where a cold solve does,
 and Anderson mixing lands where damped Picard does. Rotating the BS side by
 one unitary and the RIS side by another leaves every fixed-point scalar
-unchanged.
+unchanged. With F = R, one step of the shared map read off eigenvalues
+equals the step by explicit inverses and matrix traces.
 """
 
 from dataclasses import replace
@@ -20,8 +21,8 @@ from fasris import (SolverSettings, esr_gradient_phases_uncommon,
                     sinr_rzf_common, sinr_rzf_uncommon, sinr_zf_common,
                     sinr_zf_uncommon, solve_rzf_common, solve_rzf_uncommon,
                     solve_zf_common, solve_zf_uncommon)
-from fasris.fixed_point import (DEFAULT_SETTINGS, _continued, _picard,
-                                _UncommonMap)
+from fasris.fixed_point import (DEFAULT_SETTINGS, _CommonMap, _continued,
+                                _picard, _spectra, _UncommonMap)
 from fasris.optimize import _evaluate, _stats
 from fasris.scenarios import random_scenario
 
@@ -212,3 +213,33 @@ def test_unitary_rotation_leaves_fixed_point(seed, mode):
     for solve in solvers:
         base, turned = (solve(*args) for args in inputs)
         assert rel(state(turned), state(base)) < TOL
+
+
+def explicit_common_map(F, R, C, u, t, z, shift, x):
+    """One shared map step by explicit inverses and matrix traces."""
+    delta, kappa, omega, kappa_bar, omega_bar = x
+    M, L = R.shape[0], C.shape[0]
+    Psi_R = np.linalg.inv(z * np.eye(M) + (L * kappa_bar / M) * F
+                          + (L * omega * omega_bar / (M * delta)) * R)
+    d = np.real(np.trace(R @ Psi_R)) / M
+    k = np.real(np.trace(F @ Psi_R)) / M
+    Psi_C = np.linalg.inv(np.eye(L) / d + omega_bar * C)
+    o = np.real(np.trace(C @ Psi_C)) / L
+    psi_T = 1.0 / (shift + o * t + k * u)
+    return np.array([d, k, o, np.sum(u * psi_T) / L, np.sum(t * psi_T) / L])
+
+
+@EXAMPLES
+@given(seeds, st.sampled_from([1e-9, 1e-4, 0.3, None]))
+def test_spectral_map_matches_explicit_inverses(seed, z):
+    # F_tot = R_tot: one evaluation of the shared map reads every trace off
+    # the eigenvalues of R and C; z None is ZF
+    sc, _ = scenario(seed, "common")
+    sc.correlations.F_tot = sc.correlations.R_tot.copy()
+    F, R, C, u, t, _ = sc.stats_common()
+    z, shift = (1.0, 0.0) if z is None else (z, 1.0)
+    x = np.exp(np.random.default_rng([seed, 4]).uniform(-2.0, 2.0, 5))
+    system = _CommonMap(F, R, C, u, t, z, shift, None, _spectra(F, R, C))
+    assert system.lam is not None
+    assert rel(system(x), explicit_common_map(F, R, C, u, t, z, shift, x)) \
+        < 1e-12
