@@ -3,12 +3,13 @@
 Four solvers (RZF/ZF x per-user/shared correlation) plus the i.i.d. closed
 form. One driver, `_picard`, runs a damped Picard iteration over a flat float
 state, with the damping factor halved whenever the residual oscillates; a map
-may ask for Anderson mixing first (the per-user one does). Each
-correlation regime supplies one map, evaluated in Gauss-Seidel order (delta
-first, then the RIS-side traces, then the per-user scalars) and parameterized
-by (z, shift): RZF is (z, 1) and ZF is the same map with z -> 1 and
-1 + mu -> mu, i.e. (1, 0). The returned solutions carry the auxiliary inverse
-matrices needed by the second-order interference terms downstream.
+may ask for Anderson mixing first (every map but the shared ZF one does).
+Each correlation regime supplies one map, evaluated in Gauss-Seidel order
+(delta first, then the RIS-side traces, then the per-user scalars) and
+parameterized by (z, shift): RZF is (z, 1) and ZF is the same map with
+z -> 1 and 1 + mu -> mu, i.e. (1, 0). The returned solutions carry the
+auxiliary inverse matrices needed by the second-order interference terms
+downstream.
 """
 
 from __future__ import annotations
@@ -387,6 +388,12 @@ class _CommonMap(_Map):
         self.t = np.asarray(t, dtype=float)
         self.cascaded = bool(np.any(R) and np.any(C)
                              and not np.all(self.t == 0.0))
+
+    @property
+    def anderson(self):
+        # ZF stays damped: Frank-Wolfe port selection reads only the ZF solve,
+        # and mirror-symmetric ports tie there to the last bit
+        return 5 if self.shift else 0
 
     def start(self, x0, init):
         x0 = x0 or {}

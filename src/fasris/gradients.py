@@ -433,7 +433,7 @@ def esr_gradient_phases_zf_common(sol: ZfCommonSolution, F, R, C_L, C_R,
 
 def _diag3(root, mid) -> np.ndarray:
     """Real diagonal of root mid root."""
-    return np.real(np.einsum("ij,jk,ki->i", root, mid, root))
+    return np.real(np.sum((root @ mid) * root.T, axis=1))
 
 
 def _port_rows(roots, embs, K_R, F_roots, cF, R_root, cR, M) -> np.ndarray:

@@ -195,7 +195,7 @@ class TestSolvePath:
     def test_continuation_failure_carries_residual(self, small_common):
         F, R, C, u, t, _ = small_common.stats_common()
         with pytest.raises(ConvergenceError) as err:
-            solve_rzf_common(F, R, C, u, t, 0.3, SolverSettings(max_iter=5))
+            solve_rzf_common(F, R, C, u, t, 0.3, SolverSettings(max_iter=1))
         assert np.isfinite(err.value.residual) and err.value.residual > 0
 
     def test_zf_paths(self, small_common):
@@ -207,12 +207,16 @@ class TestSolvePath:
 
 
 class TestAnderson:
-    def test_per_user_solves_mix_and_shared_do_not(self, small_uncommon,
-                                                   small_common):
+    def test_rzf_and_per_user_solves_mix_and_shared_zf_does_not(
+            self, small_uncommon, small_common):
         sol = solve_rzf_uncommon(*small_uncommon.stats_uncommon()[:3], 0.3)
+        assert sol.anderson == "converged" and sol.halvings == 0
+        sol = solve_zf_uncommon(*small_uncommon.stats_uncommon()[:3])
         assert sol.anderson == "converged" and sol.halvings == 0
         F, R, C, u, t, _ = small_common.stats_common()
         sol = solve_rzf_common(F, R, C, u, t, 0.3)
+        assert sol.anderson == "converged" and sol.halvings == 0
+        sol = solve_zf_common(F, R, C, u, t)
         assert sol.anderson == "off"
 
     def test_nonpositive_state_falls_back_to_picard(self, small_uncommon,

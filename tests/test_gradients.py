@@ -12,6 +12,7 @@ from fasris import (SolverSettings, esr_gradient_phases_common,
                     solve_zf_common, solve_zf_uncommon, sinr_rzf_common,
                     sinr_rzf_uncommon, sinr_zf_common, sinr_zf_uncommon)
 from fasris.channel import herm, phase_matrix, psd_sqrt
+from fasris.gradients import _diag3
 from fasris.scenarios import random_correlation, random_scenario
 
 TIGHT = SolverSettings(tol=1e-13, max_iter=40000)
@@ -290,6 +291,14 @@ class TestPortGradients:
         g = esr_gradient_ports_zf_common(sol, Rh, Rh, emb(Rh, s0),
                                          emb(Rh, s0), C, u, t, p, 0.3)
         assert np.ptp(g) < 1e-10 * abs(g).max()
+
+    def test_diag3_matches_einsum(self, rng):
+        n = 100
+        root, mid = (rng.standard_normal((2, n, n))
+                     + 1j * rng.standard_normal((2, n, n)))
+        ref = np.real(np.einsum("ij,jk,ki->i", root, mid, root))
+        assert np.max(np.abs(_diag3(root, mid) - ref)) \
+            < 1e-12 * np.max(np.abs(ref))
 
     def test_gradient_nonnegative_homogeneous(self, rng):
         # more port weight never hurts the ZF rate of a homogeneous scenario

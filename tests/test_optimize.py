@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from fasris import fixed_point
 from fasris import (OptimizerSettings, PhaseShifts, PortSelection,
                     SolverSettings, alternating_optimization,
                     deterministic_esr, fw_linear_oracle, fw_port_selection,
@@ -14,8 +15,8 @@ from fasris import (OptimizerSettings, PhaseShifts, PortSelection,
 from fasris.channel import ConstraintError
 from fasris.optimize import (OptimizationTrace, RelaxedZfObjective,
                              top_m_rounding)
-from fasris.scenarios import (random_correlation, random_scenario,
-                              uniform_selection)
+from fasris.scenarios import (fig3_scenario, random_correlation,
+                              random_scenario, uniform_selection)
 
 FAST = OptimizerSettings(solver=SolverSettings(tol=1e-10, max_iter=4000),
                          fw_max_iter=120, ascent_max_iter=60)
@@ -106,6 +107,21 @@ class TestFwPortSelection:
         fw_val = deterministic_esr(sc, s_fw, None, "zf").esr
         uni_val = deterministic_esr(sc, s_uni, None, "zf").esr
         assert fw_val >= uni_val - 1e-9
+
+    def test_shared_zf_solves_stay_damped(self, monkeypatch):
+        # mirror-symmetric fig3 ports tie in the oracle to the last bit of
+        # the ZF solve; mixing that solve moves the selection
+        sc, M = fig3_scenario(80.0)
+        solves = []
+
+        def counted(system, x0, settings, _picard=fixed_point._picard):
+            solves.append(_picard(system, x0, settings))
+            return solves[-1]
+
+        monkeypatch.setattr(fixed_point, "_picard", counted)
+        s = fw_port_selection(sc, np.zeros(sc.dims.L), M)
+        assert int(s.sum()) == M and solves
+        assert all(sol.anderson == "off" for sol in solves)
 
     def test_rounding_rule(self):
         s = top_m_rounding(np.array([0.2, 0.9, 0.5, 0.9, 0.1]), 2)

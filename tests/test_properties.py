@@ -6,10 +6,10 @@ constant leaves every RZF SINR unchanged. Shared correlations fed to the
 per-user solvers give the SINRs of the shared-correlation solvers. The solves
 are tight, so the tolerance only has to absorb roundoff. The fixed point is
 unique, so a solve warm-started elsewhere lands where a cold solve does,
-and Anderson mixing lands where damped Picard does. Rotating the BS side by
-one unitary and the RIS side by another leaves every fixed-point scalar
-unchanged. With F = R, one step of the shared map read off eigenvalues
-equals the step by explicit inverses and matrix traces.
+and Anderson mixing lands where damped Picard does, in both regimes.
+Rotating the BS side by one unitary and the RIS side by another leaves every
+fixed-point scalar unchanged. With F = R, one step of the shared map read off
+eigenvalues equals the step by explicit inverses and matrix traces.
 """
 
 from dataclasses import replace
@@ -176,6 +176,29 @@ def test_anderson_matches_damped_picard(seed, z):
         plain = _continued(lambda zz: _PlainUncommonMap(F_list, R, C_list, zz,
                                                         1.0, None),
                            z, None, TIGHT)
+    assert mixed.anderson != "off" and plain.anderson == "off"
+    assert rel(state(mixed), state(plain)) < TOL
+
+
+class _PlainCommonMap(_CommonMap):
+    anderson = 0      # damped Picard, also for RZF
+
+
+@EXAMPLES
+@given(seeds, st.sampled_from([1e-4, 0.3, 1.0]), st.booleans())
+def test_shared_anderson_matches_damped_picard(seed, z, f_is_r):
+    # f_is_r: F_tot = R_tot, so the map reads its traces off eigenvalues;
+    # otherwise it solves for Psi_R
+    sc, _ = scenario(seed, "common")
+    if f_is_r:
+        sc.correlations.F_tot = sc.correlations.R_tot.copy()
+    F, R, C, u, t, _ = sc.stats_common()
+    spectra = _spectra(F, R, C)
+    assert (spectra[0] is not None) == f_is_r
+    mixed = solve_rzf_common(F, R, C, u, t, z, TIGHT)
+    plain = _continued(lambda zz: _PlainCommonMap(F, R, C, u, t, zz, 1.0,
+                                                  None, spectra),
+                       z, None, TIGHT)
     assert mixed.anderson != "off" and plain.anderson == "off"
     assert rel(state(mixed), state(plain)) < TOL
 
