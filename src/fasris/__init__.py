@@ -8,11 +8,10 @@ from .channel import (ChannelSample, ChannelSampler, CorrelationSet,
                       embed_selection, fas_correlation_matrix, lin2db,
                       path_loss, phase_matrix, ris_correlation_matrix,
                       sample_channel, select_submatrix, trial_rng)
-from .fixed_point import (ConvergenceError, FeasibilityError, IidSolution,
-                          RzfCommonSolution, RzfUncommonSolution,
-                          SolverSettings, ZfCommonSolution,
-                          ZfUncommonSolution, backsubstitution_residual,
-                          solve_iid_zf, solve_rzf_common, solve_rzf_uncommon,
+from .fixed_point import (CommonSolution, ConvergenceError, FeasibilityError,
+                          IidSolution, SolverSettings, UncommonSolution,
+                          backsubstitution_residual, solve_iid_zf,
+                          solve_rzf_common, solve_rzf_uncommon,
                           solve_zf_common, solve_zf_uncommon)
 from .rates import (NumericalError, RateReport, SecondOrderCommon,
                     SecondOrderUncommon, esr_iid_mrt, esr_iid_zf, min_ports,

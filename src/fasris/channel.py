@@ -348,7 +348,7 @@ def fas_correlation_matrix(geometry: PlanarFasGeometry) -> np.ndarray:
 
 
 def _gauss_legendre_panels(n_panels: int, order: int = 16):
-    """Composite Gauss-Legendre nodes/weights on [-180, 180], cached by size."""
+    """Composite Gauss-Legendre nodes/weights on [-180, 180], built per call."""
     x, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(-180.0, 180.0, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -1,10 +1,8 @@
 """Command-line front end.
 
 Subcommands: evaluate, montecarlo, optimize, sweep, validate, figure.
-Global flags: --config, --seed, --threads, --out-dir. --threads and the
-FASRIS_THREADS environment variable are accepted for compatibility and
-change nothing: Monte-Carlo trials run batched. All outputs derive from the
-configured seed only; runtimes are recorded only with --timing.
+Global flags: --config, --seed, --out-dir, --timing. All outputs derive
+from the configured seed only; runtimes are recorded only with --timing.
 """
 
 from __future__ import annotations
@@ -188,9 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "optimization for FAS-RIS downlinks")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; changes nothing "
-                        "(Monte-Carlo trials run batched)")
     p.add_argument("--out-dir", default="out")
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock runtimes in CSV output "

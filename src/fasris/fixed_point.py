@@ -7,8 +7,10 @@ may ask for Anderson mixing first (every map but the shared ZF one does).
 Each correlation regime supplies one map, evaluated in Gauss-Seidel order
 (delta first, then the RIS-side traces, then the per-user scalars) and
 parameterized by (z, shift): RZF is (z, 1) and ZF is the same map with
-z -> 1 and 1 + mu -> mu, i.e. (1, 0). The returned solutions carry the
-auxiliary inverse matrices needed by the second-order interference terms
+z -> 1 and 1 + mu -> mu, i.e. (1, 0). Each regime returns one solution type,
+`UncommonSolution` or `CommonSolution`, whose `z` is None for ZF: its fields
+are then the paper's underlined (scaled z -> 0) quantities. Solutions carry
+the auxiliary inverse matrices needed by the second-order interference terms
 downstream.
 """
 
@@ -39,14 +41,11 @@ class FeasibilityError(ValueError):
 class SolverSettings:
     tol: float = 1e-10
     max_iter: int = 2000
-    damping: float = 1.0
     init: float = 1.0
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -81,13 +80,12 @@ class _Solution:
     @property
     def x0(self) -> dict:
         """Warm-start dict that reproduces the returned state."""
-        return {name.removesuffix("_u"): getattr(self, name)
-                for name in self._state}
+        return {name: getattr(self, name) for name in self._state}
 
 
 @dataclass
-class RzfUncommonSolution(_Solution):
-    z: float
+class UncommonSolution(_Solution):
+    z: float | None            # None for ZF
     delta: float
     mu: np.ndarray
     omega: np.ndarray
@@ -97,18 +95,8 @@ class RzfUncommonSolution(_Solution):
 
 
 @dataclass
-class ZfUncommonSolution(_Solution):
-    delta_u: float
-    mu_u: np.ndarray
-    omega_u: np.ndarray
-    K_R: np.ndarray
-    K_C: np.ndarray
-    _state = ("delta_u", "mu_u", "omega_u")
-
-
-@dataclass
-class RzfCommonSolution(_Solution):
-    z: float
+class CommonSolution(_Solution):
+    z: float | None            # None for ZF
     delta: float
     kappa: float
     omega: float
@@ -116,27 +104,11 @@ class RzfCommonSolution(_Solution):
     omega_bar: float
     Psi_R: np.ndarray
     Psi_C: np.ndarray
-    psi_T: np.ndarray          # diagonal of Psi_T = (I + omega T + kappa U)^{-1}
+    psi_T: np.ndarray          # diagonal of (shift I + omega T + kappa U)^{-1}
     _state = ("delta", "kappa", "omega", "kappa_bar", "omega_bar")
 
     def mu_k(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
         return t * self.omega + u * self.kappa
-
-
-@dataclass
-class ZfCommonSolution(_Solution):
-    delta_u: float
-    kappa_u: float
-    omega_u: float
-    kappa_bar_u: float
-    omega_bar_u: float
-    Psi_R: np.ndarray
-    Psi_C: np.ndarray
-    psi_T: np.ndarray          # diagonal of (kappa_u U + omega_u T)^{-1}
-    _state = ("delta_u", "kappa_u", "omega_u", "kappa_bar_u", "omega_bar_u")
-
-    def mu_k(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return u * self.kappa_u + t * self.omega_u
 
 
 @dataclass(frozen=True)
@@ -149,7 +121,7 @@ class IidSolution:
     beta_val: float
 
     @property
-    def mu_u(self) -> float:
+    def mu(self) -> float:
         return (1.0 - self.c1) * self.beta_val
 
 
@@ -200,8 +172,8 @@ def _picard(system, x0: dict | None, settings: SolverSettings):
     """Damped Picard iteration of `system` from `x0` (or `settings.init`).
 
     The residual is the max relative change over the whole state. Adaptive
-    damping halves the step (down to 1/256) when the residual grows or when
-    the change in delta flips sign three times running. A map with
+    damping halves the step (from 1 down to 1/256) when the residual grows
+    or when the change in delta flips sign three times running. A map with
     `anderson` > 0 is mixed by `_Anderson` of that depth instead until a
     safeguard trips; damped Picard then goes on from the last mixed state,
     within the same `max_iter` budget.
@@ -209,7 +181,7 @@ def _picard(system, x0: dict | None, settings: SolverSettings):
     x = system.start(x0, settings.init)
     mixer = _Anderson(system.anderson) if system.anderson else None
     anderson = "converged" if mixer else "off"
-    d = settings.damping
+    d = 1.0
     residual, prev, prev_sign, flips, halvings = np.inf, np.inf, 0, 0, 0
     for it in range(1, settings.max_iter + 1):
         new = system(x)
@@ -289,10 +261,8 @@ class _Map:
         self.name = self.regime + ("RZF" if shift else "ZF")
 
     def solution(self, x, **how):
-        # the ZF fields are the RZF fields without the leading z
-        if self.shift == 0.0:
-            return self.zf(*self.finish(x), m_norm=self.M, **how)
-        return self.rzf(self.z, *self.finish(x), m_norm=self.M, **how)
+        return self.sol(self.z if self.shift else None, *self.finish(x),
+                        m_norm=self.M, **how)
 
 
 class _UncommonMap(_Map):
@@ -306,7 +276,7 @@ class _UncommonMap(_Map):
 
     regime = ""
     anderson = 5
-    rzf, zf = RzfUncommonSolution, ZfUncommonSolution
+    sol = UncommonSolution
 
     def __init__(self, F_list, R, C_list, z, shift, m_norm):
         super().__init__(R, len(F_list), C_list[0].shape[0], z, shift, m_norm)
@@ -378,7 +348,7 @@ class _CommonMap(_Map):
     """
 
     regime = "common "
-    rzf, zf = RzfCommonSolution, ZfCommonSolution
+    sol = CommonSolution
 
     def __init__(self, F, R, C, u, t, z, shift, m_norm, spectra):
         super().__init__(R, len(u), C.shape[0], z, shift, m_norm)
@@ -462,7 +432,7 @@ def solve_rzf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
                        C_list: list[np.ndarray], z: float,
                        settings: SolverSettings = DEFAULT_SETTINGS,
                        m_norm: int | None = None,
-                       x0: dict | None = None) -> RzfUncommonSolution:
+                       x0: dict | None = None) -> UncommonSolution:
     """Per-user-correlation RZF system for (delta, omega_k, mu_k).
 
         delta   = tr(R Psi_R) / M
@@ -485,13 +455,15 @@ def solve_zf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
                       C_list: list[np.ndarray],
                       settings: SolverSettings = DEFAULT_SETTINGS,
                       m_norm: int | None = None,
-                      x0: dict | None = None) -> ZfUncommonSolution:
+                      x0: dict | None = None) -> UncommonSolution:
     """Per-user-correlation ZF system (the z->0 scaled limit, solved directly).
 
-        delta_u = tr(R K_R) / M,  omega_u_k = tr(C_k K_C) / L,
-        mu_u_k  = omega_u_k + tr(F_k K_R) / M
-        K_R = (I + sum_k [omega_u_k R / delta_u + F_k] / (M mu_u_k))^{-1}
-        K_C = (I/delta_u + sum_k C_k / (L mu_u_k))^{-1}
+        delta = tr(R Psi_R) / M,  omega_k = tr(C_k Psi_C) / L,
+        mu_k  = omega_k + tr(F_k Psi_R) / M
+        Psi_R = (I + sum_k [omega_k R / delta + F_k] / (M mu_k))^{-1}
+        Psi_C = (I/delta + sum_k C_k / (L mu_k))^{-1}
+
+    Every field is the underlined limit of its RZF twin; `z` is None.
     """
     return _picard(_UncommonMap(F_list, R, C_list, 1.0, 0.0, m_norm), x0,
                    settings)
@@ -507,7 +479,7 @@ def solve_rzf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
                      u: np.ndarray, t: np.ndarray, z: float,
                      settings: SolverSettings = DEFAULT_SETTINGS,
                      m_norm: int | None = None,
-                     x0: dict | None = None) -> RzfCommonSolution:
+                     x0: dict | None = None) -> CommonSolution:
     """Shared-correlation RZF quintuple (delta, kappa, omega, kappa_bar, omega_bar).
 
         delta = tr(R Psi_R)/M, kappa = tr(F Psi_R)/M, omega = tr(C Psi_C)/L,
@@ -528,12 +500,14 @@ def solve_zf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
                     u: np.ndarray, t: np.ndarray,
                     settings: SolverSettings = DEFAULT_SETTINGS,
                     m_norm: int | None = None,
-                    x0: dict | None = None) -> ZfCommonSolution:
+                    x0: dict | None = None) -> CommonSolution:
     """Shared-correlation ZF quintuple (underlined z->0 limits, solved directly).
 
-        Psi_R = (I + (L kappa_bar_u / M) F + (L omega_u omega_bar_u / (M delta_u)) R)^{-1}
-        Psi_C = (I/delta_u + omega_bar_u C)^{-1}
-        Psi_T = (kappa_u U + omega_u T)^{-1}
+        Psi_R = (I + (L kappa_bar / M) F + (L omega omega_bar / (M delta)) R)^{-1}
+        Psi_C = (I/delta + omega_bar C)^{-1}
+        Psi_T = (kappa U + omega T)^{-1}
+
+    The traces are those of `solve_rzf_common`; `z` is None.
     """
     return _picard(_CommonMap(F, R, C, u, t, 1.0, 0.0, m_norm,
                               _spectra(F, R, C)), x0, settings)
@@ -548,7 +522,7 @@ def solve_iid_zf(u: float, t: float, c1: float, c2: float) -> IidSolution:
 
         alpha = c2^2 t^2 - 2 c2 t^2 + t^2 + 2 t u c2 + 2 t u + u^2
         beta  = (u + t - t c2 + sqrt(alpha)) / 2
-        mu_u  = (1 - c1) beta
+        mu    = (1 - c1) beta
 
     c2 = 0 gives beta = u + t, the large-RIS limit.
     """
@@ -574,13 +548,12 @@ def backsubstitution_residual(sol, F=None, R=None, C=None, u=None, t=None,
     `solve_rzf_common` on the solution's explicit-inverse Psi_R, Psi_C and
     psi_T, not through the eigenvalue shortcut that produced the solution.
     """
-    if isinstance(sol, (RzfUncommonSolution, ZfUncommonSolution)):
-        rzf = isinstance(sol, RzfUncommonSolution)
-        system = _UncommonMap(F_list, R, C_list, sol.z if rzf else 1.0,
-                              1.0 if rzf else 0.0, sol.m_norm)
+    if isinstance(sol, UncommonSolution):
+        z, shift = (1.0, 0.0) if sol.z is None else (sol.z, 1.0)
+        system = _UncommonMap(F_list, R, C_list, z, shift, sol.m_norm)
         x = system.start(sol.x0, DEFAULT_SETTINGS.init)
         return _rel_change(system(x), x)
-    if not isinstance(sol, (RzfCommonSolution, ZfCommonSolution)):
+    if not isinstance(sol, CommonSolution):
         raise TypeError(f"unknown solution type {type(sol)}")
     M, L = sol.m_norm, C.shape[0]
     # omega is 0 where every t is; with R or C zero, C or the placeholder

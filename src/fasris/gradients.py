@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import herm, phase_matrix, psd_sqrt
-from .fixed_point import ZfCommonSolution, ZfUncommonSolution
+from .fixed_point import CommonSolution, UncommonSolution
 from .rates import (SecondOrderCommon, SecondOrderUncommon, _checked,
                     _solve_checked, common_pi, rzf_sinr, uncommon_pi)
 
@@ -403,7 +403,7 @@ def _zf_chain(p, mu, mu_d, M, sigma2) -> np.ndarray:
     return np.einsum("ki,k->i", gam_d, 1.0 / (1.0 + gam)) / LN2
 
 
-def esr_gradient_phases_zf_common(sol: ZfCommonSolution, F, R, C_L, C_R,
+def esr_gradient_phases_zf_common(sol: CommonSolution, F, R, C_L, C_R,
                                   phi, u, t, p, sigma2,
                                   root=psd_sqrt) -> np.ndarray:
     """d ESR_ZF / d phi_l, shared correlation (bits)."""
@@ -411,7 +411,7 @@ def esr_gradient_phases_zf_common(sol: ZfCommonSolution, F, R, C_L, C_R,
     t = np.asarray(t, dtype=float)
     p = np.asarray(p, dtype=float)
     L = len(phi)
-    if sol.delta_u == 0.0 or sol.omega_bar_u == 0.0 or np.all(t == 0.0):
+    if sol.delta == 0.0 or sol.omega_bar == 0.0 or np.all(t == 0.0):
         return np.zeros(L)
     CL_root = root(C_L, "C_L")
     Phi = phase_matrix(phi, L)
@@ -419,8 +419,8 @@ def esr_gradient_phases_zf_common(sol: ZfCommonSolution, F, R, C_L, C_R,
     Pi = common_pi(F, R, C, u, t, sol).Pi_com
     Psi_C = sol.Psi_C
     PCC = Psi_C @ (C @ Psi_C)
-    U = _phase_traces(CL_root, C_R, phi,            # explicit d omega_u / d phi_l
-                      [Psi_C - sol.omega_bar_u * PCC])[0] / L
+    U = _phase_traces(CL_root, C_R, phi,            # explicit d omega / d phi_l
+                      [Psi_C - sol.omega_bar * PCC])[0] / L
     # every phase enters through the same RHS direction [0, 0, 1]
     _, k_, o_ = _solve_checked(Pi, np.array([0.0, 0.0, 1.0]), "Pi_com(zf)")
     return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),
@@ -436,21 +436,21 @@ def _diag3(root, mid) -> np.ndarray:
     return np.real(np.sum((root @ mid) * root.T, axis=1))
 
 
-def _port_rows(roots, embs, K_R, F_roots, cF, R_root, cR, M) -> np.ndarray:
-    """d/ds_i of tr(A(s) K_R)/M at fixed scalars, one row per A(s) = emb =
+def _port_rows(roots, embs, Psi, F_roots, cF, R_root, cR, M) -> np.ndarray:
+    """d/ds_i of tr(A(s) Psi)/M at fixed scalars, one row per A(s) = emb =
     root diag(s) root. cF_m and cR are the coefficients of F_m(s) and R(s)
-    in K_R^{-1}, divided by M."""
+    in Psi^{-1}, divided by M."""
     rows = []
     for root, emb in zip(roots, embs):
-        mid = K_R @ emb @ K_R
-        row = np.real(np.einsum("ij,ji->i", root @ K_R, root)) / M
+        mid = Psi @ emb @ Psi
+        row = np.real(np.einsum("ij,ji->i", root @ Psi, root)) / M
         for c, F_root in zip(cF, F_roots):
             row = row - c * _diag3(F_root, mid)
         rows.append(row - cR * _diag3(R_root, mid))
     return np.array(rows)
 
 
-def esr_gradient_ports_zf_common(sol: ZfCommonSolution, R_root, F_root,
+def esr_gradient_ports_zf_common(sol: CommonSolution, R_root, F_root,
                                  R_emb, F_emb, C, u, t, p, sigma2) -> np.ndarray:
     """d ESR_ZF / d s_i through R(s) = R^{1/2} diag(s) R^{1/2} (and F alike).
 
@@ -463,8 +463,8 @@ def esr_gradient_ports_zf_common(sol: ZfCommonSolution, R_root, F_root,
     M = sol.m_norm
     L = C.shape[0]
     Psi = sol.Psi_R
-    kappa_bar, omega, omega_bar, delta = (sol.kappa_bar_u, sol.omega_u,
-                                          sol.omega_bar_u, sol.delta_u)
+    kappa_bar, omega, omega_bar, delta = (sol.kappa_bar, sol.omega,
+                                          sol.omega_bar, sol.delta)
     Pi = common_pi(F_emb, R_emb, C, u, t, sol).Pi_com
 
     cW = L * omega * omega_bar / (M * delta) if delta > 0 else 0.0
@@ -476,7 +476,7 @@ def esr_gradient_ports_zf_common(sol: ZfCommonSolution, R_root, F_root,
     return _zf_chain(p, sol.mu_k(u, t), mu_i, M, sigma2)
 
 
-def esr_gradient_ports_zf_uncommon(sol: ZfUncommonSolution, R_root,
+def esr_gradient_ports_zf_uncommon(sol: UncommonSolution, R_root,
                                    F_roots: list[np.ndarray], R_emb,
                                    F_emb_list: list[np.ndarray],
                                    C_list: list[np.ndarray], p,
@@ -484,16 +484,16 @@ def esr_gradient_ports_zf_uncommon(sol: ZfUncommonSolution, R_root,
     """Per-user-correlation version of the ZF port gradient."""
     K = len(F_emb_list)
     M = sol.m_norm
-    mu, omega, delta = sol.mu_u, sol.omega_u, sol.delta_u
-    K_R = sol.K_R
+    mu, omega, delta = sol.mu, sol.omega, sol.delta
+    Psi = sol.Psi_R
     p = np.asarray(p, dtype=float)
-    Pi = uncommon_pi(F_emb_list, R_emb, C_list, K_R, sol.K_C, delta, omega,
+    Pi = uncommon_pi(F_emb_list, R_emb, C_list, Psi, sol.Psi_C, delta, omega,
                      mu, 0.0, M).Pi
 
-    # coefficients of the embedded-matrix terms inside K_R^{-1}
+    # coefficients of the embedded-matrix terms inside Psi_R^{-1}
     cF = 1.0 / (M * mu)
     cR = float(np.sum(omega / (M * delta * mu))) if delta > 0 else 0.0
-    B = _port_rows([*F_roots, R_root], [*F_emb_list, R_emb], K_R, F_roots,
+    B = _port_rows([*F_roots, R_root], [*F_emb_list, R_emb], Psi, F_roots,
                    cF / M, R_root, cR / M, M)      # rows ordered as in Pi
 
     V = _solve_checked(Pi, B, "Pi(zf)")

@@ -79,29 +79,31 @@ class PhaseShifts:
 @dataclass
 class OptimizerSettings:
     solver: SolverSettings = DEFAULT_SETTINGS
-    # Frank-Wolfe
-    fw_tol: float = 1e-5
     fw_max_iter: int = 500
     # phase ascent (backtracking)
-    alpha0: float = 1.0
-    backtrack_c: float = 0.5
     armijo_beta: float = 1e-4
-    max_halvings: int = 40
     ascent_tol: float = 1e-5
     ascent_max_iter: int = 200
-    # regularizer search
-    z_grid_points: int = 41
-    z_span_decades: float = 4.0
-    golden_rel_width: float = 1e-4
-    # alternating optimization
-    ao_tol: float = 1e-5
-    ao_max_iter: int = 10
 
 
 DEFAULT_OPT = OptimizerSettings()
 
+# Frank-Wolfe stops on this relative change of the relaxed ESR
+FW_TOL = 1e-5
+# phase ascent: first step, backtracking factor, most halvings per line search
+ALPHA0 = 1.0
+BACKTRACK_C = 0.5
+MAX_HALVINGS = 40
+# z-search: Z_GRID_POINTS over Z_SPAN_DECADES either side of K sigma^2 / M,
+# and golden section down to GOLDEN_REL_WIDTH relative to z
+Z_GRID_POINTS = 41
+Z_SPAN_DECADES = 4.0
+GOLDEN_REL_WIDTH = 1e-4
 # points of the z-search bracket around an incumbent, at the full grid's step
 Z_BRACKET_POINTS = 11
+# alternating optimization stops on this relative ESR change or round count
+AO_TOL = 1e-5
+AO_MAX_ITER = 10
 
 
 @dataclass
@@ -286,7 +288,7 @@ def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
     """Frank-Wolfe port selection on the relaxed ZF objective.
 
     s^(0) = (M/M_tot) 1; update s += 2/(t+2) (s_bar - s) with the top-M
-    vertex s_bar; stops on relative objective change < fw_tol; returns the
+    vertex s_bar; stops on relative objective change < FW_TOL; returns the
     top-M binary rounding of the final iterate. Trace records carry the
     duality gap <s_bar - s, grad> (Jaggi 2013), nonnegative and zero only
     at a stationary point of the relaxation.
@@ -305,7 +307,7 @@ def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
         if trace is not None:
             trace.add(stage="fw", iteration=it, objective=esr,
                       step=2.0 / (it + 2.0), gap=float((s_bar - s) @ grad))
-        if prev is not None and abs(esr - prev) < opt.fw_tol * abs(prev):
+        if prev is not None and abs(esr - prev) < FW_TOL * abs(prev):
             break
         s = s + (2.0 / (it + 2.0)) * (s_bar - s)
         prev = esr
@@ -388,16 +390,16 @@ def gradient_ascent_phases(scenario: Scenario, s: np.ndarray | None, z: float | 
         if norm < 1e-14 * max(1.0, abs(esr)):
             break
         direction = grad / norm
-        alpha = opt.alpha0
+        alpha = ALPHA0
         halvings = 0
         while True:
             cand = np.mod(phi + alpha * direction, 2.0 * np.pi)
             esr_cand = value(cand)
             if esr_cand - esr >= alpha * opt.armijo_beta * norm:
                 break
-            alpha *= opt.backtrack_c
+            alpha *= BACKTRACK_C
             halvings += 1
-            if halvings > opt.max_halvings:
+            if halvings > MAX_HALVINGS:
                 stalled = True
                 break
         if stalled:
@@ -441,17 +443,17 @@ def z_search_profile(scenario: Scenario, s, phi,
     """Grid + golden-section profile of ESR_RZF over z. Returns
     (z_star, grid, values, golden_width).
 
-    The grid spans z_span_decades either side of K sigma^2 / M in
-    z_grid_points points. With an incumbent z, an 11-point bracket centred
+    The grid spans Z_SPAN_DECADES either side of K sigma^2 / M in
+    Z_GRID_POINTS points. With an incumbent z, an 11-point bracket centred
     on it, at the same step, is swept instead; when its argmax lands on an
     edge of the bracket the full grid is searched as without an incumbent.
     """
     esr_of = _WarmRzfEsr(scenario, s, phi, opt.solver)
     if incumbent is None:
         grid = scenario.default_z(s) * np.logspace(
-            -opt.z_span_decades, opt.z_span_decades, opt.z_grid_points)
+            -Z_SPAN_DECADES, Z_SPAN_DECADES, Z_GRID_POINTS)
     else:
-        step = 2.0 * opt.z_span_decades / (opt.z_grid_points - 1)
+        step = 2.0 * Z_SPAN_DECADES / (Z_GRID_POINTS - 1)
         half = Z_BRACKET_POINTS // 2
         grid = incumbent * 10.0 ** (step * np.arange(-half, half + 1))
     # sweep from the best-conditioned (largest) z downward, warm-starting
@@ -469,7 +471,7 @@ def z_search_profile(scenario: Scenario, s, phi,
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = esr_of(c), esr_of(d)
-    while (b - a) > opt.golden_rel_width * max(abs(c), abs(d)):
+    while (b - a) > GOLDEN_REL_WIDTH * max(abs(c), abs(d)):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -485,13 +487,12 @@ def z_search_profile(scenario: Scenario, s, phi,
 def search_regularization(scenario: Scenario, s: np.ndarray | None,
                           phi: np.ndarray | None,
                           opt: OptimizerSettings = DEFAULT_OPT,
-                          force_search: bool = False,
                           incumbent: float | None = None) -> float:
     """Best RZF regularizer. Homogeneous scenarios shortcut to K sigma^2 / M.
 
     `incumbent` narrows the search to a bracket around it
     (`z_search_profile`)."""
-    if scenario.homogeneous and not force_search:
+    if scenario.homogeneous:
         return scenario.default_z(s)
     z_star, _, _, _ = z_search_profile(scenario, s, phi, opt, incumbent)
     return z_star
@@ -516,7 +517,7 @@ def alternating_optimization(scenario: Scenario, s: np.ndarray | None,
     phi = np.mod(np.asarray(phi0, dtype=float), 2.0 * np.pi)
     z = z0
     esr_prev = None
-    for it in range(opt.ao_max_iter):
+    for it in range(AO_MAX_ITER):
         if precoder == "rzf":
             # from the second round on, bracket the search around z
             z_cand = search_regularization(scenario, s, phi, opt,
@@ -533,7 +534,7 @@ def alternating_optimization(scenario: Scenario, s: np.ndarray | None,
         phi = phases.phi
         trace.add(stage="ao", iteration=it, objective=esr, z=z,
                   stalled=stalled)
-        if esr_prev is not None and abs(esr - esr_prev) < opt.ao_tol * abs(esr_prev):
+        if esr_prev is not None and abs(esr - esr_prev) < AO_TOL * abs(esr_prev):
             break
         esr_prev = esr
     return z, PhaseShifts(phi), esr, trace

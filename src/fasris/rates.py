@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixed_point import (RzfCommonSolution, RzfUncommonSolution,
-                          ZfCommonSolution, ZfUncommonSolution, solve_iid_zf)
+from .fixed_point import CommonSolution, UncommonSolution, solve_iid_zf
 
 COND_LIMIT = 1e12
 PSI_CLIP = 1e-8
@@ -59,7 +58,7 @@ def _report(sinr: np.ndarray, regime: str, digest: dict | None,
             sol=None) -> RateReport:
     """Rates and ESR; a fixed-point `sol` leads the digest with its solve."""
     if sol is not None:
-        head = {"z": sol.z} if hasattr(sol, "z") else {}    # RZF only
+        head = {"z": sol.z} if sol.z is not None else {}    # RZF only
         digest = {**head, "regime": regime, "residual": sol.residual,
                   **(digest or {})}
     sinr = np.asarray(sinr, dtype=float)
@@ -116,7 +115,7 @@ def rzf_sinr(Psi_kl: np.ndarray, Cbar: float, mu: np.ndarray, p, sigma2: float,
 
 
 def zf_sinr(mu: np.ndarray, p, sigma2: float, M: int) -> np.ndarray:
-    """ZF SINR gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_u_l))."""
+    """ZF SINR gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_l))."""
     return p / (sigma2 * np.sum(p / (M * mu)))
 
 
@@ -156,8 +155,8 @@ def uncommon_pi(F_list: list[np.ndarray], R: np.ndarray,
                 mu: np.ndarray, shift: float, M: int) -> UncommonPi:
     """Pi at a per-user fixed point, with shift + mu_k in place of 1 + mu_k.
 
-    RZF passes its (Psi_R, Psi_C) and shift 1; ZF passes (K_R, K_C), the
-    underlined scalars and shift 0.
+    RZF passes its solution's fields and shift 1; ZF passes its own, the
+    underlined limits, and shift 0.
     """
     K = len(F_list)
     L = C_list[0].shape[0]
@@ -200,7 +199,7 @@ class SecondOrderUncommon(UncommonPi):
     probes and the phase-gradient chain can reuse them.
     """
 
-    sol: RzfUncommonSolution
+    sol: UncommonSolution
     F_list: list[np.ndarray]
     R: np.ndarray
     ups_I: np.ndarray        # Pi^{-1} chi(I_M), length K+1
@@ -228,7 +227,7 @@ class SecondOrderUncommon(UncommonPi):
 
 def second_order_uncommon(F_list: list[np.ndarray], R: np.ndarray,
                           C_list: list[np.ndarray], p: np.ndarray,
-                          sol: RzfUncommonSolution) -> SecondOrderUncommon:
+                          sol: UncommonSolution) -> SecondOrderUncommon:
     K = len(F_list)
     M = sol.m_norm
     L = C_list[0].shape[0]
@@ -276,7 +275,7 @@ def second_order_uncommon(F_list: list[np.ndarray], R: np.ndarray,
                                Lambda_kl=Lambda_kl, Psi_kl=Psi_kl, Cbar=Cbar)
 
 
-def sinr_rzf_uncommon(sol: RzfUncommonSolution, F_list, R, C_list,
+def sinr_rzf_uncommon(sol: UncommonSolution, F_list, R, C_list,
                       p: np.ndarray, sigma2: float,
                       so: SecondOrderUncommon | None = None,
                       digest: dict | None = None):
@@ -287,10 +286,10 @@ def sinr_rzf_uncommon(sol: RzfUncommonSolution, F_list, R, C_list,
     return _report(sinr, "rzf/uncommon", digest, sol), so
 
 
-def sinr_zf_uncommon(sol: ZfUncommonSolution, p: np.ndarray, sigma2: float,
+def sinr_zf_uncommon(sol: UncommonSolution, p: np.ndarray, sigma2: float,
                      digest: dict | None = None) -> RateReport:
-    """ZF SINR: gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_u_l))."""
-    sinr = zf_sinr(sol.mu_u, p, sigma2, sol.m_norm)
+    """ZF SINR: gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_l))."""
+    sinr = zf_sinr(sol.mu, p, sigma2, sol.m_norm)
     return _report(sinr, "zf/uncommon", digest, sol)
 
 
@@ -318,13 +317,12 @@ class CommonPi:
 def common_pi(F, R, C, u, t, sol) -> CommonPi:
     """Pi_com at a shared-correlation fixed point, RZF or ZF.
 
-    The scalars come from `sol.x0`, so a ZF solution gives its own Pi_com;
-    1 + mu versus mu enters only through sol.psi_T.
+    A ZF solution (the underlined scalars) gives its own Pi_com; 1 + mu
+    versus mu enters only through sol.psi_T.
     """
     M = sol.m_norm
     L = C.shape[0]
-    x = sol.x0
-    delta, omega, omega_bar = x["delta"], x["omega"], x["omega_bar"]
+    delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
     Psi_R, Psi_C, psi_T = sol.Psi_R, sol.Psi_C, sol.psi_T
     dinv = 0.0 if delta == 0 else 1.0 / delta
     dinv2 = dinv * dinv
@@ -366,7 +364,7 @@ def common_pi(F, R, C, u, t, sol) -> CommonPi:
 
 @dataclass
 class SecondOrderCommon(CommonPi):
-    sol: RzfCommonSolution
+    sol: CommonSolution
     F: np.ndarray
     R: np.ndarray
     C: np.ndarray
@@ -384,7 +382,7 @@ class SecondOrderCommon(CommonPi):
     Cbar: float
 
 
-def second_order_common(F, R, C, u, t, p, sol: RzfCommonSolution) -> SecondOrderCommon:
+def second_order_common(F, R, C, u, t, p, sol: CommonSolution) -> SecondOrderCommon:
     M = sol.m_norm
     L = C.shape[0]
     u = np.asarray(u, dtype=float)
@@ -420,7 +418,7 @@ def second_order_common(F, R, C, u, t, p, sol: RzfCommonSolution) -> SecondOrder
                              Psi_kl=Psi_kl, Cbar=float(Cbar))
 
 
-def sinr_rzf_common(sol: RzfCommonSolution, F, R, C, u, t, p, sigma2,
+def sinr_rzf_common(sol: CommonSolution, F, R, C, u, t, p, sigma2,
                     so: SecondOrderCommon | None = None,
                     digest: dict | None = None):
     """Per-user RZF SINR and ESR, shared-correlation regime."""
@@ -432,7 +430,7 @@ def sinr_rzf_common(sol: RzfCommonSolution, F, R, C, u, t, p, sigma2,
     return _report(sinr, "rzf/common", digest, sol), so
 
 
-def sinr_zf_common(sol: ZfCommonSolution, u, t, p, sigma2,
+def sinr_zf_common(sol: CommonSolution, u, t, p, sigma2,
                    digest: dict | None = None) -> RateReport:
     """ZF SINR, shared correlation: gamma_k = p_k / (sigma^2 sum_l p_l/(M mu_l))."""
     mu = sol.mu_k(np.asarray(u, float), np.asarray(t, float))

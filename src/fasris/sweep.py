@@ -3,8 +3,7 @@
 CSV schema is fixed: scenario_id, axis_name, axis_value, precoder, method,
 esr, stderr, runtime_ms. All randomness flows from the configured seed; the
 runtime column stays empty unless timing is explicitly requested, so output
-files are byte-identical for a fixed seed. `threads` arguments are accepted
-for compatibility; Monte-Carlo trials run batched, not in parallel.
+files are byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ def _precoder_sweep(points, precoders, methods, trials, seed, timing):
 
 
 def run_experiment(cfg: dict, out_dir: str | Path, seed: int | None = None,
-                   threads: int = 1, timing: bool = False) -> dict:
+                   timing: bool = False) -> dict:
     """Config-driven sweep. Writes one CSV and one SVG; returns their paths."""
     sweep = cfg.get("sweep")
     if not sweep or not sweep.get("values"):
@@ -151,9 +150,8 @@ def _de_vs_mc(out_dir: Path, name: str, groups, axis_name: str, trials: int,
                    title)
 
 
-def figure_fig1(out_dir: Path, trials: int, seed: int, threads: int,
-                timing: bool, snrs=(60, 70, 80, 90, 100),
-                Ms=(16, 20, 24)) -> dict:
+def figure_fig1(out_dir: Path, trials: int, seed: int, timing: bool,
+                snrs=(60, 70, 80, 90, 100), Ms=(16, 20, 24)) -> dict:
     """ESR accuracy vs SNR for M in {16, 20, 24} (RZF, z = K sigma^2/M)."""
     def points(M):
         for snr in snrs:
@@ -164,8 +162,8 @@ def figure_fig1(out_dir: Path, trials: int, seed: int, threads: int,
                      "1/sigma^2 [dB]", "ESR vs SNR, per-user correlation")
 
 
-def figure_fig2(out_dir: Path, trials: int, seed: int, threads: int,
-                timing: bool, scales=(1, 2, 3, 4)) -> dict:
+def figure_fig2(out_dir: Path, trials: int, seed: int, timing: bool,
+                scales=(1, 2, 3, 4)) -> dict:
     """DE accuracy vs proportional system size, cases (8,6,16)/(12,6,16)."""
     def points(case):
         for scale in scales:
@@ -198,8 +196,8 @@ def _joint_vs_uniform(out_dir: Path, name: str, points, axis_name: str,
                    title)
 
 
-def figure_fig3(out_dir: Path, trials: int, seed: int, threads: int,
-                timing: bool, snrs=(60, 70, 80, 90, 100)) -> dict:
+def figure_fig3(out_dir: Path, trials: int, seed: int, timing: bool,
+                snrs=(60, 70, 80, 90, 100)) -> dict:
     """Optimized port selection vs uniform baseline (RZF)."""
     def points():
         for snr in snrs:
@@ -210,8 +208,8 @@ def figure_fig3(out_dir: Path, trials: int, seed: int, threads: int,
                              "Optimization vs uniform selection")
 
 
-def figure_fig4(out_dir: Path, trials: int, seed: int, threads: int,
-                timing: bool, snrs=(60, 70, 80, 90, 100)) -> dict:
+def figure_fig4(out_dir: Path, trials: int, seed: int, timing: bool,
+                snrs=(60, 70, 80, 90, 100)) -> dict:
     """RZF vs ZF vs MRT on the optimization scenario (uniform ports)."""
     def points():
         for snr in snrs:
@@ -224,8 +222,8 @@ def figure_fig4(out_dir: Path, trials: int, seed: int, threads: int,
                    "ESR [bit/s/Hz]", "Precoder comparison")
 
 
-def figure_fig5(out_dir: Path, trials: int, seed: int, threads: int,
-                timing: bool, Ws=(1.0, 1.5, 2.0, 2.5, 3.0)) -> dict:
+def figure_fig5(out_dir: Path, trials: int, seed: int, timing: bool,
+                Ws=(1.0, 1.5, 2.0, 2.5, 3.0)) -> dict:
     """Aperture sweep at fixed M_tot (80 dB, optimized selection)."""
     rows, xs, ys = [], [], []
     for Wap in Ws:
@@ -240,8 +238,8 @@ def figure_fig5(out_dir: Path, trials: int, seed: int, threads: int,
                    "ESR [bit/s/Hz]", "Impact of array aperture")
 
 
-def figure_fig6(out_dir: Path, trials: int, seed: int, threads: int,
-                timing: bool, Ks=(4, 8, 12, 16)) -> dict:
+def figure_fig6(out_dir: Path, trials: int, seed: int, timing: bool,
+                Ks=(4, 8, 12, 16)) -> dict:
     """User-count sweep: joint optimization vs uniform+AO (80 dB)."""
     def points():
         for K in Ks:
@@ -251,8 +249,8 @@ def figure_fig6(out_dir: Path, trials: int, seed: int, threads: int,
                              "number of users K", "Impact of user count")
 
 
-def figure_fig7(out_dir: Path, trials: int, seed: int, threads: int,
-                timing: bool, Ms=(12, 16, 20, 24, 28)) -> dict:
+def figure_fig7(out_dir: Path, trials: int, seed: int, timing: bool,
+                Ms=(12, 16, 20, 24, 28)) -> dict:
     """Selected-port sweep at 90 dB: joint optimization vs uniform+AO."""
     def points():
         for M in Ms:
@@ -265,8 +263,7 @@ def figure_fig7(out_dir: Path, trials: int, seed: int, threads: int,
                              "Impact of selected-port count")
 
 
-def figure_fig8(out_dir: Path, trials: int, seed: int, threads: int,
-                timing: bool) -> dict:
+def figure_fig8(out_dir: Path, trials: int, seed: int, timing: bool) -> dict:
     """ESR vs z on a homogeneous scenario with the closed-form optimum marked."""
     sc, M = sc_mod.fig8_scenario(80.0)
     s = sc_mod.uniform_selection(M, sc.correlations.R_tot.shape[0])
@@ -302,11 +299,11 @@ def _finish(out_dir: Path, name: str, rows, series, xlabel, ylabel, title,
 
 
 def run_figure(name: str, out_dir: str | Path, trials: int = 2000,
-               seed: int = 0, threads: int = 1, timing: bool = False) -> dict:
+               seed: int = 0, timing: bool = False) -> dict:
     if name not in FIGURES:
         raise UsageError(f"unknown figure {name!r}; choose from "
                          f"{sorted(FIGURES)}")
-    return FIGURES[name](Path(out_dir), trials, seed, threads, timing)
+    return FIGURES[name](Path(out_dir), trials, seed, timing)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +361,9 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
         z_small = 1e-8 * float(np.mean(scenario.u) + np.mean(scenario.t))
         small = solve_rzf_uncommon(F_list, R, C_list, z_small,
                                    SolverSettings(tol=1e-12, max_iter=20000))
-        dev = float(np.max(np.abs(z_small * small.mu - zf.mu_u) / zf.mu_u))
+        dev = float(np.max(np.abs(z_small * small.mu - zf.mu) / zf.mu))
         record("zf_small_z_limit", dev, 1e-3,
-               f"z mu(z) vs mu_u at z={z_small:.1e}")
+               f"z mu(z) vs ZF mu at z={z_small:.1e}")
 
     # 4. iid closed form
     from .fixed_point import solve_iid_zf

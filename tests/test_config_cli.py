@@ -137,12 +137,12 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         return str(path)
 
-    def test_sweep_deterministic_across_threads(self, tmp_path):
+    def test_sweep_deterministic(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path, small_cfg())
         rc1 = cli.main(["--config", cfg_path, "--out-dir",
                         str(tmp_path / "a"), "sweep"])
         rc2 = cli.main(["--config", cfg_path, "--out-dir",
-                        str(tmp_path / "b"), "--threads", "4", "sweep"])
+                        str(tmp_path / "b"), "sweep"])
         assert rc1 == 0 and rc2 == 0
         a = (tmp_path / "a" / "tcfg_sweep.csv").read_bytes()
         b = (tmp_path / "b" / "tcfg_sweep.csv").read_bytes()
@@ -167,18 +167,17 @@ class TestCli:
         out2 = tmp_path / "r2.csv"
         assert cli.main(["--config", cfg_path, "montecarlo", "--trials", "64",
                          "--precoder", "zf", "--out", str(out1)]) == 0
-        assert cli.main(["--config", cfg_path, "--threads", "3", "montecarlo",
+        assert cli.main(["--config", cfg_path, "montecarlo",
                          "--trials", "64", "--precoder", "zf",
                          "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_env_thread_override(self, tmp_path, monkeypatch):
-        cfg_path = self._write_cfg(tmp_path, small_cfg())
-        monkeypatch.setenv("FASRIS_THREADS", "2")
-        out = tmp_path / "env.csv"
-        assert cli.main(["--config", cfg_path, "montecarlo", "--trials", "32",
-                         "--out", str(out)]) == 0
-        assert out.exists()
+    def test_threads_flag_is_rejected(self, capsys):
+        # the flag never changed an output; argparse refuses it as unknown
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--threads=2", "evaluate"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
 
     def test_empty_sweep_usage_error(self, tmp_path):
         cfg = small_cfg()
@@ -303,14 +302,14 @@ class TestFigureSmoke:
         # minimal axis points and trial counts; exercises all eight recipes
         from fasris import sweep as sw
         outs = [
-            sw.figure_fig1(tmp_path, 30, 1, 1, False, snrs=(80,), Ms=(12,)),
-            sw.figure_fig2(tmp_path, 30, 1, 1, False, scales=(1,)),
-            sw.figure_fig3(tmp_path, 30, 1, 1, False, snrs=(80,)),
-            sw.figure_fig4(tmp_path, 30, 1, 1, False, snrs=(80,)),
-            sw.figure_fig5(tmp_path, 30, 1, 1, False, Ws=(2.0,)),
-            sw.figure_fig6(tmp_path, 30, 1, 1, False, Ks=(4,)),
-            sw.figure_fig7(tmp_path, 30, 1, 1, False, Ms=(20,)),
-            sw.figure_fig8(tmp_path, 30, 1, 1, False),
+            sw.figure_fig1(tmp_path, 30, 1, False, snrs=(80,), Ms=(12,)),
+            sw.figure_fig2(tmp_path, 30, 1, False, scales=(1,)),
+            sw.figure_fig3(tmp_path, 30, 1, False, snrs=(80,)),
+            sw.figure_fig4(tmp_path, 30, 1, False, snrs=(80,)),
+            sw.figure_fig5(tmp_path, 30, 1, False, Ws=(2.0,)),
+            sw.figure_fig6(tmp_path, 30, 1, False, Ks=(4,)),
+            sw.figure_fig7(tmp_path, 30, 1, False, Ms=(20,)),
+            sw.figure_fig8(tmp_path, 30, 1, False),
         ]
         for out in outs:
             assert out["csv"].exists() and out["svg"].exists()

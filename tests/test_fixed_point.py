@@ -69,7 +69,7 @@ class TestZfUncommon:
         F_list, R, C_list, _ = small_uncommon.stats_uncommon()
         zf = solve_zf_uncommon(F_list, R, C_list, TIGHT)
         rzf = solve_rzf_uncommon(F_list, R, C_list, 1e-8, TIGHT)
-        assert np.max(np.abs(1e-8 * rzf.mu - zf.mu_u) / zf.mu_u) < 1e-4
+        assert np.max(np.abs(1e-8 * rzf.mu - zf.mu) / zf.mu) < 1e-4
 
     def test_symmetry(self, rng):
         # identity correlations and equal gains: all mu equal
@@ -77,7 +77,7 @@ class TestZfUncommon:
         F_list = [np.eye(M) for _ in range(K)]
         C_list = [0.5 * np.eye(L) for _ in range(K)]
         sol = solve_zf_uncommon(F_list, np.eye(M), C_list, TIGHT)
-        assert np.ptp(sol.mu_u) < 1e-10 * sol.mu_u[0]
+        assert np.ptp(sol.mu) < 1e-10 * sol.mu[0]
 
     def test_feasibility(self, rng):
         M, K, L = 4, 6, 8
@@ -111,23 +111,23 @@ class TestCommon:
         assert np.max(np.abs(sol.mu_k(u, np.zeros(K)) - oracle) / oracle) < 1e-9
 
     def test_iid_reduction_zf(self, rng):
-        # identity correlations, equal gains: u kappa_u + t omega_u equals
+        # identity correlations, equal gains: u kappa + t omega equals
         # the closed form (1 - c1) beta
         M, K, L = 16, 6, 10
         u, t = 1.2, 0.4
         sol = solve_zf_common(np.eye(M), np.eye(M), np.eye(L),
                               np.full(K, u), np.full(K, t), TIGHT)
         iid = solve_iid_zf(u, t, K / M, K / L)
-        got = u * sol.kappa_u + t * sol.omega_u
-        assert abs(got - iid.mu_u) / iid.mu_u < 1e-8
+        got = u * sol.kappa + t * sol.omega
+        assert abs(got - iid.mu) / iid.mu < 1e-8
 
     def test_zf_t_zero(self, rng):
         M, K = 12, 4
         u = 0.8
         sol = solve_zf_common(np.eye(M), np.eye(M), np.eye(6),
                               np.full(K, u), np.zeros(K), TIGHT)
-        # single-hop ZF: u kappa_u = (1 - c1) u
-        assert abs(u * sol.kappa_u - (1 - K / M) * u) < 1e-10
+        # single-hop ZF: u kappa = (1 - c1) u
+        assert abs(u * sol.kappa - (1 - K / M) * u) < 1e-10
 
     def test_common_zf_matches_uncommon(self, small_common):
         sc = small_common
@@ -135,7 +135,7 @@ class TestCommon:
         com = solve_zf_common(F, R, C, u, t, TIGHT)
         F_list, R2, C_list, _ = sc.stats_uncommon()
         unc = solve_zf_uncommon(F_list, R2, C_list, TIGHT)
-        assert np.max(np.abs(com.mu_k(u, t) - unc.mu_u) / unc.mu_u) < 1e-8
+        assert np.max(np.abs(com.mu_k(u, t) - unc.mu) / unc.mu) < 1e-8
 
     def test_backsubstitution_common(self, small_common):
         # F_tot = R_tot sends the shared map down its eigenvalue path; the
@@ -204,6 +204,29 @@ class TestSolvePath:
         assert cold.path == "cold"
         warm = solve_zf_common(F, R, C, u, t, x0=cold.x0)
         assert warm.path == "warm" and warm.iterations <= 2
+
+    @pytest.mark.parametrize("regime", ["common", "uncommon"])
+    @pytest.mark.parametrize("precoder", ["rzf", "zf"])
+    def test_one_solution_type_per_regime(self, request, regime, precoder):
+        # RZF and ZF share a regime's solution type; z is None for ZF
+        from fasris.optimize import _evaluate
+        sc = request.getfixturevalue(f"small_{regime}")
+        shared = regime == "common"
+        stats = sc.stats_common() if shared else sc.stats_uncommon()
+        z = 0.3 if precoder == "rzf" else None
+        rep, _, sol = _evaluate(stats, shared, precoder, z, sc.sigma2,
+                                SolverSettings())
+        assert type(sol) is (fixed_point.CommonSolution if shared
+                             else fixed_point.UncommonSolution)
+        assert sol.z == z
+        assert tuple(sol.x0) == (
+            ("delta", "kappa", "omega", "kappa_bar", "omega_bar") if shared
+            else ("delta", "mu", "omega"))
+        warm = _evaluate(stats, shared, precoder, z, sc.sigma2,
+                         SolverSettings(), x0=sol.x0)[2]
+        assert warm.path == "warm" and warm.z == z
+        assert ("z" in rep.digest) == (precoder == "rzf")
+        assert rep.digest.get("z") == z
 
 
 class TestAnderson:
@@ -302,7 +325,7 @@ class TestIid:
             omega += 0.5 * (on - omega)
             mu += 0.5 * (mn - mu)
         sol = solve_iid_zf(u, t, c1, c2)
-        assert abs(sol.mu_u - mu) < 1e-12
+        assert abs(sol.mu - mu) < 1e-12
         assert sol.beta_val == pytest.approx(1.4124, abs=5e-5)
 
     def test_large_ris_limit(self):
@@ -323,4 +346,4 @@ class TestDegenerationLattice:
         C_list = [t * np.eye(L) for _ in range(K)]
         unc = solve_zf_uncommon(F_list, np.eye(M), C_list, TIGHT)
         iid = solve_iid_zf(u, t, K / M, K / L)
-        assert np.max(np.abs(unc.mu_u - iid.mu_u) / iid.mu_u) < 1e-8
+        assert np.max(np.abs(unc.mu - iid.mu) / iid.mu) < 1e-8

@@ -473,7 +473,7 @@ def _loop_phases_zf_common(sol, F, R, C_L, C_R, phi, u, t, p, sigma2):
     U = np.empty(L)
     for l in range(L):
         A_l = phase_perturbation(CL_root, C_R, phi, l)
-        U[l] = (_tr2(A_l, Psi_C) - sol.omega_bar_u * _tr2(A_l, PCC)) / L
+        U[l] = (_tr2(A_l, Psi_C) - sol.omega_bar * _tr2(A_l, PCC)) / L
     _, k_, o_ = _solve_checked(Pi, np.array([0.0, 0.0, 1.0]), "Pi_com(zf)")
     return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),
                      sol.m_norm, sigma2)

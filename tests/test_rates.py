@@ -81,7 +81,7 @@ class TestZfSinr:
         C_list = [0.5 * np.eye(L) for _ in range(K)]
         sol = solve_zf_uncommon(F_list, np.eye(M), C_list, TIGHT)
         rep = sinr_zf_uncommon(sol, np.ones(K), 0.3)
-        expected = M * sol.mu_u[0] / (K * 0.3)
+        expected = M * sol.mu[0] / (K * 0.3)
         assert np.allclose(rep.sinr, expected, rtol=1e-10)
 
     def test_matches_rzf_small_z(self, small_uncommon):
