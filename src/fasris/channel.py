@@ -46,8 +46,9 @@ def lin2db(x: float) -> float:
 
 
 def herm(A: np.ndarray) -> np.ndarray:
-    """Symmetrize to kill roundoff skew; input must already be near-Hermitian."""
-    return 0.5 * (A + A.conj().T)
+    """Symmetrize to kill roundoff skew; input must already be near-Hermitian.
+    A stack (..., n, n) is symmetrized matrix by matrix."""
+    return 0.5 * (A + np.swapaxes(A.conj(), -1, -2))
 
 
 def check_psd(A: np.ndarray, name: str = "matrix", tol: float = PSD_TOL) -> np.ndarray:
@@ -300,17 +301,16 @@ class Scenario:
 
     def stats_uncommon(self, s: np.ndarray | None = None,
                        phi: np.ndarray | None = None):
-        """(F_k list with gains, R, C_k list with gains, p) for the uncommon solvers."""
+        """(F, R, C, p) for the per-user solvers: F is the (K, M, M) stack of
+        u_k F_k and C the (K, L, L) stack of C_k, gains folded in."""
         K, corr = self.dims.K, self.correlations
         R = self.select_R(s)
-        F_list = []
-        for k, F in enumerate(corr.f_tot_list(K)):
-            Fk = F if s is None else select_submatrix(F, s)
-            F_list.append(self.u[k] * Fk)
-        C_list = [effective_ris_correlation(corr.C_L, phi, CR, self.t[k],
-                                            corr.root)[1]
-                  for k, CR in enumerate(corr.c_r_list(K))]
-        return F_list, R, C_list, self.p
+        F = np.stack([F if s is None else select_submatrix(F, s)
+                      for F in corr.f_tot_list(K)])
+        C = np.stack([effective_ris_correlation(corr.C_L, phi, CR, self.t[k],
+                                                corr.root)[1]
+                      for k, CR in enumerate(corr.c_r_list(K))])
+        return self.u[:, None, None] * F, R, C, self.p
 
 
 @dataclass

@@ -268,8 +268,8 @@ class _Map:
 class _UncommonMap(_Map):
     """State [delta, omega_1..K, mu_1..K] of the per-user-correlation system.
 
-    F_k and C_k are stacked once, so Psi_R and Psi_C are weighted sums over
-    the stacks. The stacks are also kept transposed and flattened, since
+    F_k and C_k come stacked, so Psi_R and Psi_C are weighted sums over the
+    stacks. The stacks are also kept transposed and flattened, since
     tr(A Psi) = vec(A^T) . vec(Psi): every trace of a map evaluation is one
     matrix-vector product, O(K M^2) instead of K matrix products.
     """
@@ -278,10 +278,10 @@ class _UncommonMap(_Map):
     anderson = 5
     sol = UncommonSolution
 
-    def __init__(self, F_list, R, C_list, z, shift, m_norm):
-        super().__init__(R, len(F_list), C_list[0].shape[0], z, shift, m_norm)
-        self.F = np.asarray(F_list, dtype=complex)      # (K, M, M)
-        self.C = np.asarray(C_list, dtype=complex)      # (K, L, L)
+    def __init__(self, F, R, C, z, shift, m_norm):
+        self.F = np.asarray(F, dtype=complex)           # (K, M, M)
+        self.C = np.asarray(C, dtype=complex)           # (K, L, L)
+        super().__init__(R, len(self.F), self.C.shape[1], z, shift, m_norm)
         self.cascaded = bool(np.any(R)) and bool(np.any(self.C))
         # rows vec(R^T), vec(F_1^T), ..., vec(F_K^T) and vec(C_k^T)
         RF = np.concatenate(([R], self.F))
@@ -441,8 +441,8 @@ def solve_rzf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
         Psi_R = (z I + sum_k [F_k + omega_k R / delta] / (M (1+mu_k)))^{-1}
         Psi_C = (I/delta + sum_k C_k / (L (1+mu_k)))^{-1}
 
-    F_k and C_k carry the per-user link gains. m_norm overrides the trace
-    normalization M when the matrices are full-size selection surrogates.
+    F_k and C_k, stacked or listed, carry the per-user link gains. m_norm
+    overrides the trace normalization M for full-size selection surrogates.
     Degenerate links (R = 0 or every C_k = 0) are branch-detected so no
     0/0 ratio is ever formed. A stalled direct solve falls back to
     z-continuation (`path == "continuation"`).
@@ -542,7 +542,7 @@ def solve_iid_zf(u: float, t: float, c1: float, c2: float) -> IidSolution:
 # ---------------------------------------------------------------------------
 
 def backsubstitution_residual(sol, F=None, R=None, C=None, u=None, t=None,
-                              F_list=None, C_list=None, z=None) -> float:
+                              F_list=None, C_list=None) -> float:
     """One extra step of the fixed-point equations at the returned solution;
     max relative change. The shared regime evaluates the trace formulas of
     `solve_rzf_common` on the solution's explicit-inverse Psi_R, Psi_C and

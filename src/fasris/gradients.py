@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import herm, phase_matrix, psd_sqrt
+from .channel import effective_ris_correlation, psd_sqrt
 from .fixed_point import CommonSolution, UncommonSolution
 from .rates import (SecondOrderCommon, SecondOrderUncommon, _checked,
                     _solve_checked, common_pi, rzf_sinr, uncommon_pi)
@@ -48,14 +48,13 @@ def phase_perturbation(CL_root: np.ndarray, C_R: np.ndarray, phi: np.ndarray,
 
     Equals C_L^{1/2} (G_l o C_R) C_L^{1/2} with o the entry-wise product;
     G_l o C_R is supported on row/column l only, so the result is the
-    Hermitian rank-<=2 matrix w s^T + (w s^T)^H.
+    Hermitian rank-<=2 matrix w s^T + (w s^T)^H. A (K, L, L) stack of C_R
+    gives the (K, L, L) stack of derivatives.
     """
-    b = 1j * np.exp(1j * (phi[l] - phi)) * C_R[l, :]
-    b[l] = 0.0
-    w = CL_root[:, l]
-    s = CL_root.T @ b
-    ws = np.outer(w, s)
-    return ws + ws.conj().T
+    b = 1j * np.exp(1j * (phi[l] - phi)) * C_R[..., l, :]
+    b[..., l] = 0.0
+    ws = CL_root[:, l, None] * (b @ CL_root)[..., None, :]    # w s^T
+    return ws + np.swapaxes(ws.conj(), -1, -2)
 
 
 def _tr2(A: np.ndarray, B: np.ndarray) -> float:
@@ -226,14 +225,15 @@ def _sinr_chain(gam, Dk, p, mu, mu_, Psi_kl, Psi_kl_, Cbar, Cbar_, sigma2, L):
 # ---------------------------------------------------------------------------
 
 def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
-                                 C_list: list[np.ndarray], C_L: np.ndarray,
-                                 C_R_list: list[np.ndarray], t: np.ndarray,
+                                 C_list: np.ndarray, C_L: np.ndarray,
+                                 C_R_list: np.ndarray, t: np.ndarray,
                                  phi: np.ndarray, p: np.ndarray,
                                  sigma2: float, root=psd_sqrt) -> np.ndarray:
-    """d ESR_RZF / d phi_l, per-user-correlation regime (bits)."""
+    """d ESR_RZF / d phi_l, per-user-correlation regime (bits). C_list and
+    C_R_list are the (K, L, L) stacks of C_k and C_{R,k} (lists work too)."""
     sol = so.sol
-    F_list, R = so.F_list, so.R
-    K = len(F_list)
+    F, R = so.F, so.R
+    K = len(F)
     M = sol.m_norm
     L = C_L.shape[0]
     mu, omega, delta = sol.mu, sol.omega, sol.delta
@@ -244,6 +244,7 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
     if delta == 0.0 or np.all(t == 0.0):
         return np.zeros(len(phi))
 
+    C, C_R = np.asarray(C_list), np.asarray(C_R_list)
     CL_root = root(C_L, "C_L")
     one_mu = 1.0 + mu
     one_mu2 = one_mu ** 2
@@ -252,15 +253,15 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
     # l-independent pieces
     E, ER, D = so.E, so.ER, so.D                       # F_k Psi_R, R Psi_R, C_k Psi_C
     P2 = np.einsum("ij,kjl->kil", Psi_C, D)            # Psi_C C_k Psi_C
-    Psi_C2 = Psi_C @ Psi_C
     dinv = 1.0 / delta
     dinv2 = dinv * dinv
     solve_pi = _checked(so.Pi, "Pi")
+    W_adj = so.W[:K] - np.diag(mu)
 
     grad = np.zeros(len(phi))
     for l in range(len(phi)):
-        A = np.stack([t[k] * phase_perturbation(CL_root, C_R_list[k], phi, l)
-                      for k in range(K)])               # dC_k/dphi_l
+        # dC_k/dphi_l
+        A = t[:, None, None] * phase_perturbation(CL_root, C_R, phi, l)
 
         # explicit part of each omega_m
         trAP = np.real(np.einsum("kij,ji->k", A, Psi_C)) / L
@@ -276,7 +277,7 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
 
         om_ = e_om + so.Xi_I * d_ * dinv2 + (so.Xi / (L * one_mu2[None, :])) @ mu_
 
-        dPsiR_inv = np.einsum("k,kij->ij", -mu_ / (M * one_mu2), np.stack(F_list))
+        dPsiR_inv = np.einsum("k,kij->ij", -mu_ / (M * one_mu2), F)
         coefR = np.sum(om_ / (delta * one_mu) - omega * d_ / (delta ** 2 * one_mu)
                        - omega * mu_ / (delta * one_mu2)) / M
         dPsiR_inv = dPsiR_inv + coefR * R
@@ -284,10 +285,10 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
 
         dPsiC_inv = (-d_ * dinv2) * np.eye(L) \
             + np.einsum("k,kij->ij", 1.0 / (L * one_mu), A) \
-            - np.einsum("k,kij->ij", mu_ / (L * one_mu2), np.stack(C_list))
+            - np.einsum("k,kij->ij", mu_ / (L * one_mu2), C)
         PsiC_ = -Psi_C @ dPsiC_inv @ Psi_C
 
-        E_ = np.einsum("kij,jl->kil", np.stack(F_list), PsiR_)
+        E_ = np.einsum("kij,jl->kil", F, PsiR_)
         ER_ = R @ PsiR_
         chi_FF_ = np.real(np.einsum("kij,lji->kl", E_, E)
                           + np.einsum("kij,lji->kl", E, E_)) / M
@@ -300,7 +301,7 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
                                 + np.einsum("ij,ji->", ER, PsiR_)) / M)
 
         D_ = np.einsum("kij,jl->kil", A, Psi_C) \
-            + np.einsum("kij,jl->kil", np.stack(C_list), PsiC_)
+            + np.einsum("kij,jl->kil", C, PsiC_)
         Xi_ = np.real(np.einsum("kij,lji->kl", D_, D)
                       + np.einsum("kij,lji->kl", D, D_)) / L
         Xi_I_ = np.real(np.einsum("kij,ji->k", D_, Psi_C)
@@ -313,15 +314,11 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
         Cbar_ = float(np.sum(p * (ups_I_[:K] / one_mu2
                                   - 2.0 * so.ups_I[:K] * mu_ / one_mu ** 3)) / M)
 
-        B_ = _uncommon_interference_rhs_prime(so, mu_, d_, om_, Xi_, Xi_I_,
-                                        chi_FF_, chi_FR_, chi_RR_, M, L)
+        B_ = _uncommon_interference_rhs_prime(so, mu_, d_, om_, Xi_, chi_FF_,
+                                              chi_FR_, chi_RR_, M, L)
         W_ = solve_pi(B_ - Pi_ @ so.W)
-        W_adj = so.W[:K, :].copy()
-        W_adj[np.diag_indices(K)] -= mu
-        W_adj_ = W_[:K, :].copy()
-        W_adj_[np.diag_indices(K)] -= mu_
         Psi_kl_ = -L * (2.0 * one_mu * mu_)[None, :] * W_adj \
-            - L * one_mu2[None, :] * W_adj_
+            - L * one_mu2[None, :] * (W_[:K] - np.diag(mu_))
 
         grad[l] = _sinr_chain(gam, Dk, p, mu, mu_, so.Psi_kl, Psi_kl_,
                               so.Cbar, Cbar_, sigma2, L)
@@ -331,7 +328,7 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
 def _uncommon_pi_prime(so, mu_, d_, om_, chi_FF_, chi_FR_, chi_RR_, Xi_, Xi_I_,
                        M, L):
     sol = so.sol
-    K = len(so.F_list)
+    K = len(so.F)
     mu, omega, delta = sol.mu, sol.omega, sol.delta
     one_mu = 1.0 + mu
     one_mu2 = one_mu ** 2
@@ -363,30 +360,26 @@ def _uncommon_pi_prime(so, mu_, d_, om_, chi_FF_, chi_FR_, chi_RR_, Xi_, Xi_I_,
     return Pi_
 
 
-def _uncommon_interference_rhs_prime(so, mu_, d_, om_, Xi_, Xi_I_, chi_FF_, chi_FR_,
-                               chi_RR_, M, L):
+def _uncommon_interference_rhs_prime(so, mu_, d_, om_, Xi_, chi_FF_, chi_FR_,
+                                     chi_RR_, M, L):
+    """Derivative along one phase of the interference RHS of
+    `second_order_uncommon`, with e_om and S as there; column l of each
+    (K, K) term divides by 1 + mu_l."""
     sol = so.sol
-    K = len(so.F_list)
     mu, omega, delta = sol.mu, sol.omega, sol.delta
     one_mu = 1.0 + mu
-    B_ = np.zeros((K + 1, K))
-    for l in range(K):
-        e_om = -so.Xi[:, l] / (L * one_mu[l])
-        e_om[l] += omega[l]
-        e_om_ = -Xi_[:, l] / (L * one_mu[l]) + so.Xi[:, l] * mu_[l] / (L * one_mu[l] ** 2)
-        e_om_[l] += om_[l]
-        S_l = np.sum(e_om / (M * delta * one_mu))
-        S_l_ = np.sum(e_om_ / (M * delta * one_mu)
-                      + e_om * (-d_ / (M * delta ** 2 * one_mu)
-                                - mu_ / (M * delta * one_mu ** 2)))
-        B_[:K, l] = e_om_ - chi_FF_[:, l] / (M * one_mu[l]) \
-            + so.chi_FF[:, l] * mu_[l] / (M * one_mu[l] ** 2) \
-            - (chi_FR_ * S_l + so.chi_FR * S_l_)
-        B_[l, l] += mu_[l] - om_[l]
-        B_[K, l] = -chi_FR_[l] / (M * one_mu[l]) \
-            + so.chi_FR[l] * mu_[l] / (M * one_mu[l] ** 2) \
-            - (chi_RR_ * S_l + so.chi_RR * S_l_)
-    return B_
+    e_om = np.diag(omega) - so.Xi / (L * one_mu)
+    e_om_ = np.diag(om_) - Xi_ / (L * one_mu) + so.Xi * mu_ / (L * one_mu ** 2)
+    c = 1.0 / (M * delta * one_mu[:, None])         # S = sum_m c_m e_om[m]
+    c_ = -(d_ / delta + mu_[:, None] / one_mu[:, None]) * c
+    S = np.sum(c * e_om, axis=0)
+    S_ = np.sum(c * e_om_ + c_ * e_om, axis=0)
+    return np.vstack([e_om_ - chi_FF_ / (M * one_mu)
+                      + so.chi_FF * mu_ / (M * one_mu ** 2)
+                      - (np.outer(chi_FR_, S) + np.outer(so.chi_FR, S_))
+                      + np.diag(mu_ - om_),
+                      -chi_FR_ / (M * one_mu) + so.chi_FR * mu_ / (M * one_mu ** 2)
+                      - (chi_RR_ * S + so.chi_RR * S_)])
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +406,12 @@ def esr_gradient_phases_zf_common(sol: CommonSolution, F, R, C_L, C_R,
     L = len(phi)
     if sol.delta == 0.0 or sol.omega_bar == 0.0 or np.all(t == 0.0):
         return np.zeros(L)
-    CL_root = root(C_L, "C_L")
-    Phi = phase_matrix(phi, L)
-    C = herm(CL_root @ Phi @ C_R @ Phi.conj().T @ CL_root)
+    # the C that stats_common hands the solver, bit for bit
+    C = effective_ris_correlation(C_L, phi, C_R, 1.0, root)[1]
     Pi = common_pi(F, R, C, u, t, sol).Pi_com
     Psi_C = sol.Psi_C
     PCC = Psi_C @ (C @ Psi_C)
-    U = _phase_traces(CL_root, C_R, phi,            # explicit d omega / d phi_l
+    U = _phase_traces(root(C_L, "C_L"), C_R, phi,   # explicit d omega / d phi_l
                       [Psi_C - sol.omega_bar * PCC])[0] / L
     # every phase enters through the same RHS direction [0, 0, 1]
     _, k_, o_ = _solve_checked(Pi, np.array([0.0, 0.0, 1.0]), "Pi_com(zf)")

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (ConstraintError, Scenario, effective_ris_correlation,
-                      herm, phase_matrix)
+from .channel import ConstraintError, Scenario, herm, phase_matrix
 from .fixed_point import (DEFAULT_SETTINGS, SolverSettings, solve_rzf_common,
                           solve_rzf_uncommon, solve_zf_common,
                           solve_zf_uncommon)
@@ -212,36 +211,28 @@ class RelaxedZfObjective:
         self.M = M
         self.settings = settings
         corr = scenario.correlations
-        self.shared = corr.shared
         self.R_root = corr.root(corr.R_tot, "R_tot")
-        K = scenario.dims.K
+        # C, or the stack of C_k, does not depend on the selection
+        self.C = _stats(scenario, None, phi)[0][2]
+        self.shared = corr.shared
         if self.shared:
             self.F_root = corr.root(corr.F_tot, "F_tot")
-            _, self.C = effective_ris_correlation(corr.C_L, phi, corr.C_R, 1.0,
-                                                  corr.root)
         else:
-            # fold the per-user gain into the root so F_k(s) = u_k F_k-embedded
-            self.F_roots = [np.sqrt(scenario.u[k])
-                            * corr.root(corr.f_tot_list(K)[k], f"F_tot[{k}]")
-                            for k in range(K)]
-            self.C_list = [effective_ris_correlation(corr.C_L, phi,
-                                                     corr.c_r_list(K)[k],
-                                                     scenario.t[k], corr.root)[1]
-                           for k in range(K)]
+            # fold the per-user gain into the roots, so F_k(s) = u_k F_k(s)
+            self.F_root = np.sqrt(scenario.u)[:, None, None] * np.stack(
+                [corr.root(F, f"F_tot[{k}]")
+                 for k, F in enumerate(corr.f_tot_list(scenario.dims.K))])
         self._x0 = None
 
-    def _embed(self, root, s):
-        return herm((root * np.asarray(s, float)[None, :]) @ root)
-
     def solve(self, s: np.ndarray):
-        """(report, sol, stats) of the ZF solve on the embedded matrices."""
+        """(report, sol, stats) of the ZF solve on the embedded matrices; a
+        per-user F_root embeds user by user."""
         sc = self.scenario
-        R = self._embed(self.R_root, s)
-        if self.shared:
-            stats = (self._embed(self.F_root, s), R, self.C, sc.u, sc.t, sc.p)
-        else:
-            stats = ([self._embed(Fr, s) for Fr in self.F_roots], R,
-                     self.C_list, sc.p)
+        s = np.asarray(s, float)
+        R = herm((self.R_root * s) @ self.R_root)
+        F = herm((self.F_root * s) @ self.F_root)
+        stats = ((F, R, self.C, sc.u, sc.t, sc.p) if self.shared
+                 else (F, R, self.C, sc.p))
         rep, _, sol = _evaluate(stats, self.shared, "zf", None, sc.sigma2,
                                 self.settings, x0=self._x0, m_norm=self.M)
         self._x0 = sol.x0
@@ -251,14 +242,14 @@ class RelaxedZfObjective:
         return self.solve(s)[0].esr
 
     def gradient(self, s: np.ndarray):
-        # F and C are per-user lists outside the shared regime
+        # F and C are per-user stacks outside the shared regime
         rep, sol, (F, R, C, *_) = self.solve(s)
         sc = self.scenario
         if self.shared:
             g = esr_gradient_ports_zf_common(sol, self.R_root, self.F_root, R,
                                              F, C, sc.u, sc.t, sc.p, sc.sigma2)
         else:
-            g = esr_gradient_ports_zf_uncommon(sol, self.R_root, self.F_roots,
+            g = esr_gradient_ports_zf_uncommon(sol, self.R_root, self.F_root,
                                                R, F, C, sc.p, sc.sigma2)
         return rep.esr, g
 

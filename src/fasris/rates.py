@@ -149,23 +149,22 @@ class UncommonPi:
     Pi: np.ndarray           # (K+1,K+1)
 
 
-def uncommon_pi(F_list: list[np.ndarray], R: np.ndarray,
-                C_list: list[np.ndarray], Psi_R: np.ndarray,
-                Psi_C: np.ndarray, delta: float, omega: np.ndarray,
-                mu: np.ndarray, shift: float, M: int) -> UncommonPi:
+def uncommon_pi(F_list: np.ndarray, R: np.ndarray, C_list: np.ndarray,
+                Psi_R: np.ndarray, Psi_C: np.ndarray, delta: float,
+                omega: np.ndarray, mu: np.ndarray, shift: float,
+                M: int) -> UncommonPi:
     """Pi at a per-user fixed point, with shift + mu_k in place of 1 + mu_k.
 
-    RZF passes its solution's fields and shift 1; ZF passes its own, the
-    underlined limits, and shift 0.
+    F_list and C_list are the (K, M, M) and (K, L, L) stacks of F_k and C_k
+    (lists work too). RZF passes its solution's fields and shift 1; ZF
+    passes its own, the underlined limits, and shift 0.
     """
-    K = len(F_list)
-    L = C_list[0].shape[0]
+    E = np.asarray(F_list) @ Psi_R                       # (K, M, M)
+    ER = R @ Psi_R
+    D = np.asarray(C_list) @ Psi_C                       # (K, L, L)
+    K, L = len(E), D.shape[1]
     dinv = 0.0 if delta == 0 else 1.0 / delta
     dinv2 = dinv * dinv
-
-    E = np.stack([F @ Psi_R for F in F_list])            # (K, M, M)
-    ER = R @ Psi_R
-    D = np.stack([C @ Psi_C for C in C_list])            # (K, L, L)
 
     chi_FF = np.real(np.einsum("kij,lji->kl", E, E)) / M
     chi_FR = np.real(np.einsum("kij,ji->k", E, ER)) / M
@@ -196,11 +195,13 @@ class SecondOrderUncommon(UncommonPi):
     """Interference blocks of the per-user-correlation RZF equivalent.
 
     Keeps the trace tables and solved Pi systems so the resolvent
-    probes and the phase-gradient chain can reuse them.
+    probes and the phase-gradient chain can reuse them. ups_I is the limit
+    of (1/L)tr(Z_k Z_k^H Q Q) + (1/M)tr(F_k Q Q), k = 1..K, with that of
+    (1/M)tr(R Q Q) last.
     """
 
     sol: UncommonSolution
-    F_list: list[np.ndarray]
+    F: np.ndarray            # (K,M,M) stack of F_k
     R: np.ndarray
     ups_I: np.ndarray        # Pi^{-1} chi(I_M), length K+1
     ups_F: np.ndarray        # (K+1,K), column k = Pi^{-1} chi(F_k)
@@ -209,37 +210,23 @@ class SecondOrderUncommon(UncommonPi):
     Psi_kl: np.ndarray       # (K,K)
     Cbar: float
 
-    def chi_vec(self, Kmat: np.ndarray) -> np.ndarray:
-        """[chi(F_1,K), ..., chi(F_K,K), chi(R,K)]."""
-        M = self.sol.m_norm
-        KP = Kmat @ self.sol.Psi_R
-        v = np.empty(len(self.F_list) + 1)
-        for k, Ek in enumerate(self.E):
-            v[k] = np.real(np.trace(Ek @ KP)) / M
-        v[-1] = np.real(np.trace(self.ER @ KP)) / M
-        return v
 
-    def upsilon(self, Kmat: np.ndarray) -> np.ndarray:
-        """Deterministic limit of (1/L)tr(Z_k Z_k^H Q K Q) + (1/M)tr(F_k Q K Q),
-        k = 1..K, with the limit of (1/M)tr(R Q K Q) as the last entry."""
-        return _solve_checked(self.Pi, self.chi_vec(Kmat), "Pi")
-
-
-def second_order_uncommon(F_list: list[np.ndarray], R: np.ndarray,
-                          C_list: list[np.ndarray], p: np.ndarray,
+def second_order_uncommon(F_list: np.ndarray, R: np.ndarray,
+                          C_list: np.ndarray, p: np.ndarray,
                           sol: UncommonSolution) -> SecondOrderUncommon:
-    K = len(F_list)
+    """Second-order blocks at an RZF fixed point; F_list and C_list are the
+    (K, M, M) and (K, L, L) stacks of F_k and C_k (lists work too)."""
+    F = np.asarray(F_list)
     M = sol.m_norm
-    L = C_list[0].shape[0]
     mu, omega, delta = sol.mu, sol.omega, sol.delta
-    pi = uncommon_pi(F_list, R, C_list, sol.Psi_R, sol.Psi_C, delta, omega,
-                     mu, 1.0, M)
-    Xi, chi_FF, chi_FR, chi_RR = pi.Xi, pi.chi_FF, pi.chi_FR, pi.chi_RR
+    pi = uncommon_pi(F, R, C_list, sol.Psi_R, sol.Psi_C, delta, omega, mu,
+                     1.0, M)
+    K, L = len(F), pi.D.shape[1]
     one_mu2 = (1.0 + mu) ** 2
 
-    # chi vectors for I and every F_k; `upsilon` gives any other matrix
+    # chi vectors for I and every F_k
     chi_I = np.concatenate([pi.chi_FI, [pi.chi_RI]])
-    chi_F = np.vstack([chi_FF, chi_FR[None, :]])          # (K+1, K): column l = chi(F_l)
+    chi_F = np.vstack([pi.chi_FF, pi.chi_FR[None, :]])   # (K+1, K): column l = chi(F_l)
     solve_pi = _checked(pi.Pi, "Pi")
     ups_I = solve_pi(chi_I)
     ups_F = solve_pi(chi_F)
@@ -248,31 +235,28 @@ def second_order_uncommon(F_list: list[np.ndarray], R: np.ndarray,
     # the conditional covariance of user l. It equals -(1+mu_l)^2 times the
     # implicit derivative of mu_k when user l's covariances (F_l, C_l) are
     # scaled by (1+eps): the same Pi system with the explicit-dependence RHS.
+    # Column l of the RHS: e_om[:, l], the explicit part of each omega_m, and
+    # S_l, which enters through the omega R / delta term of Psi_R^{-1}
     one_mu = 1.0 + mu
-    B_rhs = np.zeros((K + 1, K))
-    for l in range(K):
-        e_om = -Xi[:, l] / (L * one_mu[l])               # explicit part of omega_m
-        e_om[l] += omega[l]
-        S_l = np.sum(e_om / (M * delta * one_mu)) if delta > 0 else 0.0
-        b = np.empty(K + 1)
-        b[:K] = e_om - chi_FF[:, l] / (M * one_mu[l]) - chi_FR * S_l
-        b[l] += mu[l] - omega[l]                         # tr(F_l Psi_R)/M
-        b[K] = -chi_FR[l] / (M * one_mu[l]) - chi_RR * S_l
-        B_rhs[:, l] = b
+    e_om = np.diag(omega) - pi.Xi / (L * one_mu[None, :])
+    S = (np.sum(e_om / (M * delta * one_mu[:, None]), axis=0) if delta > 0
+         else np.zeros(K))
+    B_rhs = np.vstack([e_om - pi.chi_FF / (M * one_mu[None, :])
+                       - np.outer(pi.chi_FR, S)
+                       + np.diag(mu - omega),            # tr(F_l Psi_R)/M
+                       -pi.chi_FR / (M * one_mu) - pi.chi_RR * S])
     W = solve_pi(B_rhs)
     # diagonal: scaling user l also scales its own test covariance, which
     # contributes +mu_l to d mu_l / d eps on top of the resolvent response
-    W_adj = W[:K, :].copy()
-    W_adj[np.diag_indices(K)] -= mu
-    Psi_kl = -L * one_mu2[None, :] * W_adj
+    Psi_kl = -L * one_mu2[None, :] * (W[:K] - np.diag(mu))
     Lambda_kl = Psi_kl - (L / M) * ups_F[:K, :].T        # strip (L/M) Ups_l(F_k)
     Psi_kl = _clip_psi(Psi_kl)
 
     Cbar = float(np.sum(p * ups_I[:K] / (M * one_mu2)))
 
-    return SecondOrderUncommon(**vars(pi), sol=sol, F_list=F_list, R=R,
-                               ups_I=ups_I, ups_F=ups_F, W=W,
-                               Lambda_kl=Lambda_kl, Psi_kl=Psi_kl, Cbar=Cbar)
+    return SecondOrderUncommon(**vars(pi), sol=sol, F=F, R=R, ups_I=ups_I,
+                               ups_F=ups_F, W=W, Lambda_kl=Lambda_kl,
+                               Psi_kl=Psi_kl, Cbar=Cbar)
 
 
 def sinr_rzf_uncommon(sol: UncommonSolution, F_list, R, C_list,
@@ -282,7 +266,7 @@ def sinr_rzf_uncommon(sol: UncommonSolution, F_list, R, C_list,
     """Per-user RZF SINR and ESR, per-user-correlation regime."""
     if so is None:
         so = second_order_uncommon(F_list, R, C_list, p, sol)
-    sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu, p, sigma2, C_list[0].shape[0])
+    sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu, p, sigma2, so.D.shape[1])
     return _report(sinr, "rzf/uncommon", digest, sol), so
 
 

@@ -401,7 +401,7 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
                           / np.maximum(sol.omega, 1e-6)))
         record("probe_first_order", max(d1, d2), 0.03,
                f"delta {d1:.3%}, omega {d2:.3%}")
-    upsI = so.upsilon(np.eye(R.shape[0]))[:scenario.dims.K]
+    upsI = so.ups_I[:scenario.dims.K]
     dU = float(np.max(np.abs(pr.ups_I_hat - upsI) / np.abs(upsI)))
     record("probe_quadratic_traces", dU, 0.05, "trace of Q K Q functionals")
     if no_cascade:

@@ -317,7 +317,7 @@ def test_criterion_09_resolvent_probes():
     d_mu = float(np.max(np.abs(pr.mu_hat - sol.mu) / sol.mu))
     first = max(d_delta, d_omega, d_mu)
 
-    upsI = so.upsilon(np.eye(32))[:sc.dims.K]
+    upsI = so.ups_I[:sc.dims.K]
     d_ups = float(np.max(np.abs(pr.ups_I_hat - upsI) / np.abs(upsI)))
     d_lam = float(np.max(np.abs(pr.lambda_hat - so.Lambda_kl)
                          / np.abs(so.Lambda_kl)))

@@ -518,3 +518,62 @@ class TestPhaseGradientsAgainstLoopOracle:
         g = esr_gradient_phases_zf_common(*args)
         ref = _loop_phases_zf_common(*args)
         assert np.abs(g - ref).max() < 1e-10 * np.abs(ref).max()
+
+
+def _loop_interference_rhs_prime(so, mu_, d_, om_, Xi_, chi_FF_, chi_FR_,
+                                 chi_RR_, M, L):
+    """Derivative of the interference RHS, one user column at a time."""
+    sol = so.sol
+    K = len(so.F)
+    mu, omega, delta = sol.mu, sol.omega, sol.delta
+    one_mu = 1.0 + mu
+    B_ = np.zeros((K + 1, K))
+    for l in range(K):
+        e_om = -so.Xi[:, l] / (L * one_mu[l])
+        e_om[l] += omega[l]
+        e_om_ = -Xi_[:, l] / (L * one_mu[l]) \
+            + so.Xi[:, l] * mu_[l] / (L * one_mu[l] ** 2)
+        e_om_[l] += om_[l]
+        S_l = np.sum(e_om / (M * delta * one_mu))
+        S_l_ = np.sum(e_om_ / (M * delta * one_mu)
+                      + e_om * (-d_ / (M * delta ** 2 * one_mu)
+                                - mu_ / (M * delta * one_mu ** 2)))
+        B_[:K, l] = e_om_ - chi_FF_[:, l] / (M * one_mu[l]) \
+            + so.chi_FF[:, l] * mu_[l] / (M * one_mu[l] ** 2) \
+            - (chi_FR_ * S_l + so.chi_FR * S_l_)
+        B_[l, l] += mu_[l] - om_[l]
+        B_[K, l] = -chi_FR_[l] / (M * one_mu[l]) \
+            + so.chi_FR[l] * mu_[l] / (M * one_mu[l] ** 2) \
+            - (chi_RR_ * S_l + so.chi_RR * S_l_)
+    return B_
+
+
+@pytest.mark.parametrize("case", ["cascaded", "t0", "K9"])
+def test_interference_rhs_prime_matches_per_user_loop(case):
+    from fasris.gradients import _uncommon_interference_rhs_prime
+    from fasris.rates import second_order_uncommon
+    rng = np.random.default_rng(43)
+    K = 9 if case == "K9" else 4
+    sc = random_scenario(rng, "uncommon", M=12, K=K, L=8, sigma2=0.4)
+    if case == "t0":
+        sc.t = np.zeros(K)
+    F, R, C, p = sc.stats_uncommon(phi=rng.uniform(0, 2 * np.pi, 8))
+    so = second_order_uncommon(F, R, C, p, solve_rzf_uncommon(F, R, C, 0.2))
+    # arbitrary directions: the RHS derivative is linear in them
+    args = (rng.normal(size=K), rng.normal(), rng.normal(size=K),
+            rng.normal(size=(K, K)), rng.normal(size=(K, K)),
+            rng.normal(size=K), rng.normal(), so.sol.m_norm, 8)
+    got = _uncommon_interference_rhs_prime(so, *args)
+    ref = _loop_interference_rhs_prime(so, *args)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_phase_perturbation_of_a_stack_is_the_stack_of_perturbations(rng):
+    L, K = 7, 3
+    CL_root = psd_sqrt(random_correlation(L, rng))
+    C_R = np.stack([random_correlation(L, rng) for _ in range(K)])
+    phi = rng.uniform(0, 2 * np.pi, L)
+    for l in (0, 3, L - 1):
+        got = phase_perturbation(CL_root, C_R, phi, l)
+        ref = np.stack([phase_perturbation(CL_root, CR, phi, l) for CR in C_R])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

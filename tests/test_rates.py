@@ -301,3 +301,54 @@ class TestReferenceScenarioProperties:
         assert "sinr=[" in rec and "z=0.2" in rec
         row = rep.csv_row()
         assert row["esr"] == rep.esr and "sinr_0" in row
+
+
+def _per_user_case(case):
+    """Per-user scenario and its RZF second-order blocks for one loop case:
+    a cascaded link, no cascaded link (t = 0), no RIS path (R = 0), or
+    K = 9 users, where sums over users change their summation order."""
+    rng = np.random.default_rng(41)
+    K = 9 if case == "K9" else 4
+    sc = random_scenario(rng, "uncommon", M=12, K=K, L=8, sigma2=0.4)
+    if case == "t0":
+        sc.t = np.zeros(K)
+    if case == "R0":
+        sc.correlations.R_tot = np.zeros_like(sc.correlations.R_tot)
+    F, R, C, p = sc.stats_uncommon(phi=rng.uniform(0, 2 * np.pi, 8))
+    sol = solve_rzf_uncommon(F, R, C, 0.2, TIGHT)
+    return second_order_uncommon(F, R, C, p, sol)
+
+
+def _loop_interference_blocks(so):
+    """(W, Psi_kl, Lambda_kl) with the interference RHS built one user
+    column at a time, as the oracle of the whole-array expression."""
+    sol = so.sol
+    K, M, L = len(so.F), sol.m_norm, so.D.shape[1]
+    mu, omega, delta = sol.mu, sol.omega, sol.delta
+    one_mu = 1.0 + mu
+    B_rhs = np.zeros((K + 1, K))
+    for l in range(K):
+        e_om = -so.Xi[:, l] / (L * one_mu[l])
+        e_om[l] += omega[l]
+        S_l = np.sum(e_om / (M * delta * one_mu)) if delta > 0 else 0.0
+        b = np.empty(K + 1)
+        b[:K] = e_om - so.chi_FF[:, l] / (M * one_mu[l]) - so.chi_FR * S_l
+        b[l] += mu[l] - omega[l]
+        b[K] = -so.chi_FR[l] / (M * one_mu[l]) - so.chi_RR * S_l
+        B_rhs[:, l] = b
+    W = _solve_checked(so.Pi, B_rhs, "Pi")
+    W_adj = W[:K, :].copy()
+    W_adj[np.diag_indices(K)] -= mu
+    Psi_kl = -L * one_mu[None, :] ** 2 * W_adj
+    Lambda_kl = Psi_kl - (L / M) * so.ups_F[:K, :].T
+    return W, _clip_psi(Psi_kl), Lambda_kl
+
+
+@pytest.mark.parametrize("case", ["cascaded", "t0", "R0", "K9"])
+def test_interference_rhs_matches_per_user_loop(case):
+    so = _per_user_case(case)
+    assert (so.sol.delta == 0.0) == (case == "R0")
+    assert np.all(so.sol.omega == 0.0) == (case in ("t0", "R0"))
+    for got, ref in zip((so.W, so.Psi_kl, so.Lambda_kl),
+                        _loop_interference_blocks(so)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
