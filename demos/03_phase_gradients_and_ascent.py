@@ -1,9 +1,10 @@
 """Analytic RIS phase gradients and backtracking ascent.
 
-The ESR depends on the phase shifts only through the fixed-point scalars,
-so the gradient comes from one small linear solve per element plus a chain
-rule through the interference blocks. The demo checks the analytic gradient
-against central finite differences, then climbs it.
+In the shared regime the phase shifts enter the ESR only through three
+traces against dC/dphi_l. Along each, one small Pi_com solve moves the
+fixed point and the trace tables move with it; the rate formula itself,
+evaluated by complex step, carries both to the ESR. The demo checks the
+analytic gradient against central finite differences, then climbs it.
 """
 
 import numpy as np

@@ -64,20 +64,14 @@ def load_matrix(path: str | Path) -> np.ndarray:
 # scenario construction
 # ---------------------------------------------------------------------------
 
+# each preset's builder and the preset_args it accepts, with their defaults
 PRESETS = {
-    "fig1": lambda args: sc_mod.fig1_scenario(
-        args.get("M", 24), args.get("sigma2_inv_db", 80.0),
-        K=args.get("K", 12), L=args.get("L", 32)),
-    "fig2": lambda args: sc_mod.fig2_scenario(
-        args.get("case", 1), args.get("scale", 1),
-        args.get("sigma2_inv_db", 80.0)),
-    "fig3": lambda args: sc_mod.fig3_scenario(
-        args.get("sigma2_inv_db", 80.0), K=args.get("K", 8),
-        L=args.get("L", 32), W=args.get("W", 2.0), N=args.get("N", 10))[0],
-    "fig6": lambda args: sc_mod.fig6_scenario(
-        args.get("K", 8), args.get("sigma2_inv_db", 80.0))[0],
-    "fig8": lambda args: sc_mod.fig8_scenario(
-        args.get("sigma2_inv_db", 80.0))[0],
+    "fig1": (sc_mod.fig1_scenario, {"M": 24, "sigma2_inv_db": 80.0, "K": 12, "L": 32}),
+    "fig2": (sc_mod.fig2_scenario, {"case": 1, "scale": 1, "sigma2_inv_db": 80.0}),
+    "fig3": (sc_mod.fig3_scenario,
+             {"sigma2_inv_db": 80.0, "K": 8, "L": 32, "W": 2.0, "N": 10}),
+    "fig6": (sc_mod.fig6_scenario, {"K": 8, "sigma2_inv_db": 80.0}),
+    "fig8": (sc_mod.fig8_scenario, {"sigma2_inv_db": 80.0}),
 }
 
 
@@ -95,10 +89,17 @@ def scenario_from_config(cfg: dict) -> Scenario:
         if name not in PRESETS:
             raise ConfigError(f"unknown preset {name!r}; "
                               f"choose from {sorted(PRESETS)}")
+        build, defaults = PRESETS[name]
         args = dict(block.get("preset_args", {}))
+        unknown = sorted(set(args) - set(defaults))
+        if unknown:
+            raise ConfigError(f"unknown preset_args {unknown} for {name!r}; "
+                              f"it accepts {sorted(defaults)}")
         if "sigma2_inv_db" in block:
             args.setdefault("sigma2_inv_db", block["sigma2_inv_db"])
-        return PRESETS[name](args)
+        scenario = build(**{**defaults, **args})
+        # fig3, fig6 and fig8 return (scenario, M)
+        return scenario[0] if isinstance(scenario, tuple) else scenario
 
     try:
         d = block["dims"]
@@ -219,8 +220,17 @@ def selection_from_config(cfg: dict, scenario: Scenario) -> np.ndarray | None:
         s[:M] = 1.0
         return s
     if kind == "indices":
+        idx = block["indices"]
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                   for i in idx):
+            raise ConfigError(f"selection indices must be integers: {idx}")
+        if any(not 0 <= i < M_tot for i in idx) or len(set(idx)) < len(idx):
+            raise ConfigError(f"selection indices must be distinct ports in "
+                              f"[0, {M_tot}): {idx}")
+        if "M" in block and len(idx) != M:
+            raise ConfigError(f"selection has {len(idx)} indices, M = {M}")
         s = np.zeros(M_tot)
-        s[np.asarray(block["indices"], dtype=int)] = 1.0
+        s[idx] = 1.0
         return s
     raise ConfigError(f"unknown selection type {kind!r}")
 

@@ -2,12 +2,12 @@
 
 Phase-shift gradients for the RZF rate (shared and per-user correlation)
 and the ZF rate, plus port-selection gradients of the ZF rate through the
-relaxed diag(s) embedding. The scalar sensitivities come from implicit
-differentiation of the fixed-point systems (the same Pi / Pi_com matrices
-used by the interference blocks); the rest is chain rule through the
-second-order terms. Every path is pinned to central finite differences of
-the full rate evaluation in the test suite, which is the arbiter whenever
-a printed formula and the chain rule disagree.
+relaxed diag(s) embedding. What needs matrices is written here by hand:
+implicit differentiation of the fixed point (one solve with the Pi / Pi_com
+of rates.py) and the derivatives of the trace tables. Everything after the
+tables is the rates.py formula itself, differentiated by complex step. Every
+path is pinned to central finite differences of the full rate evaluation in
+the test suite.
 
 Rates are in bits, so every gradient carries a 1/ln(2).
 """
@@ -19,7 +19,9 @@ import numpy as np
 from .channel import effective_ris_correlation, psd_sqrt
 from .fixed_point import CommonSolution, UncommonSolution
 from .rates import (SecondOrderCommon, SecondOrderUncommon, _checked,
-                    _solve_checked, common_pi, rzf_sinr, uncommon_pi)
+                    _solve_checked, _common_tables, _uncommon_tables,
+                    common_pi, common_system, uncommon_pi,
+                    uncommon_system)
 
 LN2 = np.log(2.0)
 
@@ -57,11 +59,6 @@ def phase_perturbation(CL_root: np.ndarray, C_R: np.ndarray, phi: np.ndarray,
     return ws + np.swapaxes(ws.conj(), -1, -2)
 
 
-def _tr2(A: np.ndarray, B: np.ndarray) -> float:
-    """Re tr(A B) via a flat dot; A, B square."""
-    return float(np.real(np.sum(A * B.T)))
-
-
 def _phase_traces(CL_root: np.ndarray, C_R: np.ndarray, phi: np.ndarray,
                   Xs: list[np.ndarray]) -> np.ndarray:
     """tr(A_l X) for every l and every Hermitian X in Xs, (len(Xs), L).
@@ -78,6 +75,35 @@ def _phase_traces(CL_root: np.ndarray, C_R: np.ndarray, phi: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# complex-step derivatives of the table-level formulas
+# ---------------------------------------------------------------------------
+
+def complex_step(f, x: dict, dx: dict) -> np.ndarray:
+    """Derivatives Im f(x + i h dx) / h of f at x, one per direction of dx.
+
+    x maps names to real values, dx some of those names to directions with
+    one leading batch axis; f gets x with those entries perturbed and
+    batched, the others unchanged. Exact to roundoff, with no step-size
+    cancellation, for f analytic in x (Squire & Trapp, SIAM Review 40(1),
+    1998); h is set per direction so that |h dx| <= 1e-20 |x| where x != 0.
+    """
+    n = len(next(iter(dx.values())))
+    v = np.abs(np.concatenate([np.ravel(x[name]) for name in dx]))
+    dv = np.abs(np.concatenate([np.reshape(d, (n, -1)) for d in dx.values()], axis=1))
+    live = v != 0
+    h = 1e-20 / np.maximum(np.max(dv[:, live] / v[live], axis=1, initial=0.0), 1e-20)
+    fx = f({**x, **{name: x[name] + 1j * h.reshape(n, *[1] * np.ndim(x[name])) * d
+                    for name, d in dx.items()}})
+    return np.imag(fx) / h.reshape(n, *[1] * (fx.ndim - 1))
+
+
+def _esr_along(system, x: dict, dx: dict, *args) -> np.ndarray:
+    """d ESR (bits) along each direction of dx, the SINR from system(x, *args)."""
+    return complex_step(lambda y: np.sum(np.log1p(system(y, *args)["sinr"]),
+                                         axis=-1) / LN2, x, dx)
+
+
+# ---------------------------------------------------------------------------
 # shared-correlation phase gradient (RZF)
 # ---------------------------------------------------------------------------
 
@@ -87,29 +113,22 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
     """d ESR_RZF / d phi_l, shared-correlation regime (bits); `root` takes
     C_L^{1/2}, as in effective_ris_correlation.
 
-    Every l at once: tr(A_l X) comes from `_phase_traces`, dPsi_R^{-1} =
-    alpha_l R + beta_l F makes the chi derivatives linear in (alpha_l,
-    beta_l), and each Pi_com solve takes one column per l.
+    Every phase enters through three traces tr(A_l X) against A_l =
+    dC/dphi_l: U_A drives the fixed point through one Pi_com solve, Xi_A
+    and Xi_I_A move the tables Xi and Xi_I. The ESR's derivatives along
+    those three directions come from one complex-step evaluation of
+    `common_system`; contracted with the three X, they leave one trace per
+    l, which `_phase_traces` reads for every l at once.
     """
     sol = so.sol
-    u, t, p = so.u, so.t, so.p
     F, R, C = so.F, so.R, so.C
     M = sol.m_norm
     L = C.shape[0]
     delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
-    Psi_R, Psi_C, psi_T = sol.Psi_R, sol.Psi_C, sol.psi_T
+    Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
 
     if delta == 0.0 or omega_bar == 0.0:
         return np.zeros(len(phi))          # no cascaded link: rate ignores Phi
-
-    mu = sol.mu_k(u, t)
-    gam, Dk = rzf_sinr(so.Psi_kl, so.Cbar, mu, p, sigma2, L)
-    a = L * omega * omega_bar / (M * delta ** 2)
-    tt = np.outer(t, t)
-    tu = np.outer(t, u)
-    uu = np.outer(u, u)
-    solve_pi = _checked(so.Pi_com, "Pi_com")
-    zero = np.zeros(len(phi))
 
     # Psi_C and C commute, so every product of them is Hermitian; with
     # dPsi_C = (d_/delta^2) Psi_C^2 - ob_ PCC - omega_bar Psi_C A_l Psi_C,
@@ -117,107 +136,31 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
     CP = C @ Psi_C
     PCC = Psi_C @ CP                        # Psi_C C Psi_C
     Psi_C2 = Psi_C @ Psi_C
-    CPC = CP @ C                            # C Psi_C C
-    U_A, Xi_A, Xi_I_A = _phase_traces(root(C_L, "C_L"), C_R, phi, [
-        Psi_C - omega_bar * PCC, PCC - omega_bar * (PCC @ CP),
-        Psi_C2 - 2.0 * omega_bar * (PCC @ Psi_C)]) / L
-    d_, k_, o_ = solve_pi(np.array([zero, zero, U_A]))
+    X = (Psi_C - omega_bar * PCC, PCC - omega_bar * (PCC @ CP),
+         Psi_C2 - 2.0 * omega_bar * (PCC @ Psi_C))           # U_A, Xi_A, Xi_I_A
+
+    # along U_A = 1 the fixed point moves by one Pi_com solve, and with it
+    # Psi_R (dPsi_R^{-1} = alpha R + beta F) and Psi_C
+    d_, k_, o_ = _solve_checked(so.Pi_com, np.array([0.0, 0.0, 1.0]), "Pi_com")
     kb_ = -(k_ * so.eta_UU + o_ * so.eta_TU)
     ob_ = -(k_ * so.eta_TU + o_ * so.eta_TT)
-
-    # d/dphi tr(X Psi_R Y Psi_R)/M for X, Y in (R, F, I), with dPsi_R =
-    # -(alpha Psi_R R Psi_R + beta Psi_R F Psi_R); T[a, b, c] = Re tr(P_a P_b P_c)
     alpha = (L / M) * ((o_ * omega_bar + omega * ob_) / delta
                        - omega * omega_bar * d_ / delta ** 2)
     beta = (L / M) * kb_
-    P = np.stack([R @ Psi_R, F @ Psi_R, Psi_R])
-    T = np.real(np.einsum("abij,cji->abc", P[:, None] @ P[None], P))
-
-    def chi_(x, y):
-        return -(alpha * (T[x, 0, y] + T[x, y, 0])
-                 + beta * (T[x, 1, y] + T[x, y, 1])) / M
-
-    chi_RR_, chi_RF_, chi_FF_ = chi_(0, 0), chi_(0, 1), chi_(1, 1)
-    chi_RI_, chi_FI_ = chi_(0, 2), chi_(1, 2)
-
-    psiT_ = -(np.outer(o_, t) + np.outer(k_, u)) * psi_T ** 2
-
-    def eta_(a_vec, b_vec):
-        return 2.0 * psiT_ @ (a_vec * b_vec * psi_T) / L
-
-    eta_TT_, eta_TU_, eta_UU_ = eta_(t, t), eta_(t, u), eta_(u, u)
-    eta_PT_, eta_PU_ = eta_(p, t), eta_(p, u)
-
-    Xi_ = 2.0 * (Xi_A + (d_ / delta ** 2 * _tr2(Psi_C2, CPC)
-                         - ob_ * _tr2(PCC, CPC)) / L)
-    Xi_I_ = Xi_I_A + 2.0 * (d_ / delta ** 2 * _tr2(Psi_C2, CP)
-                            - ob_ * _tr2(PCC, CP)) / L
-    Delta_ = -Xi_ * so.eta_TT - so.Xi * eta_TT_
-
-    # entry-wise derivative of Pi_com
-    a_ = (L / (M * delta ** 2)) * (o_ * omega_bar + omega * ob_) \
-        - 2.0 * a * d_ / delta
-    w_omega = omega_bar - omega * so.eta_TT
-    w_omega_ = ob_ - o_ * so.eta_TT - omega * eta_TT_
-
-    def ups_(chi_RA, chi_FA, chi_RA_, chi_FA_):
-        return (L / M) * ((o_ / delta - omega * d_ / delta ** 2)
-                          * chi_RA * so.eta_TU
-                          + (omega / delta) * (chi_RA_ * so.eta_TU
-                                               + chi_RA * eta_TU_)) \
-            + (L / M) * (chi_FA_ * so.eta_UU + chi_FA * eta_UU_)
-
-    def lam_(chi_RA, chi_FA, chi_RA_, chi_FA_):
-        return (L / M) * (chi_FA_ * so.eta_TU + chi_FA * eta_TU_) \
-            - (L / M) * (-d_ / delta ** 2 * chi_RA * w_omega
-                         + chi_RA_ * w_omega / delta
-                         + chi_RA * w_omega_ / delta)
-
-    Pi_ = np.moveaxis(np.array([
-        [-(a_ * so.chi_RR + a * chi_RR_),
-         -ups_(so.chi_RR, so.chi_RF, chi_RR_, chi_RF_),
-         -lam_(so.chi_RR, so.chi_RF, chi_RR_, chi_RF_)],
-        [-(a_ * so.chi_RF + a * chi_RF_),
-         -ups_(so.chi_RF, so.chi_FF, chi_RF_, chi_FF_),
-         -lam_(so.chi_RF, so.chi_FF, chi_RF_, chi_FF_)],
-        [-(Xi_I_ / delta ** 2 - 2.0 * so.Xi_I * d_ / delta ** 3),
-         -(Xi_ * so.eta_TU + so.Xi * eta_TU_),
-         -(Xi_ * so.eta_TT + so.Xi * eta_TT_)],
-    ]), -1, 0)                              # (L, 3, 3)
-
-    x_R_ = solve_pi(np.array([chi_RR_, chi_RF_, zero]) - (Pi_ @ so.x_R).T)
-    x_F_ = solve_pi(np.array([chi_RF_, chi_FF_, zero]) - (Pi_ @ so.x_F).T)
-    x_I_ = solve_pi(np.array([chi_RI_, chi_FI_, zero]) - (Pi_ @ so.x_I).T)
-
-    lam_zz_ = ((Xi_ + (L / M) * (Xi_ * so.eta_TU * so.x_F[2]
-                                 + so.Xi * eta_TU_ * so.x_F[2]
-                                 + so.Xi * so.eta_TU * x_F_[2])
-                + (L / M) * (Xi_I_ * so.x_R[2] / delta ** 2
-                             + so.Xi_I * x_R_[2] / delta ** 2
-                             - 2.0 * so.Xi_I * so.x_R[2] * d_ / delta ** 3))
-               - so.lam_zz * Delta_) / so.Delta
-    Psi_kl_ = tt * lam_zz_[:, None, None] \
-        + (L / M) * (tu.T + tu) * x_F_[2][:, None, None] \
-        + (L / M) * uu * x_F_[1][:, None, None]
-    Cbar_ = (L / M) * (eta_PT_ * so.x_I[2] + so.eta_PT * x_I_[2]
-                       + eta_PU_ * so.x_I[1] + so.eta_PU * x_I_[1])
-
-    mu_ = np.outer(o_, t) + np.outer(k_, u)
-    return _sinr_chain(gam, Dk, p, mu, mu_, so.Psi_kl, Psi_kl_,
-                       so.Cbar, Cbar_, sigma2, L)
-
-
-def _sinr_chain(gam, Dk, p, mu, mu_, Psi_kl, Psi_kl_, Cbar, Cbar_, sigma2, L):
-    """Quotient rule through gamma_k = p_k mu_k^2 / D_k, summed into dESR
-    (bits); mu_, Psi_kl_, Cbar_ and the result may lead with an axis of l."""
-    one_mu = 1.0 + mu
-    W = Psi_kl_ / (L * one_mu ** 2) \
-        - 2.0 * Psi_kl * mu_[..., None, :] / (L * one_mu ** 3)
-    interf_ = W @ p - np.diagonal(W, axis1=-2, axis2=-1) * p
-    Dk_ = interf_ + sigma2 * (2.0 * one_mu * mu_ * Cbar
-                              + one_mu ** 2 * np.asarray(Cbar_)[..., None])
-    gam_ = p * (2.0 * mu * mu_ * Dk - mu ** 2 * Dk_) / Dk ** 2
-    return np.sum(gam_ / (1.0 + gam), axis=-1) / LN2
+    PsiR_ = -Psi_R @ (alpha * R + beta * F) @ Psi_R
+    PsiC_ = (d_ / delta ** 2) * Psi_C2 - ob_ * PCC
+    P = (R @ Psi_R, F @ Psi_R, CP)
+    P_ = (R @ PsiR_, F @ PsiR_, C @ PsiC_)
+    tables_ = _common_tables(P_, (*P, Psi_R, Psi_C), M, L)
+    rest = _common_tables(P, (*P_, PsiR_, PsiC_), M, L)
+    along_U = {"delta": d_, "kappa": k_, "omega": o_, "omega_bar": ob_,
+               **{name: v + rest[name] for name, v in tables_.items()}}
+    dx = {name: np.array([v, 0.0, 0.0]) for name, v in along_U.items()}
+    dx["Xi"][1] = 2.0                       # d Xi = 2 tr(A_l Psi_C C Psi_C)/L
+    dx["Xi_I"][2] = 1.0
+    c = _esr_along(common_system, so.x, dx, so.u, so.t, M, L, 1.0, so.p, sigma2)
+    return _phase_traces(root(C_L, "C_L"), C_R, phi,
+                         [c[0] * X[0] + c[1] * X[1] + c[2] * X[2]])[0] / L
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +173,15 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
                                  phi: np.ndarray, p: np.ndarray,
                                  sigma2: float, root=psd_sqrt) -> np.ndarray:
     """d ESR_RZF / d phi_l, per-user-correlation regime (bits). C_list and
-    C_R_list are the (K, L, L) stacks of C_k and C_{R,k} (lists work too)."""
+    C_R_list are the (K, L, L) stacks of C_k and C_{R,k} (lists work too).
+
+    Per element l, one Pi solve moves the fixed point and the trace tables
+    follow from dPsi_R and dPsi_C; the ESR's derivatives along all L
+    directions then come from one complex-step evaluation of
+    `uncommon_system`.
+    """
     sol = so.sol
     F, R = so.F, so.R
-    K = len(F)
     M = sol.m_norm
     L = C_L.shape[0]
     mu, omega, delta = sol.mu, sol.omega, sol.delta
@@ -248,17 +196,14 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
     CL_root = root(C_L, "C_L")
     one_mu = 1.0 + mu
     one_mu2 = one_mu ** 2
-    gam, Dk = rzf_sinr(so.Psi_kl, so.Cbar, mu, p, sigma2, L)
 
     # l-independent pieces
-    E, ER, D = so.E, so.ER, so.D                       # F_k Psi_R, R Psi_R, C_k Psi_C
+    x, E, ER, D = so.x, so.E, so.ER, so.D              # F_k Psi_R, R Psi_R, C_k Psi_C
     P2 = np.einsum("ij,kjl->kil", Psi_C, D)            # Psi_C C_k Psi_C
-    dinv = 1.0 / delta
-    dinv2 = dinv * dinv
+    dinv2 = 1.0 / delta ** 2
     solve_pi = _checked(so.Pi, "Pi")
-    W_adj = so.W[:K] - np.diag(mu)
 
-    grad = np.zeros(len(phi))
+    rows = []
     for l in range(len(phi)):
         # dC_k/dphi_l
         A = t[:, None, None] * phase_perturbation(CL_root, C_R, phi, l)
@@ -269,18 +214,13 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
         e_om = trAP - np.sum(trP2A / one_mu[None, :], axis=1) / L
         S = float(np.sum(e_om / (M * delta * one_mu)))
 
-        n = np.empty(K + 1)
-        n[:K] = e_om - so.chi_FR * S
-        n[K] = -so.chi_RR * S
-        w_sol = solve_pi(n)
-        mu_, d_ = w_sol[:K], w_sol[K]
+        w_sol = solve_pi(np.concatenate([e_om - x["chi_FR"] * S, [-x["chi_RR"] * S]]))
+        mu_, d_ = w_sol[:-1], w_sol[-1]
+        om_ = e_om + x["Xi_I"] * d_ * dinv2 + (x["Xi"] / (L * one_mu2[None, :])) @ mu_
 
-        om_ = e_om + so.Xi_I * d_ * dinv2 + (so.Xi / (L * one_mu2[None, :])) @ mu_
-
-        dPsiR_inv = np.einsum("k,kij->ij", -mu_ / (M * one_mu2), F)
         coefR = np.sum(om_ / (delta * one_mu) - omega * d_ / (delta ** 2 * one_mu)
                        - omega * mu_ / (delta * one_mu2)) / M
-        dPsiR_inv = dPsiR_inv + coefR * R
+        dPsiR_inv = coefR * R - np.einsum("k,kij->ij", mu_ / (M * one_mu2), F)
         PsiR_ = -Psi_R @ dPsiR_inv @ Psi_R
 
         dPsiC_inv = (-d_ * dinv2) * np.eye(L) \
@@ -288,98 +228,13 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
             - np.einsum("k,kij->ij", mu_ / (L * one_mu2), C)
         PsiC_ = -Psi_C @ dPsiC_inv @ Psi_C
 
-        E_ = np.einsum("kij,jl->kil", F, PsiR_)
-        ER_ = R @ PsiR_
-        chi_FF_ = np.real(np.einsum("kij,lji->kl", E_, E)
-                          + np.einsum("kij,lji->kl", E, E_)) / M
-        chi_FR_ = np.real(np.einsum("kij,ji->k", E_, ER)
-                          + np.einsum("kij,ji->k", E, ER_)) / M
-        chi_RR_ = 2.0 * np.real(np.einsum("ij,ji->", ER_, ER)) / M
-        chi_FI_ = np.real(np.einsum("kij,ji->k", E_, Psi_R)
-                          + np.einsum("kij,ji->k", E, PsiR_)) / M
-        chi_RI_ = float(np.real(np.einsum("ij,ji->", ER_, Psi_R)
-                                + np.einsum("ij,ji->", ER, PsiR_)) / M)
-
-        D_ = np.einsum("kij,jl->kil", A, Psi_C) \
-            + np.einsum("kij,jl->kil", C, PsiC_)
-        Xi_ = np.real(np.einsum("kij,lji->kl", D_, D)
-                      + np.einsum("kij,lji->kl", D, D_)) / L
-        Xi_I_ = np.real(np.einsum("kij,ji->k", D_, Psi_C)
-                        + np.einsum("kij,ji->k", D, PsiC_)) / L
-
-        Pi_ = _uncommon_pi_prime(so, mu_, d_, om_, chi_FF_, chi_FR_, chi_RR_,
-                                 Xi_, Xi_I_, M, L)
-
-        ups_I_ = solve_pi(np.concatenate([chi_FI_, [chi_RI_]]) - Pi_ @ so.ups_I)
-        Cbar_ = float(np.sum(p * (ups_I_[:K] / one_mu2
-                                  - 2.0 * so.ups_I[:K] * mu_ / one_mu ** 3)) / M)
-
-        B_ = _uncommon_interference_rhs_prime(so, mu_, d_, om_, Xi_, chi_FF_,
-                                              chi_FR_, chi_RR_, M, L)
-        W_ = solve_pi(B_ - Pi_ @ so.W)
-        Psi_kl_ = -L * (2.0 * one_mu * mu_)[None, :] * W_adj \
-            - L * one_mu2[None, :] * (W_[:K] - np.diag(mu_))
-
-        grad[l] = _sinr_chain(gam, Dk, p, mu, mu_, so.Psi_kl, Psi_kl_,
-                              so.Cbar, Cbar_, sigma2, L)
-    return grad
-
-
-def _uncommon_pi_prime(so, mu_, d_, om_, chi_FF_, chi_FR_, chi_RR_, Xi_, Xi_I_,
-                       M, L):
-    sol = so.sol
-    K = len(so.F)
-    mu, omega, delta = sol.mu, sol.omega, sol.delta
-    one_mu = 1.0 + mu
-    one_mu2 = one_mu ** 2
-    c = 1.0 / one_mu2
-    c_ = -2.0 * mu_ / one_mu ** 3
-    dinv2 = 1.0 / delta ** 2
-    dinv2_ = -2.0 * d_ / delta ** 3
-
-    Pi_ = np.zeros((K + 1, K + 1))
-    core = so.Xi_I[None, :] * dinv2 * so.chi_FR[:, None] + so.chi_FF
-    core_ = (Xi_I_[None, :] * dinv2 + so.Xi_I[None, :] * dinv2_) \
-        * so.chi_FR[:, None] + so.Xi_I[None, :] * dinv2 * chi_FR_[:, None] + chi_FF_
-    Pi_[:K, :K] = -(Xi_ * c[None, :] + so.Xi * c_[None, :]) / L \
-        - (core_ * c[None, :] + core * c_[None, :]) / M
-    coreR = so.Xi_I * dinv2 * so.chi_RR + so.chi_FR
-    coreR_ = (Xi_I_ * dinv2 + so.Xi_I * dinv2_) * so.chi_RR \
-        + so.Xi_I * dinv2 * chi_RR_ + chi_FR_
-    Pi_[K, :K] = -(coreR_ * c + coreR * c_) / M
-
-    wI = (omega - so.Xi_I / delta) / (M * delta ** 2 * one_mu)
-    wI_ = (om_ - Xi_I_ / delta + so.Xi_I * d_ / delta ** 2) \
-        / (M * delta ** 2 * one_mu) \
-        + (omega - so.Xi_I / delta) * (-2.0 * d_ / (M * delta ** 3 * one_mu)
-                                       - mu_ / (M * delta ** 2 * one_mu2))
-    sw, sw_ = np.sum(wI), np.sum(wI_)
-    Pi_[:K, K] = -Xi_I_ * dinv2 - so.Xi_I * dinv2_ \
-        - (sw_ * so.chi_FR + sw * chi_FR_)
-    Pi_[K, K] = -(sw_ * so.chi_RR + sw * chi_RR_)
-    return Pi_
-
-
-def _uncommon_interference_rhs_prime(so, mu_, d_, om_, Xi_, chi_FF_, chi_FR_,
-                                     chi_RR_, M, L):
-    """Derivative along one phase of the interference RHS of
-    `second_order_uncommon`, with e_om and S as there; column l of each
-    (K, K) term divides by 1 + mu_l."""
-    sol = so.sol
-    mu, omega, delta = sol.mu, sol.omega, sol.delta
-    one_mu = 1.0 + mu
-    e_om = np.diag(omega) - so.Xi / (L * one_mu)
-    e_om_ = np.diag(om_) - Xi_ / (L * one_mu) + so.Xi * mu_ / (L * one_mu ** 2)
-    c = 1.0 / (M * delta * one_mu[:, None])         # S = sum_m c_m e_om[m]
-    c_ = -(d_ / delta + mu_[:, None] / one_mu[:, None]) * c
-    S = np.sum(c * e_om, axis=0)
-    S_ = np.sum(c * e_om_ + c_ * e_om, axis=0)
-    return np.vstack([e_om_ - chi_FF_ / (M * one_mu)
-                      + so.chi_FF * mu_ / (M * one_mu ** 2)
-                      - (np.outer(chi_FR_, S) + np.outer(so.chi_FR, S_))
-                      + np.diag(mu_ - om_),
-                      -chi_FR_ / (M * one_mu) + so.chi_FR * mu_ / (M * one_mu ** 2)
-                      - (chi_RR_ * S + so.chi_RR * S_)])
+        first_ = (F @ PsiR_, R @ PsiR_, A @ Psi_C + C @ PsiC_)
+        tables_ = _uncommon_tables(first_, (E, ER, D, Psi_R, Psi_C), M)
+        rest = _uncommon_tables((E, ER, D), (*first_, PsiR_, PsiC_), M)
+        rows.append({"delta": d_, "mu": mu_, "omega": om_,
+                     **{name: v + rest[name] for name, v in tables_.items()}})
+    dx = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    return _esr_along(uncommon_system, x, dx, M, L, 1.0, p, sigma2)
 
 
 # ---------------------------------------------------------------------------

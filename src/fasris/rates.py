@@ -5,13 +5,18 @@ correlation regimes, including the second-order interference/normalization
 blocks (Psi_{k,l}, Cbar, the Pi and Delta linear systems). Also the i.i.d.
 closed forms for ZF and MRT and the minimum-port count.
 
-Each regime's second-order system is built in one place: `common_pi` gives
-the trace tables and the 3x3 Pi_com of the shared regime, `uncommon_pi` the
-trace tables and the (K+1)x(K+1) Pi of the per-user regime. The ZF
-gradients reuse both at the ZF point, where 1 + mu becomes mu.
-`SecondOrderUncommon.W` keeps the solved interference system whose rows give
-Psi_{k,l}, and `SecondOrderCommon.lam_zz` the limit of
-(1/L)tr(Z Z^H Q Z Z^H Q).
+Each regime's second-order system is built in one place. The matrix work
+ends at the trace tables; `common_system` and `uncommon_system` map the
+fixed-point state and the tables (a dict x) through Pi_com / Pi, the solved
+blocks, Psi_{k,l} and Cbar to the SINR. Both are analytic in every entry of
+x, which may lead with one batch axis, so the RZF phase gradients
+differentiate them by complex step: no entry passes through abs, a real
+part or a comparison. The one test, delta == 0, holds only without a RIS
+path, where every 1/delta term multiplies a zero. `common_pi`, `uncommon_pi`
+and `second_order_*` call them on real input; the ZF gradients read Pi at
+the ZF point, where 1 + mu becomes mu. `SecondOrderUncommon.W` keeps the
+solved interference system whose rows give Psi_{k,l}, and
+`SecondOrderCommon.lam_zz` the limit of (1/L)tr(Z Z^H Q Z Z^H Q).
 
 Rates are in bits (log2). The noise term of every RZF SINR is
 sigma^2 (1+mu_k)^2 Cbar with Cbar the per-antenna-power normalization limit
@@ -70,29 +75,33 @@ def _report(sinr: np.ndarray, regime: str, digest: dict | None,
 
 
 def _checked(A: np.ndarray, block: str):
-    """Equilibrate A and check its conditioning once; returns solve(B).
+    """Equilibrate A, or a stack of them, and check the conditioning once;
+    returns solve(B).
 
     The Pi blocks mix units (powers of delta), so rows/columns are first
     equilibrated by their max moduli; the condition limit applies to the
     scaled matrix, which reflects actual solvability rather than scaling.
-    Every right-hand side is then solved with the same scaled matrix.
+    The scaling is real and cancels in the solution, so a complex-step
+    perturbation of A passes through. Every right-hand side is then solved
+    with the same scaled matrix: a B with as many axes as A holds matrices,
+    one with an axis fewer holds vectors.
     """
-    r = np.abs(A).max(axis=1)
+    r = np.abs(A).max(axis=-1)
     r[r == 0] = 1.0
-    As = A / r[:, None]
-    c = np.abs(As).max(axis=0)
+    As = A / r[..., :, None]
+    c = np.abs(As).max(axis=-2)
     c[c == 0] = 1.0
-    As = As / c[None, :]
-    cond = np.linalg.cond(As)
+    As = As / c[..., None, :]
+    cond = np.max(np.linalg.cond(As))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise NumericalError(f"{block} block is ill-conditioned "
                              f"(equilibrated cond={cond:.3e})")
 
     def solve(B: np.ndarray) -> np.ndarray:
         B = np.asarray(B)
-        if B.ndim == 2:
-            return np.linalg.solve(As, B / r[:, None]) / c[:, None]
-        return np.linalg.solve(As, B / r) / c
+        if B.ndim == As.ndim:
+            return np.linalg.solve(As, B / r[..., :, None]) / c[..., :, None]
+        return np.linalg.solve(As, (B / r)[..., None])[..., 0] / c
     return solve
 
 
@@ -105,12 +114,14 @@ def _solve_checked(A: np.ndarray, B: np.ndarray, block: str) -> np.ndarray:
 # the per-user SINR formulas, shared by both regimes and the gradients
 # ---------------------------------------------------------------------------
 
-def rzf_sinr(Psi_kl: np.ndarray, Cbar: float, mu: np.ndarray, p, sigma2: float,
+def rzf_sinr(Psi_kl: np.ndarray, Cbar, mu: np.ndarray, p, sigma2: float,
              L: int) -> tuple[np.ndarray, np.ndarray]:
-    """RZF SINR gamma_k = p_k mu_k^2 / D_k and its denominator D_k."""
+    """RZF SINR gamma_k = p_k mu_k^2 / D_k and its denominator D_k; Psi_kl,
+    Cbar and mu may lead with one batch axis."""
     one_mu2 = (1.0 + mu) ** 2
-    interf = (Psi_kl / (L * one_mu2[None, :])) @ p - np.diag(Psi_kl) * p / (L * one_mu2)
-    Dk = interf + sigma2 * one_mu2 * Cbar
+    interf = (Psi_kl / (L * one_mu2[..., None, :])) @ p \
+        - np.diagonal(Psi_kl, axis1=-2, axis2=-1) * p / (L * one_mu2)
+    Dk = interf + sigma2 * one_mu2 * np.asarray(Cbar)[..., None]
     return p * mu ** 2 / Dk, Dk
 
 
@@ -128,6 +139,16 @@ def _clip_psi(Psi_kl: np.ndarray) -> np.ndarray:
     return np.clip(Psi_kl, 0.0, None)
 
 
+def _batch_first(A: np.ndarray) -> np.ndarray:
+    """The (n, n, ...) array A as (..., n, n)."""
+    return A.T.swapaxes(-1, -2)
+
+
+def _tr(A: np.ndarray, B: np.ndarray, n: int) -> float:
+    """Re tr(A B) / n."""
+    return np.einsum("ij,ji->", A, B).real / n
+
+
 # ---------------------------------------------------------------------------
 # second-order terms, per-user correlation (uncommon)
 # ---------------------------------------------------------------------------
@@ -136,17 +157,108 @@ def _clip_psi(Psi_kl: np.ndarray) -> np.ndarray:
 class UncommonPi:
     """Trace tables and the (K+1)x(K+1) Pi of the per-user-correlation system."""
 
+    x: dict                  # delta, mu, omega and the tables: chi_FF, Xi (K,K),
+                             # chi_FR, chi_FI, Xi_I (K,), chi_RR, chi_RI
     E: np.ndarray            # stack F_k Psi_R
     ER: np.ndarray           # R Psi_R
     D: np.ndarray            # stack C_k Psi_C
-    chi_FF: np.ndarray       # (K,K)
-    chi_FR: np.ndarray       # (K,)
-    chi_RR: float
-    chi_FI: np.ndarray
-    chi_RI: float
-    Xi: np.ndarray           # (K,K)
-    Xi_I: np.ndarray         # (K,)
     Pi: np.ndarray           # (K+1,K+1)
+
+
+def _uncommon_tables(first, second, M: int) -> dict:
+    """The per-user trace tables Re tr(X Y)/M (or /L), X from first =
+    (E, ER, D) and Y from second = (E, ER, D, Psi_R, Psi_C); E is the stack
+    F_k Psi_R, ER = R Psi_R and D the stack C_k Psi_C. Every table is
+    bilinear in the two, so its derivative is the sum of two calls."""
+    E, ER, D = first
+    E2, ER2, D2, Psi_R, Psi_C = second
+    L = D.shape[1]
+    return {"chi_FF": np.real(np.einsum("kij,lji->kl", E, E2)) / M,
+            "chi_FR": np.real(np.einsum("kij,ji->k", E, ER2)) / M,
+            "chi_RR": _tr(ER, ER2, M),
+            "chi_FI": np.real(np.einsum("kij,ji->k", E, Psi_R)) / M,
+            "chi_RI": _tr(ER, Psi_R, M),
+            "Xi": np.real(np.einsum("kij,lji->kl", D, D2)) / L,
+            "Xi_I": np.real(np.einsum("kij,ji->k", D, Psi_C)) / L}
+
+
+def _interference_rhs(x: dict, M: int, L: int) -> np.ndarray:
+    """Right-hand side of the Pi system whose solution W gives Psi_{k,l}.
+
+    Psi_{k,l}/L is the limit of tr(E_k Q E_l Q) with E_l = F_l/M + Z_l Z_l^H/L
+    the conditional covariance of user l. It equals -(1+mu_l)^2 times the
+    implicit derivative of mu_k when user l's covariances (F_l, C_l) are
+    scaled by (1+eps): the same Pi system with the explicit-dependence RHS.
+    Column l of the RHS: e_om[:, l], the explicit part of each omega_m, and
+    S_l, which enters through the omega R / delta term of Psi_R^{-1}. x is
+    as in `uncommon_system`.
+    """
+    delta = np.asarray(x["delta"])[..., None, None]
+    mu, omega, chi_FR = x["mu"], x["omega"], x["chi_FR"]
+    eye = np.eye(mu.shape[-1])
+    one_mu = 1.0 + mu
+    e_om = omega[..., None] * eye - x["Xi"] / (L * one_mu[..., None, :])
+    S = (np.sum(e_om / (M * delta * one_mu[..., :, None]), axis=-2)
+         if delta.any() else np.zeros_like(mu))
+    return np.concatenate([
+        e_om - x["chi_FF"] / (M * one_mu[..., None, :])
+        - chi_FR[..., :, None] * S[..., None, :]
+        + (mu - omega)[..., None] * eye,                 # tr(F_l Psi_R)/M
+        (-chi_FR / (M * one_mu)
+         - np.asarray(x["chi_RR"])[..., None] * S)[..., None, :]], axis=-2)
+
+
+def uncommon_system(x: dict, M: int, L: int, shift: float = 1.0, p=None,
+                    sigma2=None) -> dict:
+    """The per-user system from its fixed-point state and trace tables.
+
+    x holds delta, mu, omega and the tables of `_uncommon_tables`. Returns
+    Pi, with shift + mu_k in place of 1 + mu_k; given p, also the solved
+    blocks ups_I, ups_F, W and Psi_kl (unclipped), Cbar; given sigma2 too,
+    the RZF SINR as `sinr`. The solved blocks are RZF's (shift 1); the ZF
+    gradients take Pi at shift 0.
+    """
+    delta = np.asarray(x["delta"])[..., None]
+    mu, omega, Xi, Xi_I = x["mu"], x["omega"], x["Xi"], x["Xi_I"]
+    chi_FF, chi_FR = x["chi_FF"], x["chi_FR"]
+    chi_RR = np.asarray(x["chi_RR"])[..., None]
+    K = mu.shape[-1]
+    ris = delta.any()
+    dinv = 1.0 / delta if ris else np.zeros_like(delta)
+    dinv2 = dinv * dinv
+
+    # Pi rows 1..K / row K+1, and the Gamma(R, .) column
+    gain2 = (shift + mu) ** 2
+    wI = ((omega - Xi_I * dinv) / (M * delta ** 2 * (shift + mu)) if ris
+          else np.zeros_like(mu))
+    sw = np.sum(wI, axis=-1, keepdims=True)
+    Pi = np.zeros((*mu.shape[:-1], K + 1, K + 1),
+                  dtype=np.result_type(*x.values()))
+    Pi[..., :K, :K] = np.eye(K) - Xi / (L * gain2[..., None, :]) \
+        - (Xi_I[..., None, :] * dinv2[..., None] * chi_FR[..., :, None]
+           + chi_FF) / (M * gain2[..., None, :])
+    Pi[..., K, :K] = -(Xi_I * dinv2 * chi_RR + chi_FR) / (M * gain2)
+    Pi[..., :K, K] = -Xi_I * dinv2 - sw * chi_FR
+    Pi[..., K, K] = (1.0 - sw * chi_RR)[..., 0]
+    if p is None:
+        return {"Pi": Pi}
+
+    # chi vectors for I and every F_k: column l of ups_F = Pi^{-1} chi(F_l)
+    solve_pi = _checked(Pi, "Pi")
+    ups_I = solve_pi(np.concatenate([x["chi_FI"], np.asarray(x["chi_RI"])[..., None]],
+                                    axis=-1))
+    ups_F = solve_pi(np.concatenate([chi_FF, chi_FR[..., None, :]], axis=-2))
+    W = solve_pi(_interference_rhs(x, M, L))
+    # diagonal: scaling user l also scales its own test covariance, which
+    # contributes +mu_l to d mu_l / d eps on top of the resolvent response
+    one_mu2 = (1.0 + mu) ** 2
+    Psi_kl = -L * one_mu2[..., None, :] * (W[..., :K, :] - mu[..., None] * np.eye(K))
+    Cbar = np.sum(p * ups_I[..., :K] / (M * one_mu2), axis=-1)
+    out = {"Pi": Pi, "ups_I": ups_I, "ups_F": ups_F, "W": W,
+           "Psi_kl": Psi_kl, "Cbar": Cbar}
+    if sigma2 is not None:
+        out["sinr"] = rzf_sinr(Psi_kl, Cbar, mu, p, sigma2, L)[0]
+    return out
 
 
 def uncommon_pi(F_list: np.ndarray, R: np.ndarray, C_list: np.ndarray,
@@ -159,35 +271,11 @@ def uncommon_pi(F_list: np.ndarray, R: np.ndarray, C_list: np.ndarray,
     (lists work too). RZF passes its solution's fields and shift 1; ZF
     passes its own, the underlined limits, and shift 0.
     """
-    E = np.asarray(F_list) @ Psi_R                       # (K, M, M)
-    ER = R @ Psi_R
-    D = np.asarray(C_list) @ Psi_C                       # (K, L, L)
-    K, L = len(E), D.shape[1]
-    dinv = 0.0 if delta == 0 else 1.0 / delta
-    dinv2 = dinv * dinv
-
-    chi_FF = np.real(np.einsum("kij,lji->kl", E, E)) / M
-    chi_FR = np.real(np.einsum("kij,ji->k", E, ER)) / M
-    chi_RR = float(np.real(np.einsum("ij,ji->", ER, ER)) / M)
-    chi_FI = np.real(np.einsum("kij,ji->k", E, Psi_R)) / M
-    chi_RI = float(np.real(np.einsum("ij,ji->", ER, Psi_R)) / M)
-
-    Xi = np.real(np.einsum("kij,lji->kl", D, D)) / L
-    Xi_I = np.real(np.einsum("kij,ji->k", D, Psi_C)) / L
-
-    # Pi rows 1..K / row K+1, and the Gamma(R, .) column
-    gain2 = (shift + mu) ** 2
-    wI = (omega - Xi_I * dinv) / (M * delta ** 2 * (shift + mu)) if delta > 0 \
-        else np.zeros(K)
-    Pi = np.zeros((K + 1, K + 1))
-    Pi[:K, :K] = np.eye(K) - Xi / (L * gain2[None, :]) \
-        - (Xi_I[None, :] * dinv2 * chi_FR[:, None] + chi_FF) / (M * gain2[None, :])
-    Pi[K, :K] = -(Xi_I * dinv2 * chi_RR + chi_FR) / (M * gain2)
-    Pi[:K, K] = -Xi_I * dinv2 - np.sum(wI) * chi_FR
-    Pi[K, K] = 1.0 - np.sum(wI) * chi_RR
-    return UncommonPi(E=E, ER=ER, D=D, chi_FF=chi_FF, chi_FR=chi_FR,
-                      chi_RR=chi_RR, chi_FI=chi_FI, chi_RI=chi_RI, Xi=Xi,
-                      Xi_I=Xi_I, Pi=Pi)
+    E, ER, D = np.asarray(F_list) @ Psi_R, R @ Psi_R, np.asarray(C_list) @ Psi_C
+    x = {"delta": delta, "mu": mu, "omega": omega,
+         **_uncommon_tables((E, ER, D), (E, ER, D, Psi_R, Psi_C), M)}
+    return UncommonPi(x=x, E=E, ER=ER, D=D,
+                      **uncommon_system(x, M, D.shape[1], shift))
 
 
 @dataclass
@@ -195,7 +283,7 @@ class SecondOrderUncommon(UncommonPi):
     """Interference blocks of the per-user-correlation RZF equivalent.
 
     Keeps the trace tables and solved Pi systems so the resolvent
-    probes and the phase-gradient chain can reuse them. ups_I is the limit
+    probes and the phase gradient can reuse them. ups_I is the limit
     of (1/L)tr(Z_k Z_k^H Q Q) + (1/M)tr(F_k Q Q), k = 1..K, with that of
     (1/M)tr(R Q Q) last.
     """
@@ -218,45 +306,16 @@ def second_order_uncommon(F_list: np.ndarray, R: np.ndarray,
     (K, M, M) and (K, L, L) stacks of F_k and C_k (lists work too)."""
     F = np.asarray(F_list)
     M = sol.m_norm
-    mu, omega, delta = sol.mu, sol.omega, sol.delta
-    pi = uncommon_pi(F, R, C_list, sol.Psi_R, sol.Psi_C, delta, omega, mu,
-                     1.0, M)
-    K, L = len(F), pi.D.shape[1]
-    one_mu2 = (1.0 + mu) ** 2
-
-    # chi vectors for I and every F_k
-    chi_I = np.concatenate([pi.chi_FI, [pi.chi_RI]])
-    chi_F = np.vstack([pi.chi_FF, pi.chi_FR[None, :]])   # (K+1, K): column l = chi(F_l)
-    solve_pi = _checked(pi.Pi, "Pi")
-    ups_I = solve_pi(chi_I)
-    ups_F = solve_pi(chi_F)
-
-    # Psi_{k,l}/L is the limit of tr(E_k Q E_l Q) with E_l = F_l/M + Z_l Z_l^H/L
-    # the conditional covariance of user l. It equals -(1+mu_l)^2 times the
-    # implicit derivative of mu_k when user l's covariances (F_l, C_l) are
-    # scaled by (1+eps): the same Pi system with the explicit-dependence RHS.
-    # Column l of the RHS: e_om[:, l], the explicit part of each omega_m, and
-    # S_l, which enters through the omega R / delta term of Psi_R^{-1}
-    one_mu = 1.0 + mu
-    e_om = np.diag(omega) - pi.Xi / (L * one_mu[None, :])
-    S = (np.sum(e_om / (M * delta * one_mu[:, None]), axis=0) if delta > 0
-         else np.zeros(K))
-    B_rhs = np.vstack([e_om - pi.chi_FF / (M * one_mu[None, :])
-                       - np.outer(pi.chi_FR, S)
-                       + np.diag(mu - omega),            # tr(F_l Psi_R)/M
-                       -pi.chi_FR / (M * one_mu) - pi.chi_RR * S])
-    W = solve_pi(B_rhs)
-    # diagonal: scaling user l also scales its own test covariance, which
-    # contributes +mu_l to d mu_l / d eps on top of the resolvent response
-    Psi_kl = -L * one_mu2[None, :] * (W[:K] - np.diag(mu))
-    Lambda_kl = Psi_kl - (L / M) * ups_F[:K, :].T        # strip (L/M) Ups_l(F_k)
-    Psi_kl = _clip_psi(Psi_kl)
-
-    Cbar = float(np.sum(p * ups_I[:K] / (M * one_mu2)))
-
-    return SecondOrderUncommon(**vars(pi), sol=sol, F=F, R=R, ups_I=ups_I,
-                               ups_F=ups_F, W=W, Lambda_kl=Lambda_kl,
-                               Psi_kl=Psi_kl, Cbar=Cbar)
+    Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
+    E, ER, D = F @ Psi_R, R @ Psi_R, np.asarray(C_list) @ Psi_C
+    x = {**sol.x0, **_uncommon_tables((E, ER, D), (E, ER, D, Psi_R, Psi_C), M)}
+    K, L = len(F), D.shape[1]
+    out = uncommon_system(x, M, L, 1.0, p)
+    # strip (L/M) Ups_l(F_k)
+    Lambda_kl = out["Psi_kl"] - (L / M) * out["ups_F"][:K, :].T
+    out["Psi_kl"] = _clip_psi(out["Psi_kl"])
+    return SecondOrderUncommon(x=x, E=E, ER=ER, D=D, **out, sol=sol, F=F, R=R,
+                               Lambda_kl=Lambda_kl)
 
 
 def sinr_rzf_uncommon(sol: UncommonSolution, F_list, R, C_list,
@@ -285,48 +344,51 @@ def sinr_zf_uncommon(sol: UncommonSolution, p: np.ndarray, sigma2: float,
 class CommonPi:
     """Trace tables and the 3x3 Pi_com of the shared-correlation system."""
 
-    chi_RR: float
-    chi_RF: float
-    chi_FF: float
-    chi_RI: float
-    chi_FI: float
+    x: dict                  # fixed-point state and the tables chi_*, Xi, Xi_I
     eta_TT: float
     eta_TU: float
     eta_UU: float
-    Xi: float
-    Xi_I: float
     Pi_com: np.ndarray       # (3,3)
 
 
-def common_pi(F, R, C, u, t, sol) -> CommonPi:
-    """Pi_com at a shared-correlation fixed point, RZF or ZF.
+def _common_tables(first, second, M: int, L: int) -> dict:
+    """The shared trace tables Re tr(X Y)/M (or /L), X from first =
+    (RP, FP, CP) and Y from second = (RP, FP, CP, Psi_R, Psi_C), with
+    RP = R Psi_R, FP = F Psi_R and CP = C Psi_C; bilinear in the two, as
+    `_uncommon_tables`."""
+    RP, FP, CP = first
+    RP2, FP2, CP2, Psi_R, Psi_C = second
+    return {"chi_RR": _tr(RP, RP2, M), "chi_RF": _tr(RP, FP2, M),
+            "chi_FF": _tr(FP, FP2, M), "chi_RI": _tr(RP, Psi_R, M),
+            "chi_FI": _tr(FP, Psi_R, M), "Xi": _tr(CP, CP2, L),
+            "Xi_I": _tr(CP, Psi_C, L)}
 
-    A ZF solution (the underlined scalars) gives its own Pi_com; 1 + mu
-    versus mu enters only through sol.psi_T.
+
+def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
+                  sigma2=None) -> dict:
+    """The shared system from its fixed-point state and trace tables.
+
+    x holds delta, kappa, omega, omega_bar and the tables of
+    `_common_tables`. Returns the eta traces and Pi_com, where 1 + mu
+    versus mu (shift 1 or 0) enters only through psi_T, so a ZF state
+    gives its own Pi_com; given p, also the solved x_R, x_F, x_I, Delta,
+    lam_zz, Psi_kl (unclipped) and Cbar of RZF; given sigma2 too, the RZF
+    SINR as `sinr`.
     """
-    M = sol.m_norm
-    L = C.shape[0]
-    delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
-    Psi_R, Psi_C, psi_T = sol.Psi_R, sol.Psi_C, sol.psi_T
-    dinv = 0.0 if delta == 0 else 1.0 / delta
+    delta, omega, omega_bar = x["delta"], x["omega"], x["omega_bar"]
+    chi_RR, chi_RF, chi_FF = x["chi_RR"], x["chi_RF"], x["chi_FF"]
+    Xi, Xi_I = x["Xi"], x["Xi_I"]
+    om, ka = np.asarray(omega)[..., None], np.asarray(x["kappa"])[..., None]
+    ris = np.asarray(delta).any()
+    dinv = 1.0 / delta if ris else 0.0
     dinv2 = dinv * dinv
 
-    RP = R @ Psi_R
-    FP = F @ Psi_R
-    CP = C @ Psi_C
-    chi_RR = float(np.real(np.einsum("ij,ji->", RP, RP)) / M)
-    chi_RF = float(np.real(np.einsum("ij,ji->", RP, FP)) / M)
-    chi_FF = float(np.real(np.einsum("ij,ji->", FP, FP)) / M)
-    chi_RI = float(np.real(np.einsum("ij,ji->", RP, Psi_R)) / M)
-    chi_FI = float(np.real(np.einsum("ij,ji->", FP, Psi_R)) / M)
+    psi2 = (1.0 / (shift + om * t + ka * u)) ** 2       # psi_T^2
 
-    psi2 = psi_T ** 2
-    eta_TT = float(np.sum(t * t * psi2) / L)
-    eta_TU = float(np.sum(t * u * psi2) / L)
-    eta_UU = float(np.sum(u * u * psi2) / L)
+    def eta(a, b):
+        return np.sum(a * b * psi2, axis=-1) / L
 
-    Xi = float(np.real(np.einsum("ij,ji->", CP, CP)) / L)
-    Xi_I = float(np.real(np.einsum("ij,ji->", CP, Psi_C)) / L)
+    eta_TT, eta_TU, eta_UU = eta(t, t), eta(t, u), eta(u, u)
 
     def ups(chi_RA, chi_FA):
         return (L * omega * dinv / M) * chi_RA * eta_TU + (L / M) * chi_FA * eta_UU
@@ -335,15 +397,47 @@ def common_pi(F, R, C, u, t, sol) -> CommonPi:
         return (L / M) * chi_FA * eta_TU - (L * dinv / M) * chi_RA \
             * (omega_bar - omega * eta_TT)
 
-    a = (L * omega * omega_bar / (M * delta ** 2)) if delta > 0 else 0.0
-    Pi_com = np.array([
+    a = (L * omega * omega_bar / (M * delta ** 2)) if ris else 0.0
+    Pi_com = _batch_first(np.array([
         [1.0 - a * chi_RR, -ups(chi_RR, chi_RF), -lam(chi_RR, chi_RF)],
         [-a * chi_RF, 1.0 - ups(chi_RF, chi_FF), -lam(chi_RF, chi_FF)],
-        [-Xi_I * dinv2, -Xi * eta_TU, 1.0 - Xi * eta_TT],
-    ])
-    return CommonPi(chi_RR=chi_RR, chi_RF=chi_RF, chi_FF=chi_FF, chi_RI=chi_RI,
-                    chi_FI=chi_FI, eta_TT=eta_TT, eta_TU=eta_TU, eta_UU=eta_UU,
-                    Xi=Xi, Xi_I=Xi_I, Pi_com=Pi_com)
+        [-Xi_I * dinv2, -Xi * eta_TU, 1.0 - Xi * eta_TT]]))
+    out = {"eta_TT": eta_TT, "eta_TU": eta_TU, "eta_UU": eta_UU,
+           "Pi_com": Pi_com}
+    if p is None:
+        return out
+
+    zero = 0.0 * chi_RR
+    X = _checked(Pi_com, "Pi_com")(_batch_first(np.array([
+        [chi_RR, chi_RF, x["chi_RI"]], [chi_RF, chi_FF, x["chi_FI"]],
+        [zero, zero, zero]])))
+    x_R, x_F, x_I = X[..., 0], X[..., 1], X[..., 2]
+    Delta = 1.0 - Xi * eta_TT
+    lam_zz = (Xi + (L / M) * Xi * eta_TU * x_F[..., 2]
+              + (L / M) * Xi_I * dinv2 * x_R[..., 2]) / Delta
+    tt, tu, uu = np.outer(t, t), np.outer(t, u), np.outer(u, u)   # tu[k,l] = t_k u_l
+    Psi_kl = tt * np.asarray(lam_zz)[..., None, None] \
+        + (L / M) * (tu.T + tu) * x_F[..., 2, None, None] \
+        + (L / M) * uu * x_F[..., 1, None, None]
+    eta_PT, eta_PU = eta(p, t), eta(p, u)
+    Cbar = (L / M) * (eta_PT * x_I[..., 2] + eta_PU * x_I[..., 1])
+    out.update(eta_PT=eta_PT, eta_PU=eta_PU, Delta=Delta, x_R=x_R, x_F=x_F,
+               x_I=x_I, lam_zz=lam_zz, Psi_kl=Psi_kl, Cbar=Cbar)
+    if sigma2 is not None:
+        out["sinr"] = rzf_sinr(Psi_kl, Cbar, t * om + u * ka, p, sigma2, L)[0]
+    return out
+
+
+def common_pi(F, R, C, u, t, sol) -> CommonPi:
+    """Pi_com at a shared-correlation fixed point, RZF or ZF.
+
+    A ZF solution (the underlined scalars) gives its own Pi_com.
+    """
+    P = (R @ sol.Psi_R, F @ sol.Psi_R, C @ sol.Psi_C)
+    x = {**sol.x0, **_common_tables(P, (*P, sol.Psi_R, sol.Psi_C), sol.m_norm,
+                                    C.shape[0])}
+    return CommonPi(x=x, **common_system(
+        x, u, t, sol.m_norm, C.shape[0], 0.0 if sol.z is None else 1.0))
 
 
 @dataclass
@@ -367,39 +461,13 @@ class SecondOrderCommon(CommonPi):
 
 
 def second_order_common(F, R, C, u, t, p, sol: CommonSolution) -> SecondOrderCommon:
-    M = sol.m_norm
-    L = C.shape[0]
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
-    pi = common_pi(F, R, C, u, t, sol)
-    Xi, Xi_I = pi.Xi, pi.Xi_I
-    dinv = 0.0 if sol.delta == 0 else 1.0 / sol.delta
-    dinv2 = dinv * dinv
-
-    psi2 = sol.psi_T ** 2
-    eta_PT = float(np.sum(p * t * psi2) / L)
-    eta_PU = float(np.sum(p * u * psi2) / L)
-    Delta = 1.0 - Xi * pi.eta_TT
-
-    solve_pi = _checked(pi.Pi_com, "Pi_com")
-    x_R = solve_pi(np.array([pi.chi_RR, pi.chi_RF, 0.0]))
-    x_F = solve_pi(np.array([pi.chi_RF, pi.chi_FF, 0.0]))
-    x_I = solve_pi(np.array([pi.chi_RI, pi.chi_FI, 0.0]))
-
-    tt = np.outer(t, t)
-    tu = np.outer(t, u)       # tu[k,l] = t_k u_l
-    uu = np.outer(u, u)
-    lam_zz = (Xi + (L / M) * Xi * pi.eta_TU * x_F[2] + (L / M) * Xi_I * dinv2 * x_R[2]) / Delta
-    Psi_kl = tt * lam_zz + (L / M) * (tu.T + tu) * x_F[2] + (L / M) * uu * x_F[1]
-    Psi_kl = _clip_psi(Psi_kl)
-
-    Cbar = (L / M) * (eta_PT * x_I[2] + eta_PU * x_I[1])
-
-    return SecondOrderCommon(**vars(pi), sol=sol, F=F, R=R, C=C, u=u, t=t, p=p,
-                             eta_PT=eta_PT, eta_PU=eta_PU, Delta=Delta,
-                             x_R=x_R, x_F=x_F, x_I=x_I, lam_zz=float(lam_zz),
-                             Psi_kl=Psi_kl, Cbar=float(Cbar))
+    u, t, p = (np.asarray(v, dtype=float) for v in (u, t, p))
+    P = (R @ sol.Psi_R, F @ sol.Psi_R, C @ sol.Psi_C)
+    x = {**sol.x0, **_common_tables(P, (*P, sol.Psi_R, sol.Psi_C), sol.m_norm,
+                                    C.shape[0])}
+    out = common_system(x, u, t, sol.m_norm, C.shape[0], 1.0, p)
+    out["Psi_kl"] = _clip_psi(out["Psi_kl"])
+    return SecondOrderCommon(x=x, **out, sol=sol, F=F, R=R, C=C, u=u, t=t, p=p)
 
 
 def sinr_rzf_common(sol: CommonSolution, F, R, C, u, t, p, sigma2,

@@ -387,6 +387,13 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
     record("fd_port_gradient", _fd_deviation(obj.esr, obj.gradient(s0)[1], s0),
            1e-3, "analytic vs central differences")
 
+    sc_user = sc_mod.random_scenario(rng, "uncommon", M=10, K=3, L=6)
+    phi1 = rng.uniform(0, 2 * np.pi, 6)
+    value, value_grad = _phase_objective(sc_user, None, "rzf", None, tight)
+    record("fd_phase_gradient_uncommon",
+           _fd_deviation(value, value_grad(phi1)[1], phi1), 1e-3,
+           "per-user analytic vs central differences")
+
     # 6. resolvent probes (first and second order)
     pr = resolvent_probe(scenario, None, None, z, trials, seed)
     if _tamper is not None:

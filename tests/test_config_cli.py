@@ -130,6 +130,28 @@ class TestScenarioFromConfig:
         s = selection_from_config(cfg, sc)
         assert np.array_equal(np.flatnonzero(s), [0, 2, 5])
 
+    @pytest.mark.parametrize("block,match", [
+        ({"indices": [-1, 5, 7]}, "distinct ports in"),
+        ({"indices": [100]}, "distinct ports in"),
+        ({"indices": [5, 5, 7]}, "distinct ports in"),
+        ({"indices": [1.5, 2]}, "integers"),
+        ({"indices": [True, 2]}, "integers"),
+        ({"indices": [1, 2, 3], "M": 4}, "3 indices, M = 4"),
+    ])
+    def test_bad_selection_indices_raise(self, block, match):
+        sc = scenario_from_config(small_cfg())          # 10 ports
+        with pytest.raises(ConfigError, match=match):
+            selection_from_config({"selection": {"type": "indices", **block}},
+                                  sc)
+
+    @pytest.mark.parametrize("preset,args,key", [
+        ("fig1", {"m": 16}, "m"), ("fig3", {"M": 10}, "M")])
+    def test_unknown_preset_args_raise(self, preset, args, key):
+        cfg = {"scenario": {"preset": preset, "preset_args": args}}
+        with pytest.raises(ConfigError, match=rf"\['{key}'\] for '{preset}'; "
+                                              r"it accepts \[.*'sigma2_inv_db'"):
+            scenario_from_config(cfg)
+
 
 class TestCli:
     def _write_cfg(self, tmp_path, cfg):
@@ -248,7 +270,8 @@ class TestValidate:
         checks = validate(None, trials=400, seed=7)
         names = {c["name"] for c in checks}
         assert {"correlation_psd", "backsubstitution", "probe_first_order",
-                "probe_bilinear_traces", "de_vs_mc", "mc_block_determinism"} <= names
+                "probe_bilinear_traces", "de_vs_mc", "mc_block_determinism",
+                "fd_phase_gradient_uncommon"} <= names
         failed = [c for c in checks if not c["passed"]]
         assert not failed, f"failed checks: {failed}"
 
@@ -276,6 +299,17 @@ class TestValidate:
                             functools.partial(validate, _tamper=_scale_lambda))
         assert cli.main(["validate", "--trials", "400"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+    def test_scaled_per_user_phase_gradient_fails(self, monkeypatch, capsys):
+        from fasris import optimize
+        grad = optimize.esr_gradient_phases_uncommon
+        monkeypatch.setattr(optimize, "esr_gradient_phases_uncommon",
+                            lambda *a, **k: 1.01 * grad(*a, **k))
+        assert cli.main(["validate", "--trials", "400"]) == 1
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if "FAIL" in line]
+        assert failed == ["fd_phase_gradient_uncommon"]
 
 
 class TestFigureRecipes:

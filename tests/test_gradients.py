@@ -365,6 +365,8 @@ def _loop_phases_common(so, C_L, C_R, phi, sigma2):
     L = C.shape[0]
     delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
     Psi_R, Psi_C, psi_T = sol.Psi_R, sol.Psi_C, sol.psi_T
+    chi_RR, chi_RF, chi_FF, Xi, Xi_I = (so.x[k] for k in ("chi_RR", "chi_RF",
+                                                          "chi_FF", "Xi", "Xi_I"))
     CL_root = psd_sqrt(C_L, "C_L")
     mu = sol.mu_k(u, t)
     gam, Dk = rzf_sinr(so.Psi_kl, so.Cbar, mu, p, sigma2, L)
@@ -409,7 +411,7 @@ def _loop_phases_common(so, C_L, C_R, phi, sigma2):
         CP_ = A_l @ Psi_C + C @ PsiC_
         Xi_ = 2.0 * _tr2(CP_, CP) / L
         Xi_I_ = (_tr2(A_l, Psi_C2) + 2.0 * _tr2(CP, PsiC_)) / L
-        Delta_ = -Xi_ * so.eta_TT - so.Xi * eta_TT_
+        Delta_ = -Xi_ * so.eta_TT - Xi * eta_TT_
         a_ = (L / (M * delta ** 2)) * (o_ * omega_bar + omega * ob_) \
             - 2.0 * a * d_ / delta
         w_omega = omega_bar - omega * so.eta_TT
@@ -429,25 +431,25 @@ def _loop_phases_common(so, C_L, C_R, phi, sigma2):
                              + chi_RA * w_omega_ / delta)
 
         Pi_ = np.array([
-            [-(a_ * so.chi_RR + a * chi_RR_),
-             -ups_(so.chi_RR, so.chi_RF, chi_RR_, chi_RF_),
-             -lam_(so.chi_RR, so.chi_RF, chi_RR_, chi_RF_)],
-            [-(a_ * so.chi_RF + a * chi_RF_),
-             -ups_(so.chi_RF, so.chi_FF, chi_RF_, chi_FF_),
-             -lam_(so.chi_RF, so.chi_FF, chi_RF_, chi_FF_)],
-            [-(Xi_I_ / delta ** 2 - 2.0 * so.Xi_I * d_ / delta ** 3),
-             -(Xi_ * so.eta_TU + so.Xi * eta_TU_),
-             -(Xi_ * so.eta_TT + so.Xi * eta_TT_)],
+            [-(a_ * chi_RR + a * chi_RR_),
+             -ups_(chi_RR, chi_RF, chi_RR_, chi_RF_),
+             -lam_(chi_RR, chi_RF, chi_RR_, chi_RF_)],
+            [-(a_ * chi_RF + a * chi_RF_),
+             -ups_(chi_RF, chi_FF, chi_RF_, chi_FF_),
+             -lam_(chi_RF, chi_FF, chi_RF_, chi_FF_)],
+            [-(Xi_I_ / delta ** 2 - 2.0 * Xi_I * d_ / delta ** 3),
+             -(Xi_ * so.eta_TU + Xi * eta_TU_),
+             -(Xi_ * so.eta_TT + Xi * eta_TT_)],
         ])
         x_R_ = solve_pi(np.array([chi_RR_, chi_RF_, 0.0]) - Pi_ @ so.x_R)
         x_F_ = solve_pi(np.array([chi_RF_, chi_FF_, 0.0]) - Pi_ @ so.x_F)
         x_I_ = solve_pi(np.array([chi_RI_, chi_FI_, 0.0]) - Pi_ @ so.x_I)
         lam_zz_ = ((Xi_ + (L / M) * (Xi_ * so.eta_TU * so.x_F[2]
-                                     + so.Xi * eta_TU_ * so.x_F[2]
-                                     + so.Xi * so.eta_TU * x_F_[2])
+                                     + Xi * eta_TU_ * so.x_F[2]
+                                     + Xi * so.eta_TU * x_F_[2])
                     + (L / M) * (Xi_I_ * so.x_R[2] / delta ** 2
-                                 + so.Xi_I * x_R_[2] / delta ** 2
-                                 - 2.0 * so.Xi_I * so.x_R[2] * d_ / delta ** 3))
+                                 + Xi_I * x_R_[2] / delta ** 2
+                                 - 2.0 * Xi_I * so.x_R[2] * d_ / delta ** 3))
                    - so.lam_zz * Delta_) / so.Delta
         Psi_kl_ = tt * lam_zz_ + (L / M) * (tu.T + tu) * x_F_[2] \
             + (L / M) * uu * x_F_[1]
@@ -526,32 +528,35 @@ def _loop_interference_rhs_prime(so, mu_, d_, om_, Xi_, chi_FF_, chi_FR_,
     sol = so.sol
     K = len(so.F)
     mu, omega, delta = sol.mu, sol.omega, sol.delta
+    Xi, chi_FF, chi_FR, chi_RR = (so.x[k] for k in ("Xi", "chi_FF", "chi_FR",
+                                                    "chi_RR"))
     one_mu = 1.0 + mu
     B_ = np.zeros((K + 1, K))
     for l in range(K):
-        e_om = -so.Xi[:, l] / (L * one_mu[l])
+        e_om = -Xi[:, l] / (L * one_mu[l])
         e_om[l] += omega[l]
         e_om_ = -Xi_[:, l] / (L * one_mu[l]) \
-            + so.Xi[:, l] * mu_[l] / (L * one_mu[l] ** 2)
+            + Xi[:, l] * mu_[l] / (L * one_mu[l] ** 2)
         e_om_[l] += om_[l]
         S_l = np.sum(e_om / (M * delta * one_mu))
         S_l_ = np.sum(e_om_ / (M * delta * one_mu)
                       + e_om * (-d_ / (M * delta ** 2 * one_mu)
                                 - mu_ / (M * delta * one_mu ** 2)))
         B_[:K, l] = e_om_ - chi_FF_[:, l] / (M * one_mu[l]) \
-            + so.chi_FF[:, l] * mu_[l] / (M * one_mu[l] ** 2) \
-            - (chi_FR_ * S_l + so.chi_FR * S_l_)
+            + chi_FF[:, l] * mu_[l] / (M * one_mu[l] ** 2) \
+            - (chi_FR_ * S_l + chi_FR * S_l_)
         B_[l, l] += mu_[l] - om_[l]
         B_[K, l] = -chi_FR_[l] / (M * one_mu[l]) \
-            + so.chi_FR[l] * mu_[l] / (M * one_mu[l] ** 2) \
-            - (chi_RR_ * S_l + so.chi_RR * S_l_)
+            + chi_FR[l] * mu_[l] / (M * one_mu[l] ** 2) \
+            - (chi_RR_ * S_l + chi_RR * S_l_)
     return B_
 
 
 @pytest.mark.parametrize("case", ["cascaded", "t0", "K9"])
 def test_interference_rhs_prime_matches_per_user_loop(case):
-    from fasris.gradients import _uncommon_interference_rhs_prime
-    from fasris.rates import second_order_uncommon
+    # the complex-step JVP of the right-hand side in rates.py
+    from fasris.gradients import complex_step
+    from fasris.rates import _interference_rhs, second_order_uncommon
     rng = np.random.default_rng(43)
     K = 9 if case == "K9" else 4
     sc = random_scenario(rng, "uncommon", M=12, K=K, L=8, sigma2=0.4)
@@ -563,9 +568,43 @@ def test_interference_rhs_prime_matches_per_user_loop(case):
     args = (rng.normal(size=K), rng.normal(), rng.normal(size=K),
             rng.normal(size=(K, K)), rng.normal(size=(K, K)),
             rng.normal(size=K), rng.normal(), so.sol.m_norm, 8)
-    got = _uncommon_interference_rhs_prime(so, *args)
+    names = ("mu", "delta", "omega", "Xi", "chi_FF", "chi_FR", "chi_RR")
+    dx = {name: np.array([d]) for name, d in zip(names, args)}
+    got = complex_step(lambda x: _interference_rhs(x, so.sol.m_norm, 8),
+                       so.x, dx)[0]
     ref = _loop_interference_rhs_prime(so, *args)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("regime", ["common", "uncommon"])
+def test_complex_step_of_each_regime_matches_central_differences(regime):
+    # the SINR of each regime's table-level function along random directions
+    from fasris.gradients import complex_step
+    from fasris.rates import (common_system, second_order_common,
+                              second_order_uncommon, uncommon_system)
+    rng = np.random.default_rng(47)
+    sc = random_scenario(rng, regime, M=10, K=3, L=6, sigma2=0.3)
+    phi = rng.uniform(0, 2 * np.pi, 6)
+    if regime == "common":
+        F, R, C, u, t, p = sc.stats_common(phi=phi)
+        sol = solve_rzf_common(F, R, C, u, t, 0.2, TIGHT)
+        x = second_order_common(F, R, C, u, t, p, sol).x
+        system, args = common_system, (u, t, sol.m_norm, 6, 1.0, p, sc.sigma2)
+    else:
+        F, R, C, p = sc.stats_uncommon(phi=phi)
+        sol = solve_rzf_uncommon(F, R, C, 0.2, TIGHT)
+        x = second_order_uncommon(F, R, C, p, sol).x
+        system, args = uncommon_system, (sol.m_norm, 6, 1.0, p, sc.sigma2)
+    dx = {name: rng.normal(size=(3, *np.shape(v))) * np.abs(v)
+          for name, v in x.items()}
+    got = complex_step(lambda y: system(y, *args)["sinr"], x, dx)
+    h = 1e-6
+    for i in range(3):
+        def sinr(step):
+            return system({name: v + step * dx[name][i]
+                           for name, v in x.items()}, *args)["sinr"]
+        fd = (sinr(h) - sinr(-h)) / (2.0 * h)
+        assert np.abs(got[i] - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
 def test_phase_perturbation_of_a_stack_is_the_stack_of_perturbations(rng):

@@ -325,16 +325,18 @@ def _loop_interference_blocks(so):
     sol = so.sol
     K, M, L = len(so.F), sol.m_norm, so.D.shape[1]
     mu, omega, delta = sol.mu, sol.omega, sol.delta
+    Xi, chi_FF, chi_FR, chi_RR = (so.x[k] for k in ("Xi", "chi_FF", "chi_FR",
+                                                    "chi_RR"))
     one_mu = 1.0 + mu
     B_rhs = np.zeros((K + 1, K))
     for l in range(K):
-        e_om = -so.Xi[:, l] / (L * one_mu[l])
+        e_om = -Xi[:, l] / (L * one_mu[l])
         e_om[l] += omega[l]
         S_l = np.sum(e_om / (M * delta * one_mu)) if delta > 0 else 0.0
         b = np.empty(K + 1)
-        b[:K] = e_om - so.chi_FF[:, l] / (M * one_mu[l]) - so.chi_FR * S_l
+        b[:K] = e_om - chi_FF[:, l] / (M * one_mu[l]) - chi_FR * S_l
         b[l] += mu[l] - omega[l]
-        b[K] = -so.chi_FR[l] / (M * one_mu[l]) - so.chi_RR * S_l
+        b[K] = -chi_FR[l] / (M * one_mu[l]) - chi_RR * S_l
         B_rhs[:, l] = b
     W = _solve_checked(so.Pi, B_rhs, "Pi")
     W_adj = W[:K, :].copy()
