@@ -3,10 +3,14 @@
 For homogeneous users (equal gains, powers, shared correlations) the
 rate-optimal regularizer is K sigma^2 / M, independent of the selection and
 the phases. The demo profiles ESR(z) on the homogeneous reference scenario
-for three different (selection, phases) pairs and marks the closed form;
-the searched argmax sits within a grid step of it each time (the small
-offset is the finite-size O(1/K) remainder of the asymptotic argument).
-Writes demo_regularizer.svg next to this script.
+for three different (selection, phases) pairs and marks the closed form.
+`z_search_profile` returns the 41-point grid and its ESR values, which the
+plot shows, the grid's argmax refined by secant steps on the analytic slope
+dESR/dln z, and a width: z |g / c| with the slope g and the curvature c at
+the refined argmax, the Newton estimate of how far the stationary point
+still lies. The refined argmax sits within a grid step of the closed form
+each time (the small offset is the finite-size O(1/K) remainder of the
+asymptotic argument). Writes demo_regularizer.svg next to this script.
 """
 
 from pathlib import Path
@@ -37,7 +41,7 @@ for label, s, phi in [
     z_star, grid, vals, width = z_search_profile(scenario, s, phi)
     offset = abs(np.log10(z_star / z_closed))
     print(f"  {label:<30} argmax z = {z_star:.3e} "
-          f"({offset:.3f} decades from the closed form)")
+          f"({offset:.3f} decades from the closed form, width {width:.1e})")
     series.append({"x": grid, "y": vals, "label": label, "markers": False})
 
 svg = line_plot(series, "regularization z", "ESR [bit/s/Hz]",

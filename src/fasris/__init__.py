@@ -24,8 +24,8 @@ from .gradients import (esr_gradient_phases_common,
                         esr_gradient_phases_uncommon,
                         esr_gradient_phases_zf_common,
                         esr_gradient_ports_zf_common,
-                        esr_gradient_ports_zf_uncommon, fd_gradient,
-                        gradient_G_l, phase_perturbation)
+                        esr_gradient_ports_zf_uncommon, esr_gradient_z,
+                        fd_gradient, gradient_G_l, phase_perturbation)
 from .optimize import (OptimizationTrace, OptimizerSettings, PhaseShifts,
                        PortSelection, alternating_optimization,
                        deterministic_esr, fw_linear_oracle, fw_port_selection,

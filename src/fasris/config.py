@@ -97,6 +97,12 @@ def scenario_from_config(cfg: dict) -> Scenario:
                               f"it accepts {sorted(defaults)}")
         if "sigma2_inv_db" in block:
             args.setdefault("sigma2_inv_db", block["sigma2_inv_db"])
+        for key, value in args.items():
+            want = type(defaults[key])      # an int passes for a float
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if want is float else want):
+                raise ConfigError(f"preset_args {key!r} for {name!r} must be "
+                                  f"{want.__name__}, got {value!r}")
         scenario = build(**{**defaults, **args})
         # fig3, fig6 and fig8 return (scenario, M)
         return scenario[0] if isinstance(scenario, tuple) else scenario
@@ -213,6 +219,8 @@ def selection_from_config(cfg: dict, scenario: Scenario) -> np.ndarray | None:
         return None
     kind = block.get("type", "uniform")
     M = int(block.get("M", scenario.dims.M))
+    if kind in ("uniform", "first") and not 1 <= M <= M_tot:
+        raise ConfigError(f"selection M = {M} outside [1, {M_tot}]")
     if kind == "uniform":
         return sc_mod.uniform_selection(M, M_tot)
     if kind == "first":

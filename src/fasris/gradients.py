@@ -1,8 +1,9 @@
 """Analytic derivatives of the deterministic ESR.
 
 Phase-shift gradients for the RZF rate (shared and per-user correlation)
-and the ZF rate, plus port-selection gradients of the ZF rate through the
-relaxed diag(s) embedding. What needs matrices is written here by hand:
+and the ZF rate, the RZF rate's derivative in the regularizer z, and
+port-selection gradients of the ZF rate through the relaxed diag(s)
+embedding. What needs matrices is written here by hand:
 implicit differentiation of the fixed point (one solve with the Pi / Pi_com
 of rates.py) and the derivatives of the trace tables. Everything after the
 tables is the rates.py formula itself, differentiated by complex step. Every
@@ -18,7 +19,7 @@ import numpy as np
 
 from .channel import effective_ris_correlation, psd_sqrt
 from .fixed_point import CommonSolution, UncommonSolution
-from .rates import (SecondOrderCommon, SecondOrderUncommon, _checked,
+from .rates import (SecondOrderCommon, SecondOrderUncommon,
                     _solve_checked, _common_tables, _uncommon_tables,
                     common_pi, common_system, uncommon_pi,
                     uncommon_system)
@@ -107,6 +108,34 @@ def _esr_along(system, x: dict, dx: dict, *args) -> np.ndarray:
 # shared-correlation phase gradient (RZF)
 # ---------------------------------------------------------------------------
 
+def _common_along(so: SecondOrderCommon, d_, k_, o_, dz: float) -> dict:
+    """Derivatives of the shared state and trace tables when the fixed point
+    moves by (d_, k_, o_) in (delta, kappa, omega), the Pi_com response, and
+    dPsi_R^{-1} gains dz I (dz is 1 along z, 0 along a phase)."""
+    sol = so.sol
+    F, R, C = so.F, so.R, so.C
+    M, L = sol.m_norm, C.shape[0]
+    delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
+    Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
+    kb_ = -(k_ * so.eta_UU + o_ * so.eta_TU)
+    ob_ = -(k_ * so.eta_TU + o_ * so.eta_TT)
+    CP = C @ Psi_C
+    if delta:
+        alpha = (L / M) * ((o_ * omega_bar + omega * ob_) / delta
+                           - omega * omega_bar * d_ / delta ** 2)
+        PsiC_ = (d_ / delta ** 2) * (Psi_C @ Psi_C) - ob_ * (Psi_C @ CP)
+    else:                                   # no RIS path: R = 0, Psi_C = 0
+        alpha, PsiC_ = 0.0, 0.0 * Psi_C
+    beta = (L / M) * kb_                    # dPsi_R^{-1} = dz I + alpha R + beta F
+    PsiR_ = -Psi_R @ (dz * np.eye(len(R)) + alpha * R + beta * F) @ Psi_R
+    P = (R @ Psi_R, F @ Psi_R, CP)
+    P_ = (R @ PsiR_, F @ PsiR_, C @ PsiC_)
+    tables_ = _common_tables(P_, (*P, Psi_R, Psi_C), M, L)
+    rest = _common_tables(P, (*P_, PsiR_, PsiC_), M, L)
+    return {"delta": d_, "kappa": k_, "omega": o_, "omega_bar": ob_,
+            **{name: v + rest[name] for name, v in tables_.items()}}
+
+
 def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
                                C_R: np.ndarray, phi: np.ndarray,
                                sigma2: float, root=psd_sqrt) -> np.ndarray:
@@ -120,14 +149,10 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
     `common_system`; contracted with the three X, they leave one trace per
     l, which `_phase_traces` reads for every l at once.
     """
-    sol = so.sol
-    F, R, C = so.F, so.R, so.C
-    M = sol.m_norm
-    L = C.shape[0]
-    delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
-    Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
+    C, Psi_C, omega_bar = so.C, so.sol.Psi_C, so.sol.omega_bar
+    M, L = so.sol.m_norm, C.shape[0]
 
-    if delta == 0.0 or omega_bar == 0.0:
+    if so.sol.delta == 0.0 or omega_bar == 0.0:
         return np.zeros(len(phi))          # no cascaded link: rate ignores Phi
 
     # Psi_C and C commute, so every product of them is Hermitian; with
@@ -135,26 +160,11 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
     # the A_l terms of d omega, dXi and dXi_I are traces against A_l
     CP = C @ Psi_C
     PCC = Psi_C @ CP                        # Psi_C C Psi_C
-    Psi_C2 = Psi_C @ Psi_C
     X = (Psi_C - omega_bar * PCC, PCC - omega_bar * (PCC @ CP),
-         Psi_C2 - 2.0 * omega_bar * (PCC @ Psi_C))           # U_A, Xi_A, Xi_I_A
+         Psi_C @ Psi_C - 2.0 * omega_bar * (PCC @ Psi_C))   # U_A, Xi_A, Xi_I_A
 
-    # along U_A = 1 the fixed point moves by one Pi_com solve, and with it
-    # Psi_R (dPsi_R^{-1} = alpha R + beta F) and Psi_C
-    d_, k_, o_ = _solve_checked(so.Pi_com, np.array([0.0, 0.0, 1.0]), "Pi_com")
-    kb_ = -(k_ * so.eta_UU + o_ * so.eta_TU)
-    ob_ = -(k_ * so.eta_TU + o_ * so.eta_TT)
-    alpha = (L / M) * ((o_ * omega_bar + omega * ob_) / delta
-                       - omega * omega_bar * d_ / delta ** 2)
-    beta = (L / M) * kb_
-    PsiR_ = -Psi_R @ (alpha * R + beta * F) @ Psi_R
-    PsiC_ = (d_ / delta ** 2) * Psi_C2 - ob_ * PCC
-    P = (R @ Psi_R, F @ Psi_R, CP)
-    P_ = (R @ PsiR_, F @ PsiR_, C @ PsiC_)
-    tables_ = _common_tables(P_, (*P, Psi_R, Psi_C), M, L)
-    rest = _common_tables(P, (*P_, PsiR_, PsiC_), M, L)
-    along_U = {"delta": d_, "kappa": k_, "omega": o_, "omega_bar": ob_,
-               **{name: v + rest[name] for name, v in tables_.items()}}
+    # along U_A = 1 the fixed point moves by one Pi_com solve
+    along_U = _common_along(so, *so.solve_pi(np.array([0.0, 0.0, 1.0])), 0.0)
     dx = {name: np.array([v, 0.0, 0.0]) for name, v in along_U.items()}
     dx["Xi"][1] = 2.0                       # d Xi = 2 tr(A_l Psi_C C Psi_C)/L
     dx["Xi_I"][2] = 1.0
@@ -166,6 +176,40 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
 # ---------------------------------------------------------------------------
 # per-user-correlation phase gradient (RZF)
 # ---------------------------------------------------------------------------
+
+def _uncommon_along(so: SecondOrderUncommon, C: np.ndarray, mu_, d_, e_om,
+                    dz: float, A: np.ndarray) -> dict:
+    """`_common_along` per user: (mu, delta) move by (mu_, d_), the Pi
+    response; e_om, dz I and the stack A are the explicit parts of d omega,
+    dPsi_R^{-1} and dC_k. C is the stack of C_k."""
+    sol = so.sol
+    F, R = so.F, so.R
+    M, L = sol.m_norm, C.shape[-1]
+    mu, omega, delta = sol.mu, sol.omega, sol.delta
+    Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
+    x = so.x
+    one_mu = 1.0 + mu
+    one_mu2 = one_mu ** 2
+    dinv2 = 1.0 / delta ** 2 if delta else 0.0
+    om_ = e_om + x["Xi_I"] * d_ * dinv2 + (x["Xi"] / (L * one_mu2[None, :])) @ mu_
+
+    coefR = (np.sum(om_ / (delta * one_mu) - omega * d_ / (delta ** 2 * one_mu)
+                    - omega * mu_ / (delta * one_mu2)) / M if delta else 0.0)
+    dPsiR_inv = dz * np.eye(len(R)) + coefR * R \
+        - np.einsum("k,kij->ij", mu_ / (M * one_mu2), F)
+    PsiR_ = -Psi_R @ dPsiR_inv @ Psi_R
+
+    dPsiC_inv = (-d_ * dinv2) * np.eye(L) \
+        + np.einsum("k,kij->ij", 1.0 / (L * one_mu), A) \
+        - np.einsum("k,kij->ij", mu_ / (L * one_mu2), C)
+    PsiC_ = -Psi_C @ dPsiC_inv @ Psi_C
+
+    first_ = (F @ PsiR_, R @ PsiR_, A @ Psi_C + C @ PsiC_)
+    tables_ = _uncommon_tables(first_, (so.E, so.ER, so.D, Psi_R, Psi_C), M)
+    rest = _uncommon_tables((so.E, so.ER, so.D), (*first_, PsiR_, PsiC_), M)
+    return {"delta": d_, "mu": mu_, "omega": om_,
+            **{name: v + rest[name] for name, v in tables_.items()}}
+
 
 def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
                                  C_list: np.ndarray, C_L: np.ndarray,
@@ -180,12 +224,8 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
     directions then come from one complex-step evaluation of
     `uncommon_system`.
     """
-    sol = so.sol
-    F, R = so.F, so.R
-    M = sol.m_norm
-    L = C_L.shape[0]
-    mu, omega, delta = sol.mu, sol.omega, sol.delta
-    Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
+    M, L = so.sol.m_norm, C_L.shape[0]
+    mu, delta, Psi_C = so.sol.mu, so.sol.delta, so.sol.Psi_C
     t = np.asarray(t, dtype=float)
     p = np.asarray(p, dtype=float)
 
@@ -195,13 +235,8 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
     C, C_R = np.asarray(C_list), np.asarray(C_R_list)
     CL_root = root(C_L, "C_L")
     one_mu = 1.0 + mu
-    one_mu2 = one_mu ** 2
-
-    # l-independent pieces
-    x, E, ER, D = so.x, so.E, so.ER, so.D              # F_k Psi_R, R Psi_R, C_k Psi_C
-    P2 = np.einsum("ij,kjl->kil", Psi_C, D)            # Psi_C C_k Psi_C
-    dinv2 = 1.0 / delta ** 2
-    solve_pi = _checked(so.Pi, "Pi")
+    x = so.x
+    P2 = np.einsum("ij,kjl->kil", Psi_C, so.D)         # Psi_C C_k Psi_C
 
     rows = []
     for l in range(len(phi)):
@@ -214,27 +249,33 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
         e_om = trAP - np.sum(trP2A / one_mu[None, :], axis=1) / L
         S = float(np.sum(e_om / (M * delta * one_mu)))
 
-        w_sol = solve_pi(np.concatenate([e_om - x["chi_FR"] * S, [-x["chi_RR"] * S]]))
-        mu_, d_ = w_sol[:-1], w_sol[-1]
-        om_ = e_om + x["Xi_I"] * d_ * dinv2 + (x["Xi"] / (L * one_mu2[None, :])) @ mu_
-
-        coefR = np.sum(om_ / (delta * one_mu) - omega * d_ / (delta ** 2 * one_mu)
-                       - omega * mu_ / (delta * one_mu2)) / M
-        dPsiR_inv = coefR * R - np.einsum("k,kij->ij", mu_ / (M * one_mu2), F)
-        PsiR_ = -Psi_R @ dPsiR_inv @ Psi_R
-
-        dPsiC_inv = (-d_ * dinv2) * np.eye(L) \
-            + np.einsum("k,kij->ij", 1.0 / (L * one_mu), A) \
-            - np.einsum("k,kij->ij", mu_ / (L * one_mu2), C)
-        PsiC_ = -Psi_C @ dPsiC_inv @ Psi_C
-
-        first_ = (F @ PsiR_, R @ PsiR_, A @ Psi_C + C @ PsiC_)
-        tables_ = _uncommon_tables(first_, (E, ER, D, Psi_R, Psi_C), M)
-        rest = _uncommon_tables((E, ER, D), (*first_, PsiR_, PsiC_), M)
-        rows.append({"delta": d_, "mu": mu_, "omega": om_,
-                     **{name: v + rest[name] for name, v in tables_.items()}})
+        w_sol = so.solve_pi(np.concatenate([e_om - x["chi_FR"] * S,
+                                            [-x["chi_RR"] * S]]))
+        rows.append(_uncommon_along(so, C, w_sol[:-1], w_sol[-1], e_om, 0.0, A))
     dx = {name: np.array([row[name] for row in rows]) for name in rows[0]}
     return _esr_along(uncommon_system, x, dx, M, L, 1.0, p, sigma2)
+
+
+def esr_gradient_z(so: SecondOrderCommon | SecondOrderUncommon,
+                   C: np.ndarray, p: np.ndarray, sigma2: float) -> float:
+    """d ESR_RZF / d z (bits) in either regime; C is C, or the stack of C_k.
+
+    dPsi_R^{-1}/dz = I, so the fixed point moves by -x_I (shared) or -ups_I
+    (per-user), Pi solves that `second_order_*` already hold; the tables
+    follow, and one complex-step evaluation of the regime's system carries
+    them to the ESR."""
+    M, L = so.sol.m_norm, C.shape[-1]
+    p = np.asarray(p, dtype=float)
+    if isinstance(so, SecondOrderCommon):
+        along = _common_along(so, *(-so.x_I), 1.0)
+        system, args = common_system, (so.u, so.t, M, L, 1.0, p, sigma2)
+    else:
+        K = len(so.F)
+        along = _uncommon_along(so, C, -so.ups_I[:K], -so.ups_I[K], 0.0, 1.0,
+                                0.0 * C)
+        system, args = uncommon_system, (M, L, 1.0, p, sigma2)
+    dx = {name: np.asarray(v)[None] for name, v in along.items()}
+    return float(_esr_along(system, so.x, dx, *args)[0])
 
 
 # ---------------------------------------------------------------------------

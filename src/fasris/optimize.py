@@ -25,7 +25,7 @@ from .gradients import (esr_gradient_phases_common,
                         esr_gradient_phases_uncommon,
                         esr_gradient_phases_zf_common,
                         esr_gradient_ports_zf_common,
-                        esr_gradient_ports_zf_uncommon)
+                        esr_gradient_ports_zf_uncommon, esr_gradient_z)
 from .rates import (RateReport, sinr_rzf_common, sinr_rzf_uncommon,
                     sinr_zf_common, sinr_zf_uncommon)
 
@@ -94,11 +94,15 @@ ALPHA0 = 1.0
 BACKTRACK_C = 0.5
 MAX_HALVINGS = 40
 # z-search: Z_GRID_POINTS over Z_SPAN_DECADES either side of K sigma^2 / M,
-# and golden section down to GOLDEN_REL_WIDTH relative to z
+# secant steps on d ESR / d ln z (the first, without a curvature, Z_PROBE
+# long) until it is at most Z_SLOPE_TOL relative to the ESR
 Z_GRID_POINTS = 41
 Z_SPAN_DECADES = 4.0
-GOLDEN_REL_WIDTH = 1e-4
-# points of the z-search bracket around an incumbent, at the full grid's step
+Z_STEP_DECADES = 2.0 * Z_SPAN_DECADES / (Z_GRID_POINTS - 1)
+Z_SLOPE_TOL = 1e-6
+Z_PROBE = 1e-2
+# points of the z-search bracket around an incumbent, at the full grid's
+# step; also the most secant steps of one refinement
 Z_BRACKET_POINTS = 11
 # alternating optimization stops on this relative ESR change or round count
 AO_TOL = 1e-5
@@ -413,80 +417,126 @@ def gradient_ascent_phases(scenario: Scenario, s: np.ndarray | None, z: float | 
 # ---------------------------------------------------------------------------
 
 class _WarmRzfEsr:
-    """ESR_RZF(z) with the previous fixed point reused as the next start."""
+    """ESR_RZF(z) with the previous fixed point reused as the next start;
+    with `slope`, also d ESR / d ln z. `evals` counts the calls."""
 
     def __init__(self, scenario: Scenario, s, phi, settings: SolverSettings):
         self.sigma2 = scenario.sigma2
         self.settings = settings
         self.stats, self.shared = _stats(scenario, s, phi)
         self._x0 = None
+        self.evals = 0
 
-    def __call__(self, z: float) -> float:
-        rep, _, sol = _evaluate(self.stats, self.shared, "rzf", z, self.sigma2,
-                                self.settings, x0=self._x0)
+    def __call__(self, z: float, slope: bool = False):
+        self.evals += 1
+        rep, so, sol = _evaluate(self.stats, self.shared, "rzf", z, self.sigma2,
+                                 self.settings, x0=self._x0)
         self._x0 = sol.x0
-        return rep.esr
+        if not slope:
+            return rep.esr
+        C, p = self.stats[2], self.stats[-1]
+        return rep.esr, z * esr_gradient_z(so, C, p, self.sigma2)
 
 
-def z_search_profile(scenario: Scenario, s, phi,
-                     opt: OptimizerSettings = DEFAULT_OPT,
-                     incumbent: float | None = None):
-    """Grid + golden-section profile of ESR_RZF over z. Returns
-    (z_star, grid, values, golden_width).
-
-    The grid spans Z_SPAN_DECADES either side of K sigma^2 / M in
-    Z_GRID_POINTS points. With an incumbent z, an 11-point bracket centred
-    on it, at the same step, is swept instead; when its argmax lands on an
-    edge of the bracket the full grid is searched as without an incumbent.
+def _refine(esr_of: _WarmRzfEsr, z: float, c: float | None, lo: float,
+            hi: float):
+    """Secant steps on g = d ESR / d ln z from z, each kept only if the ESR
+    does not fall; c estimates d g / d ln z, None for a first probe of
+    Z_PROBE uphill. Stops once |g| <= Z_SLOPE_TOL |ESR| or after
+    Z_BRACKET_POINTS steps, and gives up, inside False, when the curvature
+    is not negative or a step would leave [lo, hi]. Returns (z, g, c, inside).
     """
-    esr_of = _WarmRzfEsr(scenario, s, phi, opt.solver)
+    f, g = esr_of(z, slope=True)
+    prev = None
+    for _ in range(Z_BRACKET_POINTS):
+        if abs(g) <= Z_SLOPE_TOL * abs(f):
+            break
+        if prev is not None:
+            c = (g - prev[1]) / np.log(z / prev[0])
+        if c is not None and c >= 0.0:
+            return z, g, c, False
+        z_new = z * np.exp(np.sign(g) * Z_PROBE if c is None else -g / c)
+        if not lo <= z_new <= hi:
+            return z, g, c, False
+        f_new, g_new = esr_of(z_new, slope=True)
+        if f_new >= f:
+            prev, (z, f, g) = (z, g), (z_new, f_new, g_new)
+        else:
+            prev = (z_new, g_new)      # a step that falls still sets the secant
+    return z, g, c, True
+
+
+def _profile(esr_of: _WarmRzfEsr, scenario: Scenario, s,
+             incumbent: float | None = None):
+    """`z_search_profile` on esr_of; also returns the slope at z_star."""
     if incumbent is None:
         grid = scenario.default_z(s) * np.logspace(
             -Z_SPAN_DECADES, Z_SPAN_DECADES, Z_GRID_POINTS)
     else:
-        step = 2.0 * Z_SPAN_DECADES / (Z_GRID_POINTS - 1)
         half = Z_BRACKET_POINTS // 2
-        grid = incumbent * 10.0 ** (step * np.arange(-half, half + 1))
-    # sweep from the best-conditioned (largest) z downward, warm-starting
+        grid = incumbent * 10.0 ** (Z_STEP_DECADES * np.arange(-half, half + 1))
+    # sweep from the best-conditioned (largest) z downward, warm-starting;
+    # the first point starts cold, so the values do not depend on earlier use
+    esr_of._x0 = None
     vals = np.empty(len(grid))
     for j in range(len(grid) - 1, -1, -1):
         vals[j] = esr_of(grid[j])
     i = int(np.argmax(vals))
     if incumbent is not None and i in (0, len(grid) - 1):
-        return z_search_profile(scenario, s, phi, opt)
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
+        return _profile(esr_of, scenario, s)
+    j = min(max(i, 1), len(grid) - 2)      # parabola through three points
+    c = (vals[j + 1] - 2.0 * vals[j] + vals[j - 1]) \
+        / (Z_STEP_DECADES * np.log(10.0)) ** 2
+    z, g, c, _ = _refine(esr_of, grid[i], c, grid[max(i - 1, 0)],
+                         grid[min(i + 1, len(grid) - 1)])
+    return float(z), grid, vals, float(z * abs(g / c)), g
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = esr_of(c), esr_of(d)
-    while (b - a) > GOLDEN_REL_WIDTH * max(abs(c), abs(d)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = esr_of(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = esr_of(d)
-    z_star = c if fc > fd else d
-    return float(z_star), grid, vals, float(b - a)
+
+def z_search_profile(scenario: Scenario, s, phi,
+                     opt: OptimizerSettings = DEFAULT_OPT,
+                     incumbent: float | None = None):
+    """Grid profile of ESR_RZF over z, refined from its argmax by the slope
+    d ESR / d ln z. Returns (z_star, grid, values, width).
+
+    The grid spans Z_SPAN_DECADES either side of K sigma^2 / M in
+    Z_GRID_POINTS points. With an incumbent z, an 11-point bracket centred
+    on it, at the same step, is swept instead; when its argmax lands on an
+    edge of the bracket the full grid is searched as without an incumbent.
+    Secant steps (`_refine`) then start at the argmax, with the curvature of
+    the parabola through it and its neighbours, and stay between those
+    neighbours. width = z_star |g / c|, the Newton estimate of the distance
+    from z_star to the stationary point (g the slope, c the curvature).
+    """
+    esr_of = _WarmRzfEsr(scenario, s, phi, opt.solver)
+    return _profile(esr_of, scenario, s, incumbent)[:4]
 
 
 def search_regularization(scenario: Scenario, s: np.ndarray | None,
                           phi: np.ndarray | None,
                           opt: OptimizerSettings = DEFAULT_OPT,
-                          incumbent: float | None = None) -> float:
+                          incumbent: float | None = None,
+                          report: dict | None = None) -> float:
     """Best RZF regularizer. Homogeneous scenarios shortcut to K sigma^2 / M.
 
-    `incumbent` narrows the search to a bracket around it
-    (`z_search_profile`)."""
+    Without an incumbent, the refined grid profile (`z_search_profile`).
+    With one, the secant steps start at the incumbent, so the ESR does not
+    fall below its value there; the bracket profile around it runs only
+    when a step would leave one grid step. A `report` dict receives `evals`,
+    the ESR evaluations, and `gradient_norm`, |d ESR / d ln z| at the result.
+    """
     if scenario.homogeneous:
         return scenario.default_z(s)
-    z_star, _, _, _ = z_search_profile(scenario, s, phi, opt, incumbent)
-    return z_star
+    esr_of = _WarmRzfEsr(scenario, s, phi, opt.solver)
+    inside = False
+    if incumbent is not None:
+        step = 10.0 ** Z_STEP_DECADES
+        z, g, _, inside = _refine(esr_of, incumbent, None, incumbent / step,
+                                  incumbent * step)
+    if not inside:
+        z, _, _, _, g = _profile(esr_of, scenario, s, incumbent)
+    if report is not None:
+        report.update(evals=esr_of.evals, gradient_norm=abs(float(g)))
+    return float(z)
 
 
 # ---------------------------------------------------------------------------
@@ -500,31 +550,28 @@ def alternating_optimization(scenario: Scenario, s: np.ndarray | None,
                              trace: OptimizationTrace | None = None):
     """Alternate {z search; phase ascent} at fixed port selection.
 
-    ESR is non-decreasing across outer iterations: the z update maximizes
-    over a grid that includes the incumbent, and the ascent only accepts
-    improving steps. ZF mode skips the z updates entirely.
+    ESR is non-decreasing across outer iterations: from the second round on
+    the z search starts at the incumbent and keeps a step only if the ESR
+    does not fall, and the ascent only accepts improving steps. ZF mode
+    skips the z updates entirely. Each `ao` record carries the z search's
+    `evals` and `gradient_norm` (|d ESR / d ln z| at the accepted z).
     """
     trace = trace if trace is not None else OptimizationTrace()
     phi = np.mod(np.asarray(phi0, dtype=float), 2.0 * np.pi)
     z = z0
     esr_prev = None
     for it in range(AO_MAX_ITER):
+        search = {"evals": 0}
         if precoder == "rzf":
-            # from the second round on, bracket the search around z
-            z_cand = search_regularization(scenario, s, phi, opt,
-                                           incumbent=z if it else None)
-            # keep the incumbent if the search (rarely) lands lower
-            if z is not None:
-                esr_of = _WarmRzfEsr(scenario, s, phi, opt.solver)
-                esr_keep = esr_of(z)
-                z = z_cand if esr_of(z_cand) >= esr_keep else z
-            else:
-                z = z_cand
+            # from the second round on, start the search at the incumbent
+            z = search_regularization(scenario, s, phi, opt,
+                                      incumbent=z if it else None,
+                                      report=search)
         phases, esr, stalled = gradient_ascent_phases(scenario, s, z, phi,
                                                       opt, precoder, trace)
         phi = phases.phi
         trace.add(stage="ao", iteration=it, objective=esr, z=z,
-                  stalled=stalled)
+                  stalled=stalled, **search)
         if esr_prev is not None and abs(esr - esr_prev) < AO_TOL * abs(esr_prev):
             break
         esr_prev = esr

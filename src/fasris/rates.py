@@ -27,6 +27,7 @@ same convention, and a calibration test pins the factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -216,7 +217,7 @@ def uncommon_system(x: dict, M: int, L: int, shift: float = 1.0, p=None,
     Pi, with shift + mu_k in place of 1 + mu_k; given p, also the solved
     blocks ups_I, ups_F, W and Psi_kl (unclipped), Cbar; given sigma2 too,
     the RZF SINR as `sinr`. The solved blocks are RZF's (shift 1); the ZF
-    gradients take Pi at shift 0.
+    gradients take Pi at shift 0. `solve_pi` solves with the checked Pi.
     """
     delta = np.asarray(x["delta"])[..., None]
     mu, omega, Xi, Xi_I = x["mu"], x["omega"], x["Xi"], x["Xi_I"]
@@ -255,7 +256,7 @@ def uncommon_system(x: dict, M: int, L: int, shift: float = 1.0, p=None,
     Psi_kl = -L * one_mu2[..., None, :] * (W[..., :K, :] - mu[..., None] * np.eye(K))
     Cbar = np.sum(p * ups_I[..., :K] / (M * one_mu2), axis=-1)
     out = {"Pi": Pi, "ups_I": ups_I, "ups_F": ups_F, "W": W,
-           "Psi_kl": Psi_kl, "Cbar": Cbar}
+           "Psi_kl": Psi_kl, "Cbar": Cbar, "solve_pi": solve_pi}
     if sigma2 is not None:
         out["sinr"] = rzf_sinr(Psi_kl, Cbar, mu, p, sigma2, L)[0]
     return out
@@ -297,6 +298,7 @@ class SecondOrderUncommon(UncommonPi):
     Lambda_kl: np.ndarray    # (K,K) bilinear cascaded-trace limits
     Psi_kl: np.ndarray       # (K,K)
     Cbar: float
+    solve_pi: Callable = field(repr=False)    # checked Pi solve, for gradients
 
 
 def second_order_uncommon(F_list: np.ndarray, R: np.ndarray,
@@ -372,8 +374,8 @@ def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
     `_common_tables`. Returns the eta traces and Pi_com, where 1 + mu
     versus mu (shift 1 or 0) enters only through psi_T, so a ZF state
     gives its own Pi_com; given p, also the solved x_R, x_F, x_I, Delta,
-    lam_zz, Psi_kl (unclipped) and Cbar of RZF; given sigma2 too, the RZF
-    SINR as `sinr`.
+    lam_zz, Psi_kl (unclipped) and Cbar of RZF, and `solve_pi`, the
+    checked Pi_com solve; given sigma2 too, the RZF SINR as `sinr`.
     """
     delta, omega, omega_bar = x["delta"], x["omega"], x["omega_bar"]
     chi_RR, chi_RF, chi_FF = x["chi_RR"], x["chi_RF"], x["chi_FF"]
@@ -408,7 +410,8 @@ def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
         return out
 
     zero = 0.0 * chi_RR
-    X = _checked(Pi_com, "Pi_com")(_batch_first(np.array([
+    solve_pi = _checked(Pi_com, "Pi_com")
+    X = solve_pi(_batch_first(np.array([
         [chi_RR, chi_RF, x["chi_RI"]], [chi_RF, chi_FF, x["chi_FI"]],
         [zero, zero, zero]])))
     x_R, x_F, x_I = X[..., 0], X[..., 1], X[..., 2]
@@ -422,7 +425,8 @@ def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
     eta_PT, eta_PU = eta(p, t), eta(p, u)
     Cbar = (L / M) * (eta_PT * x_I[..., 2] + eta_PU * x_I[..., 1])
     out.update(eta_PT=eta_PT, eta_PU=eta_PU, Delta=Delta, x_R=x_R, x_F=x_F,
-               x_I=x_I, lam_zz=lam_zz, Psi_kl=Psi_kl, Cbar=Cbar)
+               x_I=x_I, lam_zz=lam_zz, Psi_kl=Psi_kl, Cbar=Cbar,
+               solve_pi=solve_pi)
     if sigma2 is not None:
         out["sinr"] = rzf_sinr(Psi_kl, Cbar, t * om + u * ka, p, sigma2, L)[0]
     return out
@@ -458,6 +462,7 @@ class SecondOrderCommon(CommonPi):
     lam_zz: float            # limit of (1/L)tr(Z Z^H Q Z Z^H Q)
     Psi_kl: np.ndarray       # (K,K)
     Cbar: float
+    solve_pi: Callable = field(repr=False)    # checked Pi_com solve
 
 
 def second_order_common(F, R, C, u, t, p, sol: CommonSolution) -> SecondOrderCommon:

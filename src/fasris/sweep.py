@@ -19,9 +19,9 @@ from .config import (phases_from_config, scenario_from_config,
 from .fixed_point import SolverSettings, backsubstitution_residual
 from .gradients import fd_gradient
 from .montecarlo import _trial_rates, empirical_esr, resolvent_probe
-from .optimize import (RelaxedZfObjective, _evaluate, _phase_objective,
-                       alternating_optimization, deterministic_esr,
-                       joint_optimize, z_search_profile)
+from .optimize import (RelaxedZfObjective, _WarmRzfEsr, _evaluate,
+                       _phase_objective, alternating_optimization,
+                       deterministic_esr, joint_optimize, z_search_profile)
 from . import scenarios as sc_mod
 from .svgplot import line_plot
 
@@ -393,6 +393,12 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
     record("fd_phase_gradient_uncommon",
            _fd_deviation(value, value_grad(phi1)[1], phi1), 1e-3,
            "per-user analytic vs central differences")
+    esr_z = _WarmRzfEsr(sc_user, None, phi1, tight)
+    log_z = np.log([10.0 * sc_user.default_z()])     # a decade above K sigma^2/M
+    slope = esr_z(np.exp(log_z[0]), slope=True)[1:]
+    record("fd_z_derivative", _fd_deviation(lambda y: esr_z(np.exp(y[0])),
+                                            np.array(slope), log_z),
+           1e-3, "per-user d ESR / d ln z vs central differences")
 
     # 6. resolvent probes (first and second order)
     pr = resolvent_probe(scenario, None, None, z, trials, seed)

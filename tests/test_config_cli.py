@@ -144,6 +144,36 @@ class TestScenarioFromConfig:
             selection_from_config({"selection": {"type": "indices", **block}},
                                   sc)
 
+    @pytest.mark.parametrize("kind,M", [("first", 9), ("uniform", 9),
+                                        ("first", 0), ("uniform", 0)])
+    def test_selection_size_outside_ports_raises(self, kind, M):
+        cfg = small_cfg()
+        cfg["scenario"]["dims"] = {"M": 4, "K": 3, "L": 6, "M_tot": 6}
+        sc = scenario_from_config(cfg)
+        with pytest.raises(ConfigError, match=rf"M = {M} outside \[1, 6\]"):
+            selection_from_config({"selection": {"type": kind, "M": M}}, sc)
+
+    @pytest.mark.parametrize("preset,args,key", [
+        ("fig1", {"M": "16"}, "M"), ("fig1", {"K": 12.0}, "K"),
+        ("fig3", {"N": True}, "N"), ("fig8", {"sigma2_inv_db": "80"},
+                                     "sigma2_inv_db")])
+    def test_mistyped_preset_args_raise(self, preset, args, key):
+        cfg = {"scenario": {"preset": preset, "preset_args": args}}
+        with pytest.raises(ConfigError, match=rf"preset_args '{key}' for "
+                                              rf"'{preset}' must be"):
+            scenario_from_config(cfg)
+
+    def test_mistyped_preset_snr_raises(self):
+        # the block's own sigma2_inv_db feeds the preset like a preset_arg
+        cfg = {"scenario": {"preset": "fig8", "sigma2_inv_db": "80"}}
+        with pytest.raises(ConfigError, match="'sigma2_inv_db' for 'fig8'"):
+            scenario_from_config(cfg)
+
+    def test_int_preset_arg_for_float_default(self):
+        cfg = {"scenario": {"preset": "fig8",
+                            "preset_args": {"sigma2_inv_db": 70}}}
+        assert scenario_from_config(cfg).sigma2 == pytest.approx(1e-7)
+
     @pytest.mark.parametrize("preset,args,key", [
         ("fig1", {"m": 16}, "m"), ("fig3", {"M": 10}, "M")])
     def test_unknown_preset_args_raise(self, preset, args, key):
@@ -311,6 +341,16 @@ class TestValidate:
                   if "FAIL" in line]
         assert failed == ["fd_phase_gradient_uncommon"]
 
+    def test_scaled_z_derivative_fails(self, monkeypatch, capsys):
+        from fasris import optimize
+        grad = optimize.esr_gradient_z
+        monkeypatch.setattr(optimize, "esr_gradient_z",
+                            lambda *a, **k: 1.01 * grad(*a, **k))
+        assert cli.main(["validate", "--trials", "400"]) == 1
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if "FAIL" in line]
+        assert failed == ["fd_z_derivative"]
+
 
 class TestFigureRecipes:
     def test_fig1_csv_structure(self, tmp_path):
@@ -389,6 +429,10 @@ class TestCliJoint:
             assert len(row) == 11
             if row["stage"] == "phases":
                 assert int(row["evals"]) == int(row["halvings"]) + 1
+            elif row["stage"] == "ao":
+                # the z search's evaluations and |d ESR / d ln z| at its z
+                assert row["halvings"] == "" and int(row["evals"]) >= 1
+                assert 0.0 <= float(row["gradient_norm"]) < np.inf
             else:
                 assert row["halvings"] == row["evals"] == ""
         fw = [row for row in rows if row["stage"] == "fw"]

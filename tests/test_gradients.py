@@ -7,10 +7,11 @@ from fasris import (SolverSettings, esr_gradient_phases_common,
                     esr_gradient_phases_uncommon,
                     esr_gradient_phases_zf_common,
                     esr_gradient_ports_zf_common,
-                    esr_gradient_ports_zf_uncommon, fd_gradient, gradient_G_l,
-                    phase_perturbation, solve_rzf_common, solve_rzf_uncommon,
-                    solve_zf_common, solve_zf_uncommon, sinr_rzf_common,
-                    sinr_rzf_uncommon, sinr_zf_common, sinr_zf_uncommon)
+                    esr_gradient_ports_zf_uncommon, esr_gradient_z,
+                    fd_gradient, gradient_G_l, phase_perturbation,
+                    solve_rzf_common, solve_rzf_uncommon, solve_zf_common,
+                    solve_zf_uncommon, sinr_rzf_common, sinr_rzf_uncommon,
+                    sinr_zf_common, sinr_zf_uncommon)
 from fasris.channel import herm, phase_matrix, psd_sqrt
 from fasris.gradients import _diag3
 from fasris.scenarios import random_correlation, random_scenario
@@ -616,3 +617,67 @@ def test_phase_perturbation_of_a_stack_is_the_stack_of_perturbations(rng):
         got = phase_perturbation(CL_root, C_R, phi, l)
         ref = np.stack([phase_perturbation(CL_root, CR, phi, l) for CR in C_R])
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# the regularizer derivative d ESR / d ln z
+# ---------------------------------------------------------------------------
+
+def _fd_pin_z(sc, s, phi, z):
+    """Deviation of the z-search's analytic slope from central differences
+    of the ESR in ln z, both through the search's own evaluator."""
+    from fasris.optimize import _WarmRzfEsr
+    from fasris.sweep import _fd_deviation
+    esr_of = _WarmRzfEsr(sc, s, phi, TIGHT)
+    slope = esr_of(z, slope=True)[1]
+    return _fd_deviation(lambda y: esr_of(np.exp(y[0])), np.array([slope]),
+                         np.log([z]))
+
+
+@pytest.mark.parametrize("z", [1e-4, 0.3])
+@pytest.mark.parametrize("regime", ["common", "uncommon"])
+def test_z_derivative_matches_fd(regime, z):
+    for seed in (61, 62):
+        rng = np.random.default_rng(seed)
+        sc = random_scenario(rng, regime, M=10, K=3, L=6, sigma2=0.3)
+        assert _fd_pin_z(sc, None, rng.uniform(0, 2 * np.pi, 6), z) < TOL
+
+
+def test_z_derivative_matches_fd_on_fig3():
+    from fasris.scenarios import fig3_scenario, uniform_selection
+    sc, M = fig3_scenario(80.0)
+    s = uniform_selection(M, sc.dims.M_tot)
+    phi = np.random.default_rng(1).uniform(0, 2 * np.pi, sc.dims.L)
+    for z in (sc.default_z(s), 10.0 * sc.default_z(s), 1e-4, 0.3):
+        assert _fd_pin_z(sc, s, phi, z) < TOL
+
+
+@pytest.mark.parametrize("regime", ["common", "uncommon"])
+def test_derivatives_reuse_the_checked_pi_solve(regime, monkeypatch):
+    # second_order_* checked Pi / Pi_com once; the phase gradient and the z
+    # derivative solve with that check and take one condition number each,
+    # of the complex-step stack that the regime's system checks
+    from numpy.linalg import _linalg
+    from fasris.optimize import _evaluate, _stats
+    rng = np.random.default_rng(63)
+    sc = random_scenario(rng, regime, M=10, K=3, L=6, sigma2=0.3)
+    phi = rng.uniform(0, 2 * np.pi, 6)
+    stats, shared = _stats(sc, None, phi)
+    so = _evaluate(stats, shared, "rzf", 0.2, sc.sigma2, TIGHT)[1]
+    corr = sc.correlations
+    calls = []
+
+    def counted(*args, _svd=_linalg.svd, **kw):
+        calls.append(None)
+        return _svd(*args, **kw)
+
+    monkeypatch.setattr(_linalg, "svd", counted)
+    if shared:
+        esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi, sc.sigma2)
+    else:
+        esr_gradient_phases_uncommon(so, stats[2], corr.C_L,
+                                     corr.c_r_list(3), sc.t, phi, sc.p,
+                                     sc.sigma2)
+    assert len(calls) == 1
+    esr_gradient_z(so, stats[2], stats[-1], sc.sigma2)
+    assert len(calls) == 2

@@ -13,8 +13,9 @@ from fasris import (OptimizerSettings, PhaseShifts, PortSelection,
                     gradient_ascent_phases, joint_optimize,
                     search_regularization, z_search_profile)
 from fasris.channel import ConstraintError
-from fasris.optimize import (OptimizationTrace, RelaxedZfObjective,
-                             top_m_rounding)
+from fasris.optimize import (Z_BRACKET_POINTS, Z_GRID_POINTS, Z_SLOPE_TOL,
+                             OptimizationTrace, RelaxedZfObjective,
+                             _WarmRzfEsr, top_m_rounding)
 from fasris.scenarios import (fig3_scenario, random_correlation,
                               random_scenario, uniform_selection)
 
@@ -277,6 +278,59 @@ class TestRegularizerSearch:
         far = z_search_profile(sc, None, None, incumbent=100.0 * full[0])
         assert len(far[1]) == 41
         assert far[0] == full[0] and np.array_equal(far[2], full[2])
+
+    @pytest.mark.parametrize("regime", ["common", "uncommon"])
+    def test_refined_optimum_is_stationary(self, regime):
+        rng = np.random.default_rng(9)
+        sc = random_scenario(rng, regime, M=12, K=4, L=8, sigma2=0.4)
+        z_star, grid, vals, width = z_search_profile(sc, None, None)
+        esr, slope = _WarmRzfEsr(sc, None, None, SolverSettings())(
+            z_star, slope=True)
+        assert abs(slope) <= Z_SLOPE_TOL * esr
+        assert esr >= vals.max() - 1e-12 * esr
+        # the Newton estimate of the distance left, well inside a grid step
+        assert 0.0 < width < 1e-3 * z_star
+
+    def test_incumbent_start_sweeps_no_bracket(self):
+        rng = np.random.default_rng(9)
+        sc = random_scenario(rng, "common", M=12, K=4, L=8, sigma2=0.4)
+        z_full = z_search_profile(sc, None, None)[0]
+        report = {}
+        z = search_regularization(sc, None, None, incumbent=1.01 * z_full,
+                                  report=report)
+        assert report["evals"] < Z_BRACKET_POINTS
+        assert report["gradient_norm"] <= Z_SLOPE_TOL * deterministic_esr(
+            sc, None, None, "rzf", z).esr
+        assert z == pytest.approx(z_full, rel=1e-3)
+
+    def test_far_incumbent_falls_back_to_full_grid(self):
+        rng = np.random.default_rng(9)
+        sc = random_scenario(rng, "common", M=12, K=4, L=8, sigma2=0.4)
+        full = z_search_profile(sc, None, None)
+        report = {}
+        z = search_regularization(sc, None, None, incumbent=100.0 * full[0],
+                                  report=report)
+        assert z == full[0]
+        assert report["evals"] > Z_GRID_POINTS + Z_BRACKET_POINTS
+
+
+def test_design_op_makes_at_most_90_z_evaluations(monkeypatch):
+    # the benchmark's design op; the z search's evaluator is counted from
+    # outside, and each ao record reports the evaluations of its round
+    from fasris import optimize
+    calls = []
+    call = optimize._WarmRzfEsr.__call__
+
+    def counted(self, *args, **kw):
+        calls.append(None)
+        return call(self, *args, **kw)
+
+    monkeypatch.setattr(optimize._WarmRzfEsr, "__call__", counted)
+    sc, M = fig3_scenario(80.0)
+    *_, trace = joint_optimize(sc, M, phi0=np.full(sc.dims.L, 2.0), T_iter=1)
+    assert len(calls) <= 90
+    assert sum(r["evals"] for r in trace.records
+               if r["stage"] == "ao") == len(calls)
 
 
 class TestAlternatingOptimization:
