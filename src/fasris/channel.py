@@ -194,6 +194,8 @@ class CorrelationSet:
     C_R: np.ndarray | list[np.ndarray]
     _roots: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    _stack: tuple = field(default=(None,), init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         self.R_tot = check_psd(self.R_tot, "R_tot")
@@ -227,6 +229,20 @@ class CorrelationSet:
             root.flags.writeable = False    # shared by every caller
             hit = self._roots[id(A)] = (A, root)
         return hit[1]
+
+    def cascaded_stack(self, phi, t: np.ndarray) -> np.ndarray:
+        """The read-only (K, L, L) stack of C_k at (phi, t_k), cached like
+        `root`: one entry per set, holding C_L and every C_R themselves."""
+        mats = (self.C_L, *self.c_r_list(len(t)))
+        key = (None if phi is None else np.asarray(phi, float).tobytes(),
+               t.tobytes(), *map(id, mats))
+        if self._stack[0] != key:
+            C = np.stack([effective_ris_correlation(self.C_L, phi, CR, t[k],
+                                                    self.root)[1]
+                          for k, CR in enumerate(mats[1:])])
+            C.flags.writeable = False
+            self._stack = (key, mats, C)
+        return self._stack[2]
 
     def f_tot_list(self, K: int) -> list[np.ndarray]:
         return list(self.F_tot) if isinstance(self.F_tot, list) else [self.F_tot] * K
@@ -302,15 +318,14 @@ class Scenario:
     def stats_uncommon(self, s: np.ndarray | None = None,
                        phi: np.ndarray | None = None):
         """(F, R, C, p) for the per-user solvers: F is the (K, M, M) stack of
-        u_k F_k and C the (K, L, L) stack of C_k, gains folded in."""
+        u_k F_k and C the (K, L, L) stack of C_k, gains folded in; C is the
+        set's cached, read-only `cascaded_stack`."""
         K, corr = self.dims.K, self.correlations
         R = self.select_R(s)
         F = np.stack([F if s is None else select_submatrix(F, s)
                       for F in corr.f_tot_list(K)])
-        C = np.stack([effective_ris_correlation(corr.C_L, phi, CR, self.t[k],
-                                                corr.root)[1]
-                      for k, CR in enumerate(corr.c_r_list(K))])
-        return self.u[:, None, None] * F, R, C, self.p
+        return (self.u[:, None, None] * F, R,
+                corr.cascaded_stack(phi, self.t), self.p)
 
 
 @dataclass

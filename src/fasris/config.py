@@ -218,7 +218,12 @@ def selection_from_config(cfg: dict, scenario: Scenario) -> np.ndarray | None:
             return sc_mod.uniform_selection(scenario.dims.M, M_tot)
         return None
     kind = block.get("type", "uniform")
-    M = int(block.get("M", scenario.dims.M))
+    M = block.get("M", scenario.dims.M)
+    idx = block["indices"] if kind == "indices" else []
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+               for i in (M, *idx)):
+        raise ConfigError(f"selection M and indices must be integers: "
+                          f"M = {M!r}, indices {idx}")
     if kind in ("uniform", "first") and not 1 <= M <= M_tot:
         raise ConfigError(f"selection M = {M} outside [1, {M_tot}]")
     if kind == "uniform":
@@ -228,10 +233,6 @@ def selection_from_config(cfg: dict, scenario: Scenario) -> np.ndarray | None:
         s[:M] = 1.0
         return s
     if kind == "indices":
-        idx = block["indices"]
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                   for i in idx):
-            raise ConfigError(f"selection indices must be integers: {idx}")
         if any(not 0 <= i < M_tot for i in idx) or len(set(idx)) < len(idx):
             raise ConfigError(f"selection indices must be distinct ports in "
                               f"[0, {M_tot}): {idx}")

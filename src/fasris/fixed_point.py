@@ -16,6 +16,7 @@ downstream.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -25,6 +26,7 @@ from .channel import herm
 
 EPS = 1e-12
 LOG_STEP = np.log(1e6)    # largest Anderson move past the Picard image, in log
+ZF_SEED_Z = 1e-2          # per-user RZF starts at ZF below z / link gain
 
 
 class ConvergenceError(RuntimeError):
@@ -62,11 +64,11 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
 @dataclass(kw_only=True)
 class _Solution:
     """How the solve got there. `path` is "cold" (generic initial values),
-    "warm" (the caller's x0) or "continuation" (z-continuation); `iterations`
-    counts map evaluations and `halvings` damping halvings; `anderson` is
-    "off", "converged" or "fallback" (a safeguard handed the solve to damped
-    Picard). A continued solve reports `halvings` and `anderson` of its last
-    step.
+    "warm" (the caller's x0), "zf_seed" (per-user RZF from the ZF state) or
+    "continuation"; `iterations` counts map evaluations and `halvings`
+    damping halvings; `anderson` is "off", "converged" or "fallback" (a
+    safeguard handed the solve to damped Picard). A continued solve reports
+    `halvings` and `anderson` of its last step.
     """
 
     residual: float
@@ -269,9 +271,9 @@ class _UncommonMap(_Map):
     """State [delta, omega_1..K, mu_1..K] of the per-user-correlation system.
 
     F_k and C_k come stacked, so Psi_R and Psi_C are weighted sums over the
-    stacks. The stacks are also kept transposed and flattened, since
-    tr(A Psi) = vec(A^T) . vec(Psi): every trace of a map evaluation is one
-    matrix-vector product, O(K M^2) instead of K matrix products.
+    stacks, read as flat views. Since tr(A Psi) = vec(A) . vec(Psi^T), the
+    traces of a map evaluation are matrix-vector products with those views,
+    O(K M^2) instead of K matrix products.
     """
 
     regime = ""
@@ -283,10 +285,8 @@ class _UncommonMap(_Map):
         self.C = np.asarray(C, dtype=complex)           # (K, L, L)
         super().__init__(R, len(self.F), self.C.shape[1], z, shift, m_norm)
         self.cascaded = bool(np.any(R)) and bool(np.any(self.C))
-        # rows vec(R^T), vec(F_1^T), ..., vec(F_K^T) and vec(C_k^T)
-        RF = np.concatenate(([R], self.F))
-        self.RF_T = RF.transpose(0, 2, 1).reshape(self.K + 1, -1)
-        self.C_T = self.C.transpose(0, 2, 1).reshape(self.K, -1)
+        self.F_flat = self.F.reshape(self.K, -1)
+        self.C_flat = self.C.reshape(self.K, -1)
 
     def start(self, x0, init):
         x0 = x0 or {}
@@ -301,26 +301,26 @@ class _UncommonMap(_Map):
 
     def psi_r(self, delta, omega, mu):
         w = 1.0 / (self.M * (self.shift + mu))
-        A = self.z * self.I_M + np.tensordot(w, self.F, 1)
+        A = self.z * self.I_M + (w @ self.F_flat).reshape(self.I_M.shape)
         if self.cascaded:
             A += (w @ omega / delta) * self.R
         return np.linalg.inv(A)
 
     def psi_c(self, delta, mu):
         w = 1.0 / (self.L * (self.shift + mu))
-        return np.linalg.inv(self.I_L / delta + np.tensordot(w, self.C, 1))
+        return np.linalg.inv(self.I_L / delta
+                             + (w @ self.C_flat).reshape(self.I_L.shape))
 
     def __call__(self, x):
         delta, omega, mu = self.split(x)
-        Psi_R = self.psi_r(delta, omega, mu)
-        traces = np.real(self.RF_T @ Psi_R.reshape(-1)) / self.M
-        delta_new = traces[0]
+        Psi_RT = self.psi_r(delta, omega, mu).T.reshape(-1)
+        delta_new = np.real(self.R.reshape(-1) @ Psi_RT) / self.M
         if self.cascaded:
             Psi_C = self.psi_c(delta_new, mu)
-            omega_new = np.real(self.C_T @ Psi_C.reshape(-1)) / self.L
+            omega_new = np.real(self.C_flat @ Psi_C.T.reshape(-1)) / self.L
         else:
             omega_new = np.zeros(self.K)
-        mu_new = traces[1:] + omega_new
+        mu_new = np.real(self.F_flat @ Psi_RT) / self.M + omega_new
         if self.shift == 0.0 and (mu_new <= 0).any():
             raise FeasibilityError("ZF system produced a nonpositive mu; "
                                    "a user has no usable link")
@@ -445,10 +445,23 @@ def solve_rzf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
     overrides the trace normalization M for full-size selection surrogates.
     Degenerate links (R = 0 or every C_k = 0) are branch-detected so no
     0/0 ratio is ever formed. A stalled direct solve falls back to
-    z-continuation (`path == "continuation"`).
+    z-continuation (`path == "continuation"`). Without x0, z below ZF_SEED_Z
+    times the mean link gain tr(F_k)/M + tr(R) tr(C_k)/(M L) starts at the
+    ZF state / z (`path == "zf_seed"`, ZF evaluations counted in iterations).
     """
-    return _continued(lambda zz: _UncommonMap(F_list, R, C_list, zz, 1.0, m_norm),
-                      z, x0, settings)
+    link = (np.einsum("kii->", F_list) + np.trace(R) * np.einsum(
+        "kii->", C_list) / len(C_list[0])).real / len(F_list)
+    seeded = 0
+    if x0 is None and 0 < z * (m_norm or len(R)) < ZF_SEED_Z * link:
+        with suppress(ConvergenceError, FeasibilityError):    # cold start then
+            zf = solve_zf_uncommon(F_list, R, C_list, settings, m_norm)
+            x0 = {name: v / z for name, v in zf.x0.items()}
+            seeded = zf.iterations
+    sol = _continued(lambda zz: _UncommonMap(F_list, R, C_list, zz, 1.0,
+                                             m_norm), z, x0, settings)
+    sol.iterations += seeded
+    sol.path = "zf_seed" if seeded and sol.path == "warm" else sol.path
+    return sol
 
 
 def solve_zf_uncommon(F_list: list[np.ndarray], R: np.ndarray,

@@ -19,10 +19,9 @@ import numpy as np
 
 from .channel import effective_ris_correlation, psd_sqrt
 from .fixed_point import CommonSolution, UncommonSolution
-from .rates import (SecondOrderCommon, SecondOrderUncommon,
-                    _solve_checked, _common_tables, _uncommon_tables,
-                    common_pi, common_system, uncommon_pi,
-                    uncommon_system)
+from .rates import (SecondOrderCommon, SecondOrderUncommon, _checked,
+                    _common_tables, _uncommon_tables, common_pi,
+                    common_system, uncommon_pi, uncommon_system)
 
 LN2 = np.log(2.0)
 
@@ -310,7 +309,7 @@ def esr_gradient_phases_zf_common(sol: CommonSolution, F, R, C_L, C_R,
     U = _phase_traces(root(C_L, "C_L"), C_R, phi,   # explicit d omega / d phi_l
                       [Psi_C - sol.omega_bar * PCC])[0] / L
     # every phase enters through the same RHS direction [0, 0, 1]
-    _, k_, o_ = _solve_checked(Pi, np.array([0.0, 0.0, 1.0]), "Pi_com(zf)")
+    _, k_, o_ = _checked(Pi, "Pi_com(zf)")(np.array([0.0, 0.0, 1.0]))
     return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),
                      sol.m_norm, sigma2)
 
@@ -359,7 +358,7 @@ def esr_gradient_ports_zf_common(sol: CommonSolution, R_root, F_root,
     B = _port_rows([R_root, F_root], [R_emb, F_emb], Psi, [F_root],
                    [L * kappa_bar / M ** 2], R_root, cW / M, M)
     B = np.vstack([B, np.zeros(B.shape[1])])    # C has no port dependence
-    V = _solve_checked(Pi, B, "Pi_com(zf)")
+    V = _checked(Pi, "Pi_com(zf)")(B)
     mu_i = u[:, None] * V[1][None, :] + t[:, None] * V[2][None, :]   # (K, M_tot)
     return _zf_chain(p, sol.mu_k(u, t), mu_i, M, sigma2)
 
@@ -384,7 +383,7 @@ def esr_gradient_ports_zf_uncommon(sol: UncommonSolution, R_root,
     B = _port_rows([*F_roots, R_root], [*F_emb_list, R_emb], Psi, F_roots,
                    cF / M, R_root, cR / M, M)      # rows ordered as in Pi
 
-    V = _solve_checked(Pi, B, "Pi(zf)")
+    V = _checked(Pi, "Pi(zf)")(B)
     return _zf_chain(p, mu, V[:K, :], M, sigma2)
 
 

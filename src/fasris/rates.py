@@ -106,11 +106,6 @@ def _checked(A: np.ndarray, block: str):
     return solve
 
 
-def _solve_checked(A: np.ndarray, B: np.ndarray, block: str) -> np.ndarray:
-    """Dense solve with the conditioning guard of `_checked`, for one B."""
-    return _checked(A, block)(B)
-
-
 # ---------------------------------------------------------------------------
 # the per-user SINR formulas, shared by both regimes and the gradients
 # ---------------------------------------------------------------------------
@@ -170,17 +165,19 @@ def _uncommon_tables(first, second, M: int) -> dict:
     """The per-user trace tables Re tr(X Y)/M (or /L), X from first =
     (E, ER, D) and Y from second = (E, ER, D, Psi_R, Psi_C); E is the stack
     F_k Psi_R, ER = R Psi_R and D the stack C_k Psi_C. Every table is
-    bilinear in the two, so its derivative is the sum of two calls."""
+    bilinear in the two, so its derivative is the sum of two calls. As
+    tr(X Y) = vec(X) . vec(Y^T), each stacked table is one GEMM or GEMV."""
     E, ER, D = first
     E2, ER2, D2, Psi_R, Psi_C = second
-    L = D.shape[1]
-    return {"chi_FF": np.real(np.einsum("kij,lji->kl", E, E2)) / M,
-            "chi_FR": np.real(np.einsum("kij,ji->k", E, ER2)) / M,
-            "chi_RR": _tr(ER, ER2, M),
-            "chi_FI": np.real(np.einsum("kij,ji->k", E, Psi_R)) / M,
-            "chi_RI": _tr(ER, Psi_R, M),
-            "Xi": np.real(np.einsum("kij,lji->kl", D, D2)) / L,
-            "Xi_I": np.real(np.einsum("kij,ji->k", D, Psi_C)) / L}
+    K, L = len(E), D.shape[1]
+
+    def tr(X, Y, n):    # Re tr(X_k Y_l) / n; Y is a stack, or one matrix (l = 0)
+        return np.real(X.reshape(K, -1) @ np.swapaxes(Y, -1, -2)
+                       .reshape(-1, X[0].size).T) / n
+    return {"chi_FF": tr(E, E2, M), "chi_FR": tr(E, ER2, M)[:, 0],
+            "chi_RR": _tr(ER, ER2, M), "chi_FI": tr(E, Psi_R, M)[:, 0],
+            "chi_RI": _tr(ER, Psi_R, M), "Xi": tr(D, D2, L),
+            "Xi_I": tr(D, Psi_C, L)[:, 0]}
 
 
 def _interference_rhs(x: dict, M: int, L: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .channel import ChannelSampler
 from .config import (phases_from_config, scenario_from_config,
                      selection_from_config)
-from .fixed_point import SolverSettings, backsubstitution_residual
+from .fixed_point import ZF_SEED_Z, SolverSettings, backsubstitution_residual
 from .gradients import fd_gradient
 from .montecarlo import _trial_rates, empirical_esr, resolvent_probe
 from .optimize import (RelaxedZfObjective, _WarmRzfEsr, _evaluate,
@@ -348,11 +348,13 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
     res = backsubstitution_residual(sol, F_list=F_list, R=R, C_list=C_list)
     record("backsubstitution", res, 10 * 1e-10, "one extra sweep")
 
+    def deviation(a, b):    # largest relative gap in delta and mu
+        return max(abs(a.delta - b.delta) / a.delta,
+                   float(np.max(np.abs(a.mu - b.mu) / a.mu)))
+
     sol_b = solve_rzf_uncommon(F_list, R, C_list, z,
                                SolverSettings(init=10.0))
-    dev = abs(sol.delta - sol_b.delta) / sol.delta
-    dev = max(dev, float(np.max(np.abs(sol.mu - sol_b.mu) / sol.mu)))
-    record("init_independence", dev, 1e-8, "init 1 vs 10")
+    record("init_independence", deviation(sol, sol_b), 1e-8, "init 1 vs 10")
 
     # 3. ZF as the z->0 limit; z is scaled to the channel-gain magnitude so
     # the limit is equally deep regardless of the scenario's absolute scale
@@ -364,6 +366,14 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
         dev = float(np.max(np.abs(z_small * small.mu - zf.mu) / zf.mu))
         record("zf_small_z_limit", dev, 1e-3,
                f"z mu(z) vs ZF mu at z={z_small:.1e}")
+        # a tenth of the seed gate, where `init` is unused; generic start as x0
+        z_seed = 1e7 * ZF_SEED_Z * z_small
+        generic = {name: np.ones_like(v) for name, v in sol.x0.items()}
+        seeded, cold = (solve_rzf_uncommon(F_list, R, C_list, z_seed, x0=x0)
+                        for x0 in (None, generic))
+        record("zf_seed_consistency", deviation(seeded, cold)
+               if seeded.path == "zf_seed" else np.inf, 1e-8,
+               f"{seeded.path} vs generic start at z={z_seed:.1e}")
 
     # 4. iid closed form
     from .fixed_point import solve_iid_zf

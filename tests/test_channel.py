@@ -241,6 +241,51 @@ class TestRootCache:
         assert len(eigh_calls) == 1 + K
 
 
+class TestCascadedStackCache:
+    @staticmethod
+    def uncached(sc, phi=None):
+        corr = sc.correlations
+        return np.stack([effective_ris_correlation(corr.C_L, phi, CR,
+                                                   sc.t[k])[1]
+                         for k, CR in enumerate(corr.c_r_list(sc.dims.K))])
+
+    def test_stack_is_read_only_and_built_once(self, small_uncommon):
+        C = small_uncommon.stats_uncommon()[2]
+        assert not C.flags.writeable
+        with pytest.raises(ValueError):
+            C[0, 0, 0] = 1.0
+        assert small_uncommon.stats_uncommon()[2] is C
+        assert C.tobytes() == self.uncached(small_uncommon).tobytes()
+
+    def test_changed_phases_or_gains_rebuild(self, small_uncommon):
+        from dataclasses import replace
+        sc, L = small_uncommon, small_uncommon.dims.L
+        sc.stats_uncommon()
+        phi = np.linspace(0.0, 2.0, L)
+        C = sc.stats_uncommon(phi=phi)[2]
+        assert C.tobytes() == self.uncached(sc, phi).tobytes()
+        other = replace(sc, t=2.0 * sc.t)       # the same CorrelationSet
+        C2 = other.stats_uncommon(phi=phi)[2]
+        assert C2.tobytes() == self.uncached(other, phi).tobytes()
+        assert not np.array_equal(C2, C)
+        assert sc.stats_uncommon(phi=phi)[2].tobytes() == C.tobytes()
+
+    @pytest.mark.parametrize("field", ["C_L", "C_R", "C_R[1]"])
+    def test_reassigned_field_rebuilds(self, small_uncommon, rng, field):
+        sc, L = small_uncommon, small_uncommon.dims.L
+        corr = sc.correlations
+        before = sc.stats_uncommon()[2]
+        if field == "C_L":
+            corr.C_L = random_correlation(L, rng)
+        elif field == "C_R":
+            corr.C_R = [random_correlation(L, rng) for _ in corr.C_R]
+        else:
+            corr.C_R[1] = random_correlation(L, rng)
+        C = sc.stats_uncommon()[2]
+        assert C.tobytes() == self.uncached(sc).tobytes()
+        assert not np.array_equal(C, before)
+
+
 class TestSampling:
     def _scenario(self, rng, u=None, t=None):
         M, K, L = 10, 3, 6

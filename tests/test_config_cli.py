@@ -153,6 +153,16 @@ class TestScenarioFromConfig:
         with pytest.raises(ConfigError, match=rf"M = {M} outside \[1, 6\]"):
             selection_from_config({"selection": {"type": kind, "M": M}}, sc)
 
+    @pytest.mark.parametrize("kind", ["first", "uniform", "indices"])
+    @pytest.mark.parametrize("M", [2.7, "3", True, None])
+    def test_mistyped_selection_size_raises(self, kind, M):
+        cfg = small_cfg()
+        cfg["scenario"]["dims"] = {"M": 4, "K": 3, "L": 6, "M_tot": 6}
+        sc = scenario_from_config(cfg)
+        block = {"type": kind, "M": M, "indices": [0, 1, 2]}
+        with pytest.raises(ConfigError, match="must be integers"):
+            selection_from_config({"selection": block}, sc)
+
     @pytest.mark.parametrize("preset,args,key", [
         ("fig1", {"M": "16"}, "M"), ("fig1", {"K": 12.0}, "K"),
         ("fig3", {"N": True}, "N"), ("fig8", {"sigma2_inv_db": "80"},
@@ -350,6 +360,19 @@ class TestValidate:
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                   if "FAIL" in line]
         assert failed == ["fd_z_derivative"]
+
+    def test_unseeded_small_z_solve_fails(self, monkeypatch):
+        # a solver that no longer seeds below the gate leaves the check
+        # nothing to compare: it must fail rather than pass
+        from fasris import fixed_point
+        checks = validate(None, trials=200, seed=7)
+        by_name = {c["name"]: c for c in checks}
+        assert by_name["zf_seed_consistency"]["passed"]
+        assert by_name["zf_seed_consistency"]["detail"].startswith("zf_seed")
+        monkeypatch.setattr(fixed_point, "ZF_SEED_Z", 0.0)
+        checks = validate(None, trials=200, seed=7)
+        assert [c["name"] for c in checks if not c["passed"]] == \
+            ["zf_seed_consistency"]
 
 
 class TestFigureRecipes:

@@ -64,6 +64,61 @@ class TestRzfUncommon:
             solve_rzf_uncommon(F_list, R, C_list, 0.0)
 
 
+class TestZfSeed:
+    """Per-user RZF solves below the seed gate start at the ZF state / z."""
+
+    @pytest.mark.parametrize("M", [16, 24])
+    def test_seeded_solve_matches_generic_start(self, M, monkeypatch):
+        from fasris.scenarios import fig1_scenario
+        sc = fig1_scenario(M, 100.0)
+        F_list, R, C_list, _ = sc.stats_uncommon()
+        z = sc.default_z()
+        calls = []
+
+        def counted(self, x, _call=fixed_point._UncommonMap.__call__):
+            calls.append(None)
+            return _call(self, x)
+
+        monkeypatch.setattr(fixed_point._UncommonMap, "__call__", counted)
+        sol = solve_rzf_uncommon(F_list, R, C_list, z)
+        assert sol.path == "zf_seed" and sol.anderson == "converged"
+        assert sol.iterations == len(calls)     # the ZF solve's included
+        monkeypatch.undo()
+        # x0 turns the seed off: the generic start, passed explicitly
+        generic = {name: np.ones_like(v) for name, v in sol.x0.items()}
+        ref = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT, x0=generic)
+        assert ref.path == "warm"
+        for name, value in ref.x0.items():
+            assert rel_err(sol.x0[name], value) < 1e-9, name
+
+    def test_nonpositive_z_raises_before_any_zf_solve(self, small_uncommon,
+                                                      monkeypatch):
+        F_list, R, C_list, _ = small_uncommon.stats_uncommon()
+        calls = []
+        monkeypatch.setattr(fixed_point, "solve_zf_uncommon",
+                            lambda *a, **k: calls.append(None))
+        for z in (0.0, -1e-9):
+            with pytest.raises(ValueError):
+                solve_rzf_uncommon(F_list, R, C_list, z)
+        assert not calls
+
+    def test_fewer_ports_than_users_start_cold(self, rng):
+        sc = random_scenario(rng, "uncommon", M=4, K=6, L=5, sigma2=0.4)
+        F_list, R, C_list, _ = sc.stats_uncommon()
+        with pytest.raises(FeasibilityError):
+            solve_zf_uncommon(F_list, R, C_list)
+        sol = solve_rzf_uncommon(F_list, R, C_list, 1e-5)
+        assert sol.path == "cold"
+        assert backsubstitution_residual(sol, F_list=F_list, R=R,
+                                         C_list=C_list) <= 1e-9
+
+    def test_gate(self, small_uncommon):
+        # the gate is 1e-2 times the O(1) gains u_k + t_k of the scenario
+        F_list, R, C_list, _ = small_uncommon.stats_uncommon()
+        assert solve_rzf_uncommon(F_list, R, C_list, 1e-3).path == "zf_seed"
+        assert solve_rzf_uncommon(F_list, R, C_list, 0.1).path == "cold"
+
+
 class TestZfUncommon:
     def test_small_z_limit(self, small_uncommon):
         F_list, R, C_list, _ = small_uncommon.stats_uncommon()

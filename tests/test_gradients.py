@@ -465,7 +465,7 @@ def _loop_phases_common(so, C_L, C_R, phi, sigma2):
 def _loop_phases_zf_common(sol, F, R, C_L, C_R, phi, u, t, p, sigma2):
     """The shared ZF phase gradient with one trace pair per RIS element."""
     from fasris.gradients import _zf_chain
-    from fasris.rates import _solve_checked, common_pi
+    from fasris.rates import _checked, common_pi
     L = len(phi)
     CL_root = psd_sqrt(C_L, "C_L")
     Phi = phase_matrix(phi, L)
@@ -477,7 +477,7 @@ def _loop_phases_zf_common(sol, F, R, C_L, C_R, phi, u, t, p, sigma2):
     for l in range(L):
         A_l = phase_perturbation(CL_root, C_R, phi, l)
         U[l] = (_tr2(A_l, Psi_C) - sol.omega_bar * _tr2(A_l, PCC)) / L
-    _, k_, o_ = _solve_checked(Pi, np.array([0.0, 0.0, 1.0]), "Pi_com(zf)")
+    _, k_, o_ = _checked(Pi, "Pi_com(zf)")(np.array([0.0, 0.0, 1.0]))
     return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),
                      sol.m_norm, sigma2)
 

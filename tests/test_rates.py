@@ -8,7 +8,7 @@ from fasris import (Dimensions, CorrelationSet, Scenario, SolverSettings,
                     solve_rzf_common, solve_rzf_uncommon, solve_zf_common,
                     solve_zf_uncommon, sinr_rzf_common, sinr_rzf_uncommon,
                     sinr_zf_common, sinr_zf_uncommon)
-from fasris.rates import (NumericalError, _clip_psi, _solve_checked,
+from fasris.rates import (NumericalError, _checked, _clip_psi,
                           second_order_uncommon)
 from fasris.scenarios import random_correlation, random_scenario
 
@@ -260,7 +260,7 @@ class TestNumericalGuards:
 
     def test_singular_block_raises(self):
         with pytest.raises(NumericalError, match="Pi block is ill-conditioned"):
-            _solve_checked(np.ones((2, 2)), np.ones(2), "Pi")
+            _checked(np.ones((2, 2)), "Pi")(np.ones(2))
 
 
 class TestReferenceScenarioProperties:
@@ -338,7 +338,7 @@ def _loop_interference_blocks(so):
         b[l] += mu[l] - omega[l]
         b[K] = -chi_FR[l] / (M * one_mu[l]) - chi_RR * S_l
         B_rhs[:, l] = b
-    W = _solve_checked(so.Pi, B_rhs, "Pi")
+    W = _checked(so.Pi, "Pi")(B_rhs)
     W_adj = W[:K, :].copy()
     W_adj[np.diag_indices(K)] -= mu
     Psi_kl = -L * one_mu[None, :] ** 2 * W_adj
@@ -354,3 +354,42 @@ def test_interference_rhs_matches_per_user_loop(case):
     for got, ref in zip((so.W, so.Psi_kl, so.Lambda_kl),
                         _loop_interference_blocks(so)):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _einsum_tables(first, second, M):
+    """The per-user trace tables as elementwise einsum contractions, the
+    oracle of the GEMM form in `rates._uncommon_tables`."""
+    E, ER, D = first
+    E2, ER2, D2, Psi_R, Psi_C = second
+    L = D.shape[1]
+    return {"chi_FF": np.real(np.einsum("kij,lji->kl", E, E2)) / M,
+            "chi_FR": np.real(np.einsum("kij,ji->k", E, ER2)) / M,
+            "chi_RR": np.real(np.einsum("ij,ji->", ER, ER2)) / M,
+            "chi_FI": np.real(np.einsum("kij,ji->k", E, Psi_R)) / M,
+            "chi_RI": np.real(np.einsum("ij,ji->", ER, Psi_R)) / M,
+            "Xi": np.real(np.einsum("kij,lji->kl", D, D2)) / L,
+            "Xi_I": np.real(np.einsum("kij,ji->k", D, Psi_C)) / L}
+
+
+@pytest.mark.parametrize("case", ["cascaded", "t0", "K9"])
+def test_gemm_tables_match_einsum(case, monkeypatch):
+    # the forward tables, and the complex derivative pair that
+    # `_uncommon_along` sums, along a random direction
+    from fasris import gradients
+    from fasris.rates import _uncommon_tables
+    so = _per_user_case(case)
+    sol, M = so.sol, so.sol.m_norm
+    args = ((so.E, so.ER, so.D), (so.E, so.ER, so.D, sol.Psi_R, sol.Psi_C), M)
+    rng = np.random.default_rng(5)
+    K, L = len(so.F), so.D.shape[1]
+    C, A = (np.stack([random_correlation(L, rng) for _ in range(K)])
+            for _ in range(2))
+    along = (so, C, rng.standard_normal(K), 0.3, rng.standard_normal(K),
+             0.7, A)
+    got = [_uncommon_tables(*args), gradients._uncommon_along(*along)]
+    monkeypatch.setattr(gradients, "_uncommon_tables", _einsum_tables)
+    ref = [_einsum_tables(*args), gradients._uncommon_along(*along)]
+    for g, r in zip(got, ref):
+        for name in r:
+            err = np.abs(np.asarray(g[name]) - r[name]).max()
+            assert err <= 1e-12 * np.abs(r[name]).max(), name
