@@ -362,55 +362,84 @@ def fas_correlation_matrix(geometry: PlanarFasGeometry) -> np.ndarray:
     return check_psd(R, "FAS correlation matrix", tol=1e-8)
 
 
-def _gauss_legendre_panels(n_panels: int, order: int = 16):
-    """Composite Gauss-Legendre nodes/weights on [-180, 180], built per call."""
-    x, w = np.polynomial.legendre.leggauss(order)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _gauss_legendre_panels(n_panels: int):
+    """Composite Gauss-Legendre nodes/weights on [-180, 180]: the order-16
+    base rule, built once at import, mapped onto n_panels equal panels."""
     edges = np.linspace(-180.0, 180.0, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
 
 
-def ris_correlation_matrix(profile: RisAngularProfile, abs_tol: float = 1e-10) -> np.ndarray:
-    """RIS linear-array correlation with a truncated-Gaussian angle profile.
+def ris_correlation_matrices(profiles: list[RisAngularProfile],
+                             abs_tol: float = 1e-10) -> list[np.ndarray]:
+    """RIS linear-array correlations with truncated-Gaussian angle profiles,
+    one matrix per profile, in the order given.
 
     [C]_{mn} = int_{-180}^{180} (2 pi beta^2)^{-1/2}
                exp(j 2 pi d_c (m-n) sin(pi phi/180) - (phi-alpha)^2/(2 beta^2)) dphi
 
     evaluated by composite Gauss-Legendre quadrature with panel doubling until
-    the abs_tol target is met. The Gaussian is used exactly as truncated (not
-    renormalized), so the diagonal is ~1 rather than exactly 1. The entry
-    depends on m-n only, so one pass over offsets fills the Toeplitz matrix.
+    each profile meets the abs_tol target. The Gaussian is used exactly as
+    truncated (not renormalized), so the diagonal is ~1 rather than exactly 1.
+    The entry depends on m-n only, so one pass over offsets fills the
+    Toeplitz matrix.
+
+    The phase factors depend on (d_c, L) and the panel count only, so the
+    profiles sharing (d_c, L) share one phase matrix per doubling level; each
+    profile still takes its own matrix-vector product, so its matrix does
+    not depend on what else is in the batch.
     """
-    L = profile.L
-    offsets = np.arange(L, dtype=float)          # values for m-n = 0..L-1
-    vals = np.zeros(L, dtype=complex)
-    norm = 1.0 / np.sqrt(2.0 * np.pi * profile.beta ** 2)
+    profiles = list(profiles)
+    vals = [None] * len(profiles)      # each profile's latest quadrature
+    groups: dict[tuple, list[int]] = {}
+    for i, profile in enumerate(profiles):
+        groups.setdefault((profile.d_c, profile.L), []).append(i)
 
-    n_panels, max_panels = 16, 4096
-    prev = None
-    while True:
-        nodes, weights = _gauss_legendre_panels(n_panels)
-        envelope = norm * np.exp(-(nodes - profile.alpha) ** 2 / (2.0 * profile.beta ** 2))
-        phase = np.exp(1j * 2.0 * np.pi * profile.d_c
-                       * offsets[:, None] * np.sin(np.pi * nodes / 180.0)[None, :])
-        cur = phase @ (weights * envelope)
-        if prev is not None and np.abs(cur - prev).max() < abs_tol:
-            vals = cur
-            break
-        if n_panels >= max_panels:
-            raise PrecisionError(
-                f"RIS correlation quadrature did not reach {abs_tol:.0e} "
-                f"with {n_panels} panels (residual {np.abs(cur - prev).max():.3e})")
-        prev = cur
-        n_panels *= 2
+    max_panels = 4096
+    for (d_c, L), pending in groups.items():
+        offsets = np.arange(L, dtype=float)      # values for m-n = 0..L-1
+        n_panels = 16
+        while pending:
+            nodes, weights = _gauss_legendre_panels(n_panels)
+            phase = np.exp(1j * 2.0 * np.pi * d_c
+                           * offsets[:, None] * np.sin(np.pi * nodes / 180.0)[None, :])
+            unconverged = []
+            for i in pending:
+                alpha, beta = profiles[i].alpha, profiles[i].beta
+                norm = 1.0 / np.sqrt(2.0 * np.pi * beta ** 2)
+                envelope = norm * np.exp(-(nodes - alpha) ** 2 / (2.0 * beta ** 2))
+                cur = phase @ (weights * envelope)
+                prev, vals[i] = vals[i], cur
+                if prev is not None and np.abs(cur - prev).max() < abs_tol:
+                    continue
+                if n_panels >= max_panels:
+                    raise PrecisionError(
+                        f"RIS correlation quadrature did not reach {abs_tol:.0e} "
+                        f"with {n_panels} panels "
+                        f"(residual {np.abs(cur - prev).max():.3e})")
+                unconverged.append(i)
+            pending = unconverged
+            n_panels *= 2
 
-    idx = np.arange(L)
-    diff = idx[:, None] - idx[None, :]
-    C = np.where(diff >= 0, vals[np.abs(diff)], np.conj(vals[np.abs(diff)]))
-    return check_psd(C, "RIS correlation matrix", tol=1e-8)
+    mats = []
+    for v in vals:
+        idx = np.arange(len(v))
+        diff = idx[:, None] - idx[None, :]
+        C = np.where(diff >= 0, v[np.abs(diff)], np.conj(v[np.abs(diff)]))
+        mats.append(check_psd(C, "RIS correlation matrix", tol=1e-8))
+    return mats
+
+
+def ris_correlation_matrix(profile: RisAngularProfile,
+                           abs_tol: float = 1e-10) -> np.ndarray:
+    """One profile's matrix; see `ris_correlation_matrices`."""
+    return ris_correlation_matrices([profile], abs_tol)[0]
 
 
 def path_loss(params: PathLossParams) -> float:

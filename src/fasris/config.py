@@ -16,7 +16,8 @@ import numpy as np
 
 from .channel import (CorrelationSet, Dimensions, PlanarFasGeometry,
                       RisAngularProfile, Scenario, db2lin,
-                      fas_correlation_matrix, ris_correlation_matrix)
+                      fas_correlation_matrix, ris_correlation_matrices,
+                      ris_correlation_matrix)
 from . import scenarios as sc_mod
 
 
@@ -75,10 +76,14 @@ PRESETS = {
 }
 
 
+def _profile(entry: dict, L: int) -> RisAngularProfile:
+    return RisAngularProfile(d_c=entry.get("d_c", 0.5),
+                             alpha=entry.get("alpha", 0.0),
+                             beta=entry.get("beta", 5.0), L=L)
+
+
 def _ris_profile(entry: dict, L: int) -> np.ndarray:
-    return ris_correlation_matrix(RisAngularProfile(
-        d_c=entry.get("d_c", 0.5), alpha=entry.get("alpha", 0.0),
-        beta=entry.get("beta", 5.0), L=L))
+    return ris_correlation_matrix(_profile(entry, L))
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
@@ -141,14 +146,22 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if mode not in ("common", "uncommon", "iid"):
         raise ConfigError(f"unknown correlation mode {mode!r}")
     if mode == "uncommon":
-        F_tot = [from_file(f"F_tot_{k}") if f"F_tot_{k}" in files
-                 else (_ris_profile(block["F_profiles"][k], n_ports)
-                       if "F_profiles" in block else np.eye(n_ports))
-                 for k in range(K)]
-        C_R = [from_file(f"C_R_{k}") if f"C_R_{k}" in files
-               else (_ris_profile(block["C_R_profiles"][k], L)
-                     if "C_R_profiles" in block else np.eye(L))
-               for k in range(K)]
+
+        def per_user(file_key, profiles_key, n):
+            # a file, else a profile, else the identity; the profiles of
+            # every user go through one batched quadrature
+            mats = [from_file(f"{file_key}_{k}") if f"{file_key}_{k}" in files
+                    else (_profile(block[profiles_key][k], n)
+                          if profiles_key in block else np.eye(n))
+                    for k in range(K)]
+            at = [k for k, A in enumerate(mats)
+                  if isinstance(A, RisAngularProfile)]
+            for k, A in zip(at, ris_correlation_matrices([mats[k] for k in at])):
+                mats[k] = A
+            return mats
+
+        F_tot = per_user("F_tot", "F_profiles", n_ports)
+        C_R = per_user("C_R", "C_R_profiles", L)
     else:
         F_tot = from_file("F_tot")
         if F_tot is None:

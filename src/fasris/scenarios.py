@@ -13,7 +13,7 @@ import numpy as np
 from .channel import (CorrelationSet, Dimensions, PathLossParams,
                       PlanarFasGeometry, RisAngularProfile, Scenario, db2lin,
                       fas_correlation_matrix, path_loss,
-                      ris_correlation_matrix)
+                      ris_correlation_matrices)
 
 REF_GAIN = db2lin(-20.0)          # -20 dB at 1 m
 EXP_BS_RIS = 2.1
@@ -21,12 +21,6 @@ EXP_RIS_USER = 2.1
 EXP_BS_USER = 3.2
 D_BS_RIS = 5.0
 LINK_ANGLE_DEG = 150.0
-
-
-def ris_corr(d_c: float, alpha: float, beta: float, L: int) -> np.ndarray:
-    """Linear-array correlation C(d_c, alpha, beta, L)."""
-    return ris_correlation_matrix(RisAngularProfile(d_c=d_c, alpha=alpha,
-                                                    beta=beta, L=L))
 
 
 def bs_user_distance(d_ris_user: float, d_bs_ris: float = D_BS_RIS) -> float:
@@ -61,10 +55,13 @@ def fig1_scenario(M: int, sigma2_inv_db: float, K: int = 12,
     d_bs = np.array([bs_user_distance(d) for d in d_ris])
     u = np.array([direct_gain(d) for d in d_bs])
     t = np.array([cascaded_gain(d) for d in d_ris])
-    F_list = [ris_corr(0.5, 10.0 + 2.0 * i, 30.0, M) for i in range(K)]
-    CR_list = [ris_corr(0.5, 5.0 + 10.0 * i, 30.0, L) for i in range(K)]
-    C_L = ris_corr(0.5, 5.0, 30.0, L)
-    R = ris_corr(0.5, 10.0, 5.0, M)
+    # F_1..F_K, C_R,1..C_R,K, C_L and R in one batched quadrature
+    mats = ris_correlation_matrices(
+        [RisAngularProfile(0.5, 10.0 + 2.0 * i, 30.0, M) for i in range(K)]
+        + [RisAngularProfile(0.5, 5.0 + 10.0 * i, 30.0, L) for i in range(K)]
+        + [RisAngularProfile(0.5, 5.0, 30.0, L),
+           RisAngularProfile(0.5, 10.0, 5.0, M)])
+    F_list, CR_list, (C_L, R) = mats[:K], mats[K:2 * K], mats[2 * K:]
     corr = CorrelationSet(R_tot=R, F_tot=F_list, C_L=C_L, C_R=CR_list)
     return Scenario(dims=Dimensions(M=M, K=K, L=L), correlations=corr,
                     u=u, t=t, p=np.ones(K), sigma2=db2lin(-sigma2_inv_db),
@@ -95,8 +92,8 @@ def fig3_scenario(sigma2_inv_db: float, K: int = 8, L: int = 32,
     """
     M = 20
     _, R_tot = fas_grid_correlations(W, N)
-    C_L = ris_corr(0.5, 60.0, 5.0, L)
-    C_R = ris_corr(0.5, 30.0, 5.0, L)
+    C_L, C_R = ris_correlation_matrices([RisAngularProfile(0.5, 60.0, 5.0, L),
+                                         RisAngularProfile(0.5, 30.0, 5.0, L)])
     d_ris = np.array([20.0 + (k // 4) for k in range(K)])
     d_bs = np.array([bs_user_distance(d) for d in d_ris])
     t = np.array([ris_leg_gain(d) for d in d_ris])

@@ -9,11 +9,13 @@ from fasris import (ChannelSampler, CorrelationSet, DegenerateGridError,
                     RisAngularProfile, Scenario, db2lin,
                     effective_ris_correlation, embed_selection,
                     fas_correlation_matrix, path_loss, phase_matrix,
-                    ris_correlation_matrix, sample_channel, select_submatrix,
-                    trial_rng)
-from fasris.channel import ConstraintError, psd_sqrt
+                    ris_correlation_matrices, ris_correlation_matrix,
+                    sample_channel, select_submatrix, trial_rng)
+from fasris import channel
+from fasris.channel import ConstraintError, PrecisionError, psd_sqrt
 from fasris.scenarios import (bs_user_distance, cascaded_gain, direct_gain,
-                              fig1_scenario, random_correlation)
+                              fig1_scenario, fig3_scenario,
+                              random_correlation)
 
 GEOM = PlanarFasGeometry(W_x=2.0, W_y=2.0, N_x=10, N_y=10)
 
@@ -86,6 +88,51 @@ class TestRisCorrelation:
         R = ris_correlation_matrix(RisAngularProfile(0.5, 10.0, 5.0, 16))
         w = np.linalg.eigvalsh(R)
         assert w.min() >= -1e-10
+
+    # two spacings, three sizes and two spreads: the profiles converge at
+    # 32, 64 or 128 panels, and the two of (0.5, 16) at different counts
+    MIXED = [RisAngularProfile(d_c, alpha, beta, L)
+             for d_c in (0.5, 1.0) for L in (4, 16, 32)
+             for alpha, beta in ((10.0, 5.0), (-40.0, 30.0))]
+
+    @pytest.mark.parametrize("order", ["given", "permuted"])
+    def test_batch_matches_single_profile_calls(self, order):
+        profiles = list(self.MIXED)
+        if order == "permuted":
+            profiles = [profiles[i] for i in
+                        np.random.default_rng(3).permutation(len(profiles))]
+        batch = ris_correlation_matrices(profiles)
+        assert len(batch) == len(profiles)
+        for prof, C in zip(profiles, batch):
+            assert np.array_equal(C, ris_correlation_matrix(prof))
+
+    def test_unconverged_quadrature_raises(self):
+        with pytest.raises(PrecisionError, match="residual"):
+            ris_correlation_matrix(RisAngularProfile(0.5, 10.0, 5.0, 4),
+                                   abs_tol=0.0)
+
+    def test_one_unconverged_profile_fails_the_batch(self):
+        # d_c = 5000 oscillates faster than 4096 panels resolve
+        bad = RisAngularProfile(5000.0, 10.0, 30.0, 4)
+        good = self.MIXED[:3]
+        for profiles in (good + [bad], [bad] + good):
+            with pytest.raises(PrecisionError, match="residual"):
+                ris_correlation_matrices(profiles)
+
+    @pytest.mark.parametrize("build, most", [
+        (lambda: fig1_scenario(24, 80.0), 8),
+        (lambda: fig3_scenario(80.0), 4)], ids=["fig1", "fig3"])
+    def test_scenario_shares_the_panel_rules(self, monkeypatch, build, most):
+        calls = []
+        rule = channel._gauss_legendre_panels
+
+        def counted(n_panels):
+            calls.append(n_panels)
+            return rule(n_panels)
+
+        monkeypatch.setattr(channel, "_gauss_legendre_panels", counted)
+        build()
+        assert 0 < len(calls) <= most
 
 
 class TestPathLoss:

@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from fasris import cli
+from fasris import RisAngularProfile, cli, ris_correlation_matrix
+from fasris.channel import check_psd
 from fasris.config import (ConfigError, load_matrix, save_matrix,
                            scenario_from_config, selection_from_config)
 from fasris.scenarios import random_correlation, uniform_selection
@@ -105,6 +106,41 @@ class TestScenarioFromConfig:
                                                "gains_db": {"u": -60, "t": -70}}})
         with pytest.raises(ConfigError):
             scenario_from_config({"scenario": {"preset": "nope"}})
+
+    def per_user_cfg(self):
+        cfg = small_cfg()
+        block = cfg["scenario"]
+        block["mode"] = "uncommon"
+        block["F_profiles"] = [{"alpha": 5.0 * k, "beta": 5.0 + 10.0 * k}
+                               for k in range(3)]
+        block["C_R_profiles"] = [{"d_c": 0.25 * (k + 1), "alpha": -5.0 * k,
+                                  "beta": 30.0 - 5.0 * k} for k in range(3)]
+        return cfg
+
+    def test_per_user_profiles_match_single_builds(self, tmp_path, rng):
+        A = random_correlation(6, rng)
+        save_matrix(tmp_path / "cr1.npy", A)
+        cfg = self.per_user_cfg()
+        cfg["scenario"]["matrix_files"] = {"C_R_1": str(tmp_path / "cr1.npy")}
+        corr = scenario_from_config(cfg).correlations
+        for k in range(3):
+            F = ris_correlation_matrix(RisAngularProfile(
+                0.5, 5.0 * k, 5.0 + 10.0 * k, 10))
+            assert np.array_equal(corr.F_tot[k], check_psd(F))
+        for k in (0, 2):
+            C = ris_correlation_matrix(RisAngularProfile(
+                0.25 * (k + 1), -5.0 * k, 30.0 - 5.0 * k, 6))
+            assert np.array_equal(corr.C_R[k], check_psd(C))
+        assert np.allclose(corr.C_R[1], A, atol=1e-12)
+
+    def test_invalid_per_user_profile_raises(self):
+        cfg = self.per_user_cfg()
+        cfg["scenario"]["C_R_profiles"][2]["beta"] = 0.0
+        with pytest.raises(ValueError, match="beta must be positive"):
+            scenario_from_config(cfg)
+        del cfg["scenario"]["F_profiles"][2]
+        with pytest.raises(IndexError):
+            scenario_from_config(cfg)
 
     def test_unknown_mode_raises(self):
         cfg = small_cfg()
