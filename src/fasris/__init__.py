@@ -5,8 +5,8 @@ from .channel import (ChannelSample, ChannelSampler, CorrelationSet,
                       DegenerateGridError, Dimensions, DomainError,
                       PathLossParams, PlanarFasGeometry, RisAngularProfile,
                       Scenario, db2lin, effective_ris_correlation,
-                      embed_selection, fas_correlation_matrix, lin2db,
-                      path_loss, phase_matrix, ris_correlation_matrices,
+                      embed_selection, fas_correlation_matrix, path_loss,
+                      phase_matrix, ris_correlation_matrices,
                       ris_correlation_matrix,
                       sample_channel, select_submatrix, trial_rng)
 from .fixed_point import (CommonSolution, ConvergenceError, FeasibilityError,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import spherical_jn
+from scipy.special import erf, spherical_jn
 
 PSD_TOL = 1e-10
 
@@ -39,10 +39,6 @@ class DomainError(ValueError):
 
 def db2lin(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def lin2db(x: float) -> float:
-    return 10.0 * np.log10(np.maximum(x, 1e-300))
 
 
 def herm(A: np.ndarray) -> np.ndarray:
@@ -385,8 +381,10 @@ def ris_correlation_matrices(profiles: list[RisAngularProfile],
                exp(j 2 pi d_c (m-n) sin(pi phi/180) - (phi-alpha)^2/(2 beta^2)) dphi
 
     evaluated by composite Gauss-Legendre quadrature with panel doubling until
-    each profile meets the abs_tol target. The Gaussian is used exactly as
-    truncated (not renormalized), so the diagonal is ~1 rather than exactly 1.
+    each profile meets the abs_tol target: two doublings agree and the
+    diagonal matches the closed-form truncated-Gaussian mass (a spread too
+    narrow for every node raises). The Gaussian is used exactly as truncated
+    (not renormalized), so the diagonal is ~1 rather than exactly 1.
     The entry depends on m-n only, so one pass over offsets fills the
     Toeplitz matrix.
 
@@ -416,13 +414,16 @@ def ris_correlation_matrices(profiles: list[RisAngularProfile],
                 envelope = norm * np.exp(-(nodes - alpha) ** 2 / (2.0 * beta ** 2))
                 cur = phase @ (weights * envelope)
                 prev, vals[i] = vals[i], cur
-                if prev is not None and np.abs(cur - prev).max() < abs_tol:
+                mass = 0.5 * (erf((180.0 - alpha) / (np.sqrt(2.0) * beta))
+                              - erf((-180.0 - alpha) / (np.sqrt(2.0) * beta)))
+                residual = (np.inf if prev is None else max(
+                    np.abs(cur - prev).max(), abs(cur[0] - mass)))
+                if residual < abs_tol:
                     continue
                 if n_panels >= max_panels:
                     raise PrecisionError(
                         f"RIS correlation quadrature did not reach {abs_tol:.0e} "
-                        f"with {n_panels} panels "
-                        f"(residual {np.abs(cur - prev).max():.3e})")
+                        f"with {n_panels} panels (residual {residual:.3e})")
                 unconverged.append(i)
             pending = unconverged
             n_panels *= 2

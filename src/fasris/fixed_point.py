@@ -1,23 +1,21 @@
 """Fixed-point systems behind the deterministic SINR equivalents.
 
 Four solvers (RZF/ZF x per-user/shared correlation) plus the i.i.d. closed
-form. One driver, `_picard`, runs a damped Picard iteration over a flat float
-state, with the damping factor halved whenever the residual oscillates; a map
-may ask for Anderson mixing first (every map but the shared ZF one does).
-Each correlation regime supplies one map, evaluated in Gauss-Seidel order
-(delta first, then the RIS-side traces, then the per-user scalars) and
-parameterized by (z, shift): RZF is (z, 1) and ZF is the same map with
-z -> 1 and 1 + mu -> mu, i.e. (1, 0). Each regime returns one solution type,
-`UncommonSolution` or `CommonSolution`, whose `z` is None for ZF: its fields
-are then the paper's underlined (scaled z -> 0) quantities. Solutions carry
-the auxiliary inverse matrices needed by the second-order interference terms
-downstream.
+form. Each correlation regime supplies one map, evaluated in Gauss-Seidel
+order (delta, then the RIS-side traces, then the per-user scalars) at
+(z, shift): RZF is (z, 1) and ZF the same map at (1, 0). One driver,
+`_picard`, runs damped Picard after Anderson mixing where the map asks for
+it (every map but the shared ZF one); a cold RZF solve at small z starts at
+the ZF state rescaled by z. A ZF solution has `z` None and holds the paper's
+underlined (scaled z -> 0) quantities; every solution carries the inverses
+that the second-order terms need.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -26,7 +24,7 @@ from .channel import herm
 
 EPS = 1e-12
 LOG_STEP = np.log(1e6)    # largest Anderson move past the Picard image, in log
-ZF_SEED_Z = 1e-2          # per-user RZF starts at ZF below z / link gain
+ZF_SEED_Z = 1e-2          # RZF starts at ZF while z M / link gain is below
 
 
 class ConvergenceError(RuntimeError):
@@ -64,11 +62,10 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
 @dataclass(kw_only=True)
 class _Solution:
     """How the solve got there. `path` is "cold" (generic initial values),
-    "warm" (the caller's x0), "zf_seed" (per-user RZF from the ZF state) or
-    "continuation"; `iterations` counts map evaluations and `halvings`
-    damping halvings; `anderson` is "off", "converged" or "fallback" (a
-    safeguard handed the solve to damped Picard). A continued solve reports
-    `halvings` and `anderson` of its last step.
+    "warm" (the caller's x0) or "zf_seed" (the rescaled ZF state, see
+    `_solve_rzf`); `iterations` counts map evaluations, `halvings` damping
+    halvings and `anderson` is "off", "converged" or "fallback" (a safeguard
+    handed the solve to damped Picard), both of the RZF part if seeded.
     """
 
     residual: float
@@ -128,18 +125,17 @@ class IidSolution:
 
 
 # ---------------------------------------------------------------------------
-# the driver and the continuation wrapper
+# the driver and the small-z seed
 # ---------------------------------------------------------------------------
 
 class _Anderson:
     """Anderson mixing (Walker & Ni 2011) of the log of the state.
 
     Entries that the first map output leaves at exactly zero (omega without
-    a cascaded link) are structural: they stay zero and out of the log
-    state. Called with each map output and its residual, it returns the next
-    state, or None when a safeguard trips: a non-finite or nonpositive
-    output, a mixed step more than LOG_STEP past the Picard image, or
-    `depth` evaluations without a new best residual.
+    a cascaded link) stay zero and out of the log state. Given each map
+    output and its residual, it returns the next state, or None when a
+    safeguard trips: a non-finite or nonpositive output, a step more than
+    LOG_STEP past the Picard image, or `depth` evaluations with no new best.
     """
 
     def __init__(self, depth: int):
@@ -173,12 +169,11 @@ class _Anderson:
 def _picard(system, x0: dict | None, settings: SolverSettings):
     """Damped Picard iteration of `system` from `x0` (or `settings.init`).
 
-    The residual is the max relative change over the whole state. Adaptive
-    damping halves the step (from 1 down to 1/256) when the residual grows
-    or when the change in delta flips sign three times running. A map with
-    `anderson` > 0 is mixed by `_Anderson` of that depth instead until a
-    safeguard trips; damped Picard then goes on from the last mixed state,
-    within the same `max_iter` budget.
+    The residual is the max relative change over the whole state. Damping
+    halves the step (down to 1/256) when the residual grows or the change
+    in delta flips sign three times running. A map with `anderson` > 0 is
+    mixed by `_Anderson` of that depth until a safeguard trips; damped
+    Picard goes on from there within the same `max_iter` budget.
     """
     x = system.start(x0, settings.init)
     mixer = _Anderson(system.anderson) if system.anderson else None
@@ -212,30 +207,23 @@ def _picard(system, x0: dict | None, settings: SolverSettings):
                            residual)
 
 
-def _continued(map_at, z: float, x0: dict | None, settings: SolverSettings):
-    """Solve the RZF map `map_at(z)`; on a stall, continue geometrically in z.
-
-    Very small z (deep in the ZF limit) makes the Picard map oscillate from
-    generic initial values; walking down from 1e6 z with warm starts keeps
-    every step inside the contraction basin. Each step may use `max_iter`
-    map evaluations plus those the earlier steps left unused, so a step that
-    converges within `max_iter` runs exactly as it would alone. A continued
-    solution's `iterations` counts every map evaluation: the failed direct
-    attempt plus all continuation steps.
+def _solve_rzf(map_at, z: float, x0: dict | None, settings: SolverSettings):
+    """Solve the RZF map `map_at(z, 1)`. Without x0, z M below ZF_SEED_Z
+    times the link gain, where generic values make the map oscillate, starts
+    at the ZF state of `map_at(1, 0)` rescaled to z (`path == "zf_seed"`, ZF
+    evaluations counted in `iterations`); an infeasible (M < K) or stalled
+    ZF solve leaves the generic start.
     """
     if z <= 0:
         raise ValueError("regularization z must be positive")
-    try:
-        return _picard(map_at(z), x0, settings)
-    except ConvergenceError:
-        total = settings.max_iter       # _picard raises only after all of them
-    sol, spare = None, 0
-    for zz in z * np.logspace(6, 0, 13):
-        sol = _picard(map_at(zz), None if sol is None else sol.x0,
-                      replace(settings, max_iter=settings.max_iter + spare))
-        spare += settings.max_iter - sol.iterations
-        total += sol.iterations
-    sol.path, sol.iterations = "continuation", total
+    system, seeded = map_at(z, 1.0), 0
+    if x0 is None and z * system.M < ZF_SEED_Z * system.link_gain():
+        with suppress(ConvergenceError, FeasibilityError):    # generic start then
+            zf = _picard(map_at(1.0, 0.0), None, settings)
+            x0, seeded = system.seed(zf.x0), zf.iterations
+    sol = _picard(system, x0, settings)
+    if seeded:
+        sol.path, sol.iterations = "zf_seed", sol.iterations + seeded
     return sol
 
 
@@ -246,8 +234,9 @@ def _continued(map_at, z: float, x0: dict | None, settings: SolverSettings):
 class _Map:
     """One regime's map at (z, shift): RZF is (z, 1), ZF is (1, 0).
 
-    `start(x0, init)` gives the flat initial state, calling the map gives the
-    next state, and `finish(x)` the solution fields that the state fixes.
+    `start(x0, init)` gives the flat initial state, calling the map the next
+    state, `finish(x)` the solution fields that the state fixes, and
+    `link_gain()` and `seed(zf_x0)` the small-z seed of `_solve_rzf`.
     Under shift 0 the map also runs the ZF feasibility checks.
     """
 
@@ -261,6 +250,10 @@ class _Map:
         self.I_M = np.eye(R.shape[0])
         self.I_L = np.eye(L)
         self.name = self.regime + ("RZF" if shift else "ZF")
+
+    def seed(self, zf_x0):    # shared kappa_bar, omega_bar ~ z; the rest ~ 1/z
+        return {name: v * self.z if name.endswith("_bar") else v / self.z
+                for name, v in zf_x0.items()}
 
     def solution(self, x, **how):
         return self.sol(self.z if self.shift else None, *self.finish(x),
@@ -298,6 +291,10 @@ class _UncommonMap(_Map):
 
     def split(self, x):
         return x[0], x[1:self.K + 1], x[self.K + 1:]
+
+    def link_gain(self):    # mean over users of tr F_k + tr R tr C_k / L
+        return float(np.mean(np.einsum("kii->k", self.F).real + np.trace(
+            self.R).real * np.einsum("kii->k", self.C).real / self.L))
 
     def psi_r(self, delta, omega, mu):
         w = 1.0 / (self.M * (self.shift + mu))
@@ -361,8 +358,7 @@ class _CommonMap(_Map):
 
     @property
     def anderson(self):
-        # ZF stays damped: Frank-Wolfe port selection reads only the ZF solve,
-        # and mirror-symmetric ports tie there to the last bit
+        # damped ZF: Frank-Wolfe reads it, and mirror ports tie to the last bit
         return 5 if self.shift else 0
 
     def start(self, x0, init):
@@ -373,6 +369,10 @@ class _CommonMap(_Map):
                          x0.get("kappa_bar", init if cascaded else 0.0),
                          x0.get("omega_bar", init) if cascaded else 0.0],
                         dtype=float)
+
+    def link_gain(self):    # mean(u) tr F + mean(t) tr R tr C / L
+        return float(np.mean(self.u) * np.trace(self.F).real + np.mean(
+            self.t) * np.trace(self.R).real * np.trace(self.C).real / self.L)
 
     def r_coefs(self, delta, omega, kappa_bar, omega_bar):
         """(a, b) with Psi_R^{-1} = z I + a F + b R."""
@@ -444,24 +444,11 @@ def solve_rzf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
     F_k and C_k, stacked or listed, carry the per-user link gains. m_norm
     overrides the trace normalization M for full-size selection surrogates.
     Degenerate links (R = 0 or every C_k = 0) are branch-detected so no
-    0/0 ratio is ever formed. A stalled direct solve falls back to
-    z-continuation (`path == "continuation"`). Without x0, z below ZF_SEED_Z
-    times the mean link gain tr(F_k)/M + tr(R) tr(C_k)/(M L) starts at the
-    ZF state / z (`path == "zf_seed"`, ZF evaluations counted in iterations).
+    0/0 ratio is ever formed. Small z starts at the ZF state / z, gated by
+    the mean of tr(F_k)/M + tr(R) tr(C_k)/(M L) (see `_solve_rzf`).
     """
-    link = (np.einsum("kii->", F_list) + np.trace(R) * np.einsum(
-        "kii->", C_list) / len(C_list[0])).real / len(F_list)
-    seeded = 0
-    if x0 is None and 0 < z * (m_norm or len(R)) < ZF_SEED_Z * link:
-        with suppress(ConvergenceError, FeasibilityError):    # cold start then
-            zf = solve_zf_uncommon(F_list, R, C_list, settings, m_norm)
-            x0 = {name: v / z for name, v in zf.x0.items()}
-            seeded = zf.iterations
-    sol = _continued(lambda zz: _UncommonMap(F_list, R, C_list, zz, 1.0,
-                                             m_norm), z, x0, settings)
-    sol.iterations += seeded
-    sol.path = "zf_seed" if seeded and sol.path == "warm" else sol.path
-    return sol
+    return _solve_rzf(partial(_UncommonMap, F_list, R, C_list, m_norm=m_norm),
+                      z, x0, settings)
 
 
 def solve_zf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
@@ -502,11 +489,11 @@ def solve_rzf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
         Psi_T = (I_K + omega T + kappa U)^{-1}
 
     F and C are correlation matrices (unit-scale); the gains live in u, t.
-    A stalled direct solve falls back to z-continuation.
+    Small z starts at the damped ZF solve on the same spectra, rescaled,
+    gated by mean(u) tr(F)/M + mean(t) tr(R) tr(C)/(M L) (see `_solve_rzf`).
     """
-    spectra = _spectra(F, R, C)
-    return _continued(lambda zz: _CommonMap(F, R, C, u, t, zz, 1.0, m_norm,
-                                            spectra), z, x0, settings)
+    return _solve_rzf(partial(_CommonMap, F, R, C, u, t, m_norm=m_norm,
+                              spectra=_spectra(F, R, C)), z, x0, settings)
 
 
 def solve_zf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,

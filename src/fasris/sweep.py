@@ -16,7 +16,9 @@ import numpy as np
 from .channel import ChannelSampler
 from .config import (phases_from_config, scenario_from_config,
                      selection_from_config)
-from .fixed_point import ZF_SEED_Z, SolverSettings, backsubstitution_residual
+from .fixed_point import (ZF_SEED_Z, SolverSettings, backsubstitution_residual,
+                          solve_iid_zf, solve_rzf_common, solve_rzf_uncommon,
+                          solve_zf_uncommon)
 from .gradients import fd_gradient
 from .montecarlo import _trial_rates, empirical_esr, resolvent_probe
 from .optimize import (RelaxedZfObjective, _WarmRzfEsr, _evaluate,
@@ -344,13 +346,12 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
     z = scenario.default_z()
     rep, so, sol = _evaluate(stats, False, "rzf", z, scenario.sigma2,
                              SolverSettings())
-    from .fixed_point import solve_rzf_uncommon, solve_zf_uncommon
     res = backsubstitution_residual(sol, F_list=F_list, R=R, C_list=C_list)
     record("backsubstitution", res, 10 * 1e-10, "one extra sweep")
 
-    def deviation(a, b):    # largest relative gap in delta and mu
+    def deviation(a, b, mu=lambda x: x.mu):    # largest gap in delta and mu
         return max(abs(a.delta - b.delta) / a.delta,
-                   float(np.max(np.abs(a.mu - b.mu) / a.mu)))
+                   float(np.max(np.abs(mu(a) - mu(b)) / mu(a))))
 
     sol_b = solve_rzf_uncommon(F_list, R, C_list, z,
                                SolverSettings(init=10.0))
@@ -366,17 +367,27 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
         dev = float(np.max(np.abs(z_small * small.mu - zf.mu) / zf.mu))
         record("zf_small_z_limit", dev, 1e-3,
                f"z mu(z) vs ZF mu at z={z_small:.1e}")
-        # a tenth of the seed gate, where `init` is unused; generic start as x0
-        z_seed = 1e7 * ZF_SEED_Z * z_small
-        generic = {name: np.ones_like(v) for name, v in sol.x0.items()}
-        seeded, cold = (solve_rzf_uncommon(F_list, R, C_list, z_seed, x0=x0)
-                        for x0 in (None, generic))
-        record("zf_seed_consistency", deviation(seeded, cold)
-               if seeded.path == "zf_seed" else np.inf, 1e-8,
-               f"{seeded.path} vs generic start at z={z_seed:.1e}")
+        # seeded vs generic start (as x0): per-user at a tenth of the gate,
+        # where `init` is unused; shared at fig3's z, below the gate at 80 dB
+        fig3, M3 = sc_mod.fig3_scenario(80.0)
+        s3 = sc_mod.uniform_selection(M3, fig3.dims.M_tot)
+        F3, R3, C3, u3, t3, _ = fig3.stats_common(s3)
+        regimes = [
+            (lambda z, x0: solve_rzf_uncommon(F_list, R, C_list, z, x0=x0),
+             1e7 * ZF_SEED_Z * z_small, lambda x: x.mu),
+            (lambda z, x0: solve_rzf_common(F3, R3, C3, u3, t3, z, x0=x0),
+             fig3.default_z(s3), lambda x: x.mu_k(u3, t3))]
+        gaps, paths = [], []
+        for solve, z_seed, mu in regimes:
+            seeded = solve(z_seed, None)
+            generic = {name: np.ones_like(v) for name, v in seeded.x0.items()}
+            gaps.append(deviation(seeded, solve(z_seed, generic), mu)
+                        if seeded.path == "zf_seed" else np.inf)
+            paths.append(f"{seeded.path} at z={z_seed:.1e}")
+        record("zf_seed_consistency", max(gaps), 1e-8,
+               f"per-user {paths[0]}, shared {paths[1]}, vs generic start")
 
     # 4. iid closed form
-    from .fixed_point import solve_iid_zf
     beta = solve_iid_zf(1.0, 0.5, 0.5, 0.6).beta_val
     mu_fp = _iid_fixed_point(1.0, 0.5, 0.5, 0.6)
     record("iid_closed_form", abs((1 - 0.5) * beta - mu_fp) / mu_fp, 1e-8,

@@ -111,6 +111,13 @@ class TestRisCorrelation:
             ris_correlation_matrix(RisAngularProfile(0.5, 10.0, 5.0, 4),
                                    abs_tol=0.0)
 
+    @pytest.mark.parametrize("beta", [0.001, 0.003, 0.01, 0.015, 0.02])
+    def test_spread_narrower_than_the_nodes_raises(self, beta):
+        # every node lies many spreads from alpha: two doublings agree on a
+        # near-zero matrix, but the diagonal misses the Gaussian mass ~1
+        with pytest.raises(PrecisionError, match="residual"):
+            ris_correlation_matrix(RisAngularProfile(0.5, 10.0, beta, 4))
+
     def test_one_unconverged_profile_fails_the_batch(self):
         # d_c = 5000 oscillates faster than 4096 panels resolve
         bad = RisAngularProfile(5000.0, 10.0, 30.0, 4)

@@ -64,59 +64,130 @@ class TestRzfUncommon:
             solve_rzf_uncommon(F_list, R, C_list, 0.0)
 
 
-class TestZfSeed:
-    """Per-user RZF solves below the seed gate start at the ZF state / z."""
+class Regime:
+    """A scenario's solves in one correlation regime: RZF, ZF, the map class
+    and the back-substitution residual."""
 
-    @pytest.mark.parametrize("M", [16, 24])
-    def test_seeded_solve_matches_generic_start(self, M, monkeypatch):
-        from fasris.scenarios import fig1_scenario
-        sc = fig1_scenario(M, 100.0)
-        F_list, R, C_list, _ = sc.stats_uncommon()
-        z = sc.default_z()
+    def __init__(self, sc, regime, s=None):
+        if regime == "common":
+            F, R, C, u, t, _ = sc.stats_common(s)
+            self.stats = dict(F=F, R=R, C=C, u=u, t=t)
+            self.solvers = solve_rzf_common, solve_zf_common
+            self.map = fixed_point._CommonMap
+        else:
+            F_list, R, C_list, _ = sc.stats_uncommon(s)
+            self.stats = dict(F_list=F_list, R=R, C_list=C_list)
+            self.solvers = solve_rzf_uncommon, solve_zf_uncommon
+            self.map = fixed_point._UncommonMap
+
+    def rzf(self, z, settings=fixed_point.DEFAULT_SETTINGS, x0=None):
+        return self.solvers[0](*self.stats.values(), z, settings, x0=x0)
+
+    def zf(self, settings=fixed_point.DEFAULT_SETTINGS):
+        return self.solvers[1](*self.stats.values(), settings)
+
+    def residual(self, sol):
+        return backsubstitution_residual(sol, **self.stats)
+
+
+REGIMES = ["common", "uncommon"]
+
+
+@pytest.fixture
+def small_regimes(small_common, small_uncommon):
+    """The small scenario of each regime."""
+    return [Regime(small_common, "common"), Regime(small_uncommon, "uncommon")]
+
+
+class TestZfSeed:
+    """RZF solves below the seed gate start at the rescaled ZF state."""
+
+    @pytest.mark.parametrize("regime, M", [
+        pytest.param("uncommon", 16, id="16"),
+        pytest.param("uncommon", 24, id="24"),
+        pytest.param("common", 20, id="common")])
+    def test_seeded_solve_matches_generic_start(self, regime, M, monkeypatch):
+        from fasris.scenarios import (fig1_scenario, fig3_scenario,
+                                      uniform_selection)
+        if regime == "common":
+            sc = fig3_scenario(100.0)[0]
+            s = uniform_selection(M, sc.dims.M_tot)
+        else:
+            sc, s = fig1_scenario(M, 100.0), None
+        solves = Regime(sc, regime, s)
+        z = sc.default_z(s)
         calls = []
 
-        def counted(self, x, _call=fixed_point._UncommonMap.__call__):
+        def counted(self, x, _call=solves.map.__call__):
             calls.append(None)
             return _call(self, x)
 
-        monkeypatch.setattr(fixed_point._UncommonMap, "__call__", counted)
-        sol = solve_rzf_uncommon(F_list, R, C_list, z)
+        monkeypatch.setattr(solves.map, "__call__", counted)
+        sol = solves.rzf(z)
         assert sol.path == "zf_seed" and sol.anderson == "converged"
         assert sol.iterations == len(calls)     # the ZF solve's included
         monkeypatch.undo()
         # x0 turns the seed off: the generic start, passed explicitly
         generic = {name: np.ones_like(v) for name, v in sol.x0.items()}
-        ref = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT, x0=generic)
+        ref = solves.rzf(z, TIGHT, x0=generic)
         assert ref.path == "warm"
         for name, value in ref.x0.items():
             assert rel_err(sol.x0[name], value) < 1e-9, name
 
-    def test_nonpositive_z_raises_before_any_zf_solve(self, small_uncommon,
+    def test_nonpositive_z_raises_before_any_zf_solve(self, small_regimes,
                                                       monkeypatch):
-        F_list, R, C_list, _ = small_uncommon.stats_uncommon()
         calls = []
-        monkeypatch.setattr(fixed_point, "solve_zf_uncommon",
+        monkeypatch.setattr(fixed_point, "_picard",
                             lambda *a, **k: calls.append(None))
-        for z in (0.0, -1e-9):
-            with pytest.raises(ValueError):
-                solve_rzf_uncommon(F_list, R, C_list, z)
+        for solves in small_regimes:
+            for z in (0.0, -1e-9):
+                with pytest.raises(ValueError):
+                    solves.rzf(z)
         assert not calls
 
     def test_fewer_ports_than_users_start_cold(self, rng):
-        sc = random_scenario(rng, "uncommon", M=4, K=6, L=5, sigma2=0.4)
-        F_list, R, C_list, _ = sc.stats_uncommon()
-        with pytest.raises(FeasibilityError):
-            solve_zf_uncommon(F_list, R, C_list)
-        sol = solve_rzf_uncommon(F_list, R, C_list, 1e-5)
-        assert sol.path == "cold"
-        assert backsubstitution_residual(sol, F_list=F_list, R=R,
-                                         C_list=C_list) <= 1e-9
+        for regime in REGIMES:
+            sc = random_scenario(rng, regime, M=4, K=6, L=5, sigma2=0.4)
+            solves = Regime(sc, regime)
+            with pytest.raises(FeasibilityError):
+                solves.zf()
+            sol = solves.rzf(1e-5)
+            assert sol.path == "cold"
+            assert solves.residual(sol) <= 1e-9
 
-    def test_gate(self, small_uncommon):
+    def test_gate(self, small_regimes):
         # the gate is 1e-2 times the O(1) gains u_k + t_k of the scenario
-        F_list, R, C_list, _ = small_uncommon.stats_uncommon()
-        assert solve_rzf_uncommon(F_list, R, C_list, 1e-3).path == "zf_seed"
-        assert solve_rzf_uncommon(F_list, R, C_list, 0.1).path == "cold"
+        for solves in small_regimes:
+            assert solves.rzf(1e-3).path == "zf_seed"
+            assert solves.rzf(0.1).path == "cold"
+
+    def test_fig7_row_solves_without_fallback(self, monkeypatch):
+        # fig7's M=24, 90 dB row: the uniform selection's phase ascent
+        # reaches z ~ 4e-10, where a generic start stalls; every solve of
+        # the row must converge, every RZF solve under Anderson
+        from fasris.optimize import alternating_optimization, joint_optimize
+        from fasris.scenarios import fig3_scenario, uniform_selection
+        sc = fig3_scenario(90.0)[0]
+        sc.dims = type(sc.dims)(M=24, K=sc.dims.K, L=sc.dims.L,
+                                M_tot=sc.dims.M_tot)
+        outcomes = []
+
+        def picard(system, x0, settings, _picard=fixed_point._picard):
+            try:
+                sol = _picard(system, x0, settings)
+            except ConvergenceError as err:
+                outcomes.append(err)
+                raise
+            if system.shift:
+                outcomes.append(sol.anderson)
+            return sol
+
+        monkeypatch.setattr(fixed_point, "_picard", picard)
+        joint_optimize(sc, 24, T_iter=1)
+        alternating_optimization(sc, uniform_selection(24, sc.dims.M_tot),
+                                 np.zeros(sc.dims.L))
+        assert "converged" in outcomes
+        assert set(outcomes) == {"converged"}
 
 
 class TestZfUncommon:
@@ -207,17 +278,12 @@ class TestCommon:
             assert res <= 10 * 1e-10
 
 
-@pytest.fixture(params=["common", "uncommon"])
+@pytest.fixture(params=REGIMES)
 def rzf_at_03(request):
     """RZF solve at z = 0.3 on the small scenario of each regime."""
-    sc = request.getfixturevalue(f"small_{request.param}")
-    if request.param == "common":
-        F, R, C, u, t, _ = sc.stats_common()
-        return lambda settings, x0=None: solve_rzf_common(
-            F, R, C, u, t, 0.3, settings, x0=x0)
-    F_list, R, C_list, _ = sc.stats_uncommon()
-    return lambda settings, x0=None: solve_rzf_uncommon(
-        F_list, R, C_list, 0.3, settings, x0=x0)
+    solves = Regime(request.getfixturevalue(f"small_{request.param}"),
+                    request.param)
+    return lambda settings, x0=None: solves.rzf(0.3, settings, x0)
 
 
 class TestSolvePath:
@@ -228,30 +294,11 @@ class TestSolvePath:
         assert warm.path == "warm" and warm.iterations <= 2
         assert rel_err(warm.delta, cold.delta) < 1e-9
 
-    def test_continuation_fallback(self, rzf_at_03, monkeypatch):
-        # one iteration short of the cold solve: the direct attempt stalls,
-        # while every warm-started continuation step converges within budget
-        cold = rzf_at_03(SolverSettings())
-        calls = []
-        for cls in (fixed_point._CommonMap, fixed_point._UncommonMap):
-            def counted(self, x, _call=cls.__call__):
-                calls.append(None)
-                return _call(self, x)
-            monkeypatch.setattr(cls, "__call__", counted)
-        sol = rzf_at_03(SolverSettings(max_iter=cold.iterations - 1))
-        assert sol.path == "continuation"
-        # every map evaluation counts: the failed attempt and all 13 steps
-        assert sol.iterations == len(calls) > cold.iterations
-        monkeypatch.undo()
-        ref = rzf_at_03(TIGHT)
-        for name, value in ref.x0.items():
-            assert rel_err(sol.x0[name], value) < 1e-8, name
-
-    def test_continuation_failure_carries_residual(self, small_common):
-        F, R, C, u, t, _ = small_common.stats_common()
-        with pytest.raises(ConvergenceError) as err:
-            solve_rzf_common(F, R, C, u, t, 0.3, SolverSettings(max_iter=1))
-        assert np.isfinite(err.value.residual) and err.value.residual > 0
+    def test_stalled_solve_raises_with_residual(self, small_regimes):
+        for solves in small_regimes:
+            with pytest.raises(ConvergenceError) as err:
+                solves.rzf(0.3, SolverSettings(max_iter=1))
+            assert np.isfinite(err.value.residual) and err.value.residual > 0
 
     def test_zf_paths(self, small_common):
         F, R, C, u, t, _ = small_common.stats_common()
@@ -324,7 +371,6 @@ class TestSpectralMap:
         corr = small_common.correlations
         corr.F_tot = corr.R_tot.copy()
         F, R, C, u, t, _ = small_common.stats_common()
-        cold = solve_rzf_common(F, R, C, u, t, 0.3)
         spectra, evaluations, inverses_in_map = [], [], []
 
         def eigvalsh(A, _eigvalsh=np.linalg.eigvalsh):
@@ -347,10 +393,9 @@ class TestSpectralMap:
         monkeypatch.setattr(fixed_point._CommonMap, "__call__", evaluation)
         solves = [
             lambda: solve_rzf_common(F, R, C, u, t, 0.3),
-            lambda: solve_rzf_common(F, R, C, u, t, 0.3, SolverSettings(
-                max_iter=cold.iterations - 1)),
+            lambda: solve_rzf_common(F, R, C, u, t, 1e-3),
             lambda: solve_zf_common(F, R, C, u, t)]
-        for solve, path in zip(solves, ["cold", "continuation", "cold"]):
+        for solve, path in zip(solves, ["cold", "zf_seed", "cold"]):
             spectra.clear()
             evaluations.clear()
             assert solve().path == path

@@ -21,8 +21,8 @@ from fasris import (SolverSettings, esr_gradient_phases_uncommon,
                     sinr_rzf_common, sinr_rzf_uncommon, sinr_zf_common,
                     sinr_zf_uncommon, solve_rzf_common, solve_rzf_uncommon,
                     solve_zf_common, solve_zf_uncommon)
-from fasris.fixed_point import (DEFAULT_SETTINGS, _CommonMap, _continued,
-                                _picard, _spectra, _UncommonMap)
+from fasris.fixed_point import (DEFAULT_SETTINGS, _CommonMap, _picard,
+                                _spectra, _UncommonMap)
 from fasris.optimize import _evaluate, _stats
 from fasris.scenarios import random_scenario
 
@@ -173,9 +173,8 @@ def test_anderson_matches_damped_picard(seed, z):
                         None, TIGHT)
     else:
         mixed = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT)
-        plain = _continued(lambda zz: _PlainUncommonMap(F_list, R, C_list, zz,
-                                                        1.0, None),
-                           z, None, TIGHT)
+        plain = _picard(_PlainUncommonMap(F_list, R, C_list, z, 1.0, None),
+                        None, TIGHT)
     assert mixed.anderson != "off" and plain.anderson == "off"
     assert rel(state(mixed), state(plain)) < TOL
 
@@ -196,9 +195,8 @@ def test_shared_anderson_matches_damped_picard(seed, z, f_is_r):
     spectra = _spectra(F, R, C)
     assert (spectra[0] is not None) == f_is_r
     mixed = solve_rzf_common(F, R, C, u, t, z, TIGHT)
-    plain = _continued(lambda zz: _PlainCommonMap(F, R, C, u, t, zz, 1.0,
-                                                  None, spectra),
-                       z, None, TIGHT)
+    plain = _picard(_PlainCommonMap(F, R, C, u, t, z, 1.0, None, spectra),
+                    None, TIGHT)
     assert mixed.anderson != "off" and plain.anderson == "off"
     assert rel(state(mixed), state(plain)) < TOL
 
