@@ -265,5 +265,10 @@ def phases_from_config(cfg: dict, L: int) -> np.ndarray | None:
     if kind == "zero":
         return np.zeros(L)
     if kind == "values":
-        return np.asarray(block["values"], dtype=float)
+        values = block.get("values")
+        if not (isinstance(values, list) and len(values) == L and all(
+                type(v) in (int, float) and np.isfinite(v) for v in values)):
+            raise ConfigError(f"phases values must be {L} finite real "
+                              f"numbers: {values!r}")
+        return np.asarray(values, dtype=float)
     raise ConfigError(f"unknown phases type {kind!r}")

@@ -8,14 +8,14 @@ order (delta, then the RIS-side traces, then the per-user scalars) at
 it (every map but the shared ZF one); a cold RZF solve at small z starts at
 the ZF state rescaled by z. A ZF solution has `z` None and holds the paper's
 underlined (scaled z -> 0) quantities; every solution carries the inverses
-that the second-order terms need.
+that the second-order terms need, a shared one builds them on first read.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import ClassVar
 
 import numpy as np
@@ -44,8 +44,11 @@ class SolverSettings:
     init: float = 1.0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (0.0 < self.tol < 1.0 and 0.0 < self.init < np.inf
+                and isinstance(self.max_iter, (int, np.integer))
+                and not isinstance(self.max_iter, bool) and self.max_iter >= 1):
+            raise ValueError(f"{self} needs a finite 0 < tol < 1, an integer "
+                             f"max_iter >= 1 and a finite init > 0")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -95,19 +98,41 @@ class UncommonSolution(_Solution):
 
 @dataclass
 class CommonSolution(_Solution):
+    """`spectral` with both psi and psi_C (F equals R, cascaded link); the
+    explicit inverses Psi_R and Psi_C are built on first read."""
+
     z: float | None            # None for ZF
     delta: float
     kappa: float
     omega: float
     kappa_bar: float
     omega_bar: float
-    Psi_R: np.ndarray
-    Psi_C: np.ndarray
     psi_T: np.ndarray          # diagonal of (shift I + omega T + kappa U)^{-1}
+    lam: np.ndarray | None     # eigenvalues of R, None unless F equals R
+    g: np.ndarray              # eigenvalues of C
+    psi: np.ndarray | None     # 1 / (z + (a + b) lam)
+    psi_C: np.ndarray | None   # 1 / (1/delta + omega_bar g); None if not cascaded
+    system: _CommonMap = field(repr=False)
     _state = ("delta", "kappa", "omega", "kappa_bar", "omega_bar")
 
     def mu_k(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
         return t * self.omega + u * self.kappa
+
+    @property
+    def spectral(self) -> bool:
+        return self.psi is not None and self.psi_C is not None
+
+    @cached_property
+    def Psi_R(self) -> np.ndarray:
+        m = self.system
+        return herm(np.linalg.inv(m.psi_r_inv(*m.r_coefs(
+            self.delta, self.omega, self.kappa_bar, self.omega_bar))))
+
+    @cached_property
+    def Psi_C(self) -> np.ndarray:    # delta I, unused, if not cascaded
+        m = self.system
+        return (herm(np.linalg.inv(m.I_L / self.delta + self.omega_bar * m.C))
+                if m.cascaded else self.delta * m.I_L.astype(complex))
 
 
 @dataclass(frozen=True)
@@ -139,12 +164,13 @@ class _Anderson:
     """
 
     def __init__(self, depth: int):
-        self.depth, self.live, self.y = depth, None, None
-        self.gs, self.fs, self.best, self.stale = [], [], np.inf, 0
+        self.depth, self.live, self.y, self.gf = depth, None, None, None
+        self.n, self.best, self.stale = 0, np.inf, 0
 
     def __call__(self, new, residual):
-        if self.live is None:
+        if self.live is None:    # D: a ring of the last `depth` changes of (g, f)
             self.live = new != 0.0
+            self.D = np.empty((2, int(self.live.sum()), self.depth))
         self.stale = 0 if residual < self.best else self.stale + 1
         self.best = min(self.best, residual)
         if self.stale >= self.depth or not (np.isfinite(new).all()
@@ -152,12 +178,13 @@ class _Anderson:
             return None
         g = y = np.log(new[self.live])
         if self.y is not None:
-            self.gs = [*self.gs[-self.depth:], g]
-            self.fs = [*self.fs[-self.depth:], g - self.y]
-            if len(self.fs) > 1:
-                gamma = np.linalg.lstsq(np.diff(self.fs, axis=0).T,
-                                        self.fs[-1], rcond=None)[0]
-                y = g - np.diff(self.gs, axis=0).T @ gamma
+            gf = np.stack([g, g - self.y])
+            if self.gf is not None:
+                self.D[..., self.n % self.depth] = gf - self.gf
+                self.n += 1
+                dG, dF = self.D[..., :min(self.n, self.depth)]
+                y = g - dG @ np.linalg.lstsq(dF, gf[1], rcond=None)[0]
+            self.gf = gf
         if not (np.abs(y - g) <= LOG_STEP).all():
             return None
         self.y = y
@@ -212,14 +239,17 @@ def _solve_rzf(map_at, z: float, x0: dict | None, settings: SolverSettings):
     times the link gain, where generic values make the map oscillate, starts
     at the ZF state of `map_at(1, 0)` rescaled to z (`path == "zf_seed"`, ZF
     evaluations counted in `iterations`); an infeasible (M < K) or stalled
-    ZF solve leaves the generic start.
+    ZF solve leaves the generic start. The ZF solve stops at the seed's own
+    accuracy, z M / link gain, or at `settings.tol`.
     """
     if z <= 0:
         raise ValueError("regularization z must be positive")
     system, seeded = map_at(z, 1.0), 0
     if x0 is None and z * system.M < ZF_SEED_Z * system.link_gain():
+        coarse = replace(settings, tol=max(settings.tol,
+                                           z * system.M / system.link_gain()))
         with suppress(ConvergenceError, FeasibilityError):    # generic start then
-            zf = _picard(map_at(1.0, 0.0), None, settings)
+            zf = _picard(map_at(1.0, 0.0), None, coarse)
             x0, seeded = system.seed(zf.x0), zf.iterations
     sol = _picard(system, x0, settings)
     if seeded:
@@ -341,7 +371,8 @@ class _CommonMap(_Map):
     tr(C Psi_C) is a sum over the eigenvalues g of C; when F equals R,
     delta = kappa is a sum over the eigenvalues lam of R, else the R side
     solves for Psi_R. `spectra` = (lam or None, g) comes from `_spectra`,
-    once per solve. `finish` inverts explicitly, for the second-order blocks.
+    once per solve. `finish` keeps them with the eigenvalues of Psi_R and
+    Psi_C and the map itself, which the solution inverts on first read.
     """
 
     regime = "common "
@@ -416,12 +447,11 @@ class _CommonMap(_Map):
 
     def finish(self, x):
         delta, kappa, omega, kappa_bar, omega_bar = x
-        Psi_R = np.linalg.inv(self.psi_r_inv(*self.r_coefs(
-            delta, omega, kappa_bar, omega_bar)))
-        Psi_C = (np.linalg.inv(self.I_L / delta + omega_bar * self.C)
-                 if self.cascaded else delta * self.I_L.astype(complex))
-        return (*x, herm(Psi_R), herm(Psi_C),
-                1.0 / self.user_gain(kappa, omega))
+        a, b = self.r_coefs(delta, omega, kappa_bar, omega_bar)
+        psi = None if self.lam is None else 1.0 / (self.z + (a + b) * self.lam)
+        psi_C = 1.0 / (1.0 / delta + omega_bar * self.g) if self.cascaded else None
+        return (*x, 1.0 / self.user_gain(kappa, omega), self.lam, self.g, psi,
+                psi_C, self)
 
 
 # ---------------------------------------------------------------------------

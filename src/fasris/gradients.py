@@ -20,8 +20,8 @@ import numpy as np
 from .channel import effective_ris_correlation, psd_sqrt
 from .fixed_point import CommonSolution, UncommonSolution
 from .rates import (SecondOrderCommon, SecondOrderUncommon, _checked,
-                    _common_tables, _uncommon_tables, common_pi,
-                    common_system, uncommon_pi, uncommon_system)
+                    _common_factors, _common_tables, _uncommon_tables,
+                    common_pi, common_system, uncommon_pi, uncommon_system)
 
 LN2 = np.log(2.0)
 
@@ -110,25 +110,27 @@ def _esr_along(system, x: dict, dx: dict, *args) -> np.ndarray:
 def _common_along(so: SecondOrderCommon, d_, k_, o_, dz: float) -> dict:
     """Derivatives of the shared state and trace tables when the fixed point
     moves by (d_, k_, o_) in (delta, kappa, omega), the Pi_com response, and
-    dPsi_R^{-1} gains dz I (dz is 1 along z, 0 along a phase)."""
+    dPsi_R^{-1} gains dz I (dz is 1 along z, 0 along a phase). A `spectral`
+    solution differentiates the eigenvalues psi and psi_C instead."""
     sol = so.sol
     F, R, C = so.F, so.R, so.C
     M, L = sol.m_norm, C.shape[0]
     delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
-    Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
+    P, (Psi_R, Psi_C) = _common_factors(sol, F, R, C)
     kb_ = -(k_ * so.eta_UU + o_ * so.eta_TU)
     ob_ = -(k_ * so.eta_TU + o_ * so.eta_TT)
-    CP = C @ Psi_C
-    if delta:
-        alpha = (L / M) * ((o_ * omega_bar + omega * ob_) / delta
-                           - omega * omega_bar * d_ / delta ** 2)
-        PsiC_ = (d_ / delta ** 2) * (Psi_C @ Psi_C) - ob_ * (Psi_C @ CP)
-    else:                                   # no RIS path: R = 0, Psi_C = 0
-        alpha, PsiC_ = 0.0, 0.0 * Psi_C
+    alpha = (L / M) * ((o_ * omega_bar + omega * ob_) / delta
+                       - omega * omega_bar * d_ / delta ** 2) if delta else 0.0
     beta = (L / M) * kb_                    # dPsi_R^{-1} = dz I + alpha R + beta F
-    PsiR_ = -Psi_R @ (dz * np.eye(len(R)) + alpha * R + beta * F) @ Psi_R
-    P = (R @ Psi_R, F @ Psi_R, CP)
-    P_ = (R @ PsiR_, F @ PsiR_, C @ PsiC_)
+    if sol.spectral:
+        PsiR_ = -Psi_R ** 2 * (dz + (alpha + beta) * sol.lam)
+        PsiC_ = Psi_C ** 2 * (d_ / delta ** 2 - ob_ * sol.g)
+        P_ = (sol.lam * PsiR_, sol.lam * PsiR_, sol.g * PsiC_)
+    else:
+        PsiC_ = ((d_ / delta ** 2) * (Psi_C @ Psi_C) - ob_ * (Psi_C @ P[2])
+                 if delta else 0.0 * Psi_C)    # no RIS path: Psi_C = 0
+        PsiR_ = -Psi_R @ (dz * np.eye(len(R)) + alpha * R + beta * F) @ Psi_R
+        P_ = (R @ PsiR_, F @ PsiR_, C @ PsiC_)
     tables_ = _common_tables(P_, (*P, Psi_R, Psi_C), M, L)
     rest = _common_tables(P, (*P_, PsiR_, PsiC_), M, L)
     return {"delta": d_, "kappa": k_, "omega": o_, "omega_bar": ob_,

@@ -141,8 +141,8 @@ def _batch_first(A: np.ndarray) -> np.ndarray:
 
 
 def _tr(A: np.ndarray, B: np.ndarray, n: int) -> float:
-    """Re tr(A B) / n."""
-    return np.einsum("ij,ji->", A, B).real / n
+    """Re tr(A B) / n; vectors A and B stand for diagonal matrices."""
+    return np.einsum("ij,ji->" if A.ndim == 2 else "i,i->", A, B).real / n
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +363,17 @@ def _common_tables(first, second, M: int, L: int) -> dict:
             "Xi_I": _tr(CP, Psi_C, L)}
 
 
+def _common_factors(sol: CommonSolution, F, R, C):
+    """(P, (Psi_R, Psi_C)) for `_common_tables` at sol: a `spectral` sol gives
+    the eigenvalues of R Psi_R = F Psi_R, C Psi_C, Psi_R and Psi_C (so
+    chi_RR = sum lam^2 psi^2 / M and so on), any other the matrices."""
+    if sol.spectral:
+        RP = sol.lam * sol.psi
+        return (RP, RP, sol.g * sol.psi_C), (sol.psi, sol.psi_C)
+    return ((R @ sol.Psi_R, F @ sol.Psi_R, C @ sol.Psi_C),
+            (sol.Psi_R, sol.Psi_C))
+
+
 def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
                   sigma2=None) -> dict:
     """The shared system from its fixed-point state and trace tables.
@@ -464,9 +475,8 @@ class SecondOrderCommon(CommonPi):
 
 def second_order_common(F, R, C, u, t, p, sol: CommonSolution) -> SecondOrderCommon:
     u, t, p = (np.asarray(v, dtype=float) for v in (u, t, p))
-    P = (R @ sol.Psi_R, F @ sol.Psi_R, C @ sol.Psi_C)
-    x = {**sol.x0, **_common_tables(P, (*P, sol.Psi_R, sol.Psi_C), sol.m_norm,
-                                    C.shape[0])}
+    P, Psi = _common_factors(sol, F, R, C)
+    x = {**sol.x0, **_common_tables(P, (*P, *Psi), sol.m_norm, C.shape[0])}
     out = common_system(x, u, t, sol.m_norm, C.shape[0], 1.0, p)
     out["Psi_kl"] = _clip_psi(out["Psi_kl"])
     return SecondOrderCommon(x=x, **out, sol=sol, F=F, R=R, C=C, u=u, t=t, p=p)

@@ -9,8 +9,9 @@ import pytest
 
 from fasris import RisAngularProfile, cli, ris_correlation_matrix
 from fasris.channel import check_psd
-from fasris.config import (ConfigError, load_matrix, save_matrix,
-                           scenario_from_config, selection_from_config)
+from fasris.config import (ConfigError, load_matrix, phases_from_config,
+                           save_matrix, scenario_from_config,
+                           selection_from_config)
 from fasris.scenarios import random_correlation, uniform_selection
 from fasris.sweep import CSV_HEADER, validate
 
@@ -179,6 +180,23 @@ class TestScenarioFromConfig:
         with pytest.raises(ConfigError, match=match):
             selection_from_config({"selection": {"type": "indices", **block}},
                                   sc)
+
+    @pytest.mark.parametrize("values", [
+        [0.1] * 5, [0.1] * 7 + [float("nan")], [0.1] * 7 + [float("inf")],
+        ["0.1"] * 8, [0.1] * 7 + [True], None], ids=[
+        "5-of-8", "nan", "inf", "strings", "bool", "missing"])
+    def test_bad_phase_values_raise(self, values):
+        block = {"type": "values"}
+        if values is not None:
+            block["values"] = values
+        with pytest.raises(ConfigError, match="8 finite real numbers"):
+            phases_from_config({"phases": block}, 8)
+
+    def test_phase_values_pass_through(self):
+        values = [0.5, 1, 2.5, 0.0, 3.0, 1.5, 0.25, 6]
+        phi = phases_from_config({"phases": {"type": "values",
+                                             "values": values}}, 8)
+        assert phi.dtype == float and np.array_equal(phi, values)
 
     @pytest.mark.parametrize("kind,M", [("first", 9), ("uniform", 9),
                                         ("first", 0), ("uniform", 0)])

@@ -13,6 +13,16 @@ from conftest import rel_err, single_hop_mu
 TIGHT = SolverSettings(tol=1e-12, max_iter=30000)
 
 
+@pytest.mark.parametrize("kw", [
+    {"tol": 0.0}, {"tol": -1e-3}, {"tol": 1.0}, {"tol": np.inf},
+    {"tol": np.nan}, {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True},
+    {"init": 0.0}, {"init": -1.0}, {"init": np.nan}, {"init": np.inf}],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_settings_reject_invalid_values(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        SolverSettings(**kw)
+
+
 class TestRzfUncommon:
     def test_single_hop_degeneration(self, rng):
         # t_k = 0 for every user: omega = 0 and mu matches a standalone
@@ -154,6 +164,25 @@ class TestZfSeed:
             sol = solves.rzf(1e-5)
             assert sol.path == "cold"
             assert solves.residual(sol) <= 1e-9
+
+    def test_zf_seed_stops_at_its_own_accuracy(self, small_regimes,
+                                               monkeypatch):
+        # the rescaled ZF state is off by about z M / link gain, so the ZF
+        # solve stops at that tolerance (or settings.tol, if larger)
+        tols = []
+
+        def picard(system, x0, settings, _picard=fixed_point._picard):
+            tols.append((system, settings.tol))
+            return _picard(system, x0, settings)
+
+        monkeypatch.setattr(fixed_point, "_picard", picard)
+        for solves in small_regimes:
+            for z in (1e-3, 1e-12):
+                tols.clear()
+                assert solves.rzf(z).path == "zf_seed"
+                (zf, tol), (rzf, rzf_tol) = tols
+                assert zf.shift == 0.0 and rzf_tol == 1e-10
+                assert tol == max(1e-10, z * rzf.M / rzf.link_gain()) < 1e-2
 
     def test_gate(self, small_regimes):
         # the gate is 1e-2 times the O(1) gains u_k + t_k of the scenario
@@ -401,6 +430,91 @@ class TestSpectralMap:
             assert solve().path == path
             assert len(spectra) == 2 and spectra[0] is R and spectra[1] is C
             assert evaluations and not inverses_in_map
+
+
+    @staticmethod
+    def _fig3():
+        from fasris.scenarios import fig3_scenario, uniform_selection
+        sc, M = fig3_scenario(80.0)
+        return sc, uniform_selection(M, sc.dims.M_tot)
+
+    def test_shared_rzf_esr_inverts_nothing(self, monkeypatch):
+        from fasris.optimize import deterministic_esr
+        sc, s = self._fig3()
+        calls = []
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda A, _inv=np.linalg.inv: calls.append(A)
+                            or _inv(A))
+        assert deterministic_esr(sc, s, None, "rzf").esr > 0
+        assert not calls
+
+    def test_resolvents_inverted_once_on_first_read(self, monkeypatch):
+        from fasris.channel import herm
+        sc, s = self._fig3()
+        F, R, C, u, t, _ = sc.stats_common(s)
+        z = sc.default_z(s)
+        sol = solve_rzf_common(F, R, C, u, t, z)
+        assert sol.spectral
+        M, L = sol.m_norm, C.shape[0]
+        a = L * sol.kappa_bar / M
+        b = L * sol.omega * sol.omega_bar / (M * sol.delta)
+        eager = {"Psi_R": herm(np.linalg.inv(
+                     z * np.eye(M).astype(complex) + a * F + b * R)),
+                 "Psi_C": herm(np.linalg.inv(
+                     np.eye(L) / sol.delta + sol.omega_bar * C))}
+        calls = []
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda A, _inv=np.linalg.inv: calls.append(A)
+                            or _inv(A))
+        for n, name in enumerate(["Psi_R", "Psi_C"], start=1):
+            first = getattr(sol, name)
+            assert getattr(sol, name) is first and len(calls) == n
+            assert first.tobytes() == eager[name].tobytes()
+
+    def test_shared_rzf_esr_leaves_scipy_linalg_unloaded(self):
+        # scipy.linalg costs about 6 MiB of resident memory on import
+        import os
+        import subprocess
+        import sys
+        import fasris
+        code = ("import sys, fasris\n"
+                "from fasris.scenarios import fig3_scenario, uniform_selection\n"
+                "sc, M = fig3_scenario(80.0)\n"
+                "s = uniform_selection(M, sc.dims.M_tot)\n"
+                "assert fasris.deterministic_esr(sc, s, None, 'rzf').esr > 0\n"
+                "assert 'scipy.linalg' not in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(fasris.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("case", ["fig3", "F=R"])
+    def test_spectral_tables_match_the_matrix_formulas(self, case):
+        from dataclasses import replace
+        from fasris.gradients import _common_along
+        from fasris.rates import second_order_common
+        if case == "fig3":
+            sc, s = self._fig3()
+        else:
+            sc, s = random_scenario(np.random.default_rng(5), "common", M=10,
+                                    K=4, L=7, sigma2=0.3), None
+            sc.correlations.F_tot = sc.correlations.R_tot.copy()
+        F, R, C, u, t, p = sc.stats_common(s)
+        sol = solve_rzf_common(F, R, C, u, t, sc.default_z(s))
+        # without psi the solution takes the matrix formulas
+        matrix = replace(sol, psi=None)
+        assert sol.spectral and not matrix.spectral
+        so, so_m = (second_order_common(F, R, C, u, t, p, x)
+                    for x in (sol, matrix))
+        for name, value in so_m.x.items():
+            assert rel_err(so.x[name], value) < 1e-12, name
+        along_U = (*so_m.solve_pi(np.array([0.0, 0.0, 1.0])), 0.0)
+        for args in ((*(-so_m.x_I), 1.0), along_U):
+            got, ref = _common_along(so, *args), _common_along(so_m, *args)
+            for name, value in ref.items():
+                scale = max(abs(value), abs(so_m.x[name]))
+                assert abs(got[name] - value) < 1e-12 * scale, name
 
 
 class TestIid:
