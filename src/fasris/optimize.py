@@ -81,16 +81,29 @@ class OptimizerSettings:
     fw_max_iter: int = 500
     # phase ascent (backtracking)
     armijo_beta: float = 1e-4
-    ascent_tol: float = 1e-5
+    ascent_tol: float = 1e-7
     ascent_max_iter: int = 200
+
+    def __post_init__(self):
+        def count(n, least):
+            return (isinstance(n, (int, np.integer))
+                    and not isinstance(n, bool) and n >= least)
+        if not (count(self.fw_max_iter, 1) and count(self.ascent_max_iter, 0)
+                and 0.0 < self.ascent_tol < 1.0
+                and 0.0 < self.armijo_beta < np.inf):
+            raise ValueError(f"{self} needs integers fw_max_iter >= 1 and "
+                             f"ascent_max_iter >= 0, a finite 0 < ascent_tol "
+                             f"< 1 and a finite armijo_beta > 0")
 
 
 DEFAULT_OPT = OptimizerSettings()
 
 # Frank-Wolfe stops on this relative change of the relaxed ESR
 FW_TOL = 1e-5
-# phase ascent: first step, backtracking factor, most halvings per line search
+# phase ascent: first step, backtracking factor, most halvings per line search,
+# (s, y) pairs kept by the L-BFGS direction
 ALPHA0 = 1.0
+LBFGS_MEMORY = 5
 BACKTRACK_C = 0.5
 MAX_HALVINGS = 40
 # z-search: Z_GRID_POINTS over Z_SPAN_DECADES either side of K sigma^2 / M,
@@ -363,34 +376,57 @@ def _phase_objective(scenario: Scenario, s, precoder, z, settings):
     return value, value_grad
 
 
+def _lbfgs_direction(grad: np.ndarray, pairs: list) -> np.ndarray:
+    """Ascent direction H grad by the L-BFGS two-loop recursion on -ESR
+    (Nocedal 1980), over the (s, y) pairs oldest first, each with s.y > 0;
+    without pairs, ALPHA0 grad / ||grad||."""
+    if not pairs:
+        return ALPHA0 * grad / np.linalg.norm(grad)
+    q = grad.copy()
+    coef = []
+    for s, y in reversed(pairs):
+        coef.append(s @ q / (s @ y))
+        q -= coef[-1] * y
+    s, y = pairs[-1]
+    r = (s @ y) / (y @ y) * q
+    for (s, y), a in zip(pairs, reversed(coef)):
+        r += (a - y @ r / (s @ y)) * s
+    return r
+
+
 def gradient_ascent_phases(scenario: Scenario, s: np.ndarray | None, z: float | None,
                            phi0: np.ndarray, opt: OptimizerSettings = DEFAULT_OPT,
                            precoder: str = "rzf",
                            trace: OptimizationTrace | None = None):
-    """Backtracking gradient ascent on the RIS phase angles.
+    """Backtracking quasi-Newton ascent on the RIS phase angles.
 
-    Accepted steps satisfy R(phi + a g) - R(phi) >= a beta ||grad|| with the
-    normalized direction g, so the deterministic ESR never decreases. A
-    failed line search (max halvings) returns the current iterate with
-    stalled=True. The search solves warm (`_phase_objective`); the returned
-    ESR is one cold `deterministic_esr` at the returned phases, so it does
-    not depend on the path the search took.
+    Steps along `_lbfgs_direction` d over the last LBFGS_MEMORY pairs
+    (s, y) = (accepted move before the mod-2pi wrap, minus the gradient
+    change), kept when s.y > 0; if grad.d <= 0 it drops them and steps along
+    the gradient. Accepted steps satisfy R(phi + a d) - R(phi) >= a beta
+    grad.d, so the ESR never decreases; a failed line search (max halvings)
+    returns the current iterate with stalled=True. The search solves warm
+    (`_phase_objective`); the returned ESR is one cold `deterministic_esr`
+    at the returned phases. Trace records carry `step` = ||a d||.
     """
     value, value_grad = _phase_objective(scenario, s, precoder, z, opt.solver)
     phi = np.mod(np.asarray(phi0, dtype=float), 2.0 * np.pi)
     esr, grad = value_grad(phi)
-    stalled = False
+    pairs, stalled = [], False
     for it in range(opt.ascent_max_iter):
         norm = float(np.linalg.norm(grad))
         if norm < 1e-14 * max(1.0, abs(esr)):
             break
-        direction = grad / norm
-        alpha = ALPHA0
+        direction = _lbfgs_direction(grad, pairs)
+        if grad @ direction <= 0.0:      # not uphill: restart at the gradient
+            pairs, direction = [], _lbfgs_direction(grad, [])
+        slope = float(grad @ direction)
+        alpha = 1.0
         halvings = 0
         while True:
             cand = np.mod(phi + alpha * direction, 2.0 * np.pi)
             esr_cand = value(cand)
-            if esr_cand - esr >= alpha * opt.armijo_beta * norm:
+            if esr_cand - esr >= alpha * opt.armijo_beta * slope:
                 break
             alpha *= BACKTRACK_C
             halvings += 1
@@ -400,12 +436,15 @@ def gradient_ascent_phases(scenario: Scenario, s: np.ndarray | None, z: float | 
         if stalled:
             break
         phi = cand
-        esr_prev = esr
+        esr_prev, grad_prev = esr, grad
         esr, grad = value_grad(phi)
+        move, change = alpha * direction, grad_prev - grad
+        if move @ change > 0.0:
+            pairs = (pairs + [(move, change)])[-LBFGS_MEMORY:]
         if trace is not None:
             trace.add(stage="phases", iteration=it, objective=esr,
-                      step=alpha, gradient_norm=norm, halvings=halvings,
-                      evals=halvings + 1)
+                      step=float(np.linalg.norm(move)), gradient_norm=norm,
+                      halvings=halvings, evals=halvings + 1)
         if abs(esr - esr_prev) < opt.ascent_tol * abs(esr_prev):
             break
     esr = deterministic_esr(scenario, s, phi, precoder, z, opt.solver).esr

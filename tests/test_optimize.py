@@ -13,11 +13,13 @@ from fasris import (OptimizerSettings, PhaseShifts, PortSelection,
                     gradient_ascent_phases, joint_optimize,
                     search_regularization, z_search_profile)
 from fasris.channel import ConstraintError
-from fasris.optimize import (Z_BRACKET_POINTS, Z_GRID_POINTS, Z_SLOPE_TOL,
+from fasris.optimize import (ALPHA0, BACKTRACK_C, LBFGS_MEMORY,
+                             Z_BRACKET_POINTS, Z_GRID_POINTS, Z_SLOPE_TOL,
                              OptimizationTrace, RelaxedZfObjective,
-                             _WarmRzfEsr, top_m_rounding)
-from fasris.scenarios import (fig3_scenario, random_correlation,
-                              random_scenario, uniform_selection)
+                             _lbfgs_direction, _WarmRzfEsr, top_m_rounding)
+from fasris.scenarios import (fig3_scenario, fig6_scenario,
+                              random_correlation, random_scenario,
+                              uniform_selection)
 
 FAST = OptimizerSettings(solver=SolverSettings(tol=1e-10, max_iter=4000),
                          fw_max_iter=120, ascent_max_iter=60)
@@ -186,6 +188,114 @@ class TestGradientAscent:
         fresh = deterministic_esr(sc, None, phi0, "rzf", 0.15,
                                   FAST.solver).esr
         assert esr == pytest.approx(fresh, abs=1e-10)
+
+
+def random_spd(rng, n):
+    B = rng.standard_normal((n, n))
+    return B @ B.T + n * np.eye(n)
+
+
+class TestLbfgsDirection:
+    def test_without_pairs_is_the_first_steepest_step(self, rng):
+        g = rng.standard_normal(6)
+        d = _lbfgs_direction(g, [])
+        assert np.array_equal(d, ALPHA0 * g / np.linalg.norm(g))
+
+    def test_newest_secant_equation(self, rng):
+        # -ESR = x A x / 2: a move s changes the ESR gradient by -A s
+        A = random_spd(rng, 4)
+        pairs = [(s, A @ s) for s in rng.standard_normal((3, 4))]
+        s_last, y_last = pairs[-1]
+        assert np.allclose(_lbfgs_direction(y_last, pairs), s_last,
+                           rtol=0, atol=1e-12)
+
+    def test_conjugate_pairs_give_the_newton_step(self, rng):
+        A = random_spd(rng, 4)
+        # A-conjugate moves: A-orthonormalize random vectors
+        S = np.linalg.cholesky(A).T
+        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        moves = np.linalg.solve(S, Q)
+        pairs = [(s, A @ s) for s in moves.T]
+        g = rng.standard_normal(4)
+        assert np.allclose(_lbfgs_direction(g, pairs), np.linalg.solve(A, g),
+                           rtol=0, atol=1e-12)
+
+    def test_pairs_without_curvature_are_not_stored(self, monkeypatch):
+        # ESR = -sum cos(phi) is convex for |phi| < pi/2: the first moves
+        # from phi = 0.3 give s.y < 0, later ones near phi = pi s.y > 0
+        from fasris import optimize
+
+        def objective(scenario, s, precoder, z, settings):
+            return (lambda phi: -np.cos(phi).sum(),
+                    lambda phi: (-np.cos(phi).sum(), np.sin(phi)))
+
+        seen, directions = [], []
+
+        def recorded(grad, pairs):
+            seen.append([float(s @ y) for s, y in pairs])
+            directions.append(_lbfgs_direction(grad, pairs))
+            return directions[-1]
+
+        monkeypatch.setattr(optimize, "_phase_objective", objective)
+        monkeypatch.setattr(optimize, "_lbfgs_direction", recorded)
+        sc = random_scenario(np.random.default_rng(4), "common", M=10, K=3,
+                             L=6, sigma2=0.3)
+        trace = OptimizationTrace()
+        gradient_ascent_phases(sc, None, 0.15, np.full(6, 0.3), trace=trace)
+        assert seen[0] == seen[1] == []
+        assert all(0 < len(sy) <= LBFGS_MEMORY for sy in seen[4:])
+        assert all(v > 0 for sy in seen for v in sy)
+        # each record's step is the length of the accepted move
+        records = trace.records
+        assert len(directions) in (len(records), len(records) + 1)
+        for r, d in zip(records, directions):
+            assert r["step"] == pytest.approx(
+                BACKTRACK_C ** r["halvings"] * np.linalg.norm(d), rel=1e-12)
+
+
+def test_fig6_k12_ascent_converges():
+    # the relative-change stop of 1e-5 quit this row at 63.583
+    sc, M = fig6_scenario(12, 80.0)
+    assert joint_optimize(sc, M, T_iter=1)[3].esr >= 64.28
+
+
+def test_design_op_line_search_and_rzf_solve_counts(monkeypatch):
+    # the benchmark's design op on seed 1; 86 line-search evaluations and
+    # 225 shared-RZF solves under normalized steepest ascent
+    from fasris import optimize
+    evals, solves = [], []
+    objective, picard = optimize._phase_objective, fixed_point._picard
+
+    def counted_objective(*args, **kw):
+        value, value_grad = objective(*args, **kw)
+
+        def counted(phi):
+            evals.append(None)
+            return value(phi)
+        return counted, value_grad
+
+    def counted_picard(system, x0, settings):
+        solves.append(system.name)
+        return picard(system, x0, settings)
+
+    monkeypatch.setattr(optimize, "_phase_objective", counted_objective)
+    monkeypatch.setattr(fixed_point, "_picard", counted_picard)
+    sc, M = fig3_scenario(80.0)
+    theta = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi)
+    joint_optimize(sc, M, phi0=np.full(sc.dims.L, theta), T_iter=1)
+    assert len(evals) <= 60
+    assert solves.count("common RZF") <= 160
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fw_max_iter", 0), ("fw_max_iter", 2.5), ("fw_max_iter", True),
+    ("ascent_max_iter", -1), ("ascent_max_iter", 3.0),
+    ("ascent_max_iter", False), ("ascent_tol", 0.0), ("ascent_tol", 1.0),
+    ("ascent_tol", np.nan), ("armijo_beta", 0.0), ("armijo_beta", -1e-4),
+    ("armijo_beta", np.nan), ("armijo_beta", np.inf)])
+def test_optimizer_settings_reject_invalid_values(field, value):
+    with pytest.raises(ValueError):
+        OptimizerSettings(**{field: value})
 
 
 class TestMixedRegime:

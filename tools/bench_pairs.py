@@ -14,8 +14,8 @@ end-to-end metric of BENCHMARK.json: median, q1, q3 and n of each side,
 `change_over_parent_median`, `change_better_pairs` and `pairs`) and
 `runs` (each run's summary line without its per-operation time lists, and
 its result line). `--append` adds the runs to those already in `--out`
-and analyses them all; with no `--pairs` it only analyses. Exits 1 when
-a run fails or reports incorrect output.
+and analyses them all, keeping the file's other keys; with no `--pairs` it
+only analyses. Exits 1 when a run fails or reports incorrect output.
 """
 
 from __future__ import annotations
@@ -122,7 +122,8 @@ def main(argv=None) -> int:
                                 args.seconds))
                 print(json.dumps(runs[-1].get("result", runs[-1])),
                       file=sys.stderr, flush=True)
-    bench = {"description": args.description or old.get("description", ""),
+    bench = {**old,
+             "description": args.description or old.get("description", ""),
              "parent": rev, "analysis": analyse(runs, better), "runs": runs}
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     bad = [r for r in runs if "result" not in r or not r["result"]["correct"]
