@@ -499,17 +499,18 @@ def solve_zf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
                    settings)
 
 
-def _spectra(F, R, C):
-    """Eigenvalues of R (None unless F equals R) and of C, for `_CommonMap`."""
-    return (np.linalg.eigvalsh(R) if np.array_equal(F, R) else None,
-            np.linalg.eigvalsh(C))
+def _spectra(F, R, C, lam=None):
+    """Eigenvalues of R (`lam` if given, None unless F equals R) and of C."""
+    if lam is None and np.array_equal(F, R):
+        lam = np.linalg.eigvalsh(R)
+    return lam, np.linalg.eigvalsh(C)
 
 
 def solve_rzf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
                      u: np.ndarray, t: np.ndarray, z: float,
                      settings: SolverSettings = DEFAULT_SETTINGS,
-                     m_norm: int | None = None,
-                     x0: dict | None = None) -> CommonSolution:
+                     m_norm: int | None = None, x0: dict | None = None,
+                     spectra: tuple | None = None) -> CommonSolution:
     """Shared-correlation RZF quintuple (delta, kappa, omega, kappa_bar, omega_bar).
 
         delta = tr(R Psi_R)/M, kappa = tr(F Psi_R)/M, omega = tr(C Psi_C)/L,
@@ -521,26 +522,28 @@ def solve_rzf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
     F and C are correlation matrices (unit-scale); the gains live in u, t.
     Small z starts at the damped ZF solve on the same spectra, rescaled,
     gated by mean(u) tr(F)/M + mean(t) tr(R) tr(C)/(M L) (see `_solve_rzf`).
+    `spectra`, if given, is `_spectra(F, R, C)` from a caller that holds them.
     """
     return _solve_rzf(partial(_CommonMap, F, R, C, u, t, m_norm=m_norm,
-                              spectra=_spectra(F, R, C)), z, x0, settings)
+                              spectra=spectra or _spectra(F, R, C)), z, x0,
+                      settings)
 
 
 def solve_zf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
                     u: np.ndarray, t: np.ndarray,
                     settings: SolverSettings = DEFAULT_SETTINGS,
-                    m_norm: int | None = None,
-                    x0: dict | None = None) -> CommonSolution:
+                    m_norm: int | None = None, x0: dict | None = None,
+                    spectra: tuple | None = None) -> CommonSolution:
     """Shared-correlation ZF quintuple (underlined z->0 limits, solved directly).
 
         Psi_R = (I + (L kappa_bar / M) F + (L omega omega_bar / (M delta)) R)^{-1}
         Psi_C = (I/delta + omega_bar C)^{-1}
         Psi_T = (kappa U + omega T)^{-1}
 
-    The traces are those of `solve_rzf_common`; `z` is None.
+    The traces and `spectra` are those of `solve_rzf_common`; `z` is None.
     """
     return _picard(_CommonMap(F, R, C, u, t, 1.0, 0.0, m_norm,
-                              _spectra(F, R, C)), x0, settings)
+                              spectra or _spectra(F, R, C)), x0, settings)
 
 
 # ---------------------------------------------------------------------------

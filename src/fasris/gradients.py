@@ -328,14 +328,18 @@ def _diag3(root, mid) -> np.ndarray:
 def _port_rows(roots, embs, Psi, F_roots, cF, R_root, cR, M) -> np.ndarray:
     """d/ds_i of tr(A(s) Psi)/M at fixed scalars, one row per A(s) = emb =
     root diag(s) root. cF_m and cR are the coefficients of F_m(s) and R(s)
-    in Psi^{-1}, divided by M."""
+    in Psi^{-1}, divided by M. Repeated (`is`) roots and embs are reused."""
     rows = []
-    for root, emb in zip(roots, embs):
+    for i, (root, emb) in enumerate(zip(roots, embs)):
+        if i and root is roots[i - 1] and emb is embs[i - 1]:
+            rows.append(rows[-1])
+            continue
         mid = Psi @ emb @ Psi
+        d_R = _diag3(R_root, mid)
         row = np.real(np.einsum("ij,ji->i", root @ Psi, root)) / M
         for c, F_root in zip(cF, F_roots):
-            row = row - c * _diag3(F_root, mid)
-        rows.append(row - cR * _diag3(R_root, mid))
+            row = row - c * (d_R if F_root is R_root else _diag3(F_root, mid))
+        rows.append(row - cR * d_R)
     return np.array(rows)
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ConstraintError, Scenario, herm, phase_matrix
-from .fixed_point import (DEFAULT_SETTINGS, SolverSettings, solve_rzf_common,
-                          solve_rzf_uncommon, solve_zf_common,
-                          solve_zf_uncommon)
+from .fixed_point import (DEFAULT_SETTINGS, SolverSettings, _spectra,
+                          solve_rzf_common, solve_rzf_uncommon,
+                          solve_zf_common, solve_zf_uncommon)
 from .gradients import (esr_gradient_phases_common,
                         esr_gradient_phases_uncommon,
                         esr_gradient_phases_zf_common,
@@ -162,7 +162,7 @@ def _stats(scenario: Scenario, s, phi):
 
 
 def _evaluate(stats, shared, precoder, z, sigma2, settings, x0=None,
-              m_norm=None, digest=None):
+              m_norm=None, digest=None, spectra=None):
     """Solve one fixed point and turn it into SINRs: the only dispatch over
     the four solver/SINR pairs.
 
@@ -175,11 +175,11 @@ def _evaluate(stats, shared, precoder, z, sigma2, settings, x0=None,
         F, R, C, u, t, p = stats
         if precoder == "rzf":
             sol = solve_rzf_common(F, R, C, u, t, z, settings, m_norm=m_norm,
-                                   x0=x0)
+                                   x0=x0, spectra=spectra)
             rep, so = sinr_rzf_common(sol, F, R, C, u, t, p, sigma2,
                                       digest=digest)
             return rep, so, sol
-        sol = solve_zf_common(F, R, C, u, t, settings, m_norm=m_norm, x0=x0)
+        sol = solve_zf_common(F, R, C, u, t, settings, m_norm, x0, spectra)
         return sinr_zf_common(sol, u, t, p, sigma2, digest=digest), None, sol
     F_list, R, C_list, p = stats
     if precoder == "rzf":
@@ -233,7 +233,8 @@ class RelaxedZfObjective:
         self.C = _stats(scenario, None, phi)[0][2]
         self.shared = corr.shared
         if self.shared:
-            self.F_root = corr.root(corr.F_tot, "F_tot")
+            self.F_root = (self.R_root if np.array_equal(corr.F_tot, corr.R_tot)
+                           else corr.root(corr.F_tot, "F_tot"))
         else:
             # fold the per-user gain into the roots, so F_k(s) = u_k F_k(s)
             self.F_root = np.sqrt(scenario.u)[:, None, None] * np.stack(
@@ -247,7 +248,8 @@ class RelaxedZfObjective:
         sc = self.scenario
         s = np.asarray(s, float)
         R = herm((self.R_root * s) @ self.R_root)
-        F = herm((self.F_root * s) @ self.F_root)
+        F = R if self.F_root is self.R_root else herm(
+            (self.F_root * s) @ self.F_root)
         stats = ((F, R, self.C, sc.u, sc.t, sc.p) if self.shared
                  else (F, R, self.C, sc.p))
         rep, _, sol = _evaluate(stats, self.shared, "zf", None, sc.sigma2,
@@ -299,7 +301,8 @@ def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
     vertex s_bar; stops on relative objective change < FW_TOL; returns the
     top-M binary rounding of the final iterate. Trace records carry the
     duality gap <s_bar - s, grad> (Jaggi 2013), nonnegative and zero only
-    at a stationary point of the relaxation.
+    at a stationary point of the relaxation; a stop at `opt.fw_max_iter`
+    marks the last record stalled=True.
     """
     M_tot = scenario.correlations.R_tot.shape[0]
     if M > M_tot:
@@ -319,6 +322,9 @@ def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
             break
         s = s + (2.0 / (it + 2.0)) * (s_bar - s)
         prev = esr
+    else:
+        if trace is not None:
+            trace.records[-1]["stalled"] = True
     return top_m_rounding(s, M)
 
 
@@ -332,7 +338,8 @@ def _phase_objective(scenario: Scenario, s, precoder, z, settings):
     Both closures share one warm start: each solve begins at the fixed point
     of the previous one, whichever closure made it. The fixed point is
     unique, so the start changes the iteration count, not the limit; results
-    differ from cold solves only within the solver tolerance.
+    differ from cold solves only within the solver tolerance. A call at the
+    latest solve's phases reuses it; R(s)'s eigenvalues are taken once.
     """
     corr = scenario.correlations
     if precoder not in ("rzf", "zf"):
@@ -342,15 +349,18 @@ def _phase_objective(scenario: Scenario, s, precoder, z, settings):
                          "shared-correlation regime")
     if precoder == "rzf" and z is None:
         z = scenario.default_z(s)
-    x0 = None
+    x0 = lam = last = None
 
     def solve(phi):
-        nonlocal x0
-        stats, shared = _stats(scenario, s, phi)
-        rep, so, sol = _evaluate(stats, shared, precoder, z, scenario.sigma2,
-                                 settings, x0=x0)
-        x0 = sol.x0
-        return stats, rep, so, sol
+        nonlocal x0, lam, last
+        if last is None or not np.array_equal(phi, last[0]):
+            stats, shared = _stats(scenario, s, phi)
+            spectra = _spectra(*stats[:3], lam) if shared else None
+            rep, so, sol = _evaluate(stats, shared, precoder, z, scenario.sigma2,
+                                     settings, x0, spectra=spectra)
+            x0, lam = sol.x0, spectra and spectra[0]
+            last = np.array(phi), (stats, rep, so, sol)
+        return last[1]
 
     def value(phi):
         return solve(phi)[1].esr
@@ -463,13 +473,14 @@ class _WarmRzfEsr:
         self.sigma2 = scenario.sigma2
         self.settings = settings
         self.stats, self.shared = _stats(scenario, s, phi)
+        self.spectra = _spectra(*self.stats[:3]) if self.shared else None
         self._x0 = None
         self.evals = 0
 
     def __call__(self, z: float, slope: bool = False):
         self.evals += 1
         rep, so, sol = _evaluate(self.stats, self.shared, "rzf", z, self.sigma2,
-                                 self.settings, x0=self._x0)
+                                 self.settings, self._x0, spectra=self.spectra)
         self._x0 = sol.x0
         if not slope:
             return rep.esr

@@ -445,7 +445,8 @@ def common_pi(F, R, C, u, t, sol) -> CommonPi:
 
     A ZF solution (the underlined scalars) gives its own Pi_com.
     """
-    P = (R @ sol.Psi_R, F @ sol.Psi_R, C @ sol.Psi_C)
+    RP = R @ sol.Psi_R
+    P = (RP, RP if F is R else F @ sol.Psi_R, C @ sol.Psi_C)
     x = {**sol.x0, **_common_tables(P, (*P, sol.Psi_R, sol.Psi_C), sol.m_norm,
                                     C.shape[0])}
     return CommonPi(x=x, **common_system(

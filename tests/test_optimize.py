@@ -13,10 +13,13 @@ from fasris import (OptimizerSettings, PhaseShifts, PortSelection,
                     gradient_ascent_phases, joint_optimize,
                     search_regularization, z_search_profile)
 from fasris.channel import ConstraintError
+from fasris.fixed_point import _spectra, solve_rzf_common, solve_zf_common
+from fasris.gradients import esr_gradient_ports_zf_common
 from fasris.optimize import (ALPHA0, BACKTRACK_C, LBFGS_MEMORY,
                              Z_BRACKET_POINTS, Z_GRID_POINTS, Z_SLOPE_TOL,
                              OptimizationTrace, RelaxedZfObjective,
                              _lbfgs_direction, _WarmRzfEsr, top_m_rounding)
+from fasris.rates import common_pi
 from fasris.scenarios import (fig3_scenario, fig6_scenario,
                               random_correlation, random_scenario,
                               uniform_selection)
@@ -125,6 +128,16 @@ class TestFwPortSelection:
         s = fw_port_selection(sc, np.zeros(sc.dims.L), M)
         assert int(s.sum()) == M and solves
         assert all(sol.anderson == "off" for sol in solves)
+
+    def test_iteration_cap_is_recorded(self):
+        sc, M = toy_scenario()
+        capped, converged = OptimizationTrace(), OptimizationTrace()
+        s = fw_port_selection(sc, None, M, replace(FAST, fw_max_iter=1), capped)
+        assert int(s.sum()) == M
+        assert [r.get("stalled") for r in capped.records] == [True]
+        fw_port_selection(sc, None, M, FAST, converged)
+        assert len(converged.records) < FAST.fw_max_iter
+        assert not any("stalled" in r for r in converged.records)
 
     def test_rounding_rule(self):
         s = top_m_rounding(np.array([0.2, 0.9, 0.5, 0.9, 0.1]), 2)
@@ -285,6 +298,81 @@ def test_design_op_line_search_and_rzf_solve_counts(monkeypatch):
     joint_optimize(sc, M, phi0=np.full(sc.dims.L, theta), T_iter=1)
     assert len(evals) <= 60
     assert solves.count("common RZF") <= 160
+
+
+def test_design_op_solves_each_point_once(monkeypatch):
+    # the benchmark's design op on seed 1; before the gradient reused the
+    # line search's solve and the stats their spectra, 37 of its 39 phase
+    # gradients solved again, and it made 310 eigvalsh calls and 138
+    # shared-RZF solves
+    from fasris import optimize
+    solves, eigvalsh_calls, resolved = [], [], []
+    objective, picard = optimize._phase_objective, fixed_point._picard
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted_objective(*args, **kw):
+        value, value_grad = objective(*args, **kw)
+        calls = []
+
+        def counted(phi):
+            before = len(solves)
+            result = value_grad(phi)
+            if calls:                   # every gradient after the first
+                resolved.append(len(solves) - before)
+            calls.append(None)
+            return result
+        return value, counted
+
+    def counted_picard(system, x0, settings):
+        solves.append(system.name)
+        return picard(system, x0, settings)
+
+    def counted_eigvalsh(*args, **kw):
+        eigvalsh_calls.append(None)
+        return eigvalsh(*args, **kw)
+
+    sc, M = fig3_scenario(80.0)
+    theta = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi)
+    monkeypatch.setattr(optimize, "_phase_objective", counted_objective)
+    monkeypatch.setattr(fixed_point, "_picard", counted_picard)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    joint_optimize(sc, M, phi0=np.full(sc.dims.L, theta), T_iter=1)
+    assert resolved and not any(resolved)
+    assert len(eigvalsh_calls) <= 100
+    assert solves.count("common RZF") <= 110
+
+
+def test_shared_roots_and_spectra_are_bit_identical():
+    # fig3 at the first Frank-Wolfe iterate, where F_tot equals R_tot: the
+    # shared root and embedding, and spectra handed to the solvers, give
+    # the bytes of equal-valued copies and of spectra the solver takes
+    sc, M = fig3_scenario(80.0)
+    obj = RelaxedZfObjective(sc, np.zeros(sc.dims.L), M)
+    M_tot = len(obj.R_root)
+    _, sol, (F, R, C, u, t, p) = obj.solve(np.full(M_tot, M / M_tot))
+    assert obj.F_root is obj.R_root and F is R
+    root, emb = obj.R_root.copy(), R.copy()
+    args = (C, u, t, p, sc.sigma2)
+    assert esr_gradient_ports_zf_common(sol, obj.R_root, obj.R_root, R, R,
+                                        *args).tobytes() \
+        == esr_gradient_ports_zf_common(sol, obj.R_root, root, R, emb,
+                                        *args).tobytes()
+    shared, copied = common_pi(R, R, C, u, t, sol), common_pi(emb, R, C, u,
+                                                             t, sol)
+    assert shared.Pi_com.tobytes() == copied.Pi_com.tobytes()
+    assert all(np.asarray(shared.x[k]).tobytes()
+               == np.asarray(copied.x[k]).tobytes() for k in shared.x)
+
+    def raw(sol):
+        return b"".join(np.asarray(v).tobytes() for v in (
+            *sol.x0.values(), sol.psi_T, sol.psi, sol.psi_C, sol.iterations))
+
+    spectra = _spectra(F, R, C)
+    z = sc.dims.K * sc.sigma2 / M
+    assert raw(solve_zf_common(F, R, C, u, t, m_norm=M)) \
+        == raw(solve_zf_common(F, R, C, u, t, m_norm=M, spectra=spectra))
+    assert raw(solve_rzf_common(F, R, C, u, t, z, m_norm=M)) \
+        == raw(solve_rzf_common(F, R, C, u, t, z, m_norm=M, spectra=spectra))
 
 
 @pytest.mark.parametrize("field, value", [
