@@ -4,8 +4,8 @@ Four solvers (RZF/ZF x per-user/shared correlation) plus the i.i.d. closed
 form. Each correlation regime supplies one map, evaluated in Gauss-Seidel
 order (delta, then the RIS-side traces, then the per-user scalars) at
 (z, shift): RZF is (z, 1) and ZF the same map at (1, 0). One driver,
-`_picard`, runs damped Picard after Anderson mixing where the map asks for
-it (every map but the shared ZF one); a cold RZF solve at small z starts at
+`_picard`, runs damped Picard after the map's mixer (shared RZF: Newton;
+per-user: Anderson; shared ZF: none); a cold RZF solve at small z starts at
 the ZF state rescaled by z. A ZF solution has `z` None and holds the paper's
 underlined (scaled z -> 0) quantities; every solution carries the inverses
 that the second-order terms need, a shared one builds them on first read.
@@ -23,7 +23,9 @@ import numpy as np
 from .channel import herm
 
 EPS = 1e-12
-LOG_STEP = np.log(1e6)    # largest Anderson move past the Picard image, in log
+LOG_STEP = np.log(1e6)    # largest mixed move past the Picard image, in log
+DEPTH = 5                 # Anderson depth; unimproved steps before a fallback
+NEWTON_STEP = 2.0         # largest Newton move of each log (a, b, omega_bar)
 ZF_SEED_Z = 1e-2          # RZF starts at ZF while z M / link gain is below
 
 
@@ -55,7 +57,7 @@ DEFAULT_SETTINGS = SolverSettings()
 
 
 def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
-    return float(np.max(np.abs(new - old) / np.maximum(np.abs(new), EPS)))
+    return float((np.abs(new - old) / np.maximum(np.abs(new), EPS)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +69,7 @@ class _Solution:
     """How the solve got there. `path` is "cold" (generic initial values),
     "warm" (the caller's x0) or "zf_seed" (the rescaled ZF state, see
     `_solve_rzf`); `iterations` counts map evaluations, `halvings` damping
-    halvings and `anderson` is "off", "converged" or "fallback" (a safeguard
+    halvings and `mixer` "off", "anderson", "newton" or "fallback" (a safeguard
     handed the solve to damped Picard), both of the RZF part if seeded.
     """
 
@@ -76,7 +78,7 @@ class _Solution:
     m_norm: int
     path: str
     halvings: int
-    anderson: str
+    mixer: str
     _state: ClassVar[tuple] = ()    # the fixed-point fields, in warm-start order
 
     @property
@@ -153,44 +155,71 @@ class IidSolution:
 # the driver and the small-z seed
 # ---------------------------------------------------------------------------
 
-class _Anderson:
-    """Anderson mixing (Walker & Ni 2011) of the log of the state.
+class _Mixer:
+    """The next state of `_picard` from the map's input x, output and
+    residual, mixed in log without the entries that the first output leaves
+    at 0 (omega off a cascaded link); None when a safeguard trips: a
+    non-finite or nonpositive output, a failed step, one more than LOG_STEP
+    past the Picard image, or DEPTH evaluations with no new best."""
 
-    Entries that the first map output leaves at exactly zero (omega without
-    a cascaded link) stay zero and out of the log state. Given each map
-    output and its residual, it returns the next state, or None when a
-    safeguard trips: a non-finite or nonpositive output, a step more than
-    LOG_STEP past the Picard image, or `depth` evaluations with no new best.
-    """
+    def __init__(self, system):
+        self.system, self.live, self.best, self.stale = system, None, np.inf, 0
 
-    def __init__(self, depth: int):
-        self.depth, self.live, self.y, self.gf = depth, None, None, None
-        self.n, self.best, self.stale = 0, np.inf, 0
-
-    def __call__(self, new, residual):
-        if self.live is None:    # D: a ring of the last `depth` changes of (g, f)
-            self.live = new != 0.0
-            self.D = np.empty((2, int(self.live.sum()), self.depth))
+    def __call__(self, x, new, residual):
+        if self.live is None:    # a slice, when it can be, indexes by a view
+            self.live = slice(None) if new.all() else new != 0.0
         self.stale = 0 if residual < self.best else self.stale + 1
         self.best = min(self.best, residual)
-        if self.stale >= self.depth or not (np.isfinite(new).all()
-                                            and (new[self.live] > 0.0).all()):
+        if self.stale >= DEPTH or not (np.isfinite(new).all()
+                                       and (new[self.live] > 0.0).all()):
             return None
-        g = y = np.log(new[self.live])
-        if self.y is not None:
+        g = np.log(new[self.live])
+        with suppress(np.linalg.LinAlgError):    # a singular Newton system
+            y = self.step(x, new, g)
+            if (np.abs(y - g) <= LOG_STEP).all():
+                x = np.zeros_like(new)
+                x[self.live] = np.exp(y)
+                return x
+        return None
+
+
+class _Anderson(_Mixer):
+    """Anderson mixing (Walker & Ni 2011) of depth DEPTH."""
+
+    name, n, y, gf = "anderson", 0, None, None
+
+    def step(self, x, new, g):
+        y = g
+        if self.y is None:    # D: a ring of the last DEPTH changes of (g, f)
+            self.D = np.empty((2, len(g), DEPTH))
+        else:
             gf = np.stack([g, g - self.y])
             if self.gf is not None:
-                self.D[..., self.n % self.depth] = gf - self.gf
+                self.D[..., self.n % DEPTH] = gf - self.gf
                 self.n += 1
-                dG, dF = self.D[..., :min(self.n, self.depth)]
+                dG, dF = self.D[..., :min(self.n, DEPTH)]
                 y = g - dG @ np.linalg.lstsq(dF, gf[1], rcond=None)[0]
             self.gf = gf
-        if not (np.abs(y - g) <= LOG_STEP).all():
-            return None
         self.y = y
-        x = np.zeros_like(new)
-        x[self.live] = np.exp(y)
-        return x
+        return y
+
+
+class _Newton(_Mixer):
+    """Newton steps for the shared map, which reads x only through
+    r = (a, b, omega_bar), log r = B log x. With A = d log new / d log r
+    (`_CommonMap.jacobian`), Woodbury reduces the Newton system to
+    (I - B A) dr = B (log new - log x); the step is log new + A dr, dr
+    scaled to at most NEWTON_STEP."""
+
+    name = "newton"
+    B = np.array([[0, 0, 0, 1, 0], [-1, 0, 1, 0, 1], [0, 0, 0, 0, 1]], float)
+
+    def step(self, x, new, g):
+        A = self.system.jacobian()[self.live] / new[self.live, None]
+        B = self.B[:A.shape[1], self.live]
+        dr = np.linalg.solve(np.eye(len(B)) - B @ A,
+                             B @ (g - np.log(x[self.live])))
+        return g + A @ dr * (NEWTON_STEP / max(NEWTON_STEP, np.abs(dr).max()))
 
 
 def _picard(system, x0: dict | None, settings: SolverSettings):
@@ -198,22 +227,22 @@ def _picard(system, x0: dict | None, settings: SolverSettings):
 
     The residual is the max relative change over the whole state. Damping
     halves the step (down to 1/256) when the residual grows or the change
-    in delta flips sign three times running. A map with `anderson` > 0 is
-    mixed by `_Anderson` of that depth until a safeguard trips; damped
-    Picard goes on from there within the same `max_iter` budget.
+    in delta flips sign three times running. The map's `mixer` class, if
+    any, takes the steps until a safeguard trips; damped Picard goes on
+    from there within the same `max_iter` budget.
     """
     x = system.start(x0, settings.init)
-    mixer = _Anderson(system.anderson) if system.anderson else None
-    anderson = "converged" if mixer else "off"
+    mixer = system.mixer(system) if system.mixer else None
+    how = mixer.name if mixer else "off"
     d = 1.0
     residual, prev, prev_sign, flips, halvings = np.inf, np.inf, 0, 0, 0
     for it in range(1, settings.max_iter + 1):
         new = system(x)
         residual = _rel_change(new, x)
         if mixer and residual >= settings.tol:
-            mixed = mixer(new, residual)
+            mixed = mixer(x, new, residual)
             if mixed is None:
-                mixer, anderson = None, "fallback"
+                mixer, how = None, "fallback"
             else:
                 x = mixed
             continue
@@ -229,7 +258,7 @@ def _picard(system, x0: dict | None, settings: SolverSettings):
         if residual < settings.tol:
             return system.solution(x, residual=residual, iterations=it,
                                    path="warm" if x0 else "cold",
-                                   halvings=halvings, anderson=anderson)
+                                   halvings=halvings, mixer=how)
     raise ConvergenceError(f"{system.name} fixed point did not converge",
                            residual)
 
@@ -270,7 +299,7 @@ class _Map:
     Under shift 0 the map also runs the ZF feasibility checks.
     """
 
-    anderson = 0    # depth of Anderson mixing in _picard; 0 is damped Picard
+    mixer = None    # the _Mixer of _picard; None is damped Picard
 
     def __init__(self, R, K, L, z, shift, m_norm):
         self.R, self.K, self.L, self.z, self.shift = R, K, L, z, shift
@@ -300,7 +329,7 @@ class _UncommonMap(_Map):
     """
 
     regime = ""
-    anderson = 5
+    mixer = _Anderson
     sol = UncommonSolution
 
     def __init__(self, F, R, C, z, shift, m_norm):
@@ -312,12 +341,11 @@ class _UncommonMap(_Map):
         self.C_flat = self.C.reshape(self.K, -1)
 
     def start(self, x0, init):
-        x0 = x0 or {}
-        K = self.K
-        mu = np.array(x0.get("mu", np.full(K, init)), dtype=float)
-        omega = (np.array(x0.get("omega", np.full(K, init)), dtype=float)
-                 if self.cascaded else np.zeros(K))
-        return np.concatenate(([x0.get("delta", init)], omega, mu))
+        x0, full = x0 or {}, np.full(self.K, init)
+        x = np.concatenate(([x0.get("delta", init)], x0.get("omega", full),
+                            x0.get("mu", full))).astype(float)
+        x[1:self.K + 1] *= self.cascaded    # omega is 0 off a cascaded link
+        return x
 
     def split(self, x):
         return x[0], x[1:self.K + 1], x[self.K + 1:]
@@ -356,12 +384,9 @@ class _UncommonMap(_Map):
     def finish(self, x):
         delta, omega, mu = self.split(x)
         Psi_R = self.psi_r(delta, omega, mu)
-        if self.cascaded:
-            Psi_C = self.psi_c(delta, mu)
-        else:
-            # harmless placeholder: with no cascaded link Psi_C never enters rates
-            Psi_C = (delta * self.I_L.astype(complex) if delta > 0
-                     else np.zeros((self.L, self.L), complex))
+        # without a cascaded link Psi_C never enters rates: delta I
+        Psi_C = (self.psi_c(delta, mu) if self.cascaded
+                 else delta * self.I_L.astype(complex))
         return delta, mu, omega, herm(Psi_R), herm(Psi_C)
 
 
@@ -371,8 +396,8 @@ class _CommonMap(_Map):
     tr(C Psi_C) is a sum over the eigenvalues g of C; when F equals R,
     delta = kappa is a sum over the eigenvalues lam of R, else the R side
     solves for Psi_R. `spectra` = (lam or None, g) comes from `_spectra`,
-    once per solve. `finish` keeps them with the eigenvalues of Psi_R and
-    Psi_C and the map itself, which the solution inverts on first read.
+    once per solve; an evaluation keeps its terms in `last` for `jacobian`.
+    `finish` keeps the spectra, those of Psi_R and Psi_C and the map itself.
     """
 
     regime = "common "
@@ -386,20 +411,16 @@ class _CommonMap(_Map):
         self.t = np.asarray(t, dtype=float)
         self.cascaded = bool(np.any(R) and np.any(C)
                              and not np.all(self.t == 0.0))
+        self.ut = np.stack((self.u, self.t))
 
     @property
-    def anderson(self):
-        # damped ZF: Frank-Wolfe reads it, and mirror ports tie to the last bit
-        return 5 if self.shift else 0
+    def mixer(self):    # ZF stays damped: Frank-Wolfe ties fall to its last bit
+        return _Newton if self.shift else None
 
     def start(self, x0, init):
-        x0 = x0 or {}
-        cascaded = self.cascaded
-        return np.array([x0.get("delta", init), x0.get("kappa", init),
-                         x0.get("omega", init) if cascaded else 0.0,
-                         x0.get("kappa_bar", init if cascaded else 0.0),
-                         x0.get("omega_bar", init) if cascaded else 0.0],
-                        dtype=float)
+        x = np.array([(x0 or {}).get(k, init) for k in self.sol._state], float)
+        x[2] *= self.cascaded    # omega is 0 off a cascaded link
+        return x
 
     def link_gain(self):    # mean(u) tr F + mean(t) tr R tr C / L
         return float(np.mean(self.u) * np.trace(self.F).real + np.mean(
@@ -425,25 +446,44 @@ class _CommonMap(_Map):
         M, L = self.M, self.L
         a, b = self.r_coefs(delta, omega, kappa_bar, omega_bar)
         if self.lam is not None:
-            lam = self.lam
-            delta_new = kappa_new = float(np.sum(lam / (self.z + (a + b) * lam))) / M
+            P = self.lam / (self.z + (a + b) * self.lam)    # lam psi
+            delta_new = kappa_new = float(P.sum()) / M
         else:
-            Psi_R = np.linalg.solve(self.psi_r_inv(a, b), self.I_M)
-            delta_new = float(np.real(np.sum(self.R * Psi_R.T))) / M
-            kappa_new = float(np.real(np.sum(self.F * Psi_R.T))) / M
+            P = np.linalg.solve(self.psi_r_inv(a, b), self.I_M)    # Psi_R
+            delta_new = float(np.real(np.sum(self.R * P.T))) / M
+            kappa_new = float(np.real(np.sum(self.F * P.T))) / M
         if self.cascaded:
-            g = self.g
-            omega_new = float(np.sum(g / (1.0 / delta_new + omega_bar * g))) / L
+            den = 1.0 / delta_new + omega_bar * self.g    # 1 / psi_C
+            q = self.g / den
+            omega_new = float(q.sum()) / L
         else:
-            omega_new = 0.0
+            omega_new, den, q = 0.0, None, None
         gain = self.user_gain(kappa_new, omega_new)
         if self.shift == 0.0 and (gain <= 0).any():
             raise FeasibilityError("ZF system produced a nonpositive user gain")
         psi_T = 1.0 / gain
-        kappa_bar_new = float(np.sum(self.u * psi_T) / L)
-        omega_bar_new = float(np.sum(self.t * psi_T) / L)
+        self.last = (a, b, omega_bar, P, delta_new, den, q, psi_T)  # jacobian
+        kappa_bar_new = float((self.u * psi_T).sum() / L)
+        omega_bar_new = float((self.t * psi_T).sum() / L)
         return np.array([delta_new, kappa_new, omega_new, kappa_bar_new,
                          omega_bar_new])
+
+    def jacobian(self):
+        """d self(x) / d log (a, b, omega_bar) at the last x evaluated, b and
+        omega_bar on a cascaded link; chained from -tr(X Psi_R Y Psi_R)."""
+        a, b, w, P, delta, den, q, psi_T = self.last
+        J = np.zeros((5, 3))
+        if self.lam is not None:    # P = lam psi
+            J[:2, :2] = -(P @ P) / self.M * np.array([a, b])
+        else:    # P = Psi_R
+            RP, FP = self.R @ P, self.F @ P
+            J[:2, :2] = [[-np.real(np.sum(X * Y.T)) * r / self.M
+                          for Y, r in ((FP, a), (RP, b))] for X in (RP, FP)]
+        if self.cascaded:    # q = g psi_C, den = 1 / psi_C
+            J[2] = (q / den).sum() / (self.L * delta ** 2) * J[0]
+            J[2, 2] = -(q @ q) * w / self.L
+        J[3:] = (self.ut * psi_T ** 2) @ self.ut.T @ J[1:3] * (-1.0 / self.L)
+        return J[:, :3 if self.cascaded else 1]
 
     def finish(self, x):
         delta, kappa, omega, kappa_bar, omega_bar = x

@@ -287,11 +287,6 @@ def fw_linear_oracle(gradient: np.ndarray, M: int) -> np.ndarray:
     return s
 
 
-def top_m_rounding(s: np.ndarray, M: int) -> np.ndarray:
-    """Binary selection at the M largest entries of s (ties: lowest index)."""
-    return fw_linear_oracle(np.asarray(s, dtype=float), M)
-
-
 def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
                       opt: OptimizerSettings = DEFAULT_OPT,
                       trace: OptimizationTrace | None = None) -> np.ndarray:
@@ -325,7 +320,7 @@ def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
     else:
         if trace is not None:
             trace.records[-1]["stalled"] = True
-    return top_m_rounding(s, M)
+    return fw_linear_oracle(s, M)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,8 @@ class TestZfSeed:
 
         monkeypatch.setattr(solves.map, "__call__", counted)
         sol = solves.rzf(z)
-        assert sol.path == "zf_seed" and sol.anderson == "converged"
+        assert sol.path == "zf_seed" and sol.mixer == (
+            "newton" if regime == "common" else "anderson")
         assert sol.iterations == len(calls)     # the ZF solve's included
         monkeypatch.undo()
         # x0 turns the seed off: the generic start, passed explicitly
@@ -193,7 +194,7 @@ class TestZfSeed:
     def test_fig7_row_solves_without_fallback(self, monkeypatch):
         # fig7's M=24, 90 dB row: the uniform selection's phase ascent
         # reaches z ~ 4e-10, where a generic start stalls; every solve of
-        # the row must converge, every RZF solve under Anderson
+        # the row must converge, every RZF solve under Newton
         from fasris.optimize import alternating_optimization, joint_optimize
         from fasris.scenarios import fig3_scenario, uniform_selection
         sc = fig3_scenario(90.0)[0]
@@ -208,15 +209,15 @@ class TestZfSeed:
                 outcomes.append(err)
                 raise
             if system.shift:
-                outcomes.append(sol.anderson)
+                outcomes.append(sol.mixer)
             return sol
 
         monkeypatch.setattr(fixed_point, "_picard", picard)
         joint_optimize(sc, 24, T_iter=1)
         alternating_optimization(sc, uniform_selection(24, sc.dims.M_tot),
                                  np.zeros(sc.dims.L))
-        assert "converged" in outcomes
-        assert set(outcomes) == {"converged"}
+        assert "newton" in outcomes
+        assert set(outcomes) == {"newton"}
 
 
 class TestZfUncommon:
@@ -364,14 +365,14 @@ class TestAnderson:
     def test_rzf_and_per_user_solves_mix_and_shared_zf_does_not(
             self, small_uncommon, small_common):
         sol = solve_rzf_uncommon(*small_uncommon.stats_uncommon()[:3], 0.3)
-        assert sol.anderson == "converged" and sol.halvings == 0
+        assert sol.mixer == "anderson" and sol.halvings == 0
         sol = solve_zf_uncommon(*small_uncommon.stats_uncommon()[:3])
-        assert sol.anderson == "converged" and sol.halvings == 0
+        assert sol.mixer == "anderson" and sol.halvings == 0
         F, R, C, u, t, _ = small_common.stats_common()
         sol = solve_rzf_common(F, R, C, u, t, 0.3)
-        assert sol.anderson == "converged" and sol.halvings == 0
+        assert sol.mixer == "newton" and sol.halvings == 0
         sol = solve_zf_common(F, R, C, u, t)
-        assert sol.anderson == "off"
+        assert sol.mixer == "off"
 
     def test_nonpositive_state_falls_back_to_picard(self, small_uncommon,
                                                     monkeypatch):
@@ -388,10 +389,67 @@ class TestAnderson:
 
         monkeypatch.setattr(fixed_point._UncommonMap, "__call__", corrupted)
         sol = solve_rzf_uncommon(F_list, R, C_list, 0.3, TIGHT)
-        assert sol.path == "cold" and sol.anderson == "fallback"
+        assert sol.path == "cold" and sol.mixer == "fallback"
         assert sol.iterations == len(calls)
         for name, value in ref.x0.items():
             assert rel_err(sol.x0[name], value) < 1e-9, name
+
+
+class TestNewton:
+    def test_nonpositive_state_falls_back_to_picard(self, small_common,
+                                                    monkeypatch):
+        F, R, C, u, t, _ = small_common.stats_common()
+        ref = solve_rzf_common(F, R, C, u, t, 0.3, TIGHT)
+        calls = []
+
+        def corrupted(self, x, _call=fixed_point._CommonMap.__call__):
+            calls.append(None)
+            new = _call(self, x)
+            if len(calls) == 2:
+                new[3] *= -1.0        # a nonpositive kappa_bar
+            return new
+
+        monkeypatch.setattr(fixed_point._CommonMap, "__call__", corrupted)
+        sol = solve_rzf_common(F, R, C, u, t, 0.3, TIGHT)
+        assert sol.path == "cold" and sol.mixer == "fallback"
+        assert sol.iterations == len(calls) > 2
+        for name, value in ref.x0.items():
+            assert rel_err(sol.x0[name], value) < 1e-9, name
+
+    @pytest.mark.parametrize("snr", [60.0, 80.0, 100.0])
+    def test_warm_start_four_decades_up_in_z(self, snr):
+        # a jump on the z-search grid: the warm start is the fixed point at
+        # 1e4 z, orders of magnitude from the one at z
+        from fasris.scenarios import fig3_scenario, uniform_selection
+        sc, M = fig3_scenario(snr)
+        s = uniform_selection(M, sc.dims.M_tot)
+        F, R, C, u, t, _ = sc.stats_common(s)
+        z = sc.default_z(s)
+        far = solve_rzf_common(F, R, C, u, t, 1e4 * z).x0
+        sol = solve_rzf_common(F, R, C, u, t, z, x0=far)
+        ref = solve_rzf_common(F, R, C, u, t, z, TIGHT)
+        assert sol.path == "warm" and sol.mixer == "newton"
+        assert sol.iterations <= 12
+        for name, value in ref.x0.items():
+            assert rel_err(sol.x0[name], value) < 1e-9, name
+
+    def test_design_makes_no_least_squares_call(self, small_uncommon,
+                                                monkeypatch):
+        # only per-user Anderson mixing solves least squares
+        from fasris.optimize import joint_optimize
+        from fasris.scenarios import fig3_scenario
+        calls = []
+
+        def counted(*args, _lstsq=np.linalg.lstsq, **kwargs):
+            calls.append(None)
+            return _lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        sc, M = fig3_scenario(80.0)
+        joint_optimize(sc, M, T_iter=1)
+        assert not calls
+        solve_rzf_uncommon(*small_uncommon.stats_uncommon()[:3], 0.3)
+        assert calls
 
 
 class TestSpectralMap:

@@ -18,7 +18,7 @@ from fasris.gradients import esr_gradient_ports_zf_common
 from fasris.optimize import (ALPHA0, BACKTRACK_C, LBFGS_MEMORY,
                              Z_BRACKET_POINTS, Z_GRID_POINTS, Z_SLOPE_TOL,
                              OptimizationTrace, RelaxedZfObjective,
-                             _lbfgs_direction, _WarmRzfEsr, top_m_rounding)
+                             _lbfgs_direction, _WarmRzfEsr)
 from fasris.rates import common_pi
 from fasris.scenarios import (fig3_scenario, fig6_scenario,
                               random_correlation, random_scenario,
@@ -127,7 +127,7 @@ class TestFwPortSelection:
         monkeypatch.setattr(fixed_point, "_picard", counted)
         s = fw_port_selection(sc, np.zeros(sc.dims.L), M)
         assert int(s.sum()) == M and solves
-        assert all(sol.anderson == "off" for sol in solves)
+        assert all(sol.mixer == "off" for sol in solves)
 
     def test_iteration_cap_is_recorded(self):
         sc, M = toy_scenario()
@@ -140,7 +140,7 @@ class TestFwPortSelection:
         assert not any("stalled" in r for r in converged.records)
 
     def test_rounding_rule(self):
-        s = top_m_rounding(np.array([0.2, 0.9, 0.5, 0.9, 0.1]), 2)
+        s = fw_linear_oracle(np.array([0.2, 0.9, 0.5, 0.9, 0.1]), 2)
         assert np.array_equal(s, np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
 
 

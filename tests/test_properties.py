@@ -6,7 +6,8 @@ constant leaves every RZF SINR unchanged. Shared correlations fed to the
 per-user solvers give the SINRs of the shared-correlation solvers. The solves
 are tight, so the tolerance only has to absorb roundoff. The fixed point is
 unique, so a solve warm-started elsewhere lands where a cold solve does,
-and Anderson mixing lands where damped Picard does, in both regimes.
+and Anderson mixing (per-user) and Newton steps (shared) land where damped
+Picard does; the Newton Jacobian matches central differences of the map.
 Rotating the BS side by one unitary and the RIS side by another leaves every
 fixed-point scalar unchanged. With F = R, one step of the shared map read off
 eigenvalues equals the step by explicit inverses and matrix traces.
@@ -154,7 +155,7 @@ def test_warm_start_reaches_the_cold_fixed_point(seed, mode):
 
 
 class _PlainUncommonMap(_UncommonMap):
-    anderson = 0      # damped Picard, the reference for Anderson mixing
+    mixer = None      # damped Picard, the reference for Anderson mixing
 
 
 def state(sol) -> np.ndarray:
@@ -175,12 +176,12 @@ def test_anderson_matches_damped_picard(seed, z):
         mixed = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT)
         plain = _picard(_PlainUncommonMap(F_list, R, C_list, z, 1.0, None),
                         None, TIGHT)
-    assert mixed.anderson != "off" and plain.anderson == "off"
+    assert mixed.mixer != "off" and plain.mixer == "off"
     assert rel(state(mixed), state(plain)) < TOL
 
 
 class _PlainCommonMap(_CommonMap):
-    anderson = 0      # damped Picard, also for RZF
+    mixer = None      # damped Picard, also for RZF
 
 
 @EXAMPLES
@@ -197,8 +198,53 @@ def test_shared_anderson_matches_damped_picard(seed, z, f_is_r):
     mixed = solve_rzf_common(F, R, C, u, t, z, TIGHT)
     plain = _picard(_PlainCommonMap(F, R, C, u, t, z, 1.0, None, spectra),
                     None, TIGHT)
-    assert mixed.anderson != "off" and plain.anderson == "off"
+    assert mixed.mixer != "off" and plain.mixer == "off"
     assert rel(state(mixed), state(plain)) < TOL
+
+
+def shared_stats(seed, f_is_r, cascaded):
+    """A random shared scenario's stats; F = R reads its traces off
+    eigenvalues, t = 0 cuts the cascaded link."""
+    sc, _ = scenario(seed, "common")
+    if f_is_r:
+        sc.correlations.F_tot = sc.correlations.R_tot.copy()
+    F, R, C, u, t, _ = sc.stats_common()
+    return F, R, C, u, t if cascaded else np.zeros_like(t)
+
+
+@EXAMPLES
+@given(seeds, st.sampled_from([1e-4, 0.3, 1.0]), st.booleans(), st.booleans())
+def test_shared_newton_matches_damped_picard(seed, z, f_is_r, cascaded):
+    F, R, C, u, t = shared_stats(seed, f_is_r, cascaded)
+    newton = solve_rzf_common(F, R, C, u, t, z, TIGHT)
+    plain = _picard(_PlainCommonMap(F, R, C, u, t, z, 1.0, None,
+                                    _spectra(F, R, C)), None, TIGHT)
+    assert newton.mixer == "newton" and plain.mixer == "off"
+    # omega and omega_bar are exactly 0 without a cascaded link
+    assert np.all(np.abs(state(newton) - state(plain))
+                  <= TOL * np.abs(state(plain)))
+
+
+@EXAMPLES
+@given(seeds, st.sampled_from([1e-4, 0.3, 1.0]), st.booleans(), st.booleans())
+def test_shared_jacobian_matches_central_differences(seed, z, f_is_r,
+                                                     cascaded):
+    # the map reads x through a = L kappa_bar / M, b = L omega omega_bar /
+    # (M delta) and omega_bar: scaling kappa_bar moves log a alone, omega
+    # log b alone, and delta with omega_bar log omega_bar alone
+    F, R, C, u, t = shared_stats(seed, f_is_r, cascaded)
+    system = _CommonMap(F, R, C, u, t, z, 1.0, None, _spectra(F, R, C))
+    x = np.exp(np.random.default_rng([seed, 3]).uniform(-1.0, 1.0, 5))
+    x[[2, 4]] *= cascaded
+    system(x)
+    J = system.jacobian()
+    h = 1e-6
+    for col, moved in enumerate([[3], [2], [0, 4]][:J.shape[1]]):
+        up, down = x.copy(), x.copy()
+        up[moved] *= np.exp(h)
+        down[moved] *= np.exp(-h)
+        fd = (system(up) - system(down)) / (2.0 * h)
+        assert np.max(np.abs(J[:, col] - fd)) < 1e-6 * np.max(np.abs(fd))
 
 
 def unitary(n: int, rng) -> np.ndarray:
