@@ -99,14 +99,6 @@ class Dimensions:
         if self.M_tot is not None and self.M > self.M_tot:
             raise ValueError(f"M={self.M} exceeds M_tot={self.M_tot}")
 
-    @property
-    def c1(self) -> float:
-        return self.K / self.M
-
-    @property
-    def c2(self) -> float:
-        return self.K / self.L
-
 
 @dataclass(frozen=True)
 class PlanarFasGeometry:
@@ -463,8 +455,7 @@ def select_submatrix(A_tot: np.ndarray, s: np.ndarray, m: int | None = None) -> 
     return A_tot[np.ix_(idx, idx)]
 
 
-def embed_selection(A_tot: np.ndarray, s: np.ndarray,
-                    A_tot_sqrt: np.ndarray | None = None) -> np.ndarray:
+def embed_selection(A_tot: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Full-size relaxed-selection surrogate A_tot^{1/2} diag(s) A_tot^{1/2}.
 
     For s in [0,1]^{M_tot} this is the correlation the relaxed port-selection
@@ -474,7 +465,7 @@ def embed_selection(A_tot: np.ndarray, s: np.ndarray,
     s = np.asarray(s, dtype=float)
     if (s < 0).any() or (s > 1).any():
         raise ConstraintError("relaxed selection entries must lie in [0, 1]")
-    root = psd_sqrt(A_tot, "A_tot") if A_tot_sqrt is None else A_tot_sqrt
+    root = psd_sqrt(A_tot, "A_tot")
     return herm((root * s[None, :]) @ root)
 
 

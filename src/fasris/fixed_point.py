@@ -5,17 +5,17 @@ form. Each correlation regime supplies one map, evaluated in Gauss-Seidel
 order (delta, then the RIS-side traces, then the per-user scalars) at
 (z, shift): RZF is (z, 1) and ZF the same map at (1, 0). One driver,
 `_picard`, runs damped Picard after the map's mixer (shared RZF: Newton;
-per-user: Anderson; shared ZF: none); a cold RZF solve at small z starts at
-the ZF state rescaled by z. A ZF solution has `z` None and holds the paper's
-underlined (scaled z -> 0) quantities; every solution carries the inverses
-that the second-order terms need, a shared one builds them on first read.
+per-user: Anderson; shared ZF: none), cold from `init` scaled to z (see
+`_Map`). A ZF solution has `z` None and holds the paper's underlined
+(scaled z -> 0) quantities; every solution carries the inverses that the
+second-order terms need, a shared one builds them on first read.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -26,7 +26,6 @@ EPS = 1e-12
 LOG_STEP = np.log(1e6)    # largest mixed move past the Picard image, in log
 DEPTH = 5                 # Anderson depth; unimproved steps before a fallback
 NEWTON_STEP = 2.0         # largest Newton move of each log (a, b, omega_bar)
-ZF_SEED_Z = 1e-2          # RZF starts at ZF while z M / link gain is below
 
 
 class ConvergenceError(RuntimeError):
@@ -66,11 +65,10 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
 
 @dataclass(kw_only=True)
 class _Solution:
-    """How the solve got there. `path` is "cold" (generic initial values),
-    "warm" (the caller's x0) or "zf_seed" (the rescaled ZF state, see
-    `_solve_rzf`); `iterations` counts map evaluations, `halvings` damping
-    halvings and `mixer` "off", "anderson", "newton" or "fallback" (a safeguard
-    handed the solve to damped Picard), both of the RZF part if seeded.
+    """How the solve got there. `path` is "cold" (`init`, scaled to z, see
+    `_Map`) or "warm" (the caller's x0); `iterations` counts map evaluations,
+    `halvings` damping halvings and `mixer` "off", "anderson", "newton" or
+    "fallback" (a safeguard handed the solve to damped Picard).
     """
 
     residual: float
@@ -152,7 +150,7 @@ class IidSolution:
 
 
 # ---------------------------------------------------------------------------
-# the driver and the small-z seed
+# the driver
 # ---------------------------------------------------------------------------
 
 class _Mixer:
@@ -263,29 +261,6 @@ def _picard(system, x0: dict | None, settings: SolverSettings):
                            residual)
 
 
-def _solve_rzf(map_at, z: float, x0: dict | None, settings: SolverSettings):
-    """Solve the RZF map `map_at(z, 1)`. Without x0, z M below ZF_SEED_Z
-    times the link gain, where generic values make the map oscillate, starts
-    at the ZF state of `map_at(1, 0)` rescaled to z (`path == "zf_seed"`, ZF
-    evaluations counted in `iterations`); an infeasible (M < K) or stalled
-    ZF solve leaves the generic start. The ZF solve stops at the seed's own
-    accuracy, z M / link gain, or at `settings.tol`.
-    """
-    if z <= 0:
-        raise ValueError("regularization z must be positive")
-    system, seeded = map_at(z, 1.0), 0
-    if x0 is None and z * system.M < ZF_SEED_Z * system.link_gain():
-        coarse = replace(settings, tol=max(settings.tol,
-                                           z * system.M / system.link_gain()))
-        with suppress(ConvergenceError, FeasibilityError):    # generic start then
-            zf = _picard(map_at(1.0, 0.0), None, coarse)
-            x0, seeded = system.seed(zf.x0), zf.iterations
-    sol = _picard(system, x0, settings)
-    if seeded:
-        sol.path, sol.iterations = "zf_seed", sol.iterations + seeded
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # regime maps: per-user and shared correlation
 # ---------------------------------------------------------------------------
@@ -294,14 +269,19 @@ class _Map:
     """One regime's map at (z, shift): RZF is (z, 1), ZF is (1, 0).
 
     `start(x0, init)` gives the flat initial state, calling the map the next
-    state, `finish(x)` the solution fields that the state fixes, and
-    `link_gain()` and `seed(zf_x0)` the small-z seed of `_solve_rzf`.
-    Under shift 0 the map also runs the ZF feasibility checks.
+    state and `finish(x)` the solution fields that the state fixes; under
+    shift 0 the map also runs the ZF feasibility checks. With delta, kappa,
+    omega, mu divided by z and kappa_bar, omega_bar times z, the map at
+    (z, 1) is the map at (1, z), and `_picard` is blind to that scaling: so
+    `start` fills what x0 leaves out with init / z (init z for the _bar
+    entries), and a cold RZF solve runs as a ZF-type one does, at any z.
     """
 
     mixer = None    # the _Mixer of _picard; None is damped Picard
 
     def __init__(self, R, K, L, z, shift, m_norm):
+        if not z > 0:
+            raise ValueError("regularization z must be positive")
         self.R, self.K, self.L, self.z, self.shift = R, K, L, z, shift
         self.M = R.shape[0] if m_norm is None else m_norm
         if shift == 0.0 and self.M < K:
@@ -309,10 +289,6 @@ class _Map:
         self.I_M = np.eye(R.shape[0])
         self.I_L = np.eye(L)
         self.name = self.regime + ("RZF" if shift else "ZF")
-
-    def seed(self, zf_x0):    # shared kappa_bar, omega_bar ~ z; the rest ~ 1/z
-        return {name: v * self.z if name.endswith("_bar") else v / self.z
-                for name, v in zf_x0.items()}
 
     def solution(self, x, **how):
         return self.sol(self.z if self.shift else None, *self.finish(x),
@@ -341,18 +317,14 @@ class _UncommonMap(_Map):
         self.C_flat = self.C.reshape(self.K, -1)
 
     def start(self, x0, init):
-        x0, full = x0 or {}, np.full(self.K, init)
-        x = np.concatenate(([x0.get("delta", init)], x0.get("omega", full),
+        x0, full = x0 or {}, np.full(self.K, init / self.z)
+        x = np.concatenate(([x0.get("delta", full[0])], x0.get("omega", full),
                             x0.get("mu", full))).astype(float)
         x[1:self.K + 1] *= self.cascaded    # omega is 0 off a cascaded link
         return x
 
     def split(self, x):
         return x[0], x[1:self.K + 1], x[self.K + 1:]
-
-    def link_gain(self):    # mean over users of tr F_k + tr R tr C_k / L
-        return float(np.mean(np.einsum("kii->k", self.F).real + np.trace(
-            self.R).real * np.einsum("kii->k", self.C).real / self.L))
 
     def psi_r(self, delta, omega, mu):
         w = 1.0 / (self.M * (self.shift + mu))
@@ -418,13 +390,11 @@ class _CommonMap(_Map):
         return _Newton if self.shift else None
 
     def start(self, x0, init):
-        x = np.array([(x0 or {}).get(k, init) for k in self.sol._state], float)
+        x0, z = x0 or {}, self.z
+        x = np.array([x0.get(k, init * z if k.endswith("_bar") else init / z)
+                      for k in self.sol._state], float)
         x[2] *= self.cascaded    # omega is 0 off a cascaded link
         return x
-
-    def link_gain(self):    # mean(u) tr F + mean(t) tr R tr C / L
-        return float(np.mean(self.u) * np.trace(self.F).real + np.mean(
-            self.t) * np.trace(self.R).real * np.trace(self.C).real / self.L)
 
     def r_coefs(self, delta, omega, kappa_bar, omega_bar):
         """(a, b) with Psi_R^{-1} = z I + a F + b R."""
@@ -514,11 +484,10 @@ def solve_rzf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
     F_k and C_k, stacked or listed, carry the per-user link gains. m_norm
     overrides the trace normalization M for full-size selection surrogates.
     Degenerate links (R = 0 or every C_k = 0) are branch-detected so no
-    0/0 ratio is ever formed. Small z starts at the ZF state / z, gated by
-    the mean of tr(F_k)/M + tr(R) tr(C_k)/(M L) (see `_solve_rzf`).
+    0/0 ratio is ever formed. A cold solve starts at `settings.init` / z.
     """
-    return _solve_rzf(partial(_UncommonMap, F_list, R, C_list, m_norm=m_norm),
-                      z, x0, settings)
+    return _picard(_UncommonMap(F_list, R, C_list, z, 1.0, m_norm), x0,
+                   settings)
 
 
 def solve_zf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
@@ -560,13 +529,11 @@ def solve_rzf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
         Psi_T = (I_K + omega T + kappa U)^{-1}
 
     F and C are correlation matrices (unit-scale); the gains live in u, t.
-    Small z starts at the damped ZF solve on the same spectra, rescaled,
-    gated by mean(u) tr(F)/M + mean(t) tr(R) tr(C)/(M L) (see `_solve_rzf`).
+    A cold solve starts at `settings.init` scaled to z (see `_Map`).
     `spectra`, if given, is `_spectra(F, R, C)` from a caller that holds them.
     """
-    return _solve_rzf(partial(_CommonMap, F, R, C, u, t, m_norm=m_norm,
-                              spectra=spectra or _spectra(F, R, C)), z, x0,
-                      settings)
+    return _picard(_CommonMap(F, R, C, u, t, z, 1.0, m_norm,
+                              spectra or _spectra(F, R, C)), x0, settings)
 
 
 def solve_zf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,

@@ -319,11 +319,9 @@ def second_order_uncommon(F_list: np.ndarray, R: np.ndarray,
 
 def sinr_rzf_uncommon(sol: UncommonSolution, F_list, R, C_list,
                       p: np.ndarray, sigma2: float,
-                      so: SecondOrderUncommon | None = None,
                       digest: dict | None = None):
     """Per-user RZF SINR and ESR, per-user-correlation regime."""
-    if so is None:
-        so = second_order_uncommon(F_list, R, C_list, p, sol)
+    so = second_order_uncommon(F_list, R, C_list, p, sol)
     sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu, p, sigma2, so.D.shape[1])
     return _report(sinr, "rzf/uncommon", digest, sol), so
 
@@ -484,11 +482,9 @@ def second_order_common(F, R, C, u, t, p, sol: CommonSolution) -> SecondOrderCom
 
 
 def sinr_rzf_common(sol: CommonSolution, F, R, C, u, t, p, sigma2,
-                    so: SecondOrderCommon | None = None,
                     digest: dict | None = None):
     """Per-user RZF SINR and ESR, shared-correlation regime."""
-    if so is None:
-        so = second_order_common(F, R, C, u, t, p, sol)
+    so = second_order_common(F, R, C, u, t, p, sol)
     mu = sol.mu_k(np.asarray(u, float), np.asarray(t, float))
     sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, mu, np.asarray(p, dtype=float),
                        sigma2, C.shape[0])

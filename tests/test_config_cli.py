@@ -415,29 +415,6 @@ class TestValidate:
                   if "FAIL" in line]
         assert failed == ["fd_z_derivative"]
 
-    def test_unseeded_small_z_solve_fails(self, monkeypatch):
-        # a solver that no longer seeds below the gate, in either regime,
-        # leaves the check nothing to compare: it must fail rather than pass
-        from fasris import fixed_point
-        checks = validate(None, trials=200, seed=7)
-        by_name = {c["name"]: c for c in checks}
-        assert by_name["zf_seed_consistency"]["passed"]
-        detail = by_name["zf_seed_consistency"]["detail"]
-        assert detail.startswith("per-user zf_seed")
-        assert "shared zf_seed" in detail
-        monkeypatch.setattr(fixed_point, "ZF_SEED_Z", 0.0)
-        checks = validate(None, trials=200, seed=7)
-        assert [c["name"] for c in checks if not c["passed"]] == \
-            ["zf_seed_consistency"]
-        monkeypatch.undo()
-        # only the shared regime unseeded
-        monkeypatch.setattr(fixed_point._CommonMap, "link_gain",
-                            lambda self: 0.0)
-        checks = validate(None, trials=200, seed=7)
-        failed = [c for c in checks if not c["passed"]]
-        assert [c["name"] for c in failed] == ["zf_seed_consistency"]
-        assert "shared cold" in failed[0]["detail"]
-
 
 class TestFigureRecipes:
     def test_fig1_csv_structure(self, tmp_path):

@@ -99,8 +99,39 @@ class Regime:
     def residual(self, sol):
         return backsubstitution_residual(sol, **self.stats)
 
+    def maps(self, z, **stats):
+        """The RZF map at z and the ZF map, on `stats` over the scenario's."""
+        stats = {**self.stats, **stats}
+        spectra = (fixed_point._spectra(stats["F"], stats["R"], stats["C"]),
+                   ) if "C" in stats else ()
+        return [self.map(*stats.values(), z_, shift, None, *spectra)
+                for z_, shift in ((z, 1.0), (1.0, 0.0))]
+
 
 REGIMES = ["common", "uncommon"]
+
+
+@pytest.fixture(scope="module",
+                params=["fig3", "fig1", "F=R", "F!=R", "uncommon"])
+def cold_case(request):
+    """fig3 with uniform ports at 80 dB, fig1 at M = 24 and 80 dB, and small
+    random scenarios: shared with F = R and with F != R, and per-user."""
+    from fasris.scenarios import (fig1_scenario, fig3_scenario,
+                                  uniform_selection)
+    case = request.param
+    if case == "fig3":
+        sc, M = fig3_scenario(80.0)
+        return Regime(sc, "common", uniform_selection(M, sc.dims.M_tot))
+    if case == "fig1":
+        return Regime(fig1_scenario(24, 80.0), "uncommon")
+    rng = np.random.default_rng(20240817)
+    if case == "uncommon":
+        return Regime(random_scenario(rng, case, M=12, K=4, L=8, sigma2=0.4),
+                      case)
+    sc = random_scenario(rng, "common", M=14, K=5, L=10, sigma2=0.4)
+    if case == "F=R":
+        sc.correlations.F_tot = sc.correlations.R_tot.copy()
+    return Regime(sc, "common")
 
 
 @pytest.fixture
@@ -110,7 +141,8 @@ def small_regimes(small_common, small_uncommon):
 
 
 class TestZfSeed:
-    """RZF solves below the seed gate start at the rescaled ZF state."""
+    """A cold RZF solve starts at `init` scaled to z (the traces / z, the
+    shared _bar entries z), where the map runs as the ZF-type map does."""
 
     @pytest.mark.parametrize("regime, M", [
         pytest.param("uncommon", 16, id="16"),
@@ -134,16 +166,44 @@ class TestZfSeed:
 
         monkeypatch.setattr(solves.map, "__call__", counted)
         sol = solves.rzf(z)
-        assert sol.path == "zf_seed" and sol.mixer == (
+        assert sol.path == "cold" and sol.mixer == (
             "newton" if regime == "common" else "anderson")
-        assert sol.iterations == len(calls)     # the ZF solve's included
+        assert sol.iterations == len(calls)
         monkeypatch.undo()
-        # x0 turns the seed off: the generic start, passed explicitly
+        # the unscaled generic start, passed explicitly, solved tightly
         generic = {name: np.ones_like(v) for name, v in sol.x0.items()}
         ref = solves.rzf(z, TIGHT, x0=generic)
         assert ref.path == "warm"
         for name, value in ref.x0.items():
             assert rel_err(sol.x0[name], value) < 1e-9, name
+
+    @pytest.mark.parametrize("z", np.logspace(-12, 3, 16),
+                             ids=lambda z: f"z={z:.0e}")
+    def test_cold_solve_at_any_z(self, cold_case, z):
+        sol = cold_case.rzf(z)
+        assert sol.path == "cold" and sol.mixer != "fallback"
+        assert sol.iterations <= 12
+        assert cold_case.residual(sol) <= 1e-9
+
+    def test_start_is_init_scaled_to_z(self, small_regimes):
+        # RZF: init / z, init z for the shared _bar entries; ZF (z = 1): init
+        init, z = 1.7, 3e-4
+        for solves in small_regimes:
+            rzf, zf = solves.maps(z)
+            x = rzf.start(None, init)
+            scale = np.full(len(x), 1.0 / z)
+            if "C" in solves.stats:
+                scale[3:] = z
+            assert np.array_equal(x, init * scale)
+            assert np.array_equal(zf.start(None, init), np.full(len(x), init))
+            # omega stays 0 off a cascaded link
+            key = "C" if "C" in solves.stats else "C_list"
+            unlinked = {key: np.zeros_like(solves.stats[key])}
+            for system in solves.maps(z, **unlinked):
+                x = system.start(None, init)
+                omega = x[2] if key == "C" else system.split(x)[1]
+                assert np.all(omega == 0.0) and np.count_nonzero(x) == (
+                    len(x) - np.size(omega))
 
     def test_nonpositive_z_raises_before_any_zf_solve(self, small_regimes,
                                                       monkeypatch):
@@ -166,34 +226,9 @@ class TestZfSeed:
             assert sol.path == "cold"
             assert solves.residual(sol) <= 1e-9
 
-    def test_zf_seed_stops_at_its_own_accuracy(self, small_regimes,
-                                               monkeypatch):
-        # the rescaled ZF state is off by about z M / link gain, so the ZF
-        # solve stops at that tolerance (or settings.tol, if larger)
-        tols = []
-
-        def picard(system, x0, settings, _picard=fixed_point._picard):
-            tols.append((system, settings.tol))
-            return _picard(system, x0, settings)
-
-        monkeypatch.setattr(fixed_point, "_picard", picard)
-        for solves in small_regimes:
-            for z in (1e-3, 1e-12):
-                tols.clear()
-                assert solves.rzf(z).path == "zf_seed"
-                (zf, tol), (rzf, rzf_tol) = tols
-                assert zf.shift == 0.0 and rzf_tol == 1e-10
-                assert tol == max(1e-10, z * rzf.M / rzf.link_gain()) < 1e-2
-
-    def test_gate(self, small_regimes):
-        # the gate is 1e-2 times the O(1) gains u_k + t_k of the scenario
-        for solves in small_regimes:
-            assert solves.rzf(1e-3).path == "zf_seed"
-            assert solves.rzf(0.1).path == "cold"
-
     def test_fig7_row_solves_without_fallback(self, monkeypatch):
         # fig7's M=24, 90 dB row: the uniform selection's phase ascent
-        # reaches z ~ 4e-10, where a generic start stalls; every solve of
+        # reaches z ~ 4e-10, where an unscaled start stalls; every solve of
         # the row must converge, every RZF solve under Newton
         from fasris.optimize import alternating_optimization, joint_optimize
         from fasris.scenarios import fig3_scenario, uniform_selection
@@ -482,7 +517,7 @@ class TestSpectralMap:
             lambda: solve_rzf_common(F, R, C, u, t, 0.3),
             lambda: solve_rzf_common(F, R, C, u, t, 1e-3),
             lambda: solve_zf_common(F, R, C, u, t)]
-        for solve, path in zip(solves, ["cold", "zf_seed", "cold"]):
+        for solve, path in zip(solves, ["cold", "cold", "cold"]):
             spectra.clear()
             evaluations.clear()
             assert solve().path == path
