@@ -7,8 +7,7 @@ from .channel import (ChannelSample, ChannelSampler, CorrelationSet,
                       Scenario, db2lin, effective_ris_correlation,
                       embed_selection, fas_correlation_matrix, path_loss,
                       phase_matrix, ris_correlation_matrices,
-                      ris_correlation_matrix,
-                      sample_channel, select_submatrix, trial_rng)
+                      ris_correlation_matrix, select_submatrix, trial_rng)
 from .fixed_point import (CommonSolution, ConvergenceError, FeasibilityError,
                           IidSolution, SolverSettings, UncommonSolution,
                           backsubstitution_residual, solve_iid_zf,
@@ -28,8 +27,8 @@ from .gradients import (esr_gradient_phases_common,
                         esr_gradient_ports_zf_uncommon, esr_gradient_z,
                         fd_gradient, gradient_G_l, phase_perturbation)
 from .optimize import (OptimizationTrace, OptimizerSettings, PhaseShifts,
-                       PortSelection, alternating_optimization,
-                       deterministic_esr, fw_linear_oracle, fw_port_selection,
+                       alternating_optimization, deterministic_esr,
+                       fw_linear_oracle, fw_port_selection,
                        gradient_ascent_phases, joint_optimize,
                        search_regularization, z_search_profile)
 

@@ -563,9 +563,3 @@ class ChannelSampler:
              else [])
         return ChannelSample(H=H, X=X, W=W, Y=Y, Z=Z)
 
-
-def sample_channel(scenario: Scenario, s: np.ndarray | None,
-                   phi: np.ndarray | None, rng: np.random.Generator,
-                   keep_components: bool = True) -> ChannelSample:
-    """Draw one correlated-Rayleigh realization of the M x K channel."""
-    return ChannelSampler(scenario, s, phi).draw(rng, keep_components)

@@ -89,6 +89,7 @@ def cmd_optimize(args) -> int:
     _, scenario, s0, phi0, seed = _problem(args)
     M = scenario.dims.M
     phi0 = np.zeros(scenario.dims.L) if phi0 is None else phi0
+    rzf = args.precoder == "rzf"    # ZF has no regularizer
 
     if args.mode == "joint":
         s, z, phases, rep, trace = joint_optimize(
@@ -96,14 +97,15 @@ def cmd_optimize(args) -> int:
         phi = phases.phi
     elif args.mode == "ports":
         s = fw_port_selection(scenario, phi0, M)
-        z = scenario.default_z(s)
+        z = scenario.default_z(s) if rzf else None
         phi = phi0
         rep = deterministic_esr(scenario, s, phi, args.precoder, z)
         trace = None
     elif args.mode == "phases":
         s = s0
         z, phases, esr, trace = alternating_optimization(
-            scenario, s, phi0, scenario.default_z(s), precoder=args.precoder)
+            scenario, s, phi0, scenario.default_z(s) if rzf else None,
+            precoder=args.precoder)
         phi = phases.phi
         rep = deterministic_esr(scenario, s, phi, args.precoder, z)
     elif args.mode == "zsearch":

@@ -19,9 +19,9 @@ import numpy as np
 
 from .channel import effective_ris_correlation, psd_sqrt
 from .fixed_point import CommonSolution, UncommonSolution
-from .rates import (SecondOrderCommon, SecondOrderUncommon, _checked,
-                    _common_factors, _common_tables, _uncommon_tables,
-                    common_pi, common_system, uncommon_pi, uncommon_system)
+from .rates import (SecondOrderCommon, SecondOrderUncommon, _common_tables,
+                    _uncommon_tables, common_system, second_order_common,
+                    second_order_uncommon, uncommon_system)
 
 LN2 = np.log(2.0)
 
@@ -110,19 +110,20 @@ def _esr_along(system, x: dict, dx: dict, *args) -> np.ndarray:
 def _common_along(so: SecondOrderCommon, d_, k_, o_, dz: float) -> dict:
     """Derivatives of the shared state and trace tables when the fixed point
     moves by (d_, k_, o_) in (delta, kappa, omega), the Pi_com response, and
-    dPsi_R^{-1} gains dz I (dz is 1 along z, 0 along a phase). A `spectral`
-    solution differentiates the eigenvalues psi and psi_C instead."""
+    dPsi_R^{-1} gains dz I (dz is 1 along z, 0 along a phase). The factors
+    are those of `so`: eigenvalue factors (a `spectral` solution) are
+    differentiated as eigenvalues."""
     sol = so.sol
     F, R, C = so.F, so.R, so.C
     M, L = sol.m_norm, C.shape[0]
     delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
-    P, (Psi_R, Psi_C) = _common_factors(sol, F, R, C)
+    P, (Psi_R, Psi_C) = so.P, so.Psi
     kb_ = -(k_ * so.eta_UU + o_ * so.eta_TU)
     ob_ = -(k_ * so.eta_TU + o_ * so.eta_TT)
     alpha = (L / M) * ((o_ * omega_bar + omega * ob_) / delta
                        - omega * omega_bar * d_ / delta ** 2) if delta else 0.0
     beta = (L / M) * kb_                    # dPsi_R^{-1} = dz I + alpha R + beta F
-    if sol.spectral:
+    if Psi_R.ndim == 1:
         PsiR_ = -Psi_R ** 2 * (dz + (alpha + beta) * sol.lam)
         PsiC_ = Psi_C ** 2 * (d_ / delta ** 2 - ob_ * sol.g)
         P_ = (sol.lam * PsiR_, sol.lam * PsiR_, sol.g * PsiC_)
@@ -280,7 +281,7 @@ def esr_gradient_z(so: SecondOrderCommon | SecondOrderUncommon,
 
 
 # ---------------------------------------------------------------------------
-# ZF gradients: the Pi systems of rates.py at the ZF point
+# ZF gradients: the second-order systems of rates.py at the ZF point
 # ---------------------------------------------------------------------------
 
 def _zf_chain(p, mu, mu_d, M, sigma2) -> np.ndarray:
@@ -305,13 +306,13 @@ def esr_gradient_phases_zf_common(sol: CommonSolution, F, R, C_L, C_R,
         return np.zeros(L)
     # the C that stats_common hands the solver, bit for bit
     C = effective_ris_correlation(C_L, phi, C_R, 1.0, root)[1]
-    Pi = common_pi(F, R, C, u, t, sol).Pi_com
+    so = second_order_common(F, R, C, u, t, p, sol)
     Psi_C = sol.Psi_C
-    PCC = Psi_C @ (C @ Psi_C)
+    PCC = Psi_C @ so.P[2]
     U = _phase_traces(root(C_L, "C_L"), C_R, phi,   # explicit d omega / d phi_l
                       [Psi_C - sol.omega_bar * PCC])[0] / L
     # every phase enters through the same RHS direction [0, 0, 1]
-    _, k_, o_ = _checked(Pi, "Pi_com(zf)")(np.array([0.0, 0.0, 1.0]))
+    _, k_, o_ = so.solve_pi(np.array([0.0, 0.0, 1.0]))
     return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),
                      sol.m_norm, sigma2)
 
@@ -358,13 +359,13 @@ def esr_gradient_ports_zf_common(sol: CommonSolution, R_root, F_root,
     Psi = sol.Psi_R
     kappa_bar, omega, omega_bar, delta = (sol.kappa_bar, sol.omega,
                                           sol.omega_bar, sol.delta)
-    Pi = common_pi(F_emb, R_emb, C, u, t, sol).Pi_com
+    so = second_order_common(F_emb, R_emb, C, u, t, p, sol)
 
     cW = L * omega * omega_bar / (M * delta) if delta > 0 else 0.0
     B = _port_rows([R_root, F_root], [R_emb, F_emb], Psi, [F_root],
                    [L * kappa_bar / M ** 2], R_root, cW / M, M)
     B = np.vstack([B, np.zeros(B.shape[1])])    # C has no port dependence
-    V = _checked(Pi, "Pi_com(zf)")(B)
+    V = so.solve_pi(B)
     mu_i = u[:, None] * V[1][None, :] + t[:, None] * V[2][None, :]   # (K, M_tot)
     return _zf_chain(p, sol.mu_k(u, t), mu_i, M, sigma2)
 
@@ -380,8 +381,7 @@ def esr_gradient_ports_zf_uncommon(sol: UncommonSolution, R_root,
     mu, omega, delta = sol.mu, sol.omega, sol.delta
     Psi = sol.Psi_R
     p = np.asarray(p, dtype=float)
-    Pi = uncommon_pi(F_emb_list, R_emb, C_list, Psi, sol.Psi_C, delta, omega,
-                     mu, 0.0, M).Pi
+    so = second_order_uncommon(F_emb_list, R_emb, C_list, p, sol)
 
     # coefficients of the embedded-matrix terms inside Psi_R^{-1}
     cF = 1.0 / (M * mu)
@@ -389,7 +389,7 @@ def esr_gradient_ports_zf_uncommon(sol: UncommonSolution, R_root,
     B = _port_rows([*F_roots, R_root], [*F_emb_list, R_emb], Psi, F_roots,
                    cF / M, R_root, cR / M, M)      # rows ordered as in Pi
 
-    V = _checked(Pi, "Pi(zf)")(B)
+    V = so.solve_pi(B)
     return _zf_chain(p, mu, V[:K, :], M, sigma2)
 
 

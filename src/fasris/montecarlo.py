@@ -21,6 +21,7 @@ import numpy as np
 
 from .channel import ChannelSampler, Scenario, trial_rng
 from .fixed_point import FeasibilityError
+from .rates import _pair_traces
 
 RANK_TOL = 1e-10
 _BLOCK = 16         # trials per stacked block; bounds the stacks' memory
@@ -145,14 +146,6 @@ def empirical_esr(scenario: Scenario, s: np.ndarray | None,
     stderr = np.sqrt(var / trials)
     return EsrEstimate(mean=mean, stderr=stderr, ci95=1.96 * stderr,
                        trials=trials, seed=seed)
-
-
-def _pair_traces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Re tr(A_k B_l) for (..., K, M, M) and (..., J, M, M) stacks: (..., K, J)."""
-    M = A.shape[-1]
-    A_flat = A.reshape(A.shape[:-2] + (M * M,))
-    Bt_flat = np.swapaxes(B, -1, -2).reshape(B.shape[:-2] + (M * M,))
-    return np.real(A_flat @ np.swapaxes(Bt_flat, -1, -2))
 
 
 def resolvent_probe(scenario: Scenario, s: np.ndarray | None,

@@ -12,7 +12,6 @@ optimization and the joint loop return come from cold solves.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,33 +32,6 @@ from .rates import (RateReport, sinr_rzf_common, sinr_rzf_uncommon,
 # ---------------------------------------------------------------------------
 # decision-variable containers
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PortSelection:
-    """Binary (exactly M ones) or relaxed (entries in [0,1], sum <= M)."""
-
-    s: np.ndarray
-    M: int
-    relaxed: bool = False
-
-    def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
-        if self.relaxed:
-            if (self.s < 0).any() or (self.s > 1).any():
-                raise ConstraintError("relaxed selection outside [0,1]")
-            if self.s.sum() > self.M + 1e-9:
-                raise ConstraintError("relaxed selection exceeds budget M")
-        else:
-            if not np.all((self.s == 0) | (self.s == 1)):
-                raise ConstraintError("binary selection has fractional entries")
-            if int(self.s.sum()) != self.M:
-                raise ConstraintError(
-                    f"selection has {int(self.s.sum())} ports, expected {self.M}")
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.s)
-
 
 @dataclass
 class PhaseShifts:
@@ -143,12 +115,6 @@ class OptimizationTrace:
         return np.array([r["objective"] for r in self.records])
 
 
-def _digest(arr) -> str:
-    if arr is None:
-        return "none"
-    return hashlib.sha1(np.ascontiguousarray(arr).tobytes()).hexdigest()[:12]
-
-
 # ---------------------------------------------------------------------------
 # deterministic ESR evaluation at scenario level
 # ---------------------------------------------------------------------------
@@ -162,7 +128,7 @@ def _stats(scenario: Scenario, s, phi):
 
 
 def _evaluate(stats, shared, precoder, z, sigma2, settings, x0=None,
-              m_norm=None, digest=None, spectra=None):
+              m_norm=None, spectra=None):
     """Solve one fixed point and turn it into SINRs: the only dispatch over
     the four solver/SINR pairs.
 
@@ -176,20 +142,18 @@ def _evaluate(stats, shared, precoder, z, sigma2, settings, x0=None,
         if precoder == "rzf":
             sol = solve_rzf_common(F, R, C, u, t, z, settings, m_norm=m_norm,
                                    x0=x0, spectra=spectra)
-            rep, so = sinr_rzf_common(sol, F, R, C, u, t, p, sigma2,
-                                      digest=digest)
+            rep, so = sinr_rzf_common(sol, F, R, C, u, t, p, sigma2)
             return rep, so, sol
         sol = solve_zf_common(F, R, C, u, t, settings, m_norm, x0, spectra)
-        return sinr_zf_common(sol, u, t, p, sigma2, digest=digest), None, sol
+        return sinr_zf_common(sol, u, t, p, sigma2), None, sol
     F_list, R, C_list, p = stats
     if precoder == "rzf":
         sol = solve_rzf_uncommon(F_list, R, C_list, z, settings, m_norm=m_norm,
                                  x0=x0)
-        rep, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sigma2,
-                                    digest=digest)
+        rep, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sigma2)
         return rep, so, sol
     sol = solve_zf_uncommon(F_list, R, C_list, settings, m_norm=m_norm, x0=x0)
-    return sinr_zf_uncommon(sol, p, sigma2, digest=digest), None, sol
+    return sinr_zf_uncommon(sol, p, sigma2), None, sol
 
 
 def deterministic_esr(scenario: Scenario, s: np.ndarray | None = None,
@@ -206,9 +170,7 @@ def deterministic_esr(scenario: Scenario, s: np.ndarray | None = None,
     if precoder == "rzf" and z is None:
         z = scenario.default_z(s)
     stats, shared = _stats(scenario, s, phi)
-    dig = {"s": _digest(s), "phi": _digest(phi)}
-    return _evaluate(stats, shared, precoder, z, scenario.sigma2, settings,
-                     digest=dig)[0]
+    return _evaluate(stats, shared, precoder, z, scenario.sigma2, settings)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ blocks, Psi_{k,l} and Cbar to the SINR. Both are analytic in every entry of
 x, which may lead with one batch axis, so the RZF phase gradients
 differentiate them by complex step: no entry passes through abs, a real
 part or a comparison. The one test, delta == 0, holds only without a RIS
-path, where every 1/delta term multiplies a zero. `common_pi`, `uncommon_pi`
-and `second_order_*` call them on real input; the ZF gradients read Pi at
-the ZF point, where 1 + mu becomes mu. `SecondOrderUncommon.W` keeps the
-solved interference system whose rows give Psi_{k,l}, and
-`SecondOrderCommon.lam_zz` the limit of (1/L)tr(Z Z^H Q Z Z^H Q).
+path, where every 1/delta term multiplies a zero. `second_order_common` and
+`second_order_uncommon` call them on real input, for RZF and ZF alike: a ZF
+solution gets Pi at its own point, where 1 + mu becomes mu, and no solved
+blocks. `SecondOrderUncommon.W` keeps the solved interference system whose
+rows give Psi_{k,l}, and `SecondOrderCommon.lam_zz` the limit of
+(1/L)tr(Z Z^H Q Z Z^H Q).
 
 Rates are in bits (log2). The noise term of every RZF SINR is
 sigma^2 (1+mu_k)^2 Cbar with Cbar the per-antenna-power normalization limit
@@ -49,24 +50,13 @@ class RateReport:
     regime: str
     digest: dict = field(default_factory=dict)
 
-    def csv_row(self) -> dict:
-        return {"regime": self.regime, "esr": self.esr,
-                **{f"sinr_{k}": s for k, s in enumerate(self.sinr)}}
 
-    def to_record(self) -> str:
-        """Structured single-line text record (regime, SINRs, ESR, digest)."""
-        sinrs = " ".join(f"{v:.10g}" for v in self.sinr)
-        dig = ";".join(f"{k}={v}" for k, v in sorted(self.digest.items()))
-        return f"regime={self.regime} esr={self.esr:.10g} sinr=[{sinrs}] {dig}"
-
-
-def _report(sinr: np.ndarray, regime: str, digest: dict | None,
+def _report(sinr: np.ndarray, regime: str, digest: dict | None = None,
             sol=None) -> RateReport:
-    """Rates and ESR; a fixed-point `sol` leads the digest with its solve."""
+    """Rates and ESR; a fixed-point `sol` gives the digest of its solve."""
     if sol is not None:
         head = {"z": sol.z} if sol.z is not None else {}    # RZF only
-        digest = {**head, "regime": regime, "residual": sol.residual,
-                  **(digest or {})}
+        digest = {**head, "regime": regime, "residual": sol.residual}
     sinr = np.asarray(sinr, dtype=float)
     if (sinr < 0).any():
         raise NumericalError(f"negative SINR in {regime}: {sinr.min():.3e}")
@@ -149,31 +139,27 @@ def _tr(A: np.ndarray, B: np.ndarray, n: int) -> float:
 # second-order terms, per-user correlation (uncommon)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class UncommonPi:
-    """Trace tables and the (K+1)x(K+1) Pi of the per-user-correlation system."""
-
-    x: dict                  # delta, mu, omega and the tables: chi_FF, Xi (K,K),
-                             # chi_FR, chi_FI, Xi_I (K,), chi_RR, chi_RI
-    E: np.ndarray            # stack F_k Psi_R
-    ER: np.ndarray           # R Psi_R
-    D: np.ndarray            # stack C_k Psi_C
-    Pi: np.ndarray           # (K+1,K+1)
+def _pair_traces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re tr(A_k B_l) for (..., K, n, n) and (..., J, n, n) stacks: (..., K, J).
+    As tr(A B) = vec(A) . vec(B^T), that is one GEMM."""
+    n = A.shape[-1]
+    A_flat = A.reshape(A.shape[:-2] + (n * n,))
+    Bt_flat = np.swapaxes(B, -1, -2).reshape(B.shape[:-2] + (n * n,))
+    return np.real(A_flat @ np.swapaxes(Bt_flat, -1, -2))
 
 
 def _uncommon_tables(first, second, M: int) -> dict:
     """The per-user trace tables Re tr(X Y)/M (or /L), X from first =
     (E, ER, D) and Y from second = (E, ER, D, Psi_R, Psi_C); E is the stack
     F_k Psi_R, ER = R Psi_R and D the stack C_k Psi_C. Every table is
-    bilinear in the two, so its derivative is the sum of two calls. As
-    tr(X Y) = vec(X) . vec(Y^T), each stacked table is one GEMM or GEMV."""
+    bilinear in the two, so its derivative is the sum of two calls; each
+    stacked table is one `_pair_traces`."""
     E, ER, D = first
     E2, ER2, D2, Psi_R, Psi_C = second
-    K, L = len(E), D.shape[1]
+    L = D.shape[1]
 
     def tr(X, Y, n):    # Re tr(X_k Y_l) / n; Y is a stack, or one matrix (l = 0)
-        return np.real(X.reshape(K, -1) @ np.swapaxes(Y, -1, -2)
-                       .reshape(-1, X[0].size).T) / n
+        return _pair_traces(X, Y if Y.ndim == 3 else Y[None]) / n
     return {"chi_FF": tr(E, E2, M), "chi_FR": tr(E, ER2, M)[:, 0],
             "chi_RR": _tr(ER, ER2, M), "chi_FI": tr(E, Psi_R, M)[:, 0],
             "chi_RI": _tr(ER, Psi_R, M), "Xi": tr(D, D2, L),
@@ -211,10 +197,10 @@ def uncommon_system(x: dict, M: int, L: int, shift: float = 1.0, p=None,
     """The per-user system from its fixed-point state and trace tables.
 
     x holds delta, mu, omega and the tables of `_uncommon_tables`. Returns
-    Pi, with shift + mu_k in place of 1 + mu_k; given p, also the solved
-    blocks ups_I, ups_F, W and Psi_kl (unclipped), Cbar; given sigma2 too,
-    the RZF SINR as `sinr`. The solved blocks are RZF's (shift 1); the ZF
-    gradients take Pi at shift 0. `solve_pi` solves with the checked Pi.
+    Pi, with shift + mu_k in place of 1 + mu_k (1 for RZF, 0 for ZF), and
+    `solve_pi`, the checked Pi solve; given p, also RZF's solved blocks
+    ups_I, ups_F, W and Psi_kl (unclipped), Cbar; given sigma2 too, the RZF
+    SINR as `sinr`.
     """
     delta = np.asarray(x["delta"])[..., None]
     mu, omega, Xi, Xi_I = x["mu"], x["omega"], x["Xi"], x["Xi_I"]
@@ -238,11 +224,11 @@ def uncommon_system(x: dict, M: int, L: int, shift: float = 1.0, p=None,
     Pi[..., K, :K] = -(Xi_I * dinv2 * chi_RR + chi_FR) / (M * gain2)
     Pi[..., :K, K] = -Xi_I * dinv2 - sw * chi_FR
     Pi[..., K, K] = (1.0 - sw * chi_RR)[..., 0]
+    solve_pi = _checked(Pi, "Pi")
     if p is None:
-        return {"Pi": Pi}
+        return {"Pi": Pi, "solve_pi": solve_pi}
 
     # chi vectors for I and every F_k: column l of ups_F = Pi^{-1} chi(F_l)
-    solve_pi = _checked(Pi, "Pi")
     ups_I = solve_pi(np.concatenate([x["chi_FI"], np.asarray(x["chi_RI"])[..., None]],
                                     axis=-1))
     ups_F = solve_pi(np.concatenate([chi_FF, chi_FR[..., None, :]], axis=-2))
@@ -259,94 +245,76 @@ def uncommon_system(x: dict, M: int, L: int, shift: float = 1.0, p=None,
     return out
 
 
-def uncommon_pi(F_list: np.ndarray, R: np.ndarray, C_list: np.ndarray,
-                Psi_R: np.ndarray, Psi_C: np.ndarray, delta: float,
-                omega: np.ndarray, mu: np.ndarray, shift: float,
-                M: int) -> UncommonPi:
-    """Pi at a per-user fixed point, with shift + mu_k in place of 1 + mu_k.
-
-    F_list and C_list are the (K, M, M) and (K, L, L) stacks of F_k and C_k
-    (lists work too). RZF passes its solution's fields and shift 1; ZF
-    passes its own, the underlined limits, and shift 0.
-    """
-    E, ER, D = np.asarray(F_list) @ Psi_R, R @ Psi_R, np.asarray(C_list) @ Psi_C
-    x = {"delta": delta, "mu": mu, "omega": omega,
-         **_uncommon_tables((E, ER, D), (E, ER, D, Psi_R, Psi_C), M)}
-    return UncommonPi(x=x, E=E, ER=ER, D=D,
-                      **uncommon_system(x, M, D.shape[1], shift))
-
-
 @dataclass
-class SecondOrderUncommon(UncommonPi):
-    """Interference blocks of the per-user-correlation RZF equivalent.
+class SecondOrderUncommon:
+    """Second-order system at a per-user-correlation fixed point.
 
-    Keeps the trace tables and solved Pi systems so the resolvent
-    probes and the phase gradient can reuse them. ups_I is the limit
-    of (1/L)tr(Z_k Z_k^H Q Q) + (1/M)tr(F_k Q Q), k = 1..K, with that of
-    (1/M)tr(R Q Q) last.
+    x holds the fixed-point state and the trace tables of E (the stack
+    F_k Psi_R), ER = R Psi_R and D (the stack C_k Psi_C). Pi is taken at
+    the solution's own point (1 + mu_k for RZF, mu_k for ZF) and solve_pi
+    solves with it, checked. An RZF solution given p also gets the solved
+    blocks, which the resolvent probes and the phase gradient reuse: ups_I
+    is the limit of (1/L)tr(Z_k Z_k^H Q Q) + (1/M)tr(F_k Q Q), k = 1..K,
+    with that of (1/M)tr(R Q Q) last.
     """
 
     sol: UncommonSolution
     F: np.ndarray            # (K,M,M) stack of F_k
     R: np.ndarray
-    ups_I: np.ndarray        # Pi^{-1} chi(I_M), length K+1
-    ups_F: np.ndarray        # (K+1,K), column k = Pi^{-1} chi(F_k)
-    W: np.ndarray            # (K+1,K), column l = Pi^{-1} (user-l scaling RHS)
-    Lambda_kl: np.ndarray    # (K,K) bilinear cascaded-trace limits
-    Psi_kl: np.ndarray       # (K,K)
-    Cbar: float
-    solve_pi: Callable = field(repr=False)    # checked Pi solve, for gradients
+    x: dict                  # delta, mu, omega and the tables: chi_FF, Xi (K,K),
+                             # chi_FR, chi_FI, Xi_I (K,), chi_RR, chi_RI
+    E: np.ndarray
+    ER: np.ndarray
+    D: np.ndarray
+    Pi: np.ndarray           # (K+1,K+1)
+    solve_pi: Callable = field(repr=False)
+    ups_I: np.ndarray | None = None      # Pi^{-1} chi(I_M), length K+1
+    ups_F: np.ndarray | None = None      # (K+1,K), column k = Pi^{-1} chi(F_k)
+    W: np.ndarray | None = None          # (K+1,K), column l = Pi^{-1} (user-l scaling RHS)
+    Lambda_kl: np.ndarray | None = None  # (K,K) bilinear cascaded-trace limits
+    Psi_kl: np.ndarray | None = None     # (K,K)
+    Cbar: float | None = None
 
 
 def second_order_uncommon(F_list: np.ndarray, R: np.ndarray,
-                          C_list: np.ndarray, p: np.ndarray,
+                          C_list: np.ndarray, p: np.ndarray | None,
                           sol: UncommonSolution) -> SecondOrderUncommon:
-    """Second-order blocks at an RZF fixed point; F_list and C_list are the
-    (K, M, M) and (K, L, L) stacks of F_k and C_k (lists work too)."""
+    """Second-order system at a per-user fixed point, RZF or ZF; F_list and
+    C_list are the (K, M, M) and (K, L, L) stacks of F_k and C_k (lists work
+    too). The solved blocks need an RZF sol and p."""
     F = np.asarray(F_list)
     M = sol.m_norm
     Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
     E, ER, D = F @ Psi_R, R @ Psi_R, np.asarray(C_list) @ Psi_C
     x = {**sol.x0, **_uncommon_tables((E, ER, D), (E, ER, D, Psi_R, Psi_C), M)}
     K, L = len(F), D.shape[1]
-    out = uncommon_system(x, M, L, 1.0, p)
-    # strip (L/M) Ups_l(F_k)
-    Lambda_kl = out["Psi_kl"] - (L / M) * out["ups_F"][:K, :].T
-    out["Psi_kl"] = _clip_psi(out["Psi_kl"])
-    return SecondOrderUncommon(x=x, E=E, ER=ER, D=D, **out, sol=sol, F=F, R=R,
-                               Lambda_kl=Lambda_kl)
+    rzf = sol.z is not None
+    out = uncommon_system(x, M, L, 1.0 if rzf else 0.0, p if rzf else None)
+    if "Psi_kl" in out:
+        # strip (L/M) Ups_l(F_k)
+        out["Lambda_kl"] = out["Psi_kl"] - (L / M) * out["ups_F"][:K, :].T
+        out["Psi_kl"] = _clip_psi(out["Psi_kl"])
+    return SecondOrderUncommon(sol=sol, F=F, R=R, x=x, E=E, ER=ER, D=D, **out)
 
 
 def sinr_rzf_uncommon(sol: UncommonSolution, F_list, R, C_list,
-                      p: np.ndarray, sigma2: float,
-                      digest: dict | None = None):
+                      p: np.ndarray, sigma2: float):
     """Per-user RZF SINR and ESR, per-user-correlation regime."""
     so = second_order_uncommon(F_list, R, C_list, p, sol)
     sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu, p, sigma2, so.D.shape[1])
-    return _report(sinr, "rzf/uncommon", digest, sol), so
+    return _report(sinr, "rzf/uncommon", sol=sol), so
 
 
-def sinr_zf_uncommon(sol: UncommonSolution, p: np.ndarray, sigma2: float,
-                     digest: dict | None = None) -> RateReport:
+def sinr_zf_uncommon(sol: UncommonSolution, p: np.ndarray,
+                     sigma2: float) -> RateReport:
     """ZF SINR: gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_l))."""
     sinr = zf_sinr(sol.mu, p, sigma2, sol.m_norm)
-    return _report(sinr, "zf/uncommon", digest, sol)
+    return _report(sinr, "zf/uncommon", sol=sol)
 
 
 # ---------------------------------------------------------------------------
 # second-order terms, shared correlation (common)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CommonPi:
-    """Trace tables and the 3x3 Pi_com of the shared-correlation system."""
-
-    x: dict                  # fixed-point state and the tables chi_*, Xi, Xi_I
-    eta_TT: float
-    eta_TU: float
-    eta_UU: float
-    Pi_com: np.ndarray       # (3,3)
-
 
 def _common_tables(first, second, M: int, L: int) -> dict:
     """The shared trace tables Re tr(X Y)/M (or /L), X from first =
@@ -361,27 +329,16 @@ def _common_tables(first, second, M: int, L: int) -> dict:
             "Xi_I": _tr(CP, Psi_C, L)}
 
 
-def _common_factors(sol: CommonSolution, F, R, C):
-    """(P, (Psi_R, Psi_C)) for `_common_tables` at sol: a `spectral` sol gives
-    the eigenvalues of R Psi_R = F Psi_R, C Psi_C, Psi_R and Psi_C (so
-    chi_RR = sum lam^2 psi^2 / M and so on), any other the matrices."""
-    if sol.spectral:
-        RP = sol.lam * sol.psi
-        return (RP, RP, sol.g * sol.psi_C), (sol.psi, sol.psi_C)
-    return ((R @ sol.Psi_R, F @ sol.Psi_R, C @ sol.Psi_C),
-            (sol.Psi_R, sol.Psi_C))
-
-
 def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
                   sigma2=None) -> dict:
     """The shared system from its fixed-point state and trace tables.
 
     x holds delta, kappa, omega, omega_bar and the tables of
-    `_common_tables`. Returns the eta traces and Pi_com, where 1 + mu
-    versus mu (shift 1 or 0) enters only through psi_T, so a ZF state
-    gives its own Pi_com; given p, also the solved x_R, x_F, x_I, Delta,
-    lam_zz, Psi_kl (unclipped) and Cbar of RZF, and `solve_pi`, the
-    checked Pi_com solve; given sigma2 too, the RZF SINR as `sinr`.
+    `_common_tables`. Returns the eta traces, Pi_com and `solve_pi`, the
+    checked Pi_com solve; 1 + mu versus mu (shift 1 or 0) enters only
+    through psi_T, so a ZF state gives its own Pi_com. Given p, also the
+    solved x_R, x_F, x_I, Delta, lam_zz, Psi_kl (unclipped) and Cbar of
+    RZF; given sigma2 too, the RZF SINR as `sinr`.
     """
     delta, omega, omega_bar = x["delta"], x["omega"], x["omega_bar"]
     chi_RR, chi_RF, chi_FF = x["chi_RR"], x["chi_RF"], x["chi_FF"]
@@ -410,13 +367,13 @@ def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
         [1.0 - a * chi_RR, -ups(chi_RR, chi_RF), -lam(chi_RR, chi_RF)],
         [-a * chi_RF, 1.0 - ups(chi_RF, chi_FF), -lam(chi_RF, chi_FF)],
         [-Xi_I * dinv2, -Xi * eta_TU, 1.0 - Xi * eta_TT]]))
+    solve_pi = _checked(Pi_com, "Pi_com")
     out = {"eta_TT": eta_TT, "eta_TU": eta_TU, "eta_UU": eta_UU,
-           "Pi_com": Pi_com}
+           "Pi_com": Pi_com, "solve_pi": solve_pi}
     if p is None:
         return out
 
     zero = 0.0 * chi_RR
-    solve_pi = _checked(Pi_com, "Pi_com")
     X = solve_pi(_batch_first(np.array([
         [chi_RR, chi_RF, x["chi_RI"]], [chi_RF, chi_FF, x["chi_FI"]],
         [zero, zero, zero]])))
@@ -431,72 +388,89 @@ def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
     eta_PT, eta_PU = eta(p, t), eta(p, u)
     Cbar = (L / M) * (eta_PT * x_I[..., 2] + eta_PU * x_I[..., 1])
     out.update(eta_PT=eta_PT, eta_PU=eta_PU, Delta=Delta, x_R=x_R, x_F=x_F,
-               x_I=x_I, lam_zz=lam_zz, Psi_kl=Psi_kl, Cbar=Cbar,
-               solve_pi=solve_pi)
+               x_I=x_I, lam_zz=lam_zz, Psi_kl=Psi_kl, Cbar=Cbar)
     if sigma2 is not None:
         out["sinr"] = rzf_sinr(Psi_kl, Cbar, t * om + u * ka, p, sigma2, L)[0]
     return out
 
 
-def common_pi(F, R, C, u, t, sol) -> CommonPi:
-    """Pi_com at a shared-correlation fixed point, RZF or ZF.
-
-    A ZF solution (the underlined scalars) gives its own Pi_com.
-    """
-    RP = R @ sol.Psi_R
-    P = (RP, RP if F is R else F @ sol.Psi_R, C @ sol.Psi_C)
-    x = {**sol.x0, **_common_tables(P, (*P, sol.Psi_R, sol.Psi_C), sol.m_norm,
-                                    C.shape[0])}
-    return CommonPi(x=x, **common_system(
-        x, u, t, sol.m_norm, C.shape[0], 0.0 if sol.z is None else 1.0))
-
-
 @dataclass
-class SecondOrderCommon(CommonPi):
+class SecondOrderCommon:
+    """Second-order system at a shared-correlation fixed point.
+
+    P = (R Psi_R, F Psi_R, C Psi_C) and Psi = (Psi_R, Psi_C) are the
+    factors the trace tables in x came from, or their eigenvalues for a
+    `spectral` RZF solution. Pi_com is taken at the solution's own point
+    (1 + mu for RZF, mu for ZF) and solve_pi solves with it, checked. An
+    RZF solution given p also gets the solved blocks.
+    """
+
     sol: CommonSolution
     F: np.ndarray
     R: np.ndarray
     C: np.ndarray
     u: np.ndarray
     t: np.ndarray
-    p: np.ndarray
-    eta_PT: float
-    eta_PU: float
-    Delta: float
-    x_R: np.ndarray          # Pi_com^{-1} [chi(R,R), chi(F,R), 0]
-    x_F: np.ndarray
-    x_I: np.ndarray
-    lam_zz: float            # limit of (1/L)tr(Z Z^H Q Z Z^H Q)
-    Psi_kl: np.ndarray       # (K,K)
-    Cbar: float
-    solve_pi: Callable = field(repr=False)    # checked Pi_com solve
+    p: np.ndarray | None
+    P: tuple
+    Psi: tuple
+    x: dict                  # fixed-point state and the tables chi_*, Xi, Xi_I
+    eta_TT: float
+    eta_TU: float
+    eta_UU: float
+    Pi_com: np.ndarray       # (3,3)
+    solve_pi: Callable = field(repr=False)
+    eta_PT: float | None = None
+    eta_PU: float | None = None
+    Delta: float | None = None
+    x_R: np.ndarray | None = None    # Pi_com^{-1} [chi(R,R), chi(F,R), 0]
+    x_F: np.ndarray | None = None
+    x_I: np.ndarray | None = None
+    lam_zz: float | None = None      # limit of (1/L)tr(Z Z^H Q Z Z^H Q)
+    Psi_kl: np.ndarray | None = None  # (K,K)
+    Cbar: float | None = None
 
 
 def second_order_common(F, R, C, u, t, p, sol: CommonSolution) -> SecondOrderCommon:
-    u, t, p = (np.asarray(v, dtype=float) for v in (u, t, p))
-    P, Psi = _common_factors(sol, F, R, C)
-    x = {**sol.x0, **_common_tables(P, (*P, *Psi), sol.m_norm, C.shape[0])}
-    out = common_system(x, u, t, sol.m_norm, C.shape[0], 1.0, p)
-    out["Psi_kl"] = _clip_psi(out["Psi_kl"])
-    return SecondOrderCommon(x=x, **out, sol=sol, F=F, R=R, C=C, u=u, t=t, p=p)
+    """Second-order system at a shared fixed point, RZF or ZF.
+
+    Only a `spectral` RZF solution reads the tables off the eigenvalues
+    (chi_RR = sum lam^2 psi^2 / M and so on); ZF keeps the matrices, whose
+    products Frank-Wolfe's mirror-port ties follow to the last bit. The
+    solved blocks need an RZF sol and p.
+    """
+    u, t = np.asarray(u, dtype=float), np.asarray(t, dtype=float)
+    rzf = sol.z is not None
+    if rzf and sol.spectral:
+        RP = sol.lam * sol.psi
+        P, Psi = (RP, RP, sol.g * sol.psi_C), (sol.psi, sol.psi_C)
+    else:
+        RP = R @ sol.Psi_R
+        P = (RP, RP if F is R else F @ sol.Psi_R, C @ sol.Psi_C)
+        Psi = (sol.Psi_R, sol.Psi_C)
+    M, L = sol.m_norm, C.shape[0]
+    x = {**sol.x0, **_common_tables(P, (*P, *Psi), M, L)}
+    p = None if p is None else np.asarray(p, dtype=float)
+    out = common_system(x, u, t, M, L, 1.0 if rzf else 0.0, p if rzf else None)
+    if "Psi_kl" in out:
+        out["Psi_kl"] = _clip_psi(out["Psi_kl"])
+    return SecondOrderCommon(sol=sol, F=F, R=R, C=C, u=u, t=t, p=p, P=P,
+                             Psi=Psi, x=x, **out)
 
 
-def sinr_rzf_common(sol: CommonSolution, F, R, C, u, t, p, sigma2,
-                    digest: dict | None = None):
+def sinr_rzf_common(sol: CommonSolution, F, R, C, u, t, p, sigma2):
     """Per-user RZF SINR and ESR, shared-correlation regime."""
     so = second_order_common(F, R, C, u, t, p, sol)
-    mu = sol.mu_k(np.asarray(u, float), np.asarray(t, float))
-    sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, mu, np.asarray(p, dtype=float),
-                       sigma2, C.shape[0])
-    return _report(sinr, "rzf/common", digest, sol), so
+    sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu_k(so.u, so.t), so.p, sigma2,
+                       C.shape[0])
+    return _report(sinr, "rzf/common", sol=sol), so
 
 
-def sinr_zf_common(sol: CommonSolution, u, t, p, sigma2,
-                   digest: dict | None = None) -> RateReport:
+def sinr_zf_common(sol: CommonSolution, u, t, p, sigma2) -> RateReport:
     """ZF SINR, shared correlation: gamma_k = p_k / (sigma^2 sum_l p_l/(M mu_l))."""
     mu = sol.mu_k(np.asarray(u, float), np.asarray(t, float))
     sinr = zf_sinr(mu, np.asarray(p, dtype=float), sigma2, sol.m_norm)
-    return _report(sinr, "zf/common", digest, sol)
+    return _report(sinr, "zf/common", sol=sol)
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,6 @@ def fig2_scenario(case: int, scale: int, sigma2_inv_db: float = 80.0) -> Scenari
     return fig1_scenario(M, sigma2_inv_db, K=K, L=L)
 
 
-def fas_grid_correlations(W: float = 2.0, N: int = 10):
-    """Planar-FAS port correlation (and its reuse for the direct link)."""
-    geom = PlanarFasGeometry(W_x=W, W_y=W, N_x=N, N_y=N)
-    R_tot = fas_correlation_matrix(geom)
-    return geom, R_tot
-
-
 def fig3_scenario(sigma2_inv_db: float, K: int = 8, L: int = 32,
                   W: float = 2.0, N: int = 10) -> tuple[Scenario, int]:
     """Optimization setup: planar FAS with M_tot = N^2 ports, M = 20 selected.
@@ -91,7 +84,8 @@ def fig3_scenario(sigma2_inv_db: float, K: int = 8, L: int = 32,
     optimization experiments. Returns (scenario, M).
     """
     M = 20
-    _, R_tot = fas_grid_correlations(W, N)
+    geom = PlanarFasGeometry(W_x=W, W_y=W, N_x=N, N_y=N)
+    R_tot = fas_correlation_matrix(geom)
     C_L, C_R = ris_correlation_matrices([RisAngularProfile(0.5, 60.0, 5.0, L),
                                          RisAngularProfile(0.5, 30.0, 5.0, L)])
     d_ris = np.array([20.0 + (k // 4) for k in range(K)])

@@ -10,7 +10,7 @@ from fasris import (ChannelSampler, CorrelationSet, DegenerateGridError,
                     effective_ris_correlation, embed_selection,
                     fas_correlation_matrix, path_loss, phase_matrix,
                     ris_correlation_matrices, ris_correlation_matrix,
-                    sample_channel, select_submatrix, trial_rng)
+                    select_submatrix, trial_rng)
 from fasris import channel
 from fasris.channel import ConstraintError, PrecisionError, psd_sqrt
 from fasris.scenarios import (bs_user_distance, cascaded_gain, direct_gain,
@@ -354,7 +354,7 @@ class TestSampling:
 
     def test_zero_gains_zero_channel(self, rng):
         sc = self._scenario(rng, u=np.zeros(3), t=np.zeros(3))
-        sample = sample_channel(sc, None, None, trial_rng(1, 0))
+        sample = ChannelSampler(sc, None, None).draw(trial_rng(1, 0))
         assert np.all(sample.H == 0)
 
     def test_second_moments(self, rng):
@@ -379,17 +379,17 @@ class TestSampling:
 
     def test_seed_determinism(self, rng):
         sc = self._scenario(rng)
-        a = sample_channel(sc, None, None, trial_rng(7, 3)).H
-        b = sample_channel(sc, None, None, trial_rng(7, 3)).H
+        a = ChannelSampler(sc, None, None).draw(trial_rng(7, 3)).H
+        b = ChannelSampler(sc, None, None).draw(trial_rng(7, 3)).H
         assert np.array_equal(a, b)
-        c = sample_channel(sc, None, None, trial_rng(7, 4)).H
+        c = ChannelSampler(sc, None, None).draw(trial_rng(7, 4)).H
         assert not np.array_equal(a, c)
 
     def test_assembly_identity(self, rng):
         # H columns match the definitional assembly from the retained factors
         sc = self._scenario(rng)
         phi = rng.uniform(0, 2 * np.pi, 6)
-        sample = sample_channel(sc, None, phi, trial_rng(5, 1))
+        sample = ChannelSampler(sc, None, phi).draw(trial_rng(5, 1))
         corr = sc.correlations
         for k in range(3):
             Fk_half = psd_sqrt(corr.F_tot[k])

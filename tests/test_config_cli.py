@@ -330,6 +330,27 @@ class TestCli:
         sol = json.loads(out.read_text())
         assert len(sol["selected_ports"]) == 6
 
+    def test_optimize_zf_writes_no_regularizer(self, tmp_path):
+        # ZF has no regularizer: no mode writes a z, and the AO rows of the
+        # phases trace leave theirs empty
+        cfg = small_cfg()
+        cfg["scenario"]["dims"] = {"M": 6, "K": 3, "L": 6, "M_tot": 12}
+        cfg["scenario"]["R_profile"] = {"d_c": 0.5, "alpha": 10.0, "beta": 5.0}
+        cfg_path = self._write_cfg(tmp_path, cfg)
+        out, trace = tmp_path / "sol.json", tmp_path / "trace.csv"
+        for mode in ("joint", "ports", "phases"):
+            rc = cli.main(["--config", cfg_path, "optimize", "--mode", mode,
+                           "--precoder", "zf", "--iterations", "1",
+                           "--trials", "16", "--trace", str(trace),
+                           "--out", str(out)])
+            assert rc == 0
+            assert json.loads(out.read_text())["z"] is None, mode
+        lines = trace.read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), ln.split(",")))
+                for ln in lines[1:]]
+        ao = [row for row in rows if row["stage"] == "ao"]
+        assert ao and all(row["z"] == "" for row in ao)
+
     def test_optimize_zsearch_rejects_zf(self, tmp_path, capsys):
         # ZF has no regularizer: the RZF ESR must not be written next to a
         # ZF Monte-Carlo mean

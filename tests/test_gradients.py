@@ -465,19 +465,19 @@ def _loop_phases_common(so, C_L, C_R, phi, sigma2):
 def _loop_phases_zf_common(sol, F, R, C_L, C_R, phi, u, t, p, sigma2):
     """The shared ZF phase gradient with one trace pair per RIS element."""
     from fasris.gradients import _zf_chain
-    from fasris.rates import _checked, common_pi
+    from fasris.rates import second_order_common
     L = len(phi)
     CL_root = psd_sqrt(C_L, "C_L")
     Phi = phase_matrix(phi, L)
     C = herm(CL_root @ Phi @ C_R @ Phi.conj().T @ CL_root)
-    Pi = common_pi(F, R, C, u, t, sol).Pi_com
+    so = second_order_common(F, R, C, u, t, p, sol)
     Psi_C = sol.Psi_C
     PCC = Psi_C @ (C @ Psi_C)
     U = np.empty(L)
     for l in range(L):
         A_l = phase_perturbation(CL_root, C_R, phi, l)
         U[l] = (_tr2(A_l, Psi_C) - sol.omega_bar * _tr2(A_l, PCC)) / L
-    _, k_, o_ = _checked(Pi, "Pi_com(zf)")(np.array([0.0, 0.0, 1.0]))
+    _, k_, o_ = so.solve_pi(np.array([0.0, 0.0, 1.0]))
     return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),
                      sol.m_norm, sigma2)
 

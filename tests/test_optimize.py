@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 
 from fasris import fixed_point
-from fasris import (OptimizerSettings, PhaseShifts, PortSelection,
-                    SolverSettings, alternating_optimization,
-                    deterministic_esr, fw_linear_oracle, fw_port_selection,
+from fasris import (OptimizerSettings, PhaseShifts, SolverSettings,
+                    alternating_optimization, deterministic_esr,
+                    fw_linear_oracle, fw_port_selection,
                     gradient_ascent_phases, joint_optimize,
                     search_regularization, z_search_profile)
-from fasris.channel import ConstraintError
 from fasris.fixed_point import _spectra, solve_rzf_common, solve_zf_common
 from fasris.gradients import esr_gradient_ports_zf_common
 from fasris.optimize import (ALPHA0, BACKTRACK_C, LBFGS_MEMORY,
                              Z_BRACKET_POINTS, Z_GRID_POINTS, Z_SLOPE_TOL,
                              OptimizationTrace, RelaxedZfObjective,
                              _lbfgs_direction, _WarmRzfEsr)
-from fasris.rates import common_pi
+from fasris.rates import second_order_common
 from fasris.scenarios import (fig3_scenario, fig6_scenario,
                               random_correlation, random_scenario,
                               uniform_selection)
@@ -29,18 +28,6 @@ FAST = OptimizerSettings(solver=SolverSettings(tol=1e-10, max_iter=4000),
 
 
 class TestContainers:
-    def test_binary_selection_validates(self):
-        PortSelection(np.array([1, 0, 1, 0]), M=2)
-        with pytest.raises(ConstraintError):
-            PortSelection(np.array([1, 0, 1, 1]), M=2)
-        with pytest.raises(ConstraintError):
-            PortSelection(np.array([0.5, 0.5, 1, 0]), M=2)
-
-    def test_relaxed_selection_validates(self):
-        PortSelection(np.array([0.5, 0.5, 0.5, 0.5]), M=2, relaxed=True)
-        with pytest.raises(ConstraintError):
-            PortSelection(np.array([0.9, 0.9, 0.9, 0.9]), M=2, relaxed=True)
-
     def test_phase_shifts_unit_modulus(self):
         ph = PhaseShifts(np.array([0.1, 7.0, -1.0]))
         assert np.allclose(np.abs(np.diag(ph.Phi)), 1.0)
@@ -357,8 +344,8 @@ def test_shared_roots_and_spectra_are_bit_identical():
                                         *args).tobytes() \
         == esr_gradient_ports_zf_common(sol, obj.R_root, root, R, emb,
                                         *args).tobytes()
-    shared, copied = common_pi(R, R, C, u, t, sol), common_pi(emb, R, C, u,
-                                                             t, sol)
+    shared, copied = (second_order_common(F, R, C, u, t, p, sol)
+                      for F in (R, emb))
     assert shared.Pi_com.tobytes() == copied.Pi_com.tobytes()
     assert all(np.asarray(shared.x[k]).tobytes()
                == np.asarray(copied.x[k]).tobytes() for k in shared.x)

@@ -9,7 +9,7 @@ from fasris import (Dimensions, CorrelationSet, Scenario, SolverSettings,
                     solve_zf_uncommon, sinr_rzf_common, sinr_rzf_uncommon,
                     sinr_zf_common, sinr_zf_uncommon)
 from fasris.rates import (NumericalError, _checked, _clip_psi,
-                          second_order_uncommon)
+                          second_order_common, second_order_uncommon)
 from fasris.scenarios import random_correlation, random_scenario
 
 TIGHT = SolverSettings(tol=1e-12, max_iter=30000)
@@ -246,6 +246,35 @@ class TestSecondOrderEdges:
         so = second_order_uncommon(F_list, R, C_list, p, sol)
         assert so.Psi_kl.min() >= 0.0
 
+    @pytest.mark.parametrize("regime", ["common", "uncommon"])
+    def test_zf_or_no_p_gives_pi_only(self, regime):
+        # ZF has no regularizer, so even given p its system stops at Pi, taken
+        # at shift 0; an RZF solution without p stops there too
+        rng = np.random.default_rng(71)
+        sc = random_scenario(rng, regime, M=10, K=3, L=6)
+        if regime == "common":
+            F, R, C, u, t, p = sc.stats_common()
+            zf = second_order_common(F, R, C, u, t, p,
+                                     solve_zf_common(F, R, C, u, t, TIGHT))
+            rzf = second_order_common(F, R, C, u, t, None, solve_rzf_common(
+                F, R, C, u, t, 0.2, TIGHT))
+            blocks = ("eta_PT", "eta_PU", "Delta", "x_R", "x_F", "x_I",
+                      "lam_zz", "Psi_kl", "Cbar")
+        else:
+            F, R, C, p = sc.stats_uncommon()
+            zf = second_order_uncommon(F, R, C, p,
+                                       solve_zf_uncommon(F, R, C, TIGHT))
+            rzf = second_order_uncommon(F, R, C, None, solve_rzf_uncommon(
+                F, R, C, 0.2, TIGHT))
+            blocks = ("ups_I", "ups_F", "W", "Lambda_kl", "Psi_kl", "Cbar")
+        for so in (zf, rzf):
+            assert all(getattr(so, name) is None for name in blocks)
+            Pi = so.Pi_com if regime == "common" else so.Pi
+            b = rng.standard_normal(len(Pi))
+            ref = np.linalg.solve(Pi, b)
+            assert np.abs(so.solve_pi(b) - ref).max() \
+                <= 1e-12 * np.abs(ref).max()
+
 
 class TestNumericalGuards:
     def test_clip_psi_raises_on_significant_negativity(self):
@@ -290,17 +319,6 @@ class TestReferenceScenarioProperties:
             est = empirical_esr(sc, None, None, "rzf", 4000, 64, z)
             errs.append(abs(rep.esr - est.mean) / est.mean)
         assert errs[1] < errs[0]
-
-    def test_rate_report_record(self, small_uncommon):
-        sc = small_uncommon
-        F_list, R, C_list, p = sc.stats_uncommon()
-        sol = solve_rzf_uncommon(F_list, R, C_list, 0.2)
-        rep, _ = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sc.sigma2)
-        rec = rep.to_record()
-        assert rec.startswith("regime=rzf/uncommon esr=")
-        assert "sinr=[" in rec and "z=0.2" in rec
-        row = rep.csv_row()
-        assert row["esr"] == rep.esr and "sinr_0" in row
 
 
 def _per_user_case(case):
