@@ -277,11 +277,11 @@ class SecondOrderUncommon:
 
 
 def second_order_uncommon(F_list: np.ndarray, R: np.ndarray,
-                          C_list: np.ndarray, p: np.ndarray | None,
+                          C_list: np.ndarray, p: np.ndarray,
                           sol: UncommonSolution) -> SecondOrderUncommon:
     """Second-order system at a per-user fixed point, RZF or ZF; F_list and
     C_list are the (K, M, M) and (K, L, L) stacks of F_k and C_k (lists work
-    too). The solved blocks need an RZF sol and p."""
+    too). A ZF sol stops at Pi; an RZF sol also gets the solved blocks."""
     F = np.asarray(F_list)
     M = sol.m_norm
     Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
@@ -402,7 +402,7 @@ class SecondOrderCommon:
     factors the trace tables in x came from, or their eigenvalues for a
     `spectral` RZF solution. Pi_com is taken at the solution's own point
     (1 + mu for RZF, mu for ZF) and solve_pi solves with it, checked. An
-    RZF solution given p also gets the solved blocks.
+    RZF solution also gets the solved blocks.
     """
 
     sol: CommonSolution
@@ -411,7 +411,7 @@ class SecondOrderCommon:
     C: np.ndarray
     u: np.ndarray
     t: np.ndarray
-    p: np.ndarray | None
+    p: np.ndarray
     P: tuple
     Psi: tuple
     x: dict                  # fixed-point state and the tables chi_*, Xi, Xi_I
@@ -436,10 +436,10 @@ def second_order_common(F, R, C, u, t, p, sol: CommonSolution) -> SecondOrderCom
 
     Only a `spectral` RZF solution reads the tables off the eigenvalues
     (chi_RR = sum lam^2 psi^2 / M and so on); ZF keeps the matrices, whose
-    products Frank-Wolfe's mirror-port ties follow to the last bit. The
-    solved blocks need an RZF sol and p.
+    products Frank-Wolfe's mirror-port ties follow to the last bit. A ZF
+    sol stops at Pi_com; an RZF sol also gets the solved blocks.
     """
-    u, t = np.asarray(u, dtype=float), np.asarray(t, dtype=float)
+    u, t, p = (np.asarray(v, dtype=float) for v in (u, t, p))
     rzf = sol.z is not None
     if rzf and sol.spectral:
         RP = sol.lam * sol.psi
@@ -450,7 +450,6 @@ def second_order_common(F, R, C, u, t, p, sol: CommonSolution) -> SecondOrderCom
         Psi = (sol.Psi_R, sol.Psi_C)
     M, L = sol.m_norm, C.shape[0]
     x = {**sol.x0, **_common_tables(P, (*P, *Psi), M, L)}
-    p = None if p is None else np.asarray(p, dtype=float)
     out = common_system(x, u, t, M, L, 1.0 if rzf else 0.0, p if rzf else None)
     if "Psi_kl" in out:
         out["Psi_kl"] = _clip_psi(out["Psi_kl"])

@@ -247,33 +247,28 @@ class TestSecondOrderEdges:
         assert so.Psi_kl.min() >= 0.0
 
     @pytest.mark.parametrize("regime", ["common", "uncommon"])
-    def test_zf_or_no_p_gives_pi_only(self, regime):
+    def test_zf_gives_pi_only(self, regime):
         # ZF has no regularizer, so even given p its system stops at Pi, taken
-        # at shift 0; an RZF solution without p stops there too
+        # at shift 0
         rng = np.random.default_rng(71)
         sc = random_scenario(rng, regime, M=10, K=3, L=6)
         if regime == "common":
             F, R, C, u, t, p = sc.stats_common()
-            zf = second_order_common(F, R, C, u, t, p,
+            so = second_order_common(F, R, C, u, t, p,
                                      solve_zf_common(F, R, C, u, t, TIGHT))
-            rzf = second_order_common(F, R, C, u, t, None, solve_rzf_common(
-                F, R, C, u, t, 0.2, TIGHT))
             blocks = ("eta_PT", "eta_PU", "Delta", "x_R", "x_F", "x_I",
                       "lam_zz", "Psi_kl", "Cbar")
+            Pi = so.Pi_com
         else:
             F, R, C, p = sc.stats_uncommon()
-            zf = second_order_uncommon(F, R, C, p,
+            so = second_order_uncommon(F, R, C, p,
                                        solve_zf_uncommon(F, R, C, TIGHT))
-            rzf = second_order_uncommon(F, R, C, None, solve_rzf_uncommon(
-                F, R, C, 0.2, TIGHT))
             blocks = ("ups_I", "ups_F", "W", "Lambda_kl", "Psi_kl", "Cbar")
-        for so in (zf, rzf):
-            assert all(getattr(so, name) is None for name in blocks)
-            Pi = so.Pi_com if regime == "common" else so.Pi
-            b = rng.standard_normal(len(Pi))
-            ref = np.linalg.solve(Pi, b)
-            assert np.abs(so.solve_pi(b) - ref).max() \
-                <= 1e-12 * np.abs(ref).max()
+            Pi = so.Pi
+        assert all(getattr(so, name) is None for name in blocks)
+        b = rng.standard_normal(len(Pi))
+        ref = np.linalg.solve(Pi, b)
+        assert np.abs(so.solve_pi(b) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestNumericalGuards:

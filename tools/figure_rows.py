@@ -41,8 +41,12 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(root / "src"))
     from fasris import sweep
 
-    rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root,
-                         capture_output=True, text=True).stdout.strip()
+    try:
+        rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                             cwd=root, capture_output=True,
+                             text=True).stdout.strip()
+    except OSError:     # no git binary
+        rev = ""
     figures = {}
     with tempfile.TemporaryDirectory() as out:
         for name in FIGURES:

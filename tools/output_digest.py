@@ -142,8 +142,12 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
 
-    rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root,
-                         capture_output=True, text=True).stdout.strip()
+    try:
+        rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                             cwd=root, capture_output=True,
+                             text=True).stdout.strip()
+    except OSError:     # no git binary
+        rev = ""
     t0 = time.perf_counter()
     groups = {name: digest(fn()) for name, fn in GROUPS.items()}
     print(json.dumps({"rev": rev or None,
