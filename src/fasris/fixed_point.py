@@ -8,7 +8,9 @@ order (delta, then the RIS-side traces, then the per-user scalars) at
 per-user: Anderson; shared ZF: none), cold from `init` scaled to z (see
 `_Map`). A ZF solution has `z` None and holds the paper's underlined
 (scaled z -> 0) quantities; every solution carries the inverses that the
-second-order terms need, a shared one builds them on first read.
+second-order terms need, a shared one builds them on first read. An RZF
+`z` may be a 1-D batch: the state then leads with its axis, `_picard` runs
+the rows as one product system and every solution field carries the axis.
 """
 
 from __future__ import annotations
@@ -57,6 +59,15 @@ DEFAULT_SETTINGS = SolverSettings()
 
 def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
     return float((np.abs(new - old) / np.maximum(np.abs(new), EPS)).max())
+
+
+def _row(v, k: int = 1):
+    """v, a value per row of a batch, with k unit axes to broadcast over."""
+    return v[(...,) + (None,) * k] if isinstance(v, np.ndarray) else v
+
+
+def _re_tr(X: np.ndarray, P: np.ndarray) -> np.ndarray:    # Re tr(X P)
+    return np.real(np.sum(X * np.swapaxes(P, -1, -2), axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +127,7 @@ class CommonSolution(_Solution):
     _state = ("delta", "kappa", "omega", "kappa_bar", "omega_bar")
 
     def mu_k(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return t * self.omega + u * self.kappa
+        return t * _row(self.omega) + u * _row(self.kappa)
 
     @property
     def spectral(self) -> bool:
@@ -131,8 +142,9 @@ class CommonSolution(_Solution):
     @cached_property
     def Psi_C(self) -> np.ndarray:    # delta I, unused, if not cascaded
         m = self.system
-        return (herm(np.linalg.inv(m.I_L / self.delta + self.omega_bar * m.C))
-                if m.cascaded else self.delta * m.I_L.astype(complex))
+        delta = _row(self.delta, 2)
+        return (herm(np.linalg.inv(m.I_L / delta + _row(self.omega_bar, 2) * m.C))
+                if m.cascaded else delta * m.I_L.astype(complex))
 
 
 @dataclass(frozen=True)
@@ -156,38 +168,40 @@ class IidSolution:
 class _Mixer:
     """The next state of `_picard` from the map's input x, output and
     residual, mixed in log without the entries that the first output leaves
-    at 0 (omega off a cascaded link); None when a safeguard trips: a
-    non-finite or nonpositive output, a failed step, one more than LOG_STEP
-    past the Picard image, or DEPTH evaluations with no new best."""
+    at 0 in every row (omega off a cascaded link); None when a safeguard
+    trips: a non-finite or nonpositive output, a failed step, one more than
+    LOG_STEP past the Picard image, or DEPTH evaluations with no new best."""
 
     def __init__(self, system):
         self.system, self.live, self.best, self.stale = system, None, np.inf, 0
 
     def __call__(self, x, new, residual):
         if self.live is None:    # a slice, when it can be, indexes by a view
-            self.live = slice(None) if new.all() else new != 0.0
+            self.live = slice(None) if new.all() else (new != 0.0).all(
+                axis=tuple(range(new.ndim - 1)))
         self.stale = 0 if residual < self.best else self.stale + 1
         self.best = min(self.best, residual)
         if self.stale >= DEPTH or not (np.isfinite(new).all()
-                                       and (new[self.live] > 0.0).all()):
+                                       and (new[..., self.live] > 0.0).all()):
             return None
-        g = np.log(new[self.live])
+        g = np.log(new[..., self.live])
         with suppress(np.linalg.LinAlgError):    # a singular Newton system
             y = self.step(x, new, g)
             if (np.abs(y - g) <= LOG_STEP).all():
                 x = np.zeros_like(new)
-                x[self.live] = np.exp(y)
+                x[..., self.live] = np.exp(y)
                 return x
         return None
 
 
 class _Anderson(_Mixer):
-    """Anderson mixing (Walker & Ni 2011) of depth DEPTH."""
+    """Anderson mixing (Walker & Ni 2011) of depth DEPTH, on the flat state."""
 
     name, n, y, gf = "anderson", 0, None, None
 
     def step(self, x, new, g):
-        y = g
+        shape = g.shape
+        y = g = g.reshape(-1)
         if self.y is None:    # D: a ring of the last DEPTH changes of (g, f)
             self.D = np.empty((2, len(g), DEPTH))
         else:
@@ -199,7 +213,7 @@ class _Anderson(_Mixer):
                 y = g - dG @ np.linalg.lstsq(dF, gf[1], rcond=None)[0]
             self.gf = gf
         self.y = y
-        return y
+        return y.reshape(shape)
 
 
 class _Newton(_Mixer):
@@ -207,27 +221,29 @@ class _Newton(_Mixer):
     r = (a, b, omega_bar), log r = B log x. With A = d log new / d log r
     (`_CommonMap.jacobian`), Woodbury reduces the Newton system to
     (I - B A) dr = B (log new - log x); the step is log new + A dr, dr
-    scaled to at most NEWTON_STEP."""
+    scaled to at most NEWTON_STEP in each row of a batch."""
 
     name = "newton"
     B = np.array([[0, 0, 0, 1, 0], [-1, 0, 1, 0, 1], [0, 0, 0, 0, 1]], float)
 
     def step(self, x, new, g):
-        A = self.system.jacobian()[self.live] / new[self.live, None]
-        B = self.B[:A.shape[1], self.live]
-        dr = np.linalg.solve(np.eye(len(B)) - B @ A,
-                             B @ (g - np.log(x[self.live])))
-        return g + A @ dr * (NEWTON_STEP / max(NEWTON_STEP, np.abs(dr).max()))
+        A = self.system.jacobian()[..., self.live, :] / new[..., self.live, None]
+        B = self.B[:A.shape[-1], self.live]
+        dr = np.linalg.solve(np.eye(len(B)) - B @ A, np.matvec(
+            B, g - np.log(x[..., self.live]))[..., None])[..., 0]
+        cap = NEWTON_STEP / np.maximum(NEWTON_STEP, np.abs(dr).max(-1))
+        return g + np.matvec(A, dr) * _row(cap)
 
 
 def _picard(system, x0: dict | None, settings: SolverSettings):
     """Damped Picard iteration of `system` from `x0` (or `settings.init`).
 
-    The residual is the max relative change over the whole state. Damping
-    halves the step (down to 1/256) when the residual grows or the change
-    in delta flips sign three times running. The map's `mixer` class, if
-    any, takes the steps until a safeguard trips; damped Picard goes on
-    from there within the same `max_iter` budget.
+    The residual is the max relative change over the whole state, every row
+    of a batch included. Damping halves the step (down to 1/256) when the
+    residual grows or, three times running, the change in some row's delta
+    flips sign. The map's `mixer` class, if any, takes the steps until a
+    safeguard trips; damped Picard goes on from there within the same
+    `max_iter` budget.
     """
     x = system.start(x0, settings.init)
     mixer = system.mixer(system) if system.mixer else None
@@ -244,15 +260,16 @@ def _picard(system, x0: dict | None, settings: SolverSettings):
             else:
                 x = mixed
             continue
-        sign = int(np.sign(new[0] - x[0]))
-        x = x + d * (new - x)
-        flips = flips + 1 if sign != 0 and sign == -prev_sign else 0
+        step = new - x
+        sign = np.sign(step.T[0])    # of each row's change in delta
+        x = x + d * step
+        flips = flips + 1 if np.count_nonzero(sign * prev_sign < 0) else 0
         if (residual > prev or flips >= 3) and d > 1.0 / 256.0:
             d *= 0.5
             flips = 0
             halvings += 1
         prev = residual
-        prev_sign = sign if sign != 0 else prev_sign
+        prev_sign = sign + (sign == 0) * prev_sign
         if residual < settings.tol:
             return system.solution(x, residual=residual, iterations=it,
                                    path="warm" if x0 else "cold",
@@ -280,15 +297,16 @@ class _Map:
     mixer = None    # the _Mixer of _picard; None is damped Picard
 
     def __init__(self, R, K, L, z, shift, m_norm):
-        if not z > 0:
+        if not np.all(z > 0):
             raise ValueError("regularization z must be positive")
         self.R, self.K, self.L, self.z, self.shift = R, K, L, z, shift
         self.M = R.shape[0] if m_norm is None else m_norm
         if shift == 0.0 and self.M < K:
             raise FeasibilityError(f"ZF needs M >= K (got M={self.M}, K={K})")
-        self.I_M = np.eye(R.shape[0])
-        self.I_L = np.eye(L)
         self.name = self.regime + ("RZF" if shift else "ZF")
+
+    I_M = cached_property(lambda self: np.eye(self.R.shape[0]))
+    I_L = cached_property(lambda self: np.eye(self.L))    # both on first read
 
     def solution(self, x, **how):
         return self.sol(self.z if self.shift else None, *self.finish(x),
@@ -317,48 +335,52 @@ class _UncommonMap(_Map):
         self.C_flat = self.C.reshape(self.K, -1)
 
     def start(self, x0, init):
-        x0, full = x0 or {}, np.full(self.K, init / self.z)
-        x = np.concatenate(([x0.get("delta", full[0])], x0.get("omega", full),
-                            x0.get("mu", full))).astype(float)
-        x[1:self.K + 1] *= self.cascaded    # omega is 0 off a cascaded link
+        x0, full = x0 or {}, np.full(np.shape(self.z) + (self.K,), init / _row(self.z))
+        x = np.concatenate((np.asarray(x0.get("delta", full[..., 0]))[..., None],
+                            x0.get("omega", full), x0.get("mu", full)),
+                           axis=-1).astype(float)
+        x[..., 1:self.K + 1] *= self.cascaded    # omega is 0 off a cascaded link
         return x
 
     def split(self, x):
-        return x[0], x[1:self.K + 1], x[self.K + 1:]
+        return x.T[0], x[..., 1:self.K + 1], x[..., self.K + 1:]
 
     def psi_r(self, delta, omega, mu):
         w = 1.0 / (self.M * (self.shift + mu))
-        A = self.z * self.I_M + (w @ self.F_flat).reshape(self.I_M.shape)
+        A = _row(self.z, 2) * self.I_M \
+            + (w @ self.F_flat).reshape(w.shape[:-1] + self.R.shape)
         if self.cascaded:
-            A += (w @ omega / delta) * self.R
+            A += _row(np.vecdot(w, omega) / delta, 2) * self.R
         return np.linalg.inv(A)
 
     def psi_c(self, delta, mu):
         w = 1.0 / (self.L * (self.shift + mu))
-        return np.linalg.inv(self.I_L / delta
-                             + (w @ self.C_flat).reshape(self.I_L.shape))
+        wC = (w @ self.C_flat).reshape(w.shape[:-1] + self.I_L.shape)
+        return np.linalg.inv(self.I_L / _row(delta, 2) + wC)
 
     def __call__(self, x):
         delta, omega, mu = self.split(x)
-        Psi_RT = self.psi_r(delta, omega, mu).T.reshape(-1)
-        delta_new = np.real(self.R.reshape(-1) @ Psi_RT) / self.M
+        rows = np.shape(delta) + (-1,)    # vec(P^T) = P.mT.reshape(rows), per z
+        Psi_RT = self.psi_r(delta, omega, mu).mT.reshape(rows)
+        delta_new = np.real(Psi_RT @ self.R.reshape(-1)) / self.M
         if self.cascaded:
-            Psi_C = self.psi_c(delta_new, mu)
-            omega_new = np.real(self.C_flat @ Psi_C.T.reshape(-1)) / self.L
+            Psi_CT = self.psi_c(delta_new, mu).mT.reshape(rows)
+            omega_new = np.real(np.matvec(self.C_flat, Psi_CT)) / self.L
         else:
-            omega_new = np.zeros(self.K)
-        mu_new = np.real(self.F_flat @ Psi_RT) / self.M + omega_new
+            omega_new = np.zeros_like(mu)
+        mu_new = np.real(np.matvec(self.F_flat, Psi_RT)) / self.M + omega_new
         if self.shift == 0.0 and (mu_new <= 0).any():
             raise FeasibilityError("ZF system produced a nonpositive mu; "
                                    "a user has no usable link")
-        return np.concatenate(([delta_new], omega_new, mu_new))
+        return np.concatenate((np.asarray(delta_new)[..., None], omega_new,
+                               mu_new), axis=-1)
 
     def finish(self, x):
         delta, omega, mu = self.split(x)
         Psi_R = self.psi_r(delta, omega, mu)
         # without a cascaded link Psi_C never enters rates: delta I
         Psi_C = (self.psi_c(delta, mu) if self.cascaded
-                 else delta * self.I_L.astype(complex))
+                 else _row(delta, 2) * self.I_L.astype(complex))
         return delta, mu, omega, herm(Psi_R), herm(Psi_C)
 
 
@@ -392,75 +414,79 @@ class _CommonMap(_Map):
     def start(self, x0, init):
         x0, z = x0 or {}, self.z
         x = np.array([x0.get(k, init * z if k.endswith("_bar") else init / z)
-                      for k in self.sol._state], float)
-        x[2] *= self.cascaded    # omega is 0 off a cascaded link
+                      for k in self.sol._state], float).T
+        x.T[2] *= self.cascaded    # omega is 0 off a cascaded link
         return x
 
     def r_coefs(self, delta, omega, kappa_bar, omega_bar):
-        """(a, b) with Psi_R^{-1} = z I + a F + b R."""
+        """(a, b) with Psi_R^{-1} = z I + a F + b R; b is 0 off a cascaded link."""
         M, L = self.M, self.L
-        b = (L * omega * omega_bar / (M * delta)
-             if self.cascaded and omega * omega_bar != 0.0 else 0.0)
-        return L * kappa_bar / M, b
+        a = L * kappa_bar / M
+        return a, (L * omega * omega_bar / (M * delta) if self.cascaded
+                   else 0.0 * a)
 
     def psi_r_inv(self, a, b):
-        A = self.z * self.I_M.astype(complex) + a * self.F
-        return A + b * self.R if b else A
+        A = _row(self.z, 2) * self.I_M.astype(complex) + _row(a, 2) * self.F
+        return A + _row(b, 2) * self.R if self.cascaded else A
 
     def user_gain(self, kappa, omega):
         """shift + omega t + kappa u: 1 + mu_k for RZF, mu_k for ZF."""
-        return self.shift + omega * self.t + kappa * self.u
+        return self.shift + _row(omega) * self.t + _row(kappa) * self.u
 
     def __call__(self, x):
-        delta, kappa, omega, kappa_bar, omega_bar = x
+        delta, kappa, omega, kappa_bar, omega_bar = x.T
         M, L = self.M, self.L
         a, b = self.r_coefs(delta, omega, kappa_bar, omega_bar)
         if self.lam is not None:
-            P = self.lam / (self.z + (a + b) * self.lam)    # lam psi
-            delta_new = kappa_new = float(P.sum()) / M
+            P = self.lam / (_row(self.z) + _row(a + b) * self.lam)    # lam psi
+            delta_new = kappa_new = P.sum(-1) / M
         else:
             P = np.linalg.solve(self.psi_r_inv(a, b), self.I_M)    # Psi_R
-            delta_new = float(np.real(np.sum(self.R * P.T))) / M
-            kappa_new = float(np.real(np.sum(self.F * P.T))) / M
+            delta_new = _re_tr(self.R, P) / M
+            kappa_new = _re_tr(self.F, P) / M
         if self.cascaded:
-            den = 1.0 / delta_new + omega_bar * self.g    # 1 / psi_C
+            den = 1.0 / _row(delta_new) + _row(omega_bar) * self.g    # 1 / psi_C
             q = self.g / den
-            omega_new = float(q.sum()) / L
+            omega_new = q.sum(-1) / L
         else:
-            omega_new, den, q = 0.0, None, None
+            omega_new, den, q = 0.0 * delta_new, None, None
         gain = self.user_gain(kappa_new, omega_new)
         if self.shift == 0.0 and (gain <= 0).any():
             raise FeasibilityError("ZF system produced a nonpositive user gain")
         psi_T = 1.0 / gain
         self.last = (a, b, omega_bar, P, delta_new, den, q, psi_T)  # jacobian
-        kappa_bar_new = float((self.u * psi_T).sum() / L)
-        omega_bar_new = float((self.t * psi_T).sum() / L)
+        kappa_bar_new = (self.u * psi_T).sum(-1) / L
+        omega_bar_new = (self.t * psi_T).sum(-1) / L
         return np.array([delta_new, kappa_new, omega_new, kappa_bar_new,
-                         omega_bar_new])
+                         omega_bar_new]).T
 
     def jacobian(self):
         """d self(x) / d log (a, b, omega_bar) at the last x evaluated, b and
         omega_bar on a cascaded link; chained from -tr(X Psi_R Y Psi_R)."""
         a, b, w, P, delta, den, q, psi_T = self.last
-        J = np.zeros((5, 3))
+        J = np.zeros((5, 3) + np.shape(a))    # batch axis last, to broadcast
         if self.lam is not None:    # P = lam psi
-            J[:2, :2] = -(P @ P) / self.M * np.array([a, b])
+            J[:2, :2] = -np.vecdot(P, P) / self.M * np.array([a, b])
         else:    # P = Psi_R
             RP, FP = self.R @ P, self.F @ P
-            J[:2, :2] = [[-np.real(np.sum(X * Y.T)) * r / self.M
+            J[:2, :2] = [[-_re_tr(X, Y) * r / self.M
                           for Y, r in ((FP, a), (RP, b))] for X in (RP, FP)]
         if self.cascaded:    # q = g psi_C, den = 1 / psi_C
-            J[2] = (q / den).sum() / (self.L * delta ** 2) * J[0]
-            J[2, 2] = -(q @ q) * w / self.L
-        J[3:] = (self.ut * psi_T ** 2) @ self.ut.T @ J[1:3] * (-1.0 / self.L)
-        return J[:, :3 if self.cascaded else 1]
+            J[2] = (q / den).sum(-1) / (self.L * delta ** 2) * J[0]
+            J[2, 2] = -np.vecdot(q, q) * w / self.L
+        J = J.T.swapaxes(-1, -2)    # batch axis first, for the row products
+        J[..., 3:, :] = (self.ut * psi_T[..., None, :] ** 2) @ self.ut.T \
+            @ J[..., 1:3, :] * (-1.0 / self.L)
+        return J[..., :3 if self.cascaded else 1]
 
     def finish(self, x):
-        delta, kappa, omega, kappa_bar, omega_bar = x
+        delta, kappa, omega, kappa_bar, omega_bar = x.T
         a, b = self.r_coefs(delta, omega, kappa_bar, omega_bar)
-        psi = None if self.lam is None else 1.0 / (self.z + (a + b) * self.lam)
-        psi_C = 1.0 / (1.0 / delta + omega_bar * self.g) if self.cascaded else None
-        return (*x, 1.0 / self.user_gain(kappa, omega), self.lam, self.g, psi,
+        psi = (None if self.lam is None
+               else 1.0 / (_row(self.z) + _row(a + b) * self.lam))
+        psi_C = (1.0 / (1.0 / _row(delta) + _row(omega_bar) * self.g)
+                 if self.cascaded else None)
+        return (*x.T, 1.0 / self.user_gain(kappa, omega), self.lam, self.g, psi,
                 psi_C, self)
 
 
@@ -469,7 +495,7 @@ class _CommonMap(_Map):
 # ---------------------------------------------------------------------------
 
 def solve_rzf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
-                       C_list: list[np.ndarray], z: float,
+                       C_list: list[np.ndarray], z: float | np.ndarray,
                        settings: SolverSettings = DEFAULT_SETTINGS,
                        m_norm: int | None = None,
                        x0: dict | None = None) -> UncommonSolution:
@@ -516,7 +542,7 @@ def _spectra(F, R, C, lam=None):
 
 
 def solve_rzf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
-                     u: np.ndarray, t: np.ndarray, z: float,
+                     u: np.ndarray, t: np.ndarray, z: float | np.ndarray,
                      settings: SolverSettings = DEFAULT_SETTINGS,
                      m_norm: int | None = None, x0: dict | None = None,
                      spectra: tuple | None = None) -> CommonSolution:

@@ -132,8 +132,8 @@ def _common_along(so: SecondOrderCommon, d_, k_, o_, dz: float) -> dict:
                  if delta else 0.0 * Psi_C)    # no RIS path: Psi_C = 0
         PsiR_ = -Psi_R @ (dz * np.eye(len(R)) + alpha * R + beta * F) @ Psi_R
         P_ = (R @ PsiR_, F @ PsiR_, C @ PsiC_)
-    tables_ = _common_tables(P_, (*P, Psi_R, Psi_C), M, L)
-    rest = _common_tables(P, (*P_, PsiR_, PsiC_), M, L)
+    tables_ = _common_tables(P_, (*P, Psi_R, Psi_C), M, L, Psi_R.ndim == 1)
+    rest = _common_tables(P, (*P_, PsiR_, PsiC_), M, L, Psi_R.ndim == 1)
     return {"delta": d_, "kappa": k_, "omega": o_, "omega_bar": ob_,
             **{name: v + rest[name] for name, v in tables_.items()}}
 

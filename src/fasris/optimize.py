@@ -423,22 +423,26 @@ def gradient_ascent_phases(scenario: Scenario, s: np.ndarray | None, z: float | 
 # ---------------------------------------------------------------------------
 
 class _WarmRzfEsr:
-    """ESR_RZF(z) with the previous fixed point reused as the next start;
-    with `slope`, also d ESR / d ln z. `evals` counts the calls."""
+    """ESR_RZF(z), z a float or a 1-D batch for one batched solve, which
+    starts cold (x0 None) or from the fixed point x0 at z0 moved to z along
+    the z scaling of `_Map`: the _bar entries times z / z0, the rest times
+    z0 / z. With `slope`, also d ESR / d ln z. `evals` counts z points."""
 
     def __init__(self, scenario: Scenario, s, phi, settings: SolverSettings):
         self.sigma2 = scenario.sigma2
         self.settings = settings
         self.stats, self.shared = _stats(scenario, s, phi)
         self.spectra = _spectra(*self.stats[:3]) if self.shared else None
-        self._x0 = None
+        self.x0 = self.z0 = None
         self.evals = 0
 
-    def __call__(self, z: float, slope: bool = False):
-        self.evals += 1
+    def __call__(self, z, slope: bool = False):
+        self.evals += np.size(z)
+        x0 = self.x0 and {k: v * (z / self.z0 if k.endswith("_bar")
+                                  else self.z0 / z) for k, v in self.x0.items()}
         rep, so, sol = _evaluate(self.stats, self.shared, "rzf", z, self.sigma2,
-                                 self.settings, self._x0, spectra=self.spectra)
-        self._x0 = sol.x0
+                                 self.settings, x0, spectra=self.spectra)
+        self.x0, self.z0 = sol.x0, z
         if not slope:
             return rep.esr
         C, p = self.stats[2], self.stats[-1]
@@ -482,15 +486,14 @@ def _profile(esr_of: _WarmRzfEsr, scenario: Scenario, s,
     else:
         half = Z_BRACKET_POINTS // 2
         grid = incumbent * 10.0 ** (Z_STEP_DECADES * np.arange(-half, half + 1))
-    # sweep from the best-conditioned (largest) z downward, warm-starting;
-    # the first point starts cold, so the values do not depend on earlier use
-    esr_of._x0 = None
-    vals = np.empty(len(grid))
-    for j in range(len(grid) - 1, -1, -1):
-        vals[j] = esr_of(grid[j])
+    # one batched solve, every row cold: the values do not depend on earlier
+    # use; the secant steps then start from the argmax's fixed point
+    esr_of.x0 = None
+    vals = esr_of(grid)
     i = int(np.argmax(vals))
     if incumbent is not None and i in (0, len(grid) - 1):
         return _profile(esr_of, scenario, s)
+    esr_of.x0, esr_of.z0 = {k: v[i] for k, v in esr_of.x0.items()}, grid[i]
     j = min(max(i, 1), len(grid) - 2)      # parabola through three points
     c = (vals[j + 1] - 2.0 * vals[j] + vals[j - 1]) \
         / (Z_STEP_DECADES * np.log(10.0)) ** 2

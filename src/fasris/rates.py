@@ -15,8 +15,9 @@ part or a comparison. The one test, delta == 0, holds only without a RIS
 path, where every 1/delta term multiplies a zero. `second_order_common` and
 `second_order_uncommon` call them on real input, for RZF and ZF alike: a ZF
 solution gets Pi at its own point, where 1 + mu becomes mu, and no solved
-blocks. `SecondOrderUncommon.W` keeps the solved interference system whose
-rows give Psi_{k,l}, and `SecondOrderCommon.lam_zz` the limit of
+blocks; a batch of z carries its axis to the SINRs and the ESR.
+`SecondOrderUncommon.W` keeps the solved interference system whose rows
+give Psi_{k,l}, and `SecondOrderCommon.lam_zz` the limit of
 (1/L)tr(Z Z^H Q Z Z^H Q).
 
 Rates are in bits (log2). The noise term of every RZF SINR is
@@ -28,6 +29,7 @@ same convention, and a calibration test pins the factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,7 +48,7 @@ class NumericalError(RuntimeError):
 class RateReport:
     sinr: np.ndarray
     rates: np.ndarray
-    esr: float
+    esr: float               # one per row, an array, under a batch of z
     regime: str
     digest: dict = field(default_factory=dict)
 
@@ -61,7 +63,8 @@ def _report(sinr: np.ndarray, regime: str, digest: dict | None = None,
     if (sinr < 0).any():
         raise NumericalError(f"negative SINR in {regime}: {sinr.min():.3e}")
     rates = np.log2(1.0 + sinr)
-    return RateReport(sinr=sinr, rates=rates, esr=float(rates.sum()),
+    esr = rates.sum(axis=-1)
+    return RateReport(sinr=sinr, rates=rates, esr=esr if esr.ndim else float(esr),
                       regime=regime, digest=digest)
 
 
@@ -117,11 +120,13 @@ def zf_sinr(mu: np.ndarray, p, sigma2: float, M: int) -> np.ndarray:
 
 
 def _clip_psi(Psi_kl: np.ndarray) -> np.ndarray:
-    """Clip roundoff-level negatives of Psi_kl to 0; raise on significant ones."""
-    scale = max(np.abs(Psi_kl).max(), 1e-300)
-    if Psi_kl.min() < -PSI_CLIP * scale:
+    """Clip roundoff-level negatives of Psi_kl to 0; raise on significant ones.
+    Each matrix of a stack is measured against its own scale."""
+    scale = np.maximum(np.abs(Psi_kl).max(axis=(-2, -1)), 1e-300)
+    worst = np.min(Psi_kl.min(axis=(-2, -1)) / scale)
+    if worst < -PSI_CLIP:
         raise NumericalError(f"Psi_kl has significant negativity "
-                             f"({Psi_kl.min():.3e} vs scale {scale:.3e})")
+                             f"({worst:.3e} of its scale)")
     return np.clip(Psi_kl, 0.0, None)
 
 
@@ -130,9 +135,10 @@ def _batch_first(A: np.ndarray) -> np.ndarray:
     return A.T.swapaxes(-1, -2)
 
 
-def _tr(A: np.ndarray, B: np.ndarray, n: int) -> float:
-    """Re tr(A B) / n; vectors A and B stand for diagonal matrices."""
-    return np.einsum("ij,ji->" if A.ndim == 2 else "i,i->", A, B).real / n
+def _tr(A: np.ndarray, B: np.ndarray, n: int, diag: bool = False):
+    """Re tr(A B) / n over the last axes; diag: vectors for diagonal ones."""
+    return np.einsum("...i,...i->..." if diag else "...ij,...ji->...",
+                     A, B).real / n
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +162,14 @@ def _uncommon_tables(first, second, M: int) -> dict:
     stacked table is one `_pair_traces`."""
     E, ER, D = first
     E2, ER2, D2, Psi_R, Psi_C = second
-    L = D.shape[1]
+    L = D.shape[-1]
 
-    def tr(X, Y, n):    # Re tr(X_k Y_l) / n; Y is a stack, or one matrix (l = 0)
-        return _pair_traces(X, Y if Y.ndim == 3 else Y[None]) / n
-    return {"chi_FF": tr(E, E2, M), "chi_FR": tr(E, ER2, M)[:, 0],
-            "chi_RR": _tr(ER, ER2, M), "chi_FI": tr(E, Psi_R, M)[:, 0],
-            "chi_RI": _tr(ER, Psi_R, M), "Xi": tr(D, D2, L),
-            "Xi_I": tr(D, Psi_C, L)[:, 0]}
+    def tr(X, Y, n):    # Re tr(X_k Y) / n for one matrix Y
+        return _pair_traces(X, Y[..., None, :, :])[..., 0] / n
+    return {"chi_FF": _pair_traces(E, E2) / M, "chi_FR": tr(E, ER2, M),
+            "chi_RR": _tr(ER, ER2, M), "chi_FI": tr(E, Psi_R, M),
+            "chi_RI": _tr(ER, Psi_R, M), "Xi": _pair_traces(D, D2) / L,
+            "Xi_I": tr(D, Psi_C, L)}
 
 
 def _interference_rhs(x: dict, M: int, L: int) -> np.ndarray:
@@ -285,14 +291,16 @@ def second_order_uncommon(F_list: np.ndarray, R: np.ndarray,
     F = np.asarray(F_list)
     M = sol.m_norm
     Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
-    E, ER, D = F @ Psi_R, R @ Psi_R, np.asarray(C_list) @ Psi_C
+    E, ER = F @ Psi_R[..., None, :, :], R @ Psi_R
+    D = np.asarray(C_list) @ Psi_C[..., None, :, :]
     x = {**sol.x0, **_uncommon_tables((E, ER, D), (E, ER, D, Psi_R, Psi_C), M)}
-    K, L = len(F), D.shape[1]
+    K, L = len(F), D.shape[-1]
     rzf = sol.z is not None
     out = uncommon_system(x, M, L, 1.0 if rzf else 0.0, p if rzf else None)
     if "Psi_kl" in out:
         # strip (L/M) Ups_l(F_k)
-        out["Lambda_kl"] = out["Psi_kl"] - (L / M) * out["ups_F"][:K, :].T
+        out["Lambda_kl"] = out["Psi_kl"] - (L / M) * np.swapaxes(
+            out["ups_F"][..., :K, :], -1, -2)
         out["Psi_kl"] = _clip_psi(out["Psi_kl"])
     return SecondOrderUncommon(sol=sol, F=F, R=R, x=x, E=E, ER=ER, D=D, **out)
 
@@ -301,7 +309,7 @@ def sinr_rzf_uncommon(sol: UncommonSolution, F_list, R, C_list,
                       p: np.ndarray, sigma2: float):
     """Per-user RZF SINR and ESR, per-user-correlation regime."""
     so = second_order_uncommon(F_list, R, C_list, p, sol)
-    sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu, p, sigma2, so.D.shape[1])
+    sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu, p, sigma2, so.D.shape[-1])
     return _report(sinr, "rzf/uncommon", sol=sol), so
 
 
@@ -316,17 +324,18 @@ def sinr_zf_uncommon(sol: UncommonSolution, p: np.ndarray,
 # second-order terms, shared correlation (common)
 # ---------------------------------------------------------------------------
 
-def _common_tables(first, second, M: int, L: int) -> dict:
+def _common_tables(first, second, M: int, L: int, diag: bool) -> dict:
     """The shared trace tables Re tr(X Y)/M (or /L), X from first =
     (RP, FP, CP) and Y from second = (RP, FP, CP, Psi_R, Psi_C), with
-    RP = R Psi_R, FP = F Psi_R and CP = C Psi_C; bilinear in the two, as
-    `_uncommon_tables`."""
+    RP = R Psi_R, FP = F Psi_R and CP = C Psi_C, or with diag their
+    eigenvalues; bilinear in the two, as `_uncommon_tables`."""
     RP, FP, CP = first
     RP2, FP2, CP2, Psi_R, Psi_C = second
-    return {"chi_RR": _tr(RP, RP2, M), "chi_RF": _tr(RP, FP2, M),
-            "chi_FF": _tr(FP, FP2, M), "chi_RI": _tr(RP, Psi_R, M),
-            "chi_FI": _tr(FP, Psi_R, M), "Xi": _tr(CP, CP2, L),
-            "Xi_I": _tr(CP, Psi_C, L)}
+    tr = partial(_tr, diag=diag)
+    return {"chi_RR": tr(RP, RP2, M), "chi_RF": tr(RP, FP2, M),
+            "chi_FF": tr(FP, FP2, M), "chi_RI": tr(RP, Psi_R, M),
+            "chi_FI": tr(FP, Psi_R, M), "Xi": tr(CP, CP2, L),
+            "Xi_I": tr(CP, Psi_C, L)}
 
 
 def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
@@ -441,7 +450,8 @@ def second_order_common(F, R, C, u, t, p, sol: CommonSolution) -> SecondOrderCom
     """
     u, t, p = (np.asarray(v, dtype=float) for v in (u, t, p))
     rzf = sol.z is not None
-    if rzf and sol.spectral:
+    diag = rzf and sol.spectral
+    if diag:
         RP = sol.lam * sol.psi
         P, Psi = (RP, RP, sol.g * sol.psi_C), (sol.psi, sol.psi_C)
     else:
@@ -449,7 +459,7 @@ def second_order_common(F, R, C, u, t, p, sol: CommonSolution) -> SecondOrderCom
         P = (RP, RP if F is R else F @ sol.Psi_R, C @ sol.Psi_C)
         Psi = (sol.Psi_R, sol.Psi_C)
     M, L = sol.m_norm, C.shape[0]
-    x = {**sol.x0, **_common_tables(P, (*P, *Psi), M, L)}
+    x = {**sol.x0, **_common_tables(P, (*P, *Psi), M, L, diag)}
     out = common_system(x, u, t, M, L, 1.0 if rzf else 0.0, p if rzf else None)
     if "Psi_kl" in out:
         out["Psi_kl"] = _clip_psi(out["Psi_kl"])

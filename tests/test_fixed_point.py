@@ -365,6 +365,19 @@ class TestSolvePath:
                 solves.rzf(0.3, SolverSettings(max_iter=1))
             assert np.isfinite(err.value.residual) and err.value.residual > 0
 
+    def test_batch_rows_are_the_scalar_solves_and_stall_alike(
+            self, small_regimes):
+        z = np.array([0.03, 0.3, 3.0])
+        for solves in small_regimes:
+            batch = solves.rzf(z)
+            assert np.array_equal(batch.z, z)
+            for i, z_i in enumerate(z):
+                for name, v in solves.rzf(z_i).x0.items():
+                    assert rel_err(batch.x0[name][i], v) < 1e-9
+            with pytest.raises(ConvergenceError) as err:
+                solves.rzf(z, SolverSettings(max_iter=1))
+            assert np.isfinite(err.value.residual) and err.value.residual > 0
+
     def test_zf_paths(self, small_common):
         F, R, C, u, t, _ = small_common.stats_common()
         cold = solve_zf_common(F, R, C, u, t)

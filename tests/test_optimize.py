@@ -444,6 +444,33 @@ class TestRegularizerSearch:
         assert len(grid) == len(vals) == 41
         assert width > 0 and grid[0] < z_star < grid[-1]
 
+    @pytest.mark.parametrize("case", ["fig3", "common", "uncommon"])
+    def test_grid_is_one_batched_solve_of_cold_points(self, case,
+                                                      monkeypatch):
+        # fig3 at 80 dB with uniform ports; shared with F_tot != R_tot; per-user
+        if case == "fig3":
+            sc, M = fig3_scenario(80.0)
+            s = uniform_selection(M, sc.dims.M_tot)
+        else:
+            sc, s = random_scenario(np.random.default_rng(9), case, M=12,
+                                    K=4, L=8, sigma2=0.4), None
+        if case == "common":
+            assert not np.array_equal(sc.correlations.F_tot,
+                                      sc.correlations.R_tot)
+        batches, picard = [], fixed_point._picard
+
+        def counted(system, x0, settings):
+            batches.append(np.size(system.z))
+            return picard(system, x0, settings)
+
+        monkeypatch.setattr(fixed_point, "_picard", counted)
+        _, grid, vals, _ = z_search_profile(sc, s, None)
+        assert batches[0] == len(grid) and set(batches[1:]) == {1}
+        cold = np.array([deterministic_esr(sc, s, None, "rzf", z).esr
+                         for z in grid])
+        assert np.max(np.abs(vals / cold - 1.0)) <= 1e-9
+        assert np.argmax(vals) == np.argmax(cold)
+
     def test_bracket_around_incumbent(self):
         rng = np.random.default_rng(9)
         sc = random_scenario(rng, "common", M=12, K=4, L=8, sigma2=0.4)
@@ -500,22 +527,23 @@ class TestRegularizerSearch:
 
 
 def test_design_op_makes_at_most_90_z_evaluations(monkeypatch):
-    # the benchmark's design op; the z search's evaluator is counted from
-    # outside, and each ao record reports the evaluations of its round
+    # the benchmark's design op; the z points the search's evaluator is
+    # given are counted from outside (a grid is one call of many points),
+    # and each ao record reports the points of its round
     from fasris import optimize
-    calls = []
+    points = []
     call = optimize._WarmRzfEsr.__call__
 
-    def counted(self, *args, **kw):
-        calls.append(None)
-        return call(self, *args, **kw)
+    def counted(self, z, *args, **kw):
+        points.extend(np.atleast_1d(z))
+        return call(self, z, *args, **kw)
 
     monkeypatch.setattr(optimize._WarmRzfEsr, "__call__", counted)
     sc, M = fig3_scenario(80.0)
     *_, trace = joint_optimize(sc, M, phi0=np.full(sc.dims.L, 2.0), T_iter=1)
-    assert len(calls) <= 90
+    assert len(points) <= 90
     assert sum(r["evals"] for r in trace.records
-               if r["stage"] == "ao") == len(calls)
+               if r["stage"] == "ao") == len(points)
 
 
 class TestAlternatingOptimization:

@@ -281,6 +281,15 @@ class TestNumericalGuards:
         Psi = np.array([[2.0, 0.5], [-1e-12, 1.0]])
         out = _clip_psi(Psi)
         assert np.array_equal(out, [[2.0, 0.5], [0.0, 1.0]])
+        # a stack whose matrices differ 1e6 in scale: each is clipped, or
+        # raises, as its own call does; the -1e-3 below would pass against
+        # the scale of the 1e6 matrix, not against its own
+        big = 1e6 * np.array([[2.0, 0.5], [-1e-12, 1.0]])
+        stack = np.stack([Psi, big])
+        assert np.array_equal(_clip_psi(stack),
+                              np.stack([out, _clip_psi(big)]))
+        with pytest.raises(NumericalError, match="negativity"):
+            _clip_psi(np.stack([np.array([[2.0, 0.5], [-1e-3, 1.0]]), big]))
 
     def test_singular_block_raises(self):
         with pytest.raises(NumericalError, match="Pi block is ill-conditioned"):

@@ -19,6 +19,8 @@ running this script on both sides of the change on one host. Groups:
 - phases: RZF and ZF phase gradients through `_phase_objective` on fig3
   and on a shared random scenario, RZF on a per-user one;
 - evaluate: `deterministic_esr` SINRs, RZF and ZF, on fig1, fig2 and fig3;
+- zprofile: `z_search_profile` grid, values and z_star on fig3 (80 dB,
+  uniform ports) and on a per-user random scenario;
 - simulate: `empirical_esr` (RZF, ZF) and `resolvent_probe` on fig1.
 """
 
@@ -116,6 +118,17 @@ def evaluate():
             yield deterministic_esr(sc, s, None, kind).sinr
 
 
+def zprofile():
+    from fasris.optimize import z_search_profile
+    from fasris.scenarios import fig3_scenario, random_scenario, uniform_selection
+    fig3, M = fig3_scenario(80.0)
+    for sc, s in ((fig3, uniform_selection(M, fig3.dims.M_tot)),
+                  (random_scenario(np.random.default_rng(9), "uncommon", 12, 4,
+                                   8, sigma2=0.4), None)):
+        z_star, grid, vals, _ = z_search_profile(sc, s, None)
+        yield from (grid, vals, z_star)
+
+
 def simulate():
     from fasris.montecarlo import empirical_esr, resolvent_probe
     from fasris.scenarios import fig1_scenario
@@ -131,7 +144,7 @@ def simulate():
 
 
 GROUPS = {"design": design, "ports": ports, "phases": phases,
-          "evaluate": evaluate, "simulate": simulate}
+          "evaluate": evaluate, "zprofile": zprofile, "simulate": simulate}
 
 
 def main(argv=None) -> int:
