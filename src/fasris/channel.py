@@ -9,6 +9,7 @@ a trial's sample does not depend on how trials are stacked.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,12 +49,18 @@ def herm(A: np.ndarray) -> np.ndarray:
 
 
 def check_psd(A: np.ndarray, name: str = "matrix", tol: float = PSD_TOL) -> np.ndarray:
-    """Validate Hermitian PSD up to -tol roundoff; clip tiny negative eigenvalues.
+    """Validate Hermitian PSD up to roundoff; clip tiny negative eigenvalues.
 
-    Eigenvalues in [-tol, 0) are treated as roundoff and clipped to zero;
-    anything below -tol is a modeling error and raises DomainError.
+    Eigenvalues in [-tol max(1, |lam_max|), 0) are clipped to zero as
+    roundoff; lower ones raise DomainError. A finite Cholesky factor of
+    A - tol max(1, tr A) I certifies lam_min >= tol max(1, tr A), far above
+    roundoff: A is then returned, as that test would, without eigh.
     """
     A = herm(np.asarray(A))
+    shift = tol * max(1.0, np.trace(A).real) * np.eye(len(A))
+    with suppress(np.linalg.LinAlgError):
+        if np.isfinite(np.linalg.cholesky(A - shift)).all():
+            return A
     w, V = np.linalg.eigh(A)
     if w.min() < -tol * max(1.0, abs(w.max())):
         raise DomainError(
@@ -186,12 +193,15 @@ class CorrelationSet:
                           compare=False)
 
     def __post_init__(self):
-        self.R_tot = check_psd(self.R_tot, "R_tot")
+        R, F = np.asarray(self.R_tot), self.F_tot
+        self.R_tot = check_psd(R, "R_tot")
         self.C_L = check_psd(self.C_L, "C_L")
-        if isinstance(self.F_tot, list):
-            self.F_tot = [check_psd(F, f"F_tot[{k}]") for k, F in enumerate(self.F_tot)]
-        else:
-            self.F_tot = check_psd(self.F_tot, "F_tot")
+        if isinstance(F, list):
+            self.F_tot = [check_psd(Fk, f"F_tot[{k}]") for k, Fk in enumerate(F)]
+        else:    # an F_tot with R_tot's bytes checks the same: copy the result
+            F = np.asarray(F)
+            same = (F.dtype, F.shape, F.tobytes()) == (R.dtype, R.shape, R.tobytes())
+            self.F_tot = self.R_tot.copy() if same else check_psd(F, "F_tot")
         if isinstance(self.C_R, list):
             self.C_R = [check_psd(C, f"C_R[{k}]") for k, C in enumerate(self.C_R)]
         else:

@@ -7,10 +7,10 @@ order (delta, then the RIS-side traces, then the per-user scalars) at
 `_picard`, runs damped Picard after the map's mixer (shared RZF: Newton;
 per-user: Anderson; shared ZF: none), cold from `init` scaled to z (see
 `_Map`). A ZF solution has `z` None and holds the paper's underlined
-(scaled z -> 0) quantities; every solution carries the inverses that the
-second-order terms need, a shared one builds them on first read. An RZF
-`z` may be a 1-D batch: the state then leads with its axis, `_picard` runs
-the rows as one product system and every solution field carries the axis.
+(scaled z -> 0) quantities; every solution builds the inverses that the
+second-order terms need on first read. An RZF `z` may be a 1-D batch: the
+state then leads with its axis, `_picard` runs the rows as one product
+system and every solution field carries the axis.
 """
 
 from __future__ import annotations
@@ -102,9 +102,18 @@ class UncommonSolution(_Solution):
     delta: float
     mu: np.ndarray
     omega: np.ndarray
-    Psi_R: np.ndarray
-    Psi_C: np.ndarray
+    system: _UncommonMap = field(repr=False)
     _state = ("delta", "mu", "omega")
+
+    @cached_property
+    def Psi_R(self) -> np.ndarray:
+        return herm(self.system.psi_r(self.delta, self.omega, self.mu))
+
+    @cached_property
+    def Psi_C(self) -> np.ndarray:    # delta I, unused, if not cascaded
+        m = self.system
+        return (herm(m.psi_c(self.delta, self.mu)) if m.cascaded
+                else _row(self.delta, 2) * m.I_L.astype(complex))
 
 
 @dataclass
@@ -377,11 +386,7 @@ class _UncommonMap(_Map):
 
     def finish(self, x):
         delta, omega, mu = self.split(x)
-        Psi_R = self.psi_r(delta, omega, mu)
-        # without a cascaded link Psi_C never enters rates: delta I
-        Psi_C = (self.psi_c(delta, mu) if self.cascaded
-                 else _row(delta, 2) * self.I_L.astype(complex))
-        return delta, mu, omega, herm(Psi_R), herm(Psi_C)
+        return delta, mu, omega, self
 
 
 class _CommonMap(_Map):

@@ -29,6 +29,107 @@ def spherical_j0_series(x, terms=60):
     return total
 
 
+def eigh_check_psd(A, tol=channel.PSD_TOL):
+    """Reference: check_psd decided by the eigenvalue test alone."""
+    A = channel.herm(np.asarray(A))
+    w, V = np.linalg.eigh(A)
+    if w.min() < -tol * max(1.0, abs(w.max())):
+        raise channel.DomainError("not PSD")
+    if w.min() < 0.0:
+        A = channel.herm((V * np.clip(w, 0.0, None)) @ V.conj().T)
+    return A
+
+
+def with_spectrum(w, rng):
+    """Dense Hermitian Q diag(w) Q^H with a random unitary Q."""
+    n = len(w)
+    Q = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    return (Q * w) @ Q.conj().T
+
+
+def at_margin(factor, rest):
+    """Spectrum whose lam_min is factor times the certificate's shift
+    tol max(1, tr A), with tr A counting lam_min itself."""
+    tol = channel.PSD_TOL
+    lam = factor * tol * rest.sum() / (1.0 - factor * tol)
+    return np.concatenate(([lam], rest))
+
+
+class TestCheckPsd:
+    REST = np.linspace(1.0, 2.0, 39)
+
+    @pytest.mark.parametrize("case, eigh, outcome", [
+        ("well_conditioned", 0, "kept"),
+        ("roundoff_rank_deficient", 1, "kept"),
+        ("clips", 1, "clipped"),
+        ("raises", 1, "raises"),
+        ("margin_above", 0, "kept"),
+        ("margin_below", 1, "kept"),
+    ])
+    def test_matches_eigh_reference(self, rng, eigh_calls, case, eigh,
+                                    outcome):
+        scale = self.REST.max()
+        A = {
+            "well_conditioned": lambda: with_spectrum(
+                np.concatenate(([0.5], self.REST)), rng),
+            # the decoupled 1e-16 is an exact eigenvalue of the block matrix
+            "roundoff_rank_deficient": lambda: np.block(
+                [[np.full((1, 1), 1e-16), np.zeros((1, 39))],
+                 [np.zeros((39, 1)), with_spectrum(self.REST, rng)]]),
+            "clips": lambda: with_spectrum(
+                np.concatenate(([-1e-12 * scale], self.REST)), rng),
+            "raises": lambda: with_spectrum(np.concatenate(
+                ([-10.0 * channel.PSD_TOL * scale], self.REST)), rng),
+            "margin_above": lambda: with_spectrum(
+                at_margin(1.0 + 1e-3, self.REST), rng),
+            "margin_below": lambda: with_spectrum(
+                at_margin(1.0 - 1e-3, self.REST), rng),
+        }[case]()
+        if outcome == "raises":
+            with pytest.raises(channel.DomainError, match="not PSD"):
+                channel.check_psd(A)
+            assert len(eigh_calls) == eigh
+            with pytest.raises(channel.DomainError):
+                eigh_check_psd(A)
+            return
+        got = channel.check_psd(A)
+        assert len(eigh_calls) == eigh
+        assert got.tobytes() == eigh_check_psd(A).tobytes()
+        assert (got.tobytes() == channel.herm(A).tobytes()) == (outcome == "kept")
+
+    def test_non_finite_input_takes_the_eigenvalue_test(self, eigh_calls):
+        # a NaN can pass through LAPACK's Cholesky without an error
+        A = np.eye(3)
+        A[0, 1] = A[1, 0] = np.nan
+        got = channel.check_psd(A)
+        assert len(eigh_calls) == 1
+        assert got.tobytes() == eigh_check_psd(A).tobytes()
+
+    def test_fig1_set_up_is_certified(self, eigh_calls):
+        fig1_scenario(24, 80.0)
+        assert len(eigh_calls) <= 2      # 26 matrices, each checked twice
+
+    def test_fig3_checks_a_duplicate_f_tot_once(self, monkeypatch):
+        names = []
+
+        def recorded(A, name="matrix", *args, _check=channel.check_psd, **kw):
+            names.append(name)
+            return _check(A, name, *args, **kw)
+
+        monkeypatch.setattr(channel, "check_psd", recorded)
+        corr = fig3_scenario(80.0)[0].correlations
+        assert names == ["FAS correlation matrix", "RIS correlation matrix",
+                         "RIS correlation matrix", "R_tot", "C_L", "C_R"]
+        assert corr.F_tot is not corr.R_tot
+        assert corr.F_tot.tobytes() == corr.R_tot.tobytes()
+        R = fas_correlation_matrix(GEOM)
+        other = CorrelationSet(R_tot=R, F_tot=R + 0.0 * 1j, C_L=corr.C_L,
+                               C_R=corr.C_R)    # equal values, other bytes
+        assert names.count("F_tot") == 1
+        assert other.F_tot.tobytes() == channel.check_psd(R + 0.0 * 1j).tobytes()
+
+
 class TestFasCorrelation:
     def test_unit_diagonal(self):
         R = fas_correlation_matrix(GEOM)

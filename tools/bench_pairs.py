@@ -11,11 +11,14 @@ one pair after the other; within each workload the side that runs first
 alternates from pair to pair, starting with the parent. Writes a BENCH
 file with `description`, `parent`, `analysis` (per workload and
 end-to-end metric of BENCHMARK.json: median, q1, q3 and n of each side,
-`change_over_parent_median`, `change_better_pairs` and `pairs`) and
-`runs` (each run's summary line without its per-operation time lists, and
-its result line). `--append` adds the runs to those already in `--out`
-and analyses them all, keeping the file's other keys; with no `--pairs` it
-only analyses. Exits 1 when a run fails or reports incorrect output.
+`change_over_parent_median`, `change_better_pairs`, `pairs` and, where
+the change's median is worse than the parent's by more than half the
+metric's `bound`, `flag`: "near bound", or "over bound" past the bound
+itself; each flag is also printed to stderr) and `runs` (each run's
+summary line without its per-operation time lists, and its result line).
+`--append` adds the runs to those already in `--out` and analyses them
+all, keeping the file's other keys; with no `--pairs` it only analyses.
+Exits 1 when a run fails or reports incorrect output.
 """
 
 from __future__ import annotations
@@ -63,9 +66,10 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def analyse(runs: list[dict], better: dict) -> dict:
-    """Per workload and metric, both sides' quartiles and the pair counts;
-    better[metric] is -1 where lower is better, else 1."""
+def analyse(runs: list[dict], better: dict, bounds: dict) -> dict:
+    """Per workload and metric, both sides' quartiles, the pair counts and
+    the bound flag; better[metric] is -1 where lower is better, else 1, and
+    bounds[metric] the relative worsening BENCHMARK.json allows."""
     analysis = {}
     ok = [r for r in runs if "result" in r]
     for workload in dict.fromkeys(r["workload"] for r in ok):
@@ -82,12 +86,19 @@ def analyse(runs: list[dict], better: dict) -> dict:
             parent = [p["parent"][metric]["value"] for p in pairs]
             change = [p["change"][metric]["value"] for p in pairs]
             a, b = quartiles(parent), quartiles(change)
-            analysis[workload][metric] = {
-                "parent": a, "change": b,
-                "change_over_parent_median": b["median"] / a["median"],
+            ratio = b["median"] / a["median"]
+            row = analysis[workload][metric] = {
+                "parent": a, "change": b, "change_over_parent_median": ratio,
                 "change_better_pairs": sum(sign * (c - p) > 0
                                            for p, c in zip(parent, change)),
                 "pairs": len(pairs)}
+            worse_by = sign * (1.0 - ratio)
+            if worse_by > bounds[metric] / 2:
+                row["flag"] = ("over bound" if worse_by > bounds[metric]
+                               else "near bound")
+                print(f"{workload} {metric}: median {worse_by:+.1%} worse "
+                      f"than the parent, {row['flag']} "
+                      f"({bounds[metric]:.0%})", file=sys.stderr)
     return analysis
 
 
@@ -107,6 +118,7 @@ def main(argv=None) -> int:
     spec = json.loads((TREE / "BENCHMARK.json").read_text())
     better = {m["name"]: -1 if m["better"] == "lower" else 1
               for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     old = json.loads(args.out.read_text()) if args.append else {}
     rev = args.parent_rev or old.get("parent") or subprocess.run(
         ["git", "rev-parse", "--short", "HEAD"], cwd=args.parent,
@@ -124,7 +136,8 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
     bench = {**old,
              "description": args.description or old.get("description", ""),
-             "parent": rev, "analysis": analyse(runs, better), "runs": runs}
+             "parent": rev, "analysis": analyse(runs, better, bounds),
+             "runs": runs}
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     bad = [r for r in runs if "result" not in r or not r["result"]["correct"]
            or r["result"]["failed"]]

@@ -3,12 +3,13 @@
     python3 tools/output_digest.py --root ../parent > parent_digest.json
     python3 tools/output_digest.py > change_digest.json
 
-Imports fasris from `<root>/src` (default: this working tree), pins BLAS to
-one thread and prints one JSON object: the checkout's git revision (null
-outside a git checkout), the wall time and one SHA-256 per group over the
-raw bytes of that group's outputs. Equal digests mean bit-identical
-outputs; a refactor that claims to keep every number can show it by
-running this script on both sides of the change on one host. Groups:
+Imports fasris from `<root>/src` (default: this working tree) and the
+benchmark's workloads from `<root>/perfbench`, pins BLAS to one thread and
+prints one JSON object: the checkout's git revision (null outside a git
+checkout), the wall time and one SHA-256 per group over the raw bytes of
+that group's outputs. Equal digests mean bit-identical outputs; a
+refactor that claims to keep every number can show it by running this
+script on both sides of the change on one host. Groups:
 
 - design: `joint_optimize` on fig3 (80 dB, T_iter=1, RZF) with the common
   phase rotation of perfbench's design setup, seeds 1-3: selection, z,
@@ -21,7 +22,10 @@ running this script on both sides of the change on one host. Groups:
 - evaluate: `deterministic_esr` SINRs, RZF and ZF, on fig1, fig2 and fig3;
 - zprofile: `z_search_profile` grid, values and z_star on fig3 (80 dB,
   uniform ports) and on a per-user random scenario;
-- simulate: `empirical_esr` (RZF, ZF) and `resolvent_probe` on fig1.
+- simulate: `empirical_esr` (RZF, ZF) and `resolvent_probe` on fig1;
+- setup: every `CorrelationSet` matrix of the scenarios of perfbench's
+  `evaluation_points()` (each set once), `fig1_scenario(32, 80)`, fig3 at
+  W = 1, 1.5, 2, 2.5, 3, fig6 at K = 4, 8, 12, 16 and fig8.
 """
 
 import os
@@ -143,17 +147,33 @@ def simulate():
                 pr.lambda_hat)
 
 
+def setup():
+    from workloads import evaluation_points
+    from fasris.scenarios import (fig1_scenario, fig3_scenario, fig6_scenario,
+                                  fig8_scenario)
+    sets = {id(sc.correlations): sc.correlations
+            for _, sc, _, _ in evaluation_points()}
+    scenarios = [fig1_scenario(32, 80.0)]
+    scenarios += [fig3_scenario(80.0, W=W)[0] for W in (1, 1.5, 2, 2.5, 3)]
+    scenarios += [fig6_scenario(K, 80.0)[0] for K in (4, 8, 12, 16)]
+    scenarios += [fig8_scenario(80.0)[0]]
+    for corr in [*sets.values(), *(sc.correlations for sc in scenarios)]:
+        yield from (corr.R_tot, *corr.f_tot_list(1), corr.C_L,
+                    *corr.c_r_list(1))
+
+
 GROUPS = {"design": design, "ports": ports, "phases": phases,
-          "evaluate": evaluate, "zprofile": zprofile, "simulate": simulate}
+          "evaluate": evaluate, "zprofile": zprofile, "simulate": simulate,
+          "setup": setup}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=TREE,
-                        help="checkout to import fasris from")
+                        help="checkout to import fasris and perfbench from")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    sys.path.insert(0, str(root / "src"))
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
     try:
         rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
