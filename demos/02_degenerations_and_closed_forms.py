@@ -1,7 +1,7 @@
 """The degeneration lattice: per-user -> shared -> i.i.d. closed forms.
 
 The per-user-correlation solver collapses onto the shared-correlation one
-when every user shares the matrices (F_k = u_k F, C_k = t_k C), and the
+when every user shares the matrices (F_k = u_k R, C_k = t_k C), and the
 shared solver collapses onto a one-line closed form when the correlations
 are identities. The same closed form answers design questions directly:
 how many ports buy a target rate, and how does MRT saturate.
@@ -18,11 +18,11 @@ rng = np.random.default_rng(7)
 sc = random_scenario(rng, "common", M=16, K=5, L=10, sigma2=0.4)
 z = sc.dims.K * sc.sigma2 / sc.dims.M
 
-F, R, C, u, t, p = sc.stats_common()
-common = solve_rzf_common(F, R, C, u, t, z)
-rep_c, _ = sinr_rzf_common(common, F, R, C, u, t, p, sc.sigma2)
+R, C, u, t, p = sc.stats_common()
+common = solve_rzf_common(R, C, u, t, z)
+rep_c, _ = sinr_rzf_common(common, R, C, u, t, p, sc.sigma2)
 
-F_list, R2, C_list, _ = sc.stats_uncommon()     # F_k = u_k F, C_k = t_k C
+F_list, R2, C_list, _ = sc.stats_uncommon()     # F_k = u_k R, C_k = t_k C
 uncommon = solve_rzf_uncommon(F_list, R2, C_list, z)
 rep_u, _ = sinr_rzf_uncommon(uncommon, F_list, R2, C_list, p, sc.sigma2)
 
@@ -33,8 +33,7 @@ print("agreement:", abs(rep_c.esr - rep_u.esr) / rep_u.esr)
 # identity correlations: the five-scalar ZF system reduces to beta(u,t,c2)
 M, K, L = 20, 8, 16
 uu, tt, sigma2 = 1.0, 0.5, 0.2
-sol = solve_zf_common(np.eye(M), np.eye(M), np.eye(L),
-                      np.full(K, uu), np.full(K, tt))
+sol = solve_zf_common(np.eye(M), np.eye(L), np.full(K, uu), np.full(K, tt))
 rep_zf = sinr_zf_common(sol, np.full(K, uu), np.full(K, tt), np.ones(K), sigma2)
 closed = esr_iid_zf(uu, tt, K / M, K / L, sigma2, K)
 beta = solve_iid_zf(uu, tt, K / M, K / L).beta_val

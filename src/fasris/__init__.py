@@ -23,6 +23,7 @@ from .montecarlo import (EsrEstimate, ResolventProbe, build_precoder,
 from .gradients import (esr_gradient_phases_common,
                         esr_gradient_phases_uncommon,
                         esr_gradient_phases_zf_common,
+                        esr_gradient_phases_zf_uncommon,
                         esr_gradient_ports_zf_common,
                         esr_gradient_ports_zf_uncommon, esr_gradient_z,
                         fd_gradient, gradient_G_l, phase_perturbation)

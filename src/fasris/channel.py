@@ -52,8 +52,8 @@ def check_psd(A: np.ndarray, name: str = "matrix", tol: float = PSD_TOL) -> np.n
     """Validate Hermitian PSD up to roundoff; clip tiny negative eigenvalues.
 
     Eigenvalues in [-tol max(1, |lam_max|), 0) are clipped to zero as
-    roundoff; lower ones raise DomainError. A finite Cholesky factor of
-    A - tol max(1, tr A) I certifies lam_min >= tol max(1, tr A), far above
+    roundoff; lower or NaN ones raise DomainError. A finite Cholesky factor
+    of A - tol max(1, tr A) I certifies lam_min >= tol max(1, tr A), far above
     roundoff: A is then returned, as that test would, without eigh.
     """
     A = herm(np.asarray(A))
@@ -62,7 +62,7 @@ def check_psd(A: np.ndarray, name: str = "matrix", tol: float = PSD_TOL) -> np.n
         if np.isfinite(np.linalg.cholesky(A - shift)).all():
             return A
     w, V = np.linalg.eigh(A)
-    if w.min() < -tol * max(1.0, abs(w.max())):
+    if not w.min() >= -tol * max(1.0, abs(w.max())):    # NaN fails too
         raise DomainError(
             f"{name} is not PSD: min eigenvalue {w.min():.3e} "
             f"(max {w.max():.3e}, tolerance {tol:.0e})"
@@ -80,7 +80,7 @@ def psd_sqrt(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     """
     A = herm(np.asarray(A))
     w, V = np.linalg.eigh(A)
-    if w.min() < -PSD_TOL * max(1.0, abs(w.max())):
+    if not w.min() >= -PSD_TOL * max(1.0, abs(w.max())):    # NaN fails too
         raise DomainError(f"cannot take square root of non-PSD {name}: "
                           f"min eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
@@ -209,11 +209,11 @@ class CorrelationSet:
 
     @property
     def shared(self) -> bool:
-        """True when every user sees the same F_tot and C_R (shared regime).
-
-        The shared-correlation solvers apply; otherwise the per-user ones do.
-        """
-        return not (isinstance(self.F_tot, list) or isinstance(self.C_R, list))
+        """True for one C_R and one F_tot equal to R_tot: the shared solvers
+        apply. Any other set takes the per-user ones (K copies of a matrix)."""
+        return (not isinstance(self.F_tot, list)
+                and not isinstance(self.C_R, list)
+                and np.array_equal(self.F_tot, self.R_tot))
 
     def root(self, A: np.ndarray, name: str = "matrix") -> np.ndarray:
         """psd_sqrt(A), computed once per matrix object held by this set.
@@ -284,7 +284,9 @@ class Scenario:
         """True iff every user shares gains, power and correlation matrices."""
         same_scalars = (np.ptp(self.u) == 0.0 and np.ptp(self.t) == 0.0
                         and np.ptp(self.p) == 0.0)
-        return bool(same_scalars and self.correlations.shared)
+        corr = self.correlations    # one F_tot and C_R, equal to R_tot or not
+        return bool(same_scalars and not isinstance(corr.F_tot, list)
+                    and not isinstance(corr.C_R, list))
 
     def default_z(self, s: np.ndarray | None = None) -> float:
         """The RZF regularizer K sigma^2 / M(s), M(s) the selected-port count.
@@ -303,15 +305,15 @@ class Scenario:
 
     def stats_common(self, s: np.ndarray | None = None,
                      phi: np.ndarray | None = None):
-        """(F, R, C, u, t, p) inputs for the common-correlation solvers."""
-        if not self.correlations.shared:
-            raise ValueError("scenario has per-user correlations; use stats_uncommon")
+        """(R, C, u, t, p) inputs for the shared-correlation solvers; the
+        direct link shares R."""
         corr = self.correlations
-        F = corr.F_tot if s is None else select_submatrix(corr.F_tot, s)
-        R = self.select_R(s)
+        if not corr.shared:
+            raise ValueError("scenario is not in the shared regime (F_tot = "
+                             "R_tot, one C_R); use stats_uncommon")
         C = effective_ris_correlation(corr.C_L, phi, corr.C_R, 1.0,
                                       corr.root)[1]
-        return F, R, C, self.u, self.t, self.p
+        return self.select_R(s), C, self.u, self.t, self.p
 
     def stats_uncommon(self, s: np.ndarray | None = None,
                        phi: np.ndarray | None = None):

@@ -1,16 +1,18 @@
 """Fixed-point systems behind the deterministic SINR equivalents.
 
 Four solvers (RZF/ZF x per-user/shared correlation) plus the i.i.d. closed
-form. Each correlation regime supplies one map, evaluated in Gauss-Seidel
-order (delta, then the RIS-side traces, then the per-user scalars) at
-(z, shift): RZF is (z, 1) and ZF the same map at (1, 0). One driver,
-`_picard`, runs damped Picard after the map's mixer (shared RZF: Newton;
-per-user: Anderson; shared ZF: none), cold from `init` scaled to z (see
-`_Map`). A ZF solution has `z` None and holds the paper's underlined
-(scaled z -> 0) quantities; every solution builds the inverses that the
-second-order terms need on first read. An RZF `z` may be a 1-D batch: the
-state then leads with its axis, `_picard` runs the rows as one product
-system and every solution field carries the axis.
+form. The shared regime is one C_R and F_tot = R_tot, whose map runs on the
+spectra of R and C; any other set takes the per-user solvers. Each
+correlation regime supplies one map, evaluated in Gauss-Seidel order
+(delta, then the RIS-side traces, then the per-user scalars) at (z, shift):
+RZF is (z, 1) and ZF the same map at (1, 0). One driver, `_picard`, runs
+damped Picard after the map's mixer (shared RZF: Newton; per-user:
+Anderson; shared ZF: none), cold from `init` scaled to z (see `_Map`). A ZF
+solution has `z` None and holds the paper's underlined (scaled z -> 0)
+quantities; every solution builds the inverses that the second-order terms
+need on first read. An RZF `z` may be a 1-D batch: the state then leads
+with its axis, `_picard` runs the rows as one product system and every
+solution field carries the axis.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ def _row(v, k: int = 1):
     return v[(...,) + (None,) * k] if isinstance(v, np.ndarray) else v
 
 
-def _re_tr(X: np.ndarray, P: np.ndarray) -> np.ndarray:    # Re tr(X P)
-    return np.real(np.sum(X * np.swapaxes(P, -1, -2), axis=(-2, -1)))
-
-
 # ---------------------------------------------------------------------------
 # solution containers
 # ---------------------------------------------------------------------------
@@ -118,8 +116,8 @@ class UncommonSolution(_Solution):
 
 @dataclass
 class CommonSolution(_Solution):
-    """`spectral` with both psi and psi_C (F equals R, cascaded link); the
-    explicit inverses Psi_R and Psi_C are built on first read."""
+    """Spectra of R and C and those of Psi_R and Psi_C; the explicit
+    inverses Psi_R and Psi_C are built on first read."""
 
     z: float | None            # None for ZF
     delta: float
@@ -128,19 +126,15 @@ class CommonSolution(_Solution):
     kappa_bar: float
     omega_bar: float
     psi_T: np.ndarray          # diagonal of (shift I + omega T + kappa U)^{-1}
-    lam: np.ndarray | None     # eigenvalues of R, None unless F equals R
+    lam: np.ndarray            # eigenvalues of R
     g: np.ndarray              # eigenvalues of C
-    psi: np.ndarray | None     # 1 / (z + (a + b) lam)
-    psi_C: np.ndarray | None   # 1 / (1/delta + omega_bar g); None if not cascaded
+    psi: np.ndarray            # 1 / (z + (a + b) lam)
+    psi_C: np.ndarray          # 1 / (1/delta + omega_bar g); delta off-cascade
     system: _CommonMap = field(repr=False)
     _state = ("delta", "kappa", "omega", "kappa_bar", "omega_bar")
 
     def mu_k(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
         return t * _row(self.omega) + u * _row(self.kappa)
-
-    @property
-    def spectral(self) -> bool:
-        return self.psi is not None and self.psi_C is not None
 
     @cached_property
     def Psi_R(self) -> np.ndarray:
@@ -392,19 +386,19 @@ class _UncommonMap(_Map):
 class _CommonMap(_Map):
     """State [delta, kappa, omega, kappa_bar, omega_bar] of the shared system.
 
-    tr(C Psi_C) is a sum over the eigenvalues g of C; when F equals R,
-    delta = kappa is a sum over the eigenvalues lam of R, else the R side
-    solves for Psi_R. `spectra` = (lam or None, g) comes from `_spectra`,
-    once per solve; an evaluation keeps its terms in `last` for `jacobian`.
-    `finish` keeps the spectra, those of Psi_R and Psi_C and the map itself.
+    The direct link shares R (F = R), so delta = kappa is a sum over the
+    eigenvalues lam of R and tr(C Psi_C) one over the eigenvalues g of C.
+    `spectra` = (lam, g) comes from `_spectra`, once per solve; an
+    evaluation keeps its terms in `last` for `jacobian`. `finish` keeps the
+    spectra, those of Psi_R and Psi_C and the map itself.
     """
 
     regime = "common "
     sol = CommonSolution
 
-    def __init__(self, F, R, C, u, t, z, shift, m_norm, spectra):
+    def __init__(self, R, C, u, t, z, shift, m_norm, spectra):
         super().__init__(R, len(u), C.shape[0], z, shift, m_norm)
-        self.F, self.C = F, C
+        self.C = C
         self.lam, self.g = spectra
         self.u = np.asarray(u, dtype=float)
         self.t = np.asarray(t, dtype=float)
@@ -424,14 +418,16 @@ class _CommonMap(_Map):
         return x
 
     def r_coefs(self, delta, omega, kappa_bar, omega_bar):
-        """(a, b) with Psi_R^{-1} = z I + a F + b R; b is 0 off a cascaded link."""
+        """(a, b), Psi_R^{-1} = z I + (a + b) R; b is 0 off a cascaded link."""
         M, L = self.M, self.L
         a = L * kappa_bar / M
         return a, (L * omega * omega_bar / (M * delta) if self.cascaded
                    else 0.0 * a)
 
     def psi_r_inv(self, a, b):
-        A = _row(self.z, 2) * self.I_M.astype(complex) + _row(a, 2) * self.F
+        # a R + b R, not (a + b) R: Frank-Wolfe's mirror-port ties follow
+        # the last bit of the ZF tables built on this inverse
+        A = _row(self.z, 2) * self.I_M.astype(complex) + _row(a, 2) * self.R
         return A + _row(b, 2) * self.R if self.cascaded else A
 
     def user_gain(self, kappa, omega):
@@ -442,13 +438,8 @@ class _CommonMap(_Map):
         delta, kappa, omega, kappa_bar, omega_bar = x.T
         M, L = self.M, self.L
         a, b = self.r_coefs(delta, omega, kappa_bar, omega_bar)
-        if self.lam is not None:
-            P = self.lam / (_row(self.z) + _row(a + b) * self.lam)    # lam psi
-            delta_new = kappa_new = P.sum(-1) / M
-        else:
-            P = np.linalg.solve(self.psi_r_inv(a, b), self.I_M)    # Psi_R
-            delta_new = _re_tr(self.R, P) / M
-            kappa_new = _re_tr(self.F, P) / M
+        P = self.lam / (_row(self.z) + _row(a + b) * self.lam)    # lam psi
+        delta_new = kappa_new = P.sum(-1) / M
         if self.cascaded:
             den = 1.0 / _row(delta_new) + _row(omega_bar) * self.g    # 1 / psi_C
             q = self.g / den
@@ -470,12 +461,7 @@ class _CommonMap(_Map):
         omega_bar on a cascaded link; chained from -tr(X Psi_R Y Psi_R)."""
         a, b, w, P, delta, den, q, psi_T = self.last
         J = np.zeros((5, 3) + np.shape(a))    # batch axis last, to broadcast
-        if self.lam is not None:    # P = lam psi
-            J[:2, :2] = -np.vecdot(P, P) / self.M * np.array([a, b])
-        else:    # P = Psi_R
-            RP, FP = self.R @ P, self.F @ P
-            J[:2, :2] = [[-_re_tr(X, Y) * r / self.M
-                          for Y, r in ((FP, a), (RP, b))] for X in (RP, FP)]
+        J[:2, :2] = -np.vecdot(P, P) / self.M * np.array([a, b])    # P = lam psi
         if self.cascaded:    # q = g psi_C, den = 1 / psi_C
             J[2] = (q / den).sum(-1) / (self.L * delta ** 2) * J[0]
             J[2, 2] = -np.vecdot(q, q) * w / self.L
@@ -487,10 +473,10 @@ class _CommonMap(_Map):
     def finish(self, x):
         delta, kappa, omega, kappa_bar, omega_bar = x.T
         a, b = self.r_coefs(delta, omega, kappa_bar, omega_bar)
-        psi = (None if self.lam is None
-               else 1.0 / (_row(self.z) + _row(a + b) * self.lam))
+        psi = 1.0 / (_row(self.z) + _row(a + b) * self.lam)
+        # off a cascaded link 1 / (1/delta + omega_bar g) is delta (0 if no R)
         psi_C = (1.0 / (1.0 / _row(delta) + _row(omega_bar) * self.g)
-                 if self.cascaded else None)
+                 if self.cascaded else _row(delta) + 0.0 * self.g)
         return (*x.T, 1.0 / self.user_gain(kappa, omega), self.lam, self.g, psi,
                 psi_C, self)
 
@@ -539,49 +525,48 @@ def solve_zf_uncommon(F_list: list[np.ndarray], R: np.ndarray,
                    settings)
 
 
-def _spectra(F, R, C, lam=None):
-    """Eigenvalues of R (`lam` if given, None unless F equals R) and of C."""
-    if lam is None and np.array_equal(F, R):
-        lam = np.linalg.eigvalsh(R)
-    return lam, np.linalg.eigvalsh(C)
+def _spectra(R, C, lam=None):
+    """Eigenvalues of R (`lam` if given) and of C."""
+    return np.linalg.eigvalsh(R) if lam is None else lam, np.linalg.eigvalsh(C)
 
 
-def solve_rzf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
-                     u: np.ndarray, t: np.ndarray, z: float | np.ndarray,
+def solve_rzf_common(R: np.ndarray, C: np.ndarray, u: np.ndarray,
+                     t: np.ndarray, z: float | np.ndarray,
                      settings: SolverSettings = DEFAULT_SETTINGS,
                      m_norm: int | None = None, x0: dict | None = None,
                      spectra: tuple | None = None) -> CommonSolution:
     """Shared-correlation RZF quintuple (delta, kappa, omega, kappa_bar, omega_bar).
 
-        delta = tr(R Psi_R)/M, kappa = tr(F Psi_R)/M, omega = tr(C Psi_C)/L,
+        delta = kappa = tr(R Psi_R)/M, omega = tr(C Psi_C)/L,
         kappa_bar = tr(U Psi_T)/L, omega_bar = tr(T Psi_T)/L
-        Psi_R = (z I + (L omega omega_bar / (M delta)) R + (L kappa_bar / M) F)^{-1}
+        Psi_R = (z I + (L omega omega_bar / (M delta)) R + (L kappa_bar / M) R)^{-1}
         Psi_C = (I/delta + omega_bar C)^{-1}
         Psi_T = (I_K + omega T + kappa U)^{-1}
 
-    F and C are correlation matrices (unit-scale); the gains live in u, t.
-    A cold solve starts at `settings.init` scaled to z (see `_Map`).
-    `spectra`, if given, is `_spectra(F, R, C)` from a caller that holds them.
+    The direct link shares the BS correlation R (F_tot = R_tot); any other
+    direct-link correlation takes the per-user solvers. R and C are
+    correlation matrices (unit-scale); the gains live in u, t. A cold solve
+    starts at `settings.init` scaled to z (see `_Map`). `spectra`, if given,
+    is `_spectra(R, C)` from a caller that holds them.
     """
-    return _picard(_CommonMap(F, R, C, u, t, z, 1.0, m_norm,
-                              spectra or _spectra(F, R, C)), x0, settings)
+    return _picard(_CommonMap(R, C, u, t, z, 1.0, m_norm,
+                              spectra or _spectra(R, C)), x0, settings)
 
 
-def solve_zf_common(F: np.ndarray, R: np.ndarray, C: np.ndarray,
-                    u: np.ndarray, t: np.ndarray,
-                    settings: SolverSettings = DEFAULT_SETTINGS,
+def solve_zf_common(R: np.ndarray, C: np.ndarray, u: np.ndarray,
+                    t: np.ndarray, settings: SolverSettings = DEFAULT_SETTINGS,
                     m_norm: int | None = None, x0: dict | None = None,
                     spectra: tuple | None = None) -> CommonSolution:
     """Shared-correlation ZF quintuple (underlined z->0 limits, solved directly).
 
-        Psi_R = (I + (L kappa_bar / M) F + (L omega omega_bar / (M delta)) R)^{-1}
+        Psi_R = (I + (L kappa_bar / M) R + (L omega omega_bar / (M delta)) R)^{-1}
         Psi_C = (I/delta + omega_bar C)^{-1}
         Psi_T = (kappa U + omega T)^{-1}
 
     The traces and `spectra` are those of `solve_rzf_common`; `z` is None.
     """
-    return _picard(_CommonMap(F, R, C, u, t, 1.0, 0.0, m_norm,
-                              spectra or _spectra(F, R, C)), x0, settings)
+    return _picard(_CommonMap(R, C, u, t, 1.0, 0.0, m_norm,
+                              spectra or _spectra(R, C)), x0, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +597,7 @@ def solve_iid_zf(u: float, t: float, c1: float, c2: float) -> IidSolution:
 # residual checks
 # ---------------------------------------------------------------------------
 
-def backsubstitution_residual(sol, F=None, R=None, C=None, u=None, t=None,
+def backsubstitution_residual(sol, R=None, C=None, u=None, t=None,
                               F_list=None, C_list=None) -> float:
     """One extra step of the fixed-point equations at the returned solution;
     max relative change. The shared regime evaluates the trace formulas of
@@ -629,8 +614,8 @@ def backsubstitution_residual(sol, F=None, R=None, C=None, u=None, t=None,
     M, L = sol.m_norm, C.shape[0]
     # omega is 0 where every t is; with R or C zero, C or the placeholder
     # Psi_C (delta I, delta = 0) makes the trace 0
-    new = np.array([np.real(np.sum(R * sol.Psi_R.T)) / M,
-                    np.real(np.sum(F * sol.Psi_R.T)) / M,
+    trR = np.real(np.sum(R * sol.Psi_R.T)) / M    # delta and kappa
+    new = np.array([trR, trR,
                     np.real(np.sum(C * sol.Psi_C.T)) / L if np.any(t) else 0.0,
                     np.sum(u * sol.psi_T) / L, np.sum(t * sol.psi_T) / L])
     return _rel_change(new, np.array(list(sol.x0.values())))

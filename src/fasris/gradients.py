@@ -1,7 +1,7 @@
 """Analytic derivatives of the deterministic ESR.
 
-Phase-shift gradients for the RZF rate (shared and per-user correlation)
-and the ZF rate, the RZF rate's derivative in the regularizer z, and
+Phase-shift gradients for the RZF and the ZF rate (shared and per-user
+correlation), the RZF rate's derivative in the regularizer z, and
 port-selection gradients of the ZF rate through the relaxed diag(s)
 embedding. What needs matrices is written here by hand:
 implicit differentiation of the fixed point (one solve with the Pi / Pi_com
@@ -110,30 +110,24 @@ def _esr_along(system, x: dict, dx: dict, *args) -> np.ndarray:
 def _common_along(so: SecondOrderCommon, d_, k_, o_, dz: float) -> dict:
     """Derivatives of the shared state and trace tables when the fixed point
     moves by (d_, k_, o_) in (delta, kappa, omega), the Pi_com response, and
-    dPsi_R^{-1} gains dz I (dz is 1 along z, 0 along a phase). The factors
-    are those of `so`: eigenvalue factors (a `spectral` solution) are
-    differentiated as eigenvalues."""
+    dPsi_R^{-1} gains dz I (dz is 1 along z, 0 along a phase). `so` is an
+    RZF system, whose factors are eigenvalues: they are differentiated as
+    eigenvalues."""
     sol = so.sol
-    F, R, C = so.F, so.R, so.C
-    M, L = sol.m_norm, C.shape[0]
+    M, L = sol.m_norm, so.C.shape[0]
     delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
     P, (Psi_R, Psi_C) = so.P, so.Psi
     kb_ = -(k_ * so.eta_UU + o_ * so.eta_TU)
     ob_ = -(k_ * so.eta_TU + o_ * so.eta_TT)
     alpha = (L / M) * ((o_ * omega_bar + omega * ob_) / delta
                        - omega * omega_bar * d_ / delta ** 2) if delta else 0.0
-    beta = (L / M) * kb_                    # dPsi_R^{-1} = dz I + alpha R + beta F
-    if Psi_R.ndim == 1:
-        PsiR_ = -Psi_R ** 2 * (dz + (alpha + beta) * sol.lam)
-        PsiC_ = Psi_C ** 2 * (d_ / delta ** 2 - ob_ * sol.g)
-        P_ = (sol.lam * PsiR_, sol.lam * PsiR_, sol.g * PsiC_)
-    else:
-        PsiC_ = ((d_ / delta ** 2) * (Psi_C @ Psi_C) - ob_ * (Psi_C @ P[2])
-                 if delta else 0.0 * Psi_C)    # no RIS path: Psi_C = 0
-        PsiR_ = -Psi_R @ (dz * np.eye(len(R)) + alpha * R + beta * F) @ Psi_R
-        P_ = (R @ PsiR_, F @ PsiR_, C @ PsiC_)
-    tables_ = _common_tables(P_, (*P, Psi_R, Psi_C), M, L, Psi_R.ndim == 1)
-    rest = _common_tables(P, (*P_, PsiR_, PsiC_), M, L, Psi_R.ndim == 1)
+    beta = (L / M) * kb_              # dPsi_R^{-1} = dz I + (alpha + beta) R
+    PsiR_ = -Psi_R ** 2 * (dz + (alpha + beta) * sol.lam)
+    PsiC_ = (Psi_C ** 2 * (d_ / delta ** 2 - ob_ * sol.g) if delta
+             else 0.0 * Psi_C)              # no RIS path: Psi_C = 0
+    P_ = (sol.lam * PsiR_, sol.g * PsiC_)
+    tables_ = _common_tables(P_, (*P, Psi_R, Psi_C), M, L, True)
+    rest = _common_tables(P, (*P_, PsiR_, PsiC_), M, L, True)
     return {"delta": d_, "kappa": k_, "omega": o_, "omega_bar": ob_,
             **{name: v + rest[name] for name, v in tables_.items()}}
 
@@ -294,7 +288,7 @@ def _zf_chain(p, mu, mu_d, M, sigma2) -> np.ndarray:
     return np.einsum("ki,k->i", gam_d, 1.0 / (1.0 + gam)) / LN2
 
 
-def esr_gradient_phases_zf_common(sol: CommonSolution, F, R, C_L, C_R,
+def esr_gradient_phases_zf_common(sol: CommonSolution, R, C_L, C_R,
                                   phi, u, t, p, sigma2,
                                   root=psd_sqrt) -> np.ndarray:
     """d ESR_ZF / d phi_l, shared correlation (bits)."""
@@ -306,15 +300,38 @@ def esr_gradient_phases_zf_common(sol: CommonSolution, F, R, C_L, C_R,
         return np.zeros(L)
     # the C that stats_common hands the solver, bit for bit
     C = effective_ris_correlation(C_L, phi, C_R, 1.0, root)[1]
-    so = second_order_common(F, R, C, u, t, p, sol)
+    so = second_order_common(R, C, u, t, p, sol)
     Psi_C = sol.Psi_C
-    PCC = Psi_C @ so.P[2]
+    PCC = Psi_C @ so.P[1]
     U = _phase_traces(root(C_L, "C_L"), C_R, phi,   # explicit d omega / d phi_l
                       [Psi_C - sol.omega_bar * PCC])[0] / L
     # every phase enters through the same RHS direction [0, 0, 1]
     _, k_, o_ = so.solve_pi(np.array([0.0, 0.0, 1.0]))
     return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),
                      sol.m_norm, sigma2)
+
+
+def esr_gradient_phases_zf_uncommon(so: SecondOrderUncommon, C_L, C_R_list,
+                                    t, phi, p, sigma2,
+                                    root=psd_sqrt) -> np.ndarray:
+    """d ESR_ZF / d phi_l, per-user correlation (bits); so is the ZF
+    `second_order_uncommon`. Per user k, `_phase_traces` against Psi_C and
+    every Psi_C C_m Psi_C gives the explicit d omega_m along dC_k/dphi_l
+    for all l; one Pi solve with L right-hand sides gives every d mu."""
+    sol = so.sol
+    M, L, mu, delta = sol.m_norm, C_L.shape[0], sol.mu, sol.delta
+    t = np.asarray(t, dtype=float)
+    if delta == 0.0 or np.all(t == 0.0):
+        return np.zeros(len(phi))
+    CL_root, Psi_C = root(C_L, "C_L"), sol.Psi_C
+    Xs = np.concatenate([Psi_C[None], Psi_C @ so.D])    # Psi_C, Psi_C C_m Psi_C
+    T = np.stack([t_k * _phase_traces(CL_root, C_R, phi, Xs)
+                  for t_k, C_R in zip(t, C_R_list)]) / L    # (K, K+1, L)
+    e_om = T[:, 0] - np.einsum("k,kml->ml", 1.0 / (L * mu), T[:, 1:])
+    S = np.sum(e_om / (M * delta * mu[:, None]), axis=0)
+    V = so.solve_pi(np.vstack([e_om - so.x["chi_FR"][:, None] * S,
+                               -so.x["chi_RR"] * S]))
+    return _zf_chain(np.asarray(p, dtype=float), mu, V[:-1], M, sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +361,12 @@ def _port_rows(roots, embs, Psi, F_roots, cF, R_root, cR, M) -> np.ndarray:
     return np.array(rows)
 
 
-def esr_gradient_ports_zf_common(sol: CommonSolution, R_root, F_root,
-                                 R_emb, F_emb, C, u, t, p, sigma2) -> np.ndarray:
-    """d ESR_ZF / d s_i through R(s) = R^{1/2} diag(s) R^{1/2} (and F alike).
+def esr_gradient_ports_zf_common(sol: CommonSolution, R_root, R_emb, C, u,
+                                 t, p, sigma2) -> np.ndarray:
+    """d ESR_ZF / d s_i through R(s) = R^{1/2} diag(s) R^{1/2}, which the
+    direct link shares (F = R).
 
-    sol must be the ZF solution on the embedded matrices with m_norm = M
+    sol must be the ZF solution on the embedded matrix with m_norm = M
     (the RF-chain count). Returns the full-length gradient over ports.
     """
     u = np.asarray(u, dtype=float)
@@ -359,10 +377,10 @@ def esr_gradient_ports_zf_common(sol: CommonSolution, R_root, F_root,
     Psi = sol.Psi_R
     kappa_bar, omega, omega_bar, delta = (sol.kappa_bar, sol.omega,
                                           sol.omega_bar, sol.delta)
-    so = second_order_common(F_emb, R_emb, C, u, t, p, sol)
+    so = second_order_common(R_emb, C, u, t, p, sol)
 
     cW = L * omega * omega_bar / (M * delta) if delta > 0 else 0.0
-    B = _port_rows([R_root, F_root], [R_emb, F_emb], Psi, [F_root],
+    B = _port_rows([R_root, R_root], [R_emb, R_emb], Psi, [R_root],
                    [L * kappa_bar / M ** 2], R_root, cW / M, M)
     B = np.vstack([B, np.zeros(B.shape[1])])    # C has no port dependence
     V = so.solve_pi(B)

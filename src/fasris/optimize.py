@@ -5,7 +5,8 @@ the diag(s) embedding, with a top-M linear oracle and 2/(t+2) steps),
 backtracking gradient ascent on the RIS phases, 1-D search for the RZF
 regularizer with the homogeneous shortcut z = K sigma^2 / M, alternating
 optimization of (z, Phi) at fixed selection, and the outer joint loop that
-keeps the best recorded iterate. Searches warm-start each solve from the
+keeps the best recorded iterate, each in both correlation regimes (the
+phase ascent for RZF and ZF alike). Searches warm-start each solve from the
 previous fixed point; the ESRs that the phase ascent, the alternating
 optimization and the joint loop return come from cold solves.
 """
@@ -23,10 +24,11 @@ from .fixed_point import (DEFAULT_SETTINGS, SolverSettings, _spectra,
 from .gradients import (esr_gradient_phases_common,
                         esr_gradient_phases_uncommon,
                         esr_gradient_phases_zf_common,
+                        esr_gradient_phases_zf_uncommon,
                         esr_gradient_ports_zf_common,
                         esr_gradient_ports_zf_uncommon, esr_gradient_z)
-from .rates import (RateReport, sinr_rzf_common, sinr_rzf_uncommon,
-                    sinr_zf_common, sinr_zf_uncommon)
+from .rates import (RateReport, second_order_uncommon, sinr_rzf_common,
+                    sinr_rzf_uncommon, sinr_zf_common, sinr_zf_uncommon)
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +134,19 @@ def _evaluate(stats, shared, precoder, z, sigma2, settings, x0=None,
     """Solve one fixed point and turn it into SINRs: the only dispatch over
     the four solver/SINR pairs.
 
-    `stats` is (F, R, C, u, t, p) when `shared`, else (F_list, R, C_list, p).
+    `stats` is (R, C, u, t, p) when `shared`, else (F_list, R, C_list, p).
     Returns (report, so, sol); so holds the second-order blocks, None for ZF.
     """
     if precoder not in ("rzf", "zf"):
         raise ValueError(f"no deterministic equivalent for precoder {precoder!r}")
     if shared:
-        F, R, C, u, t, p = stats
+        R, C, u, t, p = stats
         if precoder == "rzf":
-            sol = solve_rzf_common(F, R, C, u, t, z, settings, m_norm=m_norm,
+            sol = solve_rzf_common(R, C, u, t, z, settings, m_norm=m_norm,
                                    x0=x0, spectra=spectra)
-            rep, so = sinr_rzf_common(sol, F, R, C, u, t, p, sigma2)
+            rep, so = sinr_rzf_common(sol, R, C, u, t, p, sigma2)
             return rep, so, sol
-        sol = solve_zf_common(F, R, C, u, t, settings, m_norm, x0, spectra)
+        sol = solve_zf_common(R, C, u, t, settings, m_norm, x0, spectra)
         return sinr_zf_common(sol, u, t, p, sigma2), None, sol
     F_list, R, C_list, p = stats
     if precoder == "rzf":
@@ -162,9 +164,9 @@ def deterministic_esr(scenario: Scenario, s: np.ndarray | None = None,
                       settings: SolverSettings = DEFAULT_SETTINGS) -> RateReport:
     """Deterministic-equivalent RateReport for a binary selection.
 
-    The correlation data picks the regime (`CorrelationSet.shared`): shared
-    F_tot and C_R use the shared-correlation solvers, a per-user list of
-    either uses the per-user ones. For RZF, z defaults to
+    The correlation data picks the regime (`CorrelationSet.shared`): one
+    C_R with F_tot = R_tot uses the shared-correlation solvers, any other
+    set the per-user ones. For RZF, z defaults to
     `scenario.default_z(s)` = K sigma^2 / M.
     """
     if precoder == "rzf" and z is None:
@@ -181,7 +183,8 @@ class RelaxedZfObjective:
     """ZF rate and gradient on the diag(s)-embedded correlation surrogate.
 
     Caches the matrix square roots and warm-starts successive solves, since
-    Frank-Wolfe evaluates along a slowly moving iterate.
+    Frank-Wolfe evaluates along a slowly moving iterate. The shared regime
+    embeds R alone (F = R); per user, each F_k embeds by its own root.
     """
 
     def __init__(self, scenario: Scenario, phi: np.ndarray | None, M: int,
@@ -192,12 +195,9 @@ class RelaxedZfObjective:
         corr = scenario.correlations
         self.R_root = corr.root(corr.R_tot, "R_tot")
         # C, or the stack of C_k, does not depend on the selection
-        self.C = _stats(scenario, None, phi)[0][2]
-        self.shared = corr.shared
-        if self.shared:
-            self.F_root = (self.R_root if np.array_equal(corr.F_tot, corr.R_tot)
-                           else corr.root(corr.F_tot, "F_tot"))
-        else:
+        stats, self.shared = _stats(scenario, None, phi)
+        self.C = stats[1 if self.shared else 2]
+        if not self.shared:
             # fold the per-user gain into the roots, so F_k(s) = u_k F_k(s)
             self.F_root = np.sqrt(scenario.u)[:, None, None] * np.stack(
                 [corr.root(F, f"F_tot[{k}]")
@@ -205,15 +205,13 @@ class RelaxedZfObjective:
         self._x0 = None
 
     def solve(self, s: np.ndarray):
-        """(report, sol, stats) of the ZF solve on the embedded matrices; a
+        """(report, sol, stats) of the ZF solve on the embedded matrices; the
         per-user F_root embeds user by user."""
         sc = self.scenario
         s = np.asarray(s, float)
         R = herm((self.R_root * s) @ self.R_root)
-        F = R if self.F_root is self.R_root else herm(
-            (self.F_root * s) @ self.F_root)
-        stats = ((F, R, self.C, sc.u, sc.t, sc.p) if self.shared
-                 else (F, R, self.C, sc.p))
+        stats = ((R, self.C, sc.u, sc.t, sc.p) if self.shared
+                 else (herm((self.F_root * s) @ self.F_root), R, self.C, sc.p))
         rep, _, sol = _evaluate(stats, self.shared, "zf", None, sc.sigma2,
                                 self.settings, x0=self._x0, m_norm=self.M)
         self._x0 = sol.x0
@@ -223,16 +221,14 @@ class RelaxedZfObjective:
         return self.solve(s)[0].esr
 
     def gradient(self, s: np.ndarray):
-        # F and C are per-user stacks outside the shared regime
-        rep, sol, (F, R, C, *_) = self.solve(s)
+        rep, sol, stats = self.solve(s)
         sc = self.scenario
-        if self.shared:
-            g = esr_gradient_ports_zf_common(sol, self.R_root, self.F_root, R,
-                                             F, C, sc.u, sc.t, sc.p, sc.sigma2)
-        else:
-            g = esr_gradient_ports_zf_uncommon(sol, self.R_root, self.F_root,
-                                               R, F, C, sc.p, sc.sigma2)
-        return rep.esr, g
+        if self.shared:    # stats = (R(s), C, u, t, p)
+            return rep.esr, esr_gradient_ports_zf_common(sol, self.R_root,
+                                                         *stats, sc.sigma2)
+        F, R, C, p = stats    # per-user stacks of F_k(s) and C_k
+        return rep.esr, esr_gradient_ports_zf_uncommon(
+            sol, self.R_root, self.F_root, R, F, C, p, sc.sigma2)
 
 
 def fw_linear_oracle(gradient: np.ndarray, M: int) -> np.ndarray:
@@ -301,18 +297,16 @@ def _phase_objective(scenario: Scenario, s, precoder, z, settings):
     corr = scenario.correlations
     if precoder not in ("rzf", "zf"):
         raise ValueError(f"unsupported precoder {precoder!r}")
-    if precoder == "zf" and not corr.shared:
-        raise ValueError("ZF phase ascent is implemented for the "
-                         "shared-correlation regime")
     if precoder == "rzf" and z is None:
         z = scenario.default_z(s)
+    shared = corr.shared
     x0 = lam = last = None
 
     def solve(phi):
         nonlocal x0, lam, last
         if last is None or not np.array_equal(phi, last[0]):
-            stats, shared = _stats(scenario, s, phi)
-            spectra = _spectra(*stats[:3], lam) if shared else None
+            stats = _stats(scenario, s, phi)[0]
+            spectra = _spectra(*stats[:2], lam) if shared else None
             rep, so, sol = _evaluate(stats, shared, precoder, z, scenario.sigma2,
                                      settings, x0, spectra=spectra)
             x0, lam = sol.x0, spectra and spectra[0]
@@ -324,20 +318,22 @@ def _phase_objective(scenario: Scenario, s, precoder, z, settings):
 
     def value_grad(phi):
         stats, rep, so, sol = solve(phi)
-        if precoder == "zf":
-            F, R, _, u, t, p = stats
-            g = esr_gradient_phases_zf_common(sol, F, R, corr.C_L, corr.C_R,
-                                              phi, u, t, p, scenario.sigma2,
-                                              root=corr.root)
-        elif corr.shared:
-            g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi,
-                                           scenario.sigma2, root=corr.root)
+        sigma2, C_R = scenario.sigma2, corr.c_r_list(scenario.dims.K)
+        if precoder == "zf" and shared:
+            R, _, u, t, p = stats
+            g = esr_gradient_phases_zf_common(sol, R, corr.C_L, corr.C_R, phi,
+                                              u, t, p, sigma2, root=corr.root)
+        elif precoder == "zf":
+            g = esr_gradient_phases_zf_uncommon(
+                second_order_uncommon(*stats, sol), corr.C_L, C_R, scenario.t,
+                phi, stats[-1], sigma2, root=corr.root)
+        elif shared:
+            g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi, sigma2,
+                                           root=corr.root)
         else:
-            _, _, C_list, p = stats
-            g = esr_gradient_phases_uncommon(so, C_list, corr.C_L,
-                                             corr.c_r_list(scenario.dims.K),
-                                             scenario.t, phi, p,
-                                             scenario.sigma2, root=corr.root)
+            g = esr_gradient_phases_uncommon(so, stats[2], corr.C_L, C_R,
+                                             scenario.t, phi, stats[-1],
+                                             sigma2, root=corr.root)
         return rep.esr, g
 
     return value, value_grad
@@ -432,7 +428,7 @@ class _WarmRzfEsr:
         self.sigma2 = scenario.sigma2
         self.settings = settings
         self.stats, self.shared = _stats(scenario, s, phi)
-        self.spectra = _spectra(*self.stats[:3]) if self.shared else None
+        self.spectra = _spectra(*self.stats[:2]) if self.shared else None
         self.x0 = self.z0 = None
         self.evals = 0
 
@@ -445,7 +441,7 @@ class _WarmRzfEsr:
         self.x0, self.z0 = sol.x0, z
         if not slope:
             return rep.esr
-        C, p = self.stats[2], self.stats[-1]
+        C, p = self.stats[1 if self.shared else 2], self.stats[-1]
         return rep.esr, z * esr_gradient_z(so, C, p, self.sigma2)
 
 

@@ -6,10 +6,11 @@ blocks (Psi_{k,l}, Cbar, the Pi and Delta linear systems). Also the i.i.d.
 closed forms for ZF and MRT and the minimum-port count.
 
 Each regime's second-order system is built in one place. The matrix work
-ends at the trace tables; `common_system` and `uncommon_system` map the
-fixed-point state and the tables (a dict x) through Pi_com / Pi, the solved
-blocks, Psi_{k,l} and Cbar to the SINR. Both are analytic in every entry of
-x, which may lead with one batch axis, so the RZF phase gradients
+ends at the trace tables (shared RZF: sums over the eigenvalues of R and
+C, the direct link sharing R); `common_system` and `uncommon_system` map
+the fixed-point state and the tables (a dict x) through Pi_com / Pi, the
+solved blocks, Psi_{k,l} and Cbar to the SINR. Both are analytic in every
+entry of x, which may lead with one batch axis, so the RZF phase gradients
 differentiate them by complex step: no entry passes through abs, a real
 part or a comparison. The one test, delta == 0, holds only without a RIS
 path, where every 1/delta term multiplies a zero. `second_order_common` and
@@ -326,16 +327,15 @@ def sinr_zf_uncommon(sol: UncommonSolution, p: np.ndarray,
 
 def _common_tables(first, second, M: int, L: int, diag: bool) -> dict:
     """The shared trace tables Re tr(X Y)/M (or /L), X from first =
-    (RP, FP, CP) and Y from second = (RP, FP, CP, Psi_R, Psi_C), with
-    RP = R Psi_R, FP = F Psi_R and CP = C Psi_C, or with diag their
-    eigenvalues; bilinear in the two, as `_uncommon_tables`."""
-    RP, FP, CP = first
-    RP2, FP2, CP2, Psi_R, Psi_C = second
+    (RP, CP) and Y from second = (RP, CP, Psi_R, Psi_C), with RP = R Psi_R
+    and CP = C Psi_C, or with diag their eigenvalues; bilinear in the two,
+    as `_uncommon_tables`. F = R, so the F tables of the per-user regime
+    are chi_RR and chi_RI here."""
+    RP, CP = first
+    RP2, CP2, Psi_R, Psi_C = second
     tr = partial(_tr, diag=diag)
-    return {"chi_RR": tr(RP, RP2, M), "chi_RF": tr(RP, FP2, M),
-            "chi_FF": tr(FP, FP2, M), "chi_RI": tr(RP, Psi_R, M),
-            "chi_FI": tr(FP, Psi_R, M), "Xi": tr(CP, CP2, L),
-            "Xi_I": tr(CP, Psi_C, L)}
+    return {"chi_RR": tr(RP, RP2, M), "chi_RI": tr(RP, Psi_R, M),
+            "Xi": tr(CP, CP2, L), "Xi_I": tr(CP, Psi_C, L)}
 
 
 def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
@@ -350,8 +350,7 @@ def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
     RZF; given sigma2 too, the RZF SINR as `sinr`.
     """
     delta, omega, omega_bar = x["delta"], x["omega"], x["omega_bar"]
-    chi_RR, chi_RF, chi_FF = x["chi_RR"], x["chi_RF"], x["chi_FF"]
-    Xi, Xi_I = x["Xi"], x["Xi_I"]
+    chi_RR, chi_RI, Xi, Xi_I = x["chi_RR"], x["chi_RI"], x["Xi"], x["Xi_I"]
     om, ka = np.asarray(omega)[..., None], np.asarray(x["kappa"])[..., None]
     ris = np.asarray(delta).any()
     dinv = 1.0 / delta if ris else 0.0
@@ -364,17 +363,13 @@ def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
 
     eta_TT, eta_TU, eta_UU = eta(t, t), eta(t, u), eta(u, u)
 
-    def ups(chi_RA, chi_FA):
-        return (L * omega * dinv / M) * chi_RA * eta_TU + (L / M) * chi_FA * eta_UU
-
-    def lam(chi_RA, chi_FA):
-        return (L / M) * chi_FA * eta_TU - (L * dinv / M) * chi_RA \
-            * (omega_bar - omega * eta_TT)
-
+    ups = (L * omega * dinv / M) * chi_RR * eta_TU + (L / M) * chi_RR * eta_UU
+    lam = (L / M) * chi_RR * eta_TU - (L * dinv / M) * chi_RR \
+        * (omega_bar - omega * eta_TT)
     a = (L * omega * omega_bar / (M * delta ** 2)) if ris else 0.0
     Pi_com = _batch_first(np.array([
-        [1.0 - a * chi_RR, -ups(chi_RR, chi_RF), -lam(chi_RR, chi_RF)],
-        [-a * chi_RF, 1.0 - ups(chi_RF, chi_FF), -lam(chi_RF, chi_FF)],
+        [1.0 - a * chi_RR, -ups, -lam],
+        [-a * chi_RR, 1.0 - ups, -lam],
         [-Xi_I * dinv2, -Xi * eta_TU, 1.0 - Xi * eta_TT]]))
     solve_pi = _checked(Pi_com, "Pi_com")
     out = {"eta_TT": eta_TT, "eta_TU": eta_TU, "eta_UU": eta_UU,
@@ -384,7 +379,7 @@ def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
 
     zero = 0.0 * chi_RR
     X = solve_pi(_batch_first(np.array([
-        [chi_RR, chi_RF, x["chi_RI"]], [chi_RF, chi_FF, x["chi_FI"]],
+        [chi_RR, chi_RR, chi_RI], [chi_RR, chi_RR, chi_RI],
         [zero, zero, zero]])))
     x_R, x_F, x_I = X[..., 0], X[..., 1], X[..., 2]
     Delta = 1.0 - Xi * eta_TT
@@ -407,15 +402,14 @@ def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
 class SecondOrderCommon:
     """Second-order system at a shared-correlation fixed point.
 
-    P = (R Psi_R, F Psi_R, C Psi_C) and Psi = (Psi_R, Psi_C) are the
-    factors the trace tables in x came from, or their eigenvalues for a
-    `spectral` RZF solution. Pi_com is taken at the solution's own point
+    P = (R Psi_R, C Psi_C) and Psi = (Psi_R, Psi_C) are the factors the
+    trace tables in x came from: their eigenvalues for an RZF solution, the
+    matrices for a ZF one. Pi_com is taken at the solution's own point
     (1 + mu for RZF, mu for ZF) and solve_pi solves with it, checked. An
     RZF solution also gets the solved blocks.
     """
 
     sol: CommonSolution
-    F: np.ndarray
     R: np.ndarray
     C: np.ndarray
     u: np.ndarray
@@ -432,7 +426,7 @@ class SecondOrderCommon:
     eta_PT: float | None = None
     eta_PU: float | None = None
     Delta: float | None = None
-    x_R: np.ndarray | None = None    # Pi_com^{-1} [chi(R,R), chi(F,R), 0]
+    x_R: np.ndarray | None = None    # Pi_com^{-1} [chi_RR, chi_RR, 0]
     x_F: np.ndarray | None = None
     x_I: np.ndarray | None = None
     lam_zz: float | None = None      # limit of (1/L)tr(Z Z^H Q Z Z^H Q)
@@ -440,36 +434,32 @@ class SecondOrderCommon:
     Cbar: float | None = None
 
 
-def second_order_common(F, R, C, u, t, p, sol: CommonSolution) -> SecondOrderCommon:
+def second_order_common(R, C, u, t, p, sol: CommonSolution) -> SecondOrderCommon:
     """Second-order system at a shared fixed point, RZF or ZF.
 
-    Only a `spectral` RZF solution reads the tables off the eigenvalues
-    (chi_RR = sum lam^2 psi^2 / M and so on); ZF keeps the matrices, whose
-    products Frank-Wolfe's mirror-port ties follow to the last bit. A ZF
-    sol stops at Pi_com; an RZF sol also gets the solved blocks.
+    RZF reads the tables off the eigenvalues (chi_RR = sum lam^2 psi^2 / M
+    and so on); ZF keeps the matrices, whose products Frank-Wolfe's
+    mirror-port ties follow to the last bit. A ZF sol stops at Pi_com; an
+    RZF sol also gets the solved blocks.
     """
     u, t, p = (np.asarray(v, dtype=float) for v in (u, t, p))
     rzf = sol.z is not None
-    diag = rzf and sol.spectral
-    if diag:
-        RP = sol.lam * sol.psi
-        P, Psi = (RP, RP, sol.g * sol.psi_C), (sol.psi, sol.psi_C)
+    if rzf:
+        P, Psi = (sol.lam * sol.psi, sol.g * sol.psi_C), (sol.psi, sol.psi_C)
     else:
-        RP = R @ sol.Psi_R
-        P = (RP, RP if F is R else F @ sol.Psi_R, C @ sol.Psi_C)
-        Psi = (sol.Psi_R, sol.Psi_C)
+        P, Psi = (R @ sol.Psi_R, C @ sol.Psi_C), (sol.Psi_R, sol.Psi_C)
     M, L = sol.m_norm, C.shape[0]
-    x = {**sol.x0, **_common_tables(P, (*P, *Psi), M, L, diag)}
+    x = {**sol.x0, **_common_tables(P, (*P, *Psi), M, L, rzf)}
     out = common_system(x, u, t, M, L, 1.0 if rzf else 0.0, p if rzf else None)
     if "Psi_kl" in out:
         out["Psi_kl"] = _clip_psi(out["Psi_kl"])
-    return SecondOrderCommon(sol=sol, F=F, R=R, C=C, u=u, t=t, p=p, P=P,
+    return SecondOrderCommon(sol=sol, R=R, C=C, u=u, t=t, p=p, P=P,
                              Psi=Psi, x=x, **out)
 
 
-def sinr_rzf_common(sol: CommonSolution, F, R, C, u, t, p, sigma2):
+def sinr_rzf_common(sol: CommonSolution, R, C, u, t, p, sigma2):
     """Per-user RZF SINR and ESR, shared-correlation regime."""
-    so = second_order_common(F, R, C, u, t, p, sol)
+    so = second_order_common(R, C, u, t, p, sol)
     sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu_k(so.u, so.t), so.p, sigma2,
                        C.shape[0])
     return _report(sinr, "rzf/common", sol=sol), so

@@ -158,7 +158,8 @@ def random_scenario(rng: np.random.Generator, mode: str, M: int, K: int,
                     sigma2: float = 0.3) -> Scenario:
     """O(1)-scale random scenario; gains in [0.3, 1.5], powers in [0.5, 2].
 
-    mode "uncommon" draws per-user F_tot and C_R lists, "common"/"iid" one each.
+    mode "uncommon" draws per-user F_tot and C_R lists, "common"/"iid" one
+    C_R and F_tot = R_tot, as the shared-correlation figures have.
     """
     if mode not in ("common", "uncommon", "iid"):
         raise ValueError(f"unknown correlation mode {mode!r}")
@@ -169,7 +170,7 @@ def random_scenario(rng: np.random.Generator, mode: str, M: int, K: int,
         F_tot = [random_correlation(n, rng) for _ in range(K)]
         C_R = [random_correlation(L, rng) for _ in range(K)]
     else:
-        F_tot = random_correlation(n, rng)
+        F_tot = R_tot.copy()
         C_R = random_correlation(L, rng)
     corr = CorrelationSet(R_tot=R_tot, F_tot=F_tot, C_L=C_L, C_R=C_R)
     return Scenario(dims=Dimensions(M=M, K=K, L=L, M_tot=M_tot),

@@ -71,9 +71,9 @@ def test_criterion_03_degeneration_lattice():
     rng = np.random.default_rng(3)
     sc = random_scenario(rng, "common", M=16, K=5, L=10, sigma2=0.4)
     z = sc.dims.K * sc.sigma2 / sc.dims.M
-    F, R, C, u, t, p = sc.stats_common()
-    com = solve_rzf_common(F, R, C, u, t, z, TIGHT)
-    rep_c, _ = sinr_rzf_common(com, F, R, C, u, t, p, sc.sigma2)
+    R, C, u, t, p = sc.stats_common()
+    com = solve_rzf_common(R, C, u, t, z, TIGHT)
+    rep_c, _ = sinr_rzf_common(com, R, C, u, t, p, sc.sigma2)
     F_list, R2, C_list, _ = sc.stats_uncommon()
     unc = solve_rzf_uncommon(F_list, R2, C_list, z, TIGHT)
     rep_u, _ = sinr_rzf_uncommon(unc, F_list, R2, C_list, p, sc.sigma2)
@@ -81,14 +81,14 @@ def test_criterion_03_degeneration_lattice():
 
     M, K, L = 16, 6, 12
     uu, tt, sigma2 = 1.1, 0.4, 0.3
-    solz = solve_zf_common(np.eye(M), np.eye(M), np.eye(L),
+    solz = solve_zf_common(np.eye(M), np.eye(L),
                            np.full(K, uu), np.full(K, tt), TIGHT)
     repz = sinr_zf_common(solz, np.full(K, uu), np.full(K, tt), np.ones(K),
                           sigma2)
     closed = esr_iid_zf(uu, tt, K / M, K / L, sigma2, K)
     dev_b = abs(repz.esr - closed.esr) / closed.esr
 
-    sol0 = solve_zf_common(np.eye(M), np.eye(M), np.eye(L),
+    sol0 = solve_zf_common(np.eye(M), np.eye(L),
                            np.full(K, uu), np.zeros(K), TIGHT)
     rep0 = sinr_zf_common(sol0, np.full(K, uu), np.zeros(K), np.ones(K),
                           sigma2)
@@ -168,17 +168,15 @@ def test_criterion_06_gradient_correctness():
         def esr(phi):
             Phi = phase_matrix(phi, 6)
             C = herm(CLroot @ Phi @ corr.C_R @ Phi.conj().T @ CLroot)
-            sol = solve_rzf_common(corr.F_tot, corr.R_tot, C, sc.u, sc.t, z,
-                                   tight)
-            return sinr_rzf_common(sol, corr.F_tot, corr.R_tot, C, sc.u,
-                                   sc.t, sc.p, sc.sigma2)[0].esr
+            sol = solve_rzf_common(corr.R_tot, C, sc.u, sc.t, z, tight)
+            return sinr_rzf_common(sol, corr.R_tot, C, sc.u, sc.t, sc.p,
+                                   sc.sigma2)[0].esr
 
         Phi0 = phase_matrix(phi0, 6)
         C0 = herm(CLroot @ Phi0 @ corr.C_R @ Phi0.conj().T @ CLroot)
-        sol = solve_rzf_common(corr.F_tot, corr.R_tot, C0, sc.u, sc.t, z,
-                               tight)
-        _, so = sinr_rzf_common(sol, corr.F_tot, corr.R_tot, C0, sc.u, sc.t,
-                                sc.p, sc.sigma2)
+        sol = solve_rzf_common(corr.R_tot, C0, sc.u, sc.t, z, tight)
+        _, so = sinr_rzf_common(sol, corr.R_tot, C0, sc.u, sc.t, sc.p,
+                                sc.sigma2)
         g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi0,
                                        sc.sigma2)
         worst = max(worst, _fd_deviation(esr, g, phi0))
@@ -208,24 +206,21 @@ def test_criterion_06_gradient_correctness():
         rng = np.random.default_rng(4000 + seed)
         sc = random_scenario(rng, "common", M=6, K=3, L=6, M_tot=12,
                              sigma2=0.3)
-        corr = sc.correlations
-        Rh, Fh = psd_sqrt(corr.R_tot), psd_sqrt(corr.F_tot)
-        C = corr.C_L.copy()
+        Rh = psd_sqrt(sc.correlations.R_tot)
+        C = sc.correlations.C_L.copy()
         s0 = rng.uniform(0.3, 0.9, 12)
 
         def emb(root, s):
             return herm((root * s[None, :]) @ root)
 
         def esr_s(s):
-            sol = solve_zf_common(emb(Fh, s), emb(Rh, s), C, sc.u, sc.t,
-                                  tight, m_norm=6)
+            sol = solve_zf_common(emb(Rh, s), C, sc.u, sc.t, tight,
+                                  m_norm=6)
             return sinr_zf_common(sol, sc.u, sc.t, sc.p, sc.sigma2).esr
 
-        sol = solve_zf_common(emb(Fh, s0), emb(Rh, s0), C, sc.u, sc.t, tight,
-                              m_norm=6)
-        g = esr_gradient_ports_zf_common(sol, Rh, Fh, emb(Rh, s0),
-                                         emb(Fh, s0), C, sc.u, sc.t, sc.p,
-                                         sc.sigma2)
+        sol = solve_zf_common(emb(Rh, s0), C, sc.u, sc.t, tight, m_norm=6)
+        g = esr_gradient_ports_zf_common(sol, Rh, emb(Rh, s0), C, sc.u, sc.t,
+                                         sc.p, sc.sigma2)
         worst = max(worst, _fd_deviation(esr_s, g, s0))
 
     elapsed = time.time() - t0

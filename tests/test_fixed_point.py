@@ -80,8 +80,8 @@ class Regime:
 
     def __init__(self, sc, regime, s=None):
         if regime == "common":
-            F, R, C, u, t, _ = sc.stats_common(s)
-            self.stats = dict(F=F, R=R, C=C, u=u, t=t)
+            R, C, u, t, _ = sc.stats_common(s)
+            self.stats = dict(R=R, C=C, u=u, t=t)
             self.solvers = solve_rzf_common, solve_zf_common
             self.map = fixed_point._CommonMap
         else:
@@ -102,7 +102,7 @@ class Regime:
     def maps(self, z, **stats):
         """The RZF map at z and the ZF map, on `stats` over the scenario's."""
         stats = {**self.stats, **stats}
-        spectra = (fixed_point._spectra(stats["F"], stats["R"], stats["C"]),
+        spectra = (fixed_point._spectra(stats["R"], stats["C"]),
                    ) if "C" in stats else ()
         return [self.map(*stats.values(), z_, shift, None, *spectra)
                 for z_, shift in ((z, 1.0), (1.0, 0.0))]
@@ -115,7 +115,8 @@ REGIMES = ["common", "uncommon"]
                 params=["fig3", "fig1", "F=R", "F!=R", "uncommon"])
 def cold_case(request):
     """fig3 with uniform ports at 80 dB, fig1 at M = 24 and 80 dB, and small
-    random scenarios: shared with F = R and with F != R, and per-user."""
+    random scenarios: shared (F = R), one shared F != R, which takes the
+    per-user solvers, and per-user."""
     from fasris.scenarios import (fig1_scenario, fig3_scenario,
                                   uniform_selection)
     case = request.param
@@ -130,8 +131,10 @@ def cold_case(request):
                       case)
     sc = random_scenario(rng, "common", M=14, K=5, L=10, sigma2=0.4)
     if case == "F=R":
-        sc.correlations.F_tot = sc.correlations.R_tot.copy()
-    return Regime(sc, "common")
+        return Regime(sc, "common")
+    sc.correlations.F_tot = random_correlation(14, rng)
+    assert not sc.correlations.shared
+    return Regime(sc, "uncommon")
 
 
 @pytest.fixture
@@ -282,8 +285,8 @@ class TestCommon:
     def test_matches_uncommon_specialization(self, small_common):
         sc = small_common
         z = 0.25
-        F, R, C, u, t, p = sc.stats_common()
-        com = solve_rzf_common(F, R, C, u, t, z, TIGHT)
+        R, C, u, t, p = sc.stats_common()
+        com = solve_rzf_common(R, C, u, t, z, TIGHT)
         F_list, R2, C_list, _ = sc.stats_uncommon()
         unc = solve_rzf_uncommon(F_list, R2, C_list, z, TIGHT)
         assert abs(com.delta - unc.delta) / unc.delta < 1e-8
@@ -292,13 +295,12 @@ class TestCommon:
 
     def test_t_zero_single_hop(self, rng):
         M, K, L = 12, 4, 6
-        F = random_correlation(M, rng)
         R = random_correlation(M, rng)
         C = random_correlation(L, rng)
         u = rng.uniform(0.5, 1.5, K)
-        sol = solve_rzf_common(F, R, C, u, np.zeros(K), 0.3, TIGHT)
+        sol = solve_rzf_common(R, C, u, np.zeros(K), 0.3, TIGHT)
         assert sol.omega_bar == 0.0
-        oracle = single_hop_mu([uk * F for uk in u], 0.3, M)
+        oracle = single_hop_mu([uk * R for uk in u], 0.3, M)
         assert np.max(np.abs(sol.mu_k(u, np.zeros(K)) - oracle) / oracle) < 1e-9
 
     def test_iid_reduction_zf(self, rng):
@@ -306,8 +308,8 @@ class TestCommon:
         # the closed form (1 - c1) beta
         M, K, L = 16, 6, 10
         u, t = 1.2, 0.4
-        sol = solve_zf_common(np.eye(M), np.eye(M), np.eye(L),
-                              np.full(K, u), np.full(K, t), TIGHT)
+        sol = solve_zf_common(np.eye(M), np.eye(L), np.full(K, u),
+                              np.full(K, t), TIGHT)
         iid = solve_iid_zf(u, t, K / M, K / L)
         got = u * sol.kappa + t * sol.omega
         assert abs(got - iid.mu) / iid.mu < 1e-8
@@ -315,32 +317,27 @@ class TestCommon:
     def test_zf_t_zero(self, rng):
         M, K = 12, 4
         u = 0.8
-        sol = solve_zf_common(np.eye(M), np.eye(M), np.eye(6),
-                              np.full(K, u), np.zeros(K), TIGHT)
+        sol = solve_zf_common(np.eye(M), np.eye(6), np.full(K, u),
+                              np.zeros(K), TIGHT)
         # single-hop ZF: u kappa = (1 - c1) u
         assert abs(u * sol.kappa - (1 - K / M) * u) < 1e-10
 
     def test_common_zf_matches_uncommon(self, small_common):
         sc = small_common
-        F, R, C, u, t, p = sc.stats_common()
-        com = solve_zf_common(F, R, C, u, t, TIGHT)
+        R, C, u, t, p = sc.stats_common()
+        com = solve_zf_common(R, C, u, t, TIGHT)
         F_list, R2, C_list, _ = sc.stats_uncommon()
         unc = solve_zf_uncommon(F_list, R2, C_list, TIGHT)
         assert np.max(np.abs(com.mu_k(u, t) - unc.mu) / unc.mu) < 1e-8
 
     def test_backsubstitution_common(self, small_common):
-        # F_tot = R_tot sends the shared map down its eigenvalue path; the
-        # residual evaluates the trace formulas on explicit inverses
-        corr = small_common.correlations
-        for F_tot in (corr.F_tot, corr.R_tot.copy()):
-            corr.F_tot = F_tot
-            F, R, C, u, t, p = small_common.stats_common()
-            sol = solve_rzf_common(F, R, C, u, t, 0.3)
-            res = backsubstitution_residual(sol, F=F, R=R, C=C, u=u, t=t)
-            assert res <= 10 * 1e-10
-            solz = solve_zf_common(F, R, C, u, t)
-            res = backsubstitution_residual(solz, F=F, R=R, C=C, u=u, t=t)
-            assert res <= 10 * 1e-10
+        # the shared map runs on eigenvalues; the residual evaluates the
+        # trace formulas on explicit inverses
+        R, C, u, t, p = small_common.stats_common()
+        sol = solve_rzf_common(R, C, u, t, 0.3)
+        assert backsubstitution_residual(sol, R=R, C=C, u=u, t=t) <= 10 * 1e-10
+        solz = solve_zf_common(R, C, u, t)
+        assert backsubstitution_residual(solz, R=R, C=C, u=u, t=t) <= 10 * 1e-10
 
 
 @pytest.fixture(params=REGIMES)
@@ -379,10 +376,10 @@ class TestSolvePath:
             assert np.isfinite(err.value.residual) and err.value.residual > 0
 
     def test_zf_paths(self, small_common):
-        F, R, C, u, t, _ = small_common.stats_common()
-        cold = solve_zf_common(F, R, C, u, t)
+        R, C, u, t, _ = small_common.stats_common()
+        cold = solve_zf_common(R, C, u, t)
         assert cold.path == "cold"
-        warm = solve_zf_common(F, R, C, u, t, x0=cold.x0)
+        warm = solve_zf_common(R, C, u, t, x0=cold.x0)
         assert warm.path == "warm" and warm.iterations <= 2
 
     @pytest.mark.parametrize("regime", ["common", "uncommon"])
@@ -416,10 +413,10 @@ class TestAnderson:
         assert sol.mixer == "anderson" and sol.halvings == 0
         sol = solve_zf_uncommon(*small_uncommon.stats_uncommon()[:3])
         assert sol.mixer == "anderson" and sol.halvings == 0
-        F, R, C, u, t, _ = small_common.stats_common()
-        sol = solve_rzf_common(F, R, C, u, t, 0.3)
+        R, C, u, t, _ = small_common.stats_common()
+        sol = solve_rzf_common(R, C, u, t, 0.3)
         assert sol.mixer == "newton" and sol.halvings == 0
-        sol = solve_zf_common(F, R, C, u, t)
+        sol = solve_zf_common(R, C, u, t)
         assert sol.mixer == "off"
 
     def test_nonpositive_state_falls_back_to_picard(self, small_uncommon,
@@ -446,8 +443,8 @@ class TestAnderson:
 class TestNewton:
     def test_nonpositive_state_falls_back_to_picard(self, small_common,
                                                     monkeypatch):
-        F, R, C, u, t, _ = small_common.stats_common()
-        ref = solve_rzf_common(F, R, C, u, t, 0.3, TIGHT)
+        R, C, u, t, _ = small_common.stats_common()
+        ref = solve_rzf_common(R, C, u, t, 0.3, TIGHT)
         calls = []
 
         def corrupted(self, x, _call=fixed_point._CommonMap.__call__):
@@ -458,7 +455,7 @@ class TestNewton:
             return new
 
         monkeypatch.setattr(fixed_point._CommonMap, "__call__", corrupted)
-        sol = solve_rzf_common(F, R, C, u, t, 0.3, TIGHT)
+        sol = solve_rzf_common(R, C, u, t, 0.3, TIGHT)
         assert sol.path == "cold" and sol.mixer == "fallback"
         assert sol.iterations == len(calls) > 2
         for name, value in ref.x0.items():
@@ -471,11 +468,11 @@ class TestNewton:
         from fasris.scenarios import fig3_scenario, uniform_selection
         sc, M = fig3_scenario(snr)
         s = uniform_selection(M, sc.dims.M_tot)
-        F, R, C, u, t, _ = sc.stats_common(s)
+        R, C, u, t, _ = sc.stats_common(s)
         z = sc.default_z(s)
-        far = solve_rzf_common(F, R, C, u, t, 1e4 * z).x0
-        sol = solve_rzf_common(F, R, C, u, t, z, x0=far)
-        ref = solve_rzf_common(F, R, C, u, t, z, TIGHT)
+        far = solve_rzf_common(R, C, u, t, 1e4 * z).x0
+        sol = solve_rzf_common(R, C, u, t, z, x0=far)
+        ref = solve_rzf_common(R, C, u, t, z, TIGHT)
         assert sol.path == "warm" and sol.mixer == "newton"
         assert sol.iterations <= 12
         for name, value in ref.x0.items():
@@ -503,9 +500,7 @@ class TestNewton:
 class TestSpectralMap:
     def test_one_spectrum_each_and_no_inverse_per_evaluation(
             self, small_common, monkeypatch):
-        corr = small_common.correlations
-        corr.F_tot = corr.R_tot.copy()
-        F, R, C, u, t, _ = small_common.stats_common()
+        R, C, u, t, _ = small_common.stats_common()
         spectra, evaluations, inverses_in_map = [], [], []
 
         def eigvalsh(A, _eigvalsh=np.linalg.eigvalsh):
@@ -527,9 +522,9 @@ class TestSpectralMap:
         monkeypatch.setattr(np.linalg, "inv", inv)
         monkeypatch.setattr(fixed_point._CommonMap, "__call__", evaluation)
         solves = [
-            lambda: solve_rzf_common(F, R, C, u, t, 0.3),
-            lambda: solve_rzf_common(F, R, C, u, t, 1e-3),
-            lambda: solve_zf_common(F, R, C, u, t)]
+            lambda: solve_rzf_common(R, C, u, t, 0.3),
+            lambda: solve_rzf_common(R, C, u, t, 1e-3),
+            lambda: solve_zf_common(R, C, u, t)]
         for solve, path in zip(solves, ["cold", "cold", "cold"]):
             spectra.clear()
             evaluations.clear()
@@ -557,15 +552,14 @@ class TestSpectralMap:
     def test_resolvents_inverted_once_on_first_read(self, monkeypatch):
         from fasris.channel import herm
         sc, s = self._fig3()
-        F, R, C, u, t, _ = sc.stats_common(s)
+        R, C, u, t, _ = sc.stats_common(s)
         z = sc.default_z(s)
-        sol = solve_rzf_common(F, R, C, u, t, z)
-        assert sol.spectral
+        sol = solve_rzf_common(R, C, u, t, z)
         M, L = sol.m_norm, C.shape[0]
         a = L * sol.kappa_bar / M
         b = L * sol.omega * sol.omega_bar / (M * sol.delta)
         eager = {"Psi_R": herm(np.linalg.inv(
-                     z * np.eye(M).astype(complex) + a * F + b * R)),
+                     z * np.eye(M).astype(complex) + a * R + b * R)),
                  "Psi_C": herm(np.linalg.inv(
                      np.eye(L) / sol.delta + sol.omega_bar * C))}
         calls = []
@@ -597,30 +591,40 @@ class TestSpectralMap:
 
     @pytest.mark.parametrize("case", ["fig3", "F=R"])
     def test_spectral_tables_match_the_matrix_formulas(self, case):
-        from dataclasses import replace
+        # the RZF tables and their derivatives, read off the eigenvalues,
+        # against the same traces of the explicit inverses Psi_R and Psi_C
         from fasris.gradients import _common_along
-        from fasris.rates import second_order_common
+        from fasris.rates import _common_tables, second_order_common
         if case == "fig3":
             sc, s = self._fig3()
         else:
             sc, s = random_scenario(np.random.default_rng(5), "common", M=10,
                                     K=4, L=7, sigma2=0.3), None
-            sc.correlations.F_tot = sc.correlations.R_tot.copy()
-        F, R, C, u, t, p = sc.stats_common(s)
-        sol = solve_rzf_common(F, R, C, u, t, sc.default_z(s))
-        # without psi the solution takes the matrix formulas
-        matrix = replace(sol, psi=None)
-        assert sol.spectral and not matrix.spectral
-        so, so_m = (second_order_common(F, R, C, u, t, p, x)
-                    for x in (sol, matrix))
-        for name, value in so_m.x.items():
+        R, C, u, t, p = sc.stats_common(s)
+        sol = solve_rzf_common(R, C, u, t, sc.default_z(s))
+        so = second_order_common(R, C, u, t, p, sol)
+        M, L, delta = sol.m_norm, C.shape[0], sol.delta
+        Psi = (sol.Psi_R, sol.Psi_C)
+        P = (R @ Psi[0], C @ Psi[1])
+        tables = _common_tables(P, (*P, *Psi), M, L, False)
+        for name, value in tables.items():
             assert rel_err(so.x[name], value) < 1e-12, name
-        along_U = (*so_m.solve_pi(np.array([0.0, 0.0, 1.0])), 0.0)
-        for args in ((*(-so_m.x_I), 1.0), along_U):
-            got, ref = _common_along(so, *args), _common_along(so_m, *args)
-            for name, value in ref.items():
-                scale = max(abs(value), abs(so_m.x[name]))
-                assert abs(got[name] - value) < 1e-12 * scale, name
+        along_U = (*so.solve_pi(np.array([0.0, 0.0, 1.0])), 0.0)
+        for d_, k_, o_, dz in ((*(-so.x_I), 1.0), along_U):
+            got = _common_along(so, d_, k_, o_, dz)
+            kb_, ob_ = -(k_ * so.eta_UU + o_ * so.eta_TU), got["omega_bar"]
+            ab = (L / M) * ((o_ * sol.omega_bar + sol.omega * ob_) / delta
+                            - sol.omega * sol.omega_bar * d_ / delta ** 2
+                            + kb_)        # dPsi_R^{-1} = dz I + ab R
+            PsiR_ = -Psi[0] @ (dz * np.eye(len(R)) + ab * R) @ Psi[0]
+            PsiC_ = Psi[1] @ (d_ / delta ** 2 * np.eye(L) - ob_ * C) @ Psi[1]
+            P_ = (R @ PsiR_, C @ PsiC_)
+            rest = _common_tables(P, (*P_, PsiR_, PsiC_), M, L, False)
+            for name, value in _common_tables(P_, (*P, *Psi), M, L,
+                                              False).items():
+                ref = value + rest[name]
+                scale = max(abs(ref), abs(tables[name]))
+                assert abs(got[name] - ref) < 1e-12 * scale, name
 
 
 class TestIid:

@@ -158,10 +158,10 @@ class TestGradientAscent:
         assert esr >= start
         # stationarity at the returned point
         from fasris.gradients import esr_gradient_phases_common
-        F, R, C, u, t, p = sc.stats_common(phi=phases.phi)
+        R, C, u, t, p = sc.stats_common(phi=phases.phi)
         from fasris import solve_rzf_common, sinr_rzf_common
-        sol = solve_rzf_common(F, R, C, u, t, z)
-        _, so = sinr_rzf_common(sol, F, R, C, u, t, p, sc.sigma2)
+        sol = solve_rzf_common(R, C, u, t, z)
+        _, so = sinr_rzf_common(sol, R, C, u, t, p, sc.sigma2)
         g = esr_gradient_phases_common(so, sc.correlations.C_L,
                                        sc.correlations.C_R, phases.phi,
                                        sc.sigma2)
@@ -330,22 +330,19 @@ def test_design_op_solves_each_point_once(monkeypatch):
 
 
 def test_shared_roots_and_spectra_are_bit_identical():
-    # fig3 at the first Frank-Wolfe iterate, where F_tot equals R_tot: the
-    # shared root and embedding, and spectra handed to the solvers, give
-    # the bytes of equal-valued copies and of spectra the solver takes
+    # fig3 at the first Frank-Wolfe iterate: the shared root and embedding,
+    # and spectra handed to the solvers, give the bytes of equal-valued
+    # copies and of spectra the solver takes
     sc, M = fig3_scenario(80.0)
     obj = RelaxedZfObjective(sc, np.zeros(sc.dims.L), M)
     M_tot = len(obj.R_root)
-    _, sol, (F, R, C, u, t, p) = obj.solve(np.full(M_tot, M / M_tot))
-    assert obj.F_root is obj.R_root and F is R
+    _, sol, (R, C, u, t, p) = obj.solve(np.full(M_tot, M / M_tot))
     root, emb = obj.R_root.copy(), R.copy()
     args = (C, u, t, p, sc.sigma2)
-    assert esr_gradient_ports_zf_common(sol, obj.R_root, obj.R_root, R, R,
-                                        *args).tobytes() \
-        == esr_gradient_ports_zf_common(sol, obj.R_root, root, R, emb,
-                                        *args).tobytes()
-    shared, copied = (second_order_common(F, R, C, u, t, p, sol)
-                      for F in (R, emb))
+    assert esr_gradient_ports_zf_common(sol, obj.R_root, R, *args).tobytes() \
+        == esr_gradient_ports_zf_common(sol, root, emb, *args).tobytes()
+    shared, copied = (second_order_common(A, C, u, t, p, sol)
+                      for A in (R, emb))
     assert shared.Pi_com.tobytes() == copied.Pi_com.tobytes()
     assert all(np.asarray(shared.x[k]).tobytes()
                == np.asarray(copied.x[k]).tobytes() for k in shared.x)
@@ -354,12 +351,12 @@ def test_shared_roots_and_spectra_are_bit_identical():
         return b"".join(np.asarray(v).tobytes() for v in (
             *sol.x0.values(), sol.psi_T, sol.psi, sol.psi_C, sol.iterations))
 
-    spectra = _spectra(F, R, C)
+    spectra = _spectra(R, C)
     z = sc.dims.K * sc.sigma2 / M
-    assert raw(solve_zf_common(F, R, C, u, t, m_norm=M)) \
-        == raw(solve_zf_common(F, R, C, u, t, m_norm=M, spectra=spectra))
-    assert raw(solve_rzf_common(F, R, C, u, t, z, m_norm=M)) \
-        == raw(solve_rzf_common(F, R, C, u, t, z, m_norm=M, spectra=spectra))
+    assert raw(solve_zf_common(R, C, u, t, m_norm=M)) \
+        == raw(solve_zf_common(R, C, u, t, m_norm=M, spectra=spectra))
+    assert raw(solve_rzf_common(R, C, u, t, z, m_norm=M)) \
+        == raw(solve_rzf_common(R, C, u, t, z, m_norm=M, spectra=spectra))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -416,6 +413,65 @@ class TestMixedRegime:
             deterministic_esr(sc, s, phi, "zf").esr, rel=1e-9)
 
 
+class TestSharedDirectLinkOffR:
+    """One F_tot != R_tot with one C_R: the per-user solvers, on K copies
+    of the shared matrices."""
+
+    M, M_TOT, K, L = 6, 10, 3, 5
+
+    def scenario(self):
+        rng = np.random.default_rng(11)
+        sc = random_scenario(rng, "common", M=self.M, K=self.K, L=self.L,
+                             M_tot=self.M_TOT)
+        sc.correlations.F_tot = random_correlation(self.M_TOT, rng)
+        return sc, rng.uniform(0, 2 * np.pi, self.L), \
+            uniform_selection(self.M, self.M_TOT)
+
+    def test_deterministic_esr_equals_the_listed_set(self):
+        from fasris import CorrelationSet
+        sc, phi, s = self.scenario()
+        corr = sc.correlations
+        assert not corr.shared
+        listed = replace(sc, correlations=CorrelationSet(
+            R_tot=corr.R_tot, F_tot=[corr.F_tot] * self.K, C_L=corr.C_L,
+            C_R=[corr.C_R] * self.K))
+        for precoder in ("rzf", "zf"):
+            rep = deterministic_esr(sc, s, phi, precoder)
+            assert rep.regime == f"{precoder}/uncommon"
+            assert rep.sinr.tobytes() == deterministic_esr(
+                listed, s, phi, precoder).sinr.tobytes()
+
+    def test_equal_users_keep_the_z_shortcut(self):
+        sc, phi, s = self.scenario()
+        sc.u, sc.t, sc.p = np.full(3, 1.0), np.full(3, 0.5), np.ones(3)
+        assert sc.homogeneous
+        assert search_regularization(sc, s, phi) == sc.default_z(s)
+
+    def test_port_selection_and_phase_ascent_run(self):
+        sc, phi, s = self.scenario()
+        assert fw_port_selection(sc, phi, self.M, FAST).sum() == self.M
+        opt = OptimizerSettings(ascent_max_iter=5)
+        for precoder in ("rzf", "zf"):
+            phases, esr, _ = gradient_ascent_phases(sc, s, None, phi, opt,
+                                                    precoder)
+            assert esr >= deterministic_esr(sc, s, phi, precoder).esr
+            assert esr == pytest.approx(
+                deterministic_esr(sc, s, phases.phi, precoder).esr, rel=1e-12)
+
+
+def test_zf_phase_ascent_on_fig1():
+    # the per-user regime's ZF phase gradient drives the ascent
+    from fasris.scenarios import fig1_scenario
+    sc = fig1_scenario(24, 80.0)
+    phi0 = np.zeros(sc.dims.L)
+    start = deterministic_esr(sc, None, phi0, "zf").esr
+    trace = OptimizationTrace()
+    phases, esr, stalled = gradient_ascent_phases(sc, None, None, phi0,
+                                                  precoder="zf", trace=trace)
+    assert not stalled and len(trace.records) > 1
+    assert esr > start + 0.1
+
+
 class TestRegularizerSearch:
     def test_homogeneous_shortcut(self):
         rng = np.random.default_rng(2)
@@ -447,16 +503,18 @@ class TestRegularizerSearch:
     @pytest.mark.parametrize("case", ["fig3", "common", "uncommon"])
     def test_grid_is_one_batched_solve_of_cold_points(self, case,
                                                       monkeypatch):
-        # fig3 at 80 dB with uniform ports; shared with F_tot != R_tot; per-user
+        # fig3 at 80 dB with uniform ports; shared with F_tot != R_tot, which
+        # takes the per-user solvers; per-user
         if case == "fig3":
             sc, M = fig3_scenario(80.0)
             s = uniform_selection(M, sc.dims.M_tot)
         else:
-            sc, s = random_scenario(np.random.default_rng(9), case, M=12,
-                                    K=4, L=8, sigma2=0.4), None
+            rng = np.random.default_rng(9)
+            sc, s = random_scenario(rng, case, M=12, K=4, L=8,
+                                    sigma2=0.4), None
         if case == "common":
-            assert not np.array_equal(sc.correlations.F_tot,
-                                      sc.correlations.R_tot)
+            sc.correlations.F_tot = random_correlation(12, rng)
+            assert not sc.correlations.shared
         batches, picard = [], fixed_point._picard
 
         def counted(system, x0, settings):

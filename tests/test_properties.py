@@ -51,9 +51,9 @@ def rzf_uncommon(F_list, R, C_list, p, z, sigma2):
     return sinr_rzf_uncommon(sol, F_list, R, C_list, p, sigma2)
 
 
-def rzf_common(F, R, C, u, t, p, z, sigma2):
-    sol = solve_rzf_common(F, R, C, u, t, z, TIGHT)
-    return sinr_rzf_common(sol, F, R, C, u, t, p, sigma2)[0].sinr
+def rzf_common(R, C, u, t, p, z, sigma2):
+    sol = solve_rzf_common(R, C, u, t, z, TIGHT)
+    return sinr_rzf_common(sol, R, C, u, t, p, sigma2)[0].sinr
 
 
 @EXAMPLES
@@ -72,9 +72,9 @@ def test_user_permutation_uncommon(seed, perm):
 @given(seeds, perms)
 def test_user_permutation_common(seed, perm):
     sc, z = scenario(seed, "common")
-    F, R, C, u, t, p = sc.stats_common()
-    sinr = rzf_common(F, R, C, u, t, p, z, sc.sigma2)
-    permuted = rzf_common(F, R, C, u[perm], t[perm], p[perm], z, sc.sigma2)
+    R, C, u, t, p = sc.stats_common()
+    sinr = rzf_common(R, C, u, t, p, z, sc.sigma2)
+    permuted = rzf_common(R, C, u[perm], t[perm], p[perm], z, sc.sigma2)
     assert rel(permuted, sinr[perm]) < TOL
 
 
@@ -119,13 +119,13 @@ def test_gain_noise_regularizer_scaling(seed, c):
 @given(seeds)
 def test_shared_correlations_through_per_user_solvers(seed):
     sc, z = scenario(seed, "common")
-    F, R, C, u, t, p = sc.stats_common()
+    R, C, u, t, p = sc.stats_common()
     F_list, R_u, C_list, _ = sc.stats_uncommon()
-    shared = rzf_common(F, R, C, u, t, p, z, sc.sigma2)
+    shared = rzf_common(R, C, u, t, p, z, sc.sigma2)
     per_user = rzf_uncommon(F_list, R_u, C_list, p, z, sc.sigma2)[0].sinr
     assert rel(per_user, shared) < TOL
 
-    shared = sinr_zf_common(solve_zf_common(F, R, C, u, t, TIGHT), u, t, p,
+    shared = sinr_zf_common(solve_zf_common(R, C, u, t, TIGHT), u, t, p,
                             sc.sigma2).sinr
     per_user = sinr_zf_uncommon(solve_zf_uncommon(F_list, R_u, C_list, TIGHT),
                                 p, sc.sigma2).sinr
@@ -185,40 +185,31 @@ class _PlainCommonMap(_CommonMap):
 
 
 @EXAMPLES
-@given(seeds, st.sampled_from([1e-4, 0.3, 1.0]), st.booleans())
-def test_shared_anderson_matches_damped_picard(seed, z, f_is_r):
-    # f_is_r: F_tot = R_tot, so the map reads its traces off eigenvalues;
-    # otherwise it solves for Psi_R
+@given(seeds, st.sampled_from([1e-4, 0.3, 1.0]))
+def test_shared_anderson_matches_damped_picard(seed, z):
     sc, _ = scenario(seed, "common")
-    if f_is_r:
-        sc.correlations.F_tot = sc.correlations.R_tot.copy()
-    F, R, C, u, t, _ = sc.stats_common()
-    spectra = _spectra(F, R, C)
-    assert (spectra[0] is not None) == f_is_r
-    mixed = solve_rzf_common(F, R, C, u, t, z, TIGHT)
-    plain = _picard(_PlainCommonMap(F, R, C, u, t, z, 1.0, None, spectra),
-                    None, TIGHT)
+    R, C, u, t, _ = sc.stats_common()
+    mixed = solve_rzf_common(R, C, u, t, z, TIGHT)
+    plain = _picard(_PlainCommonMap(R, C, u, t, z, 1.0, None,
+                                    _spectra(R, C)), None, TIGHT)
     assert mixed.mixer != "off" and plain.mixer == "off"
     assert rel(state(mixed), state(plain)) < TOL
 
 
-def shared_stats(seed, f_is_r, cascaded):
-    """A random shared scenario's stats; F = R reads its traces off
-    eigenvalues, t = 0 cuts the cascaded link."""
+def shared_stats(seed, cascaded):
+    """A random shared scenario's stats; t = 0 cuts the cascaded link."""
     sc, _ = scenario(seed, "common")
-    if f_is_r:
-        sc.correlations.F_tot = sc.correlations.R_tot.copy()
-    F, R, C, u, t, _ = sc.stats_common()
-    return F, R, C, u, t if cascaded else np.zeros_like(t)
+    R, C, u, t, _ = sc.stats_common()
+    return R, C, u, t if cascaded else np.zeros_like(t)
 
 
 @EXAMPLES
-@given(seeds, st.sampled_from([1e-4, 0.3, 1.0]), st.booleans(), st.booleans())
-def test_shared_newton_matches_damped_picard(seed, z, f_is_r, cascaded):
-    F, R, C, u, t = shared_stats(seed, f_is_r, cascaded)
-    newton = solve_rzf_common(F, R, C, u, t, z, TIGHT)
-    plain = _picard(_PlainCommonMap(F, R, C, u, t, z, 1.0, None,
-                                    _spectra(F, R, C)), None, TIGHT)
+@given(seeds, st.sampled_from([1e-4, 0.3, 1.0]), st.booleans())
+def test_shared_newton_matches_damped_picard(seed, z, cascaded):
+    R, C, u, t = shared_stats(seed, cascaded)
+    newton = solve_rzf_common(R, C, u, t, z, TIGHT)
+    plain = _picard(_PlainCommonMap(R, C, u, t, z, 1.0, None,
+                                    _spectra(R, C)), None, TIGHT)
     assert newton.mixer == "newton" and plain.mixer == "off"
     # omega and omega_bar are exactly 0 without a cascaded link
     assert np.all(np.abs(state(newton) - state(plain))
@@ -226,14 +217,13 @@ def test_shared_newton_matches_damped_picard(seed, z, f_is_r, cascaded):
 
 
 @EXAMPLES
-@given(seeds, st.sampled_from([1e-4, 0.3, 1.0]), st.booleans(), st.booleans())
-def test_shared_jacobian_matches_central_differences(seed, z, f_is_r,
-                                                     cascaded):
+@given(seeds, st.sampled_from([1e-4, 0.3, 1.0]), st.booleans())
+def test_shared_jacobian_matches_central_differences(seed, z, cascaded):
     # the map reads x through a = L kappa_bar / M, b = L omega omega_bar /
     # (M delta) and omega_bar: scaling kappa_bar moves log a alone, omega
     # log b alone, and delta with omega_bar log omega_bar alone
-    F, R, C, u, t = shared_stats(seed, f_is_r, cascaded)
-    system = _CommonMap(F, R, C, u, t, z, 1.0, None, _spectra(F, R, C))
+    R, C, u, t = shared_stats(seed, cascaded)
+    system = _CommonMap(R, C, u, t, z, 1.0, None, _spectra(R, C))
     x = np.exp(np.random.default_rng([seed, 3]).uniform(-1.0, 1.0, 5))
     x[[2, 4]] *= cascaded
     system(x)
@@ -265,9 +255,8 @@ def test_unitary_rotation_leaves_fixed_point(seed, mode):
         return U @ A @ U.conj().T
 
     if mode == "common":
-        F, R, C, u, t, _ = sc.stats_common()
-        inputs = [(F, R, C, u, t),
-                  (rot(F, U_M), rot(R, U_M), rot(C, U_L), u, t)]
+        R, C, u, t, _ = sc.stats_common()
+        inputs = [(R, C, u, t), (rot(R, U_M), rot(C, U_L), u, t)]
         solvers = [lambda *a: solve_rzf_common(*a, z, TIGHT),
                    lambda *a: solve_zf_common(*a, TIGHT)]
     else:
@@ -282,14 +271,14 @@ def test_unitary_rotation_leaves_fixed_point(seed, mode):
         assert rel(state(turned), state(base)) < TOL
 
 
-def explicit_common_map(F, R, C, u, t, z, shift, x):
-    """One shared map step by explicit inverses and matrix traces."""
+def explicit_common_map(R, C, u, t, z, shift, x):
+    """One shared map step by explicit inverses and matrix traces; the
+    direct link shares R."""
     delta, kappa, omega, kappa_bar, omega_bar = x
     M, L = R.shape[0], C.shape[0]
-    Psi_R = np.linalg.inv(z * np.eye(M) + (L * kappa_bar / M) * F
+    Psi_R = np.linalg.inv(z * np.eye(M) + (L * kappa_bar / M) * R
                           + (L * omega * omega_bar / (M * delta)) * R)
-    d = np.real(np.trace(R @ Psi_R)) / M
-    k = np.real(np.trace(F @ Psi_R)) / M
+    d = k = np.real(np.trace(R @ Psi_R)) / M
     Psi_C = np.linalg.inv(np.eye(L) / d + omega_bar * C)
     o = np.real(np.trace(C @ Psi_C)) / L
     psi_T = 1.0 / (shift + o * t + k * u)
@@ -299,14 +288,12 @@ def explicit_common_map(F, R, C, u, t, z, shift, x):
 @EXAMPLES
 @given(seeds, st.sampled_from([1e-9, 1e-4, 0.3, None]))
 def test_spectral_map_matches_explicit_inverses(seed, z):
-    # F_tot = R_tot: one evaluation of the shared map reads every trace off
-    # the eigenvalues of R and C; z None is ZF
+    # one evaluation of the shared map reads every trace off the
+    # eigenvalues of R and C; z None is ZF
     sc, _ = scenario(seed, "common")
-    sc.correlations.F_tot = sc.correlations.R_tot.copy()
-    F, R, C, u, t, _ = sc.stats_common()
+    R, C, u, t, _ = sc.stats_common()
     z, shift = (1.0, 0.0) if z is None else (z, 1.0)
     x = np.exp(np.random.default_rng([seed, 4]).uniform(-2.0, 2.0, 5))
-    system = _CommonMap(F, R, C, u, t, z, shift, None, _spectra(F, R, C))
-    assert system.lam is not None
-    assert rel(system(x), explicit_common_map(F, R, C, u, t, z, shift, x)) \
+    system = _CommonMap(R, C, u, t, z, shift, None, _spectra(R, C))
+    assert rel(system(x), explicit_common_map(R, C, u, t, z, shift, x)) \
         < 1e-12

@@ -96,7 +96,7 @@ class TestZfSinr:
     def test_identity_matches_iid_closed_form(self):
         M, K, L = 16, 6, 12
         u, t, sigma2 = 1.0, 0.5, 0.3
-        sol = solve_zf_common(np.eye(M), np.eye(M), np.eye(L),
+        sol = solve_zf_common(np.eye(M), np.eye(L),
                               np.full(K, u), np.full(K, t), TIGHT)
         rep = sinr_zf_common(sol, np.full(K, u), np.full(K, t), np.ones(K),
                              sigma2)
@@ -109,9 +109,9 @@ class TestCommonSinr:
     def test_matches_uncommon_specialization(self, small_common):
         sc = small_common
         z = 0.25
-        F, R, C, u, t, p = sc.stats_common()
-        com = solve_rzf_common(F, R, C, u, t, z, TIGHT)
-        rep_c, _ = sinr_rzf_common(com, F, R, C, u, t, p, sc.sigma2)
+        R, C, u, t, p = sc.stats_common()
+        com = solve_rzf_common(R, C, u, t, z, TIGHT)
+        rep_c, _ = sinr_rzf_common(com, R, C, u, t, p, sc.sigma2)
         F_list, R2, C_list, _ = sc.stats_uncommon()
         unc = solve_rzf_uncommon(F_list, R2, C_list, z, TIGHT)
         rep_u, _ = sinr_rzf_uncommon(unc, F_list, R2, C_list, p, sc.sigma2)
@@ -120,12 +120,11 @@ class TestCommonSinr:
 
     def test_single_user(self, rng):
         M, L = 10, 6
-        F = random_correlation(M, rng)
         R = random_correlation(M, rng)
         C = random_correlation(L, rng)
         u, t = np.array([1.0]), np.array([0.5])
-        sol = solve_rzf_common(F, R, C, u, t, 0.2, TIGHT)
-        rep, so = sinr_rzf_common(sol, F, R, C, u, t, np.ones(1), 0.4)
+        sol = solve_rzf_common(R, C, u, t, 0.2, TIGHT)
+        rep, so = sinr_rzf_common(sol, R, C, u, t, np.ones(1), 0.4)
         mu = sol.mu_k(u, t)[0]
         expected = mu ** 2 / (0.4 * (1 + mu) ** 2 * so.Cbar)
         assert rep.sinr[0] == pytest.approx(expected, rel=1e-12)
@@ -133,7 +132,7 @@ class TestCommonSinr:
     def test_zf_t_zero_single_hop_rate(self):
         M, K, L = 12, 4, 8
         u, sigma2 = 0.9, 0.5
-        sol = solve_zf_common(np.eye(M), np.eye(M), np.eye(L),
+        sol = solve_zf_common(np.eye(M), np.eye(L),
                               np.full(K, u), np.zeros(K), TIGHT)
         rep = sinr_zf_common(sol, np.full(K, u), np.zeros(K), np.ones(K),
                              sigma2)
@@ -253,9 +252,9 @@ class TestSecondOrderEdges:
         rng = np.random.default_rng(71)
         sc = random_scenario(rng, regime, M=10, K=3, L=6)
         if regime == "common":
-            F, R, C, u, t, p = sc.stats_common()
-            so = second_order_common(F, R, C, u, t, p,
-                                     solve_zf_common(F, R, C, u, t, TIGHT))
+            R, C, u, t, p = sc.stats_common()
+            so = second_order_common(R, C, u, t, p,
+                                     solve_zf_common(R, C, u, t, TIGHT))
             blocks = ("eta_PT", "eta_PU", "Delta", "x_R", "x_F", "x_I",
                       "lam_zz", "Psi_kl", "Cbar")
             Pi = so.Pi_com

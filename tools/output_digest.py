@@ -9,16 +9,19 @@ prints one JSON object: the checkout's git revision (null outside a git
 checkout), the wall time and one SHA-256 per group over the raw bytes of
 that group's outputs. Equal digests mean bit-identical outputs; a
 refactor that claims to keep every number can show it by running this
-script on both sides of the change on one host. Groups:
+script on both sides of the change on one host. The shared random cases
+are built here from `random_correlation` and `CorrelationSet`, not by
+`random_scenario`, so both sides hash the same data. Groups:
 
 - design: `joint_optimize` on fig3 (80 dB, T_iter=1, RZF) with the common
   phase rotation of perfbench's design setup, seeds 1-3: selection, z,
   phases, ESR and the trace objectives;
-- ports: `RelaxedZfObjective.gradient` at three iterates and the
-  `fw_port_selection` result, on fig3, on a shared random scenario with
-  F_tot != R_tot and on a per-user random scenario;
-- phases: RZF and ZF phase gradients through `_phase_objective` on fig3
-  and on a shared random scenario, RZF on a per-user one;
+- ports.<case>: `RelaxedZfObjective.gradient` at three iterates and the
+  `fw_port_selection` result, one group per case: fig3, a shared random
+  set with F_tot != R_tot (F!=R), one with F_tot = R_tot (F=R) and a
+  per-user random scenario (per-user);
+- phases.<case>: RZF and ZF phase gradients through `_phase_objective` on
+  fig3 and on the two shared random cases, RZF on a per-user one;
 - evaluate: `deterministic_esr` SINRs, RZF and ZF, on fig1, fig2 and fig3;
 - zprofile: `z_search_profile` grid, values and z_star on fig3 (80 dB,
   uniform ports) and on a per-user random scenario;
@@ -40,6 +43,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from dataclasses import replace  # noqa: E402
+from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -66,44 +70,66 @@ def design():
         yield from (s, z, phases.phi, rep.esr, trace.objectives())
 
 
-def port_cases():
+def shared_scenario(seed, M, K, L, M_tot=None, F_is_R=False):
+    """A shared random scenario: R_tot, C_L, F_tot and C_R drawn by
+    `random_correlation` in that order, then u, t and p; with F_is_R,
+    F_tot is a copy of R_tot instead of its draw."""
+    from fasris.channel import CorrelationSet, Dimensions, Scenario
+    from fasris.scenarios import random_correlation
+    rng = np.random.default_rng(seed)
+    n = M_tot or M
+    R_tot, C_L, F_tot, C_R = (random_correlation(m, rng) for m in (n, L, n, L))
+    corr = CorrelationSet(R_tot=R_tot, F_tot=R_tot.copy() if F_is_R else F_tot,
+                          C_L=C_L, C_R=C_R)
+    return Scenario(dims=Dimensions(M=M, K=K, L=L, M_tot=M_tot),
+                    correlations=corr, u=rng.uniform(0.5, 1.5, K),
+                    t=rng.uniform(0.3, 0.9, K), p=rng.uniform(0.5, 2.0, K),
+                    sigma2=0.3)
+
+
+def port_case(case):
+    """(scenario, M, phi) of one `ports` case."""
     from fasris.scenarios import fig3_scenario, random_scenario
-    sc, M = fig3_scenario(80.0)
-    yield sc, M, np.zeros(sc.dims.L)
-    for seed, mode in ((11, "common"), (12, "uncommon")):
-        yield (random_scenario(np.random.default_rng(seed), mode, 6, 3, 5,
-                               M_tot=10), 6,
-               np.random.default_rng(seed).uniform(0, 2 * np.pi, 5))
+    if case == "fig3":
+        sc, M = fig3_scenario(80.0)
+        return sc, M, np.zeros(sc.dims.L)
+    seed = {"F!=R": 11, "per-user": 12, "F=R": 13}[case]
+    sc = (random_scenario(np.random.default_rng(seed), "uncommon", 6, 3, 5,
+                          M_tot=10) if case == "per-user"
+          else shared_scenario(seed, 6, 3, 5, 10, case == "F=R"))
+    return sc, 6, np.random.default_rng(seed).uniform(0, 2 * np.pi, 5)
 
 
-def ports():
+def ports(case):
     from fasris.optimize import RelaxedZfObjective, fw_port_selection
     from fasris.scenarios import uniform_selection
-    for sc, M, phi in port_cases():
-        M_tot = sc.correlations.R_tot.shape[0]
-        obj = RelaxedZfObjective(sc, phi, M)
-        rng = np.random.default_rng(M_tot)
-        for s in (np.full(M_tot, M / M_tot), rng.uniform(0.1, 0.9, M_tot),
-                  uniform_selection(M, M_tot)):
-            yield from obj.gradient(s)
-        yield fw_port_selection(sc, phi, M)
+    sc, M, phi = port_case(case)
+    M_tot = sc.correlations.R_tot.shape[0]
+    obj = RelaxedZfObjective(sc, phi, M)
+    rng = np.random.default_rng(M_tot)
+    for s in (np.full(M_tot, M / M_tot), rng.uniform(0.1, 0.9, M_tot),
+              uniform_selection(M, M_tot)):
+        yield from obj.gradient(s)
+    yield fw_port_selection(sc, phi, M)
 
 
-def phases():
+def phases(case):
     from fasris.fixed_point import DEFAULT_SETTINGS
     from fasris.optimize import _phase_objective
     from fasris.scenarios import fig3_scenario, random_scenario, uniform_selection
-    sc, M = fig3_scenario(80.0)
-    cases = [(sc, uniform_selection(M, sc.dims.M_tot), ("rzf", "zf"))]
-    for seed, mode, kinds in ((21, "common", ("rzf", "zf")),
-                              (22, "uncommon", ("rzf",))):
-        cases.append((random_scenario(np.random.default_rng(seed), mode, 10,
-                                      3, 6), None, kinds))
-    for sc, s, kinds in cases:
-        phi = np.random.default_rng(sc.dims.L).uniform(0, 2 * np.pi, sc.dims.L)
-        for kind in kinds:
-            yield from _phase_objective(sc, s, kind, None,
-                                        DEFAULT_SETTINGS)[1](phi)
+    kinds, s = ("rzf", "zf"), None
+    if case == "fig3":
+        sc, M = fig3_scenario(80.0)
+        s = uniform_selection(M, sc.dims.M_tot)
+    elif case == "per-user":
+        sc, kinds = random_scenario(np.random.default_rng(22), "uncommon", 10,
+                                    3, 6), ("rzf",)
+    else:
+        sc = shared_scenario(21 if case == "F!=R" else 23, 10, 3, 6,
+                             F_is_R=case == "F=R")
+    phi = np.random.default_rng(sc.dims.L).uniform(0, 2 * np.pi, sc.dims.L)
+    for kind in kinds:
+        yield from _phase_objective(sc, s, kind, None, DEFAULT_SETTINGS)[1](phi)
 
 
 def evaluate():
@@ -162,7 +188,10 @@ def setup():
                     *corr.c_r_list(1))
 
 
-GROUPS = {"design": design, "ports": ports, "phases": phases,
+CASES = ("fig3", "F!=R", "F=R", "per-user")
+GROUPS = {"design": design,
+          **{f"ports.{case}": partial(ports, case) for case in CASES},
+          **{f"phases.{case}": partial(phases, case) for case in CASES},
           "evaluate": evaluate, "zprofile": zprofile, "simulate": simulate,
           "setup": setup}
 
