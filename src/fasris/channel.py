@@ -51,18 +51,21 @@ def herm(A: np.ndarray) -> np.ndarray:
 def check_psd(A: np.ndarray, name: str = "matrix", tol: float = PSD_TOL) -> np.ndarray:
     """Validate Hermitian PSD up to roundoff; clip tiny negative eigenvalues.
 
-    Eigenvalues in [-tol max(1, |lam_max|), 0) are clipped to zero as
-    roundoff; lower or NaN ones raise DomainError. A finite Cholesky factor
-    of A - tol max(1, tr A) I certifies lam_min >= tol max(1, tr A), far above
-    roundoff: A is then returned, as that test would, without eigh.
+    A non-finite entry, or an eigenvalue below -tol max(1, |lam_max|), raises
+    DomainError; higher negative ones are clipped to zero as roundoff. A finite
+    Cholesky factor of A - tol max(1, tr A) I certifies lam_min >= tol max(1,
+    tr A), far above roundoff: A is returned, as that test would, without eigh.
     """
-    A = herm(np.asarray(A))
+    A = np.asarray(A)
+    if not np.isfinite(A).all():    # tr A = inf would make the shift inf * 0
+        raise DomainError(f"{name} has non-finite entries")
+    A = herm(A)
     shift = tol * max(1.0, np.trace(A).real) * np.eye(len(A))
     with suppress(np.linalg.LinAlgError):
         if np.isfinite(np.linalg.cholesky(A - shift)).all():
             return A
     w, V = np.linalg.eigh(A)
-    if not w.min() >= -tol * max(1.0, abs(w.max())):    # NaN fails too
+    if not w.min() >= -tol * max(1.0, abs(w.max())):
         raise DomainError(
             f"{name} is not PSD: min eigenvalue {w.min():.3e} "
             f"(max {w.max():.3e}, tolerance {tol:.0e})"

@@ -10,9 +10,9 @@ damped Picard after the map's mixer (shared RZF: Newton; per-user:
 Anderson; shared ZF: none), cold from `init` scaled to z (see `_Map`). A ZF
 solution has `z` None and holds the paper's underlined (scaled z -> 0)
 quantities; every solution builds the inverses that the second-order terms
-need on first read. An RZF `z` may be a 1-D batch: the state then leads
-with its axis, `_picard` runs the rows as one product system and every
-solution field carries the axis.
+need on first read, at the dtype of their data: the real FAS R gives a real
+Psi_R. An RZF `z` may be a 1-D batch: the state then leads with its axis,
+`_picard` runs the rows as one product system and every field carries it.
 """
 
 from __future__ import annotations
@@ -111,13 +111,14 @@ class UncommonSolution(_Solution):
     def Psi_C(self) -> np.ndarray:    # delta I, unused, if not cascaded
         m = self.system
         return (herm(m.psi_c(self.delta, self.mu)) if m.cascaded
-                else _row(self.delta, 2) * m.I_L.astype(complex))
+                else _row(self.delta, 2) * m.I_L)
 
 
 @dataclass
 class CommonSolution(_Solution):
     """Spectra of R and C and those of Psi_R and Psi_C; the explicit
-    inverses Psi_R and Psi_C are built on first read."""
+    inverses Psi_R and Psi_C are built on first read, each at the dtype of
+    its data (a real R, as the FAS correlation is, gives a real Psi_R)."""
 
     z: float | None            # None for ZF
     delta: float
@@ -147,7 +148,7 @@ class CommonSolution(_Solution):
         m = self.system
         delta = _row(self.delta, 2)
         return (herm(np.linalg.inv(m.I_L / delta + _row(self.omega_bar, 2) * m.C))
-                if m.cascaded else delta * m.I_L.astype(complex))
+                if m.cascaded else delta * m.I_L)
 
 
 @dataclass(frozen=True)
@@ -330,8 +331,8 @@ class _UncommonMap(_Map):
     sol = UncommonSolution
 
     def __init__(self, F, R, C, z, shift, m_norm):
-        self.F = np.asarray(F, dtype=complex)           # (K, M, M)
-        self.C = np.asarray(C, dtype=complex)           # (K, L, L)
+        self.F = np.asarray(F)           # (K, M, M), each stack at its dtype
+        self.C = np.asarray(C)           # (K, L, L)
         super().__init__(R, len(self.F), self.C.shape[1], z, shift, m_norm)
         self.cascaded = bool(np.any(R)) and bool(np.any(self.C))
         self.F_flat = self.F.reshape(self.K, -1)
@@ -352,8 +353,8 @@ class _UncommonMap(_Map):
         w = 1.0 / (self.M * (self.shift + mu))
         A = _row(self.z, 2) * self.I_M \
             + (w @ self.F_flat).reshape(w.shape[:-1] + self.R.shape)
-        if self.cascaded:
-            A += _row(np.vecdot(w, omega) / delta, 2) * self.R
+        if self.cascaded:    # out of place: a real F with a complex R
+            A = A + _row(np.vecdot(w, omega) / delta, 2) * self.R
         return np.linalg.inv(A)
 
     def psi_c(self, delta, mu):
@@ -425,9 +426,9 @@ class _CommonMap(_Map):
                    else 0.0 * a)
 
     def psi_r_inv(self, a, b):
-        # a R + b R, not (a + b) R: Frank-Wolfe's mirror-port ties follow
-        # the last bit of the ZF tables built on this inverse
-        A = _row(self.z, 2) * self.I_M.astype(complex) + _row(a, 2) * self.R
+        # at R's dtype, so the real FAS R gives a real Psi_R; a R + b R, not
+        # (a + b) R, since Frank-Wolfe's mirror-port ties follow its last bit
+        A = _row(self.z, 2) * self.I_M + _row(a, 2) * self.R
         return A + _row(b, 2) * self.R if self.cascaded else A
 
     def user_gain(self, kappa, omega):

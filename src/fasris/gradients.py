@@ -372,16 +372,12 @@ def esr_gradient_ports_zf_common(sol: CommonSolution, R_root, R_emb, C, u,
     u = np.asarray(u, dtype=float)
     t = np.asarray(t, dtype=float)
     p = np.asarray(p, dtype=float)
-    M = sol.m_norm
-    L = C.shape[0]
-    Psi = sol.Psi_R
-    kappa_bar, omega, omega_bar, delta = (sol.kappa_bar, sol.omega,
-                                          sol.omega_bar, sol.delta)
+    M, L, delta = sol.m_norm, C.shape[0], sol.delta
     so = second_order_common(R_emb, C, u, t, p, sol)
 
-    cW = L * omega * omega_bar / (M * delta) if delta > 0 else 0.0
-    B = _port_rows([R_root, R_root], [R_emb, R_emb], Psi, [R_root],
-                   [L * kappa_bar / M ** 2], R_root, cW / M, M)
+    cW = L * sol.omega * sol.omega_bar / (M * delta) if delta > 0 else 0.0
+    B = _port_rows([R_root, R_root], [R_emb, R_emb], sol.Psi_R, [R_root],
+                   [L * sol.kappa_bar / M ** 2], R_root, cW / M, M)
     B = np.vstack([B, np.zeros(B.shape[1])])    # C has no port dependence
     V = so.solve_pi(B)
     mu_i = u[:, None] * V[1][None, :] + t[:, None] * V[2][None, :]   # (K, M_tot)

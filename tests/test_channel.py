@@ -98,14 +98,19 @@ class TestCheckPsd:
         assert got.tobytes() == eigh_check_psd(A).tobytes()
         assert (got.tobytes() == channel.herm(A).tobytes()) == (outcome == "kept")
 
-    def test_non_finite_input_takes_the_eigenvalue_test(self, eigh_calls):
+    @pytest.mark.parametrize("entry", [(0, 1, np.nan), (0, 0, np.inf)],
+                             ids=["nan", "inf"])
+    def test_non_finite_input_raises_before_arithmetic(self, eigh_calls,
+                                                       entry):
         # a NaN can pass through LAPACK's Cholesky and eigh without an
-        # error; its NaN eigenvalues fail the eigenvalue test
+        # error, and an inf trace makes the certificate's shift inf * 0,
+        # whose RuntimeWarning the suite raises as an error
+        i, j, value = entry
         A = np.eye(3)
-        A[0, 1] = A[1, 0] = np.nan
-        with pytest.raises(channel.DomainError):
+        A[i, j] = A[j, i] = value
+        with pytest.raises(channel.DomainError, match="non-finite"):
             channel.check_psd(A)
-        assert len(eigh_calls) == 1
+        assert not eigh_calls
         with pytest.raises(channel.DomainError):
             psd_sqrt(A)
 

@@ -559,7 +559,7 @@ class TestSpectralMap:
         a = L * sol.kappa_bar / M
         b = L * sol.omega * sol.omega_bar / (M * sol.delta)
         eager = {"Psi_R": herm(np.linalg.inv(
-                     z * np.eye(M).astype(complex) + a * R + b * R)),
+                     z * np.eye(M) + a * R + b * R)),
                  "Psi_C": herm(np.linalg.inv(
                      np.eye(L) / sol.delta + sol.omega_bar * C))}
         calls = []
@@ -625,6 +625,50 @@ class TestSpectralMap:
                 ref = value + rest[name]
                 scale = max(abs(ref), abs(tables[name]))
                 assert abs(got[name] - ref) < 1e-12 * scale, name
+
+
+class TestDataDtype:
+    """The resolvents take the dtype of their data."""
+
+    def test_shared_psi_r_follows_r(self):
+        from fasris.scenarios import fig3_scenario, uniform_selection
+        sc, M = fig3_scenario(80.0)
+        R, C, u, t, _ = sc.stats_common(uniform_selection(M, sc.dims.M_tot))
+        assert R.dtype == np.float64 and C.dtype == np.complex128
+        assert solve_zf_common(R, C, u, t).Psi_R.dtype == np.float64
+        assert solve_zf_common(R.astype(complex), C, u,
+                               t).Psi_R.dtype == np.complex128
+        off = solve_zf_common(R, C, u, 0.0 * t)    # no cascaded link
+        assert not off.system.cascaded and off.Psi_C.dtype == np.float64
+
+    def test_uncommon_off_cascade_placeholder_is_real(self, rng):
+        M, K, L = 8, 3, 5
+        F = [random_correlation(M, rng) for _ in range(K)]
+        sol = solve_rzf_uncommon(F, random_correlation(M, rng),
+                                 np.zeros((K, L, L)), 0.3)
+        assert not sol.system.cascaded and sol.Psi_C.dtype == np.float64
+
+    @pytest.mark.parametrize("precoder", ["rzf", "zf"])
+    def test_real_f_and_r_with_complex_c(self, rng, precoder):
+        # the real part of a PSD matrix is PSD, so .real keeps F and R valid
+        M, K, L = 10, 3, 6
+        F = np.stack([random_correlation(M, rng).real for _ in range(K)])
+        R = random_correlation(M, rng).real
+        C = np.stack([0.5 * random_correlation(L, rng) for _ in range(K)])
+
+        def solve(F, R, C):
+            if precoder == "rzf":
+                return solve_rzf_uncommon(F, R, C, 0.3, TIGHT)
+            return solve_zf_uncommon(F, R, C, TIGHT)
+        got, ref = solve(F, R, C), solve(F.astype(complex),
+                                         R.astype(complex), C)
+        assert got.Psi_R.dtype == np.float64
+        assert got.Psi_C.dtype == np.complex128
+        for name in ("delta", "mu", "omega"):
+            assert rel_err(getattr(got, name), getattr(ref, name)) < 1e-9, name
+        for name in ("Psi_R", "Psi_C"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert np.abs(a - b).max() < 1e-9 * np.abs(b).max(), name
 
 
 class TestIid:

@@ -341,6 +341,27 @@ class TestPortGradients:
                                          0.3)
         assert np.ptp(g) < 1e-10 * abs(g).max()
 
+    def test_real_fig3_data_matches_its_complex_cast(self):
+        # fig3's FAS correlation is real, so Psi_R and the port rows run in
+        # real arithmetic; the same solve on complex-cast R_emb (equal state,
+        # from the same spectra) and a complex-cast root give the same rows
+        from fasris.optimize import RelaxedZfObjective
+        from fasris.scenarios import fig3_scenario
+        sc, M = fig3_scenario(80.0)
+        obj = RelaxedZfObjective(sc, None, M)
+        _, sol, (R, C, u, t, p) = obj.solve(
+            np.full(sc.dims.M_tot, M / sc.dims.M_tot))
+        assert obj.R_root.dtype == sol.Psi_R.dtype == np.float64
+        cast = solve_zf_common(R.astype(complex), C, u, t, m_norm=M,
+                               spectra=(sol.lam, sol.g))
+        assert cast.x0 == sol.x0 and cast.Psi_R.dtype == np.complex128
+        g = esr_gradient_ports_zf_common(sol, obj.R_root, R, C, u, t, p,
+                                         sc.sigma2)
+        g_cast = esr_gradient_ports_zf_common(
+            cast, obj.R_root.astype(complex), R.astype(complex), C, u, t, p,
+            sc.sigma2)
+        assert np.abs(g - g_cast).max() < 1e-12 * np.abs(g).max()
+
     def test_diag3_matches_einsum(self, rng):
         n = 100
         root, mid = (rng.standard_normal((2, n, n))

@@ -1,6 +1,8 @@
-"""The benchmark-pair analysis in tools/bench_pairs.py."""
+"""The benchmark-pair analysis in tools/bench_pairs.py and the row diff
+of tools/figure_rows.py."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -8,13 +10,16 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-@pytest.fixture
-def bench_pairs():
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", TOOLS / "bench_pairs.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def bench_pairs():
+    return load_tool("bench_pairs")
 
 
 def test_metrics_worse_than_half_their_bound_are_flagged(bench_pairs, capsys):
@@ -34,3 +39,32 @@ def test_metrics_worse_than_half_their_bound_are_flagged(bench_pairs, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
     assert err[1].startswith("evaluate setup_s: median +17.0% worse")
+
+
+def test_figure_rows_diff_prints_the_rows_that_moved(tmp_path, capsys,
+                                                     monkeypatch):
+    figure_rows = load_tool("figure_rows")
+
+    def row_file(name, fig5, fig6):
+        rows = {"fig5": [("fig5_W3", 3.0, "de_joint", fig5)],
+                "fig6": [("fig6_K4", 4.0, "de_joint", 45.2),
+                         ("fig6_K4", 4.0, "de_uniform", fig6)]}
+        path = tmp_path / name
+        path.write_text(json.dumps({"figures": {
+            fig: {"rows": [dict(zip(("scenario_id", "axis_value", "method",
+                                     "esr"), r)) for r in rs]}
+            for fig, rs in rows.items()}}))
+        return str(path)
+
+    def no_recipe(*args):
+        raise AssertionError("the diff of two files runs no recipe")
+
+    monkeypatch.setattr(figure_rows, "run_recipes", no_recipe)
+    parent = row_file("parent.json", 55.6022, 44.339)
+    # fig5 moves by 4.3e-3, fig6 de_uniform by 5e-7: only fig5 is printed
+    change = row_file("change.json", 55.5979, 44.3390005)
+    assert figure_rows.main(["--diff", parent, change]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "fig5_W3\t3.0\tde_joint\t55.6022\t55.5979"]
+    assert figure_rows.main(["--diff", parent, parent]) == 0
+    assert capsys.readouterr().out == ""

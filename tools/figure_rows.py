@@ -2,6 +2,7 @@
 
     python3 tools/figure_rows.py --root ../parent > parent_rows.json
     python3 tools/figure_rows.py > change_rows.json
+    python3 tools/figure_rows.py --diff parent_rows.json change_rows.json
 
 Imports fasris from `<root>/src` (default: this working tree), pins BLAS to
 one thread, runs `sweep.run_figure` for fig3, fig5, fig6 and fig7 into a
@@ -11,6 +12,12 @@ time and, per recipe, its wall time and every `de_*` row of its CSV. The
 `de_*` rows are deterministic equivalents, so they do not depend on
 `--trials`. perfbench does not run these recipes; run this script on
 both sides of a change on one host to compare them.
+
+`--diff PARENT.json` prints, instead of the JSON object, one tab-separated
+line (scenario, axis value, method, parent ESR, change ESR) for every `de_*`
+row whose ESR differs from the parent's by more than 1e-6, a row on one
+side only included ("-" for the missing ESR). The change's rows come from
+the optional positional file, or else from running the recipes.
 """
 
 import os
@@ -29,15 +36,25 @@ from pathlib import Path  # noqa: E402
 
 TREE = Path(__file__).resolve().parent.parent
 FIGURES = ("fig3", "fig5", "fig6", "fig7")
+DIFF_TOL = 1e-6
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=TREE,
-                        help="checkout to import fasris from")
-    parser.add_argument("--trials", type=int, default=20)
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
+def moved_rows(parent: dict, change: dict, tol: float = DIFF_TOL) -> list:
+    """(scenario, axis value, method, parent ESR, change ESR) of every row
+    of two `run_recipes` outputs whose ESRs differ by more than tol; None
+    stands for a row that one side lacks."""
+    def esrs(rows):
+        return {(r["scenario_id"], r["axis_value"], r["method"]): r["esr"]
+                for fig in rows["figures"].values() for r in fig["rows"]}
+    old, new = esrs(parent), esrs(change)
+    return [(*key, old.get(key), new.get(key))
+            for key in dict.fromkeys([*old, *new])
+            if key not in old or key not in new
+            or abs(new[key] - old[key]) > tol]
+
+
+def run_recipes(root: Path, trials: int) -> dict:
+    """The JSON object of the module docstring for the checkout at root."""
     sys.path.insert(0, str(root / "src"))
     from fasris import sweep
 
@@ -51,7 +68,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as out:
         for name in FIGURES:
             t0 = time.perf_counter()
-            paths = sweep.run_figure(name, out, trials=args.trials)
+            paths = sweep.run_figure(name, out, trials=trials)
             wall = time.perf_counter() - t0
             with open(paths["csv"], newline="") as fh:
                 rows = [{"scenario_id": r["scenario_id"],
@@ -60,9 +77,31 @@ def main(argv=None) -> int:
                         for r in csv.DictReader(fh)
                         if r["method"].startswith("de_")]
             figures[name] = {"wall_s": wall, "rows": rows}
-    print(json.dumps({"rev": rev or None, "trials": args.trials,
-                      "wall_s": sum(f["wall_s"] for f in figures.values()),
-                      "figures": figures}))
+    return {"rev": rev or None, "trials": trials,
+            "wall_s": sum(f["wall_s"] for f in figures.values()),
+            "figures": figures}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=TREE,
+                        help="checkout to import fasris from")
+    parser.add_argument("--trials", type=int, default=20)
+    parser.add_argument("--diff", type=Path, metavar="PARENT.json",
+                        help="print the rows that moved from this file's")
+    parser.add_argument("change", type=Path, nargs="?",
+                        metavar="CHANGE.json",
+                        help="with --diff, rows to read instead of running")
+    args = parser.parse_args(argv)
+    if args.change and not args.diff:
+        parser.error("CHANGE.json needs --diff")
+    change = (json.loads(args.change.read_text()) if args.change
+              else run_recipes(args.root.resolve(), args.trials))
+    if not args.diff:
+        print(json.dumps(change))
+        return 0
+    for row in moved_rows(json.loads(args.diff.read_text()), change):
+        print("\t".join("-" if v is None else str(v) for v in row))
     return 0
 
 
