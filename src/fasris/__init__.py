@@ -23,10 +23,9 @@ from .montecarlo import (EsrEstimate, ResolventProbe, build_precoder,
 from .gradients import (esr_gradient_phases_common,
                         esr_gradient_phases_uncommon,
                         esr_gradient_phases_zf_common,
-                        esr_gradient_phases_zf_uncommon,
                         esr_gradient_ports_zf_common,
                         esr_gradient_ports_zf_uncommon, esr_gradient_z,
-                        fd_gradient, gradient_G_l, phase_perturbation)
+                        fd_gradient, phase_perturbation)
 from .optimize import (OptimizationTrace, OptimizerSettings, PhaseShifts,
                        alternating_optimization, deterministic_esr,
                        fw_linear_oracle, fw_port_selection,

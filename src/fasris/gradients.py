@@ -6,9 +6,11 @@ port-selection gradients of the ZF rate through the relaxed diag(s)
 embedding. What needs matrices is written here by hand:
 implicit differentiation of the fixed point (one solve with the Pi / Pi_com
 of rates.py) and the derivatives of the trace tables. Everything after the
-tables is the rates.py formula itself, differentiated by complex step. Every
-path is pinned to central finite differences of the full rate evaluation in
-the test suite.
+tables is the rates.py formula itself, differentiated by complex step. The
+shared RZF gradients run forward, along a few directions; the per-user ones
+run in reverse, through one adjoint that gives d ESR / d C_k and d ESR / d z
+for RZF and ZF alike. Every path is pinned to central finite differences of
+the full rate evaluation in the test suite.
 
 Rates are in bits, so every gradient carries a 1/ln(2).
 """
@@ -20,8 +22,9 @@ import numpy as np
 from .channel import effective_ris_correlation, psd_sqrt
 from .fixed_point import CommonSolution, UncommonSolution
 from .rates import (SecondOrderCommon, SecondOrderUncommon, _common_tables,
-                    _uncommon_tables, common_system, second_order_common,
-                    second_order_uncommon, uncommon_system)
+                    _interference_rhs, _pair_traces, _tr, _uncommon_pi,
+                    _uncommon_tail, common_system, second_order_common,
+                    second_order_uncommon, zf_sinr)
 
 LN2 = np.log(2.0)
 
@@ -29,20 +32,6 @@ LN2 = np.log(2.0)
 # ---------------------------------------------------------------------------
 # phase-shift perturbation matrices
 # ---------------------------------------------------------------------------
-
-def gradient_G_l(phi: np.ndarray, l: int) -> np.ndarray:
-    """Entry-wise phase derivative pattern of Phi C Phi^H at angle l.
-
-    Row l holds j e^{j(phi_l - phi_q)}, column l holds -j e^{j(phi_p - phi_l)},
-    the diagonal (where the two cases collide) is 0. Hermitian.
-    """
-    L = len(phi)
-    G = np.zeros((L, L), dtype=complex)
-    G[l, :] = 1j * np.exp(1j * (phi[l] - phi))
-    G[:, l] = -1j * np.exp(1j * (phi - phi[l]))
-    G[l, l] = 0.0
-    return G
-
 
 def phase_perturbation(CL_root: np.ndarray, C_R: np.ndarray, phi: np.ndarray,
                        l: int) -> np.ndarray:
@@ -61,7 +50,8 @@ def phase_perturbation(CL_root: np.ndarray, C_R: np.ndarray, phi: np.ndarray,
 
 def _phase_traces(CL_root: np.ndarray, C_R: np.ndarray, phi: np.ndarray,
                   Xs: list[np.ndarray]) -> np.ndarray:
-    """tr(A_l X) for every l and every Hermitian X in Xs, (len(Xs), L).
+    """tr(A_l X) for every l and every Hermitian X in Xs, (len(Xs), L); a
+    (K, L, L) stack of C_R pairs C_{R,k} with Xs[k].
 
     A_l = dC/dphi_l = w_l s_l^T + h.c. (`phase_perturbation`): w_l is column
     l of C_L^{1/2} and s_l^T row l of B C_L^{1/2}, with B[l, q] =
@@ -69,7 +59,7 @@ def _phase_traces(CL_root: np.ndarray, C_R: np.ndarray, phi: np.ndarray,
     2 Re(s_l^T X w_l), and one product per X gives every l.
     """
     B = 1j * np.exp(1j * (phi[:, None] - phi[None, :])) * C_R
-    np.fill_diagonal(B, 0.0)
+    B[..., np.arange(len(phi)), np.arange(len(phi))] = 0.0
     return 2.0 * np.real(np.sum(((B @ CL_root) @ np.asarray(Xs))
                                 * CL_root.T, axis=-1))
 
@@ -97,10 +87,14 @@ def complex_step(f, x: dict, dx: dict) -> np.ndarray:
     return np.imag(fx) / h.reshape(n, *[1] * (fx.ndim - 1))
 
 
+def _esr(sinr: np.ndarray) -> np.ndarray:
+    """ESR (bits) of the SINRs on the last axis."""
+    return np.sum(np.log1p(sinr), axis=-1) / LN2
+
+
 def _esr_along(system, x: dict, dx: dict, *args) -> np.ndarray:
     """d ESR (bits) along each direction of dx, the SINR from system(x, *args)."""
-    return complex_step(lambda y: np.sum(np.log1p(system(y, *args)["sinr"]),
-                                         axis=-1) / LN2, x, dx)
+    return complex_step(lambda y: _esr(system(y, *args)["sinr"]), x, dx)
 
 
 # ---------------------------------------------------------------------------
@@ -170,41 +164,100 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# per-user-correlation phase gradient (RZF)
+# per-user correlation: one adjoint for the RZF and ZF phase gradients and z
 # ---------------------------------------------------------------------------
 
-def _uncommon_along(so: SecondOrderUncommon, C: np.ndarray, mu_, d_, e_om,
-                    dz: float, A: np.ndarray) -> dict:
-    """`_common_along` per user: (mu, delta) move by (mu_, d_), the Pi
-    response; e_om, dz I and the stack A are the explicit parts of d omega,
-    dPsi_R^{-1} and dC_k. C is the stack of C_k."""
-    sol = so.sol
-    F, R = so.F, so.R
-    M, L = sol.m_norm, C.shape[-1]
-    mu, omega, delta = sol.mu, sol.omega, sol.delta
-    Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
-    x = so.x
-    one_mu = 1.0 + mu
-    one_mu2 = one_mu ** 2
-    dinv2 = 1.0 / delta ** 2 if delta else 0.0
-    om_ = e_om + x["Xi_I"] * d_ * dinv2 + (x["Xi"] / (L * one_mu2[None, :])) @ mu_
+def _partials(f, x: dict) -> dict:
+    """d f / d x_e for every entry e of x, by complex step (as `complex_step`):
+    row e of one batched call perturbs entry e alone, by 1e-20 |x_e| (1e-20
+    at a zero entry). A zero delta, which only a missing RIS path gives,
+    stays fixed: f is not analytic there, nor does delta move."""
+    names = [k for k in x if k != "delta" or x[k]]
+    v = np.concatenate([np.ravel(x[k]) for k in names])
+    h = 1e-20 * np.where(v != 0, np.abs(v), 1.0)
+    Y = v + np.diag(1j * h)                 # row e: x with entry e stepped
+    cuts = np.cumsum([np.size(x[k]) for k in names])[:-1]
+    y = {k: Yk.reshape(len(v), *np.shape(x[k]))
+         for k, Yk in zip(names, np.split(Y, cuts, axis=1))}
+    d = dict(zip(names, np.split(np.imag(f({**x, **y})) / h, cuts)))
+    return {k: d[k].reshape(np.shape(x[k])) if k in d else 0.0 for k in x}
 
-    coefR = (np.sum(om_ / (delta * one_mu) - omega * d_ / (delta ** 2 * one_mu)
-                    - omega * mu_ / (delta * one_mu2)) / M if delta else 0.0)
-    dPsiR_inv = dz * np.eye(len(R)) + coefR * R \
-        - np.einsum("k,kij->ij", mu_ / (M * one_mu2), F)
-    PsiR_ = -Psi_R @ dPsiR_inv @ Psi_R
 
-    dPsiC_inv = (-d_ * dinv2) * np.eye(L) \
-        + np.einsum("k,kij->ij", 1.0 / (L * one_mu), A) \
-        - np.einsum("k,kij->ij", mu_ / (L * one_mu2), C)
-    PsiC_ = -Psi_C @ dPsiC_inv @ Psi_C
+def _esr_partials(so: SecondOrderUncommon, p, sigma2: float) -> dict:
+    """d ESR / d x (bits) for every entry of so.x, at the solution's precoder.
 
-    first_ = (F @ PsiR_, R @ PsiR_, A @ Psi_C + C @ PsiC_)
-    tables_ = _uncommon_tables(first_, (so.E, so.ER, so.D, Psi_R, Psi_C), M)
-    rest = _uncommon_tables((so.E, so.ER, so.D), (*first_, PsiR_, PsiC_), M)
-    return {"delta": d_, "mu": mu_, "omega": om_,
-            **{name: v + rest[name] for name, v in tables_.items()}}
+    ZF: `zf_sinr` of mu. RZF: the `_uncommon_tail` of mu, W = Pi^{-1} B_W
+    and ups_I = Pi^{-1} chi(I_M), whose partials in (W, ups_I) take one Pi^T
+    solve with K + 1 right-hand sides back to the solve-free assembly."""
+    sol, x, p = so.sol, so.x, np.asarray(p, dtype=float)
+    M, L, K = sol.m_norm, so.D.shape[-1], len(sol.mu)
+    if sol.z is None:
+        return {k: 0.0 * v for k, v in x.items()} | _partials(
+            lambda y: _esr(zf_sinr(y["mu"], p, sigma2, M)), {"mu": sol.mu})
+    V = np.column_stack([so.W, so.ups_I])     # Pi V = [B_W, chi(I_M)]
+    g = _partials(lambda y: _esr(_uncommon_tail(y["mu"], y["V"][..., :K],
+                                                y["V"][..., K], M, L, p,
+                                                sigma2)["sinr"]),
+                  {"mu": sol.mu, "V": V})
+    lam = so.solve_pi(g["V"], T=True)
+    lam_V = lam @ V.T             # d V = Pi^{-1} (d [B_W, chi(I_M)] - d Pi V)
+
+    def assembly(y):    # the last column, chi(I_M), has the partials lam[:, K]
+        return (np.sum(lam[:, :K] * _interference_rhs(y, M, L), axis=(-2, -1))
+                - np.sum(lam_V * _uncommon_pi(y, M, L, 1.0), axis=(-2, -1)))
+    c = _partials(assembly, x) | {"chi_FI": lam[:K, K], "chi_RI": lam[K, K]}
+    c["mu"] = c["mu"] + g["mu"]
+    return c
+
+
+def _uncommon_adjoint(so: SecondOrderUncommon, C: np.ndarray, c: dict):
+    """From c = d ESR / d x (`_esr_partials`), the (K, L, L) stack of
+    Hermitian H_k with d ESR = sum_k Re tr(dC_k H_k) at fixed z, and
+    d ESR / d z at fixed C_k.
+
+    The tables pull back onto Re tr(G_R dPsi_R) + Re tr(G_C dPsi_C) and
+    explicit dC_k terms, each sum over users one GEMM; dPsi = -Psi dPsi^{-1}
+    Psi leaves -Re tr(Y dPsi^{-1}), Y = Psi G Psi. The fixed point (Pi in
+    (d mu, d delta), d omega eliminated) takes one Pi^T solve (Giles &
+    Pierce, Flow Turbul. Combust. 65, 2000)."""
+    sol, x, F, R = so.sol, so.x, so.F, so.R
+    M, L, K = sol.m_norm, C.shape[-1], len(F)
+    mu, omega, Psi_R, Psi_C = sol.mu, sol.omega, sol.Psi_R, sol.Psi_C
+    gain = mu + (0.0 if sol.z is None else 1.0)          # shift + mu_k
+    dinv = 1.0 / sol.delta if sol.delta else 0.0
+    w = dinv / (M * gain)           # weight of omega_k R in Psi_R^{-1}
+
+    def wsum(a, S):                 # sum_k a_k S_k
+        return np.tensordot(a, S, 1)
+    X_R = np.tensordot(so.E, wsum(c["chi_FF"], F), ((0, 2), (0, 1))) \
+        + (wsum(c["chi_FR"], F) + c["chi_RR"] * R) @ Psi_R @ R \
+        + (wsum(c["chi_FI"], F) + c["chi_RI"] * R) @ Psi_R
+    X_C = np.tensordot(so.D, wsum(c["Xi"], C), ((0, 2), (0, 1))) \
+        + wsum(c["Xi_I"], C) @ Psi_C
+    Y_R, Y_C = (P @ (X + X.conj().T) @ P / n
+                for P, X, n in ((Psi_R, X_R, M), (Psi_C, X_C, L)))
+    yF, yC = _pair_traces(F, Y_R[None])[:, 0], _pair_traces(C, Y_C[None])[:, 0]
+    yR = _tr(R, Y_R, 1)
+
+    # -Re tr(Y_R dPsi_R^{-1}) - Re tr(Y_C dPsi_C^{-1}) in (d delta, d omega,
+    # d mu); d omega = e_om + Xi_I d delta / delta^2 + Xi d mu / (L gain^2)
+    g_om = c["omega"] - yR * w
+    g_mu = c["mu"] + yR * omega * w / gain \
+        + (yF / M + (yC + g_om @ x["Xi"]) / L) / gain ** 2
+    g_d = c["delta"] + yR * dinv * (omega @ w) \
+        + dinv ** 2 * (np.trace(Y_C).real + g_om @ x["Xi_I"])
+    lam = so.solve_pi(np.append(g_mu, g_d), T=True)
+    # the Pi right-hand side of an explicit e_om is [e_om - chi_FR S,
+    # -chi_RR S], S = sum_m w_m e_om_m
+    a = g_om + lam[:K] - (lam[:K] @ x["chi_FR"] + lam[K] * x["chi_RR"]) * w
+    dz = -np.trace(Y_R).real - lam[:K] @ x["chi_FI"] - lam[K] * x["chi_RI"]
+
+    # e_om_m = tr(dC_m Psi_C)/L - sum_k tr(dC_k Psi_C C_m Psi_C)/(L^2 gain_k)
+    N = wsum(c["Xi"] + c["Xi"].T, C) + c["Xi_I"][:, None, None] * np.eye(L) \
+        - wsum(a, C)[None] / (L * gain[:, None, None])
+    H = (Psi_C @ N @ Psi_C + a[:, None, None] * Psi_C
+         - Y_C / gain[:, None, None]) / L
+    return H, float(dz)
 
 
 def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
@@ -212,66 +265,28 @@ def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
                                  C_R_list: np.ndarray, t: np.ndarray,
                                  phi: np.ndarray, p: np.ndarray,
                                  sigma2: float, root=psd_sqrt) -> np.ndarray:
-    """d ESR_RZF / d phi_l, per-user-correlation regime (bits). C_list and
-    C_R_list are the (K, L, L) stacks of C_k and C_{R,k} (lists work too).
-
-    Per element l, one Pi solve moves the fixed point and the trace tables
-    follow from dPsi_R and dPsi_C; the ESR's derivatives along all L
-    directions then come from one complex-step evaluation of
-    `uncommon_system`.
-    """
-    M, L = so.sol.m_norm, C_L.shape[0]
-    mu, delta, Psi_C = so.sol.mu, so.sol.delta, so.sol.Psi_C
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
-
-    if delta == 0.0 or np.all(t == 0.0):
-        return np.zeros(len(phi))
-
-    C, C_R = np.asarray(C_list), np.asarray(C_R_list)
-    CL_root = root(C_L, "C_L")
-    one_mu = 1.0 + mu
-    x = so.x
-    P2 = np.einsum("ij,kjl->kil", Psi_C, so.D)         # Psi_C C_k Psi_C
-
-    rows = []
-    for l in range(len(phi)):
-        # dC_k/dphi_l
-        A = t[:, None, None] * phase_perturbation(CL_root, C_R, phi, l)
-
-        # explicit part of each omega_m
-        trAP = np.real(np.einsum("kij,ji->k", A, Psi_C)) / L
-        trP2A = np.real(np.einsum("mij,kji->mk", P2, A)) / L   # tr(A_k Psi_C C_m Psi_C)/L
-        e_om = trAP - np.sum(trP2A / one_mu[None, :], axis=1) / L
-        S = float(np.sum(e_om / (M * delta * one_mu)))
-
-        w_sol = so.solve_pi(np.concatenate([e_om - x["chi_FR"] * S,
-                                            [-x["chi_RR"] * S]]))
-        rows.append(_uncommon_along(so, C, w_sol[:-1], w_sol[-1], e_om, 0.0, A))
-    dx = {name: np.array([row[name] for row in rows]) for name in rows[0]}
-    return _esr_along(uncommon_system, x, dx, M, L, 1.0, p, sigma2)
+    """d ESR / d phi_l, per-user-correlation regime (bits), RZF or ZF as the
+    solution of so. C_list and C_R_list are the (K, L, L) stacks of C_k and
+    C_{R,k} (lists work too). dC_k / d phi_l = t_k A_l(C_{R,k}), so with the
+    H_k of `_uncommon_adjoint`, `_phase_traces` reads every l at once."""
+    H = _uncommon_adjoint(so, np.asarray(C_list), _esr_partials(so, p, sigma2))[0]
+    return t @ _phase_traces(root(C_L, "C_L"), np.asarray(C_R_list), phi, H)
 
 
 def esr_gradient_z(so: SecondOrderCommon | SecondOrderUncommon,
                    C: np.ndarray, p: np.ndarray, sigma2: float) -> float:
     """d ESR_RZF / d z (bits) in either regime; C is C, or the stack of C_k.
 
-    dPsi_R^{-1}/dz = I, so the fixed point moves by -x_I (shared) or -ups_I
-    (per-user), Pi solves that `second_order_*` already hold; the tables
-    follow, and one complex-step evaluation of the regime's system carries
-    them to the ESR."""
+    Per-user: the z output of `_uncommon_adjoint`. Shared: dPsi_R^{-1}/dz =
+    I moves the fixed point by -x_I, which `second_order_common` holds; one
+    complex-step evaluation of `common_system` carries it to the ESR."""
+    if isinstance(so, SecondOrderUncommon):
+        return _uncommon_adjoint(so, np.asarray(C), _esr_partials(so, p, sigma2))[1]
     M, L = so.sol.m_norm, C.shape[-1]
-    p = np.asarray(p, dtype=float)
-    if isinstance(so, SecondOrderCommon):
-        along = _common_along(so, *(-so.x_I), 1.0)
-        system, args = common_system, (so.u, so.t, M, L, 1.0, p, sigma2)
-    else:
-        K = len(so.F)
-        along = _uncommon_along(so, C, -so.ups_I[:K], -so.ups_I[K], 0.0, 1.0,
-                                0.0 * C)
-        system, args = uncommon_system, (M, L, 1.0, p, sigma2)
+    along = _common_along(so, *(-so.x_I), 1.0)
     dx = {name: np.asarray(v)[None] for name, v in along.items()}
-    return float(_esr_along(system, so.x, dx, *args)[0])
+    return float(_esr_along(common_system, so.x, dx, so.u, so.t, M, L, 1.0,
+                            np.asarray(p, dtype=float), sigma2)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +324,6 @@ def esr_gradient_phases_zf_common(sol: CommonSolution, R, C_L, C_R,
     _, k_, o_ = so.solve_pi(np.array([0.0, 0.0, 1.0]))
     return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),
                      sol.m_norm, sigma2)
-
-
-def esr_gradient_phases_zf_uncommon(so: SecondOrderUncommon, C_L, C_R_list,
-                                    t, phi, p, sigma2,
-                                    root=psd_sqrt) -> np.ndarray:
-    """d ESR_ZF / d phi_l, per-user correlation (bits); so is the ZF
-    `second_order_uncommon`. Per user k, `_phase_traces` against Psi_C and
-    every Psi_C C_m Psi_C gives the explicit d omega_m along dC_k/dphi_l
-    for all l; one Pi solve with L right-hand sides gives every d mu."""
-    sol = so.sol
-    M, L, mu, delta = sol.m_norm, C_L.shape[0], sol.mu, sol.delta
-    t = np.asarray(t, dtype=float)
-    if delta == 0.0 or np.all(t == 0.0):
-        return np.zeros(len(phi))
-    CL_root, Psi_C = root(C_L, "C_L"), sol.Psi_C
-    Xs = np.concatenate([Psi_C[None], Psi_C @ so.D])    # Psi_C, Psi_C C_m Psi_C
-    T = np.stack([t_k * _phase_traces(CL_root, C_R, phi, Xs)
-                  for t_k, C_R in zip(t, C_R_list)]) / L    # (K, K+1, L)
-    e_om = T[:, 0] - np.einsum("k,kml->ml", 1.0 / (L * mu), T[:, 1:])
-    S = np.sum(e_om / (M * delta * mu[:, None]), axis=0)
-    V = so.solve_pi(np.vstack([e_om - so.x["chi_FR"][:, None] * S,
-                               -so.x["chi_RR"] * S]))
-    return _zf_chain(np.asarray(p, dtype=float), mu, V[:-1], M, sigma2)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .fixed_point import (DEFAULT_SETTINGS, SolverSettings, _spectra,
 from .gradients import (esr_gradient_phases_common,
                         esr_gradient_phases_uncommon,
                         esr_gradient_phases_zf_common,
-                        esr_gradient_phases_zf_uncommon,
                         esr_gradient_ports_zf_common,
                         esr_gradient_ports_zf_uncommon, esr_gradient_z)
 from .rates import (RateReport, second_order_uncommon, sinr_rzf_common,
@@ -323,17 +322,13 @@ def _phase_objective(scenario: Scenario, s, precoder, z, settings):
             R, _, u, t, p = stats
             g = esr_gradient_phases_zf_common(sol, R, corr.C_L, corr.C_R, phi,
                                               u, t, p, sigma2, root=corr.root)
-        elif precoder == "zf":
-            g = esr_gradient_phases_zf_uncommon(
-                second_order_uncommon(*stats, sol), corr.C_L, C_R, scenario.t,
-                phi, stats[-1], sigma2, root=corr.root)
         elif shared:
             g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi, sigma2,
                                            root=corr.root)
-        else:
-            g = esr_gradient_phases_uncommon(so, stats[2], corr.C_L, C_R,
-                                             scenario.t, phi, stats[-1],
-                                             sigma2, root=corr.root)
+        else:    # a per-user ZF evaluation takes no second-order system
+            g = esr_gradient_phases_uncommon(
+                so or second_order_uncommon(*stats, sol), stats[2], corr.C_L,
+                C_R, scenario.t, phi, stats[-1], sigma2, root=corr.root)
         return rep.esr, g
 
     return value, value_grad

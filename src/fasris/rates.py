@@ -78,8 +78,8 @@ def _checked(A: np.ndarray, block: str):
     scaled matrix, which reflects actual solvability rather than scaling.
     The scaling is real and cancels in the solution, so a complex-step
     perturbation of A passes through. Every right-hand side is then solved
-    with the same scaled matrix: a B with as many axes as A holds matrices,
-    one with an axis fewer holds vectors.
+    with the same scaled matrix, or its transpose (T): a B with as many
+    axes as A holds matrices, one with an axis fewer holds vectors.
     """
     r = np.abs(A).max(axis=-1)
     r[r == 0] = 1.0
@@ -92,11 +92,12 @@ def _checked(A: np.ndarray, block: str):
         raise NumericalError(f"{block} block is ill-conditioned "
                              f"(equilibrated cond={cond:.3e})")
 
-    def solve(B: np.ndarray) -> np.ndarray:
+    def solve(B: np.ndarray, T: bool = False) -> np.ndarray:
         B = np.asarray(B)
+        S, r_, c_ = (As.swapaxes(-1, -2), c, r) if T else (As, r, c)
         if B.ndim == As.ndim:
-            return np.linalg.solve(As, B / r[..., :, None]) / c[..., :, None]
-        return np.linalg.solve(As, (B / r)[..., None])[..., 0] / c
+            return np.linalg.solve(S, B / r_[..., :, None]) / c_[..., :, None]
+        return np.linalg.solve(S, (B / r_)[..., None])[..., 0] / c_
     return solve
 
 
@@ -116,8 +117,8 @@ def rzf_sinr(Psi_kl: np.ndarray, Cbar, mu: np.ndarray, p, sigma2: float,
 
 
 def zf_sinr(mu: np.ndarray, p, sigma2: float, M: int) -> np.ndarray:
-    """ZF SINR gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_l))."""
-    return p / (sigma2 * np.sum(p / (M * mu)))
+    """ZF SINR gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_l)), per row of mu."""
+    return p / (sigma2 * np.sum(p / (M * mu), axis=-1, keepdims=True))
 
 
 def _clip_psi(Psi_kl: np.ndarray) -> np.ndarray:
@@ -199,16 +200,9 @@ def _interference_rhs(x: dict, M: int, L: int) -> np.ndarray:
          - np.asarray(x["chi_RR"])[..., None] * S)[..., None, :]], axis=-2)
 
 
-def uncommon_system(x: dict, M: int, L: int, shift: float = 1.0, p=None,
-                    sigma2=None) -> dict:
-    """The per-user system from its fixed-point state and trace tables.
-
-    x holds delta, mu, omega and the tables of `_uncommon_tables`. Returns
-    Pi, with shift + mu_k in place of 1 + mu_k (1 for RZF, 0 for ZF), and
-    `solve_pi`, the checked Pi solve; given p, also RZF's solved blocks
-    ups_I, ups_F, W and Psi_kl (unclipped), Cbar; given sigma2 too, the RZF
-    SINR as `sinr`.
-    """
+def _uncommon_pi(x: dict, M: int, L: int, shift: float) -> np.ndarray:
+    """Pi of the per-user system, shift + mu_k in place of 1 + mu_k (1 for
+    RZF, 0 for ZF)."""
     delta = np.asarray(x["delta"])[..., None]
     mu, omega, Xi, Xi_I = x["mu"], x["omega"], x["Xi"], x["Xi_I"]
     chi_FF, chi_FR = x["chi_FF"], x["chi_FR"]
@@ -231,6 +225,35 @@ def uncommon_system(x: dict, M: int, L: int, shift: float = 1.0, p=None,
     Pi[..., K, :K] = -(Xi_I * dinv2 * chi_RR + chi_FR) / (M * gain2)
     Pi[..., :K, K] = -Xi_I * dinv2 - sw * chi_FR
     Pi[..., K, K] = (1.0 - sw * chi_RR)[..., 0]
+    return Pi
+
+
+def _uncommon_tail(mu: np.ndarray, W: np.ndarray, ups_I: np.ndarray, M: int,
+                   L: int, p, sigma2=None) -> dict:
+    """Psi_kl (unclipped) and Cbar from the solved W and ups_I; given sigma2,
+    the RZF SINR as `sinr`."""
+    K = mu.shape[-1]
+    # diagonal: scaling user l also scales its own test covariance, which
+    # contributes +mu_l to d mu_l / d eps on top of the resolvent response
+    one_mu2 = (1.0 + mu) ** 2
+    Psi_kl = -L * one_mu2[..., None, :] * (W[..., :K, :] - mu[..., None] * np.eye(K))
+    Cbar = np.sum(p * ups_I[..., :K] / (M * one_mu2), axis=-1)
+    out = {"Psi_kl": Psi_kl, "Cbar": Cbar}
+    if sigma2 is not None:
+        out["sinr"] = rzf_sinr(Psi_kl, Cbar, mu, p, sigma2, L)[0]
+    return out
+
+
+def uncommon_system(x: dict, M: int, L: int, shift: float = 1.0, p=None,
+                    sigma2=None) -> dict:
+    """The per-user system from its fixed-point state and trace tables.
+
+    x holds delta, mu, omega and the tables of `_uncommon_tables`. Returns
+    `_uncommon_pi` and `solve_pi`, the checked Pi solve; given p, also RZF's
+    solved blocks ups_I, ups_F, W and their `_uncommon_tail` (given sigma2
+    too, the SINR). The gradients differentiate the tail apart.
+    """
+    Pi = _uncommon_pi(x, M, L, shift)
     solve_pi = _checked(Pi, "Pi")
     if p is None:
         return {"Pi": Pi, "solve_pi": solve_pi}
@@ -238,18 +261,12 @@ def uncommon_system(x: dict, M: int, L: int, shift: float = 1.0, p=None,
     # chi vectors for I and every F_k: column l of ups_F = Pi^{-1} chi(F_l)
     ups_I = solve_pi(np.concatenate([x["chi_FI"], np.asarray(x["chi_RI"])[..., None]],
                                     axis=-1))
-    ups_F = solve_pi(np.concatenate([chi_FF, chi_FR[..., None, :]], axis=-2))
+    ups_F = solve_pi(np.concatenate([x["chi_FF"], x["chi_FR"][..., None, :]],
+                                    axis=-2))
     W = solve_pi(_interference_rhs(x, M, L))
-    # diagonal: scaling user l also scales its own test covariance, which
-    # contributes +mu_l to d mu_l / d eps on top of the resolvent response
-    one_mu2 = (1.0 + mu) ** 2
-    Psi_kl = -L * one_mu2[..., None, :] * (W[..., :K, :] - mu[..., None] * np.eye(K))
-    Cbar = np.sum(p * ups_I[..., :K] / (M * one_mu2), axis=-1)
-    out = {"Pi": Pi, "ups_I": ups_I, "ups_F": ups_F, "W": W,
-           "Psi_kl": Psi_kl, "Cbar": Cbar, "solve_pi": solve_pi}
-    if sigma2 is not None:
-        out["sinr"] = rzf_sinr(Psi_kl, Cbar, mu, p, sigma2, L)[0]
-    return out
+    return {"Pi": Pi, "ups_I": ups_I, "ups_F": ups_F, "W": W,
+            "solve_pi": solve_pi,
+            **_uncommon_tail(x["mu"], W, ups_I, M, L, p, sigma2)}
 
 
 @dataclass
@@ -271,7 +288,6 @@ class SecondOrderUncommon:
     x: dict                  # delta, mu, omega and the tables: chi_FF, Xi (K,K),
                              # chi_FR, chi_FI, Xi_I (K,), chi_RR, chi_RI
     E: np.ndarray
-    ER: np.ndarray
     D: np.ndarray
     Pi: np.ndarray           # (K+1,K+1)
     solve_pi: Callable = field(repr=False)
@@ -303,7 +319,7 @@ def second_order_uncommon(F_list: np.ndarray, R: np.ndarray,
         out["Lambda_kl"] = out["Psi_kl"] - (L / M) * np.swapaxes(
             out["ups_F"][..., :K, :], -1, -2)
         out["Psi_kl"] = _clip_psi(out["Psi_kl"])
-    return SecondOrderUncommon(sol=sol, F=F, R=R, x=x, E=E, ER=ER, D=D, **out)
+    return SecondOrderUncommon(sol=sol, F=F, R=R, x=x, E=E, D=D, **out)
 
 
 def sinr_rzf_uncommon(sol: UncommonSolution, F_list, R, C_list,

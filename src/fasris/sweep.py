@@ -388,14 +388,11 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
 
     sc_user = sc_mod.random_scenario(rng, "uncommon", M=10, K=3, L=6)
     phi1 = rng.uniform(0, 2 * np.pi, 6)
-    value, value_grad = _phase_objective(sc_user, None, "rzf", None, tight)
-    record("fd_phase_gradient_uncommon",
-           _fd_deviation(value, value_grad(phi1)[1], phi1), 1e-3,
-           "per-user analytic vs central differences")
-    value, value_grad = _phase_objective(sc_user, None, "zf", None, tight)
-    record("fd_phase_gradient_zf_uncommon",
-           _fd_deviation(value, value_grad(phi1)[1], phi1), 1e-3,
-           "per-user ZF analytic vs central differences")
+    for precoder, tag in (("rzf", ""), ("zf", "_zf")):
+        value, value_grad = _phase_objective(sc_user, None, precoder, None, tight)
+        record(f"fd_phase_gradient{tag}_uncommon",
+               _fd_deviation(value, value_grad(phi1)[1], phi1), 1e-3,
+               f"per-user {precoder.upper()} analytic vs central differences")
     esr_z = _WarmRzfEsr(sc_user, None, phi1, tight)
     log_z = np.log([10.0 * sc_user.default_z()])     # a decade above K sigma^2/M
     slope = esr_z(np.exp(log_z[0]), slope=True)[1:]

@@ -424,7 +424,9 @@ class TestValidate:
         assert cli.main(["validate", "--trials", "400"]) == 1
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                   if "FAIL" in line]
-        assert failed == ["fd_phase_gradient_uncommon"]
+        # one function serves the per-user RZF and ZF phase gradients
+        assert failed == ["fd_phase_gradient_uncommon",
+                          "fd_phase_gradient_zf_uncommon"]
 
     def test_scaled_z_derivative_fails(self, monkeypatch, capsys):
         from fasris import optimize

@@ -6,10 +6,9 @@ import pytest
 from fasris import (SolverSettings, esr_gradient_phases_common,
                     esr_gradient_phases_uncommon,
                     esr_gradient_phases_zf_common,
-                    esr_gradient_phases_zf_uncommon,
                     esr_gradient_ports_zf_common,
                     esr_gradient_ports_zf_uncommon, esr_gradient_z,
-                    fd_gradient, gradient_G_l, phase_perturbation,
+                    fd_gradient, phase_perturbation,
                     solve_rzf_common, solve_rzf_uncommon, solve_zf_common,
                     solve_zf_uncommon, sinr_rzf_common, sinr_rzf_uncommon,
                     sinr_zf_common, sinr_zf_uncommon)
@@ -28,19 +27,6 @@ def fd_tolerance_check(analytic, fd):
 
 
 class TestGl:
-    def test_hermitian(self, rng):
-        phi = rng.uniform(0, 2 * np.pi, 6)
-        for l in range(6):
-            G = gradient_G_l(phi, l)
-            assert np.allclose(G, G.conj().T)
-            assert G[l, l] == 0.0
-
-    def test_equal_phases_entries(self):
-        phi = np.full(5, 0.7)
-        G = gradient_G_l(phi, 2)
-        assert np.allclose(G[2, [0, 1, 3, 4]], 1j)
-        assert np.allclose(G[[0, 1, 3, 4], 2], -1j)
-
     def test_fd_of_phase_conjugation(self, rng):
         # A_l reproduces d(C_L^{1/2} Phi C_R Phi^H C_L^{1/2})/dphi_l
         L = 6
@@ -232,9 +218,9 @@ class TestPhaseGradientZfUncommon:
         F_list, R, C_list, p = sc.stats_uncommon(phi=phi)
         sol = solve_zf_uncommon(F_list, R, C_list, TIGHT)
         corr = sc.correlations
-        return esr_gradient_phases_zf_uncommon(
-            second_order_uncommon(F_list, R, C_list, p, sol), corr.C_L,
-            corr.c_r_list(sc.dims.K), sc.t, phi, p, sc.sigma2)
+        return esr_gradient_phases_uncommon(
+            second_order_uncommon(F_list, R, C_list, p, sol), C_list,
+            corr.C_L, corr.c_r_list(sc.dims.K), sc.t, phi, p, sc.sigma2)
 
     @staticmethod
     def _deviation(sc, phi):
@@ -717,9 +703,10 @@ def test_z_derivative_matches_fd_on_fig3():
 
 @pytest.mark.parametrize("regime", ["common", "uncommon"])
 def test_derivatives_reuse_the_checked_pi_solve(regime, monkeypatch):
-    # second_order_* checked Pi / Pi_com once; the phase gradient and the z
-    # derivative solve with that check and take one condition number each,
-    # of the complex-step stack that the regime's system checks
+    # second_order_* checked Pi / Pi_com once; the per-user phase gradient
+    # and z derivative solve with that check (Pi^T) and take no condition
+    # number, the shared ones one each, of the complex-step stack that
+    # common_system checks
     from numpy.linalg import _linalg
     from fasris.optimize import _evaluate, _stats
     rng = np.random.default_rng(63)
@@ -741,6 +728,6 @@ def test_derivatives_reuse_the_checked_pi_solve(regime, monkeypatch):
         esr_gradient_phases_uncommon(so, stats[2], corr.C_L,
                                      corr.c_r_list(3), sc.t, phi, sc.p,
                                      sc.sigma2)
-    assert len(calls) == 1
+    assert len(calls) == int(shared)
     esr_gradient_z(so, stats[2], stats[-1], sc.sigma2)
-    assert len(calls) == 2
+    assert len(calls) == 2 * int(shared)

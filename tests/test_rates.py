@@ -9,7 +9,7 @@ from fasris import (Dimensions, CorrelationSet, Scenario, SolverSettings,
                     solve_zf_uncommon, sinr_rzf_common, sinr_rzf_uncommon,
                     sinr_zf_common, sinr_zf_uncommon)
 from fasris.rates import (NumericalError, _checked, _clip_psi,
-                          second_order_common, second_order_uncommon)
+                          second_order_common, second_order_uncommon, zf_sinr)
 from fasris.scenarios import random_correlation, random_scenario
 
 TIGHT = SolverSettings(tol=1e-12, max_iter=30000)
@@ -92,6 +92,11 @@ class TestZfSinr:
         rzf = solve_rzf_uncommon(F_list, R, C_list, 1e-8, TIGHT)
         rep_rzf, _ = sinr_rzf_uncommon(rzf, F_list, R, C_list, p, sc.sigma2)
         assert abs(rep_zf.esr - rep_rzf.esr) / rep_zf.esr < 1e-3
+
+    def test_stacked_rows_equal_row_by_row_calls(self, rng):
+        mu, p = rng.uniform(0.5, 2.0, (3, 4)), rng.uniform(0.5, 1.5, 4)
+        got = zf_sinr(mu, p, 0.3, 12)
+        assert np.array_equal(got, [zf_sinr(row, p, 0.3, 12) for row in mu])
 
     def test_identity_matches_iid_closed_form(self):
         M, K, L = 16, 6, 12
@@ -266,8 +271,10 @@ class TestSecondOrderEdges:
             Pi = so.Pi
         assert all(getattr(so, name) is None for name in blocks)
         b = rng.standard_normal(len(Pi))
-        ref = np.linalg.solve(Pi, b)
-        assert np.abs(so.solve_pi(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+        for T in (False, True):    # with Pi, and with Pi^T for adjoints
+            ref = np.linalg.solve(Pi.T if T else Pi, b)
+            assert np.abs(so.solve_pi(b, T=T) - ref).max() \
+                <= 1e-12 * np.abs(ref).max()
 
 
 class TestNumericalGuards:
@@ -324,8 +331,8 @@ class TestReferenceScenarioProperties:
         assert errs[1] < errs[0]
 
 
-def _per_user_case(case):
-    """Per-user scenario and its RZF second-order blocks for one loop case:
+def _per_user_stats(case):
+    """(F, R, C, p) of a per-user scenario (sigma^2 = 0.4) for one loop case:
     a cascaded link, no cascaded link (t = 0), no RIS path (R = 0), or
     K = 9 users, where sums over users change their summation order."""
     rng = np.random.default_rng(41)
@@ -335,7 +342,12 @@ def _per_user_case(case):
         sc.t = np.zeros(K)
     if case == "R0":
         sc.correlations.R_tot = np.zeros_like(sc.correlations.R_tot)
-    F, R, C, p = sc.stats_uncommon(phi=rng.uniform(0, 2 * np.pi, 8))
+    return sc.stats_uncommon(phi=rng.uniform(0, 2 * np.pi, 8))
+
+
+def _per_user_case(case):
+    """The RZF second-order blocks (z = 0.2) of `_per_user_stats`."""
+    F, R, C, p = _per_user_stats(case)
     sol = solve_rzf_uncommon(F, R, C, 0.2, TIGHT)
     return second_order_uncommon(F, R, C, p, sol)
 
@@ -393,24 +405,47 @@ def _einsum_tables(first, second, M):
 
 
 @pytest.mark.parametrize("case", ["cascaded", "t0", "K9"])
-def test_gemm_tables_match_einsum(case, monkeypatch):
-    # the forward tables, and the complex derivative pair that
-    # `_uncommon_along` sums, along a random direction
-    from fasris import gradients
+def test_gemm_tables_match_einsum(case):
     from fasris.rates import _uncommon_tables
     so = _per_user_case(case)
     sol, M = so.sol, so.sol.m_norm
-    args = ((so.E, so.ER, so.D), (so.E, so.ER, so.D, sol.Psi_R, sol.Psi_C), M)
-    rng = np.random.default_rng(5)
-    K, L = len(so.F), so.D.shape[1]
-    C, A = (np.stack([random_correlation(L, rng) for _ in range(K)])
-            for _ in range(2))
-    along = (so, C, rng.standard_normal(K), 0.3, rng.standard_normal(K),
-             0.7, A)
-    got = [_uncommon_tables(*args), gradients._uncommon_along(*along)]
-    monkeypatch.setattr(gradients, "_uncommon_tables", _einsum_tables)
-    ref = [_einsum_tables(*args), gradients._uncommon_along(*along)]
-    for g, r in zip(got, ref):
-        for name in r:
-            err = np.abs(np.asarray(g[name]) - r[name]).max()
-            assert err <= 1e-12 * np.abs(r[name]).max(), name
+    ER = so.R @ sol.Psi_R
+    args = ((so.E, ER, so.D), (so.E, ER, so.D, sol.Psi_R, sol.Psi_C), M)
+    got, ref = _uncommon_tables(*args), _einsum_tables(*args)
+    for name in ref:
+        err = np.abs(np.asarray(got[name]) - ref[name]).max()
+        assert err <= 1e-12 * np.abs(ref[name]).max(), name
+
+
+@pytest.mark.parametrize("shift", [1.0, 0.0])
+@pytest.mark.parametrize("case", ["cascaded", "t0", "K9"])
+def test_adjoint_is_the_derivative_of_the_re_solved_esr(case, shift):
+    # sum_k Re tr(dC_k H_k) + dz d ESR / dz of `_uncommon_adjoint`, along a
+    # random Hermitian stack dC and a dz, against central differences of
+    # the ESR solved again at C + eps dC, z + eps dz: RZF at shift 1, ZF
+    # (no z) at shift 0
+    from fasris.gradients import _esr_partials, _uncommon_adjoint
+    F, R, C, p = _per_user_stats(case)
+    sigma2, z, dz = 0.4, 0.2, 0.05 * shift
+    rng = np.random.default_rng(6)
+    G = rng.standard_normal(C.shape) + 1j * rng.standard_normal(C.shape)
+    dC = 0.1 * (G + np.swapaxes(G.conj(), -1, -2))
+
+    def esr(eps):
+        Ce = C + eps * dC
+        if not shift:
+            return sinr_zf_uncommon(solve_zf_uncommon(F, R, Ce, TIGHT), p,
+                                    sigma2).esr
+        sol = solve_rzf_uncommon(F, R, Ce, z + eps * dz, TIGHT)
+        return sinr_rzf_uncommon(sol, F, R, Ce, p, sigma2)[0].esr
+
+    sol = (solve_rzf_uncommon(F, R, C, z, TIGHT) if shift
+           else solve_zf_uncommon(F, R, C, TIGHT))
+    so = second_order_uncommon(F, R, C, p, sol)
+    H, d_z = _uncommon_adjoint(so, C, _esr_partials(so, p, sigma2))
+    assert np.abs(H - np.swapaxes(H.conj(), -1, -2)).max() \
+        <= 1e-12 * np.abs(H).max()
+    got = np.sum(np.real(np.einsum("kij,kji->k", dC, H))) + dz * d_z
+    h = 1e-5
+    ref = (esr(h) - esr(-h)) / (2 * h)
+    assert abs(got - ref) <= 1e-6 * abs(ref)
