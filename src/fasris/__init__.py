@@ -22,9 +22,8 @@ from .montecarlo import (EsrEstimate, ResolventProbe, build_precoder,
                          empirical_esr, instantaneous_sinr, resolvent_probe)
 from .gradients import (esr_gradient_phases_common,
                         esr_gradient_phases_uncommon,
-                        esr_gradient_phases_zf_common,
-                        esr_gradient_ports_zf_common,
-                        esr_gradient_ports_zf_uncommon, esr_gradient_z,
+                        esr_gradient_ports_uncommon,
+                        esr_gradient_ports_zf_common, esr_gradient_z,
                         fd_gradient, phase_perturbation)
 from .optimize import (OptimizationTrace, OptimizerSettings, PhaseShifts,
                        alternating_optimization, deterministic_esr,

@@ -339,7 +339,6 @@ class ChannelSample:
     X: np.ndarray
     W: np.ndarray
     Y: np.ndarray
-    Z: list[np.ndarray] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +547,7 @@ class ChannelSampler:
                                 @ corr.root(CR, f"C_R[{k}]")
                                 for k, CR in enumerate(corr.c_r_list(self.K))])
 
-    def draw(self, rng, keep_components: bool = True) -> ChannelSample:
+    def draw(self, rng) -> ChannelSample:
         """One draw from a Generator, or a (T, ...) stack from a sequence of
         them; trial t reads only rng[t], so no stack changes its channel."""
         single = isinstance(rng, np.random.Generator)
@@ -574,7 +573,5 @@ class ChannelSampler:
         H = FW.transpose(0, 2, 1) + self.R_half @ (X @ CY.transpose(0, 2, 1))
         if single:
             H, X, W, Y = H[0], X[0], W[0], Y[0]
-        Z = ([self.R_half @ X @ Ck for Ck in self.C_half] if keep_components
-             else [])
-        return ChannelSample(H=H, X=X, W=W, Y=Y, Z=Z)
+        return ChannelSample(H=H, X=X, W=W, Y=Y)
 

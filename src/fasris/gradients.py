@@ -1,30 +1,28 @@
-"""Analytic derivatives of the deterministic ESR.
+"""Analytic derivatives of the deterministic ESR, in bits (a 1/ln 2 each).
 
-Phase-shift gradients for the RZF and the ZF rate (shared and per-user
-correlation), the RZF rate's derivative in the regularizer z, and
-port-selection gradients of the ZF rate through the relaxed diag(s)
-embedding. What needs matrices is written here by hand:
-implicit differentiation of the fixed point (one solve with the Pi / Pi_com
-of rates.py) and the derivatives of the trace tables. Everything after the
-tables is the rates.py formula itself, differentiated by complex step. The
-shared RZF gradients run forward, along a few directions; the per-user ones
-run in reverse, through one adjoint that gives d ESR / d C_k and d ESR / d z
-for RZF and ZF alike. Every path is pinned to central finite differences of
-the full rate evaluation in the test suite.
-
-Rates are in bits, so every gradient carries a 1/ln(2).
+One gradient per regime serves RZF and ZF: the phase gradient in either
+regime and the per-user port gradient; d ESR / d z serves RZF. The shared
+regime keeps a ZF port gradient through R^{1/2} diag(s) R^{1/2}. What
+needs matrices is written here by hand: implicit differentiation of the
+fixed point (one solve with the Pi / Pi_com of rates.py) and the
+derivatives of the trace tables. Everything after the tables is the
+rates.py formula itself, differentiated by complex step. The shared
+gradients run forward, along a few directions; the per-user ones run in
+reverse, through one adjoint whose pullbacks give d ESR / d C_k, d F_k,
+d R and d z. Every path is pinned to central finite differences of the
+full rate evaluation in the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import effective_ris_correlation, psd_sqrt
-from .fixed_point import CommonSolution, UncommonSolution
+from .channel import herm, psd_sqrt
+from .fixed_point import CommonSolution
 from .rates import (SecondOrderCommon, SecondOrderUncommon, _common_tables,
                     _interference_rhs, _pair_traces, _tr, _uncommon_pi,
                     _uncommon_tail, common_system, second_order_common,
-                    second_order_uncommon, zf_sinr)
+                    zf_sinr)
 
 LN2 = np.log(2.0)
 
@@ -75,13 +73,15 @@ def complex_step(f, x: dict, dx: dict) -> np.ndarray:
     one leading batch axis; f gets x with those entries perturbed and
     batched, the others unchanged. Exact to roundoff, with no step-size
     cancellation, for f analytic in x (Squire & Trapp, SIAM Review 40(1),
-    1998); h is set per direction so that |h dx| <= 1e-20 |x| where x != 0.
+    1998); h is set per direction so that |h dx| <= 1e-20 |x| where x != 0,
+    and is 1e-20 along a direction that moves no nonzero entry of x.
     """
     n = len(next(iter(dx.values())))
     v = np.abs(np.concatenate([np.ravel(x[name]) for name in dx]))
     dv = np.abs(np.concatenate([np.reshape(d, (n, -1)) for d in dx.values()], axis=1))
     live = v != 0
-    h = 1e-20 / np.maximum(np.max(dv[:, live] / v[live], axis=1, initial=0.0), 1e-20)
+    m = np.max(dv[:, live] / v[live], axis=1, initial=0.0)
+    h = np.where(m > 0.0, 1e-20 / np.maximum(m, 1e-20), 1e-20)
     fx = f({**x, **{name: x[name] + 1j * h.reshape(n, *[1] * np.ndim(x[name])) * d
                     for name, d in dx.items()}})
     return np.imag(fx) / h.reshape(n, *[1] * (fx.ndim - 1))
@@ -98,7 +98,7 @@ def _esr_along(system, x: dict, dx: dict, *args) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# shared-correlation phase gradient (RZF)
+# shared correlation: the phase gradient (RZF and ZF), the ZF quotient rule
 # ---------------------------------------------------------------------------
 
 def _common_along(so: SecondOrderCommon, d_, k_, o_, dz: float) -> dict:
@@ -126,18 +126,29 @@ def _common_along(so: SecondOrderCommon, d_, k_, o_, dz: float) -> dict:
             **{name: v + rest[name] for name, v in tables_.items()}}
 
 
+def _zf_chain(p, mu, mu_d, M, sigma2) -> np.ndarray:
+    """Quotient rule through gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_l)),
+    summed into dESR (bits); column i of mu_d holds d mu / d x_i."""
+    SS = float(np.sum(p / (M * mu)))
+    gam = p / (sigma2 * SS)
+    SS_d = -np.einsum("k,ki->i", p / (M * mu ** 2), mu_d)
+    gam_d = -np.outer(gam / SS, SS_d)
+    return np.einsum("ki,k->i", gam_d, 1.0 / (1.0 + gam)) / LN2
+
+
 def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
                                C_R: np.ndarray, phi: np.ndarray,
                                sigma2: float, root=psd_sqrt) -> np.ndarray:
-    """d ESR_RZF / d phi_l, shared-correlation regime (bits); `root` takes
-    C_L^{1/2}, as in effective_ris_correlation.
+    """d ESR / d phi_l, shared-correlation regime (bits), RZF or ZF as the
+    solution of so; `root` takes C_L^{1/2}, as in effective_ris_correlation.
 
     Every phase enters through three traces tr(A_l X) against A_l =
     dC/dphi_l: U_A drives the fixed point through one Pi_com solve, Xi_A
-    and Xi_I_A move the tables Xi and Xi_I. The ESR's derivatives along
-    those three directions come from one complex-step evaluation of
+    and Xi_I_A move the tables Xi and Xi_I. The ZF rate reads mu alone, so
+    U_A only, through `_zf_chain`. For RZF the ESR's derivatives along the
+    three directions come from one complex-step evaluation of
     `common_system`; contracted with the three X, they leave one trace per
-    l, which `_phase_traces` reads for every l at once.
+    l. `_phase_traces` reads every l at once.
     """
     C, Psi_C, omega_bar = so.C, so.sol.Psi_C, so.sol.omega_bar
     M, L = so.sol.m_norm, C.shape[0]
@@ -150,6 +161,12 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
     # the A_l terms of d omega, dXi and dXi_I are traces against A_l
     CP = C @ Psi_C
     PCC = Psi_C @ CP                        # Psi_C C Psi_C
+    if so.sol.z is None:                    # ZF: d mu = (u k_ + t o_) U_A
+        U = _phase_traces(root(C_L, "C_L"), C_R, phi,
+                          [Psi_C - omega_bar * PCC])[0] / L
+        _, k_, o_ = so.solve_pi(np.array([0.0, 0.0, 1.0]))
+        return _zf_chain(so.p, so.sol.mu_k(so.u, so.t),
+                         np.outer(so.u * k_ + so.t * o_, U), M, sigma2)
     X = (Psi_C - omega_bar * PCC, PCC - omega_bar * (PCC @ CP),
          Psi_C @ Psi_C - 2.0 * omega_bar * (PCC @ Psi_C))   # U_A, Xi_A, Xi_I_A
 
@@ -164,22 +181,20 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# per-user correlation: one adjoint for the RZF and ZF phase gradients and z
+# per-user correlation: one adjoint for the phase, port and z gradients
 # ---------------------------------------------------------------------------
 
-def _partials(f, x: dict) -> dict:
-    """d f / d x_e for every entry e of x, by complex step (as `complex_step`):
-    row e of one batched call perturbs entry e alone, by 1e-20 |x_e| (1e-20
-    at a zero entry). A zero delta, which only a missing RIS path gives,
-    stays fixed: f is not analytic there, nor does delta move."""
+def _entrywise(f, x: dict) -> dict:
+    """d f / d x_e for every entry e of x, shaped like x: `complex_step`
+    along the unit direction of each entry, one batch row per entry. A zero
+    delta, which only a missing RIS path gives, stays fixed: f is not
+    analytic there, nor does delta move."""
     names = [k for k in x if k != "delta" or x[k]]
-    v = np.concatenate([np.ravel(x[k]) for k in names])
-    h = 1e-20 * np.where(v != 0, np.abs(v), 1.0)
-    Y = v + np.diag(1j * h)                 # row e: x with entry e stepped
-    cuts = np.cumsum([np.size(x[k]) for k in names])[:-1]
-    y = {k: Yk.reshape(len(v), *np.shape(x[k]))
-         for k, Yk in zip(names, np.split(Y, cuts, axis=1))}
-    d = dict(zip(names, np.split(np.imag(f({**x, **y})) / h, cuts)))
+    sizes = [np.size(x[k]) for k in names]
+    cuts = np.cumsum(sizes)[:-1]
+    units = np.split(np.eye(sum(sizes)), cuts, axis=1)
+    dx = {k: U.reshape(-1, *np.shape(x[k])) for k, U in zip(names, units)}
+    d = dict(zip(names, np.split(complex_step(f, x, dx), cuts)))
     return {k: d[k].reshape(np.shape(x[k])) if k in d else 0.0 for k in x}
 
 
@@ -192,34 +207,38 @@ def _esr_partials(so: SecondOrderUncommon, p, sigma2: float) -> dict:
     sol, x, p = so.sol, so.x, np.asarray(p, dtype=float)
     M, L, K = sol.m_norm, so.D.shape[-1], len(sol.mu)
     if sol.z is None:
-        return {k: 0.0 * v for k, v in x.items()} | _partials(
+        return {k: 0.0 * v for k, v in x.items()} | _entrywise(
             lambda y: _esr(zf_sinr(y["mu"], p, sigma2, M)), {"mu": sol.mu})
     V = np.column_stack([so.W, so.ups_I])     # Pi V = [B_W, chi(I_M)]
-    g = _partials(lambda y: _esr(_uncommon_tail(y["mu"], y["V"][..., :K],
-                                                y["V"][..., K], M, L, p,
-                                                sigma2)["sinr"]),
-                  {"mu": sol.mu, "V": V})
+    g = _entrywise(lambda y: _esr(_uncommon_tail(y["mu"], y["V"][..., :K],
+                                                 y["V"][..., K], M, L, p,
+                                                 sigma2)["sinr"]),
+                   {"mu": sol.mu, "V": V})
     lam = so.solve_pi(g["V"], T=True)
     lam_V = lam @ V.T             # d V = Pi^{-1} (d [B_W, chi(I_M)] - d Pi V)
 
     def assembly(y):    # the last column, chi(I_M), has the partials lam[:, K]
         return (np.sum(lam[:, :K] * _interference_rhs(y, M, L), axis=(-2, -1))
                 - np.sum(lam_V * _uncommon_pi(y, M, L, 1.0), axis=(-2, -1)))
-    c = _partials(assembly, x) | {"chi_FI": lam[:K, K], "chi_RI": lam[K, K]}
+    c = _entrywise(assembly, x) | {"chi_FI": lam[:K, K], "chi_RI": lam[K, K]}
     c["mu"] = c["mu"] + g["mu"]
     return c
 
 
 def _uncommon_adjoint(so: SecondOrderUncommon, C: np.ndarray, c: dict):
-    """From c = d ESR / d x (`_esr_partials`), the (K, L, L) stack of
-    Hermitian H_k with d ESR = sum_k Re tr(dC_k H_k) at fixed z, and
-    d ESR / d z at fixed C_k.
+    """From c = d ESR / d x (`_esr_partials`), the Hermitian pullbacks
+    (H, d ESR / d z, G): d ESR = sum_k Re tr(dC_k H[k]) + sum_k Re tr(dF_k
+    G[k]) + Re tr(dR G[K]) + dz d ESR / d z. H stacks the K users; G
+    stacks G_F,k of the K users, then G_R, in the order of Pi's rows.
 
-    The tables pull back onto Re tr(G_R dPsi_R) + Re tr(G_C dPsi_C) and
-    explicit dC_k terms, each sum over users one GEMM; dPsi = -Psi dPsi^{-1}
-    Psi leaves -Re tr(Y dPsi^{-1}), Y = Psi G Psi. The fixed point (Pi in
-    (d mu, d delta), d omega eliminated) takes one Pi^T solve (Giles &
-    Pierce, Flow Turbul. Combust. 65, 2000)."""
+    The tables pull back onto Re tr(X dPsi_R) + Re tr(X_C dPsi_C) and
+    explicit dC_k, dF_k, dR terms, each sum over users one GEMM; dPsi =
+    -Psi dPsi^{-1} Psi leaves -Re tr(Y dPsi^{-1}), Y = Psi X Psi. The fixed
+    point (Pi in (d mu, d delta), d omega eliminated) takes one Pi^T solve
+    (Giles & Pierce, Flow Turbul. Combust. 65, 2000), whose lam weighs the
+    explicit terms of the mu and delta equations: tr(dF_k Psi_R)/M, tr(dR
+    Psi_R)/M and, through Psi_R, the lam part of Y. dz, dF_k and dR enter
+    Psi_R^{-1} as dz I, dF_k / (M gain_k) and (omega . w) dR."""
     sol, x, F, R = so.sol, so.x, so.F, so.R
     M, L, K = sol.m_norm, C.shape[-1], len(F)
     mu, omega, Psi_R, Psi_C = sol.mu, sol.omega, sol.Psi_R, sol.Psi_C
@@ -250,14 +269,26 @@ def _uncommon_adjoint(so: SecondOrderUncommon, C: np.ndarray, c: dict):
     # the Pi right-hand side of an explicit e_om is [e_om - chi_FR S,
     # -chi_RR S], S = sum_m w_m e_om_m
     a = g_om + lam[:K] - (lam[:K] @ x["chi_FR"] + lam[K] * x["chi_RR"]) * w
-    dz = -np.trace(Y_R).real - lam[:K] @ x["chi_FI"] - lam[K] * x["chi_RI"]
+    Y = Y_R + Psi_R @ (wsum(lam[:K], F) + lam[K] * R) @ Psi_R / M
+    dz = -np.trace(Y).real
+
+    # explicit dF_k (dR) in the tables: Psi_R S Psi_R / M, S the factors
+    # beside F_k (R) in them, weighted by the table partials
+    I = np.eye(len(R))
+    S = np.concatenate([wsum(c["chi_FF"] + c["chi_FF"].T, F)
+                        + np.multiply.outer(c["chi_FR"], R)
+                        + np.multiply.outer(c["chi_FI"], I),
+                        (wsum(c["chi_FR"], F) + 2.0 * c["chi_RR"] * R
+                         + c["chi_RI"] * I)[None]])
+    y = np.append(1.0 / (M * gain), omega @ w)[:, None, None]  # in Psi_R^{-1}
+    G = herm((Psi_R @ S @ Psi_R + lam[:, None, None] * Psi_R) / M - y * Y)
 
     # e_om_m = tr(dC_m Psi_C)/L - sum_k tr(dC_k Psi_C C_m Psi_C)/(L^2 gain_k)
     N = wsum(c["Xi"] + c["Xi"].T, C) + c["Xi_I"][:, None, None] * np.eye(L) \
         - wsum(a, C)[None] / (L * gain[:, None, None])
     H = (Psi_C @ N @ Psi_C + a[:, None, None] * Psi_C
          - Y_C / gain[:, None, None]) / L
-    return H, float(dz)
+    return H, float(dz), G
 
 
 def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
@@ -290,67 +321,12 @@ def esr_gradient_z(so: SecondOrderCommon | SecondOrderUncommon,
 
 
 # ---------------------------------------------------------------------------
-# ZF gradients: the second-order systems of rates.py at the ZF point
-# ---------------------------------------------------------------------------
-
-def _zf_chain(p, mu, mu_d, M, sigma2) -> np.ndarray:
-    """Quotient rule through gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_l)),
-    summed into dESR (bits); column i of mu_d holds d mu / d x_i."""
-    SS = float(np.sum(p / (M * mu)))
-    gam = p / (sigma2 * SS)
-    SS_d = -np.einsum("k,ki->i", p / (M * mu ** 2), mu_d)
-    gam_d = -np.outer(gam / SS, SS_d)
-    return np.einsum("ki,k->i", gam_d, 1.0 / (1.0 + gam)) / LN2
-
-
-def esr_gradient_phases_zf_common(sol: CommonSolution, R, C_L, C_R,
-                                  phi, u, t, p, sigma2,
-                                  root=psd_sqrt) -> np.ndarray:
-    """d ESR_ZF / d phi_l, shared correlation (bits)."""
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
-    L = len(phi)
-    if sol.delta == 0.0 or sol.omega_bar == 0.0 or np.all(t == 0.0):
-        return np.zeros(L)
-    # the C that stats_common hands the solver, bit for bit
-    C = effective_ris_correlation(C_L, phi, C_R, 1.0, root)[1]
-    so = second_order_common(R, C, u, t, p, sol)
-    Psi_C = sol.Psi_C
-    PCC = Psi_C @ so.P[1]
-    U = _phase_traces(root(C_L, "C_L"), C_R, phi,   # explicit d omega / d phi_l
-                      [Psi_C - sol.omega_bar * PCC])[0] / L
-    # every phase enters through the same RHS direction [0, 0, 1]
-    _, k_, o_ = so.solve_pi(np.array([0.0, 0.0, 1.0]))
-    return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),
-                     sol.m_norm, sigma2)
-
-
-# ---------------------------------------------------------------------------
-# port-selection gradients (ZF, relaxed diag(s) embedding)
+# port-selection gradients (ZF shared, relaxed embeddings; per-user adjoint)
 # ---------------------------------------------------------------------------
 
 def _diag3(root, mid) -> np.ndarray:
     """Real diagonal of root mid root."""
     return np.real(np.sum((root @ mid) * root.T, axis=1))
-
-
-def _port_rows(roots, embs, Psi, F_roots, cF, R_root, cR, M) -> np.ndarray:
-    """d/ds_i of tr(A(s) Psi)/M at fixed scalars, one row per A(s) = emb =
-    root diag(s) root. cF_m and cR are the coefficients of F_m(s) and R(s)
-    in Psi^{-1}, divided by M. Repeated (`is`) roots and embs are reused."""
-    rows = []
-    for i, (root, emb) in enumerate(zip(roots, embs)):
-        if i and root is roots[i - 1] and emb is embs[i - 1]:
-            rows.append(rows[-1])
-            continue
-        mid = Psi @ emb @ Psi
-        d_R = _diag3(R_root, mid)
-        row = np.real(np.einsum("ij,ji->i", root @ Psi, root)) / M
-        for c, F_root in zip(cF, F_roots):
-            row = row - c * (d_R if F_root is R_root else _diag3(F_root, mid))
-        rows.append(row - cR * d_R)
-    return np.array(rows)
 
 
 def esr_gradient_ports_zf_common(sol: CommonSolution, R_root, R_emb, C, u,
@@ -359,44 +335,38 @@ def esr_gradient_ports_zf_common(sol: CommonSolution, R_root, R_emb, C, u,
     direct link shares (F = R).
 
     sol must be the ZF solution on the embedded matrix with m_norm = M
-    (the RF-chain count). Returns the full-length gradient over ports.
+    (the RF-chain count). Both Pi_com rows of R(s), delta's and kappa's,
+    are d/ds_i tr(R(s) Psi_R)/M at fixed scalars: the explicit diagonal of
+    R^{1/2} Psi_R R^{1/2} less the R(s) terms of Psi_R^{-1}. Returns the
+    full-length gradient over ports.
     """
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
-    M, L, delta = sol.m_norm, C.shape[0], sol.delta
+    M, L, delta, Psi = sol.m_norm, C.shape[0], sol.delta, sol.Psi_R
     so = second_order_common(R_emb, C, u, t, p, sol)
+    u, t, p = so.u, so.t, so.p
 
     cW = L * sol.omega * sol.omega_bar / (M * delta) if delta > 0 else 0.0
-    B = _port_rows([R_root, R_root], [R_emb, R_emb], sol.Psi_R, [R_root],
-                   [L * sol.kappa_bar / M ** 2], R_root, cW / M, M)
-    B = np.vstack([B, np.zeros(B.shape[1])])    # C has no port dependence
-    V = so.solve_pi(B)
+    d_R = _diag3(R_root, Psi @ R_emb @ Psi)
+    row = np.real(np.einsum("ij,ji->i", R_root @ Psi, R_root)) / M
+    row = row - (L * sol.kappa_bar / M ** 2) * d_R - (cW / M) * d_R
+    V = so.solve_pi(np.array([row, row, np.zeros(len(row))]))  # C has no s
     mu_i = u[:, None] * V[1][None, :] + t[:, None] * V[2][None, :]   # (K, M_tot)
     return _zf_chain(p, sol.mu_k(u, t), mu_i, M, sigma2)
 
 
-def esr_gradient_ports_zf_uncommon(sol: UncommonSolution, R_root,
-                                   F_roots: list[np.ndarray], R_emb,
-                                   F_emb_list: list[np.ndarray],
-                                   C_list: list[np.ndarray], p,
-                                   sigma2) -> np.ndarray:
-    """Per-user-correlation version of the ZF port gradient."""
-    K = len(F_emb_list)
-    M = sol.m_norm
-    mu, omega, delta = sol.mu, sol.omega, sol.delta
-    Psi = sol.Psi_R
-    p = np.asarray(p, dtype=float)
-    so = second_order_uncommon(F_emb_list, R_emb, C_list, p, sol)
+def esr_gradient_ports_uncommon(so: SecondOrderUncommon, F_list, R,
+                                C_list, s: np.ndarray, p,
+                                sigma2: float) -> np.ndarray:
+    """d ESR / d s_i, per-user regime (bits), RZF or ZF as the solution of
+    so, through F_k(s) = diag(s) F_k diag(s) and R(s) = diag(s) R diag(s):
+    F_list and R at full size, so built on the embedded stacks.
 
-    # coefficients of the embedded-matrix terms inside Psi_R^{-1}
-    cF = 1.0 / (M * mu)
-    cR = float(np.sum(omega / (M * delta * mu))) if delta > 0 else 0.0
-    B = _port_rows([*F_roots, R_root], [*F_emb_list, R_emb], Psi, F_roots,
-                   cF / M, R_root, cR / M, M)      # rows ordered as in Pi
-
-    V = so.solve_pi(B)
-    return _zf_chain(p, mu, V[:K, :], M, sigma2)
+    With the pullbacks G of `_uncommon_adjoint`, d ESR = sum_A Re tr(dA(s)
+    G_A) over the stack A = F_1..F_K, R, and d/ds_i Re tr(A(s) G) = 2 Re sum_j A_ij
+    s_j G_ji for Hermitian A and G.
+    """
+    G = _uncommon_adjoint(so, np.asarray(C_list), _esr_partials(so, p, sigma2))[2]
+    A = np.concatenate([np.asarray(F_list), np.asarray(R)[None]])
+    return 2.0 * np.real(np.sum((A * s) * np.swapaxes(G, -1, -2), axis=(0, 2)))
 
 
 # ---------------------------------------------------------------------------

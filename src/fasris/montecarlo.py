@@ -119,7 +119,7 @@ def _trial_rates(sampler: ChannelSampler, p, sigma2, kind, z, seed,
     rates = np.empty(trials)
     for lo, hi in _blocks(trials, block):
         rngs = [trial_rng(seed, trial) for trial in range(lo, hi)]
-        H = sampler.draw(rngs, keep_components=False).H
+        H = sampler.draw(rngs).H
         G = build_precoder(H, kind, p, z)
         gam = instantaneous_sinr(H, m_scale * G, p, sigma2)
         rates[lo:hi] = np.log2(1.0 + gam).sum(axis=-1)
@@ -173,8 +173,7 @@ def resolvent_probe(scenario: Scenario, s: np.ndarray | None,
     V_sum = np.zeros((K, M, M), dtype=complex)
     omega_acc, upsZ_acc, lam_acc = np.zeros(K), np.zeros(K), np.zeros((K, K))
     for lo, hi in _blocks(trials):
-        sample = sampler.draw([trial_rng(seed, t) for t in range(lo, hi)],
-                              keep_components=False)
+        sample = sampler.draw([trial_rng(seed, t) for t in range(lo, hi)])
         Q = np.linalg.inv(z * np.eye(M) + sample.H @ _herm_t(sample.H))
         RX = (sampler.R_half @ sample.X)[:, None]       # (T, 1, M, L)
         U = Q[:, None] @ (RX @ C @ _herm_t(RX))         # (T, K, M, M)

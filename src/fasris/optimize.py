@@ -1,7 +1,7 @@
 """Two-timescale optimization: port selection, regularizer, phase shifts.
 
 Frank-Wolfe over the relaxed port polytope (driven by the ZF rate through
-the diag(s) embedding, with a top-M linear oracle and 2/(t+2) steps),
+the relaxed embeddings, with a top-M linear oracle and 2/(t+2) steps),
 backtracking gradient ascent on the RIS phases, 1-D search for the RZF
 regularizer with the homogeneous shortcut z = K sigma^2 / M, alternating
 optimization of (z, Phi) at fixed selection, and the outer joint loop that
@@ -23,11 +23,11 @@ from .fixed_point import (DEFAULT_SETTINGS, SolverSettings, _spectra,
                           solve_zf_common, solve_zf_uncommon)
 from .gradients import (esr_gradient_phases_common,
                         esr_gradient_phases_uncommon,
-                        esr_gradient_phases_zf_common,
-                        esr_gradient_ports_zf_common,
-                        esr_gradient_ports_zf_uncommon, esr_gradient_z)
-from .rates import (RateReport, second_order_uncommon, sinr_rzf_common,
-                    sinr_rzf_uncommon, sinr_zf_common, sinr_zf_uncommon)
+                        esr_gradient_ports_uncommon,
+                        esr_gradient_ports_zf_common, esr_gradient_z)
+from .rates import (RateReport, second_order_common, second_order_uncommon,
+                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf_common,
+                    sinr_zf_uncommon)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +179,13 @@ def deterministic_esr(scenario: Scenario, s: np.ndarray | None = None,
 # ---------------------------------------------------------------------------
 
 class RelaxedZfObjective:
-    """ZF rate and gradient on the diag(s)-embedded correlation surrogate.
+    """ZF rate and gradient on an embedded correlation surrogate.
 
-    Caches the matrix square roots and warm-starts successive solves, since
-    Frank-Wolfe evaluates along a slowly moving iterate. The shared regime
-    embeds R alone (F = R); per user, each F_k embeds by its own root.
+    Caches what does not move with the selection and warm-starts successive
+    solves, since Frank-Wolfe evaluates along a slowly moving iterate. The
+    shared regime embeds R alone (F = R) as R^{1/2} diag(s) R^{1/2}; per
+    user, every F_k and R embed as diag(s) A diag(s), which at a binary s
+    is the submatrix of the selected ports, bordered by zeros.
     """
 
     def __init__(self, scenario: Scenario, phi: np.ndarray | None, M: int,
@@ -191,28 +193,25 @@ class RelaxedZfObjective:
         self.scenario = scenario
         self.M = M
         self.settings = settings
-        corr = scenario.correlations
-        self.R_root = corr.root(corr.R_tot, "R_tot")
-        # C, or the stack of C_k, does not depend on the selection
-        stats, self.shared = _stats(scenario, None, phi)
-        self.C = stats[1 if self.shared else 2]
-        if not self.shared:
-            # fold the per-user gain into the roots, so F_k(s) = u_k F_k(s)
-            self.F_root = np.sqrt(scenario.u)[:, None, None] * np.stack(
-                [corr.root(F, f"F_tot[{k}]")
-                 for k, F in enumerate(corr.f_tot_list(scenario.dims.K))])
+        # the stats at full size: C, or the stack of C_k, does not depend on
+        # the selection
+        self.stats, self.shared = _stats(scenario, None, phi)
+        if self.shared:
+            corr = scenario.correlations
+            self.R_root = corr.root(corr.R_tot, "R_tot")
         self._x0 = None
 
     def solve(self, s: np.ndarray):
-        """(report, sol, stats) of the ZF solve on the embedded matrices; the
-        per-user F_root embeds user by user."""
-        sc = self.scenario
+        """(report, sol, stats) of the ZF solve on the embedded matrices."""
         s = np.asarray(s, float)
-        R = herm((self.R_root * s) @ self.R_root)
-        stats = ((R, self.C, sc.u, sc.t, sc.p) if self.shared
-                 else (herm((self.F_root * s) @ self.F_root), R, self.C, sc.p))
-        rep, _, sol = _evaluate(stats, self.shared, "zf", None, sc.sigma2,
-                                self.settings, x0=self._x0, m_norm=self.M)
+        if self.shared:
+            stats = (herm((self.R_root * s) @ self.R_root), *self.stats[1:])
+        else:
+            F, R, C, p = self.stats
+            stats = (F * np.outer(s, s), R * np.outer(s, s), C, p)
+        rep, _, sol = _evaluate(stats, self.shared, "zf", None,
+                                self.scenario.sigma2, self.settings,
+                                x0=self._x0, m_norm=self.M)
         self._x0 = sol.x0
         return rep, sol, stats
 
@@ -221,13 +220,14 @@ class RelaxedZfObjective:
 
     def gradient(self, s: np.ndarray):
         rep, sol, stats = self.solve(s)
-        sc = self.scenario
+        sigma2 = self.scenario.sigma2
         if self.shared:    # stats = (R(s), C, u, t, p)
             return rep.esr, esr_gradient_ports_zf_common(sol, self.R_root,
-                                                         *stats, sc.sigma2)
-        F, R, C, p = stats    # per-user stacks of F_k(s) and C_k
-        return rep.esr, esr_gradient_ports_zf_uncommon(
-            sol, self.R_root, self.F_root, R, F, C, p, sc.sigma2)
+                                                         *stats, sigma2)
+        F, R, C, p = self.stats
+        return rep.esr, esr_gradient_ports_uncommon(
+            second_order_uncommon(*stats, sol), F, R, C, np.asarray(s, float),
+            p, sigma2)
 
 
 def fw_linear_oracle(gradient: np.ndarray, M: int) -> np.ndarray:
@@ -317,18 +317,16 @@ def _phase_objective(scenario: Scenario, s, precoder, z, settings):
 
     def value_grad(phi):
         stats, rep, so, sol = solve(phi)
-        sigma2, C_R = scenario.sigma2, corr.c_r_list(scenario.dims.K)
-        if precoder == "zf" and shared:
-            R, _, u, t, p = stats
-            g = esr_gradient_phases_zf_common(sol, R, corr.C_L, corr.C_R, phi,
-                                              u, t, p, sigma2, root=corr.root)
-        elif shared:
-            g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi, sigma2,
-                                           root=corr.root)
-        else:    # a per-user ZF evaluation takes no second-order system
+        # a ZF evaluation takes no second-order system
+        if shared:
+            g = esr_gradient_phases_common(
+                so or second_order_common(*stats, sol), corr.C_L, corr.C_R,
+                phi, scenario.sigma2, root=corr.root)
+        else:
             g = esr_gradient_phases_uncommon(
                 so or second_order_uncommon(*stats, sol), stats[2], corr.C_L,
-                C_R, scenario.t, phi, stats[-1], sigma2, root=corr.root)
+                corr.c_r_list(scenario.dims.K), scenario.t, phi, stats[-1],
+                scenario.sigma2, root=corr.root)
         return rep.esr, g
 
     return value, value_grad

@@ -399,6 +399,13 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
     record("fd_z_derivative", _fd_deviation(lambda y: esr_z(np.exp(y[0])),
                                             np.array(slope), log_z),
            1e-3, "per-user d ESR / d ln z vs central differences")
+    sc_user_ports = sc_mod.random_scenario(rng, "uncommon", M=6, K=3, L=6,
+                                           M_tot=12)
+    s1 = rng.uniform(0.3, 0.9, 12)
+    obj = RelaxedZfObjective(sc_user_ports, None, 6, tight)
+    record("fd_port_gradient_uncommon",
+           _fd_deviation(obj.esr, obj.gradient(s1)[1], s1), 1e-3,
+           "per-user analytic vs central differences")
 
     # 6. resolvent probes (first and second order)
     pr = resolvent_probe(scenario, None, None, z, trials, seed)

@@ -473,7 +473,7 @@ class TestSampling:
         trials = 10_000
         acc = np.zeros(K)
         for trial in range(trials):
-            s = sampler.draw(trial_rng(99, trial), keep_components=False)
+            s = sampler.draw(trial_rng(99, trial))
             acc += np.sum(np.abs(s.H) ** 2, axis=0)
         acc /= trials
         corr = sc.correlations
@@ -498,12 +498,14 @@ class TestSampling:
         # H columns match the definitional assembly from the retained factors
         sc = self._scenario(rng)
         phi = rng.uniform(0, 2 * np.pi, 6)
-        sample = ChannelSampler(sc, None, phi).draw(trial_rng(5, 1))
+        sampler = ChannelSampler(sc, None, phi)
+        sample = sampler.draw(trial_rng(5, 1))
         corr = sc.correlations
         for k in range(3):
             Fk_half = psd_sqrt(corr.F_tot[k])
+            Z_k = sampler.R_half @ sample.X @ sampler.C_half[k]
             h = np.sqrt(sc.u[k]) * Fk_half @ sample.W[:, k] \
-                + sample.Z[k] @ sample.Y[:, k]
+                + Z_k @ sample.Y[:, k]
             assert np.allclose(h, sample.H[:, k], atol=1e-12)
 
     def test_fig1_scenario_shapes(self):

@@ -428,6 +428,16 @@ class TestValidate:
         assert failed == ["fd_phase_gradient_uncommon",
                           "fd_phase_gradient_zf_uncommon"]
 
+    def test_scaled_per_user_port_gradient_fails(self, monkeypatch, capsys):
+        from fasris import optimize
+        grad = optimize.esr_gradient_ports_uncommon
+        monkeypatch.setattr(optimize, "esr_gradient_ports_uncommon",
+                            lambda *a, **k: 1.01 * grad(*a, **k))
+        assert cli.main(["validate", "--trials", "400"]) == 1
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if "FAIL" in line]
+        assert failed == ["fd_port_gradient_uncommon"]
+
     def test_scaled_z_derivative_fails(self, monkeypatch, capsys):
         from fasris import optimize
         grad = optimize.esr_gradient_z

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from fasris import (SolverSettings, esr_gradient_phases_common,
-                    esr_gradient_phases_uncommon,
-                    esr_gradient_phases_zf_common,
-                    esr_gradient_ports_zf_common,
-                    esr_gradient_ports_zf_uncommon, esr_gradient_z,
-                    fd_gradient, phase_perturbation,
-                    solve_rzf_common, solve_rzf_uncommon, solve_zf_common,
-                    solve_zf_uncommon, sinr_rzf_common, sinr_rzf_uncommon,
-                    sinr_zf_common, sinr_zf_uncommon)
+                    esr_gradient_phases_uncommon, esr_gradient_ports_uncommon,
+                    esr_gradient_ports_zf_common, esr_gradient_z,
+                    fd_gradient, phase_perturbation, second_order_common,
+                    second_order_uncommon, solve_rzf_common,
+                    solve_rzf_uncommon, solve_zf_common, solve_zf_uncommon,
+                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf_common,
+                    sinr_zf_uncommon)
 from fasris.channel import herm, phase_matrix, psd_sqrt
 from fasris.gradients import _diag3
 from fasris.scenarios import random_correlation, random_scenario
@@ -204,9 +203,9 @@ class TestPhaseGradientZf:
         Phi0 = phase_matrix(phi0, L)
         C0 = herm(CLroot @ Phi0 @ corr.C_R @ Phi0.conj().T @ CLroot)
         sol = solve_zf_common(corr.R_tot, C0, sc.u, sc.t, TIGHT)
-        g = esr_gradient_phases_zf_common(sol, corr.R_tot, corr.C_L,
-                                          corr.C_R, phi0, sc.u, sc.t, sc.p,
-                                          sc.sigma2)
+        so = second_order_common(corr.R_tot, C0, sc.u, sc.t, sc.p, sol)
+        g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi0,
+                                       sc.sigma2)
         dev = fd_tolerance_check(g, fd_gradient(esr, phi0, H_FD))
         assert dev < TOL
 
@@ -214,7 +213,6 @@ class TestPhaseGradientZf:
 class TestPhaseGradientZfUncommon:
     @staticmethod
     def _gradient(sc, phi):
-        from fasris.rates import second_order_uncommon
         F_list, R, C_list, p = sc.stats_uncommon(phi=phi)
         sol = solve_zf_uncommon(F_list, R, C_list, TIGHT)
         corr = sc.correlations
@@ -250,10 +248,10 @@ class TestPhaseGradientZfUncommon:
         sc = random_scenario(rng, "common", M=12, K=4, L=8, sigma2=0.3)
         phi = rng.uniform(0, 2 * np.pi, 8)
         corr = sc.correlations
-        R, C, u, t, p = sc.stats_common(phi=phi)
-        g_c = esr_gradient_phases_zf_common(solve_zf_common(R, C, u, t, TIGHT),
-                                            R, corr.C_L, corr.C_R, phi, u, t,
-                                            p, sc.sigma2)
+        stats = sc.stats_common(phi=phi)
+        so = second_order_common(*stats, solve_zf_common(*stats[:4], TIGHT))
+        g_c = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi,
+                                         sc.sigma2)
         g_u = self._gradient(sc, phi)
         assert np.abs(g_u - g_c).max() <= 1e-9 * np.abs(g_c).max()
 
@@ -287,28 +285,58 @@ class TestPortGradients:
         assert dev < TOL
 
     def test_uncommon_matches_fd(self, rng):
+        # the per-user embedding diag(s) A diag(s) of every F_k and of R
         M_tot, M, K, L = 12, 6, 3, 6
         sc = random_scenario(rng, "uncommon", M=M, K=K, L=L, M_tot=M_tot,
                              sigma2=0.3)
         corr = sc.correlations
-        Rh = psd_sqrt(corr.R_tot)
-        F_roots = [np.sqrt(sc.u[k]) * psd_sqrt(corr.F_tot[k])
-                   for k in range(K)]
+        F = np.stack([sc.u[k] * corr.F_tot[k] for k in range(K)])
         C_list = [sc.t[k] * corr.C_R[k] for k in range(K)]
         s0 = rng.uniform(0.3, 0.9, M_tot)
 
         def esr(s):
-            F_embs = [emb(Fr, s) for Fr in F_roots]
-            sol = solve_zf_uncommon(F_embs, emb(Rh, s), C_list, TIGHT,
+            ss = np.outer(s, s)
+            sol = solve_zf_uncommon(F * ss, corr.R_tot * ss, C_list, TIGHT,
                                     m_norm=M)
             return sinr_zf_uncommon(sol, sc.p, sc.sigma2).esr
 
-        F_emb0 = [emb(Fr, s0) for Fr in F_roots]
-        sol = solve_zf_uncommon(F_emb0, emb(Rh, s0), C_list, TIGHT, m_norm=M)
-        g = esr_gradient_ports_zf_uncommon(sol, Rh, F_roots, emb(Rh, s0),
-                                           F_emb0, C_list, sc.p, sc.sigma2)
+        ss = np.outer(s0, s0)
+        sol = solve_zf_uncommon(F * ss, corr.R_tot * ss, C_list, TIGHT,
+                                m_norm=M)
+        so = second_order_uncommon(F * ss, corr.R_tot * ss, C_list, sc.p, sol)
+        g = esr_gradient_ports_uncommon(so, F, corr.R_tot, C_list, s0, sc.p,
+                                        sc.sigma2)
         dev = fd_tolerance_check(g, fd_gradient(esr, s0, H_FD))
         assert dev < TOL
+
+    @pytest.mark.parametrize("shift", [1.0, 0.0])
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_uncommon_matches_fd_for_both_precoders(self, seed, shift):
+        # RZF (shift 1) and ZF (shift 0) through the one per-user gradient,
+        # on the full-size stats of a per-user set
+        rng = np.random.default_rng(seed)
+        M_tot, M = 10, 5
+        sc = random_scenario(rng, "uncommon", M=M, K=3, L=5, M_tot=M_tot,
+                             sigma2=0.3)
+        F, R, C, p = sc.stats_uncommon(phi=rng.uniform(0, 2 * np.pi, 5))
+        s0 = rng.uniform(0.3, 0.9, M_tot)
+
+        def solve(s):
+            ss = np.outer(s, s)
+            if shift:
+                sol = solve_rzf_uncommon(F * ss, R * ss, C, 0.2, TIGHT,
+                                         m_norm=M)
+                rep, so = sinr_rzf_uncommon(sol, F * ss, R * ss, C, p,
+                                            sc.sigma2)
+                return rep.esr, so
+            sol = solve_zf_uncommon(F * ss, R * ss, C, TIGHT, m_norm=M)
+            return (sinr_zf_uncommon(sol, p, sc.sigma2).esr,
+                    second_order_uncommon(F * ss, R * ss, C, p, sol))
+
+        g = esr_gradient_ports_uncommon(solve(s0)[1], F, R, C, s0, p,
+                                        sc.sigma2)
+        fd = fd_gradient(lambda s: solve(s)[0], s0, 1e-6)
+        assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
 
     def test_symmetric_ports_constant_gradient(self):
         # exchangeable ports: R_tot = a I + b 11^T makes every port
@@ -566,9 +594,10 @@ class TestPhaseGradientsAgainstLoopOracle:
         R, C, u, t, p = sc.stats_common(s, phi)
         sol = solve_zf_common(R, C, u, t)
         corr = sc.correlations
-        args = (sol, R, corr.C_L, corr.C_R, phi, u, t, p, sc.sigma2)
-        g = esr_gradient_phases_zf_common(*args)
-        ref = _loop_phases_zf_common(*args)
+        g = esr_gradient_phases_common(second_order_common(R, C, u, t, p, sol),
+                                       corr.C_L, corr.C_R, phi, sc.sigma2)
+        ref = _loop_phases_zf_common(sol, R, corr.C_L, corr.C_R, phi, u, t, p,
+                                     sc.sigma2)
         assert np.abs(g - ref).max() < 1e-10 * np.abs(ref).max()
 
 
@@ -655,6 +684,20 @@ def test_complex_step_of_each_regime_matches_central_differences(regime):
                            for name, v in x.items()}, *args)["sinr"]
         fd = (sinr(h) - sinr(-h)) / (2.0 * h)
         assert np.abs(got[i] - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+def test_complex_step_off_every_nonzero_entry_steps_by_1e_20():
+    # a direction that moves only zero entries of x steps by 1e-20, not 1:
+    # d a^3 / d a at a = 0 is 0, and a unit step would read -1
+    from fasris.gradients import complex_step
+    got = complex_step(lambda y: y["a"] ** 3, {"a": np.array(0.0)},
+                       {"a": np.array([1.0])})
+    assert abs(got[0]) <= 1e-30
+    # a direction that moves a nonzero entry keeps h = 1e-20 |x| / |dx|
+    x = {"a": np.array(0.0), "b": np.array(3.0)}
+    got = complex_step(lambda y: y["a"] ** 3 + y["b"] ** 2, x,
+                       {"a": np.array([1.0]), "b": np.array([2.0])})
+    assert got[0] == pytest.approx(12.0, rel=1e-15)
 
 
 def test_phase_perturbation_of_a_stack_is_the_stack_of_perturbations(rng):

@@ -459,6 +459,25 @@ class TestSharedDirectLinkOffR:
                 deterministic_esr(sc, s, phases.phi, precoder).esr, rel=1e-12)
 
 
+@pytest.mark.parametrize("case", ["shared F != R", "per-user"])
+def test_per_user_surrogate_is_exact_at_a_binary_selection(case):
+    # diag(s) F_k diag(s) and diag(s) R diag(s) at a binary s are the
+    # selected submatrices, bordered by zeros: the relaxed ZF ESR is the
+    # scored one
+    if case == "per-user":
+        sc = random_scenario(np.random.default_rng(12), "uncommon", 6, 3, 5,
+                             M_tot=10)
+        phi, s = (np.random.default_rng(12).uniform(0, 2 * np.pi, 5),
+                  uniform_selection(6, 10))
+    else:
+        sc, _, s = TestSharedDirectLinkOffR().scenario()
+        phi = np.zeros(TestSharedDirectLinkOffR.L)
+    assert not sc.correlations.shared
+    relaxed = RelaxedZfObjective(sc, phi, 6).esr(s)
+    assert relaxed == pytest.approx(deterministic_esr(sc, s, phi, "zf").esr,
+                                    rel=1e-9)
+
+
 def test_zf_phase_ascent_on_fig1():
     # the per-user regime's ZF phase gradient drives the ascent
     from fasris.scenarios import fig1_scenario

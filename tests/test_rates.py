@@ -420,32 +420,39 @@ def test_gemm_tables_match_einsum(case):
 @pytest.mark.parametrize("shift", [1.0, 0.0])
 @pytest.mark.parametrize("case", ["cascaded", "t0", "K9"])
 def test_adjoint_is_the_derivative_of_the_re_solved_esr(case, shift):
-    # sum_k Re tr(dC_k H_k) + dz d ESR / dz of `_uncommon_adjoint`, along a
-    # random Hermitian stack dC and a dz, against central differences of
-    # the ESR solved again at C + eps dC, z + eps dz: RZF at shift 1, ZF
-    # (no z) at shift 0
+    # sum_k Re tr(dC_k H_k) + sum_k Re tr(dF_k G_F,k) + Re tr(dR G_R) + dz
+    # d ESR / dz of `_uncommon_adjoint`, along random Hermitian stacks dC,
+    # dF, a random Hermitian dR and a dz, against central differences of
+    # the ESR solved again at C + eps dC, F + eps dF, R + eps dR, z + eps
+    # dz: RZF at shift 1, ZF (no z) at shift 0
     from fasris.gradients import _esr_partials, _uncommon_adjoint
     F, R, C, p = _per_user_stats(case)
     sigma2, z, dz = 0.4, 0.2, 0.05 * shift
     rng = np.random.default_rng(6)
-    G = rng.standard_normal(C.shape) + 1j * rng.standard_normal(C.shape)
-    dC = 0.1 * (G + np.swapaxes(G.conj(), -1, -2))
+
+    def hermitian(shape):
+        G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return 0.1 * (G + np.swapaxes(G.conj(), -1, -2))
+    dC, dF, dR = hermitian(C.shape), hermitian(F.shape), hermitian(R.shape)
 
     def esr(eps):
-        Ce = C + eps * dC
+        Ce, Fe, Re = C + eps * dC, F + eps * dF, R + eps * dR
         if not shift:
-            return sinr_zf_uncommon(solve_zf_uncommon(F, R, Ce, TIGHT), p,
+            return sinr_zf_uncommon(solve_zf_uncommon(Fe, Re, Ce, TIGHT), p,
                                     sigma2).esr
-        sol = solve_rzf_uncommon(F, R, Ce, z + eps * dz, TIGHT)
-        return sinr_rzf_uncommon(sol, F, R, Ce, p, sigma2)[0].esr
+        sol = solve_rzf_uncommon(Fe, Re, Ce, z + eps * dz, TIGHT)
+        return sinr_rzf_uncommon(sol, Fe, Re, Ce, p, sigma2)[0].esr
 
     sol = (solve_rzf_uncommon(F, R, C, z, TIGHT) if shift
            else solve_zf_uncommon(F, R, C, TIGHT))
     so = second_order_uncommon(F, R, C, p, sol)
-    H, d_z = _uncommon_adjoint(so, C, _esr_partials(so, p, sigma2))
-    assert np.abs(H - np.swapaxes(H.conj(), -1, -2)).max() \
-        <= 1e-12 * np.abs(H).max()
-    got = np.sum(np.real(np.einsum("kij,kji->k", dC, H))) + dz * d_z
+    H, d_z, G = _uncommon_adjoint(so, C, _esr_partials(so, p, sigma2))
+    G_F, G_R = G[:-1], G[-1]
+    for G in (H, G_F, G_R):
+        assert np.abs(G - np.swapaxes(G.conj(), -1, -2)).max() \
+            <= 1e-12 * np.abs(G).max()
+    got = sum(np.sum(np.real(np.einsum("...ij,...ji->...", dA, G)))
+              for dA, G in ((dC, H), (dF, G_F), (dR, G_R))) + dz * d_z
     h = 1e-5
     ref = (esr(h) - esr(-h)) / (2 * h)
     assert abs(got - ref) <= 1e-6 * abs(ref)

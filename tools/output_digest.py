@@ -21,7 +21,7 @@ are built here from `random_correlation` and `CorrelationSet`, not by
   set with F_tot != R_tot (F!=R), one with F_tot = R_tot (F=R) and a
   per-user random scenario (per-user);
 - phases.<case>: RZF and ZF phase gradients through `_phase_objective` on
-  fig3 and on the two shared random cases, RZF on a per-user one;
+  fig3, on the two shared random cases and on a per-user one;
 - evaluate: `deterministic_esr` SINRs, RZF and ZF, on fig1, fig2 and fig3;
 - zprofile: `z_search_profile` grid, values and z_star on fig3 (80 dB,
   uniform ports) and on a per-user random scenario;
@@ -117,18 +117,17 @@ def phases(case):
     from fasris.fixed_point import DEFAULT_SETTINGS
     from fasris.optimize import _phase_objective
     from fasris.scenarios import fig3_scenario, random_scenario, uniform_selection
-    kinds, s = ("rzf", "zf"), None
+    s = None
     if case == "fig3":
         sc, M = fig3_scenario(80.0)
         s = uniform_selection(M, sc.dims.M_tot)
     elif case == "per-user":
-        sc, kinds = random_scenario(np.random.default_rng(22), "uncommon", 10,
-                                    3, 6), ("rzf",)
+        sc = random_scenario(np.random.default_rng(22), "uncommon", 10, 3, 6)
     else:
         sc = shared_scenario(21 if case == "F!=R" else 23, 10, 3, 6,
                              F_is_R=case == "F=R")
     phi = np.random.default_rng(sc.dims.L).uniform(0, 2 * np.pi, sc.dims.L)
-    for kind in kinds:
+    for kind in ("rzf", "zf"):
         yield from _phase_objective(sc, s, kind, None, DEFAULT_SETTINGS)[1](phi)
 
 
