@@ -10,7 +10,7 @@ how many ports buy a target rate, and how does MRT saturate.
 import numpy as np
 
 from fasris import (esr_iid_mrt, esr_iid_zf, min_ports, sinr_rzf_common,
-                    sinr_rzf_uncommon, sinr_zf_common, solve_iid_zf,
+                    sinr_rzf_uncommon, sinr_zf, solve_iid_zf,
                     solve_rzf_common, solve_rzf_uncommon, solve_zf_common)
 from fasris.scenarios import random_scenario
 
@@ -20,21 +20,21 @@ z = sc.dims.K * sc.sigma2 / sc.dims.M
 
 R, C, u, t, p = sc.stats_common()
 common = solve_rzf_common(R, C, u, t, z)
-rep_c, _ = sinr_rzf_common(common, R, C, u, t, p, sc.sigma2)
+rep_c, _ = sinr_rzf_common(common, p, sc.sigma2)
 
 F_list, R2, C_list, _ = sc.stats_uncommon()     # F_k = u_k R, C_k = t_k C
 uncommon = solve_rzf_uncommon(F_list, R2, C_list, z)
-rep_u, _ = sinr_rzf_uncommon(uncommon, F_list, R2, C_list, p, sc.sigma2)
+rep_u, _ = sinr_rzf_uncommon(uncommon, p, sc.sigma2)
 
 print("shared-correlation ESR:  ", rep_c.esr)
 print("per-user solver, same data:", rep_u.esr)
 print("agreement:", abs(rep_c.esr - rep_u.esr) / rep_u.esr)
 
-# identity correlations: the five-scalar ZF system reduces to beta(u,t,c2)
+# identity correlations: the four-scalar ZF system reduces to beta(u,t,c2)
 M, K, L = 20, 8, 16
 uu, tt, sigma2 = 1.0, 0.5, 0.2
 sol = solve_zf_common(np.eye(M), np.eye(L), np.full(K, uu), np.full(K, tt))
-rep_zf = sinr_zf_common(sol, np.full(K, uu), np.full(K, tt), np.ones(K), sigma2)
+rep_zf = sinr_zf(sol, np.ones(K), sigma2)
 closed = esr_iid_zf(uu, tt, K / M, K / L, sigma2, K)
 beta = solve_iid_zf(uu, tt, K / M, K / L).beta_val
 print(f"\nidentity-correlation ZF ESR: {rep_zf.esr:.6f}")

@@ -32,14 +32,13 @@ def esr_of(phi):
     Phi = phase_matrix(phi, L)
     C = herm(CLroot @ Phi @ corr.C_R @ Phi.conj().T @ CLroot)
     sol = solve_rzf_common(corr.R_tot, C, sc.u, sc.t, z)
-    return sinr_rzf_common(sol, corr.R_tot, C, sc.u, sc.t, sc.p,
-                           sc.sigma2)[0].esr
+    return sinr_rzf_common(sol, sc.p, sc.sigma2)[0].esr
 
 
 Phi0 = phase_matrix(phi0, L)
 C0 = herm(CLroot @ Phi0 @ corr.C_R @ Phi0.conj().T @ CLroot)
 sol = solve_rzf_common(corr.R_tot, C0, sc.u, sc.t, z)
-_, so = sinr_rzf_common(sol, corr.R_tot, C0, sc.u, sc.t, sc.p, sc.sigma2)
+_, so = sinr_rzf_common(sol, sc.p, sc.sigma2)
 g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi0, sc.sigma2)
 g_fd = fd_gradient(esr_of, phi0, 1e-5)
 print("analytic gradient:", np.array2string(g, precision=5))

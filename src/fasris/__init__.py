@@ -16,8 +16,7 @@ from .fixed_point import (CommonSolution, ConvergenceError, FeasibilityError,
 from .rates import (NumericalError, RateReport, SecondOrderCommon,
                     SecondOrderUncommon, esr_iid_mrt, esr_iid_zf, min_ports,
                     second_order_common, second_order_uncommon,
-                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf_common,
-                    sinr_zf_uncommon)
+                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf)
 from .montecarlo import (EsrEstimate, ResolventProbe, build_precoder,
                          empirical_esr, instantaneous_sinr, resolvent_probe)
 from .gradients import (esr_gradient_phases_common,

@@ -9,10 +9,12 @@ RZF is (z, 1) and ZF the same map at (1, 0). One driver, `_picard`, runs
 damped Picard after the map's mixer (shared RZF: Newton; per-user:
 Anderson; shared ZF: none), cold from `init` scaled to z (see `_Map`). A ZF
 solution has `z` None and holds the paper's underlined (scaled z -> 0)
-quantities; every solution builds the inverses that the second-order terms
-need on first read, at the dtype of their data: the real FAS R gives a real
-Psi_R. An RZF `z` may be a 1-D batch: the state then leads with its axis,
-`_picard` runs the rows as one product system and every field carries it.
+quantities. Every solution keeps its map, `system`, whose matrices (F, R,
+C; shared: R, C, u, t) the rates and gradients read, and builds the
+inverses that the second-order terms need on first read, at the dtype of
+their data: the real FAS R gives a real Psi_R. An RZF `z` may be a 1-D
+batch: the state then leads with its axis, `_picard` runs the rows as one
+product system and every field carries it.
 """
 
 from __future__ import annotations
@@ -121,21 +123,22 @@ class CommonSolution(_Solution):
     its data (a real R, as the FAS correlation is, gives a real Psi_R)."""
 
     z: float | None            # None for ZF
-    delta: float
-    kappa: float
+    delta: float               # also kappa: the direct link shares R
     omega: float
     kappa_bar: float
     omega_bar: float
-    psi_T: np.ndarray          # diagonal of (shift I + omega T + kappa U)^{-1}
+    psi_T: np.ndarray          # diagonal of (shift I + omega T + delta U)^{-1}
     lam: np.ndarray            # eigenvalues of R
     g: np.ndarray              # eigenvalues of C
     psi: np.ndarray            # 1 / (z + (a + b) lam)
     psi_C: np.ndarray          # 1 / (1/delta + omega_bar g); delta off-cascade
     system: _CommonMap = field(repr=False)
-    _state = ("delta", "kappa", "omega", "kappa_bar", "omega_bar")
+    _state = ("delta", "omega", "kappa_bar", "omega_bar")
 
-    def mu_k(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return t * _row(self.omega) + u * _row(self.kappa)
+    @property
+    def mu(self) -> np.ndarray:
+        m = self.system
+        return m.t * _row(self.omega) + m.u * _row(self.delta)
 
     @cached_property
     def Psi_R(self) -> np.ndarray:
@@ -228,7 +231,7 @@ class _Newton(_Mixer):
     scaled to at most NEWTON_STEP in each row of a batch."""
 
     name = "newton"
-    B = np.array([[0, 0, 0, 1, 0], [-1, 0, 1, 0, 1], [0, 0, 0, 0, 1]], float)
+    B = np.array([[0, 0, 1, 0], [-1, 1, 0, 1], [0, 0, 0, 1]], float)
 
     def step(self, x, new, g):
         A = self.system.jacobian()[..., self.live, :] / new[..., self.live, None]
@@ -291,8 +294,8 @@ class _Map:
 
     `start(x0, init)` gives the flat initial state, calling the map the next
     state and `finish(x)` the solution fields that the state fixes; under
-    shift 0 the map also runs the ZF feasibility checks. With delta, kappa,
-    omega, mu divided by z and kappa_bar, omega_bar times z, the map at
+    shift 0 the map also runs the ZF feasibility checks. With delta, omega,
+    mu divided by z and kappa_bar, omega_bar times z, the map at
     (z, 1) is the map at (1, z), and `_picard` is blind to that scaling: so
     `start` fills what x0 leaves out with init / z (init z for the _bar
     entries), and a cold RZF solve runs as a ZF-type one does, at any z.
@@ -385,10 +388,11 @@ class _UncommonMap(_Map):
 
 
 class _CommonMap(_Map):
-    """State [delta, kappa, omega, kappa_bar, omega_bar] of the shared system.
+    """State [delta, omega, kappa_bar, omega_bar] of the shared system.
 
-    The direct link shares R (F = R), so delta = kappa is a sum over the
-    eigenvalues lam of R and tr(C Psi_C) one over the eigenvalues g of C.
+    The direct link shares R (F = R), so delta, which is also kappa, is a
+    sum over the eigenvalues lam of R and tr(C Psi_C) one over the
+    eigenvalues g of C.
     `spectra` = (lam, g) comes from `_spectra`, once per solve; an
     evaluation keeps its terms in `last` for `jacobian`. `finish` keeps the
     spectra, those of Psi_R and Psi_C and the map itself.
@@ -415,7 +419,7 @@ class _CommonMap(_Map):
         x0, z = x0 or {}, self.z
         x = np.array([x0.get(k, init * z if k.endswith("_bar") else init / z)
                       for k in self.sol._state], float).T
-        x.T[2] *= self.cascaded    # omega is 0 off a cascaded link
+        x.T[1] *= self.cascaded    # omega is 0 off a cascaded link
         return x
 
     def r_coefs(self, delta, omega, kappa_bar, omega_bar):
@@ -431,54 +435,53 @@ class _CommonMap(_Map):
         A = _row(self.z, 2) * self.I_M + _row(a, 2) * self.R
         return A + _row(b, 2) * self.R if self.cascaded else A
 
-    def user_gain(self, kappa, omega):
-        """shift + omega t + kappa u: 1 + mu_k for RZF, mu_k for ZF."""
-        return self.shift + _row(omega) * self.t + _row(kappa) * self.u
+    def user_gain(self, delta, omega):
+        """shift + omega t + delta u: 1 + mu_k for RZF, mu_k for ZF."""
+        return self.shift + _row(omega) * self.t + _row(delta) * self.u
 
     def __call__(self, x):
-        delta, kappa, omega, kappa_bar, omega_bar = x.T
+        delta, omega, kappa_bar, omega_bar = x.T
         M, L = self.M, self.L
         a, b = self.r_coefs(delta, omega, kappa_bar, omega_bar)
         P = self.lam / (_row(self.z) + _row(a + b) * self.lam)    # lam psi
-        delta_new = kappa_new = P.sum(-1) / M
+        delta_new = P.sum(-1) / M
         if self.cascaded:
             den = 1.0 / _row(delta_new) + _row(omega_bar) * self.g    # 1 / psi_C
             q = self.g / den
             omega_new = q.sum(-1) / L
         else:
             omega_new, den, q = 0.0 * delta_new, None, None
-        gain = self.user_gain(kappa_new, omega_new)
+        gain = self.user_gain(delta_new, omega_new)
         if self.shift == 0.0 and (gain <= 0).any():
             raise FeasibilityError("ZF system produced a nonpositive user gain")
         psi_T = 1.0 / gain
         self.last = (a, b, omega_bar, P, delta_new, den, q, psi_T)  # jacobian
         kappa_bar_new = (self.u * psi_T).sum(-1) / L
         omega_bar_new = (self.t * psi_T).sum(-1) / L
-        return np.array([delta_new, kappa_new, omega_new, kappa_bar_new,
-                         omega_bar_new]).T
+        return np.array([delta_new, omega_new, kappa_bar_new, omega_bar_new]).T
 
     def jacobian(self):
         """d self(x) / d log (a, b, omega_bar) at the last x evaluated, b and
         omega_bar on a cascaded link; chained from -tr(X Psi_R Y Psi_R)."""
         a, b, w, P, delta, den, q, psi_T = self.last
-        J = np.zeros((5, 3) + np.shape(a))    # batch axis last, to broadcast
-        J[:2, :2] = -np.vecdot(P, P) / self.M * np.array([a, b])    # P = lam psi
+        J = np.zeros((4, 3) + np.shape(a))    # batch axis last, to broadcast
+        J[0, :2] = -np.vecdot(P, P) / self.M * np.array([a, b])    # P = lam psi
         if self.cascaded:    # q = g psi_C, den = 1 / psi_C
-            J[2] = (q / den).sum(-1) / (self.L * delta ** 2) * J[0]
-            J[2, 2] = -np.vecdot(q, q) * w / self.L
+            J[1] = (q / den).sum(-1) / (self.L * delta ** 2) * J[0]
+            J[1, 2] = -np.vecdot(q, q) * w / self.L
         J = J.T.swapaxes(-1, -2)    # batch axis first, for the row products
-        J[..., 3:, :] = (self.ut * psi_T[..., None, :] ** 2) @ self.ut.T \
-            @ J[..., 1:3, :] * (-1.0 / self.L)
+        J[..., 2:, :] = (self.ut * psi_T[..., None, :] ** 2) @ self.ut.T \
+            @ J[..., :2, :] * (-1.0 / self.L)
         return J[..., :3 if self.cascaded else 1]
 
     def finish(self, x):
-        delta, kappa, omega, kappa_bar, omega_bar = x.T
+        delta, omega, kappa_bar, omega_bar = x.T
         a, b = self.r_coefs(delta, omega, kappa_bar, omega_bar)
         psi = 1.0 / (_row(self.z) + _row(a + b) * self.lam)
         # off a cascaded link 1 / (1/delta + omega_bar g) is delta (0 if no R)
         psi_C = (1.0 / (1.0 / _row(delta) + _row(omega_bar) * self.g)
                  if self.cascaded else _row(delta) + 0.0 * self.g)
-        return (*x.T, 1.0 / self.user_gain(kappa, omega), self.lam, self.g, psi,
+        return (*x.T, 1.0 / self.user_gain(delta, omega), self.lam, self.g, psi,
                 psi_C, self)
 
 
@@ -536,19 +539,20 @@ def solve_rzf_common(R: np.ndarray, C: np.ndarray, u: np.ndarray,
                      settings: SolverSettings = DEFAULT_SETTINGS,
                      m_norm: int | None = None, x0: dict | None = None,
                      spectra: tuple | None = None) -> CommonSolution:
-    """Shared-correlation RZF quintuple (delta, kappa, omega, kappa_bar, omega_bar).
+    """Shared-correlation RZF state (delta, omega, kappa_bar, omega_bar).
 
-        delta = kappa = tr(R Psi_R)/M, omega = tr(C Psi_C)/L,
+        delta = tr(R Psi_R)/M, omega = tr(C Psi_C)/L,
         kappa_bar = tr(U Psi_T)/L, omega_bar = tr(T Psi_T)/L
         Psi_R = (z I + (L omega omega_bar / (M delta)) R + (L kappa_bar / M) R)^{-1}
         Psi_C = (I/delta + omega_bar C)^{-1}
-        Psi_T = (I_K + omega T + kappa U)^{-1}
+        Psi_T = (I_K + omega T + delta U)^{-1}
 
-    The direct link shares the BS correlation R (F_tot = R_tot); any other
-    direct-link correlation takes the per-user solvers. R and C are
-    correlation matrices (unit-scale); the gains live in u, t. A cold solve
-    starts at `settings.init` scaled to z (see `_Map`). `spectra`, if given,
-    is `_spectra(R, C)` from a caller that holds them.
+    The direct link shares the BS correlation R (F_tot = R_tot), so the
+    paper's kappa is delta; any other direct-link correlation takes the
+    per-user solvers. R and C are correlation matrices (unit-scale); the
+    gains live in u, t. A cold solve starts at `settings.init` scaled to z
+    (see `_Map`). `spectra`, if given, is `_spectra(R, C)` from a caller
+    that holds them.
     """
     return _picard(_CommonMap(R, C, u, t, z, 1.0, m_norm,
                               spectra or _spectra(R, C)), x0, settings)
@@ -558,11 +562,11 @@ def solve_zf_common(R: np.ndarray, C: np.ndarray, u: np.ndarray,
                     t: np.ndarray, settings: SolverSettings = DEFAULT_SETTINGS,
                     m_norm: int | None = None, x0: dict | None = None,
                     spectra: tuple | None = None) -> CommonSolution:
-    """Shared-correlation ZF quintuple (underlined z->0 limits, solved directly).
+    """Shared-correlation ZF state (underlined z->0 limits, solved directly).
 
         Psi_R = (I + (L kappa_bar / M) R + (L omega omega_bar / (M delta)) R)^{-1}
         Psi_C = (I/delta + omega_bar C)^{-1}
-        Psi_T = (kappa U + omega T)^{-1}
+        Psi_T = (delta U + omega T)^{-1}
 
     The traces and `spectra` are those of `solve_rzf_common`; `z` is None.
     """
@@ -615,8 +619,7 @@ def backsubstitution_residual(sol, R=None, C=None, u=None, t=None,
     M, L = sol.m_norm, C.shape[0]
     # omega is 0 where every t is; with R or C zero, C or the placeholder
     # Psi_C (delta I, delta = 0) makes the trace 0
-    trR = np.real(np.sum(R * sol.Psi_R.T)) / M    # delta and kappa
-    new = np.array([trR, trR,
+    new = np.array([np.real(np.sum(R * sol.Psi_R.T)) / M,
                     np.real(np.sum(C * sol.Psi_C.T)) / L if np.any(t) else 0.0,
                     np.sum(u * sol.psi_T) / L, np.sum(t * sol.psi_T) / L])
     return _rel_change(new, np.array(list(sol.x0.values())))

@@ -108,7 +108,7 @@ def _common_along(so: SecondOrderCommon, d_, k_, o_, dz: float) -> dict:
     RZF system, whose factors are eigenvalues: they are differentiated as
     eigenvalues."""
     sol = so.sol
-    M, L = sol.m_norm, so.C.shape[0]
+    M, L = sol.m_norm, sol.system.L
     delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
     P, (Psi_R, Psi_C) = so.P, so.Psi
     kb_ = -(k_ * so.eta_UU + o_ * so.eta_TU)
@@ -150,8 +150,8 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
     `common_system`; contracted with the three X, they leave one trace per
     l. `_phase_traces` reads every l at once.
     """
-    C, Psi_C, omega_bar = so.C, so.sol.Psi_C, so.sol.omega_bar
-    M, L = so.sol.m_norm, C.shape[0]
+    m, Psi_C, omega_bar = so.sol.system, so.sol.Psi_C, so.sol.omega_bar
+    C, M, L = m.C, so.sol.m_norm, m.L
 
     if so.sol.delta == 0.0 or omega_bar == 0.0:
         return np.zeros(len(phi))          # no cascaded link: rate ignores Phi
@@ -165,8 +165,8 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
         U = _phase_traces(root(C_L, "C_L"), C_R, phi,
                           [Psi_C - omega_bar * PCC])[0] / L
         _, k_, o_ = so.solve_pi(np.array([0.0, 0.0, 1.0]))
-        return _zf_chain(so.p, so.sol.mu_k(so.u, so.t),
-                         np.outer(so.u * k_ + so.t * o_, U), M, sigma2)
+        return _zf_chain(so.p, so.sol.mu, np.outer(m.u * k_ + m.t * o_, U),
+                         M, sigma2)
     X = (Psi_C - omega_bar * PCC, PCC - omega_bar * (PCC @ CP),
          Psi_C @ Psi_C - 2.0 * omega_bar * (PCC @ Psi_C))   # U_A, Xi_A, Xi_I_A
 
@@ -175,7 +175,7 @@ def esr_gradient_phases_common(so: SecondOrderCommon, C_L: np.ndarray,
     dx = {name: np.array([v, 0.0, 0.0]) for name, v in along_U.items()}
     dx["Xi"][1] = 2.0                       # d Xi = 2 tr(A_l Psi_C C Psi_C)/L
     dx["Xi_I"][2] = 1.0
-    c = _esr_along(common_system, so.x, dx, so.u, so.t, M, L, 1.0, so.p, sigma2)
+    c = _esr_along(common_system, so.x, dx, m.u, m.t, M, L, 1.0, so.p, sigma2)
     return _phase_traces(root(C_L, "C_L"), C_R, phi,
                          [c[0] * X[0] + c[1] * X[1] + c[2] * X[2]])[0] / L
 
@@ -198,14 +198,14 @@ def _entrywise(f, x: dict) -> dict:
     return {k: d[k].reshape(np.shape(x[k])) if k in d else 0.0 for k in x}
 
 
-def _esr_partials(so: SecondOrderUncommon, p, sigma2: float) -> dict:
+def _esr_partials(so: SecondOrderUncommon, sigma2: float) -> dict:
     """d ESR / d x (bits) for every entry of so.x, at the solution's precoder.
 
     ZF: `zf_sinr` of mu. RZF: the `_uncommon_tail` of mu, W = Pi^{-1} B_W
     and ups_I = Pi^{-1} chi(I_M), whose partials in (W, ups_I) take one Pi^T
     solve with K + 1 right-hand sides back to the solve-free assembly."""
-    sol, x, p = so.sol, so.x, np.asarray(p, dtype=float)
-    M, L, K = sol.m_norm, so.D.shape[-1], len(sol.mu)
+    sol, x, p = so.sol, so.x, so.p
+    M, L, K = sol.m_norm, sol.system.L, len(sol.mu)
     if sol.z is None:
         return {k: 0.0 * v for k, v in x.items()} | _entrywise(
             lambda y: _esr(zf_sinr(y["mu"], p, sigma2, M)), {"mu": sol.mu})
@@ -225,11 +225,13 @@ def _esr_partials(so: SecondOrderUncommon, p, sigma2: float) -> dict:
     return c
 
 
-def _uncommon_adjoint(so: SecondOrderUncommon, C: np.ndarray, c: dict):
+def _uncommon_adjoint(so: SecondOrderUncommon, c: dict):
     """From c = d ESR / d x (`_esr_partials`), the Hermitian pullbacks
     (H, d ESR / d z, G): d ESR = sum_k Re tr(dC_k H[k]) + sum_k Re tr(dF_k
-    G[k]) + Re tr(dR G[K]) + dz d ESR / d z. H stacks the K users; G
-    stacks G_F,k of the K users, then G_R, in the order of Pi's rows.
+    G[k]) + Re tr(dR G[K]) + dz d ESR / d z, on the matrices of
+    `so.sol.system`. H stacks the K users; G() builds the stack of G_F,k
+    of the K users, then G_R, in the order of Pi's rows, only for the port
+    gradient that reads it.
 
     The tables pull back onto Re tr(X dPsi_R) + Re tr(X_C dPsi_C) and
     explicit dC_k, dF_k, dR terms, each sum over users one GEMM; dPsi =
@@ -239,8 +241,8 @@ def _uncommon_adjoint(so: SecondOrderUncommon, C: np.ndarray, c: dict):
     explicit terms of the mu and delta equations: tr(dF_k Psi_R)/M, tr(dR
     Psi_R)/M and, through Psi_R, the lam part of Y. dz, dF_k and dR enter
     Psi_R^{-1} as dz I, dF_k / (M gain_k) and (omega . w) dR."""
-    sol, x, F, R = so.sol, so.x, so.F, so.R
-    M, L, K = sol.m_norm, C.shape[-1], len(F)
+    sol, x, m = so.sol, so.x, so.sol.system
+    F, R, C, M, L, K = m.F, m.R, m.C, sol.m_norm, m.L, m.K
     mu, omega, Psi_R, Psi_C = sol.mu, sol.omega, sol.Psi_R, sol.Psi_C
     gain = mu + (0.0 if sol.z is None else 1.0)          # shift + mu_k
     dinv = 1.0 / sol.delta if sol.delta else 0.0
@@ -272,16 +274,17 @@ def _uncommon_adjoint(so: SecondOrderUncommon, C: np.ndarray, c: dict):
     Y = Y_R + Psi_R @ (wsum(lam[:K], F) + lam[K] * R) @ Psi_R / M
     dz = -np.trace(Y).real
 
-    # explicit dF_k (dR) in the tables: Psi_R S Psi_R / M, S the factors
-    # beside F_k (R) in them, weighted by the table partials
-    I = np.eye(len(R))
-    S = np.concatenate([wsum(c["chi_FF"] + c["chi_FF"].T, F)
-                        + np.multiply.outer(c["chi_FR"], R)
-                        + np.multiply.outer(c["chi_FI"], I),
-                        (wsum(c["chi_FR"], F) + 2.0 * c["chi_RR"] * R
-                         + c["chi_RI"] * I)[None]])
-    y = np.append(1.0 / (M * gain), omega @ w)[:, None, None]  # in Psi_R^{-1}
-    G = herm((Psi_R @ S @ Psi_R + lam[:, None, None] * Psi_R) / M - y * Y)
+    # G: explicit dF_k (dR) in the tables, Psi_R S Psi_R / M with S the
+    # factors beside F_k (R) in them, weighted by the table partials
+    def G():
+        I = np.eye(len(R))
+        S = np.concatenate([wsum(c["chi_FF"] + c["chi_FF"].T, F)
+                            + np.multiply.outer(c["chi_FR"], R)
+                            + np.multiply.outer(c["chi_FI"], I),
+                            (wsum(c["chi_FR"], F) + 2.0 * c["chi_RR"] * R
+                             + c["chi_RI"] * I)[None]])
+        y = np.append(1.0 / (M * gain), omega @ w)[:, None, None]  # in Psi_R^-1
+        return herm((Psi_R @ S @ Psi_R + lam[:, None, None] * Psi_R) / M - y * Y)
 
     # e_om_m = tr(dC_m Psi_C)/L - sum_k tr(dC_k Psi_C C_m Psi_C)/(L^2 gain_k)
     N = wsum(c["Xi"] + c["Xi"].T, C) + c["Xi_I"][:, None, None] * np.eye(L) \
@@ -291,33 +294,32 @@ def _uncommon_adjoint(so: SecondOrderUncommon, C: np.ndarray, c: dict):
     return H, float(dz), G
 
 
-def esr_gradient_phases_uncommon(so: SecondOrderUncommon,
-                                 C_list: np.ndarray, C_L: np.ndarray,
+def esr_gradient_phases_uncommon(so: SecondOrderUncommon, C_L: np.ndarray,
                                  C_R_list: np.ndarray, t: np.ndarray,
-                                 phi: np.ndarray, p: np.ndarray,
-                                 sigma2: float, root=psd_sqrt) -> np.ndarray:
+                                 phi: np.ndarray, sigma2: float,
+                                 root=psd_sqrt) -> np.ndarray:
     """d ESR / d phi_l, per-user-correlation regime (bits), RZF or ZF as the
-    solution of so. C_list and C_R_list are the (K, L, L) stacks of C_k and
-    C_{R,k} (lists work too). dC_k / d phi_l = t_k A_l(C_{R,k}), so with the
-    H_k of `_uncommon_adjoint`, `_phase_traces` reads every l at once."""
-    H = _uncommon_adjoint(so, np.asarray(C_list), _esr_partials(so, p, sigma2))[0]
+    solution of so. C_R_list is the (K, L, L) stack of C_{R,k} (a list works
+    too). dC_k / d phi_l = t_k A_l(C_{R,k}), so with the H_k of
+    `_uncommon_adjoint`, `_phase_traces` reads every l at once."""
+    H = _uncommon_adjoint(so, _esr_partials(so, sigma2))[0]
     return t @ _phase_traces(root(C_L, "C_L"), np.asarray(C_R_list), phi, H)
 
 
 def esr_gradient_z(so: SecondOrderCommon | SecondOrderUncommon,
-                   C: np.ndarray, p: np.ndarray, sigma2: float) -> float:
-    """d ESR_RZF / d z (bits) in either regime; C is C, or the stack of C_k.
+                   sigma2: float) -> float:
+    """d ESR_RZF / d z (bits) in either regime.
 
     Per-user: the z output of `_uncommon_adjoint`. Shared: dPsi_R^{-1}/dz =
     I moves the fixed point by -x_I, which `second_order_common` holds; one
     complex-step evaluation of `common_system` carries it to the ESR."""
     if isinstance(so, SecondOrderUncommon):
-        return _uncommon_adjoint(so, np.asarray(C), _esr_partials(so, p, sigma2))[1]
-    M, L = so.sol.m_norm, C.shape[-1]
+        return _uncommon_adjoint(so, _esr_partials(so, sigma2))[1]
+    m = so.sol.system
     along = _common_along(so, *(-so.x_I), 1.0)
     dx = {name: np.asarray(v)[None] for name, v in along.items()}
-    return float(_esr_along(common_system, so.x, dx, so.u, so.t, M, L, 1.0,
-                            np.asarray(p, dtype=float), sigma2)[0])
+    return float(_esr_along(common_system, so.x, dx, m.u, m.t, so.sol.m_norm,
+                            m.L, 1.0, so.p, sigma2)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -329,42 +331,40 @@ def _diag3(root, mid) -> np.ndarray:
     return np.real(np.sum((root @ mid) * root.T, axis=1))
 
 
-def esr_gradient_ports_zf_common(sol: CommonSolution, R_root, R_emb, C, u,
-                                 t, p, sigma2) -> np.ndarray:
+def esr_gradient_ports_zf_common(sol: CommonSolution, R_root, p,
+                                 sigma2) -> np.ndarray:
     """d ESR_ZF / d s_i through R(s) = R^{1/2} diag(s) R^{1/2}, which the
     direct link shares (F = R).
 
-    sol must be the ZF solution on the embedded matrix with m_norm = M
+    sol must be the ZF solution on the embedded matrix R(s) with m_norm = M
     (the RF-chain count). Both Pi_com rows of R(s), delta's and kappa's,
     are d/ds_i tr(R(s) Psi_R)/M at fixed scalars: the explicit diagonal of
     R^{1/2} Psi_R R^{1/2} less the R(s) terms of Psi_R^{-1}. Returns the
     full-length gradient over ports.
     """
-    M, L, delta, Psi = sol.m_norm, C.shape[0], sol.delta, sol.Psi_R
-    so = second_order_common(R_emb, C, u, t, p, sol)
-    u, t, p = so.u, so.t, so.p
+    m, M, delta, Psi = sol.system, sol.m_norm, sol.delta, sol.Psi_R
+    so = second_order_common(sol, p)
 
-    cW = L * sol.omega * sol.omega_bar / (M * delta) if delta > 0 else 0.0
-    d_R = _diag3(R_root, Psi @ R_emb @ Psi)
+    cW = m.L * sol.omega * sol.omega_bar / (M * delta) if delta > 0 else 0.0
+    d_R = _diag3(R_root, Psi @ m.R @ Psi)
     row = np.real(np.einsum("ij,ji->i", R_root @ Psi, R_root)) / M
-    row = row - (L * sol.kappa_bar / M ** 2) * d_R - (cW / M) * d_R
+    row = row - (m.L * sol.kappa_bar / M ** 2) * d_R - (cW / M) * d_R
     V = so.solve_pi(np.array([row, row, np.zeros(len(row))]))  # C has no s
-    mu_i = u[:, None] * V[1][None, :] + t[:, None] * V[2][None, :]   # (K, M_tot)
-    return _zf_chain(p, sol.mu_k(u, t), mu_i, M, sigma2)
+    mu_i = m.u[:, None] * V[1][None, :] + m.t[:, None] * V[2][None, :]  # (K, M_tot)
+    return _zf_chain(so.p, sol.mu, mu_i, M, sigma2)
 
 
 def esr_gradient_ports_uncommon(so: SecondOrderUncommon, F_list, R,
-                                C_list, s: np.ndarray, p,
-                                sigma2: float) -> np.ndarray:
+                                s: np.ndarray, sigma2: float) -> np.ndarray:
     """d ESR / d s_i, per-user regime (bits), RZF or ZF as the solution of
     so, through F_k(s) = diag(s) F_k diag(s) and R(s) = diag(s) R diag(s):
-    F_list and R at full size, so built on the embedded stacks.
+    F_list and R at full size, so solved on the embedded stacks.
 
     With the pullbacks G of `_uncommon_adjoint`, d ESR = sum_A Re tr(dA(s)
     G_A) over the stack A = F_1..F_K, R, and d/ds_i Re tr(A(s) G) = 2 Re sum_j A_ij
     s_j G_ji for Hermitian A and G.
     """
-    G = _uncommon_adjoint(so, np.asarray(C_list), _esr_partials(so, p, sigma2))[2]
+    G = _uncommon_adjoint(so, _esr_partials(so, sigma2))[2]()
     A = np.concatenate([np.asarray(F_list), np.asarray(R)[None]])
     return 2.0 * np.real(np.sum((A * s) * np.swapaxes(G, -1, -2), axis=(0, 2)))
 

@@ -26,8 +26,7 @@ from .gradients import (esr_gradient_phases_common,
                         esr_gradient_ports_uncommon,
                         esr_gradient_ports_zf_common, esr_gradient_z)
 from .rates import (RateReport, second_order_common, second_order_uncommon,
-                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf_common,
-                    sinr_zf_uncommon)
+                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf)
 
 
 # ---------------------------------------------------------------------------
@@ -133,28 +132,25 @@ def _evaluate(stats, shared, precoder, z, sigma2, settings, x0=None,
     """Solve one fixed point and turn it into SINRs: the only dispatch over
     the four solver/SINR pairs.
 
-    `stats` is (R, C, u, t, p) when `shared`, else (F_list, R, C_list, p).
+    `stats` is (R, C, u, t, p) when `shared`, else (F_list, R, C_list, p);
+    the solution keeps the matrices, so only p goes on to the SINR.
     Returns (report, so, sol); so holds the second-order blocks, None for ZF.
     """
     if precoder not in ("rzf", "zf"):
         raise ValueError(f"no deterministic equivalent for precoder {precoder!r}")
+    *mats, p = stats
+    if precoder == "zf":
+        sol = (solve_zf_common(*mats, settings, m_norm, x0, spectra) if shared
+               else solve_zf_uncommon(*mats, settings, m_norm=m_norm, x0=x0))
+        return sinr_zf(sol, p, sigma2), None, sol
     if shared:
-        R, C, u, t, p = stats
-        if precoder == "rzf":
-            sol = solve_rzf_common(R, C, u, t, z, settings, m_norm=m_norm,
-                                   x0=x0, spectra=spectra)
-            rep, so = sinr_rzf_common(sol, R, C, u, t, p, sigma2)
-            return rep, so, sol
-        sol = solve_zf_common(R, C, u, t, settings, m_norm, x0, spectra)
-        return sinr_zf_common(sol, u, t, p, sigma2), None, sol
-    F_list, R, C_list, p = stats
-    if precoder == "rzf":
-        sol = solve_rzf_uncommon(F_list, R, C_list, z, settings, m_norm=m_norm,
-                                 x0=x0)
-        rep, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sigma2)
-        return rep, so, sol
-    sol = solve_zf_uncommon(F_list, R, C_list, settings, m_norm=m_norm, x0=x0)
-    return sinr_zf_uncommon(sol, p, sigma2), None, sol
+        sol = solve_rzf_common(*mats, z, settings, m_norm=m_norm, x0=x0,
+                               spectra=spectra)
+        rep, so = sinr_rzf_common(sol, p, sigma2)
+    else:
+        sol = solve_rzf_uncommon(*mats, z, settings, m_norm=m_norm, x0=x0)
+        rep, so = sinr_rzf_uncommon(sol, p, sigma2)
+    return rep, so, sol
 
 
 def deterministic_esr(scenario: Scenario, s: np.ndarray | None = None,
@@ -202,7 +198,7 @@ class RelaxedZfObjective:
         self._x0 = None
 
     def solve(self, s: np.ndarray):
-        """(report, sol, stats) of the ZF solve on the embedded matrices."""
+        """(report, sol) of the ZF solve on the embedded matrices."""
         s = np.asarray(s, float)
         if self.shared:
             stats = (herm((self.R_root * s) @ self.R_root), *self.stats[1:])
@@ -213,21 +209,20 @@ class RelaxedZfObjective:
                                 self.scenario.sigma2, self.settings,
                                 x0=self._x0, m_norm=self.M)
         self._x0 = sol.x0
-        return rep, sol, stats
+        return rep, sol
 
     def esr(self, s: np.ndarray) -> float:
         return self.solve(s)[0].esr
 
     def gradient(self, s: np.ndarray):
-        rep, sol, stats = self.solve(s)
-        sigma2 = self.scenario.sigma2
-        if self.shared:    # stats = (R(s), C, u, t, p)
-            return rep.esr, esr_gradient_ports_zf_common(sol, self.R_root,
-                                                         *stats, sigma2)
-        F, R, C, p = self.stats
+        rep, sol = self.solve(s)
+        sigma2, p = self.scenario.sigma2, self.scenario.p
+        if self.shared:
+            return rep.esr, esr_gradient_ports_zf_common(sol, self.R_root, p,
+                                                         sigma2)
+        F, R, *_ = self.stats
         return rep.esr, esr_gradient_ports_uncommon(
-            second_order_uncommon(*stats, sol), F, R, C, np.asarray(s, float),
-            p, sigma2)
+            second_order_uncommon(sol, p), F, R, np.asarray(s, float), sigma2)
 
 
 def fw_linear_oracle(gradient: np.ndarray, M: int) -> np.ndarray:
@@ -309,23 +304,23 @@ def _phase_objective(scenario: Scenario, s, precoder, z, settings):
             rep, so, sol = _evaluate(stats, shared, precoder, z, scenario.sigma2,
                                      settings, x0, spectra=spectra)
             x0, lam = sol.x0, spectra and spectra[0]
-            last = np.array(phi), (stats, rep, so, sol)
+            last = np.array(phi), (rep, so, sol)
         return last[1]
 
     def value(phi):
-        return solve(phi)[1].esr
+        return solve(phi)[0].esr
 
     def value_grad(phi):
-        stats, rep, so, sol = solve(phi)
+        rep, so, sol = solve(phi)
         # a ZF evaluation takes no second-order system
         if shared:
             g = esr_gradient_phases_common(
-                so or second_order_common(*stats, sol), corr.C_L, corr.C_R,
-                phi, scenario.sigma2, root=corr.root)
+                so or second_order_common(sol, scenario.p), corr.C_L,
+                corr.C_R, phi, scenario.sigma2, root=corr.root)
         else:
             g = esr_gradient_phases_uncommon(
-                so or second_order_uncommon(*stats, sol), stats[2], corr.C_L,
-                corr.c_r_list(scenario.dims.K), scenario.t, phi, stats[-1],
+                so or second_order_uncommon(sol, scenario.p), corr.C_L,
+                corr.c_r_list(scenario.dims.K), scenario.t, phi,
                 scenario.sigma2, root=corr.root)
         return rep.esr, g
 
@@ -434,8 +429,7 @@ class _WarmRzfEsr:
         self.x0, self.z0 = sol.x0, z
         if not slope:
             return rep.esr
-        C, p = self.stats[1 if self.shared else 2], self.stats[-1]
-        return rep.esr, z * esr_gradient_z(so, C, p, self.sigma2)
+        return rep.esr, z * esr_gradient_z(so, self.sigma2)
 
 
 def _refine(esr_of: _WarmRzfEsr, z: float, c: float | None, lo: float,

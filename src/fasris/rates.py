@@ -5,18 +5,21 @@ correlation regimes, including the second-order interference/normalization
 blocks (Psi_{k,l}, Cbar, the Pi and Delta linear systems). Also the i.i.d.
 closed forms for ZF and MRT and the minimum-port count.
 
-Each regime's second-order system is built in one place. The matrix work
-ends at the trace tables (shared RZF: sums over the eigenvalues of R and
-C, the direct link sharing R); `common_system` and `uncommon_system` map
-the fixed-point state and the tables (a dict x) through Pi_com / Pi, the
-solved blocks, Psi_{k,l} and Cbar to the SINR. Both are analytic in every
-entry of x, which may lead with one batch axis, so the RZF phase gradients
-differentiate them by complex step: no entry passes through abs, a real
-part or a comparison. The one test, delta == 0, holds only without a RIS
-path, where every 1/delta term multiplies a zero. `second_order_common` and
+Each regime's second-order system is built in one place, from a solution
+and the powers p: the matrices are those the solution was solved on, which
+its map (`sol.system`) holds. The matrix work ends at the trace tables
+(shared RZF: sums over the eigenvalues of R and C, the direct link sharing
+R); `common_system` and `uncommon_system` map the fixed-point state and the
+tables (a dict x) through Pi_com / Pi, the solved blocks, Psi_{k,l} and
+Cbar to the SINR. Both are analytic in every entry of x, which may lead
+with one batch axis, so the RZF phase gradients differentiate them by
+complex step: no entry passes through abs, a real part or a comparison.
+The one test, delta == 0, holds only without a RIS path, where every
+1/delta term multiplies a zero. `second_order_common` and
 `second_order_uncommon` call them on real input, for RZF and ZF alike: a ZF
 solution gets Pi at its own point, where 1 + mu becomes mu, and no solved
-blocks; a batch of z carries its axis to the SINRs and the ESR.
+blocks; a batch of z carries its axis to the SINRs and the ESR. One
+`sinr_zf` serves both regimes: it reads only the solution's mu.
 `SecondOrderUncommon.W` keeps the solved interference system whose rows
 give Psi_{k,l}, and `SecondOrderCommon.lam_zz` the limit of
 (1/L)tr(Z Z^H Q Z Z^H Q).
@@ -156,21 +159,17 @@ def _pair_traces(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.real(A_flat @ np.swapaxes(Bt_flat, -1, -2))
 
 
-def _uncommon_tables(first, second, M: int) -> dict:
-    """The per-user trace tables Re tr(X Y)/M (or /L), X from first =
-    (E, ER, D) and Y from second = (E, ER, D, Psi_R, Psi_C); E is the stack
-    F_k Psi_R, ER = R Psi_R and D the stack C_k Psi_C. Every table is
-    bilinear in the two, so its derivative is the sum of two calls; each
-    stacked table is one `_pair_traces`."""
-    E, ER, D = first
-    E2, ER2, D2, Psi_R, Psi_C = second
+def _uncommon_tables(E, ER, D, Psi_R, Psi_C, M: int) -> dict:
+    """The per-user trace tables Re tr(X Y)/M (or /L) of E, the stack
+    F_k Psi_R, ER = R Psi_R and D, the stack C_k Psi_C, with each other and
+    with Psi_R or Psi_C; each stacked table is one `_pair_traces`."""
     L = D.shape[-1]
 
     def tr(X, Y, n):    # Re tr(X_k Y) / n for one matrix Y
         return _pair_traces(X, Y[..., None, :, :])[..., 0] / n
-    return {"chi_FF": _pair_traces(E, E2) / M, "chi_FR": tr(E, ER2, M),
-            "chi_RR": _tr(ER, ER2, M), "chi_FI": tr(E, Psi_R, M),
-            "chi_RI": _tr(ER, Psi_R, M), "Xi": _pair_traces(D, D2) / L,
+    return {"chi_FF": _pair_traces(E, E) / M, "chi_FR": tr(E, ER, M),
+            "chi_RR": _tr(ER, ER, M), "chi_FI": tr(E, Psi_R, M),
+            "chi_RI": _tr(ER, Psi_R, M), "Xi": _pair_traces(D, D) / L,
             "Xi_I": tr(D, Psi_C, L)}
 
 
@@ -271,20 +270,20 @@ def uncommon_system(x: dict, M: int, L: int, shift: float = 1.0, p=None,
 
 @dataclass
 class SecondOrderUncommon:
-    """Second-order system at a per-user-correlation fixed point.
+    """Second-order system at a per-user-correlation fixed point, on the
+    matrices of `sol.system`, for the powers p.
 
     x holds the fixed-point state and the trace tables of E (the stack
     F_k Psi_R), ER = R Psi_R and D (the stack C_k Psi_C). Pi is taken at
     the solution's own point (1 + mu_k for RZF, mu_k for ZF) and solve_pi
-    solves with it, checked. An RZF solution given p also gets the solved
-    blocks, which the resolvent probes and the phase gradient reuse: ups_I
-    is the limit of (1/L)tr(Z_k Z_k^H Q Q) + (1/M)tr(F_k Q Q), k = 1..K,
-    with that of (1/M)tr(R Q Q) last.
+    solves with it, checked. An RZF solution also gets the solved blocks,
+    which the resolvent probes and the phase gradient reuse: ups_I is the
+    limit of (1/L)tr(Z_k Z_k^H Q Q) + (1/M)tr(F_k Q Q), k = 1..K, with that
+    of (1/M)tr(R Q Q) last.
     """
 
     sol: UncommonSolution
-    F: np.ndarray            # (K,M,M) stack of F_k
-    R: np.ndarray
+    p: np.ndarray
     x: dict                  # delta, mu, omega and the tables: chi_FF, Xi (K,K),
                              # chi_FR, chi_FI, Xi_I (K,), chi_RR, chi_RI
     E: np.ndarray
@@ -299,42 +298,30 @@ class SecondOrderUncommon:
     Cbar: float | None = None
 
 
-def second_order_uncommon(F_list: np.ndarray, R: np.ndarray,
-                          C_list: np.ndarray, p: np.ndarray,
-                          sol: UncommonSolution) -> SecondOrderUncommon:
-    """Second-order system at a per-user fixed point, RZF or ZF; F_list and
-    C_list are the (K, M, M) and (K, L, L) stacks of F_k and C_k (lists work
-    too). A ZF sol stops at Pi; an RZF sol also gets the solved blocks."""
-    F = np.asarray(F_list)
-    M = sol.m_norm
+def second_order_uncommon(sol: UncommonSolution, p) -> SecondOrderUncommon:
+    """Second-order system at a per-user fixed point, RZF or ZF, on the
+    matrices it was solved on. A ZF sol stops at Pi; an RZF sol also gets
+    the solved blocks."""
+    m, M, p = sol.system, sol.m_norm, np.asarray(p, dtype=float)
     Psi_R, Psi_C = sol.Psi_R, sol.Psi_C
-    E, ER = F @ Psi_R[..., None, :, :], R @ Psi_R
-    D = np.asarray(C_list) @ Psi_C[..., None, :, :]
-    x = {**sol.x0, **_uncommon_tables((E, ER, D), (E, ER, D, Psi_R, Psi_C), M)}
-    K, L = len(F), D.shape[-1]
+    E, ER = m.F @ Psi_R[..., None, :, :], m.R @ Psi_R
+    D = m.C @ Psi_C[..., None, :, :]
+    x = {**sol.x0, **_uncommon_tables(E, ER, D, Psi_R, Psi_C, M)}
     rzf = sol.z is not None
-    out = uncommon_system(x, M, L, 1.0 if rzf else 0.0, p if rzf else None)
+    out = uncommon_system(x, M, m.L, 1.0 if rzf else 0.0, p if rzf else None)
     if "Psi_kl" in out:
         # strip (L/M) Ups_l(F_k)
-        out["Lambda_kl"] = out["Psi_kl"] - (L / M) * np.swapaxes(
-            out["ups_F"][..., :K, :], -1, -2)
+        out["Lambda_kl"] = out["Psi_kl"] - (m.L / M) * np.swapaxes(
+            out["ups_F"][..., :m.K, :], -1, -2)
         out["Psi_kl"] = _clip_psi(out["Psi_kl"])
-    return SecondOrderUncommon(sol=sol, F=F, R=R, x=x, E=E, D=D, **out)
+    return SecondOrderUncommon(sol=sol, p=p, x=x, E=E, D=D, **out)
 
 
-def sinr_rzf_uncommon(sol: UncommonSolution, F_list, R, C_list,
-                      p: np.ndarray, sigma2: float):
+def sinr_rzf_uncommon(sol: UncommonSolution, p, sigma2: float):
     """Per-user RZF SINR and ESR, per-user-correlation regime."""
-    so = second_order_uncommon(F_list, R, C_list, p, sol)
-    sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu, p, sigma2, so.D.shape[-1])
+    so = second_order_uncommon(sol, p)
+    sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu, so.p, sigma2, sol.system.L)
     return _report(sinr, "rzf/uncommon", sol=sol), so
-
-
-def sinr_zf_uncommon(sol: UncommonSolution, p: np.ndarray,
-                     sigma2: float) -> RateReport:
-    """ZF SINR: gamma_k = p_k / (sigma^2 sum_l p_l / (M mu_l))."""
-    sinr = zf_sinr(sol.mu, p, sigma2, sol.m_norm)
-    return _report(sinr, "zf/uncommon", sol=sol)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +332,9 @@ def _common_tables(first, second, M: int, L: int, diag: bool) -> dict:
     """The shared trace tables Re tr(X Y)/M (or /L), X from first =
     (RP, CP) and Y from second = (RP, CP, Psi_R, Psi_C), with RP = R Psi_R
     and CP = C Psi_C, or with diag their eigenvalues; bilinear in the two,
-    as `_uncommon_tables`. F = R, so the F tables of the per-user regime
-    are chi_RR and chi_RI here."""
+    so `gradients._common_along` takes their derivative as the sum of two
+    calls. F = R, so the F tables of the per-user regime are chi_RR and
+    chi_RI here."""
     RP, CP = first
     RP2, CP2, Psi_R, Psi_C = second
     tr = partial(_tr, diag=diag)
@@ -416,7 +404,8 @@ def common_system(x: dict, u, t, M: int, L: int, shift: float = 1.0, p=None,
 
 @dataclass
 class SecondOrderCommon:
-    """Second-order system at a shared-correlation fixed point.
+    """Second-order system at a shared-correlation fixed point, on the
+    matrices of `sol.system`, for the powers p.
 
     P = (R Psi_R, C Psi_C) and Psi = (Psi_R, Psi_C) are the factors the
     trace tables in x came from: their eigenvalues for an RZF solution, the
@@ -426,10 +415,6 @@ class SecondOrderCommon:
     """
 
     sol: CommonSolution
-    R: np.ndarray
-    C: np.ndarray
-    u: np.ndarray
-    t: np.ndarray
     p: np.ndarray
     P: tuple
     Psi: tuple
@@ -450,42 +435,45 @@ class SecondOrderCommon:
     Cbar: float | None = None
 
 
-def second_order_common(R, C, u, t, p, sol: CommonSolution) -> SecondOrderCommon:
-    """Second-order system at a shared fixed point, RZF or ZF.
+def second_order_common(sol: CommonSolution, p) -> SecondOrderCommon:
+    """Second-order system at a shared fixed point, RZF or ZF, on the
+    matrices it was solved on.
 
     RZF reads the tables off the eigenvalues (chi_RR = sum lam^2 psi^2 / M
     and so on); ZF keeps the matrices, whose products Frank-Wolfe's
-    mirror-port ties follow to the last bit. A ZF sol stops at Pi_com; an
-    RZF sol also gets the solved blocks.
+    mirror-port ties follow to the last bit. x carries kappa, equal to
+    delta, so Pi_com keeps its 3x3 layout. A ZF sol stops at Pi_com; an RZF
+    sol also gets the solved blocks.
     """
-    u, t, p = (np.asarray(v, dtype=float) for v in (u, t, p))
+    m, M, p = sol.system, sol.m_norm, np.asarray(p, dtype=float)
     rzf = sol.z is not None
     if rzf:
         P, Psi = (sol.lam * sol.psi, sol.g * sol.psi_C), (sol.psi, sol.psi_C)
     else:
-        P, Psi = (R @ sol.Psi_R, C @ sol.Psi_C), (sol.Psi_R, sol.Psi_C)
-    M, L = sol.m_norm, C.shape[0]
-    x = {**sol.x0, **_common_tables(P, (*P, *Psi), M, L, rzf)}
-    out = common_system(x, u, t, M, L, 1.0 if rzf else 0.0, p if rzf else None)
+        P, Psi = (m.R @ sol.Psi_R, m.C @ sol.Psi_C), (sol.Psi_R, sol.Psi_C)
+    x = {**sol.x0, "kappa": sol.delta,
+         **_common_tables(P, (*P, *Psi), M, m.L, rzf)}
+    out = common_system(x, m.u, m.t, M, m.L, 1.0 if rzf else 0.0,
+                        p if rzf else None)
     if "Psi_kl" in out:
         out["Psi_kl"] = _clip_psi(out["Psi_kl"])
-    return SecondOrderCommon(sol=sol, R=R, C=C, u=u, t=t, p=p, P=P,
-                             Psi=Psi, x=x, **out)
+    return SecondOrderCommon(sol=sol, p=p, P=P, Psi=Psi, x=x, **out)
 
 
-def sinr_rzf_common(sol: CommonSolution, R, C, u, t, p, sigma2):
+def sinr_rzf_common(sol: CommonSolution, p, sigma2: float):
     """Per-user RZF SINR and ESR, shared-correlation regime."""
-    so = second_order_common(R, C, u, t, p, sol)
-    sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu_k(so.u, so.t), so.p, sigma2,
-                       C.shape[0])
+    so = second_order_common(sol, p)
+    sinr, _ = rzf_sinr(so.Psi_kl, so.Cbar, sol.mu, so.p, sigma2, sol.system.L)
     return _report(sinr, "rzf/common", sol=sol), so
 
 
-def sinr_zf_common(sol: CommonSolution, u, t, p, sigma2) -> RateReport:
-    """ZF SINR, shared correlation: gamma_k = p_k / (sigma^2 sum_l p_l/(M mu_l))."""
-    mu = sol.mu_k(np.asarray(u, float), np.asarray(t, float))
-    sinr = zf_sinr(mu, np.asarray(p, dtype=float), sigma2, sol.m_norm)
-    return _report(sinr, "zf/common", sol=sol)
+def sinr_zf(sol: CommonSolution | UncommonSolution, p,
+            sigma2: float) -> RateReport:
+    """ZF SINR and ESR in either regime: gamma_k = p_k / (sigma^2 sum_l
+    p_l / (M mu_l))."""
+    sinr = zf_sinr(sol.mu, np.asarray(p, dtype=float), sigma2, sol.m_norm)
+    regime = "common" if isinstance(sol, CommonSolution) else "uncommon"
+    return _report(sinr, f"zf/{regime}", sol=sol)
 
 
 # ---------------------------------------------------------------------------

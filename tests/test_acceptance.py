@@ -13,8 +13,8 @@ import pytest
 from fasris import (SolverSettings, alternating_optimization,
                     deterministic_esr, empirical_esr, esr_iid_zf,
                     fw_port_selection, joint_optimize, resolvent_probe,
-                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf_common,
-                    sinr_zf_uncommon, solve_iid_zf, solve_rzf_common,
+                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf,
+                    solve_iid_zf, solve_rzf_common,
                     solve_rzf_uncommon, solve_zf_common, solve_zf_uncommon,
                     z_search_profile)
 from fasris.gradients import (esr_gradient_phases_common,
@@ -73,25 +73,23 @@ def test_criterion_03_degeneration_lattice():
     z = sc.dims.K * sc.sigma2 / sc.dims.M
     R, C, u, t, p = sc.stats_common()
     com = solve_rzf_common(R, C, u, t, z, TIGHT)
-    rep_c, _ = sinr_rzf_common(com, R, C, u, t, p, sc.sigma2)
+    rep_c, _ = sinr_rzf_common(com, p, sc.sigma2)
     F_list, R2, C_list, _ = sc.stats_uncommon()
     unc = solve_rzf_uncommon(F_list, R2, C_list, z, TIGHT)
-    rep_u, _ = sinr_rzf_uncommon(unc, F_list, R2, C_list, p, sc.sigma2)
+    rep_u, _ = sinr_rzf_uncommon(unc, p, sc.sigma2)
     dev_a = float(np.max(np.abs(rep_c.sinr - rep_u.sinr) / rep_u.sinr))
 
     M, K, L = 16, 6, 12
     uu, tt, sigma2 = 1.1, 0.4, 0.3
     solz = solve_zf_common(np.eye(M), np.eye(L),
                            np.full(K, uu), np.full(K, tt), TIGHT)
-    repz = sinr_zf_common(solz, np.full(K, uu), np.full(K, tt), np.ones(K),
-                          sigma2)
+    repz = sinr_zf(solz, np.ones(K), sigma2)
     closed = esr_iid_zf(uu, tt, K / M, K / L, sigma2, K)
     dev_b = abs(repz.esr - closed.esr) / closed.esr
 
     sol0 = solve_zf_common(np.eye(M), np.eye(L),
                            np.full(K, uu), np.zeros(K), TIGHT)
-    rep0 = sinr_zf_common(sol0, np.full(K, uu), np.zeros(K), np.ones(K),
-                          sigma2)
+    rep0 = sinr_zf(sol0, np.ones(K), sigma2)
     c1 = K / M
     single_hop = K * np.log2(1 + (1 - c1) * uu / (c1 * sigma2))
     dev_c = abs(rep0.esr - single_hop) / single_hop
@@ -112,9 +110,9 @@ def test_criterion_04_zf_as_limit():
         sc = random_scenario(rng, "uncommon", M=M, K=K, L=8, sigma2=0.4)
         F_list, R, C_list, p = sc.stats_uncommon()
         zf = solve_zf_uncommon(F_list, R, C_list, TIGHT)
-        rep_zf = sinr_zf_uncommon(zf, p, sc.sigma2)
+        rep_zf = sinr_zf(zf, p, sc.sigma2)
         rzf = solve_rzf_uncommon(F_list, R, C_list, 1e-8, TIGHT)
-        rep_rzf, _ = sinr_rzf_uncommon(rzf, F_list, R, C_list, p, sc.sigma2)
+        rep_rzf, _ = sinr_rzf_uncommon(rzf, p, sc.sigma2)
         worst = max(worst, abs(rep_zf.esr - rep_rzf.esr) / rep_zf.esr)
     verdict("criterion 4 (ZF as z->0 limit)", worst <= 1e-3,
             f"worst relative gap {worst:.2e}")
@@ -169,14 +167,12 @@ def test_criterion_06_gradient_correctness():
             Phi = phase_matrix(phi, 6)
             C = herm(CLroot @ Phi @ corr.C_R @ Phi.conj().T @ CLroot)
             sol = solve_rzf_common(corr.R_tot, C, sc.u, sc.t, z, tight)
-            return sinr_rzf_common(sol, corr.R_tot, C, sc.u, sc.t, sc.p,
-                                   sc.sigma2)[0].esr
+            return sinr_rzf_common(sol, sc.p, sc.sigma2)[0].esr
 
         Phi0 = phase_matrix(phi0, 6)
         C0 = herm(CLroot @ Phi0 @ corr.C_R @ Phi0.conj().T @ CLroot)
         sol = solve_rzf_common(corr.R_tot, C0, sc.u, sc.t, z, tight)
-        _, so = sinr_rzf_common(sol, corr.R_tot, C0, sc.u, sc.t, sc.p,
-                                sc.sigma2)
+        _, so = sinr_rzf_common(sol, sc.p, sc.sigma2)
         g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi0,
                                        sc.sigma2)
         worst = max(worst, _fd_deviation(esr, g, phi0))
@@ -191,15 +187,13 @@ def test_criterion_06_gradient_correctness():
         def esr(phi):
             F_list, R, C_list, p = sc.stats_uncommon(phi=phi)
             sol = solve_rzf_uncommon(F_list, R, C_list, z, tight)
-            return sinr_rzf_uncommon(sol, F_list, R, C_list, p,
-                                     sc.sigma2)[0].esr
+            return sinr_rzf_uncommon(sol, p, sc.sigma2)[0].esr
 
         F_list, R, C_list, p = sc.stats_uncommon(phi=phi0)
         sol = solve_rzf_uncommon(F_list, R, C_list, z, tight)
-        _, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sc.sigma2)
-        g = esr_gradient_phases_uncommon(so, C_list, corr.C_L,
-                                         corr.c_r_list(3), sc.t, phi0, p,
-                                         sc.sigma2)
+        _, so = sinr_rzf_uncommon(sol, p, sc.sigma2)
+        g = esr_gradient_phases_uncommon(so, corr.C_L, corr.c_r_list(3), sc.t,
+                                         phi0, sc.sigma2)
         worst = max(worst, _fd_deviation(esr, g, phi0))
 
     for seed in range(6):                       # ZF port gradients
@@ -216,11 +210,10 @@ def test_criterion_06_gradient_correctness():
         def esr_s(s):
             sol = solve_zf_common(emb(Rh, s), C, sc.u, sc.t, tight,
                                   m_norm=6)
-            return sinr_zf_common(sol, sc.u, sc.t, sc.p, sc.sigma2).esr
+            return sinr_zf(sol, sc.p, sc.sigma2).esr
 
         sol = solve_zf_common(emb(Rh, s0), C, sc.u, sc.t, tight, m_norm=6)
-        g = esr_gradient_ports_zf_common(sol, Rh, emb(Rh, s0), C, sc.u, sc.t,
-                                         sc.p, sc.sigma2)
+        g = esr_gradient_ports_zf_common(sol, Rh, sc.p, sc.sigma2)
         worst = max(worst, _fd_deviation(esr_s, g, s0))
 
     elapsed = time.time() - t0
@@ -303,7 +296,7 @@ def test_criterion_09_resolvent_probes():
     z = sc.dims.K * sc.sigma2 / 32
     F_list, R, C_list, p = sc.stats_uncommon()
     sol = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT)
-    rep, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sc.sigma2)
+    rep, so = sinr_rzf_uncommon(sol, p, sc.sigma2)
     pr = resolvent_probe(sc, None, None, z, 2000, 909)
 
     d_delta = abs(pr.delta_hat - sol.delta) / sol.delta

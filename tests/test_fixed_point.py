@@ -196,7 +196,7 @@ class TestZfSeed:
             x = rzf.start(None, init)
             scale = np.full(len(x), 1.0 / z)
             if "C" in solves.stats:
-                scale[3:] = z
+                scale[2:] = z
             assert np.array_equal(x, init * scale)
             assert np.array_equal(zf.start(None, init), np.full(len(x), init))
             # omega stays 0 off a cascaded link
@@ -204,7 +204,7 @@ class TestZfSeed:
             unlinked = {key: np.zeros_like(solves.stats[key])}
             for system in solves.maps(z, **unlinked):
                 x = system.start(None, init)
-                omega = x[2] if key == "C" else system.split(x)[1]
+                omega = x[1] if key == "C" else system.split(x)[1]
                 assert np.all(omega == 0.0) and np.count_nonzero(x) == (
                     len(x) - np.size(omega))
 
@@ -290,7 +290,7 @@ class TestCommon:
         F_list, R2, C_list, _ = sc.stats_uncommon()
         unc = solve_rzf_uncommon(F_list, R2, C_list, z, TIGHT)
         assert abs(com.delta - unc.delta) / unc.delta < 1e-8
-        assert np.max(np.abs(com.mu_k(u, t) - unc.mu) / unc.mu) < 1e-8
+        assert np.max(np.abs(com.mu - unc.mu) / unc.mu) < 1e-9
         assert np.max(np.abs(t * com.omega - unc.omega) / unc.omega) < 1e-8
 
     def test_t_zero_single_hop(self, rng):
@@ -301,17 +301,17 @@ class TestCommon:
         sol = solve_rzf_common(R, C, u, np.zeros(K), 0.3, TIGHT)
         assert sol.omega_bar == 0.0
         oracle = single_hop_mu([uk * R for uk in u], 0.3, M)
-        assert np.max(np.abs(sol.mu_k(u, np.zeros(K)) - oracle) / oracle) < 1e-9
+        assert np.max(np.abs(sol.mu - oracle) / oracle) < 1e-9
 
     def test_iid_reduction_zf(self, rng):
-        # identity correlations, equal gains: u kappa + t omega equals
-        # the closed form (1 - c1) beta
+        # identity correlations, equal gains: u delta + t omega (delta is
+        # kappa: F = R) equals the closed form (1 - c1) beta
         M, K, L = 16, 6, 10
         u, t = 1.2, 0.4
         sol = solve_zf_common(np.eye(M), np.eye(L), np.full(K, u),
                               np.full(K, t), TIGHT)
         iid = solve_iid_zf(u, t, K / M, K / L)
-        got = u * sol.kappa + t * sol.omega
+        got = u * sol.delta + t * sol.omega
         assert abs(got - iid.mu) / iid.mu < 1e-8
 
     def test_zf_t_zero(self, rng):
@@ -319,8 +319,8 @@ class TestCommon:
         u = 0.8
         sol = solve_zf_common(np.eye(M), np.eye(6), np.full(K, u),
                               np.zeros(K), TIGHT)
-        # single-hop ZF: u kappa = (1 - c1) u
-        assert abs(u * sol.kappa - (1 - K / M) * u) < 1e-10
+        # single-hop ZF: u delta = (1 - c1) u
+        assert abs(u * sol.delta - (1 - K / M) * u) < 1e-10
 
     def test_common_zf_matches_uncommon(self, small_common):
         sc = small_common
@@ -328,7 +328,23 @@ class TestCommon:
         com = solve_zf_common(R, C, u, t, TIGHT)
         F_list, R2, C_list, _ = sc.stats_uncommon()
         unc = solve_zf_uncommon(F_list, R2, C_list, TIGHT)
-        assert np.max(np.abs(com.mu_k(u, t) - unc.mu) / unc.mu) < 1e-8
+        assert np.max(np.abs(com.mu - unc.mu) / unc.mu) < 1e-9
+
+    @pytest.mark.parametrize("regime", ["common", "uncommon"])
+    def test_backsubstitution_sees_other_matrices(self, request, regime):
+        # the residual reads the caller's matrices, not the solution's map:
+        # R scaled by 1.01 fails the check in both regimes
+        sc = request.getfixturevalue(f"small_{regime}")
+        if regime == "common":
+            R, C, u, t, _ = sc.stats_common()
+            sol = solve_rzf_common(R, C, u, t, 0.3)
+            res = backsubstitution_residual(sol, R=1.01 * R, C=C, u=u, t=t)
+        else:
+            F_list, R, C_list, _ = sc.stats_uncommon()
+            sol = solve_rzf_uncommon(F_list, R, C_list, 0.3)
+            res = backsubstitution_residual(sol, R=1.01 * R, F_list=F_list,
+                                            C_list=C_list)
+        assert res > 1e-6
 
     def test_backsubstitution_common(self, small_common):
         # the shared map runs on eigenvalues; the residual evaluates the
@@ -397,7 +413,7 @@ class TestSolvePath:
                              else fixed_point.UncommonSolution)
         assert sol.z == z
         assert tuple(sol.x0) == (
-            ("delta", "kappa", "omega", "kappa_bar", "omega_bar") if shared
+            ("delta", "omega", "kappa_bar", "omega_bar") if shared
             else ("delta", "mu", "omega"))
         warm = _evaluate(stats, shared, precoder, z, sc.sigma2,
                          SolverSettings(), x0=sol.x0)[2]
@@ -602,7 +618,7 @@ class TestSpectralMap:
                                     K=4, L=7, sigma2=0.3), None
         R, C, u, t, p = sc.stats_common(s)
         sol = solve_rzf_common(R, C, u, t, sc.default_z(s))
-        so = second_order_common(R, C, u, t, p, sol)
+        so = second_order_common(sol, p)
         M, L, delta = sol.m_norm, C.shape[0], sol.delta
         Psi = (sol.Psi_R, sol.Psi_C)
         P = (R @ Psi[0], C @ Psi[1])

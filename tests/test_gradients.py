@@ -9,8 +9,7 @@ from fasris import (SolverSettings, esr_gradient_phases_common,
                     fd_gradient, phase_perturbation, second_order_common,
                     second_order_uncommon, solve_rzf_common,
                     solve_rzf_uncommon, solve_zf_common, solve_zf_uncommon,
-                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf_common,
-                    sinr_zf_uncommon)
+                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf)
 from fasris.channel import herm, phase_matrix, psd_sqrt
 from fasris.gradients import _diag3
 from fasris.scenarios import random_correlation, random_scenario
@@ -58,14 +57,12 @@ def build_common(rng, M=12, K=4, L=8):
         Phi = phase_matrix(phi, L)
         C = herm(CLroot @ Phi @ corr.C_R @ Phi.conj().T @ CLroot)
         sol = solve_rzf_common(corr.R_tot, C, sc.u, sc.t, z, TIGHT)
-        return sinr_rzf_common(sol, corr.R_tot, C, sc.u, sc.t,
-                               sc.p, sc.sigma2)[0].esr
+        return sinr_rzf_common(sol, sc.p, sc.sigma2)[0].esr
 
     Phi0 = phase_matrix(phi0, L)
     C0 = herm(CLroot @ Phi0 @ corr.C_R @ Phi0.conj().T @ CLroot)
     sol = solve_rzf_common(corr.R_tot, C0, sc.u, sc.t, z, TIGHT)
-    _, so = sinr_rzf_common(sol, corr.R_tot, C0, sc.u, sc.t,
-                            sc.p, sc.sigma2)
+    _, so = sinr_rzf_common(sol, sc.p, sc.sigma2)
     g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi0, sc.sigma2)
     return sc, phi0, esr, g
 
@@ -88,8 +85,7 @@ class TestPhaseGradientCommon:
         C = C_R.astype(complex)
         z = 0.15
         sol = solve_rzf_common(corr.R_tot, C, sc.u, sc.t, z, TIGHT)
-        _, so = sinr_rzf_common(sol, corr.R_tot, C, sc.u, sc.t,
-                                sc.p, sc.sigma2)
+        _, so = sinr_rzf_common(sol, sc.p, sc.sigma2)
         g = esr_gradient_phases_common(so, C_L, C_R, phi, sc.sigma2)
         assert np.allclose(g, 0.0, atol=1e-15)
 
@@ -104,8 +100,7 @@ class TestPhaseGradientCommon:
         Phi1 = phase_matrix(phi0 + shift, sc.dims.L)
         C1 = herm(CLroot @ Phi1 @ corr.C_R @ Phi1.conj().T @ CLroot)
         sol = solve_rzf_common(corr.R_tot, C1, sc.u, sc.t, z, TIGHT)
-        _, so = sinr_rzf_common(sol, corr.R_tot, C1, sc.u, sc.t,
-                                sc.p, sc.sigma2)
+        _, so = sinr_rzf_common(sol, sc.p, sc.sigma2)
         g1 = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi0 + shift,
                                         sc.sigma2)
         assert np.allclose(g1, g, atol=1e-9 * max(1.0, np.abs(g).max()))
@@ -117,7 +112,7 @@ class TestPhaseGradientCommon:
         corr = sc.correlations
         R, C, u, t, p = sc.stats_common(phi=np.zeros(6))
         sol = solve_rzf_common(R, C, u, t, 0.15, TIGHT)
-        _, so = sinr_rzf_common(sol, R, C, u, t, p, sc.sigma2)
+        _, so = sinr_rzf_common(sol, p, sc.sigma2)
         g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, np.zeros(6),
                                        sc.sigma2)
         assert np.all(g == 0.0)
@@ -134,14 +129,13 @@ class TestPhaseGradientUncommon:
         def esr(phi):
             F_list, R, C_list, p = sc.stats_uncommon(phi=phi)
             sol = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT)
-            return sinr_rzf_uncommon(sol, F_list, R, C_list, p, sc.sigma2)[0].esr
+            return sinr_rzf_uncommon(sol, p, sc.sigma2)[0].esr
 
         F_list, R, C_list, p = sc.stats_uncommon(phi=phi0)
         sol = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT)
-        _, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sc.sigma2)
-        g = esr_gradient_phases_uncommon(so, C_list, corr.C_L,
-                                         corr.c_r_list(K), sc.t, phi0, p,
-                                         sc.sigma2)
+        _, so = sinr_rzf_uncommon(sol, p, sc.sigma2)
+        g = esr_gradient_phases_uncommon(so, corr.C_L, corr.c_r_list(K), sc.t,
+                                         phi0, sc.sigma2)
         return sc, phi0, esr, g
 
     def test_matches_fd(self):
@@ -161,16 +155,15 @@ class TestPhaseGradientUncommon:
 
         R, C, u, t, p = sc.stats_common(phi=phi0)
         sol_c = solve_rzf_common(R, C, u, t, z, TIGHT)
-        _, so_c = sinr_rzf_common(sol_c, R, C, u, t, p, sc.sigma2)
+        _, so_c = sinr_rzf_common(sol_c, p, sc.sigma2)
         g_c = esr_gradient_phases_common(so_c, corr.C_L, corr.C_R, phi0,
                                          sc.sigma2)
 
         F_list, R2, C_list, _ = sc.stats_uncommon(phi=phi0)
         sol_u = solve_rzf_uncommon(F_list, R2, C_list, z, TIGHT)
-        _, so_u = sinr_rzf_uncommon(sol_u, F_list, R2, C_list, p, sc.sigma2)
-        g_u = esr_gradient_phases_uncommon(so_u, C_list, corr.C_L,
-                                           corr.c_r_list(K), sc.t, phi0, p,
-                                           sc.sigma2)
+        _, so_u = sinr_rzf_uncommon(sol_u, p, sc.sigma2)
+        g_u = esr_gradient_phases_uncommon(so_u, corr.C_L, corr.c_r_list(K),
+                                           sc.t, phi0, sc.sigma2)
         assert np.max(np.abs(g_u - g_c)) < 1e-6 * max(1.0, np.abs(g_c).max())
 
     def test_zero_for_vanishing_cascade(self, rng):
@@ -179,10 +172,9 @@ class TestPhaseGradientUncommon:
         corr = sc.correlations
         F_list, R, C_list, p = sc.stats_uncommon(phi=np.zeros(6))
         sol = solve_rzf_uncommon(F_list, R, C_list, 0.15, TIGHT)
-        _, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sc.sigma2)
-        g = esr_gradient_phases_uncommon(so, C_list, corr.C_L,
-                                         corr.c_r_list(3), sc.t, np.zeros(6),
-                                         p, sc.sigma2)
+        _, so = sinr_rzf_uncommon(sol, p, sc.sigma2)
+        g = esr_gradient_phases_uncommon(so, corr.C_L, corr.c_r_list(3), sc.t,
+                                         np.zeros(6), sc.sigma2)
         assert np.all(g == 0.0)
 
 
@@ -198,12 +190,12 @@ class TestPhaseGradientZf:
             Phi = phase_matrix(phi, L)
             C = herm(CLroot @ Phi @ corr.C_R @ Phi.conj().T @ CLroot)
             sol = solve_zf_common(corr.R_tot, C, sc.u, sc.t, TIGHT)
-            return sinr_zf_common(sol, sc.u, sc.t, sc.p, sc.sigma2).esr
+            return sinr_zf(sol, sc.p, sc.sigma2).esr
 
         Phi0 = phase_matrix(phi0, L)
         C0 = herm(CLroot @ Phi0 @ corr.C_R @ Phi0.conj().T @ CLroot)
         sol = solve_zf_common(corr.R_tot, C0, sc.u, sc.t, TIGHT)
-        so = second_order_common(corr.R_tot, C0, sc.u, sc.t, sc.p, sol)
+        so = second_order_common(sol, sc.p)
         g = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi0,
                                        sc.sigma2)
         dev = fd_tolerance_check(g, fd_gradient(esr, phi0, H_FD))
@@ -217,15 +209,15 @@ class TestPhaseGradientZfUncommon:
         sol = solve_zf_uncommon(F_list, R, C_list, TIGHT)
         corr = sc.correlations
         return esr_gradient_phases_uncommon(
-            second_order_uncommon(F_list, R, C_list, p, sol), C_list,
-            corr.C_L, corr.c_r_list(sc.dims.K), sc.t, phi, p, sc.sigma2)
+            second_order_uncommon(sol, p), corr.C_L,
+            corr.c_r_list(sc.dims.K), sc.t, phi, sc.sigma2)
 
     @staticmethod
     def _deviation(sc, phi):
         def esr(phi):
             F_list, R, C_list, p = sc.stats_uncommon(phi=phi)
             sol = solve_zf_uncommon(F_list, R, C_list, TIGHT)
-            return sinr_zf_uncommon(sol, p, sc.sigma2).esr
+            return sinr_zf(sol, p, sc.sigma2).esr
         gradient = TestPhaseGradientZfUncommon._gradient(sc, phi)
         return fd_tolerance_check(gradient, fd_gradient(esr, phi, H_FD))
 
@@ -249,7 +241,7 @@ class TestPhaseGradientZfUncommon:
         phi = rng.uniform(0, 2 * np.pi, 8)
         corr = sc.correlations
         stats = sc.stats_common(phi=phi)
-        so = second_order_common(*stats, solve_zf_common(*stats[:4], TIGHT))
+        so = second_order_common(solve_zf_common(*stats[:4], TIGHT), sc.p)
         g_c = esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi,
                                          sc.sigma2)
         g_u = self._gradient(sc, phi)
@@ -276,11 +268,10 @@ class TestPortGradients:
 
         def esr(s):
             sol = solve_zf_common(emb(Rh, s), C, sc.u, sc.t, TIGHT, m_norm=M)
-            return sinr_zf_common(sol, sc.u, sc.t, sc.p, sc.sigma2).esr
+            return sinr_zf(sol, sc.p, sc.sigma2).esr
 
         sol = solve_zf_common(emb(Rh, s0), C, sc.u, sc.t, TIGHT, m_norm=M)
-        g = esr_gradient_ports_zf_common(sol, Rh, emb(Rh, s0), C, sc.u, sc.t,
-                                         sc.p, sc.sigma2)
+        g = esr_gradient_ports_zf_common(sol, Rh, sc.p, sc.sigma2)
         dev = fd_tolerance_check(g, fd_gradient(esr, s0, H_FD))
         assert dev < TOL
 
@@ -298,14 +289,13 @@ class TestPortGradients:
             ss = np.outer(s, s)
             sol = solve_zf_uncommon(F * ss, corr.R_tot * ss, C_list, TIGHT,
                                     m_norm=M)
-            return sinr_zf_uncommon(sol, sc.p, sc.sigma2).esr
+            return sinr_zf(sol, sc.p, sc.sigma2).esr
 
         ss = np.outer(s0, s0)
         sol = solve_zf_uncommon(F * ss, corr.R_tot * ss, C_list, TIGHT,
                                 m_norm=M)
-        so = second_order_uncommon(F * ss, corr.R_tot * ss, C_list, sc.p, sol)
-        g = esr_gradient_ports_uncommon(so, F, corr.R_tot, C_list, s0, sc.p,
-                                        sc.sigma2)
+        so = second_order_uncommon(sol, sc.p)
+        g = esr_gradient_ports_uncommon(so, F, corr.R_tot, s0, sc.sigma2)
         dev = fd_tolerance_check(g, fd_gradient(esr, s0, H_FD))
         assert dev < TOL
 
@@ -326,15 +316,13 @@ class TestPortGradients:
             if shift:
                 sol = solve_rzf_uncommon(F * ss, R * ss, C, 0.2, TIGHT,
                                          m_norm=M)
-                rep, so = sinr_rzf_uncommon(sol, F * ss, R * ss, C, p,
-                                            sc.sigma2)
+                rep, so = sinr_rzf_uncommon(sol, p, sc.sigma2)
                 return rep.esr, so
             sol = solve_zf_uncommon(F * ss, R * ss, C, TIGHT, m_norm=M)
-            return (sinr_zf_uncommon(sol, p, sc.sigma2).esr,
-                    second_order_uncommon(F * ss, R * ss, C, p, sol))
+            return (sinr_zf(sol, p, sc.sigma2).esr,
+                    second_order_uncommon(sol, p))
 
-        g = esr_gradient_ports_uncommon(solve(s0)[1], F, R, C, s0, p,
-                                        sc.sigma2)
+        g = esr_gradient_ports_uncommon(solve(s0)[1], F, R, s0, sc.sigma2)
         fd = fd_gradient(lambda s: solve(s)[0], s0, 1e-6)
         assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
 
@@ -351,8 +339,7 @@ class TestPortGradients:
         Rh = psd_sqrt(R_tot)
         s0 = np.full(M_tot, M / M_tot)
         sol = solve_zf_common(emb(Rh, s0), C, u, t, TIGHT, m_norm=M)
-        g = esr_gradient_ports_zf_common(sol, Rh, emb(Rh, s0), C, u, t, p,
-                                         0.3)
+        g = esr_gradient_ports_zf_common(sol, Rh, p, 0.3)
         assert np.ptp(g) < 1e-10 * abs(g).max()
 
     def test_real_fig3_data_matches_its_complex_cast(self):
@@ -363,17 +350,15 @@ class TestPortGradients:
         from fasris.scenarios import fig3_scenario
         sc, M = fig3_scenario(80.0)
         obj = RelaxedZfObjective(sc, None, M)
-        _, sol, (R, C, u, t, p) = obj.solve(
-            np.full(sc.dims.M_tot, M / sc.dims.M_tot))
+        _, sol = obj.solve(np.full(sc.dims.M_tot, M / sc.dims.M_tot))
+        m = sol.system
         assert obj.R_root.dtype == sol.Psi_R.dtype == np.float64
-        cast = solve_zf_common(R.astype(complex), C, u, t, m_norm=M,
+        cast = solve_zf_common(m.R.astype(complex), m.C, m.u, m.t, m_norm=M,
                                spectra=(sol.lam, sol.g))
         assert cast.x0 == sol.x0 and cast.Psi_R.dtype == np.complex128
-        g = esr_gradient_ports_zf_common(sol, obj.R_root, R, C, u, t, p,
-                                         sc.sigma2)
+        g = esr_gradient_ports_zf_common(sol, obj.R_root, sc.p, sc.sigma2)
         g_cast = esr_gradient_ports_zf_common(
-            cast, obj.R_root.astype(complex), R.astype(complex), C, u, t, p,
-            sc.sigma2)
+            cast, obj.R_root.astype(complex), sc.p, sc.sigma2)
         assert np.abs(g - g_cast).max() < 1e-12 * np.abs(g).max()
 
     def test_diag3_matches_einsum(self, rng):
@@ -394,8 +379,7 @@ class TestPortGradients:
         for _ in range(3):
             s0 = rng.uniform(0.3, 0.9, M_tot)
             sol = solve_zf_common(emb(Rh, s0), C, sc.u, sc.t, TIGHT, m_norm=M)
-            g = esr_gradient_ports_zf_common(sol, Rh, emb(Rh, s0), C, sc.u,
-                                             sc.t, sc.p, sc.sigma2)
+            g = esr_gradient_ports_zf_common(sol, Rh, sc.p, sc.sigma2)
             assert np.all(g >= -1e-10)
 
 
@@ -440,9 +424,9 @@ def _loop_sinr_chain(gam, Dk, p, mu, mu_, Psi_kl, Psi_kl_, Cbar, Cbar_,
 def _loop_phases_common(so, C_L, C_R, phi, sigma2):
     """The shared RZF phase gradient as one pass per RIS element."""
     from fasris.rates import _checked, rzf_sinr
-    sol = so.sol
-    u, t, p = so.u, so.t, so.p
-    R, C = so.R, so.C
+    sol, m = so.sol, so.sol.system
+    u, t, p = m.u, m.t, so.p
+    R, C = m.R, m.C
     M = sol.m_norm
     L = C.shape[0]
     delta, omega, omega_bar = sol.delta, sol.omega, sol.omega_bar
@@ -450,7 +434,7 @@ def _loop_phases_common(so, C_L, C_R, phi, sigma2):
     chi_RR, Xi, Xi_I = (so.x[k] for k in ("chi_RR", "Xi", "Xi_I"))
     chi_RF = chi_FF = chi_RR                # F = R
     CL_root = psd_sqrt(C_L, "C_L")
-    mu = sol.mu_k(u, t)
+    mu = sol.mu
     gam, Dk = rzf_sinr(so.Psi_kl, so.Cbar, mu, p, sigma2, L)
     RP = FP = R @ Psi_R
     CP = C @ Psi_C
@@ -549,7 +533,7 @@ def _loop_phases_zf_common(sol, R, C_L, C_R, phi, u, t, p, sigma2):
     CL_root = psd_sqrt(C_L, "C_L")
     Phi = phase_matrix(phi, L)
     C = herm(CL_root @ Phi @ C_R @ Phi.conj().T @ CL_root)
-    so = second_order_common(R, C, u, t, p, sol)
+    so = second_order_common(sol, p)
     Psi_C = sol.Psi_C
     PCC = Psi_C @ (C @ Psi_C)
     U = np.empty(L)
@@ -557,7 +541,7 @@ def _loop_phases_zf_common(sol, R, C_L, C_R, phi, u, t, p, sigma2):
         A_l = phase_perturbation(CL_root, C_R, phi, l)
         U[l] = (_tr2(A_l, Psi_C) - sol.omega_bar * _tr2(A_l, PCC)) / L
     _, k_, o_ = so.solve_pi(np.array([0.0, 0.0, 1.0]))
-    return _zf_chain(p, sol.mu_k(u, t), np.outer(u * k_ + t * o_, U),
+    return _zf_chain(p, sol.mu, np.outer(u * k_ + t * o_, U),
                      sol.m_norm, sigma2)
 
 
@@ -594,7 +578,7 @@ class TestPhaseGradientsAgainstLoopOracle:
         R, C, u, t, p = sc.stats_common(s, phi)
         sol = solve_zf_common(R, C, u, t)
         corr = sc.correlations
-        g = esr_gradient_phases_common(second_order_common(R, C, u, t, p, sol),
+        g = esr_gradient_phases_common(second_order_common(sol, p),
                                        corr.C_L, corr.C_R, phi, sc.sigma2)
         ref = _loop_phases_zf_common(sol, R, corr.C_L, corr.C_R, phi, u, t, p,
                                      sc.sigma2)
@@ -605,7 +589,7 @@ def _loop_interference_rhs_prime(so, mu_, d_, om_, Xi_, chi_FF_, chi_FR_,
                                  chi_RR_, M, L):
     """Derivative of the interference RHS, one user column at a time."""
     sol = so.sol
-    K = len(so.F)
+    K = len(sol.mu)
     mu, omega, delta = sol.mu, sol.omega, sol.delta
     Xi, chi_FF, chi_FR, chi_RR = (so.x[k] for k in ("Xi", "chi_FF", "chi_FR",
                                                     "chi_RR"))
@@ -642,7 +626,7 @@ def test_interference_rhs_prime_matches_per_user_loop(case):
     if case == "t0":
         sc.t = np.zeros(K)
     F, R, C, p = sc.stats_uncommon(phi=rng.uniform(0, 2 * np.pi, 8))
-    so = second_order_uncommon(F, R, C, p, solve_rzf_uncommon(F, R, C, 0.2))
+    so = second_order_uncommon(solve_rzf_uncommon(F, R, C, 0.2), p)
     # arbitrary directions: the RHS derivative is linear in them
     args = (rng.normal(size=K), rng.normal(), rng.normal(size=K),
             rng.normal(size=(K, K)), rng.normal(size=(K, K)),
@@ -667,12 +651,12 @@ def test_complex_step_of_each_regime_matches_central_differences(regime):
     if regime == "common":
         R, C, u, t, p = sc.stats_common(phi=phi)
         sol = solve_rzf_common(R, C, u, t, 0.2, TIGHT)
-        x = second_order_common(R, C, u, t, p, sol).x
+        x = second_order_common(sol, p).x
         system, args = common_system, (u, t, sol.m_norm, 6, 1.0, p, sc.sigma2)
     else:
         F, R, C, p = sc.stats_uncommon(phi=phi)
         sol = solve_rzf_uncommon(F, R, C, 0.2, TIGHT)
-        x = second_order_uncommon(F, R, C, p, sol).x
+        x = second_order_uncommon(sol, p).x
         system, args = uncommon_system, (sol.m_norm, 6, 1.0, p, sc.sigma2)
     dx = {name: rng.normal(size=(3, *np.shape(v))) * np.abs(v)
           for name, v in x.items()}
@@ -768,9 +752,8 @@ def test_derivatives_reuse_the_checked_pi_solve(regime, monkeypatch):
     if shared:
         esr_gradient_phases_common(so, corr.C_L, corr.C_R, phi, sc.sigma2)
     else:
-        esr_gradient_phases_uncommon(so, stats[2], corr.C_L,
-                                     corr.c_r_list(3), sc.t, phi, sc.p,
+        esr_gradient_phases_uncommon(so, corr.C_L, corr.c_r_list(3), sc.t, phi,
                                      sc.sigma2)
     assert len(calls) == int(shared)
-    esr_gradient_z(so, stats[2], stats[-1], sc.sigma2)
+    esr_gradient_z(so, sc.sigma2)
     assert len(calls) == 2 * int(shared)

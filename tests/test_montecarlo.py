@@ -162,7 +162,7 @@ class TestConventionCalibration:
         z = sc.dims.K * sc.sigma2 / sc.dims.M
         F_list, R, C_list, p = sc.stats_uncommon()
         sol = solve_rzf_uncommon(F_list, R, C_list, z)
-        rep, _ = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sc.sigma2)
+        rep, _ = sinr_rzf_uncommon(sol, p, sc.sigma2)
 
         from fasris.channel import ChannelSampler
         sampler = ChannelSampler(sc, None, None)
@@ -182,8 +182,7 @@ class TestConventionCalibration:
         # per-antenna convention reproduces the deterministic equivalent
         assert abs(esr_antenna - rep.esr) / rep.esr < 0.05
         # unit-trace convention matches the DE evaluated at noise M sigma^2
-        rep_scaled, _ = sinr_rzf_uncommon(sol, F_list, R, C_list, p,
-                                          M * sc.sigma2)
+        rep_scaled, _ = sinr_rzf_uncommon(sol, p, M * sc.sigma2)
         assert abs(esr_unit - rep_scaled.esr) / rep_scaled.esr < 0.05
         # and the two conventions genuinely differ
         assert abs(esr_unit - rep.esr) / rep.esr > 0.15
@@ -193,7 +192,7 @@ class TestConventionCalibration:
         z = sc.dims.K * sc.sigma2 / sc.dims.M
         F_list, R, C_list, p = sc.stats_uncommon()
         sol = solve_rzf_uncommon(F_list, R, C_list, z)
-        rep, _ = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sc.sigma2)
+        rep, _ = sinr_rzf_uncommon(sol, p, sc.sigma2)
         est = empirical_esr(sc, None, None, "rzf", 1500, 17, z)
         assert abs(est.mean - rep.esr) / rep.esr < 0.05
 

@@ -161,7 +161,7 @@ class TestGradientAscent:
         R, C, u, t, p = sc.stats_common(phi=phases.phi)
         from fasris import solve_rzf_common, sinr_rzf_common
         sol = solve_rzf_common(R, C, u, t, z)
-        _, so = sinr_rzf_common(sol, R, C, u, t, p, sc.sigma2)
+        _, so = sinr_rzf_common(sol, p, sc.sigma2)
         g = esr_gradient_phases_common(so, sc.correlations.C_L,
                                        sc.correlations.C_R, phases.phi,
                                        sc.sigma2)
@@ -330,19 +330,21 @@ def test_design_op_solves_each_point_once(monkeypatch):
 
 
 def test_shared_roots_and_spectra_are_bit_identical():
-    # fig3 at the first Frank-Wolfe iterate: the shared root and embedding,
-    # and spectra handed to the solvers, give the bytes of equal-valued
-    # copies and of spectra the solver takes
+    # fig3 at the first Frank-Wolfe iterate: a solve on copies of the
+    # embedded matrices, a copied root and spectra handed to the solvers give
+    # the bytes of the solve the objective made and of spectra the solver takes
     sc, M = fig3_scenario(80.0)
     obj = RelaxedZfObjective(sc, np.zeros(sc.dims.L), M)
     M_tot = len(obj.R_root)
-    _, sol, (R, C, u, t, p) = obj.solve(np.full(M_tot, M / M_tot))
-    root, emb = obj.R_root.copy(), R.copy()
-    args = (C, u, t, p, sc.sigma2)
-    assert esr_gradient_ports_zf_common(sol, obj.R_root, R, *args).tobytes() \
-        == esr_gradient_ports_zf_common(sol, root, emb, *args).tobytes()
-    shared, copied = (second_order_common(A, C, u, t, p, sol)
-                      for A in (R, emb))
+    _, sol = obj.solve(np.full(M_tot, M / M_tot))
+    m, p = sol.system, sc.p
+    R, C, u, t = m.R, m.C, m.u, m.t
+    copy = solve_zf_common(R.copy(), C.copy(), u.copy(), t.copy(), m_norm=M)
+    assert esr_gradient_ports_zf_common(sol, obj.R_root, p,
+                                        sc.sigma2).tobytes() \
+        == esr_gradient_ports_zf_common(copy, obj.R_root.copy(), p,
+                                        sc.sigma2).tobytes()
+    shared, copied = (second_order_common(s, p) for s in (sol, copy))
     assert shared.Pi_com.tobytes() == copied.Pi_com.tobytes()
     assert all(np.asarray(shared.x[k]).tobytes()
                == np.asarray(copied.x[k]).tobytes() for k in shared.x)
@@ -688,3 +690,23 @@ class TestJointOptimize:
         sc, M = toy_scenario()
         with pytest.raises(ValueError):
             joint_optimize(sc, M, T_iter=0)
+
+
+@pytest.mark.parametrize("K", [None, 4, 16], ids=["fig3", "fig6-K4", "fig6-K16"])
+def test_de_tracks_monte_carlo_where_the_design_lands(K):
+    # fig3 at 80 dB (K None) and fig6 at K users: at the joint design and at
+    # uniform ports with AO, the DE is within criterion 1's 5% of a 400-trial
+    # Monte-Carlo estimate, and the joint design's DE gain over uniform has
+    # the sign of its Monte-Carlo gain
+    from fasris.montecarlo import empirical_esr
+    sc, M = fig3_scenario(80.0) if K is None else fig6_scenario(K, 80.0)
+    s, z, phases, rep, _ = joint_optimize(sc, M, T_iter=1)
+    s_uni = uniform_selection(M, sc.correlations.R_tot.shape[0])
+    z_uni, phases_uni, esr_uni, _ = alternating_optimization(
+        sc, s_uni, np.zeros(sc.dims.L))
+    de, mc = (rep.esr, esr_uni), []
+    for sel, zz, phi, esr in zip((s, s_uni), (z, z_uni),
+                                 (phases.phi, phases_uni.phi), de):
+        mc.append(empirical_esr(sc, sel, phi, "rzf", 400, 7, zz).mean)
+        assert abs(esr - mc[-1]) / mc[-1] <= 0.05
+    assert np.sign(de[0] - de[1]) == np.sign(mc[0] - mc[1])

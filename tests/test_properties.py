@@ -19,8 +19,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fasris import (SolverSettings, esr_gradient_phases_uncommon,
-                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf_common,
-                    sinr_zf_uncommon, solve_rzf_common, solve_rzf_uncommon,
+                    sinr_rzf_common, sinr_rzf_uncommon, sinr_zf,
+                    solve_rzf_common, solve_rzf_uncommon,
                     solve_zf_common, solve_zf_uncommon)
 from fasris.fixed_point import (DEFAULT_SETTINGS, _CommonMap, _picard,
                                 _spectra, _UncommonMap)
@@ -48,12 +48,12 @@ def scenario(seed: int, mode: str):
 
 def rzf_uncommon(F_list, R, C_list, p, z, sigma2):
     sol = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT)
-    return sinr_rzf_uncommon(sol, F_list, R, C_list, p, sigma2)
+    return sinr_rzf_uncommon(sol, p, sigma2)
 
 
 def rzf_common(R, C, u, t, p, z, sigma2):
     sol = solve_rzf_common(R, C, u, t, z, TIGHT)
-    return sinr_rzf_common(sol, R, C, u, t, p, sigma2)[0].sinr
+    return sinr_rzf_common(sol, p, sigma2)[0].sinr
 
 
 @EXAMPLES
@@ -90,8 +90,8 @@ def test_phase_gradient_ignores_user_order(seed, perm):
         Fo, Co = [F_list[k] for k in order], [C_list[k] for k in order]
         _, so = rzf_uncommon(Fo, R, Co, p[order], z, sc.sigma2)
         return esr_gradient_phases_uncommon(
-            so, Co, sc.correlations.C_L, [C_R[k] for k in order],
-            sc.t[order], phi, p[order], sc.sigma2)
+            so, sc.correlations.C_L, [C_R[k] for k in order], sc.t[order],
+            phi, sc.sigma2)
 
     g = gradient(list(range(K)))
     assert np.max(np.abs(gradient(perm) - g)) < TOL * np.max(np.abs(g))
@@ -125,10 +125,9 @@ def test_shared_correlations_through_per_user_solvers(seed):
     per_user = rzf_uncommon(F_list, R_u, C_list, p, z, sc.sigma2)[0].sinr
     assert rel(per_user, shared) < TOL
 
-    shared = sinr_zf_common(solve_zf_common(R, C, u, t, TIGHT), u, t, p,
-                            sc.sigma2).sinr
-    per_user = sinr_zf_uncommon(solve_zf_uncommon(F_list, R_u, C_list, TIGHT),
-                                p, sc.sigma2).sinr
+    shared = sinr_zf(solve_zf_common(R, C, u, t, TIGHT), p, sc.sigma2).sinr
+    per_user = sinr_zf(solve_zf_uncommon(F_list, R_u, C_list, TIGHT), p,
+                       sc.sigma2).sinr
     assert rel(per_user, shared) < TOL
 
 
@@ -224,12 +223,12 @@ def test_shared_jacobian_matches_central_differences(seed, z, cascaded):
     # log b alone, and delta with omega_bar log omega_bar alone
     R, C, u, t = shared_stats(seed, cascaded)
     system = _CommonMap(R, C, u, t, z, 1.0, None, _spectra(R, C))
-    x = np.exp(np.random.default_rng([seed, 3]).uniform(-1.0, 1.0, 5))
-    x[[2, 4]] *= cascaded
+    x = np.exp(np.random.default_rng([seed, 3]).uniform(-1.0, 1.0, 4))
+    x[[1, 3]] *= cascaded
     system(x)
     J = system.jacobian()
     h = 1e-6
-    for col, moved in enumerate([[3], [2], [0, 4]][:J.shape[1]]):
+    for col, moved in enumerate([[2], [1], [0, 3]][:J.shape[1]]):
         up, down = x.copy(), x.copy()
         up[moved] *= np.exp(h)
         down[moved] *= np.exp(-h)
@@ -274,15 +273,15 @@ def test_unitary_rotation_leaves_fixed_point(seed, mode):
 def explicit_common_map(R, C, u, t, z, shift, x):
     """One shared map step by explicit inverses and matrix traces; the
     direct link shares R."""
-    delta, kappa, omega, kappa_bar, omega_bar = x
+    delta, omega, kappa_bar, omega_bar = x
     M, L = R.shape[0], C.shape[0]
     Psi_R = np.linalg.inv(z * np.eye(M) + (L * kappa_bar / M) * R
                           + (L * omega * omega_bar / (M * delta)) * R)
-    d = k = np.real(np.trace(R @ Psi_R)) / M
+    d = np.real(np.trace(R @ Psi_R)) / M    # delta, and kappa: F = R
     Psi_C = np.linalg.inv(np.eye(L) / d + omega_bar * C)
     o = np.real(np.trace(C @ Psi_C)) / L
-    psi_T = 1.0 / (shift + o * t + k * u)
-    return np.array([d, k, o, np.sum(u * psi_T) / L, np.sum(t * psi_T) / L])
+    psi_T = 1.0 / (shift + o * t + d * u)
+    return np.array([d, o, np.sum(u * psi_T) / L, np.sum(t * psi_T) / L])
 
 
 @EXAMPLES
@@ -293,7 +292,7 @@ def test_spectral_map_matches_explicit_inverses(seed, z):
     sc, _ = scenario(seed, "common")
     R, C, u, t, _ = sc.stats_common()
     z, shift = (1.0, 0.0) if z is None else (z, 1.0)
-    x = np.exp(np.random.default_rng([seed, 4]).uniform(-2.0, 2.0, 5))
+    x = np.exp(np.random.default_rng([seed, 4]).uniform(-2.0, 2.0, 4))
     system = _CommonMap(R, C, u, t, z, shift, None, _spectra(R, C))
     assert rel(system(x), explicit_common_map(R, C, u, t, z, shift, x)) \
         < 1e-12

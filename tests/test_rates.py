@@ -7,7 +7,7 @@ from fasris import (Dimensions, CorrelationSet, Scenario, SolverSettings,
                     esr_iid_mrt, esr_iid_zf, min_ports, solve_iid_zf,
                     solve_rzf_common, solve_rzf_uncommon, solve_zf_common,
                     solve_zf_uncommon, sinr_rzf_common, sinr_rzf_uncommon,
-                    sinr_zf_common, sinr_zf_uncommon)
+                    sinr_zf)
 from fasris.rates import (NumericalError, _checked, _clip_psi,
                           second_order_common, second_order_uncommon, zf_sinr)
 from fasris.scenarios import random_correlation, random_scenario
@@ -24,7 +24,7 @@ class TestRzfUncommonSinr:
         p = np.array([1.3])
         sigma2 = 0.4
         sol = solve_rzf_uncommon(F_list, R, C_list, 0.2, TIGHT)
-        rep, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sigma2)
+        rep, so = sinr_rzf_uncommon(sol, p, sigma2)
         expected = p[0] * sol.mu[0] ** 2 / (sigma2 * (1 + sol.mu[0]) ** 2 * so.Cbar)
         assert rep.sinr[0] == pytest.approx(expected, rel=1e-12)
         assert rep.esr == pytest.approx(np.log2(1 + expected), rel=1e-12)
@@ -33,12 +33,12 @@ class TestRzfUncommonSinr:
         sc = small_uncommon
         F_list, R, C_list, p = sc.stats_uncommon()
         sol = solve_rzf_uncommon(F_list, R, C_list, 0.2, TIGHT)
-        rep, _ = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sc.sigma2)
+        rep, _ = sinr_rzf_uncommon(sol, p, sc.sigma2)
         perm = rng.permutation(sc.dims.K)
         Fp = [F_list[i] for i in perm]
         Cp = [C_list[i] for i in perm]
         solp = solve_rzf_uncommon(Fp, R, Cp, 0.2, TIGHT)
-        repp, _ = sinr_rzf_uncommon(solp, Fp, R, Cp, p[perm], sc.sigma2)
+        repp, _ = sinr_rzf_uncommon(solp, p[perm], sc.sigma2)
         assert np.max(np.abs(repp.sinr - rep.sinr[perm]) / rep.sinr[perm]) < 1e-9
 
     def test_sum_identity(self, small_uncommon):
@@ -47,7 +47,7 @@ class TestRzfUncommonSinr:
         z = 0.2
         F_list, R, C_list, p = sc.stats_uncommon()
         sol = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT)
-        _, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sc.sigma2)
+        _, so = sinr_rzf_uncommon(sol, p, sc.sigma2)
         h = 1e-6 * z
         x0 = {"delta": sol.delta, "mu": sol.mu, "omega": sol.omega}
         mup = (solve_rzf_uncommon(F_list, R, C_list, z + h, TIGHT, x0=x0).mu
@@ -64,7 +64,7 @@ class TestRzfUncommonSinr:
         z = 0.2
         F_list, R, C_list, p = sc.stats_uncommon()
         sol = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT)
-        _, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, sc.sigma2)
+        _, so = sinr_rzf_uncommon(sol, p, sc.sigma2)
         h = 1e-6 * z
         x0 = {"delta": sol.delta, "mu": sol.mu, "omega": sol.omega}
         mup = (solve_rzf_uncommon(F_list, R, C_list, z + h, TIGHT, x0=x0).mu
@@ -80,17 +80,18 @@ class TestZfSinr:
         F_list = [np.eye(M) for _ in range(K)]
         C_list = [0.5 * np.eye(L) for _ in range(K)]
         sol = solve_zf_uncommon(F_list, np.eye(M), C_list, TIGHT)
-        rep = sinr_zf_uncommon(sol, np.ones(K), 0.3)
+        rep = sinr_zf(sol, np.ones(K), 0.3)
         expected = M * sol.mu[0] / (K * 0.3)
         assert np.allclose(rep.sinr, expected, rtol=1e-10)
+        assert rep.regime == "zf/uncommon"
 
     def test_matches_rzf_small_z(self, small_uncommon):
         sc = small_uncommon
         F_list, R, C_list, p = sc.stats_uncommon()
         zf = solve_zf_uncommon(F_list, R, C_list, TIGHT)
-        rep_zf = sinr_zf_uncommon(zf, p, sc.sigma2)
+        rep_zf = sinr_zf(zf, p, sc.sigma2)
         rzf = solve_rzf_uncommon(F_list, R, C_list, 1e-8, TIGHT)
-        rep_rzf, _ = sinr_rzf_uncommon(rzf, F_list, R, C_list, p, sc.sigma2)
+        rep_rzf, _ = sinr_rzf_uncommon(rzf, p, sc.sigma2)
         assert abs(rep_zf.esr - rep_rzf.esr) / rep_zf.esr < 1e-3
 
     def test_stacked_rows_equal_row_by_row_calls(self, rng):
@@ -103,11 +104,11 @@ class TestZfSinr:
         u, t, sigma2 = 1.0, 0.5, 0.3
         sol = solve_zf_common(np.eye(M), np.eye(L),
                               np.full(K, u), np.full(K, t), TIGHT)
-        rep = sinr_zf_common(sol, np.full(K, u), np.full(K, t), np.ones(K),
-                             sigma2)
+        rep = sinr_zf(sol, np.ones(K), sigma2)
         iid = solve_iid_zf(u, t, K / M, K / L)
         expected = (1 - K / M) * iid.beta_val / ((K / M) * sigma2)
         assert np.allclose(rep.sinr, expected, rtol=1e-8)
+        assert rep.regime == "zf/common"    # one sinr_zf for both regimes
 
 
 class TestCommonSinr:
@@ -116,10 +117,10 @@ class TestCommonSinr:
         z = 0.25
         R, C, u, t, p = sc.stats_common()
         com = solve_rzf_common(R, C, u, t, z, TIGHT)
-        rep_c, _ = sinr_rzf_common(com, R, C, u, t, p, sc.sigma2)
+        rep_c, _ = sinr_rzf_common(com, p, sc.sigma2)
         F_list, R2, C_list, _ = sc.stats_uncommon()
         unc = solve_rzf_uncommon(F_list, R2, C_list, z, TIGHT)
-        rep_u, _ = sinr_rzf_uncommon(unc, F_list, R2, C_list, p, sc.sigma2)
+        rep_u, _ = sinr_rzf_uncommon(unc, p, sc.sigma2)
         assert np.max(np.abs(rep_c.sinr - rep_u.sinr) / rep_u.sinr) < 1e-6
         assert abs(rep_c.esr - rep_u.esr) / rep_u.esr < 1e-6
 
@@ -129,8 +130,8 @@ class TestCommonSinr:
         C = random_correlation(L, rng)
         u, t = np.array([1.0]), np.array([0.5])
         sol = solve_rzf_common(R, C, u, t, 0.2, TIGHT)
-        rep, so = sinr_rzf_common(sol, R, C, u, t, np.ones(1), 0.4)
-        mu = sol.mu_k(u, t)[0]
+        rep, so = sinr_rzf_common(sol, np.ones(1), 0.4)
+        mu = sol.mu[0]
         expected = mu ** 2 / (0.4 * (1 + mu) ** 2 * so.Cbar)
         assert rep.sinr[0] == pytest.approx(expected, rel=1e-12)
 
@@ -139,8 +140,7 @@ class TestCommonSinr:
         u, sigma2 = 0.9, 0.5
         sol = solve_zf_common(np.eye(M), np.eye(L),
                               np.full(K, u), np.zeros(K), TIGHT)
-        rep = sinr_zf_common(sol, np.full(K, u), np.zeros(K), np.ones(K),
-                             sigma2)
+        rep = sinr_zf(sol, np.ones(K), sigma2)
         c1 = K / M
         expected = K * np.log2(1 + (1 - c1) * u / (c1 * sigma2))
         assert rep.esr == pytest.approx(expected, rel=1e-9)
@@ -154,9 +154,9 @@ class TestOrderings:
             F_list, R, C_list, p = sc.stats_uncommon()
             z = sc.dims.K * sc.sigma2 / sc.dims.M
             rzf = solve_rzf_uncommon(F_list, R, C_list, z, TIGHT)
-            rep_rzf, _ = sinr_rzf_uncommon(rzf, F_list, R, C_list, p, sc.sigma2)
+            rep_rzf, _ = sinr_rzf_uncommon(rzf, p, sc.sigma2)
             zf = solve_zf_uncommon(F_list, R, C_list, TIGHT)
-            rep_zf = sinr_zf_uncommon(zf, p, sc.sigma2)
+            rep_zf = sinr_zf(zf, p, sc.sigma2)
             assert rep_rzf.esr >= rep_zf.esr >= 0.0
 
 
@@ -237,7 +237,7 @@ class TestSecondOrderEdges:
         p = np.ones(K)
         sol = solve_rzf_uncommon(F_list, R, C_list, 0.3, TIGHT)
         assert sol.delta == 0.0
-        rep, so = sinr_rzf_uncommon(sol, F_list, R, C_list, p, 0.4)
+        rep, so = sinr_rzf_uncommon(sol, p, 0.4)
         assert np.all(np.isfinite(rep.sinr))
         from conftest import single_hop_mu
         oracle_mu = single_hop_mu(F_list, 0.3, M)
@@ -247,7 +247,7 @@ class TestSecondOrderEdges:
         sc = small_uncommon
         F_list, R, C_list, p = sc.stats_uncommon()
         sol = solve_rzf_uncommon(F_list, R, C_list, 0.2, TIGHT)
-        so = second_order_uncommon(F_list, R, C_list, p, sol)
+        so = second_order_uncommon(sol, p)
         assert so.Psi_kl.min() >= 0.0
 
     @pytest.mark.parametrize("regime", ["common", "uncommon"])
@@ -258,15 +258,13 @@ class TestSecondOrderEdges:
         sc = random_scenario(rng, regime, M=10, K=3, L=6)
         if regime == "common":
             R, C, u, t, p = sc.stats_common()
-            so = second_order_common(R, C, u, t, p,
-                                     solve_zf_common(R, C, u, t, TIGHT))
+            so = second_order_common(solve_zf_common(R, C, u, t, TIGHT), p)
             blocks = ("eta_PT", "eta_PU", "Delta", "x_R", "x_F", "x_I",
                       "lam_zz", "Psi_kl", "Cbar")
             Pi = so.Pi_com
         else:
             F, R, C, p = sc.stats_uncommon()
-            so = second_order_uncommon(F, R, C, p,
-                                       solve_zf_uncommon(F, R, C, TIGHT))
+            so = second_order_uncommon(solve_zf_uncommon(F, R, C, TIGHT), p)
             blocks = ("ups_I", "ups_F", "W", "Lambda_kl", "Psi_kl", "Cbar")
             Pi = so.Pi
         assert all(getattr(so, name) is None for name in blocks)
@@ -305,14 +303,14 @@ class TestNumericalGuards:
 class TestReferenceScenarioProperties:
     def test_fig1_zf_below_rzf_at_low_snr(self):
         from fasris.scenarios import fig1_scenario
-        from fasris import (solve_zf_uncommon, sinr_zf_uncommon)
+        from fasris import (solve_zf_uncommon, sinr_zf)
         sc = fig1_scenario(24, 60.0)
         z = sc.dims.K * sc.sigma2 / 24
         F_list, R, C_list, p = sc.stats_uncommon()
         rzf = solve_rzf_uncommon(F_list, R, C_list, z)
-        rep_rzf, _ = sinr_rzf_uncommon(rzf, F_list, R, C_list, p, sc.sigma2)
+        rep_rzf, _ = sinr_rzf_uncommon(rzf, p, sc.sigma2)
         zf = solve_zf_uncommon(F_list, R, C_list)
-        rep_zf = sinr_zf_uncommon(zf, p, sc.sigma2)
+        rep_zf = sinr_zf(zf, p, sc.sigma2)
         assert rep_zf.esr < rep_rzf.esr
 
     def test_accuracy_improves_with_system_size(self):
@@ -349,14 +347,14 @@ def _per_user_case(case):
     """The RZF second-order blocks (z = 0.2) of `_per_user_stats`."""
     F, R, C, p = _per_user_stats(case)
     sol = solve_rzf_uncommon(F, R, C, 0.2, TIGHT)
-    return second_order_uncommon(F, R, C, p, sol)
+    return second_order_uncommon(sol, p)
 
 
 def _loop_interference_blocks(so):
     """(W, Psi_kl, Lambda_kl) with the interference RHS built one user
     column at a time, as the oracle of the whole-array expression."""
     sol = so.sol
-    K, M, L = len(so.F), sol.m_norm, so.D.shape[1]
+    K, M, L = len(sol.mu), sol.m_norm, so.D.shape[1]
     mu, omega, delta = sol.mu, sol.omega, sol.delta
     Xi, chi_FF, chi_FR, chi_RR = (so.x[k] for k in ("Xi", "chi_FF", "chi_FR",
                                                     "chi_RR"))
@@ -389,18 +387,16 @@ def test_interference_rhs_matches_per_user_loop(case):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _einsum_tables(first, second, M):
+def _einsum_tables(E, ER, D, Psi_R, Psi_C, M):
     """The per-user trace tables as elementwise einsum contractions, the
     oracle of the GEMM form in `rates._uncommon_tables`."""
-    E, ER, D = first
-    E2, ER2, D2, Psi_R, Psi_C = second
     L = D.shape[1]
-    return {"chi_FF": np.real(np.einsum("kij,lji->kl", E, E2)) / M,
-            "chi_FR": np.real(np.einsum("kij,ji->k", E, ER2)) / M,
-            "chi_RR": np.real(np.einsum("ij,ji->", ER, ER2)) / M,
+    return {"chi_FF": np.real(np.einsum("kij,lji->kl", E, E)) / M,
+            "chi_FR": np.real(np.einsum("kij,ji->k", E, ER)) / M,
+            "chi_RR": np.real(np.einsum("ij,ji->", ER, ER)) / M,
             "chi_FI": np.real(np.einsum("kij,ji->k", E, Psi_R)) / M,
             "chi_RI": np.real(np.einsum("ij,ji->", ER, Psi_R)) / M,
-            "Xi": np.real(np.einsum("kij,lji->kl", D, D2)) / L,
+            "Xi": np.real(np.einsum("kij,lji->kl", D, D)) / L,
             "Xi_I": np.real(np.einsum("kij,ji->k", D, Psi_C)) / L}
 
 
@@ -409,8 +405,8 @@ def test_gemm_tables_match_einsum(case):
     from fasris.rates import _uncommon_tables
     so = _per_user_case(case)
     sol, M = so.sol, so.sol.m_norm
-    ER = so.R @ sol.Psi_R
-    args = ((so.E, ER, so.D), (so.E, ER, so.D, sol.Psi_R, sol.Psi_C), M)
+    ER = sol.system.R @ sol.Psi_R
+    args = (so.E, ER, so.D, sol.Psi_R, sol.Psi_C, M)
     got, ref = _uncommon_tables(*args), _einsum_tables(*args)
     for name in ref:
         err = np.abs(np.asarray(got[name]) - ref[name]).max()
@@ -438,15 +434,15 @@ def test_adjoint_is_the_derivative_of_the_re_solved_esr(case, shift):
     def esr(eps):
         Ce, Fe, Re = C + eps * dC, F + eps * dF, R + eps * dR
         if not shift:
-            return sinr_zf_uncommon(solve_zf_uncommon(Fe, Re, Ce, TIGHT), p,
-                                    sigma2).esr
+            return sinr_zf(solve_zf_uncommon(Fe, Re, Ce, TIGHT), p, sigma2).esr
         sol = solve_rzf_uncommon(Fe, Re, Ce, z + eps * dz, TIGHT)
-        return sinr_rzf_uncommon(sol, Fe, Re, Ce, p, sigma2)[0].esr
+        return sinr_rzf_uncommon(sol, p, sigma2)[0].esr
 
     sol = (solve_rzf_uncommon(F, R, C, z, TIGHT) if shift
            else solve_zf_uncommon(F, R, C, TIGHT))
-    so = second_order_uncommon(F, R, C, p, sol)
-    H, d_z, G = _uncommon_adjoint(so, C, _esr_partials(so, p, sigma2))
+    so = second_order_uncommon(sol, p)
+    H, d_z, pullbacks = _uncommon_adjoint(so, _esr_partials(so, sigma2))
+    G = pullbacks()
     G_F, G_R = G[:-1], G[-1]
     for G in (H, G_F, G_R):
         assert np.abs(G - np.swapaxes(G.conj(), -1, -2)).max() \

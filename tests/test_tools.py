@@ -1,5 +1,5 @@
-"""The benchmark-pair analysis in tools/bench_pairs.py and the row diff
-of tools/figure_rows.py."""
+"""The benchmark-pair analysis in tools/bench_pairs.py, the row diff of
+tools/figure_rows.py and the validate group of tools/output_digest.py."""
 
 import importlib.util
 import json
@@ -68,3 +68,23 @@ def test_figure_rows_diff_prints_the_rows_that_moved(tmp_path, capsys,
         "fig5_W3\t3.0\tde_joint\t55.6022\t55.5979"]
     assert figure_rows.main(["--diff", parent, parent]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_output_digest_hashes_each_validate_measurement(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)    # the tool pins them
+    output_digest = load_tool("output_digest")
+    from fasris import sweep
+    calls = []
+
+    def checks(**kw):
+        calls.append(kw)
+        return [{"name": "backsubstitution", "measured": 3e-13},
+                {"name": "probe_bilinear_traces", "measured": 0.02}]
+    monkeypatch.setattr(sweep, "validate", checks)
+    values = list(output_digest.GROUPS["validate"]())
+    assert calls == [{"trials": 200}]
+    assert values == ["backsubstitution", 3e-13, "probe_bilinear_traces", 0.02]
+    moved = output_digest.digest(["backsubstitution", 3e-13,
+                                  "probe_bilinear_traces", 0.021])
+    assert output_digest.digest(values) != moved

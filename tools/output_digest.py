@@ -28,7 +28,10 @@ are built here from `random_correlation` and `CorrelationSet`, not by
 - simulate: `empirical_esr` (RZF, ZF) and `resolvent_probe` on fig1;
 - setup: every `CorrelationSet` matrix of the scenarios of perfbench's
   `evaluation_points()` (each set once), `fig1_scenario(32, 80)`, fig3 at
-  W = 1, 1.5, 2, 2.5, 3, fig6 at K = 4, 8, 12, 16 and fig8.
+  W = 1, 1.5, 2, 2.5, 3, fig6 at K = 4, 8, 12, 16 and fig8;
+- validate: the name and measured value of each `sweep.validate(trials=200)`
+  check, among them the back-substitution residual, the finite-difference
+  gaps and the probe gaps of `ups_I` and `Lambda_kl`.
 """
 
 import os
@@ -187,12 +190,18 @@ def setup():
                     *corr.c_r_list(1))
 
 
+def validate():
+    from fasris import sweep
+    for check in sweep.validate(trials=200):
+        yield from (check["name"], check["measured"])
+
+
 CASES = ("fig3", "F!=R", "F=R", "per-user")
 GROUPS = {"design": design,
           **{f"ports.{case}": partial(ports, case) for case in CASES},
           **{f"phases.{case}": partial(phases, case) for case in CASES},
           "evaluate": evaluate, "zprofile": zprofile, "simulate": simulate,
-          "setup": setup}
+          "setup": setup, "validate": validate}
 
 
 def main(argv=None) -> int:
