@@ -9,11 +9,11 @@ a trial's sample does not depend on how trials are stacked.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf, spherical_jn
 
 PSD_TOL = 1e-10
 
@@ -349,8 +349,8 @@ def fas_correlation_matrix(geometry: PlanarFasGeometry) -> np.ndarray:
     """Port-grid correlation under 3-D rich scattering.
 
     [R]_{ij} = j0(2 pi sqrt((|xi-xj| W_x/(N_x-1))^2 + (|yi-yj| W_y/(N_y-1))^2))
-    with j0 the spherical Bessel function of the first kind (sin x / x) and
-    (xi, yi) integer grid coordinates. Real symmetric PSD.
+    with j0 the spherical Bessel function of the first kind (sin x / x, 1 at
+    x = 0) and (xi, yi) integer grid coordinates. Real symmetric PSD.
     """
     if geometry.N_x == 1 or geometry.N_y == 1:
         raise DegenerateGridError(
@@ -360,7 +360,7 @@ def fas_correlation_matrix(geometry: PlanarFasGeometry) -> np.ndarray:
     dx = np.abs(coords[:, None, 0] - coords[None, :, 0]) * geometry.W_x / (geometry.N_x - 1)
     dy = np.abs(coords[:, None, 1] - coords[None, :, 1]) * geometry.W_y / (geometry.N_y - 1)
     arg = 2.0 * np.pi * np.hypot(dx, dy)
-    R = spherical_jn(0, arg)
+    R = np.divide(np.sin(arg), arg, out=np.ones_like(arg), where=arg != 0.0)
     return check_psd(R, "FAS correlation matrix", tol=1e-8)
 
 
@@ -420,8 +420,8 @@ def ris_correlation_matrices(profiles: list[RisAngularProfile],
                 envelope = norm * np.exp(-(nodes - alpha) ** 2 / (2.0 * beta ** 2))
                 cur = phase @ (weights * envelope)
                 prev, vals[i] = vals[i], cur
-                mass = 0.5 * (erf((180.0 - alpha) / (np.sqrt(2.0) * beta))
-                              - erf((-180.0 - alpha) / (np.sqrt(2.0) * beta)))
+                mass = 0.5 * (math.erf((180.0 - alpha) / (np.sqrt(2.0) * beta))
+                              - math.erf((-180.0 - alpha) / (np.sqrt(2.0) * beta)))
                 residual = (np.inf if prev is None else max(
                     np.abs(cur - prev).max(), abs(cur[0] - mass)))
                 if residual < abs_tol:

@@ -15,13 +15,24 @@ inverses that the second-order terms need on first read, at the dtype of
 their data: the real FAS R gives a real Psi_R. An RZF `z` may be a 1-D
 batch: the state then leads with its axis, `_picard` runs the rows as one
 product system and every field carries it.
+
+Every per-user inverse, in the map and in `UncommonSolution`, is one
+kernel, `_chol_inv`: LAPACK's Cholesky inverse (potrf + potri, about n^3
+flops against 8/3 n^3 for an LU inverse) at the matrix's dtype. It keeps
+one triangle, its diagonal halved, so that Re tr(X Psi) of a Hermitian X
+is twice a real dot product of float views; the map reads its traces so,
+and only the solution mirrors the triangle to the full Psi_R and Psi_C. A
+bad pivot, or a map output that is not finite (OpenBLAS's potrf reports
+no NaN pivot), raises ConvergenceError at that evaluation. scipy.linalg
+costs about 28 MiB of resident memory, so the bindings load on the first
+per-user inverse; the shared regime never loads them.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -70,6 +81,45 @@ def _row(v, k: int = 1):
     return v[(...,) + (None,) * k] if isinstance(v, np.ndarray) else v
 
 
+def _floats(A: np.ndarray, lead: int) -> np.ndarray:
+    """A's entries as a (lead..., n) float view (a copy if not contiguous);
+    the dot product of two such views of Hermitian X and Y is Re tr(X Y)."""
+    A = np.ascontiguousarray(A)
+    return A.view(A.real.dtype).reshape(A.shape[:lead] + (-1,))
+
+
+@cache
+def _lapack(dtype):
+    """LAPACK (potrf, potri) at dtype, imported on first use."""
+    from scipy.linalg.lapack import get_lapack_funcs
+    return get_lapack_funcs(("potrf", "potri"), dtype=dtype)
+
+
+def _chol_inv(A: np.ndarray) -> np.ndarray:
+    """A^{-1} of each Hermitian positive-definite matrix of the C-order
+    stack A, in place, as its lower triangle with the diagonal halved and
+    zeros above: for a Hermitian X, Re tr(X A^{-1}) is twice the dot product
+    of the float views of X and of the returned A. Only the lower triangle
+    of A is read. LAPACK takes the C-order memory as A^T = conj(A), factors
+    its upper triangle and returns conj(A^{-1}) the same way.
+    """
+    potrf, potri = _lapack(A.dtype)
+    for a in A.reshape((-1,) + A.shape[-2:]):
+        c, info = potrf(a.T, clean=1, overwrite_a=1)
+        if info == 0:
+            info = potri(c, overwrite_c=1)[1]
+        if info:
+            raise ConvergenceError(f"a per-user resolvent is not positive "
+                                   f"definite (pivot {info})", np.nan)
+    A.reshape(A.shape[:-2] + (-1,))[..., ::A.shape[-1] + 1] *= 0.5
+    return A
+
+
+def _mirror(T: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian matrix of a `_chol_inv` triangle."""
+    return T + T.conj().swapaxes(-1, -2)
+
+
 # ---------------------------------------------------------------------------
 # solution containers
 # ---------------------------------------------------------------------------
@@ -107,12 +157,12 @@ class UncommonSolution(_Solution):
 
     @cached_property
     def Psi_R(self) -> np.ndarray:
-        return herm(self.system.psi_r(self.delta, self.omega, self.mu))
+        return _mirror(self.system.psi_r(self.delta, self.omega, self.mu))
 
     @cached_property
     def Psi_C(self) -> np.ndarray:    # delta I, unused, if not cascaded
         m = self.system
-        return (herm(m.psi_c(self.delta, self.mu)) if m.cascaded
+        return (_mirror(m.psi_c(self.delta, self.mu)) if m.cascaded
                 else _row(self.delta, 2) * m.I_L)
 
 
@@ -323,10 +373,11 @@ class _Map:
 class _UncommonMap(_Map):
     """State [delta, omega_1..K, mu_1..K] of the per-user-correlation system.
 
-    F_k and C_k come stacked, so Psi_R and Psi_C are weighted sums over the
-    stacks, read as flat views. Since tr(A Psi) = vec(A) . vec(Psi^T), the
-    traces of a map evaluation are matrix-vector products with those views,
-    O(K M^2) instead of K matrix products.
+    F_k and C_k come stacked at the dtype of Psi_R and Psi_C, so Psi_R^{-1}
+    and Psi_C^{-1} are weighted sums over the flat stacks, and the traces of
+    a map evaluation are matrix-vector products of their float views
+    (`_floats`) with the `_chol_inv` triangles, O(K M^2) instead of K
+    matrix products.
     """
 
     regime = ""
@@ -338,8 +389,12 @@ class _UncommonMap(_Map):
         self.C = np.asarray(C)           # (K, L, L)
         super().__init__(R, len(self.F), self.C.shape[1], z, shift, m_norm)
         self.cascaded = bool(np.any(R)) and bool(np.any(self.C))
-        self.F_flat = self.F.reshape(self.K, -1)
-        self.C_flat = self.C.reshape(self.K, -1)
+        dtype_R = np.result_type(self.F, R, float)    # of Psi_R
+        self.F_flat = np.ascontiguousarray(self.F, dtype_R).reshape(self.K, -1)
+        self.C_flat = np.ascontiguousarray(
+            self.C, np.result_type(self.C, float)).reshape(self.K, -1)
+        self.F_f, self.C_f = _floats(self.F_flat, 1), _floats(self.C_flat, 1)
+        self.R_f = _floats(np.asarray(R, dtype_R), 0)
 
     def start(self, x0, init):
         x0, full = x0 or {}, np.full(np.shape(self.z) + (self.K,), init / _row(self.z))
@@ -353,34 +408,40 @@ class _UncommonMap(_Map):
         return x.T[0], x[..., 1:self.K + 1], x[..., self.K + 1:]
 
     def psi_r(self, delta, omega, mu):
+        """The `_chol_inv` triangle of Psi_R."""
         w = 1.0 / (self.M * (self.shift + mu))
         A = _row(self.z, 2) * self.I_M \
             + (w @ self.F_flat).reshape(w.shape[:-1] + self.R.shape)
-        if self.cascaded:    # out of place: a real F with a complex R
-            A = A + _row(np.vecdot(w, omega) / delta, 2) * self.R
-        return np.linalg.inv(A)
+        if self.cascaded:
+            A += _row(np.vecdot(w, omega) / delta, 2) * self.R
+        return _chol_inv(A)
 
     def psi_c(self, delta, mu):
+        """The `_chol_inv` triangle of Psi_C."""
         w = 1.0 / (self.L * (self.shift + mu))
         wC = (w @ self.C_flat).reshape(w.shape[:-1] + self.I_L.shape)
-        return np.linalg.inv(self.I_L / _row(delta, 2) + wC)
+        return _chol_inv(self.I_L / _row(delta, 2) + wC)
 
     def __call__(self, x):
         delta, omega, mu = self.split(x)
-        rows = np.shape(delta) + (-1,)    # vec(P^T) = P.mT.reshape(rows), per z
-        Psi_RT = self.psi_r(delta, omega, mu).mT.reshape(rows)
-        delta_new = np.real(Psi_RT @ self.R.reshape(-1)) / self.M
+        lead = np.ndim(delta)
+        P = _floats(self.psi_r(delta, omega, mu), lead)
+        delta_new = 2.0 * (P @ self.R_f) / self.M
         if self.cascaded:
-            Psi_CT = self.psi_c(delta_new, mu).mT.reshape(rows)
-            omega_new = np.real(np.matvec(self.C_flat, Psi_CT)) / self.L
+            Q = _floats(self.psi_c(delta_new, mu), lead)
+            omega_new = 2.0 * np.matvec(self.C_f, Q) / self.L
         else:
             omega_new = np.zeros_like(mu)
-        mu_new = np.real(np.matvec(self.F_flat, Psi_RT)) / self.M + omega_new
+        mu_new = 2.0 * np.matvec(self.F_f, P) / self.M + omega_new
+        new = np.concatenate((np.asarray(delta_new)[..., None], omega_new,
+                              mu_new), axis=-1)
+        if not np.isfinite(new).all():
+            raise ConvergenceError(f"per-user {self.name} map gave a "
+                                   f"non-finite state", np.nan)
         if self.shift == 0.0 and (mu_new <= 0).any():
             raise FeasibilityError("ZF system produced a nonpositive mu; "
                                    "a user has no usable link")
-        return np.concatenate((np.asarray(delta_new)[..., None], omega_new,
-                               mu_new), axis=-1)
+        return new
 
     def finish(self, x):
         delta, omega, mu = self.split(x)

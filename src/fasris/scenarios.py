@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import (CorrelationSet, Dimensions, PathLossParams,
                       PlanarFasGeometry, RisAngularProfile, Scenario, db2lin,
-                      fas_correlation_matrix, path_loss,
+                      fas_correlation_matrix, herm, path_loss,
                       ris_correlation_matrices)
 
 REF_GAIN = db2lin(-20.0)          # -20 dB at 1 m
@@ -145,12 +145,13 @@ def uniform_selection(M: int, M_tot: int) -> np.ndarray:
 
 def random_correlation(n: int, rng: np.random.Generator,
                        identity_mix: float = 0.3) -> np.ndarray:
-    """Random Hermitian PSD with trace n and a conditioning floor."""
+    """Random Hermitian PSD with trace n and a conditioning floor; exactly
+    Hermitian, as the per-user kernel, which reads one triangle, needs."""
     W = (rng.standard_normal((n, 2 * n))
          + 1j * rng.standard_normal((n, 2 * n))) / np.sqrt(2.0)
     A = W @ W.conj().T / (2 * n)
     A = (1.0 - identity_mix) * A + identity_mix * np.eye(n)
-    return A * (n / np.real(np.trace(A)))
+    return herm(A * (n / np.real(np.trace(A))))
 
 
 def random_scenario(rng: np.random.Generator, mode: str, M: int, K: int,

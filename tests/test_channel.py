@@ -168,6 +168,37 @@ class TestFasCorrelation:
             fas_correlation_matrix(PlanarFasGeometry(W_x=2.0, W_y=2.0,
                                                      N_x=1, N_y=10))
 
+    @pytest.mark.parametrize("W", [1.0, 2.0, 3.0])
+    def test_j0_is_scipy_spherical_jn_bit_for_bit(self, W, monkeypatch):
+        from scipy.special import spherical_jn
+        geom = PlanarFasGeometry(W_x=W, W_y=W, N_x=10, N_y=10)
+        checked = []
+        monkeypatch.setattr(channel, "check_psd",
+                            lambda A, *a, **k: checked.append(A) or A)
+        fas_correlation_matrix(geom)
+        coords = geom.port_coordinates().astype(float)
+        dx = np.abs(coords[:, None, 0] - coords[None, :, 0]) * W / 9
+        dy = np.abs(coords[:, None, 1] - coords[None, :, 1]) * W / 9
+        ref = spherical_jn(0, 2.0 * np.pi * np.hypot(dx, dy))
+        assert checked[0].tobytes() == ref.tobytes()
+
+    def test_scenarios_leave_scipy_special_unloaded(self):
+        # scipy.special costs about 26 MiB of resident memory on import
+        import os
+        import subprocess
+        import sys
+        import fasris
+        code = ("import sys, fasris\n"
+                "from fasris.scenarios import fig1_scenario, fig3_scenario\n"
+                "fig1_scenario(24, 80.0)\n"
+                "fig3_scenario(80.0)\n"
+                "assert 'scipy.special' not in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(fasris.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
 
 class TestRisCorrelation:
     def test_diagonal_is_truncated_gaussian_mass(self):

@@ -605,6 +605,27 @@ class TestSpectralMap:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    def test_design_leaves_scipy_linalg_unloaded_and_per_user_loads_it(self):
+        # the import is paid where the per-user kernel runs, and only there
+        import os
+        import subprocess
+        import sys
+        import fasris
+        code = ("import sys, fasris\n"
+                "from fasris.optimize import joint_optimize\n"
+                "from fasris.scenarios import fig1_scenario, fig3_scenario\n"
+                "sc, M = fig3_scenario(80.0)\n"
+                "joint_optimize(sc, M, T_iter=1)\n"
+                "assert 'scipy.linalg' not in sys.modules\n"
+                "sc = fig1_scenario(16, 80.0)\n"
+                "assert fasris.deterministic_esr(sc, None, None, 'rzf').esr > 0\n"
+                "assert 'scipy.linalg' in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(fasris.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
     @pytest.mark.parametrize("case", ["fig3", "F=R"])
     def test_spectral_tables_match_the_matrix_formulas(self, case):
         # the RZF tables and their derivatives, read off the eigenvalues,
@@ -641,6 +662,122 @@ class TestSpectralMap:
                 ref = value + rest[name]
                 scale = max(abs(ref), abs(tables[name]))
                 assert abs(got[name] - ref) < 1e-12 * scale, name
+
+
+class TestCholeskyKernel:
+    """Per-user resolvents by LAPACK's Cholesky inverse (`_chol_inv`)."""
+
+    @staticmethod
+    def stacks(rng, dtype, M=9, K=4, L=7):
+        F = np.stack([random_correlation(M, rng) for _ in range(K)])
+        R = random_correlation(M, rng)
+        C = np.stack([0.5 * random_correlation(L, rng) for _ in range(K)])
+        if dtype is np.float64:    # the real part of a PSD matrix is PSD
+            F, R, C = F.real.copy(), R.real.copy(), C.real.copy()
+        return F, R, C
+
+    @staticmethod
+    def explicit_map(F, R, C, z, x):
+        """The per-user RZF map by np.linalg.inv and full traces."""
+        K, M, L = len(F), F.shape[-1], C.shape[-1]
+        delta, omega, mu = x[..., 0], x[..., 1:K + 1], x[..., K + 1:]
+        w_R, w_C = 1.0 / (M * (1.0 + mu)), 1.0 / (L * (1.0 + mu))
+        Psi_R = np.linalg.inv(
+            np.asarray(z)[..., None, None] * np.eye(M)
+            + np.einsum("...k,kij->...ij", w_R, F)
+            + (np.sum(w_R * omega, -1) / delta)[..., None, None] * R)
+        delta_new = np.real(np.trace(R @ Psi_R, axis1=-2, axis2=-1)) / M
+        Psi_C = np.linalg.inv(np.eye(L) / delta_new[..., None, None]
+                              + np.einsum("...k,kij->...ij", w_C, C))
+        tr = lambda A, P: np.real(np.trace(A @ P[..., None, :, :], axis1=-2,
+                                           axis2=-1))
+        omega_new = tr(C, Psi_C) / L
+        mu_new = tr(F, Psi_R) / M + omega_new
+        return np.concatenate((delta_new[..., None], omega_new, mu_new), -1)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    @pytest.mark.parametrize("z", [0.3, np.array([0.03, 0.3, 3.0])],
+                             ids=["z", "batch"])
+    def test_triangle_read_matches_the_explicit_traces(self, rng, dtype, z):
+        F, R, C = self.stacks(rng, dtype)
+        system = fixed_point._UncommonMap(F, R, C, z, 1.0, None)
+        x = rng.uniform(0.5, 2.0, np.shape(z) + (2 * len(F) + 1,))
+        assert system.F_f.dtype == np.float64
+        assert rel_err(system(x), self.explicit_map(F, R, C, z, x)) < 1e-12
+        T = system.psi_r(*system.split(x))
+        assert T.dtype == dtype and T.shape == np.shape(z) + R.shape
+
+    @pytest.mark.parametrize("precoder", ["rzf", "zf"])
+    def test_solution_resolvents_are_hermitian_and_the_inverses(
+            self, small_uncommon, precoder):
+        F, R, C, _ = small_uncommon.stats_uncommon()
+        sol = (solve_rzf_uncommon(F, R, C, np.array([0.03, 0.3]))
+               if precoder == "rzf" else solve_zf_uncommon(F, R, C))
+        m = sol.system
+        gain = m.shift + sol.mu
+        w_R, w_C = 1.0 / (m.M * gain), 1.0 / (m.L * gain)
+        delta = np.asarray(sol.delta)[..., None, None]
+        ref = {"Psi_R": np.linalg.inv(
+                   np.asarray(m.z)[..., None, None] * np.eye(m.M)
+                   + np.einsum("...k,kij->...ij", w_R, F)
+                   + np.sum(w_R * sol.omega, -1)[..., None, None] / delta * R),
+               "Psi_C": np.linalg.inv(np.eye(m.L) / delta
+                                      + np.einsum("...k,kij->...ij", w_C, C))}
+        for name, inv in ref.items():
+            P = getattr(sol, name)
+            assert np.array_equal(P, P.conj().swapaxes(-1, -2)), name
+            assert np.abs(P - inv).max() < 1e-12 * np.abs(inv).max(), name
+
+    def test_per_user_evaluation_makes_no_inv_call(self, monkeypatch):
+        from fasris.optimize import deterministic_esr
+        from fasris.scenarios import fig1_scenario
+        sc = fig1_scenario(16, 80.0)
+        calls = []
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda A, _inv=np.linalg.inv: calls.append(A)
+                            or _inv(A))
+        for precoder in ("rzf", "zf"):
+            rep = deterministic_esr(sc, None, None, precoder)
+            assert rep.regime == f"{precoder}/uncommon" and rep.esr > 0
+        sol = solve_rzf_uncommon(*sc.stats_uncommon()[:3], sc.default_z())
+        assert sol.Psi_R.shape == (16, 16) and sol.Psi_C.shape == (32, 32)
+        assert not calls
+
+    @staticmethod
+    def count_evaluations(monkeypatch):
+        calls = []
+
+        def counted(self, x, _call=fixed_point._UncommonMap.__call__):
+            calls.append(None)
+            return _call(self, x)
+
+        monkeypatch.setattr(fixed_point._UncommonMap, "__call__", counted)
+        return calls
+
+    @pytest.mark.parametrize("precoder", ["rzf", "zf"])
+    @pytest.mark.parametrize("bad", [
+        "nan F", "nan R", "nan C", "not PSD F",
+        pytest.param("inf F", marks=pytest.mark.filterwarnings(
+            "ignore:invalid value:RuntimeWarning"))])    # inf * 0 in a trace
+    def test_bad_data_raises_at_the_first_evaluation(
+            self, small_uncommon, monkeypatch, precoder, bad):
+        # a NaN passes OpenBLAS's potrf unreported; the map's output check
+        # catches it, and potrf's pivot check a matrix that is not PD
+        F, R, C, _ = small_uncommon.stats_uncommon()
+        F, R, C = F.copy(), R.copy(), C.copy()
+        value, name = bad.split(" ", 1)
+        if value == "not":
+            F[0] = -1e3 * np.eye(len(R))
+        else:
+            {"F": F[1], "R": R, "C": C[2]}[name][1, 2] = float(value)
+        calls = self.count_evaluations(monkeypatch)
+        with pytest.raises(ConvergenceError, match=(
+                "not positive definite" if value == "not" else "non-finite")):
+            if precoder == "rzf":
+                solve_rzf_uncommon(F, R, C, 0.3)
+            else:
+                solve_zf_uncommon(F, R, C)
+        assert len(calls) == 1
 
 
 class TestDataDtype:

@@ -88,3 +88,30 @@ def test_output_digest_hashes_each_validate_measurement(monkeypatch):
     moved = output_digest.digest(["backsubstitution", 3e-13,
                                   "probe_bilinear_traces", 0.021])
     assert output_digest.digest(values) != moved
+
+
+def test_output_digest_compares_value_files(tmp_path, capsys, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)    # the tool pins them
+    import numpy as np
+    output_digest = load_tool("output_digest")
+    pick = output_digest.selection
+
+    def npz(name, esr, s, grad):
+        path = tmp_path / name
+        np.savez(path, **output_digest.arrays("design", [pick(s), esr, None]),
+                 **output_digest.arrays("phases.x", ["check", grad]))
+        return str(path)
+
+    parent = npz("parent.npz", 2.0, [1.0, 0.0, 1.0], np.array([4.0, -1e-17]))
+    change = npz("change.npz", 2.0 + 2e-10, [0.0, 1.0, 1.0],
+                 np.array([4.0 - 4e-12, 3e-17]))
+    assert output_digest.main(["--compare", parent, change]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["design"]["selections_match"] is False
+    assert got["design"]["max_rel"] == pytest.approx(1e-10, rel=1e-6)
+    assert got["phases.x"]["selections_match"] is None
+    assert got["phases.x"]["max_rel"] == pytest.approx(1e-12, rel=1e-3)
+    assert output_digest.main(["--compare", parent, parent]) == 0
+    assert json.loads(capsys.readouterr().out)["design"] == {
+        "max_rel": 0.0, "selections_match": True}

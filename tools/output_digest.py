@@ -1,7 +1,8 @@
 """Print raw-byte SHA-256 digests of a checkout's numerical outputs.
 
     python3 tools/output_digest.py --root ../parent > parent_digest.json
-    python3 tools/output_digest.py > change_digest.json
+    python3 tools/output_digest.py --values change.npz > change_digest.json
+    python3 tools/output_digest.py --compare parent.npz change.npz
 
 Imports fasris from `<root>/src` (default: this working tree) and the
 benchmark's workloads from `<root>/perfbench`, pins BLAS to one thread and
@@ -32,6 +33,13 @@ are built here from `random_correlation` and `CorrelationSet`, not by
 - validate: the name and measured value of each `sweep.validate(trials=200)`
   check, among them the back-substitution residual, the finite-difference
   gaps and the probe gaps of `ups_I` and `Lambda_kl`.
+
+A change that moves outputs at solver tolerance shows by how much:
+`--values PATH` also writes every group's values to an `.npz` file, and
+`--compare PARENT.npz CHANGE.npz` prints, per group, the largest relative
+difference of its numeric values (max |change - parent| / max |parent|,
+value by value; a value that changed shape, or a name that changed, counts
+as inf) and whether its port selections are equal.
 """
 
 import os
@@ -54,6 +62,14 @@ import numpy as np  # noqa: E402
 TREE = Path(__file__).resolve().parent.parent
 
 
+class Selection(np.ndarray):
+    """A port selection: `--compare` tests it for equality, not closeness."""
+
+
+def selection(s) -> Selection:
+    return np.asarray(s).view(Selection)
+
+
 def digest(values) -> str:
     """SHA-256 over the raw bytes of each value (None hashes as b"none")."""
     h = hashlib.sha256()
@@ -70,7 +86,7 @@ def design():
         theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
         s, z, phases, rep, trace = joint_optimize(
             sc, M, phi0=np.full(sc.dims.L, theta), T_iter=1, precoder="rzf")
-        yield from (s, z, phases.phi, rep.esr, trace.objectives())
+        yield from (selection(s), z, phases.phi, rep.esr, trace.objectives())
 
 
 def shared_scenario(seed, M, K, L, M_tot=None, F_is_R=False):
@@ -113,7 +129,7 @@ def ports(case):
     for s in (np.full(M_tot, M / M_tot), rng.uniform(0.1, 0.9, M_tot),
               uniform_selection(M, M_tot)):
         yield from obj.gradient(s)
-    yield fw_port_selection(sc, phi, M)
+    yield selection(fw_port_selection(sc, phi, M))
 
 
 def phases(case):
@@ -204,11 +220,58 @@ GROUPS = {"design": design,
           "setup": setup, "validate": validate}
 
 
+def arrays(name, values) -> dict:
+    """The values of group `name` as npz entries "name/i", a selection's as
+    "name/i/selection"; None is stored as the string "none"."""
+    return {f"{name}/{i}" + ("/selection" if isinstance(v, Selection) else ""):
+            np.asarray("none" if v is None else v)
+            for i, v in enumerate(values)}
+
+
+def rel_diff(a, b) -> float:
+    """max |a - b| / max |b| of two numeric values; 0 or inf otherwise."""
+    if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
+        return np.inf
+    if a.dtype.kind not in "fc":
+        return 0.0 if np.array_equal(a, b) else np.inf
+    scale = np.abs(b).max(initial=0.0)
+    gap = np.abs(a - b).max(initial=0.0)
+    return float(gap / scale) if scale else (0.0 if gap == 0 else np.inf)
+
+
+def compare(parent: dict, change: dict) -> dict:
+    """Per group of the two npz dicts: `max_rel` over its values and
+    `selections_match` (None when the group holds no selection)."""
+    out = {}
+    for key in dict.fromkeys([*parent, *change]):
+        group = out.setdefault(key.split("/")[0], {"max_rel": 0.0,
+                                                   "selections_match": None})
+        if key not in parent or key not in change:
+            group["max_rel"] = np.inf
+        elif key.endswith("/selection"):
+            group["selections_match"] = (group["selections_match"] is not False
+                                         and np.array_equal(parent[key],
+                                                            change[key]))
+        else:
+            group["max_rel"] = max(group["max_rel"],
+                                   rel_diff(change[key], parent[key]))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=TREE,
                         help="checkout to import fasris and perfbench from")
+    parser.add_argument("--values", type=Path,
+                        help="also write every group's values to this .npz")
+    parser.add_argument("--compare", type=Path, nargs=2,
+                        metavar=("PARENT", "CHANGE"),
+                        help="compare two --values files instead")
     args = parser.parse_args(argv)
+    if args.compare:
+        parent, change = (dict(np.load(path)) for path in args.compare)
+        print(json.dumps(compare(parent, change)))
+        return 0
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
@@ -219,7 +282,11 @@ def main(argv=None) -> int:
     except OSError:     # no git binary
         rev = ""
     t0 = time.perf_counter()
-    groups = {name: digest(fn()) for name, fn in GROUPS.items()}
+    values = {name: list(fn()) for name, fn in GROUPS.items()}
+    groups = {name: digest(v) for name, v in values.items()}
+    if args.values:
+        np.savez(args.values, **{k: v for name, vs in values.items()
+                                 for k, v in arrays(name, vs).items()})
     print(json.dumps({"rev": rev or None,
                       "wall_s": time.perf_counter() - t0, "groups": groups}))
     return 0
