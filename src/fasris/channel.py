@@ -183,7 +183,9 @@ class CorrelationSet:
     F_tot (direct link) and C_R (RIS transmit side) are either one matrix
     shared by every user or a per-user list; R_tot is the BS-side
     correlation toward the RIS, C_L the RIS receive side. The data alone
-    decides the correlation regime, see `shared`.
+    decides the correlation regime, see `shared`. Every assignment of one
+    of these four fields, the constructor's included, stores its `check_psd`
+    result (`_checked`), so a field reassigned later is checked as well.
     """
 
     R_tot: np.ndarray
@@ -195,20 +197,25 @@ class CorrelationSet:
     _stack: tuple = field(default=(None,), init=False, repr=False,
                           compare=False)
 
-    def __post_init__(self):
-        R, F = np.asarray(self.R_tot), self.F_tot
-        self.R_tot = check_psd(R, "R_tot")
-        self.C_L = check_psd(self.C_L, "C_L")
-        if isinstance(F, list):
-            self.F_tot = [check_psd(Fk, f"F_tot[{k}]") for k, Fk in enumerate(F)]
-        else:    # an F_tot with R_tot's bytes checks the same: copy the result
-            F = np.asarray(F)
-            same = (F.dtype, F.shape, F.tobytes()) == (R.dtype, R.shape, R.tobytes())
-            self.F_tot = self.R_tot.copy() if same else check_psd(F, "F_tot")
-        if isinstance(self.C_R, list):
-            self.C_R = [check_psd(C, f"C_R[{k}]") for k, C in enumerate(self.C_R)]
-        else:
-            self.C_R = check_psd(self.C_R, "C_R")
+    def __setattr__(self, name, value):
+        if name in ("R_tot", "F_tot", "C_L", "C_R"):
+            value = self._checked(name, value)
+        object.__setattr__(self, name, value)
+
+    def _checked(self, name: str, A):
+        """check_psd of A, or of each matrix of a list. An F_tot with the
+        bytes of R_tot, or of the input R_tot was checked from, checks the
+        same: it gets a copy of R_tot."""
+        if isinstance(A, list):
+            return [check_psd(Ak, f"{name}[{k}]") for k, Ak in enumerate(A)]
+        A = np.asarray(A)
+        key = (A.dtype, A.shape, A.tobytes())
+        if name == "R_tot":
+            object.__setattr__(self, "_R_input", key)
+        elif name == "F_tot" and key in (self._R_input, (
+                self.R_tot.dtype, self.R_tot.shape, self.R_tot.tobytes())):
+            return self.R_tot.copy()
+        return check_psd(A, name)
 
     @property
     def shared(self) -> bool:

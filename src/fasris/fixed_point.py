@@ -16,16 +16,18 @@ their data: the real FAS R gives a real Psi_R. An RZF `z` may be a 1-D
 batch: the state then leads with its axis, `_picard` runs the rows as one
 product system and every field carries it.
 
-Every per-user inverse, in the map and in `UncommonSolution`, is one
-kernel, `_chol_inv`: LAPACK's Cholesky inverse (potrf + potri, about n^3
-flops against 8/3 n^3 for an LU inverse) at the matrix's dtype. It keeps
-one triangle, its diagonal halved, so that Re tr(X Psi) of a Hermitian X
-is twice a real dot product of float views; the map reads its traces so,
-and only the solution mirrors the triangle to the full Psi_R and Psi_C. A
-bad pivot, or a map output that is not finite (OpenBLAS's potrf reports
-no NaN pivot), raises ConvergenceError at that evaluation. scipy.linalg
-costs about 28 MiB of resident memory, so the bindings load on the first
-per-user inverse; the shared regime never loads them.
+Every per-user resolvent, in the map and in `UncommonSolution`, is one
+kernel, `_chol_inv`: one GEMV of real weights against the float view of a
+stack ([F_1..F_K; R] for Psi_R, the C_k for Psi_C), a diagonal added in
+place, and LAPACK's Cholesky inverse (potrf + potri) at the stack's dtype.
+It keeps one triangle, its diagonal halved, so that an evaluation's traces
+(tr(F_k Psi_R) and tr(R Psi_R) at once) are one GEMV of that float view
+against it; only the solution mirrors it to the full Psi_R and Psi_C.
+Anderson's least squares is LAPACK's ?gelsy. A bad pivot, or a map output
+that is not finite (OpenBLAS's potrf reports no NaN pivot), raises
+ConvergenceError at that evaluation. scipy.linalg costs about 28 MiB of
+resident memory, so these bindings load on the first per-user solve; the
+shared regime never loads them.
 """
 
 from __future__ import annotations
@@ -89,30 +91,34 @@ def _floats(A: np.ndarray, lead: int) -> np.ndarray:
 
 
 @cache
-def _lapack(dtype):
-    """LAPACK (potrf, potri) at dtype, imported on first use."""
+def _lapack(dtype, names=("potrf", "potri")):
+    """The LAPACK routines `names` at dtype, imported on first use."""
     from scipy.linalg.lapack import get_lapack_funcs
-    return get_lapack_funcs(("potrf", "potri"), dtype=dtype)
+    return get_lapack_funcs(names, dtype=dtype)
 
 
-def _chol_inv(A: np.ndarray) -> np.ndarray:
-    """A^{-1} of each Hermitian positive-definite matrix of the C-order
-    stack A, in place, as its lower triangle with the diagonal halved and
-    zeros above: for a Hermitian X, Re tr(X A^{-1}) is twice the dot product
-    of the float views of X and of the returned A. Only the lower triangle
-    of A is read. LAPACK takes the C-order memory as A^T = conj(A), factors
-    its upper triangle and returns conj(A^{-1}) the same way.
+def _chol_inv(w, X: np.ndarray, X_f: np.ndarray, diag) -> np.ndarray:
+    """(diag I + sum_j w_j X_j)^{-1} for each row of the real w (and diag),
+    X a C-order stack of Hermitian matrices at the inverse's dtype and X_f
+    its float view: one GEMV of w with X_f, diag added in place. Returned as
+    the lower triangle, diagonal halved, zeros above: Re tr(Y A^{-1}) of a
+    Hermitian Y is twice the dot product of the float views of Y and of the
+    result. LAPACK takes the C-order memory as A^T = conj(A), factors its
+    upper triangle (only A's lower one is read) and returns conj(A^{-1}).
     """
-    potrf, potri = _lapack(A.dtype)
-    for a in A.reshape((-1,) + A.shape[-2:]):
+    n = X.shape[-1]
+    flat = (w @ X_f).view(X.dtype)    # (..., n^2)
+    flat[..., ::n + 1] += _row(diag)
+    potrf, potri = _lapack(X.dtype)
+    for a in flat.reshape((-1, n, n)):
         c, info = potrf(a.T, clean=1, overwrite_a=1)
         if info == 0:
             info = potri(c, overwrite_c=1)[1]
         if info:
             raise ConvergenceError(f"a per-user resolvent is not positive "
                                    f"definite (pivot {info})", np.nan)
-    A.reshape(A.shape[:-2] + (-1,))[..., ::A.shape[-1] + 1] *= 0.5
-    return A
+    flat[..., ::n + 1] *= 0.5
+    return flat.reshape(flat.shape[:-1] + (n, n))
 
 
 def _mirror(T: np.ndarray) -> np.ndarray:
@@ -252,25 +258,40 @@ class _Mixer:
 
 
 class _Anderson(_Mixer):
-    """Anderson mixing (Walker & Ni 2011) of depth DEPTH, on the flat state."""
+    """Anderson mixing (Walker & Ni 2011) of depth DEPTH on the flat state:
+    the step is g - dG gamma, gamma = argmin |dF gamma - f| by LAPACK's
+    ?gelsy at rcond = eps max(n, m), NumPy's default rcond for its lstsq,
+    with dG, dF preallocated (n, DEPTH) rings of the changes of g, f = g - y."""
 
-    name, n, y, gf = "anderson", 0, None, None
+    name, n, y, g = "anderson", 0, None, None
 
     def step(self, x, new, g):
         shape = g.shape
         y = g = g.reshape(-1)
-        if self.y is None:    # D: a ring of the last DEPTH changes of (g, f)
-            self.D = np.empty((2, len(g), DEPTH))
+        if self.y is None:    # the rings, ?gelsy and its workspace size
+            self.dG, self.dF = np.empty((2, DEPTH, len(g))).swapaxes(1, 2)
+            self.gelsy, lwork = _lapack(np.dtype(float), ("gelsy", "gelsy_lwork"))
+            self.lwork = int(lwork(len(g), DEPTH, 1, 0.0)[0])    # any m <= DEPTH
         else:
-            gf = np.stack([g, g - self.y])
-            if self.gf is not None:
-                self.D[..., self.n % DEPTH] = gf - self.gf
-                self.n += 1
-                dG, dF = self.D[..., :min(self.n, DEPTH)]
-                y = g - dG @ np.linalg.lstsq(dF, gf[1], rcond=None)[0]
-            self.gf = gf
+            f = g - self.y
+            if self.g is not None:
+                j, self.n = self.n % DEPTH, self.n + 1
+                self.dG[:, j], self.dF[:, j] = g - self.g, f - self.f
+                y = g - self.dG[:, :self.n] @ self.lstsq(self.dF[:, :self.n], f)
+            self.g, self.f = g, f
         self.y = y
         return y.reshape(shape)
+
+    def lstsq(self, A, f):
+        """The gamma of min |A gamma - f|, minimum-norm if A is rank-deficient
+        (complete orthogonal factorization), for an (n, m) slice A of a ring."""
+        (n, m), b = A.shape, np.zeros(max(A.shape))
+        b[:n] = f
+        info = self.gelsy(A, b, np.zeros(m, np.int32), np.finfo(float).eps
+                          * max(n, m), self.lwork, overwrite_b=1)[-1]
+        if info:    # an illegal argument; _Mixer falls back on LinAlgError
+            raise np.linalg.LinAlgError(f"?gelsy info {info}")
+        return b[:m]
 
 
 class _Newton(_Mixer):
@@ -371,30 +392,23 @@ class _Map:
 
 
 class _UncommonMap(_Map):
-    """State [delta, omega_1..K, mu_1..K] of the per-user-correlation system.
-
-    F_k and C_k come stacked at the dtype of Psi_R and Psi_C, so Psi_R^{-1}
-    and Psi_C^{-1} are weighted sums over the flat stacks, and the traces of
-    a map evaluation are matrix-vector products of their float views
-    (`_floats`) with the `_chol_inv` triangles, O(K M^2) instead of K
-    matrix products.
-    """
+    """State [delta, omega_1..K, mu_1..K] of the per-user-correlation system;
+    the `_chol_inv` stacks FR = [F_1..F_K; R] at Psi_R's dtype and C at
+    Psi_C's, with their float views (`_floats`)."""
 
     regime = ""
     mixer = _Anderson
     sol = UncommonSolution
 
     def __init__(self, F, R, C, z, shift, m_norm):
-        self.F = np.asarray(F)           # (K, M, M), each stack at its dtype
-        self.C = np.asarray(C)           # (K, L, L)
+        self.F = np.asarray(F)           # (K, M, M) at its dtype
+        self.C = np.asarray(C)           # (K, L, L) at Psi_C's dtype
+        self.C = self.C.astype(np.result_type(self.C, float), copy=False)
         super().__init__(R, len(self.F), self.C.shape[1], z, shift, m_norm)
         self.cascaded = bool(np.any(R)) and bool(np.any(self.C))
-        dtype_R = np.result_type(self.F, R, float)    # of Psi_R
-        self.F_flat = np.ascontiguousarray(self.F, dtype_R).reshape(self.K, -1)
-        self.C_flat = np.ascontiguousarray(
-            self.C, np.result_type(self.C, float)).reshape(self.K, -1)
-        self.F_f, self.C_f = _floats(self.F_flat, 1), _floats(self.C_flat, 1)
-        self.R_f = _floats(np.asarray(R, dtype_R), 0)
+        self.FR = np.concatenate((self.F, np.asarray(R)[None]),
+                                 dtype=np.result_type(self.F, R, float))
+        self.FR_f, self.C_f = _floats(self.FR, 1), _floats(self.C, 1)
 
     def start(self, x0, init):
         x0, full = x0 or {}, np.full(np.shape(self.z) + (self.K,), init / _row(self.z))
@@ -408,37 +422,33 @@ class _UncommonMap(_Map):
         return x.T[0], x[..., 1:self.K + 1], x[..., self.K + 1:]
 
     def psi_r(self, delta, omega, mu):
-        """The `_chol_inv` triangle of Psi_R."""
+        """The `_chol_inv` triangle of Psi_R: [w, w.omega / delta] against
+        [F; R], w_k = 1 / (M (shift + mu_k)), the last 0 off a cascaded link."""
         w = 1.0 / (self.M * (self.shift + mu))
-        A = _row(self.z, 2) * self.I_M \
-            + (w @ self.F_flat).reshape(w.shape[:-1] + self.R.shape)
-        if self.cascaded:
-            A += _row(np.vecdot(w, omega) / delta, 2) * self.R
-        return _chol_inv(A)
+        b = np.vecdot(w, omega) / delta if self.cascaded else 0.0 * delta
+        return _chol_inv(np.concatenate((w, np.asarray(b)[..., None]), -1),
+                         self.FR, self.FR_f, self.z)
 
     def psi_c(self, delta, mu):
         """The `_chol_inv` triangle of Psi_C."""
-        w = 1.0 / (self.L * (self.shift + mu))
-        wC = (w @ self.C_flat).reshape(w.shape[:-1] + self.I_L.shape)
-        return _chol_inv(self.I_L / _row(delta, 2) + wC)
+        return _chol_inv(1.0 / (self.L * (self.shift + mu)), self.C,
+                         self.C_f, 1.0 / delta)
 
     def __call__(self, x):
         delta, omega, mu = self.split(x)
-        lead = np.ndim(delta)
-        P = _floats(self.psi_r(delta, omega, mu), lead)
-        delta_new = 2.0 * (P @ self.R_f) / self.M
-        if self.cascaded:
-            Q = _floats(self.psi_c(delta_new, mu), lead)
-            omega_new = 2.0 * np.matvec(self.C_f, Q) / self.L
-        else:
-            omega_new = np.zeros_like(mu)
-        mu_new = 2.0 * np.matvec(self.F_f, P) / self.M + omega_new
-        new = np.concatenate((np.asarray(delta_new)[..., None], omega_new,
-                              mu_new), axis=-1)
+        lead = np.ndim(delta)    # T: tr(F_k Psi_R), tr(R Psi_R), over M
+        T = (2.0 / self.M) * (_floats(self.psi_r(delta, omega, mu), lead)
+                              @ self.FR_f.T)
+        delta_new = T[..., self.K]
+        omega_new = ((2.0 / self.L) * (_floats(self.psi_c(delta_new, mu), lead)
+                                       @ self.C_f.T)
+                     if self.cascaded else np.zeros_like(mu))
+        new = np.concatenate((delta_new[..., None], omega_new,
+                              T[..., :self.K] + omega_new), axis=-1)
         if not np.isfinite(new).all():
             raise ConvergenceError(f"per-user {self.name} map gave a "
                                    f"non-finite state", np.nan)
-        if self.shift == 0.0 and (mu_new <= 0).any():
+        if self.shift == 0.0 and (new[..., self.K + 1:] <= 0).any():
             raise FeasibilityError("ZF system produced a nonpositive mu; "
                                    "a user has no usable link")
         return new

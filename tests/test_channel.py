@@ -138,6 +138,56 @@ class TestCheckPsd:
         assert other.F_tot.tobytes() == channel.check_psd(R + 0.0 * 1j).tobytes()
 
 
+class TestReassignedFieldsAreChecked:
+    """A field assigned after construction takes the constructor's check."""
+
+    M, L = 6, 5
+
+    def corr(self, rng):
+        return CorrelationSet(R_tot=random_correlation(self.M, rng),
+                              F_tot=random_correlation(self.M, rng),
+                              C_L=random_correlation(self.L, rng),
+                              C_R=random_correlation(self.L, rng))
+
+    @pytest.mark.parametrize("name", ["R_tot", "F_tot", "C_L", "C_R"])
+    @pytest.mark.parametrize("bad", ["nan", "not PSD"])
+    def test_bad_matrix_raises(self, rng, name, bad):
+        corr = self.corr(rng)
+        n = self.M if name in ("R_tot", "F_tot") else self.L
+        good, A = random_correlation(n, rng), random_correlation(n, rng)
+        if bad == "nan":
+            A[1, 2] = np.nan
+        else:
+            A = -A
+        with pytest.raises(channel.DomainError, match=name):
+            setattr(corr, name, A)
+        with pytest.raises(channel.DomainError, match=rf"{name}\[1\]"):
+            setattr(corr, name, [good, A])
+
+    def test_skew_is_stored_exactly_hermitian(self, rng):
+        corr = self.corr(rng)
+        B = rng.standard_normal((self.M, self.M))
+        A = random_correlation(self.M, rng) + 1e-17 * (B - B.T)    # skew
+        assert not np.array_equal(A, A.conj().T)
+        corr.F_tot = A
+        assert np.array_equal(corr.F_tot, corr.F_tot.conj().T)
+        assert corr.F_tot.tobytes() == channel.check_psd(A).tobytes()
+
+    def test_f_tot_equal_to_r_tot_is_a_copy_checked_once(self, rng,
+                                                        monkeypatch):
+        corr = self.corr(rng)
+        names = []
+
+        def recorded(A, name="matrix", *args, _check=channel.check_psd, **kw):
+            names.append(name)
+            return _check(A, name, *args, **kw)
+
+        monkeypatch.setattr(channel, "check_psd", recorded)
+        assert not corr.shared
+        corr.F_tot = corr.R_tot
+        assert corr.shared and corr.F_tot is not corr.R_tot and not names
+
+
 class TestFasCorrelation:
     def test_unit_diagonal(self):
         R = fas_correlation_matrix(GEOM)

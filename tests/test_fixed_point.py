@@ -435,6 +435,49 @@ class TestAnderson:
         sol = solve_zf_common(R, C, u, t)
         assert sol.mixer == "off"
 
+    @staticmethod
+    def least_squares(A, f):
+        """`_Anderson.lstsq` on A, held in the mixer's own ring."""
+        mixer = fixed_point._Anderson(None)
+        mixer.step(None, None, np.zeros(len(A)))    # allocates the rings
+        mixer.dF[:, :A.shape[1]] = A
+        return mixer.lstsq(mixer.dF[:, :A.shape[1]], f).copy()
+
+    @pytest.mark.parametrize("n, m", [(9, 1), (9, 3), (25, 5), (3, 5)])
+    def test_least_squares_is_lstsq_on_a_full_rank_ring(self, rng, n, m):
+        # (3, 5): fewer rows than the ring has columns, the minimum-norm case
+        A, f = rng.standard_normal((n, m)), rng.standard_normal(n)
+        ref = np.linalg.lstsq(A, f, rcond=None)[0]
+        assert np.abs(self.least_squares(A, f) - ref).max() \
+            < 1e-12 * np.abs(ref).max()
+
+    def test_least_squares_with_a_repeated_column_is_minimum_norm(self, rng):
+        A, f = rng.standard_normal((9, 4)), rng.standard_normal(9)
+        A[:, 3] = A[:, 1]
+        ref = np.linalg.lstsq(A, f, rcond=None)[0]
+        got = self.least_squares(A, f)
+        assert got[1] == pytest.approx(got[3], rel=1e-12)
+        assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+    def test_published_per_user_points_mix_to_the_end(self, monkeypatch):
+        # fig1 M = 16/20/24 at 60-100 dB and fig2 cases 1-2 at x1-x4, RZF
+        # and ZF: 46 cold per-user solves in 496 evaluations, none of them
+        # handed to damped Picard
+        from fasris.scenarios import fig1_scenario, fig2_scenario
+        scenarios = [fig1_scenario(M, snr) for M in (16, 20, 24)
+                     for snr in (60.0, 70.0, 80.0, 90.0, 100.0)]
+        scenarios += [fig2_scenario(case, scale) for case in (1, 2)
+                      for scale in (1, 2, 3, 4)]
+        calls = TestCholeskyKernel.count_evaluations(monkeypatch)
+        sols = []
+        for sc in scenarios:
+            F, R, C, _ = sc.stats_uncommon()
+            sols += [solve_rzf_uncommon(F, R, C, sc.default_z()),
+                     solve_zf_uncommon(F, R, C)]
+        assert len(sols) == 46
+        assert [sol.mixer for sol in sols] == ["anderson"] * 46
+        assert sum(sol.iterations for sol in sols) == len(calls) <= 496
+
     def test_nonpositive_state_falls_back_to_picard(self, small_uncommon,
                                                     monkeypatch):
         F_list, R, C_list, _ = small_uncommon.stats_uncommon()
@@ -496,16 +539,19 @@ class TestNewton:
 
     def test_design_makes_no_least_squares_call(self, small_uncommon,
                                                 monkeypatch):
-        # only per-user Anderson mixing solves least squares
+        # only per-user Anderson mixing solves least squares, by ?gelsy
         from fasris.optimize import joint_optimize
         from fasris.scenarios import fig3_scenario
         calls = []
 
-        def counted(*args, _lstsq=np.linalg.lstsq, **kwargs):
-            calls.append(None)
-            return _lstsq(*args, **kwargs)
+        def lapack(dtype, names=("potrf", "potri"), _lapack=fixed_point._lapack):
+            funcs = list(_lapack(dtype, names))
+            if names[0] == "gelsy":
+                funcs[0] = lambda *a, _gelsy=funcs[0], **k: \
+                    calls.append(None) or _gelsy(*a, **k)
+            return funcs
 
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        monkeypatch.setattr(fixed_point, "_lapack", lapack)
         sc, M = fig3_scenario(80.0)
         joint_optimize(sc, M, T_iter=1)
         assert not calls
@@ -702,7 +748,7 @@ class TestCholeskyKernel:
         F, R, C = self.stacks(rng, dtype)
         system = fixed_point._UncommonMap(F, R, C, z, 1.0, None)
         x = rng.uniform(0.5, 2.0, np.shape(z) + (2 * len(F) + 1,))
-        assert system.F_f.dtype == np.float64
+        assert system.FR_f.dtype == system.C_f.dtype == np.float64
         assert rel_err(system(x), self.explicit_map(F, R, C, z, x)) < 1e-12
         T = system.psi_r(*system.split(x))
         assert T.dtype == dtype and T.shape == np.shape(z) + R.shape

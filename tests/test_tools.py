@@ -41,6 +41,33 @@ def test_metrics_worse_than_half_their_bound_are_flagged(bench_pairs, capsys):
     assert err[1].startswith("evaluate setup_s: median +17.0% worse")
 
 
+@pytest.mark.parametrize("case, met", [
+    ("all pairs, medians far apart", True),
+    ("nine wins and a tie", True),
+    ("eight wins", False),
+    ("gap within the parent's spread", False)])
+def test_claim_needs_nine_tenths_of_pairs_and_a_gap_past_the_spread(
+        bench_pairs, case, met):
+    # parent 101..110 ms: q3 - q1 = 4.5
+    parent = {seed: 100.0 + seed for seed in range(1, 11)}
+    change = {seed: value - 20.0 for seed, value in parent.items()}
+    if case == "nine wins and a tie":
+        change[1] = parent[1]
+    elif case == "eight wins":
+        change[1], change[2] = parent[1], parent[2] + 5.0
+    elif case.startswith("gap"):
+        change = {seed: value - 4.0 for seed, value in parent.items()}
+    runs = [{"side": side, "workload": "evaluate", "seed": seed,
+             "result": {"metrics": {"op_norm_ms": {"value": values[seed]}}}}
+            for seed in parent
+            for side, values in (("parent", parent), ("change", change))]
+    row = bench_pairs.analyse(runs, {"op_norm_ms": -1},
+                              {"op_norm_ms": 0.2})["evaluate"]["op_norm_ms"]
+    assert row["claim_met"] is met
+    assert row["change_better_pairs"] == {"nine wins and a tie": 9,
+                                          "eight wins": 8}.get(case, 10)
+
+
 def test_figure_rows_diff_prints_the_rows_that_moved(tmp_path, capsys,
                                                      monkeypatch):
     figure_rows = load_tool("figure_rows")

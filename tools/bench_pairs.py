@@ -11,11 +11,14 @@ one pair after the other; within each workload the side that runs first
 alternates from pair to pair, starting with the parent. Writes a BENCH
 file with `description`, `parent`, `analysis` (per workload and
 end-to-end metric of BENCHMARK.json: median, q1, q3 and n of each side,
-`change_over_parent_median`, `change_better_pairs`, `pairs` and, where
-the change's median is worse than the parent's by more than half the
-metric's `bound`, `flag`: "near bound", or "over bound" past the bound
-itself; each flag is also printed to stderr) and `runs` (each run's
+`change_over_parent_median`, `change_better_pairs`, `pairs`, `claim_met`
+and, where the change's median is worse than the parent's by more than
+half the metric's `bound`, `flag`: "near bound", or "over bound" past the
+bound itself; each flag is also printed to stderr) and `runs` (each run's
 summary line without its per-operation time lists, and its result line).
+`claim_met` is the rule a claimed gain must meet: the change is better in
+at least nine tenths of all pairs (a tie counts for neither side), and its
+median is better than the parent's by more than the parent's q3 - q1.
 `--append` adds the runs to those already in `--out` and analyses them
 all, keeping the file's other keys; with no `--pairs` it only analyses.
 Exits 1 when a run fails or reports incorrect output.
@@ -87,11 +90,12 @@ def analyse(runs: list[dict], better: dict, bounds: dict) -> dict:
             change = [p["change"][metric]["value"] for p in pairs]
             a, b = quartiles(parent), quartiles(change)
             ratio = b["median"] / a["median"]
+            wins = sum(bool(sign * (c - p) > 0) for p, c in zip(parent, change))
             row = analysis[workload][metric] = {
                 "parent": a, "change": b, "change_over_parent_median": ratio,
-                "change_better_pairs": sum(sign * (c - p) > 0
-                                           for p, c in zip(parent, change)),
-                "pairs": len(pairs)}
+                "change_better_pairs": wins, "pairs": len(pairs),
+                "claim_met": bool(10 * wins >= 9 * len(pairs) and sign * (
+                    b["median"] - a["median"]) > a["q3"] - a["q1"])}
             worse_by = sign * (1.0 - ratio)
             if worse_by > bounds[metric] / 2:
                 row["flag"] = ("over bound" if worse_by > bounds[metric]
