@@ -181,17 +181,18 @@ class CorrelationSet:
     """Correlation matrices of a scenario.
 
     F_tot (direct link) and C_R (RIS transmit side) are either one matrix
-    shared by every user or a per-user list; R_tot is the BS-side
-    correlation toward the RIS, C_L the RIS receive side. The data alone
-    decides the correlation regime, see `shared`. Every assignment of one
-    of these four fields, the constructor's included, stores its `check_psd`
-    result (`_checked`), so a field reassigned later is checked as well.
+    shared by every user or a per-user list, stored as a tuple; R_tot is the
+    BS-side correlation toward the RIS, C_L the RIS receive side. The data
+    alone decides the correlation regime, see `shared`. Every assignment of
+    one of these four fields, the constructor's included, stores its
+    `check_psd` result (`_checked`), so a field reassigned later is checked
+    as well, and a per-user entry can only change with its whole field.
     """
 
     R_tot: np.ndarray
-    F_tot: np.ndarray | list[np.ndarray]
+    F_tot: np.ndarray | tuple[np.ndarray, ...]
     C_L: np.ndarray
-    C_R: np.ndarray | list[np.ndarray]
+    C_R: np.ndarray | tuple[np.ndarray, ...]
     _roots: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     _stack: tuple = field(default=(None,), init=False, repr=False,
@@ -203,11 +204,12 @@ class CorrelationSet:
         object.__setattr__(self, name, value)
 
     def _checked(self, name: str, A):
-        """check_psd of A, or of each matrix of a list. An F_tot with the
-        bytes of R_tot, or of the input R_tot was checked from, checks the
-        same: it gets a copy of R_tot."""
-        if isinstance(A, list):
-            return [check_psd(Ak, f"{name}[{k}]") for k, Ak in enumerate(A)]
+        """check_psd of A, or the tuple of each matrix of a list or tuple.
+        An F_tot with the bytes of R_tot, or of the input R_tot was checked
+        from, checks the same: it gets a copy of R_tot."""
+        if isinstance(A, (list, tuple)):
+            return tuple(check_psd(Ak, f"{name}[{k}]")
+                         for k, Ak in enumerate(A))
         A = np.asarray(A)
         key = (A.dtype, A.shape, A.tobytes())
         if name == "R_tot":
@@ -221,8 +223,8 @@ class CorrelationSet:
     def shared(self) -> bool:
         """True for one C_R and one F_tot equal to R_tot: the shared solvers
         apply. Any other set takes the per-user ones (K copies of a matrix)."""
-        return (not isinstance(self.F_tot, list)
-                and not isinstance(self.C_R, list)
+        return (not isinstance(self.F_tot, tuple)
+                and not isinstance(self.C_R, tuple)
                 and np.array_equal(self.F_tot, self.R_tot))
 
     def root(self, A: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -253,10 +255,10 @@ class CorrelationSet:
         return self._stack[2]
 
     def f_tot_list(self, K: int) -> list[np.ndarray]:
-        return list(self.F_tot) if isinstance(self.F_tot, list) else [self.F_tot] * K
+        return list(self.F_tot) if isinstance(self.F_tot, tuple) else [self.F_tot] * K
 
     def c_r_list(self, K: int) -> list[np.ndarray]:
-        return list(self.C_R) if isinstance(self.C_R, list) else [self.C_R] * K
+        return list(self.C_R) if isinstance(self.C_R, tuple) else [self.C_R] * K
 
 
 @dataclass
@@ -295,8 +297,8 @@ class Scenario:
         same_scalars = (np.ptp(self.u) == 0.0 and np.ptp(self.t) == 0.0
                         and np.ptp(self.p) == 0.0)
         corr = self.correlations    # one F_tot and C_R, equal to R_tot or not
-        return bool(same_scalars and not isinstance(corr.F_tot, list)
-                    and not isinstance(corr.C_R, list))
+        return bool(same_scalars and not isinstance(corr.F_tot, tuple)
+                    and not isinstance(corr.C_R, tuple))
 
     def default_z(self, s: np.ndarray | None = None) -> float:
         """The RZF regularizer K sigma^2 / M(s), M(s) the selected-port count.
@@ -519,10 +521,18 @@ def effective_ris_correlation(C_L: np.ndarray, phi: np.ndarray | None,
     return C_half, C
 
 
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based substream: same draws for a trial regardless of order."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(trial)],
-                   dtype=np.uint64)
+    """Counter-based substream: same draws for a trial regardless of order.
+
+    The stream is Philox-4x64 keyed by (seed mod 2^64, trial), its counter
+    at 0 and its output buffer empty. A seeded `ChannelSampler.draw`
+    reproduces it bit for bit by setting the sampler's one Philox to that
+    state for every trial.
+    """
+    key = np.array([seed & _U64, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -530,7 +540,9 @@ class ChannelSampler:
     """Caches matrix square roots so repeated trials only draw Gaussians.
 
     h_k = sqrt(u_k) F_{c,k}^{1/2} w_k + sqrt(t_k) R^{1/2} X C_L^{1/2} Phi C_{R,k}^{1/2} y_k,
-    with X, w_k entrywise CN(0, 1/M) and y_k entrywise CN(0, 1/L).
+    with X, w_k entrywise CN(0, 1/M) and y_k entrywise CN(0, 1/L). A seeded
+    draw re-keys the sampler's one Philox for each trial, so one sampler
+    draws in one thread at a time.
     """
 
     def __init__(self, scenario: Scenario, s: np.ndarray | None = None,
@@ -547,32 +559,52 @@ class ChannelSampler:
         # gain-weighted direct-link factors sqrt(u_k) F_{c,k}^{1/2}, (K, M, M)
         self.F_half = np.stack([np.sqrt(scenario.u[k]) * root(F, f"F[{k}]")
                                 for k, F in enumerate(F_list)])
-        Phi = phase_matrix(phi, self.L)
         CL_half = corr.root(corr.C_L, "C_L")
-        # cascaded factors C_k^{+/2} = sqrt(t_k) C_L^{1/2} Phi C_{R,k}^{1/2}
-        self.C_half = np.stack([np.sqrt(scenario.t[k]) * CL_half @ Phi
-                                @ corr.root(CR, f"C_R[{k}]")
-                                for k, CR in enumerate(corr.c_r_list(self.K))])
+        Phi = None if phi is None else phase_matrix(phi, self.L)
 
-    def draw(self, rng) -> ChannelSample:
-        """One draw from a Generator, or a (T, ...) stack from a sequence of
-        them; trial t reads only rng[t], so no stack changes its channel."""
-        single = isinstance(rng, np.random.Generator)
-        rngs = [rng] if single else list(rng)
+        # cascaded factors C_k^{+/2} = sqrt(t_k) C_L^{1/2} Phi C_{R,k}^{1/2}
+        def cascaded(k, CR):
+            A = np.sqrt(scenario.t[k]) * CL_half
+            return (A if Phi is None else A @ Phi) @ corr.root(CR, f"C_R[{k}]")
+        self.C_half = np.stack([cascaded(k, CR) for k, CR
+                                in enumerate(corr.c_r_list(self.K))])
+        # the one Philox that `_substreams` re-keys for every trial
+        self._stream = np.random.Generator(np.random.Philox())
+
+    def _substreams(self, seed: int, trials):
+        """trial_rng(seed, t) for t in trials, as the sampler's one Generator
+        re-keyed in turn through its `state` (key (seed, t), counter 0, empty
+        buffer): each value is valid until the next is taken. Re-keying skips
+        the entropy-seeded SeedSequence that every Philox(key=) builds."""
+        gen = self._stream
+        state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for t in trials:
+            state["state"] = {"counter": (0, 0, 0, 0), "key": (seed & _U64, t)}
+            gen.bit_generator.state = state
+            yield gen
+
+    def draw(self, trials, seed: int | None = None) -> ChannelSample:
+        """One draw from a Generator, or a (T, ...) stack: of the trials
+        `trials` of `seed`, trial t from the stream trial_rng(seed, t), or
+        from a sequence of Generators. Each trial reads only its own stream,
+        so no stack changes its channel."""
+        single = isinstance(trials, np.random.Generator)
+        trials = [trials] if single else list(trials)
         M, K, L = self.M, self.K, self.L
         # per trial: real then imaginary parts of X, then of W, then of Y
-        g = np.empty((len(rngs), 2 * (M * L + M * K + L * K)))
-        for t, r in enumerate(rngs):
-            r.standard_normal(out=g[t])
-        factors, at = [], 0
-        for rows, cols, var in ((M, L, 1.0 / M), (M, K, 1.0 / M),
-                                (L, K, 1.0 / L)):
-            n = rows * cols
-            re, im = g[:, at:at + n], g[:, at + n:at + 2 * n]
-            factors.append(((re + 1j * im) * np.sqrt(var / 2.0))
-                           .reshape(-1, rows, cols))
-            at += 2 * n
-        X, W, Y = factors
+        g = np.empty((len(trials), 2 * (M * L + M * K + L * K)))
+        rngs = trials if seed is None else self._substreams(seed, trials)
+        for t, rng in enumerate(rngs):
+            rng.standard_normal(out=g[t])
+        X, W, Y = (np.empty((len(trials), rows, cols), dtype=complex)
+                   for rows, cols in ((M, L), (M, K), (L, K)))
+        at = 0
+        for A, var in ((X, 1.0 / M), (W, 1.0 / M), (Y, 1.0 / L)):
+            n, scale = A[0].size, np.sqrt(var / 2.0)
+            for part in (A.real, A.imag):
+                np.multiply(g[:, at:at + n].reshape(A.shape), scale, out=part)
+                at += n
         # h_k = F_k^{1/2} w_k + R^{1/2} X (C_k^{+/2} y_k): batched per-user
         # matrix-vector products, then one (M, L) x (L, K) product per trial
         CY = (self.C_half @ Y.transpose(0, 2, 1)[..., None])[..., 0]
@@ -581,4 +613,3 @@ class ChannelSampler:
         if single:
             H, X, W, Y = H[0], X[0], W[0], Y[0]
         return ChannelSample(H=H, X=X, W=W, Y=Y)
-

@@ -10,7 +10,10 @@ factor-M relation between the two conventions so it cannot drift silently.
 Trials run batched: each draws from a counter-based RNG substream keyed by
 (seed, trial index), and a block's channels, precoders and SINRs are
 (T, ...) stacks, so per-trial rates are bit-identical however trials are
-blocked. `threads` is accepted for compatibility and parallelizes nothing.
+blocked. A block's draw re-keys one Philox per trial instead of building a
+generator per trial (`channel.trial_rng` defines the stream). RZF solves
+its regularized Gram on the users' side (K x K) when K <= M. `threads` is
+accepted for compatibility and parallelizes nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSampler, Scenario, trial_rng
+from .channel import ChannelSampler, Scenario
 from .fixed_point import FeasibilityError
 from .rates import _pair_traces
 
@@ -62,7 +65,9 @@ def build_precoder(H: np.ndarray, kind: str, p: np.ndarray,
                    z: float | None = None) -> np.ndarray:
     """Linear precoder scaled so tr(G P G^H) = 1.
 
-    rzf: (H H^H + z I)^{-1} H; zf: H (H^H H)^{-1}; mrt: H. H is one (M, K)
+    rzf: H (H^H H + z I_K)^{-1} = (H H^H + z I_M)^{-1} H, solved on the
+    smaller Gram: K x K when K <= M, else M x M (each side's form is the
+    accurate one there); zf: H (H^H H)^{-1}; mrt: H. H is one (M, K)
     channel or a (T, M, K) stack of them; each trial is scaled on its own.
     """
     Hs = H[None] if H.ndim == 2 else H
@@ -71,7 +76,11 @@ def build_precoder(H: np.ndarray, kind: str, p: np.ndarray,
     if kind == "rzf":
         if z is None or z <= 0:
             raise ValueError("rzf needs a positive regularization z")
-        G0 = np.linalg.solve(Hs @ _herm_t(Hs) + z * np.eye(M), Hs)
+        if K <= M:      # H A^{-1} = (A^{-1} H^H)^H for the Hermitian A
+            Hh = _herm_t(Hs)
+            G0 = _herm_t(np.linalg.solve(Hh @ Hs + z * np.eye(K), Hh))
+        else:
+            G0 = np.linalg.solve(Hs @ _herm_t(Hs) + z * np.eye(M), Hs)
     elif kind == "zf":
         if M < K:
             raise FeasibilityError(f"ZF infeasible: M={M} < K={K}")
@@ -118,8 +127,7 @@ def _trial_rates(sampler: ChannelSampler, p, sigma2, kind, z, seed,
     m_scale = np.sqrt(sampler.M)
     rates = np.empty(trials)
     for lo, hi in _blocks(trials, block):
-        rngs = [trial_rng(seed, trial) for trial in range(lo, hi)]
-        H = sampler.draw(rngs).H
+        H = sampler.draw(range(lo, hi), seed).H
         G = build_precoder(H, kind, p, z)
         gam = instantaneous_sinr(H, m_scale * G, p, sigma2)
         rates[lo:hi] = np.log2(1.0 + gam).sum(axis=-1)
@@ -173,7 +181,7 @@ def resolvent_probe(scenario: Scenario, s: np.ndarray | None,
     V_sum = np.zeros((K, M, M), dtype=complex)
     omega_acc, upsZ_acc, lam_acc = np.zeros(K), np.zeros(K), np.zeros((K, K))
     for lo, hi in _blocks(trials):
-        sample = sampler.draw([trial_rng(seed, t) for t in range(lo, hi)])
+        sample = sampler.draw(range(lo, hi), seed)
         Q = np.linalg.inv(z * np.eye(M) + sample.H @ _herm_t(sample.H))
         RX = (sampler.R_half @ sample.X)[:, None]       # (T, 1, M, L)
         U = Q[:, None] @ (RX @ C @ _herm_t(RX))         # (T, K, M, M)

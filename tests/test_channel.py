@@ -164,6 +164,17 @@ class TestReassignedFieldsAreChecked:
         with pytest.raises(channel.DomainError, match=rf"{name}\[1\]"):
             setattr(corr, name, [good, A])
 
+    @pytest.mark.parametrize("name", ["F_tot", "C_R"])
+    def test_per_user_entry_cannot_be_assigned(self, rng, name):
+        # a per-user field is a tuple, so no entry skips check_psd
+        corr = self.corr(rng)
+        n = self.M if name == "F_tot" else self.L
+        setattr(corr, name, [random_correlation(n, rng) for _ in range(3)])
+        stored = getattr(corr, name)
+        assert isinstance(stored, tuple) and len(stored) == 3
+        with pytest.raises(TypeError):
+            stored[1] = -random_correlation(n, rng)
+
     def test_skew_is_stored_exactly_hermitian(self, rng):
         corr = self.corr(rng)
         B = rng.standard_normal((self.M, self.M))
@@ -523,8 +534,9 @@ class TestCascadedStackCache:
             corr.C_L = random_correlation(L, rng)
         elif field == "C_R":
             corr.C_R = [random_correlation(L, rng) for _ in corr.C_R]
-        else:
-            corr.C_R[1] = random_correlation(L, rng)
+        else:       # one entry changes with its whole field
+            corr.C_R = (corr.C_R[0], random_correlation(L, rng),
+                        *corr.C_R[2:])
         C = sc.stats_uncommon()[2]
         assert C.tobytes() == self.uncached(sc).tobytes()
         assert not np.array_equal(C, before)
@@ -588,6 +600,40 @@ class TestSampling:
             h = np.sqrt(sc.u[k]) * Fk_half @ sample.W[:, k] \
                 + Z_k @ sample.Y[:, k]
             assert np.allclose(h, sample.H[:, k], atol=1e-12)
+
+    @pytest.mark.parametrize("seed,lo,hi", [(3, 0, 16), (3, 37, 53),
+                                            (2 ** 64 - 5, 0, 16)])
+    def test_block_fill_is_trial_rng_bit_for_bit(self, rng, monkeypatch,
+                                                 seed, lo, hi):
+        # the block re-keys the sampler's Philox: each trial's normals are
+        # still trial_rng(seed, t)'s, whatever the block's first trial
+        sc = self._scenario(rng)
+        sampler = ChannelSampler(sc, None, rng.uniform(0, 2 * np.pi, 6))
+        M, K, L = 10, 3, 6
+        n = 2 * (M * L + M * K + L * K)
+        ref = [trial_rng(seed, t).standard_normal(n) for t in range(lo, hi)]
+        one = [sampler.draw(trial_rng(seed, t)) for t in range(lo, hi)]
+        built = []
+
+        def counted(*args, _philox=np.random.Philox, **kw):
+            built.append(kw)
+            return _philox(*args, **kw)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        block = sampler.draw(range(lo, hi), seed)
+        assert len(built) <= 1
+        scale = np.sqrt([1.0 / (2 * M), 1.0 / (2 * M), 1.0 / (2 * L)])
+        for t, g in enumerate(ref):
+            at = 0
+            for name, c in zip("XWY", scale):
+                A = getattr(block, name)[t]
+                for part in (A.real, A.imag):
+                    assert part.tobytes() == (g[at:at + A.size] * c).reshape(
+                        A.shape).tobytes()
+                    at += A.size
+            for name in "HXWY":
+                assert getattr(block, name)[t].tobytes() == \
+                    getattr(one[t], name).tobytes()
 
     def test_fig1_scenario_shapes(self):
         sc = fig1_scenario(16, 80.0, K=4, L=8)

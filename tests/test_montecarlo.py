@@ -53,6 +53,18 @@ class TestBuildPrecoder:
             angle = np.arccos(min(1.0, abs(np.vdot(a, b))))
             assert angle < 1e-4
 
+    @pytest.mark.parametrize("M,K", [(24, 12), (8, 12)])
+    def test_rzf_matches_svd_form_at_tiny_z(self, rng, M, K):
+        # H (H^H H + z I)^{-1} = U diag(s / (s^2 + z)) V^H; at z = 1e-9 only
+        # the smaller Gram's solve keeps the columns to 1e-12
+        H = rand_H(rng, M, K)
+        p, z = rng.uniform(0.5, 2.0, K), 1e-9
+        U, sv, Vh = np.linalg.svd(H, full_matrices=False)
+        ref = (U * (sv / (sv ** 2 + z))) @ Vh
+        ref /= np.sqrt(np.real(np.einsum("mk,k,mk->", ref.conj(), p, ref)))
+        G = build_precoder(H, "rzf", p, z)
+        assert np.abs(G - ref).max() < 1e-12 * np.abs(ref).max()
+
     def test_zf_rank_check(self, rng):
         H = rand_H(rng, 8, 3)
         H[:, 2] = H[:, 1]          # rank deficient

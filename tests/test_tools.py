@@ -72,8 +72,10 @@ def test_figure_rows_diff_prints_the_rows_that_moved(tmp_path, capsys,
                                                      monkeypatch):
     figure_rows = load_tool("figure_rows")
 
-    def row_file(name, fig5, fig6):
-        rows = {"fig5": [("fig5_W3", 3.0, "de_joint", fig5)],
+    def row_file(name, fig5, fig6, fig1=9.87):
+        rows = {"fig1": [("fig1_M24", 80.0, "de_rzf", 10.01),
+                         ("fig1_M24", 80.0, "mc_rzf", fig1)],
+                "fig5": [("fig5_W3", 3.0, "de_joint", fig5)],
                 "fig6": [("fig6_K4", 4.0, "de_joint", 45.2),
                          ("fig6_K4", 4.0, "de_uniform", fig6)]}
         path = tmp_path / name
@@ -88,10 +90,12 @@ def test_figure_rows_diff_prints_the_rows_that_moved(tmp_path, capsys,
 
     monkeypatch.setattr(figure_rows, "run_recipes", no_recipe)
     parent = row_file("parent.json", 55.6022, 44.339)
-    # fig5 moves by 4.3e-3, fig6 de_uniform by 5e-7: only fig5 is printed
-    change = row_file("change.json", 55.5979, 44.3390005)
+    # fig1 mc_rzf moves by 2e-3, fig5 by 4.3e-3, fig6 de_uniform by 5e-7:
+    # fig1 and fig5 are printed
+    change = row_file("change.json", 55.5979, 44.3390005, fig1=9.872)
     assert figure_rows.main(["--diff", parent, change]) == 0
     assert capsys.readouterr().out.splitlines() == [
+        "fig1_M24\t80.0\tmc_rzf\t9.87\t9.872",
         "fig5_W3\t3.0\tde_joint\t55.6022\t55.5979"]
     assert figure_rows.main(["--diff", parent, parent]) == 0
     assert capsys.readouterr().out == ""

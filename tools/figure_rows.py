@@ -1,23 +1,28 @@
-"""Time the optimization figure recipes of a checkout and print their rows.
+"""Time the figure recipes of a checkout and print their rows.
 
     python3 tools/figure_rows.py --root ../parent > parent_rows.json
     python3 tools/figure_rows.py > change_rows.json
     python3 tools/figure_rows.py --diff parent_rows.json change_rows.json
 
 Imports fasris from `<root>/src` (default: this working tree), pins BLAS to
-one thread, runs `sweep.run_figure` for fig3, fig5, fig6 and fig7 into a
-temporary directory, and prints one JSON object: the checkout's git
-revision (null outside a git checkout), the trial count, the total wall
-time and, per recipe, its wall time and every `de_*` row of its CSV. The
-`de_*` rows are deterministic equivalents, so they do not depend on
-`--trials`. perfbench does not run these recipes; run this script on
-both sides of a change on one host to compare them.
+one thread, runs `sweep.run_figure` for fig1, fig2, fig3, fig4, fig5, fig6
+and fig7 into a temporary directory, and prints one JSON object: the
+checkout's git revision (null outside a git checkout), the trial count, the
+total wall time and, per recipe, its wall time and every row of its CSV.
+The optimization recipes (fig3, fig5-fig7) write `de_joint` and
+`de_uniform` rows; the accuracy and precoder recipes (fig1, fig2, fig4)
+write a `de` and an `mc` row per precoder, kept as `de_<precoder>` and
+`mc_<precoder>`. The `de_*` rows are deterministic equivalents, so they do
+not depend on `--trials`; the `mc_*` rows are Monte-Carlo means over
+`--trials` trials at the recipes' fixed seed. perfbench does not run these
+recipes; run this script on both sides of a change on one host to compare
+them.
 
 `--diff PARENT.json` prints, instead of the JSON object, one tab-separated
-line (scenario, axis value, method, parent ESR, change ESR) for every `de_*`
-row whose ESR differs from the parent's by more than 1e-6, a row on one
-side only included ("-" for the missing ESR). The change's rows come from
-the optional positional file, or else from running the recipes.
+line (scenario, axis value, method, parent ESR, change ESR) for every row
+whose ESR differs from the parent's by more than 1e-6, a row on one side
+only included ("-" for the missing ESR). The change's rows come from the
+optional positional file, or else from running the recipes.
 """
 
 import os
@@ -35,7 +40,7 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 TREE = Path(__file__).resolve().parent.parent
-FIGURES = ("fig3", "fig5", "fig6", "fig7")
+FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 DIFF_TOL = 1e-6
 
 
@@ -73,9 +78,10 @@ def run_recipes(root: Path, trials: int) -> dict:
             with open(paths["csv"], newline="") as fh:
                 rows = [{"scenario_id": r["scenario_id"],
                          "axis_value": float(r["axis_value"]),
-                         "method": r["method"], "esr": float(r["esr"])}
-                        for r in csv.DictReader(fh)
-                        if r["method"].startswith("de_")]
+                         "method": (r["method"] if "_" in r["method"] else
+                                    f"{r['method']}_{r['precoder']}"),
+                         "esr": float(r["esr"])}
+                        for r in csv.DictReader(fh)]
             figures[name] = {"wall_s": wall, "rows": rows}
     return {"rev": rev or None, "trials": trials,
             "wall_s": sum(f["wall_s"] for f in figures.values()),
