@@ -5,9 +5,9 @@ from .channel import (ChannelSample, ChannelSampler, CorrelationSet,
                       DegenerateGridError, Dimensions, DomainError,
                       PathLossParams, PlanarFasGeometry, RisAngularProfile,
                       Scenario, db2lin, effective_ris_correlation,
-                      embed_selection, fas_correlation_matrix, path_loss,
-                      phase_matrix, ris_correlation_matrices,
-                      ris_correlation_matrix, select_submatrix, trial_rng)
+                      fas_correlation_matrix, path_loss, phase_matrix,
+                      ris_correlation_matrices, ris_correlation_matrix,
+                      select_submatrix, trial_rng)
 from .fixed_point import (CommonSolution, ConvergenceError, FeasibilityError,
                           IidSolution, SolverSettings, UncommonSolution,
                           backsubstitution_residual, solve_iid_zf,

@@ -90,6 +90,16 @@ def psd_sqrt(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     return herm((V * np.sqrt(w)) @ V.conj().T)
 
 
+def _read_only(A: np.ndarray) -> np.ndarray:
+    A.flags.writeable = False
+    return A
+
+
+def _same_bytes(A, B: np.ndarray) -> bool:
+    A = np.asarray(A)
+    return (A.dtype, A.shape, A.tobytes()) == (B.dtype, B.shape, B.tobytes())
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -176,17 +186,17 @@ class PathLossParams:
             raise ValueError("reference gain must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrelationSet:
-    """Correlation matrices of a scenario.
+    """Correlation matrices of a scenario, checked once and read-only.
 
     F_tot (direct link) and C_R (RIS transmit side) are either one matrix
     shared by every user or a per-user list, stored as a tuple; R_tot is the
     BS-side correlation toward the RIS, C_L the RIS receive side. The data
-    alone decides the correlation regime, see `shared`. Every assignment of
-    one of these four fields, the constructor's included, stores its
-    `check_psd` result (`_checked`), so a field reassigned later is checked
-    as well, and a per-user entry can only change with its whole field.
+    alone decides the correlation regime, see `shared`. Each field stores
+    its `check_psd` result as a read-only array; an F_tot with the bytes of
+    the input R_tot shares R_tot's checked array. A variant is a new set
+    from `dataclasses.replace`, which checks every matrix again.
     """
 
     R_tot: np.ndarray
@@ -195,29 +205,21 @@ class CorrelationSet:
     C_R: np.ndarray | tuple[np.ndarray, ...]
     _roots: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
-    _stack: tuple = field(default=(None,), init=False, repr=False,
-                          compare=False)
+    _stack: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
-    def __setattr__(self, name, value):
-        if name in ("R_tot", "F_tot", "C_L", "C_R"):
-            value = self._checked(name, value)
-        object.__setattr__(self, name, value)
-
-    def _checked(self, name: str, A):
-        """check_psd of A, or the tuple of each matrix of a list or tuple.
-        An F_tot with the bytes of R_tot, or of the input R_tot was checked
-        from, checks the same: it gets a copy of R_tot."""
-        if isinstance(A, (list, tuple)):
-            return tuple(check_psd(Ak, f"{name}[{k}]")
-                         for k, Ak in enumerate(A))
-        A = np.asarray(A)
-        key = (A.dtype, A.shape, A.tobytes())
-        if name == "R_tot":
-            object.__setattr__(self, "_R_input", key)
-        elif name == "F_tot" and key in (self._R_input, (
-                self.R_tot.dtype, self.R_tot.shape, self.R_tot.tobytes())):
-            return self.R_tot.copy()
-        return check_psd(A, name)
+    def __post_init__(self):
+        R_input = np.asarray(self.R_tot)
+        for name in ("R_tot", "F_tot", "C_L", "C_R"):
+            A = getattr(self, name)
+            if isinstance(A, (list, tuple)):
+                A = tuple(_read_only(check_psd(Ak, f"{name}[{k}]"))
+                          for k, Ak in enumerate(A))
+            elif name == "F_tot" and _same_bytes(A, R_input):
+                A = self.R_tot
+            else:
+                A = _read_only(check_psd(A, name))
+            object.__setattr__(self, name, A)
 
     @property
     def shared(self) -> bool:
@@ -228,31 +230,28 @@ class CorrelationSet:
                 and np.array_equal(self.F_tot, self.R_tot))
 
     def root(self, A: np.ndarray, name: str = "matrix") -> np.ndarray:
-        """psd_sqrt(A), computed once per matrix object held by this set.
+        """psd_sqrt(A) of one of this set's matrices, computed once.
 
-        The cache holds A itself, so its id is never reused while cached; a
-        field that is reassigned gets the root of its new matrix.
+        The set holds its matrices, read-only, as long as it lives, so a
+        matrix's id names it for the cache's lifetime.
         """
         hit = self._roots.get(id(A))
         if hit is None:
-            root = psd_sqrt(A, name)
-            root.flags.writeable = False    # shared by every caller
-            hit = self._roots[id(A)] = (A, root)
-        return hit[1]
+            hit = self._roots[id(A)] = _read_only(psd_sqrt(A, name))
+        return hit
 
     def cascaded_stack(self, phi, t: np.ndarray) -> np.ndarray:
-        """The read-only (K, L, L) stack of C_k at (phi, t_k), cached like
-        `root`: one entry per set, holding C_L and every C_R themselves."""
-        mats = (self.C_L, *self.c_r_list(len(t)))
+        """The read-only (K, L, L) stack of C_k at (phi, t_k); the set keeps
+        the last one, keyed by the bytes of phi and t (its matrices never
+        change)."""
         key = (None if phi is None else np.asarray(phi, float).tobytes(),
-               t.tobytes(), *map(id, mats))
-        if self._stack[0] != key:
+               t.tobytes())
+        if self._stack.get("key") != key:
             C = np.stack([effective_ris_correlation(self.C_L, phi, CR, t[k],
                                                     self.root)[1]
-                          for k, CR in enumerate(mats[1:])])
-            C.flags.writeable = False
-            self._stack = (key, mats, C)
-        return self._stack[2]
+                          for k, CR in enumerate(self.c_r_list(len(t)))])
+            self._stack.update(key=key, C=_read_only(C))
+        return self._stack["C"]
 
     def f_tot_list(self, K: int) -> list[np.ndarray]:
         return list(self.F_tot) if isinstance(self.F_tot, tuple) else [self.F_tot] * K
@@ -261,14 +260,17 @@ class CorrelationSet:
         return list(self.C_R) if isinstance(self.C_R, tuple) else [self.C_R] * K
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Single source of truth for one problem instance.
+    """Single source of truth for one problem instance, checked once.
 
     Gains u (direct) and t (cascaded) are linear per-user scalars; p is the
-    per-user transmit power; sigma2 the linear noise power. Correlation
-    matrices live at full port resolution (M_tot); `stats_*` helpers produce
-    the selected-port inputs the solvers consume.
+    per-user transmit power; sigma2 the linear noise power. u, t and p are
+    stored as read-only float copies. Correlation matrices live at full port
+    resolution (M_tot, else M) and must match `dims`; `stats_*` helpers
+    produce the selected-port inputs the solvers consume. A variant is a new
+    scenario from `dataclasses.replace`, which checks it again and shares
+    the correlation set.
     """
 
     dims: Dimensions
@@ -281,15 +283,23 @@ class Scenario:
 
     def __post_init__(self):
         K = self.dims.K
-        self.u = np.asarray(self.u, dtype=float).reshape(K)
-        self.t = np.asarray(self.t, dtype=float).reshape(K)
-        self.p = np.asarray(self.p, dtype=float).reshape(K)
+        for name in ("u", "t", "p"):
+            object.__setattr__(self, name, _read_only(
+                np.array(getattr(self, name), dtype=float).reshape(K)))
         if (self.u < 0).any() or (self.t < 0).any():
             raise ValueError("link gains must be nonnegative")
         if (self.p <= 0).any():
             raise ValueError("transmit powers must be positive")
         if self.sigma2 <= 0:
             raise ValueError("noise power must be positive")
+        n, L = self.dims.M_tot or self.dims.M, self.dims.L
+        for name, size in (("R_tot", n), ("F_tot", n), ("C_L", L), ("C_R", L)):
+            A = getattr(self.correlations, name)
+            if isinstance(A, tuple) and len(A) != K:
+                raise ValueError(f"{name} has {len(A)} entries for K={K}")
+            if any(Ak.shape != (size, size)
+                   for Ak in (A if isinstance(A, tuple) else (A,))):
+                raise ValueError(f"{name} must be {size} x {size}: {self.dims}")
 
     @property
     def homogeneous(self) -> bool:
@@ -478,20 +488,6 @@ def select_submatrix(A_tot: np.ndarray, s: np.ndarray, m: int | None = None) -> 
     return A_tot[np.ix_(idx, idx)]
 
 
-def embed_selection(A_tot: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Full-size relaxed-selection surrogate A_tot^{1/2} diag(s) A_tot^{1/2}.
-
-    For s in [0,1]^{M_tot} this is the correlation the relaxed port-selection
-    objective is evaluated on; for binary s its nonzero spectrum equals that
-    of the directly selected submatrix.
-    """
-    s = np.asarray(s, dtype=float)
-    if (s < 0).any() or (s > 1).any():
-        raise ConstraintError("relaxed selection entries must lie in [0, 1]")
-    root = psd_sqrt(A_tot, "A_tot")
-    return herm((root * s[None, :]) @ root)
-
-
 # ---------------------------------------------------------------------------
 # RIS phase composition and channel sampling
 # ---------------------------------------------------------------------------
@@ -528,9 +524,9 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Counter-based substream: same draws for a trial regardless of order.
 
     The stream is Philox-4x64 keyed by (seed mod 2^64, trial), its counter
-    at 0 and its output buffer empty. A seeded `ChannelSampler.draw`
-    reproduces it bit for bit by setting the sampler's one Philox to that
-    state for every trial.
+    at 0 and its output buffer empty. `ChannelSampler.draw` reproduces it
+    bit for bit by setting the sampler's one Philox to that state for every
+    trial.
     """
     key = np.array([seed & _U64, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -540,9 +536,9 @@ class ChannelSampler:
     """Caches matrix square roots so repeated trials only draw Gaussians.
 
     h_k = sqrt(u_k) F_{c,k}^{1/2} w_k + sqrt(t_k) R^{1/2} X C_L^{1/2} Phi C_{R,k}^{1/2} y_k,
-    with X, w_k entrywise CN(0, 1/M) and y_k entrywise CN(0, 1/L). A seeded
-    draw re-keys the sampler's one Philox for each trial, so one sampler
-    draws in one thread at a time.
+    with X, w_k entrywise CN(0, 1/M) and y_k entrywise CN(0, 1/L). A draw
+    re-keys the sampler's one Philox for each trial, so one sampler draws in
+    one thread at a time.
     """
 
     def __init__(self, scenario: Scenario, s: np.ndarray | None = None,
@@ -568,35 +564,27 @@ class ChannelSampler:
             return (A if Phi is None else A @ Phi) @ corr.root(CR, f"C_R[{k}]")
         self.C_half = np.stack([cascaded(k, CR) for k, CR
                                 in enumerate(corr.c_r_list(self.K))])
-        # the one Philox that `_substreams` re-keys for every trial
+        # the one Philox that `draw` re-keys for every trial
         self._stream = np.random.Generator(np.random.Philox())
 
-    def _substreams(self, seed: int, trials):
-        """trial_rng(seed, t) for t in trials, as the sampler's one Generator
-        re-keyed in turn through its `state` (key (seed, t), counter 0, empty
-        buffer): each value is valid until the next is taken. Re-keying skips
-        the entropy-seeded SeedSequence that every Philox(key=) builds."""
-        gen = self._stream
-        state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
-                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        for t in trials:
-            state["state"] = {"counter": (0, 0, 0, 0), "key": (seed & _U64, t)}
-            gen.bit_generator.state = state
-            yield gen
-
-    def draw(self, trials, seed: int | None = None) -> ChannelSample:
-        """One draw from a Generator, or a (T, ...) stack: of the trials
-        `trials` of `seed`, trial t from the stream trial_rng(seed, t), or
-        from a sequence of Generators. Each trial reads only its own stream,
-        so no stack changes its channel."""
-        single = isinstance(trials, np.random.Generator)
-        trials = [trials] if single else list(trials)
+    def draw(self, trials, seed: int) -> ChannelSample:
+        """The (T, ...) stack of the trials `trials` of `seed`, trial t from
+        the stream trial_rng(seed, t). Each trial reads only its own stream,
+        so no stack changes its channel: the sampler's one Generator is
+        re-keyed for each trial through its `state` (key (seed, t), counter
+        0, empty buffer), which skips the entropy-seeded SeedSequence that
+        every Philox(key=) builds."""
+        trials = list(trials)
         M, K, L = self.M, self.K, self.L
         # per trial: real then imaginary parts of X, then of W, then of Y
         g = np.empty((len(trials), 2 * (M * L + M * K + L * K)))
-        rngs = trials if seed is None else self._substreams(seed, trials)
-        for t, rng in enumerate(rngs):
-            rng.standard_normal(out=g[t])
+        gen = self._stream
+        state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for i, t in enumerate(trials):
+            state["state"] = {"counter": (0, 0, 0, 0), "key": (seed & _U64, t)}
+            gen.bit_generator.state = state
+            gen.standard_normal(out=g[i])
         X, W, Y = (np.empty((len(trials), rows, cols), dtype=complex)
                    for rows, cols in ((M, L), (M, K), (L, K)))
         at = 0
@@ -610,6 +598,4 @@ class ChannelSampler:
         CY = (self.C_half @ Y.transpose(0, 2, 1)[..., None])[..., 0]
         FW = (self.F_half @ W.transpose(0, 2, 1)[..., None])[..., 0]
         H = FW.transpose(0, 2, 1) + self.R_half @ (X @ CY.transpose(0, 2, 1))
-        if single:
-            H, X, W, Y = H[0], X[0], W[0], Y[0]
         return ChannelSample(H=H, X=X, W=W, Y=Y)

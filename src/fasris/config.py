@@ -166,7 +166,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         F_tot = from_file("F_tot")
         if F_tot is None:
             F_tot = (_ris_profile(block["F_profile"], n_ports)
-                     if "F_profile" in block else R_tot.copy())
+                     if "F_profile" in block else R_tot)
         C_R = from_file("C_R")
         if C_R is None:
             C_R = _ris_profile(profiles["C_R"], L) if "C_R" in profiles else np.eye(L)

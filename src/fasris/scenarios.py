@@ -8,6 +8,8 @@ degree angle between the BS-RIS and RIS-user links.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .channel import (CorrelationSet, Dimensions, PathLossParams,
@@ -93,7 +95,7 @@ def fig3_scenario(sigma2_inv_db: float, K: int = 8, L: int = 32,
     t = np.array([ris_leg_gain(d) for d in d_ris])
     u = np.array([direct_gain(d) for d in d_bs])
     p = np.array([(k // 2) + 1.0 for k in range(K)])
-    corr = CorrelationSet(R_tot=R_tot, F_tot=R_tot.copy(), C_L=C_L, C_R=C_R)
+    corr = CorrelationSet(R_tot=R_tot, F_tot=R_tot, C_L=C_L, C_R=C_R)
     sc = Scenario(dims=Dimensions(M=M, K=K, L=L, M_tot=N * N),
                   correlations=corr, u=u, t=t, p=p,
                   sigma2=db2lin(-sigma2_inv_db), name=f"fig3_K{K}")
@@ -101,22 +103,18 @@ def fig3_scenario(sigma2_inv_db: float, K: int = 8, L: int = 32,
 
 
 def fig6_scenario(K: int, sigma2_inv_db: float, L: int = 32) -> tuple[Scenario, int]:
-    """User-count sweep: homogeneous gains from the first-user distances."""
+    """User-count sweep: fig3's scenario, replaced with homogeneous gains
+    from the first-user distances and unit powers."""
     sc, M = fig3_scenario(sigma2_inv_db, K=K, L=L)
-    t1 = ris_leg_gain(20.0)
-    u1 = direct_gain(22.9)
-    sc.u = np.full(K, u1)
-    sc.t = np.full(K, t1)
-    sc.p = np.ones(K)
-    sc.name = f"fig6_K{K}"
-    return sc, M
+    return replace(sc, u=np.full(K, direct_gain(22.9)),
+                   t=np.full(K, ris_leg_gain(20.0)), p=np.ones(K),
+                   name=f"fig6_K{K}"), M
 
 
 def fig8_scenario(sigma2_inv_db: float) -> tuple[Scenario, int]:
     """Homogeneous regularizer-search setup (M = 20, L = 32, K = 24)."""
     sc, M = fig6_scenario(24, sigma2_inv_db)
-    sc.name = "fig8"
-    return sc, M
+    return replace(sc, name="fig8"), M
 
 
 def uniform_selection(M: int, M_tot: int) -> np.ndarray:
@@ -171,7 +169,7 @@ def random_scenario(rng: np.random.Generator, mode: str, M: int, K: int,
         F_tot = [random_correlation(n, rng) for _ in range(K)]
         C_R = [random_correlation(L, rng) for _ in range(K)]
     else:
-        F_tot = R_tot.copy()
+        F_tot = R_tot
         C_R = random_correlation(L, rng)
     corr = CorrelationSet(R_tot=R_tot, F_tot=F_tot, C_L=C_L, C_R=C_R)
     return Scenario(dims=Dimensions(M=M, K=K, L=L, M_tot=M_tot),

@@ -9,6 +9,7 @@ files are byte-identical for a fixed seed.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -254,11 +255,9 @@ def figure_fig7(out_dir: Path, trials: int, seed: int, timing: bool,
                 Ms=(12, 16, 20, 24, 28)) -> dict:
     """Selected-port sweep at 90 dB: joint optimization vs uniform+AO."""
     def points():
+        sc = sc_mod.fig3_scenario(90.0)[0]      # one set for every M
         for M in Ms:
-            sc, _ = sc_mod.fig3_scenario(90.0)
-            sc.dims = type(sc.dims)(M=M, K=sc.dims.K, L=sc.dims.L,
-                                    M_tot=sc.dims.M_tot)
-            yield M, f"fig7_M{M}", sc, M
+            yield M, f"fig7_M{M}", replace(sc, dims=replace(sc.dims, M=M)), M
     return _joint_vs_uniform(out_dir, "fig7", points(), "M",
                              "selected ports M",
                              "Impact of selected-port count")

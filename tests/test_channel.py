@@ -1,5 +1,7 @@
 """Correlation builders, path loss, selection, channel sampling."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
@@ -7,15 +9,14 @@ from scipy.linalg import sqrtm
 from fasris import (ChannelSampler, CorrelationSet, DegenerateGridError,
                     Dimensions, PathLossParams, PlanarFasGeometry,
                     RisAngularProfile, Scenario, db2lin,
-                    effective_ris_correlation, embed_selection,
-                    fas_correlation_matrix, path_loss, phase_matrix,
-                    ris_correlation_matrices, ris_correlation_matrix,
-                    select_submatrix, trial_rng)
+                    effective_ris_correlation, fas_correlation_matrix,
+                    path_loss, phase_matrix, ris_correlation_matrices,
+                    ris_correlation_matrix, select_submatrix, trial_rng)
 from fasris import channel
 from fasris.channel import ConstraintError, PrecisionError, psd_sqrt
 from fasris.scenarios import (bs_user_distance, cascaded_gain, direct_gain,
                               fig1_scenario, fig3_scenario,
-                              random_correlation)
+                              random_correlation, random_scenario)
 
 GEOM = PlanarFasGeometry(W_x=2.0, W_y=2.0, N_x=10, N_y=10)
 
@@ -129,8 +130,7 @@ class TestCheckPsd:
         corr = fig3_scenario(80.0)[0].correlations
         assert names == ["FAS correlation matrix", "RIS correlation matrix",
                          "RIS correlation matrix", "R_tot", "C_L", "C_R"]
-        assert corr.F_tot is not corr.R_tot
-        assert corr.F_tot.tobytes() == corr.R_tot.tobytes()
+        assert corr.F_tot is corr.R_tot
         R = fas_correlation_matrix(GEOM)
         other = CorrelationSet(R_tot=R, F_tot=R + 0.0 * 1j, C_L=corr.C_L,
                                C_R=corr.C_R)    # equal values, other bytes
@@ -139,7 +139,8 @@ class TestCheckPsd:
 
 
 class TestReassignedFieldsAreChecked:
-    """A field assigned after construction takes the constructor's check."""
+    """A field replaced after construction, by `dataclasses.replace`, takes
+    the constructor's check."""
 
     M, L = 6, 5
 
@@ -160,32 +161,35 @@ class TestReassignedFieldsAreChecked:
         else:
             A = -A
         with pytest.raises(channel.DomainError, match=name):
-            setattr(corr, name, A)
+            replace(corr, **{name: A})
         with pytest.raises(channel.DomainError, match=rf"{name}\[1\]"):
-            setattr(corr, name, [good, A])
+            replace(corr, **{name: [good, A]})
 
     @pytest.mark.parametrize("name", ["F_tot", "C_R"])
     def test_per_user_entry_cannot_be_assigned(self, rng, name):
-        # a per-user field is a tuple, so no entry skips check_psd
-        corr = self.corr(rng)
+        # a per-user field is a tuple of read-only matrices, so no entry
+        # skips check_psd
         n = self.M if name == "F_tot" else self.L
-        setattr(corr, name, [random_correlation(n, rng) for _ in range(3)])
+        corr = replace(self.corr(rng), **{
+            name: [random_correlation(n, rng) for _ in range(3)]})
         stored = getattr(corr, name)
         assert isinstance(stored, tuple) and len(stored) == 3
         with pytest.raises(TypeError):
             stored[1] = -random_correlation(n, rng)
+        with pytest.raises(ValueError, match="read-only"):
+            stored[1][0, 0] = 2.0
 
     def test_skew_is_stored_exactly_hermitian(self, rng):
         corr = self.corr(rng)
         B = rng.standard_normal((self.M, self.M))
         A = random_correlation(self.M, rng) + 1e-17 * (B - B.T)    # skew
         assert not np.array_equal(A, A.conj().T)
-        corr.F_tot = A
+        corr = replace(corr, F_tot=A)
         assert np.array_equal(corr.F_tot, corr.F_tot.conj().T)
         assert corr.F_tot.tobytes() == channel.check_psd(A).tobytes()
 
-    def test_f_tot_equal_to_r_tot_is_a_copy_checked_once(self, rng,
-                                                        monkeypatch):
+    def test_f_tot_equal_to_r_tot_shares_its_checked_array(self, rng,
+                                                           monkeypatch):
         corr = self.corr(rng)
         names = []
 
@@ -195,8 +199,89 @@ class TestReassignedFieldsAreChecked:
 
         monkeypatch.setattr(channel, "check_psd", recorded)
         assert not corr.shared
-        corr.F_tot = corr.R_tot
-        assert corr.shared and corr.F_tot is not corr.R_tot and not names
+        corr = replace(corr, F_tot=corr.R_tot)
+        assert corr.shared and corr.F_tot is corr.R_tot
+        assert names == ["R_tot", "C_L", "C_R"]
+
+
+class TestImmutableScenario:
+    """Problem data is checked once, when it is built: fields cannot be
+    assigned, stored arrays cannot be written, and a variant built by
+    `dataclasses.replace` is checked again."""
+
+    @staticmethod
+    def scenario():
+        return random_scenario(np.random.default_rng(1), "uncommon", 6, 3, 5)
+
+    def test_a_variant_is_a_new_checked_object(self):
+        sc = self.scenario()
+        with pytest.raises(FrozenInstanceError):
+            sc.p = -np.ones(3)
+        with pytest.raises(FrozenInstanceError):
+            sc.correlations.C_L = np.eye(5)
+        with pytest.raises(ValueError, match="powers"):
+            replace(sc, p=-np.ones(3))
+        with pytest.raises(ValueError, match="gains"):
+            replace(sc, t=-sc.t)
+        with pytest.raises(ValueError, match="noise"):
+            replace(sc, sigma2=0.0)
+
+    def test_stored_arrays_are_read_only(self):
+        sc = self.scenario()
+        corr = sc.correlations
+        for A in (sc.u, sc.t, sc.p, corr.R_tot, corr.C_L, *corr.F_tot,
+                  *corr.C_R, corr.root(corr.C_L)):
+            with pytest.raises(ValueError, match="read-only"):
+                A[0] = 2.0 * A[0]
+
+    def test_inputs_are_copied_not_frozen(self, rng):
+        u = np.ones(3)
+        R = random_correlation(6, rng)
+        sc = Scenario(dims=Dimensions(M=6, K=3, L=5),
+                      correlations=CorrelationSet(
+                          R_tot=R, F_tot=R, C_L=np.eye(5), C_R=np.eye(5)),
+                      u=u, t=u, p=u, sigma2=0.3)
+        u[0] = R[0, 0] = 2.0
+        assert sc.u[0] == 1.0 and sc.correlations.R_tot[0, 0] != 2.0
+
+    def test_replaced_c_l_takes_the_new_matrix(self):
+        # a C_L tripled in place would leave the cached C_k stack stale
+        from fasris.optimize import deterministic_esr
+        sc = self.scenario()
+        corr = sc.correlations
+        assert deterministic_esr(sc, None, None, "rzf").esr == \
+            pytest.approx(8.435602941757404, rel=1e-12)
+        with pytest.raises(ValueError, match="read-only"):
+            corr.C_L *= 3.0
+        tripled = replace(sc, correlations=replace(corr, C_L=3.0 * corr.C_L))
+        fresh = random_scenario(np.random.default_rng(1), "uncommon", 6, 3, 5)
+        fresh = replace(fresh, correlations=CorrelationSet(
+            R_tot=fresh.correlations.R_tot, F_tot=fresh.correlations.F_tot,
+            C_L=3.0 * fresh.correlations.C_L, C_R=fresh.correlations.C_R))
+        esr = deterministic_esr(tripled, None, None, "rzf").esr
+        assert esr == deterministic_esr(fresh, None, None, "rzf").esr
+        assert esr == pytest.approx(9.855563222013707, rel=1e-12)
+
+    @pytest.mark.parametrize("dims, field", [
+        (Dimensions(M=6, K=3, L=5, M_tot=10), "R_tot"),
+        (Dimensions(M=5, K=3, L=5), "R_tot"),
+        (Dimensions(M=6, K=3, L=7), "C_L"),
+        (Dimensions(M=6, K=2, L=5), "F_tot"),
+        (Dimensions(M=6, K=4, L=5), "F_tot")])
+    def test_matrix_shapes_must_match_dims(self, dims, field):
+        sc = self.scenario()
+        K = dims.K
+        with pytest.raises(ValueError, match=field):
+            replace(sc, dims=dims, u=np.ones(K), t=np.ones(K), p=np.ones(K))
+
+    @pytest.mark.parametrize("field", ["F_tot", "C_R"])
+    def test_per_user_entry_shapes_must_match_dims(self, field):
+        sc = self.scenario()
+        corr = sc.correlations
+        bad = list(getattr(corr, field))
+        bad[2] = np.eye(4)
+        with pytest.raises(ValueError, match=field):
+            replace(sc, correlations=replace(corr, **{field: bad}))
 
 
 class TestFasCorrelation:
@@ -375,29 +460,6 @@ class TestSelection:
         with pytest.raises(ConstraintError):
             select_submatrix(np.eye(4), np.array([0.5, 0.5, 0, 0]))
 
-    def test_embedded_surrogate_matches_submatrix(self, rng):
-        # binary s: the sqrt-sandwich surrogate has exactly the submatrix's
-        # nonzero spectrum, and diag(s) A diag(s) with the zero rows/columns
-        # removed is the submatrix itself
-        for _ in range(5):
-            n = 8
-            A = random_correlation(n, rng)
-            s = np.zeros(n)
-            s[rng.choice(n, size=4, replace=False)] = 1.0
-            direct = select_submatrix(A, s)
-            emb = embed_selection(A, s)
-            ev_emb = np.sort(np.linalg.eigvalsh(emb))[-4:]
-            ev_dir = np.sort(np.linalg.eigvalsh(direct))
-            assert np.allclose(ev_emb, ev_dir, atol=1e-10)
-            masked = (A * s[:, None]) * s[None, :]
-            idx = np.flatnonzero(s)
-            assert np.allclose(masked[np.ix_(idx, idx)], direct)
-
-    def test_relaxed_range_check(self, rng):
-        A = random_correlation(4, rng)
-        with pytest.raises(ConstraintError):
-            embed_selection(A, np.array([1.2, 0.0, 0.0, 0.0]))
-
 
 class TestEffectiveRisCorrelation:
     def test_identity_case(self):
@@ -451,17 +513,18 @@ class TestRootCache:
             assert C_list[k].tobytes() == C.tobytes()
 
     def test_reassigned_field_gets_its_own_root(self, small_uncommon, rng):
+        # a field replaced in a new set: the new set roots its own matrices
         corr = small_uncommon.correlations
         L = small_uncommon.dims.L
         corr.root(corr.C_L)
         corr.root(corr.C_R[0])
-        corr.C_L = random_correlation(L, rng)
-        corr.C_R = [random_correlation(L, rng) for _ in corr.C_R]
+        corr = replace(corr, C_L=random_correlation(L, rng),
+                       C_R=[random_correlation(L, rng) for _ in corr.C_R])
+        sc = replace(small_uncommon, correlations=corr)
         assert np.array_equal(corr.root(corr.C_L), psd_sqrt(corr.C_L))
         assert np.array_equal(corr.root(corr.C_R[0]), psd_sqrt(corr.C_R[0]))
-        _, C = effective_ris_correlation(corr.C_L, None, corr.C_R[0],
-                                         small_uncommon.t[0])
-        assert np.array_equal(small_uncommon.stats_uncommon()[2][0], C)
+        _, C = effective_ris_correlation(corr.C_L, None, corr.C_R[0], sc.t[0])
+        assert np.array_equal(sc.stats_uncommon()[2][0], C)
 
     def test_stats_take_each_root_once(self, small_uncommon, small_common,
                                        eigh_calls):
@@ -527,16 +590,19 @@ class TestCascadedStackCache:
 
     @pytest.mark.parametrize("field", ["C_L", "C_R", "C_R[1]"])
     def test_reassigned_field_rebuilds(self, small_uncommon, rng, field):
+        # a field replaced in a new set, which the scenario is replaced with
         sc, L = small_uncommon, small_uncommon.dims.L
         corr = sc.correlations
         before = sc.stats_uncommon()[2]
         if field == "C_L":
-            corr.C_L = random_correlation(L, rng)
+            corr = replace(corr, C_L=random_correlation(L, rng))
         elif field == "C_R":
-            corr.C_R = [random_correlation(L, rng) for _ in corr.C_R]
+            corr = replace(corr, C_R=[random_correlation(L, rng)
+                                      for _ in corr.C_R])
         else:       # one entry changes with its whole field
-            corr.C_R = (corr.C_R[0], random_correlation(L, rng),
-                        *corr.C_R[2:])
+            corr = replace(corr, C_R=(corr.C_R[0], random_correlation(L, rng),
+                                      *corr.C_R[2:]))
+        sc = replace(sc, correlations=corr)
         C = sc.stats_uncommon()[2]
         assert C.tobytes() == self.uncached(sc).tobytes()
         assert not np.array_equal(C, before)
@@ -556,7 +622,7 @@ class TestSampling:
 
     def test_zero_gains_zero_channel(self, rng):
         sc = self._scenario(rng, u=np.zeros(3), t=np.zeros(3))
-        sample = ChannelSampler(sc, None, None).draw(trial_rng(1, 0))
+        sample = ChannelSampler(sc, None, None).draw([0], 1)
         assert np.all(sample.H == 0)
 
     def test_second_moments(self, rng):
@@ -564,11 +630,8 @@ class TestSampling:
         sampler = ChannelSampler(sc, None, None)
         M, K, L = 10, 3, 6
         trials = 10_000
-        acc = np.zeros(K)
-        for trial in range(trials):
-            s = sampler.draw(trial_rng(99, trial))
-            acc += np.sum(np.abs(s.H) ** 2, axis=0)
-        acc /= trials
+        H = sampler.draw(range(trials), 99).H
+        acc = np.mean(np.sum(np.abs(H) ** 2, axis=1), axis=0)
         corr = sc.correlations
         for k in range(K):
             Ck = effective_ris_correlation(corr.C_L, None, corr.C_R[k],
@@ -581,10 +644,10 @@ class TestSampling:
 
     def test_seed_determinism(self, rng):
         sc = self._scenario(rng)
-        a = ChannelSampler(sc, None, None).draw(trial_rng(7, 3)).H
-        b = ChannelSampler(sc, None, None).draw(trial_rng(7, 3)).H
+        a = ChannelSampler(sc, None, None).draw([3], 7).H
+        b = ChannelSampler(sc, None, None).draw([3], 7).H
         assert np.array_equal(a, b)
-        c = ChannelSampler(sc, None, None).draw(trial_rng(7, 4)).H
+        c = ChannelSampler(sc, None, None).draw([4], 7).H
         assert not np.array_equal(a, c)
 
     def test_assembly_identity(self, rng):
@@ -592,14 +655,14 @@ class TestSampling:
         sc = self._scenario(rng)
         phi = rng.uniform(0, 2 * np.pi, 6)
         sampler = ChannelSampler(sc, None, phi)
-        sample = sampler.draw(trial_rng(5, 1))
+        sample = sampler.draw([1], 5)
+        H, X, W, Y = sample.H[0], sample.X[0], sample.W[0], sample.Y[0]
         corr = sc.correlations
         for k in range(3):
             Fk_half = psd_sqrt(corr.F_tot[k])
-            Z_k = sampler.R_half @ sample.X @ sampler.C_half[k]
-            h = np.sqrt(sc.u[k]) * Fk_half @ sample.W[:, k] \
-                + Z_k @ sample.Y[:, k]
-            assert np.allclose(h, sample.H[:, k], atol=1e-12)
+            Z_k = sampler.R_half @ X @ sampler.C_half[k]
+            h = np.sqrt(sc.u[k]) * Fk_half @ W[:, k] + Z_k @ Y[:, k]
+            assert np.allclose(h, H[:, k], atol=1e-12)
 
     @pytest.mark.parametrize("seed,lo,hi", [(3, 0, 16), (3, 37, 53),
                                             (2 ** 64 - 5, 0, 16)])
@@ -612,7 +675,6 @@ class TestSampling:
         M, K, L = 10, 3, 6
         n = 2 * (M * L + M * K + L * K)
         ref = [trial_rng(seed, t).standard_normal(n) for t in range(lo, hi)]
-        one = [sampler.draw(trial_rng(seed, t)) for t in range(lo, hi)]
         built = []
 
         def counted(*args, _philox=np.random.Philox, **kw):
@@ -631,9 +693,6 @@ class TestSampling:
                     assert part.tobytes() == (g[at:at + A.size] * c).reshape(
                         A.shape).tobytes()
                     at += A.size
-            for name in "HXWY":
-                assert getattr(block, name)[t].tobytes() == \
-                    getattr(one[t], name).tobytes()
 
     def test_fig1_scenario_shapes(self):
         sc = fig1_scenario(16, 80.0, K=4, L=8)

@@ -1,5 +1,7 @@
 """Fixed-point solvers: degenerations, limits, uniqueness, closed forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,7 +134,8 @@ def cold_case(request):
     sc = random_scenario(rng, "common", M=14, K=5, L=10, sigma2=0.4)
     if case == "F=R":
         return Regime(sc, "common")
-    sc.correlations.F_tot = random_correlation(14, rng)
+    sc = replace(sc, correlations=replace(
+        sc.correlations, F_tot=random_correlation(14, rng)))
     assert not sc.correlations.shared
     return Regime(sc, "uncommon")
 
@@ -236,8 +239,7 @@ class TestZfSeed:
         from fasris.optimize import alternating_optimization, joint_optimize
         from fasris.scenarios import fig3_scenario, uniform_selection
         sc = fig3_scenario(90.0)[0]
-        sc.dims = type(sc.dims)(M=24, K=sc.dims.K, L=sc.dims.L,
-                                M_tot=sc.dims.M_tot)
+        sc = replace(sc, dims=replace(sc.dims, M=24))
         outcomes = []
 
         def picard(system, x0, settings, _picard=fixed_point._picard):

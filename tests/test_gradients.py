@@ -1,5 +1,7 @@
 """Analytic ESR derivatives against central finite differences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,7 @@ class TestPhaseGradientCommon:
 
     def test_zero_for_vanishing_cascade(self, rng):
         sc = random_scenario(rng, "common", M=10, K=3, L=6, sigma2=0.3)
-        sc.t = np.zeros(3)
+        sc = replace(sc, t=np.zeros(3))
         corr = sc.correlations
         R, C, u, t, p = sc.stats_common(phi=np.zeros(6))
         sol = solve_rzf_common(R, C, u, t, 0.15, TIGHT)
@@ -168,7 +170,7 @@ class TestPhaseGradientUncommon:
 
     def test_zero_for_vanishing_cascade(self, rng):
         sc = random_scenario(rng, "uncommon", M=10, K=3, L=6, sigma2=0.3)
-        sc.t = np.zeros(3)
+        sc = replace(sc, t=np.zeros(3))
         corr = sc.correlations
         F_list, R, C_list, p = sc.stats_uncommon(phi=np.zeros(6))
         sol = solve_rzf_uncommon(F_list, R, C_list, 0.15, TIGHT)
@@ -249,7 +251,7 @@ class TestPhaseGradientZfUncommon:
 
     def test_zero_for_vanishing_cascade(self, rng):
         sc = random_scenario(rng, "uncommon", M=10, K=3, L=6, sigma2=0.3)
-        sc.t = np.zeros(3)
+        sc = replace(sc, t=np.zeros(3))
         assert np.all(self._gradient(sc, np.zeros(6)) == 0.0)
 
 
@@ -624,7 +626,7 @@ def test_interference_rhs_prime_matches_per_user_loop(case):
     K = 9 if case == "K9" else 4
     sc = random_scenario(rng, "uncommon", M=12, K=K, L=8, sigma2=0.4)
     if case == "t0":
-        sc.t = np.zeros(K)
+        sc = replace(sc, t=np.zeros(K))
     F, R, C, p = sc.stats_uncommon(phi=rng.uniform(0, 2 * np.pi, 8))
     so = second_order_uncommon(solve_rzf_uncommon(F, R, C, 0.2), p)
     # arbitrary directions: the RHS derivative is linear in them

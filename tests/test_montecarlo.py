@@ -6,8 +6,7 @@ from conftest import rel_err
 
 from fasris import (Dimensions, CorrelationSet, Scenario, build_precoder,
                     empirical_esr, instantaneous_sinr, montecarlo,
-                    resolvent_probe, solve_rzf_uncommon, sinr_rzf_uncommon,
-                    trial_rng)
+                    resolvent_probe, solve_rzf_uncommon, sinr_rzf_uncommon)
 from fasris.channel import ChannelSampler
 from fasris.fixed_point import FeasibilityError
 from fasris.scenarios import random_correlation, random_scenario
@@ -182,7 +181,7 @@ class TestConventionCalibration:
         trials = 1500
         esr_unit, esr_antenna = 0.0, 0.0
         for trial in range(trials):
-            H = sampler.draw(trial_rng(17, trial)).H
+            H = sampler.draw([trial], 17).H[0]
             G = build_precoder(H, "rzf", p, z)
             gam_unit = instantaneous_sinr(H, G, p, sc.sigma2)
             gam_ant = instantaneous_sinr(H, np.sqrt(M) * G, p, sc.sigma2)
@@ -254,12 +253,12 @@ class TestBatchedTrials:
     def test_stacked_draw_matches_single_draws(self, small_uncommon, rng):
         sampler = ChannelSampler(small_uncommon, None,
                                  rng.uniform(0, 2 * np.pi, 8))
-        stack = sampler.draw([trial_rng(4, t) for t in range(5)])
+        stack = sampler.draw(range(5), 4)
         for t in range(5):
-            one = sampler.draw(trial_rng(4, t))
+            one = sampler.draw([t], 4)
             for name in ("H", "X", "W", "Y"):
                 assert np.array_equal(getattr(stack, name)[t],
-                                      getattr(one, name))
+                                      getattr(one, name)[0])
 
     @pytest.mark.parametrize("kind,z", [("rzf", 0.1), ("zf", None),
                                         ("mrt", None)])
@@ -291,12 +290,13 @@ def _probe_oracle(scenario, phi, z, trials, seed):
     F_stack = np.stack([Fh @ Fh.conj().T for Fh in sampler.F_half])
     delta, omega, mu = 0.0, np.zeros(K), np.zeros(K)
     ups, lam = np.zeros(K), np.zeros((K, K))
+    sample = sampler.draw(range(trials), seed)
     for trial in range(trials):
-        sample = sampler.draw(trial_rng(seed, trial))
-        H = sample.H
+        H = sample.H[trial]
         Q = np.linalg.inv(z * np.eye(M) + H @ H.conj().T)
         # Z_k = R^{1/2} X C_k^{+/2}, (K, M, L)
-        Z = np.stack([sampler.R_half @ sample.X @ Ck for Ck in sampler.C_half])
+        Z = np.stack([sampler.R_half @ sample.X[trial] @ Ck
+                      for Ck in sampler.C_half])
         delta += np.real(np.trace(R @ Q)) / M
         QZ = np.einsum("mn,knl->kml", Q, Z)
         omega_t = np.real(np.einsum("kml,kml->k", Z.conj(), QZ)) / L

@@ -135,8 +135,9 @@ class TestGradientAscent:
     def test_zero_gradient_start_returns_input(self, rng):
         # diagonal C_R with identity C_L: the rate ignores the phases
         sc = random_scenario(rng, "common", M=10, K=3, L=6, sigma2=0.3)
-        sc.correlations.C_L = np.eye(6)
-        sc.correlations.C_R = np.diag(rng.uniform(0.5, 1.5, 6))
+        sc = replace(sc, correlations=replace(
+            sc.correlations, C_L=np.eye(6),
+            C_R=np.diag(rng.uniform(0.5, 1.5, 6))))
         phi0 = rng.uniform(0, 2 * np.pi, 6)
         z = 0.15
         phases, esr, stalled = gradient_ascent_phases(sc, None, z, phi0, FAST)
@@ -425,7 +426,8 @@ class TestSharedDirectLinkOffR:
         rng = np.random.default_rng(11)
         sc = random_scenario(rng, "common", M=self.M, K=self.K, L=self.L,
                              M_tot=self.M_TOT)
-        sc.correlations.F_tot = random_correlation(self.M_TOT, rng)
+        sc = replace(sc, correlations=replace(
+            sc.correlations, F_tot=random_correlation(self.M_TOT, rng)))
         return sc, rng.uniform(0, 2 * np.pi, self.L), \
             uniform_selection(self.M, self.M_TOT)
 
@@ -445,7 +447,7 @@ class TestSharedDirectLinkOffR:
 
     def test_equal_users_keep_the_z_shortcut(self):
         sc, phi, s = self.scenario()
-        sc.u, sc.t, sc.p = np.full(3, 1.0), np.full(3, 0.5), np.ones(3)
+        sc = replace(sc, u=np.full(3, 1.0), t=np.full(3, 0.5), p=np.ones(3))
         assert sc.homogeneous
         assert search_regularization(sc, s, phi) == sc.default_z(s)
 
@@ -461,20 +463,22 @@ class TestSharedDirectLinkOffR:
                 deterministic_esr(sc, s, phases.phi, precoder).esr, rel=1e-12)
 
 
-@pytest.mark.parametrize("case", ["shared F != R", "per-user"])
-def test_per_user_surrogate_is_exact_at_a_binary_selection(case):
-    # diag(s) F_k diag(s) and diag(s) R diag(s) at a binary s are the
-    # selected submatrices, bordered by zeros: the relaxed ZF ESR is the
-    # scored one
-    if case == "per-user":
-        sc = random_scenario(np.random.default_rng(12), "uncommon", 6, 3, 5,
+@pytest.mark.parametrize("case", ["shared F = R", "shared F != R",
+                                  "per-user"])
+def test_relaxed_zf_surrogate_is_exact_at_a_binary_selection(case):
+    # R^{1/2} diag(s) R^{1/2} at a binary s has the nonzero spectrum of the
+    # selected submatrix, and diag(s) F_k diag(s) is that submatrix bordered
+    # by zeros: the relaxed ZF ESR is the scored one in every regime
+    if case == "shared F != R":
+        sc, _, s = TestSharedDirectLinkOffR().scenario()
+        phi = np.zeros(TestSharedDirectLinkOffR.L)
+    else:
+        mode = "common" if case == "shared F = R" else "uncommon"
+        sc = random_scenario(np.random.default_rng(12), mode, 6, 3, 5,
                              M_tot=10)
         phi, s = (np.random.default_rng(12).uniform(0, 2 * np.pi, 5),
                   uniform_selection(6, 10))
-    else:
-        sc, _, s = TestSharedDirectLinkOffR().scenario()
-        phi = np.zeros(TestSharedDirectLinkOffR.L)
-    assert not sc.correlations.shared
+    assert sc.correlations.shared == (case == "shared F = R")
     relaxed = RelaxedZfObjective(sc, phi, 6).esr(s)
     assert relaxed == pytest.approx(deterministic_esr(sc, s, phi, "zf").esr,
                                     rel=1e-9)
@@ -497,9 +501,8 @@ class TestRegularizerSearch:
     def test_homogeneous_shortcut(self):
         rng = np.random.default_rng(2)
         sc = random_scenario(rng, "common", M=12, K=4, L=8, sigma2=0.4)
-        sc.u = np.full(4, 1.0)
-        sc.t = np.full(4, 0.5)
-        sc.p = np.full(4, 2.0)
+        sc = replace(sc, u=np.full(4, 1.0), t=np.full(4, 0.5),
+                     p=np.full(4, 2.0))
         assert sc.homogeneous
         z = search_regularization(sc, None, None)
         assert z == pytest.approx(4 * 0.4 / 12, rel=1e-15)
@@ -534,7 +537,8 @@ class TestRegularizerSearch:
             sc, s = random_scenario(rng, case, M=12, K=4, L=8,
                                     sigma2=0.4), None
         if case == "common":
-            sc.correlations.F_tot = random_correlation(12, rng)
+            sc = replace(sc, correlations=replace(
+                sc.correlations, F_tot=random_correlation(12, rng)))
             assert not sc.correlations.shared
         batches, picard = [], fixed_point._picard
 
@@ -638,11 +642,10 @@ class TestAlternatingOptimization:
 
     def test_stationary_start_stops_fast(self, rng):
         sc = random_scenario(rng, "common", M=10, K=3, L=6, sigma2=0.3)
-        sc.correlations.C_L = np.eye(6)
-        sc.correlations.C_R = np.diag(rng.uniform(0.5, 1.5, 6))
-        sc.u = np.full(3, 1.0)
-        sc.t = np.full(3, 0.5)
-        sc.p = np.ones(3)
+        sc = replace(sc, correlations=replace(
+            sc.correlations, C_L=np.eye(6),
+            C_R=np.diag(rng.uniform(0.5, 1.5, 6))),
+                     u=np.full(3, 1.0), t=np.full(3, 0.5), p=np.ones(3))
         phi0 = np.zeros(6)
         z, phases, esr, trace = alternating_optimization(sc, None, phi0,
                                                          None, FAST)

@@ -1,5 +1,7 @@
 """Deterministic SINR/ESR evaluation and the second-order blocks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -337,9 +339,10 @@ def _per_user_stats(case):
     K = 9 if case == "K9" else 4
     sc = random_scenario(rng, "uncommon", M=12, K=K, L=8, sigma2=0.4)
     if case == "t0":
-        sc.t = np.zeros(K)
+        sc = replace(sc, t=np.zeros(K))
     if case == "R0":
-        sc.correlations.R_tot = np.zeros_like(sc.correlations.R_tot)
+        sc = replace(sc, correlations=replace(
+            sc.correlations, R_tot=np.zeros_like(sc.correlations.R_tot)))
     return sc.stats_uncommon(phi=rng.uniform(0, 2 * np.pi, 8))
 
 

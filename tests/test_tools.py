@@ -1,5 +1,6 @@
 """The benchmark-pair analysis in tools/bench_pairs.py, the row diff of
-tools/figure_rows.py and the validate group of tools/output_digest.py."""
+tools/figure_rows.py, the validate group of tools/output_digest.py and the
+call sites that perfbench/tracer.py patches."""
 
 import importlib.util
 import json
@@ -10,8 +11,8 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def load_tool(name, folder=TOOLS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -146,3 +147,19 @@ def test_output_digest_compares_value_files(tmp_path, capsys, monkeypatch):
     assert output_digest.main(["--compare", parent, parent]) == 0
     assert json.loads(capsys.readouterr().out)["design"] == {
         "max_rel": 0.0, "selections_match": True}
+
+
+def test_perfbench_tracer_patches_and_restores_every_call_site():
+    # only `perfbench/run.py --trace 1` installs the tracer: a renamed
+    # function or a method moved off its class would break that run alone
+    tracer = load_tool("tracer", TOOLS.parent / "perfbench").Tracer()
+    sites = [(owner, attr) for owner, attr, _ in tracer._targets()]
+    assert len(set(sites)) == len(sites) >= 19
+    for owner, attr in sites:
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+    originals = [owner.__dict__[attr] for owner, attr in sites]
+    with tracer.installed():
+        for (owner, attr), original in zip(sites, originals):
+            assert owner.__dict__[attr].__wrapped__ is original
+    for (owner, attr), original in zip(sites, originals):
+        assert owner.__dict__[attr] is original
