@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from fasris import deterministic_esr, fw_port_selection
-from fasris.optimize import OptimizationTrace, OptimizerSettings
+from fasris.optimize import OptimizationTrace
 from fasris.scenarios import random_scenario, uniform_selection
 
 rng = np.random.default_rng(2)
@@ -21,7 +21,7 @@ M_tot, M = 12, 4
 sc = random_scenario(rng, "common", M=M, K=3, L=6, M_tot=M_tot, sigma2=0.3)
 
 trace = OptimizationTrace()
-s_fw = fw_port_selection(sc, None, M, OptimizerSettings(), trace)
+s_fw = fw_port_selection(sc, None, M, trace)
 fw_iters = [r for r in trace.records if r["stage"] == "fw"]
 print(f"Frank-Wolfe converged in {len(fw_iters)} iterations")
 print("relaxed objective trace:",

@@ -24,7 +24,7 @@ from .gradients import (esr_gradient_phases_common,
                         esr_gradient_ports_uncommon,
                         esr_gradient_ports_zf_common, esr_gradient_z,
                         fd_gradient, phase_perturbation)
-from .optimize import (OptimizationTrace, OptimizerSettings, PhaseShifts,
+from .optimize import (OptimizationTrace, PhaseShifts,
                        alternating_optimization, deterministic_esr,
                        fw_linear_oracle, fw_port_selection,
                        gradient_ascent_phases, joint_optimize,

@@ -56,7 +56,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     cfg, scenario, s, phi, seed = _problem(args)
-    trials = args.trials or int(cfg.get("trials", 2000))
+    trials = (int(cfg.get("trials", 2000)) if args.trials is None
+              else args.trials)
     z = scenario.default_z(s)             # only RZF reads it
     est = empirical_esr(scenario, s, phi, args.precoder, trials, seed, z)
     snr_db = -10.0 * np.log10(scenario.sigma2)
@@ -104,8 +105,7 @@ def cmd_optimize(args) -> int:
     elif args.mode == "phases":
         s = s0
         z, phases, esr, trace = alternating_optimization(
-            scenario, s, phi0, scenario.default_z(s) if rzf else None,
-            precoder=args.precoder)
+            scenario, s, phi0, precoder=args.precoder)
         phi = phases.phi
         rep = deterministic_esr(scenario, s, phi, args.precoder, z)
     elif args.mode == "zsearch":
@@ -159,7 +159,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config) if args.config else None
-    checks = validate(cfg, trials=args.trials or 800,
+    checks = validate(cfg, trials=800 if args.trials is None else args.trials,
                       seed=args.seed if args.seed is not None else 7)
     width = max(len(c["name"]) for c in checks)
     failures = 0
@@ -174,7 +174,7 @@ def cmd_validate(args) -> int:
 
 def cmd_figure(args) -> int:
     out = run_figure(args.name, args.out_dir,
-                     trials=args.trials or 2000,
+                     trials=2000 if args.trials is None else args.trials,
                      seed=args.seed if args.seed is not None else 0,
                      timing=args.timing)
     print(f"wrote {out['csv']} and {out['svg']} ({out['rows']} rows)")

@@ -169,6 +169,8 @@ def resolvent_probe(scenario: Scenario, s: np.ndarray | None,
     and lambda[k,l] = tr(U_k U_l) / L + tr(V_k F_l) / M. Terms linear in Q,
     Q^2 or V_k are summed over trials before their traces are taken.
     """
+    if trials < 1:
+        raise ValueError("resolvent probe needs at least 1 trial")
     if z <= 0:
         raise ValueError("resolvent probe needs z > 0")
     sampler = ChannelSampler(scenario, s, phi)

@@ -47,31 +47,15 @@ class PhaseShifts:
         return phase_matrix(self.phi, len(self.phi))
 
 
-@dataclass
-class OptimizerSettings:
-    solver: SolverSettings = DEFAULT_SETTINGS
-    fw_max_iter: int = 500
-    # phase ascent (backtracking)
-    armijo_beta: float = 1e-4
-    ascent_tol: float = 1e-7
-    ascent_max_iter: int = 200
-
-    def __post_init__(self):
-        def count(n, least):
-            return (isinstance(n, (int, np.integer))
-                    and not isinstance(n, bool) and n >= least)
-        if not (count(self.fw_max_iter, 1) and count(self.ascent_max_iter, 0)
-                and 0.0 < self.ascent_tol < 1.0
-                and 0.0 < self.armijo_beta < np.inf):
-            raise ValueError(f"{self} needs integers fw_max_iter >= 1 and "
-                             f"ascent_max_iter >= 0, a finite 0 < ascent_tol "
-                             f"< 1 and a finite armijo_beta > 0")
-
-
-DEFAULT_OPT = OptimizerSettings()
-
-# Frank-Wolfe stops on this relative change of the relaxed ESR
+# Frank-Wolfe stops on this relative change of the relaxed ESR, or after
+# FW_MAX_ITER iterations
 FW_TOL = 1e-5
+FW_MAX_ITER = 500
+# phase ascent: Armijo sufficient-increase factor; stops on this relative
+# ESR change, or after ASCENT_MAX_ITER steps
+ARMIJO_BETA = 1e-4
+ASCENT_TOL = 1e-7
+ASCENT_MAX_ITER = 200
 # phase ascent: first step, backtracking factor, most halvings per line search,
 # (s, y) pairs kept by the L-BFGS direction
 ALPHA0 = 1.0
@@ -86,9 +70,8 @@ Z_SPAN_DECADES = 4.0
 Z_STEP_DECADES = 2.0 * Z_SPAN_DECADES / (Z_GRID_POINTS - 1)
 Z_SLOPE_TOL = 1e-6
 Z_PROBE = 1e-2
-# points of the z-search bracket around an incumbent, at the full grid's
-# step; also the most secant steps of one refinement
-Z_BRACKET_POINTS = 11
+# the most secant steps of one refinement
+Z_REFINE_STEPS = 11
 # alternating optimization stops on this relative ESR change or round count
 AO_TOL = 1e-5
 AO_MAX_ITER = 10
@@ -155,8 +138,7 @@ def _evaluate(stats, shared, precoder, z, sigma2, settings, x0=None,
 
 def deterministic_esr(scenario: Scenario, s: np.ndarray | None = None,
                       phi: np.ndarray | None = None, precoder: str = "rzf",
-                      z: float | None = None,
-                      settings: SolverSettings = DEFAULT_SETTINGS) -> RateReport:
+                      z: float | None = None) -> RateReport:
     """Deterministic-equivalent RateReport for a binary selection.
 
     The correlation data picks the regime (`CorrelationSet.shared`): one
@@ -167,7 +149,8 @@ def deterministic_esr(scenario: Scenario, s: np.ndarray | None = None,
     if precoder == "rzf" and z is None:
         z = scenario.default_z(s)
     stats, shared = _stats(scenario, s, phi)
-    return _evaluate(stats, shared, precoder, z, scenario.sigma2, settings)[0]
+    return _evaluate(stats, shared, precoder, z, scenario.sigma2,
+                     DEFAULT_SETTINGS)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +223,6 @@ def fw_linear_oracle(gradient: np.ndarray, M: int) -> np.ndarray:
 
 
 def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
-                      opt: OptimizerSettings = DEFAULT_OPT,
                       trace: OptimizationTrace | None = None) -> np.ndarray:
     """Frank-Wolfe port selection on the relaxed ZF objective.
 
@@ -248,7 +230,7 @@ def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
     vertex s_bar; stops on relative objective change < FW_TOL; returns the
     top-M binary rounding of the final iterate. Trace records carry the
     duality gap <s_bar - s, grad> (Jaggi 2013), nonnegative and zero only
-    at a stationary point of the relaxation; a stop at `opt.fw_max_iter`
+    at a stationary point of the relaxation; a stop at FW_MAX_ITER
     marks the last record stalled=True.
     """
     M_tot = scenario.correlations.R_tot.shape[0]
@@ -256,10 +238,10 @@ def fw_port_selection(scenario: Scenario, phi: np.ndarray | None, M: int,
         raise ConstraintError(f"M={M} exceeds M_tot={M_tot}")
     if M == M_tot:
         return np.ones(M_tot)
-    obj = RelaxedZfObjective(scenario, phi, M, opt.solver)
+    obj = RelaxedZfObjective(scenario, phi, M)
     s = np.full(M_tot, M / M_tot)
     prev = None
-    for it in range(opt.fw_max_iter):
+    for it in range(FW_MAX_ITER):
         esr, grad = obj.gradient(s)
         s_bar = fw_linear_oracle(grad, M)
         if trace is not None:
@@ -346,8 +328,7 @@ def _lbfgs_direction(grad: np.ndarray, pairs: list) -> np.ndarray:
 
 
 def gradient_ascent_phases(scenario: Scenario, s: np.ndarray | None, z: float | None,
-                           phi0: np.ndarray, opt: OptimizerSettings = DEFAULT_OPT,
-                           precoder: str = "rzf",
+                           phi0: np.ndarray, precoder: str = "rzf",
                            trace: OptimizationTrace | None = None):
     """Backtracking quasi-Newton ascent on the RIS phase angles.
 
@@ -360,11 +341,12 @@ def gradient_ascent_phases(scenario: Scenario, s: np.ndarray | None, z: float | 
     (`_phase_objective`); the returned ESR is one cold `deterministic_esr`
     at the returned phases. Trace records carry `step` = ||a d||.
     """
-    value, value_grad = _phase_objective(scenario, s, precoder, z, opt.solver)
+    value, value_grad = _phase_objective(scenario, s, precoder, z,
+                                         DEFAULT_SETTINGS)
     phi = np.mod(np.asarray(phi0, dtype=float), 2.0 * np.pi)
     esr, grad = value_grad(phi)
     pairs, stalled = [], False
-    for it in range(opt.ascent_max_iter):
+    for it in range(ASCENT_MAX_ITER):
         norm = float(np.linalg.norm(grad))
         if norm < 1e-14 * max(1.0, abs(esr)):
             break
@@ -377,7 +359,7 @@ def gradient_ascent_phases(scenario: Scenario, s: np.ndarray | None, z: float | 
         while True:
             cand = np.mod(phi + alpha * direction, 2.0 * np.pi)
             esr_cand = value(cand)
-            if esr_cand - esr >= alpha * opt.armijo_beta * slope:
+            if esr_cand - esr >= alpha * ARMIJO_BETA * slope:
                 break
             alpha *= BACKTRACK_C
             halvings += 1
@@ -396,9 +378,9 @@ def gradient_ascent_phases(scenario: Scenario, s: np.ndarray | None, z: float | 
             trace.add(stage="phases", iteration=it, objective=esr,
                       step=float(np.linalg.norm(move)), gradient_norm=norm,
                       halvings=halvings, evals=halvings + 1)
-        if abs(esr - esr_prev) < opt.ascent_tol * abs(esr_prev):
+        if abs(esr - esr_prev) < ASCENT_TOL * abs(esr_prev):
             break
-    esr = deterministic_esr(scenario, s, phi, precoder, z, opt.solver).esr
+    esr = deterministic_esr(scenario, s, phi, precoder, z).esr
     return PhaseShifts(phi), esr, stalled
 
 
@@ -437,12 +419,12 @@ def _refine(esr_of: _WarmRzfEsr, z: float, c: float | None, lo: float,
     """Secant steps on g = d ESR / d ln z from z, each kept only if the ESR
     does not fall; c estimates d g / d ln z, None for a first probe of
     Z_PROBE uphill. Stops once |g| <= Z_SLOPE_TOL |ESR| or after
-    Z_BRACKET_POINTS steps, and gives up, inside False, when the curvature
+    Z_REFINE_STEPS steps, and gives up, inside False, when the curvature
     is not negative or a step would leave [lo, hi]. Returns (z, g, c, inside).
     """
     f, g = esr_of(z, slope=True)
     prev = None
-    for _ in range(Z_BRACKET_POINTS):
+    for _ in range(Z_REFINE_STEPS):
         if abs(g) <= Z_SLOPE_TOL * abs(f):
             break
         if prev is not None:
@@ -460,22 +442,15 @@ def _refine(esr_of: _WarmRzfEsr, z: float, c: float | None, lo: float,
     return z, g, c, True
 
 
-def _profile(esr_of: _WarmRzfEsr, scenario: Scenario, s,
-             incumbent: float | None = None):
+def _profile(esr_of: _WarmRzfEsr, scenario: Scenario, s):
     """`z_search_profile` on esr_of; also returns the slope at z_star."""
-    if incumbent is None:
-        grid = scenario.default_z(s) * np.logspace(
-            -Z_SPAN_DECADES, Z_SPAN_DECADES, Z_GRID_POINTS)
-    else:
-        half = Z_BRACKET_POINTS // 2
-        grid = incumbent * 10.0 ** (Z_STEP_DECADES * np.arange(-half, half + 1))
+    grid = scenario.default_z(s) * np.logspace(
+        -Z_SPAN_DECADES, Z_SPAN_DECADES, Z_GRID_POINTS)
     # one batched solve, every row cold: the values do not depend on earlier
     # use; the secant steps then start from the argmax's fixed point
     esr_of.x0 = None
     vals = esr_of(grid)
     i = int(np.argmax(vals))
-    if incumbent is not None and i in (0, len(grid) - 1):
-        return _profile(esr_of, scenario, s)
     esr_of.x0, esr_of.z0 = {k: v[i] for k, v in esr_of.x0.items()}, grid[i]
     j = min(max(i, 1), len(grid) - 2)      # parabola through three points
     c = (vals[j + 1] - 2.0 * vals[j] + vals[j - 1]) \
@@ -485,48 +460,43 @@ def _profile(esr_of: _WarmRzfEsr, scenario: Scenario, s,
     return float(z), grid, vals, float(z * abs(g / c)), g
 
 
-def z_search_profile(scenario: Scenario, s, phi,
-                     opt: OptimizerSettings = DEFAULT_OPT,
-                     incumbent: float | None = None):
+def z_search_profile(scenario: Scenario, s, phi):
     """Grid profile of ESR_RZF over z, refined from its argmax by the slope
     d ESR / d ln z. Returns (z_star, grid, values, width).
 
     The grid spans Z_SPAN_DECADES either side of K sigma^2 / M in
-    Z_GRID_POINTS points. With an incumbent z, an 11-point bracket centred
-    on it, at the same step, is swept instead; when its argmax lands on an
-    edge of the bracket the full grid is searched as without an incumbent.
-    Secant steps (`_refine`) then start at the argmax, with the curvature of
-    the parabola through it and its neighbours, and stay between those
-    neighbours. width = z_star |g / c|, the Newton estimate of the distance
-    from z_star to the stationary point (g the slope, c the curvature).
+    Z_GRID_POINTS points, swept in one batched solve. Secant steps
+    (`_refine`) then start at the argmax, with the curvature of the parabola
+    through it and its neighbours, and stay between those neighbours.
+    width = z_star |g / c|, the Newton estimate of the distance from z_star
+    to the stationary point (g the slope, c the curvature).
     """
-    esr_of = _WarmRzfEsr(scenario, s, phi, opt.solver)
-    return _profile(esr_of, scenario, s, incumbent)[:4]
+    esr_of = _WarmRzfEsr(scenario, s, phi, DEFAULT_SETTINGS)
+    return _profile(esr_of, scenario, s)[:4]
 
 
 def search_regularization(scenario: Scenario, s: np.ndarray | None,
                           phi: np.ndarray | None,
-                          opt: OptimizerSettings = DEFAULT_OPT,
                           incumbent: float | None = None,
                           report: dict | None = None) -> float:
     """Best RZF regularizer. Homogeneous scenarios shortcut to K sigma^2 / M.
 
     Without an incumbent, the refined grid profile (`z_search_profile`).
     With one, the secant steps start at the incumbent, so the ESR does not
-    fall below its value there; the bracket profile around it runs only
-    when a step would leave one grid step. A `report` dict receives `evals`,
-    the ESR evaluations, and `gradient_norm`, |d ESR / d ln z| at the result.
+    fall below its value there; the grid profile runs only when a step would
+    leave one grid step. A `report` dict receives `evals`, the ESR
+    evaluations, and `gradient_norm`, |d ESR / d ln z| at the result.
     """
     if scenario.homogeneous:
         return scenario.default_z(s)
-    esr_of = _WarmRzfEsr(scenario, s, phi, opt.solver)
+    esr_of = _WarmRzfEsr(scenario, s, phi, DEFAULT_SETTINGS)
     inside = False
     if incumbent is not None:
         step = 10.0 ** Z_STEP_DECADES
         z, g, _, inside = _refine(esr_of, incumbent, None, incumbent / step,
                                   incumbent * step)
     if not inside:
-        z, _, _, _, g = _profile(esr_of, scenario, s, incumbent)
+        z, _, _, _, g = _profile(esr_of, scenario, s)
     if report is not None:
         report.update(evals=esr_of.evals, gradient_norm=abs(float(g)))
     return float(z)
@@ -537,31 +507,28 @@ def search_regularization(scenario: Scenario, s: np.ndarray | None,
 # ---------------------------------------------------------------------------
 
 def alternating_optimization(scenario: Scenario, s: np.ndarray | None,
-                             phi0: np.ndarray, z0: float | None = None,
-                             opt: OptimizerSettings = DEFAULT_OPT,
-                             precoder: str = "rzf",
+                             phi0: np.ndarray, precoder: str = "rzf",
                              trace: OptimizationTrace | None = None):
     """Alternate {z search; phase ascent} at fixed port selection.
 
     ESR is non-decreasing across outer iterations: from the second round on
     the z search starts at the incumbent and keeps a step only if the ESR
     does not fall, and the ascent only accepts improving steps. ZF mode
-    skips the z updates entirely. Each `ao` record carries the z search's
-    `evals` and `gradient_norm` (|d ESR / d ln z| at the accepted z).
+    skips the z updates entirely and returns z = None. Each `ao` record
+    carries the z search's `evals` and `gradient_norm` (|d ESR / d ln z| at
+    the accepted z).
     """
     trace = trace if trace is not None else OptimizationTrace()
     phi = np.mod(np.asarray(phi0, dtype=float), 2.0 * np.pi)
-    z = z0
-    esr_prev = None
+    z = esr_prev = None
     for it in range(AO_MAX_ITER):
         search = {"evals": 0}
         if precoder == "rzf":
             # from the second round on, start the search at the incumbent
-            z = search_regularization(scenario, s, phi, opt,
-                                      incumbent=z if it else None,
+            z = search_regularization(scenario, s, phi, incumbent=z,
                                       report=search)
         phases, esr, stalled = gradient_ascent_phases(scenario, s, z, phi,
-                                                      opt, precoder, trace)
+                                                      precoder, trace)
         phi = phases.phi
         trace.add(stage="ao", iteration=it, objective=esr, z=z,
                   stalled=stalled, **search)
@@ -572,9 +539,7 @@ def alternating_optimization(scenario: Scenario, s: np.ndarray | None,
 
 
 def joint_optimize(scenario: Scenario, M: int, phi0: np.ndarray | None = None,
-                   z0: float | None = None, T_iter: int = 3,
-                   opt: OptimizerSettings = DEFAULT_OPT,
-                   precoder: str = "rzf"):
+                   T_iter: int = 3, precoder: str = "rzf"):
     """Outer loop: port selection, then (z, Phi) optimization; best iterate wins.
 
     Returns (s, z, PhaseShifts, RateReport, trace).
@@ -584,18 +549,17 @@ def joint_optimize(scenario: Scenario, M: int, phi0: np.ndarray | None = None,
     L = scenario.dims.L
     phi = np.zeros(L) if phi0 is None else np.mod(np.asarray(phi0, float),
                                                   2.0 * np.pi)
-    z = z0
     trace = OptimizationTrace()
     best = None
     for t in range(1, T_iter + 1):
-        s = fw_port_selection(scenario, phi, M, opt, trace)
-        z_t, phases, esr, _ = alternating_optimization(scenario, s, phi, z,
-                                                       opt, precoder, trace)
+        s = fw_port_selection(scenario, phi, M, trace)
+        z, phases, esr, _ = alternating_optimization(scenario, s, phi,
+                                                     precoder, trace)
         trace.add(stage="joint", iteration=t, objective=esr,
-                  z=z_t, s_indices=np.flatnonzero(s).tolist())
+                  z=z, s_indices=np.flatnonzero(s).tolist())
         if best is None or esr > best[0]:
-            best = (esr, s, z_t, phases)
-        phi, z = phases.phi, z_t
+            best = (esr, s, z, phases)
+        phi = phases.phi
     esr, s, z, phases = best
-    report = deterministic_esr(scenario, s, phases.phi, precoder, z, opt.solver)
+    report = deterministic_esr(scenario, s, phases.phi, precoder, z)
     return s, z, phases, report, trace

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelSampler
+from .channel import ChannelSampler, db2lin
 from .config import (phases_from_config, scenario_from_config,
                      selection_from_config)
 from .fixed_point import (SolverSettings, backsubstitution_residual,
@@ -99,27 +99,24 @@ def run_experiment(cfg: dict, out_dir: str | Path, seed: int | None = None,
                          "named figures cover the other axes")
     precoders = cfg.get("precoders", ["rzf"])
     methods = cfg.get("methods", ["de", "mc"])
+    unknown = ([p for p in precoders if p not in ("rzf", "zf", "mrt")]
+               + [m for m in methods if m not in ("de", "mc")])
+    if unknown:
+        raise UsageError(f"unknown precoders or methods {unknown}: precoders "
+                         f"come from rzf, zf, mrt and methods from de, mc")
     trials = int(cfg.get("trials", 2000))
     seed = int(cfg.get("seed", 0)) if seed is None else seed
 
-    points = []
-    for snr_db in values:
-        cfg_point = dict(cfg)
-        cfg_point["scenario"] = dict(cfg["scenario"])
-        if "preset" in cfg_point["scenario"] and cfg_point["scenario"]["preset"]:
-            pa = dict(cfg_point["scenario"].get("preset_args", {}))
-            pa["sigma2_inv_db"] = snr_db
-            cfg_point["scenario"]["preset_args"] = pa
-        else:
-            cfg_point["scenario"]["sigma2_inv_db"] = snr_db
-        scenario = scenario_from_config(cfg_point)
-        points.append((snr_db, scenario, selection_from_config(cfg, scenario),
-                       phases_from_config(cfg, scenario.dims.L)))
+    # one scenario, built at the first value; each point replaces sigma^2
+    sc = scenario_from_config(
+        {"scenario": {**cfg["scenario"], "sigma2_inv_db": values[0]}})
+    s, phi = selection_from_config(cfg, sc), phases_from_config(cfg, sc.dims.L)
+    points = [(snr_db, replace(sc, sigma2=db2lin(-snr_db)), s, phi)
+              for snr_db in values]
     rows, series = _precoder_sweep(points, precoders, methods, trials, seed,
                                    timing)
-    name = points[-1][1].name
-    return _finish(out_dir, f"{name}_sweep", rows, series, "1/sigma^2 [dB]",
-                   "ESR [bit/s/Hz]", name)
+    return _finish(out_dir, f"{sc.name}_sweep", rows, series,
+                   "1/sigma^2 [dB]", "ESR [bit/s/Hz]", sc.name)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from fasris.gradients import (esr_gradient_phases_common,
                               esr_gradient_phases_uncommon,
                               esr_gradient_ports_zf_common)
 from fasris.channel import herm, phase_matrix, psd_sqrt
-from fasris.optimize import OptimizerSettings
 from fasris.sweep import _fd_deviation
 from fasris.scenarios import (fig1_scenario, fig2_scenario, fig3_scenario,
                               fig6_scenario, fig8_scenario, random_scenario,
@@ -226,27 +225,26 @@ def test_criterion_06_gradient_correctness():
 def test_criterion_07_optimizer_quality():
     """Joint optimization beats uniform+AO; the gain grows with K; FW is
     within 3% of the exhaustive optimum at toy scale."""
-    opt = OptimizerSettings()
     sc, M = fig3_scenario(80.0)
     M_tot = sc.correlations.R_tot.shape[0]
     L = sc.dims.L
-    s_j, z_j, ph_j, rep_j, _ = joint_optimize(sc, M, T_iter=1, opt=opt)
+    s_j, z_j, ph_j, rep_j, _ = joint_optimize(sc, M, T_iter=1)
     z_u, ph_u, esr_u, _ = alternating_optimization(
-        sc, uniform_selection(M, M_tot), np.zeros(L), None, opt)
+        sc, uniform_selection(M, M_tot), np.zeros(L))
     beats_uniform = rep_j.esr >= esr_u
 
     ratios = {}
     for K in (4, 16):
         scK, MK = fig6_scenario(K, 80.0)
-        sK, zK, phK, repK, _ = joint_optimize(scK, MK, T_iter=1, opt=opt)
+        sK, zK, phK, repK, _ = joint_optimize(scK, MK, T_iter=1)
         zKu, phKu, esrKu, _ = alternating_optimization(
-            scK, uniform_selection(MK, M_tot), np.zeros(L), None, opt)
+            scK, uniform_selection(MK, M_tot), np.zeros(L))
         ratios[K] = repK.esr / esrKu
     trend = ratios[16] > ratios[4]
 
     rng = np.random.default_rng(77)
     toy = random_scenario(rng, "common", M=3, K=2, L=5, M_tot=10, sigma2=0.3)
-    s_fw = fw_port_selection(toy, None, 3, opt)
+    s_fw = fw_port_selection(toy, None, 3)
     best = -np.inf
     for idx in combinations(range(10), 3):
         s = np.zeros(10)

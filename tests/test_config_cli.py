@@ -304,6 +304,59 @@ class TestCli:
         assert rc == 2
         assert not (tmp_path / "x").exists()
 
+    def test_montecarlo_zero_trials_is_an_error(self, tmp_path, capsys):
+        # the config's 120 trials do not stand in for an explicit 0
+        cfg_path = self._write_cfg(tmp_path, small_cfg())
+        out = tmp_path / "res.csv"
+        assert cli.main(["--config", cfg_path, "montecarlo", "--trials", "0",
+                         "--out", str(out)]) == 1
+        assert "2 trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, entries", [("methods", ["de", "mcc"]),
+                                              ("precoders", ["rzf", "mmse"])])
+    def test_sweep_rejects_unknown_entries(self, tmp_path, capsys, key,
+                                           entries):
+        cfg_path = self._write_cfg(tmp_path, small_cfg(**{key: entries}))
+        rc = cli.main(["--config", cfg_path, "--out-dir",
+                       str(tmp_path / "x"), "sweep"])
+        assert rc == 2
+        assert entries[1] in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("preset", [False, True])
+    def test_sweep_builds_one_scenario(self, tmp_path, monkeypatch, preset):
+        # every point is the first point's scenario at its own sigma^2,
+        # equal to the scenario the config builds at that value
+        from fasris import sweep
+        from fasris.config import scenario_from_config
+        cfg = small_cfg(methods=["de"])
+        if preset:
+            cfg["scenario"] = {"preset": "fig1",
+                               "preset_args": {"M": 8, "K": 3, "L": 6}}
+        cfg["sweep"]["values"] = [60.0, 70, 80.0, 90.0, 100.0]
+        built, points = [], []
+        eval_point = sweep._eval_point
+
+        def recorded(sc, *args):
+            points.append(sc)
+            return eval_point(sc, *args)
+
+        monkeypatch.setattr(sweep, "scenario_from_config",
+                            lambda c: built.append(c) or scenario_from_config(c))
+        monkeypatch.setattr(sweep, "_eval_point", recorded)
+        sweep.run_experiment(cfg, tmp_path)
+        assert len(built) == 1 and len(points) == 5
+        for snr_db, sc in zip(cfg["sweep"]["values"], points):
+            block = dict(cfg["scenario"], sigma2_inv_db=snr_db)
+            if preset:
+                block["preset_args"] = dict(block["preset_args"],
+                                            sigma2_inv_db=snr_db)
+            ref = scenario_from_config({"scenario": block})
+            assert sc.sigma2 == ref.sigma2 and sc.name == ref.name
+            assert all(getattr(sc, k).tobytes() == getattr(ref, k).tobytes()
+                       for k in ("u", "t", "p"))
+
     def test_evaluate(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, small_cfg())
         rc = cli.main(["--config", cfg_path, "--out-dir", str(tmp_path / "e"),

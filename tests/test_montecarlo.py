@@ -222,6 +222,12 @@ class TestResolventProbe:
         # Q -> I/z, so (1/M) tr(R Q) -> 1/z
         assert abs(pr.delta_hat - 1.0 / z) < 1e-3 / z
 
+    @pytest.mark.filterwarnings("error")
+    def test_needs_a_trial(self, small_uncommon):
+        # no draw and no division by a zero trial count
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            resolvent_probe(small_uncommon, None, None, 0.2, trials=0, seed=9)
+
     def test_first_order_against_solver(self, small_uncommon):
         sc = small_uncommon
         z = 0.2

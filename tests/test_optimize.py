@@ -7,24 +7,21 @@ import numpy as np
 import pytest
 
 from fasris import fixed_point
-from fasris import (OptimizerSettings, PhaseShifts, SolverSettings,
-                    alternating_optimization, deterministic_esr,
+from fasris import (PhaseShifts, SolverSettings, alternating_optimization, deterministic_esr,
                     fw_linear_oracle, fw_port_selection,
                     gradient_ascent_phases, joint_optimize,
                     search_regularization, z_search_profile)
 from fasris.fixed_point import _spectra, solve_rzf_common, solve_zf_common
 from fasris.gradients import esr_gradient_ports_zf_common
-from fasris.optimize import (ALPHA0, BACKTRACK_C, LBFGS_MEMORY,
-                             Z_BRACKET_POINTS, Z_GRID_POINTS, Z_SLOPE_TOL,
+from fasris import optimize
+from fasris.optimize import (ALPHA0, BACKTRACK_C, FW_MAX_ITER, LBFGS_MEMORY,
+                             Z_GRID_POINTS, Z_REFINE_STEPS, Z_SLOPE_TOL,
                              OptimizationTrace, RelaxedZfObjective,
                              _lbfgs_direction, _WarmRzfEsr)
 from fasris.rates import second_order_common
 from fasris.scenarios import (fig3_scenario, fig6_scenario,
                               random_correlation, random_scenario,
                               uniform_selection)
-
-FAST = OptimizerSettings(solver=SolverSettings(tol=1e-10, max_iter=4000),
-                         fw_max_iter=120, ascent_max_iter=60)
 
 
 class TestContainers:
@@ -73,13 +70,13 @@ def toy_scenario(seed=0, M_tot=10, M=3, K=2, L=5):
 class TestFwPortSelection:
     def test_full_selection_shortcut(self):
         sc, _ = toy_scenario()
-        s = fw_port_selection(sc, None, sc.correlations.R_tot.shape[0], FAST)
+        s = fw_port_selection(sc, None, sc.correlations.R_tot.shape[0])
         assert np.all(s == 1.0)
 
     def test_toy_scale_near_exhaustive(self):
         sc, M = toy_scenario(seed=3)
         M_tot = sc.correlations.R_tot.shape[0]
-        s_fw = fw_port_selection(sc, None, M, FAST)
+        s_fw = fw_port_selection(sc, None, M)
         assert int(s_fw.sum()) == M
 
         def zf_esr(s):
@@ -95,7 +92,7 @@ class TestFwPortSelection:
     def test_beats_uniform_spread(self):
         from fasris.scenarios import uniform_selection
         sc, M = toy_scenario(seed=5, M_tot=16, M=5, K=3, L=6)
-        s_fw = fw_port_selection(sc, None, M, FAST)
+        s_fw = fw_port_selection(sc, None, M)
         s_uni = uniform_selection(M, 16)
         fw_val = deterministic_esr(sc, s_fw, None, "zf").esr
         uni_val = deterministic_esr(sc, s_uni, None, "zf").esr
@@ -116,15 +113,16 @@ class TestFwPortSelection:
         assert int(s.sum()) == M and solves
         assert all(sol.mixer == "off" for sol in solves)
 
-    def test_iteration_cap_is_recorded(self):
+    def test_iteration_cap_is_recorded(self, monkeypatch):
         sc, M = toy_scenario()
         capped, converged = OptimizationTrace(), OptimizationTrace()
-        s = fw_port_selection(sc, None, M, replace(FAST, fw_max_iter=1), capped)
+        fw_port_selection(sc, None, M, converged)
+        assert len(converged.records) < FW_MAX_ITER
+        assert not any("stalled" in r for r in converged.records)
+        monkeypatch.setattr(optimize, "FW_MAX_ITER", 1)
+        s = fw_port_selection(sc, None, M, capped)
         assert int(s.sum()) == M
         assert [r.get("stalled") for r in capped.records] == [True]
-        fw_port_selection(sc, None, M, FAST, converged)
-        assert len(converged.records) < FAST.fw_max_iter
-        assert not any("stalled" in r for r in converged.records)
 
     def test_rounding_rule(self):
         s = fw_linear_oracle(np.array([0.2, 0.9, 0.5, 0.9, 0.1]), 2)
@@ -140,19 +138,20 @@ class TestGradientAscent:
             C_R=np.diag(rng.uniform(0.5, 1.5, 6))))
         phi0 = rng.uniform(0, 2 * np.pi, 6)
         z = 0.15
-        phases, esr, stalled = gradient_ascent_phases(sc, None, z, phi0, FAST)
+        phases, esr, stalled = gradient_ascent_phases(sc, None, z, phi0)
         assert np.allclose(phases.phi, phi0)
         assert not stalled
 
-    def test_monotone_and_stationary(self):
+    def test_monotone_and_stationary(self, monkeypatch):
+        monkeypatch.setattr(optimize, "ASCENT_TOL", 1e-9)
+        monkeypatch.setattr(optimize, "ASCENT_MAX_ITER", 400)
         rng = np.random.default_rng(12)
         sc = random_scenario(rng, "common", M=10, K=3, L=6, sigma2=0.3)
         phi0 = rng.uniform(0, 2 * np.pi, 6)
         z = 0.15
         start = deterministic_esr(sc, None, phi0, "rzf", z).esr
         trace = OptimizationTrace()
-        opt = OptimizerSettings(ascent_tol=1e-9, ascent_max_iter=400)
-        phases, esr, stalled = gradient_ascent_phases(sc, None, z, phi0, opt,
+        phases, esr, stalled = gradient_ascent_phases(sc, None, z, phi0,
                                                       trace=trace)
         objs = trace.objectives()
         assert np.all(np.diff(objs) >= -1e-12)
@@ -172,22 +171,21 @@ class TestGradientAscent:
         rng = np.random.default_rng(4)
         sc = random_scenario(rng, "common", M=10, K=3, L=6, sigma2=0.3)
         phi0 = rng.uniform(0, 2 * np.pi, 6)
-        phases, esr, _ = gradient_ascent_phases(sc, None, 0.15, phi0, FAST)
+        phases, esr, _ = gradient_ascent_phases(sc, None, 0.15, phi0)
         fresh = deterministic_esr(sc, None, phases.phi, "rzf", 0.15).esr
         assert esr == pytest.approx(fresh, abs=1e-10)
 
-    def test_unreachable_armijo_stalls(self):
+    def test_unreachable_armijo_stalls(self, monkeypatch):
+        monkeypatch.setattr(optimize, "ARMIJO_BETA", 1e6)
         rng = np.random.default_rng(4)
         sc = random_scenario(rng, "common", M=10, K=3, L=6, sigma2=0.3)
         phi0 = rng.uniform(0, 2 * np.pi, 6)
-        opt = replace(FAST, armijo_beta=1e6)
         trace = OptimizationTrace()
         phases, esr, stalled = gradient_ascent_phases(sc, None, 0.15, phi0,
-                                                      opt, trace=trace)
+                                                      trace=trace)
         assert stalled and not trace.records
         assert np.array_equal(phases.phi, phi0)
-        fresh = deterministic_esr(sc, None, phi0, "rzf", 0.15,
-                                  FAST.solver).esr
+        fresh = deterministic_esr(sc, None, phi0, "rzf", 0.15).esr
         assert esr == pytest.approx(fresh, abs=1e-10)
 
 
@@ -224,8 +222,6 @@ class TestLbfgsDirection:
     def test_pairs_without_curvature_are_not_stored(self, monkeypatch):
         # ESR = -sum cos(phi) is convex for |phi| < pi/2: the first moves
         # from phi = 0.3 give s.y < 0, later ones near phi = pi s.y > 0
-        from fasris import optimize
-
         def objective(scenario, s, precoder, z, settings):
             return (lambda phi: -np.cos(phi).sum(),
                     lambda phi: (-np.cos(phi).sum(), np.sin(phi)))
@@ -263,7 +259,6 @@ def test_fig6_k12_ascent_converges():
 def test_design_op_line_search_and_rzf_solve_counts(monkeypatch):
     # the benchmark's design op on seed 1; 86 line-search evaluations and
     # 225 shared-RZF solves under normalized steepest ascent
-    from fasris import optimize
     evals, solves = [], []
     objective, picard = optimize._phase_objective, fixed_point._picard
 
@@ -293,7 +288,6 @@ def test_design_op_solves_each_point_once(monkeypatch):
     # line search's solve and the stats their spectra, 37 of its 39 phase
     # gradients solved again, and it made 310 eigvalsh calls and 138
     # shared-RZF solves
-    from fasris import optimize
     solves, eigvalsh_calls, resolved = [], [], []
     objective, picard = optimize._phase_objective, fixed_point._picard
     eigvalsh = np.linalg.eigvalsh
@@ -362,17 +356,6 @@ def test_shared_roots_and_spectra_are_bit_identical():
         == raw(solve_rzf_common(R, C, u, t, z, m_norm=M, spectra=spectra))
 
 
-@pytest.mark.parametrize("field, value", [
-    ("fw_max_iter", 0), ("fw_max_iter", 2.5), ("fw_max_iter", True),
-    ("ascent_max_iter", -1), ("ascent_max_iter", 3.0),
-    ("ascent_max_iter", False), ("ascent_tol", 0.0), ("ascent_tol", 1.0),
-    ("ascent_tol", np.nan), ("armijo_beta", 0.0), ("armijo_beta", -1e-4),
-    ("armijo_beta", np.nan), ("armijo_beta", np.inf)])
-def test_optimizer_settings_reject_invalid_values(field, value):
-    with pytest.raises(ValueError):
-        OptimizerSettings(**{field: value})
-
-
 class TestMixedRegime:
     """Shared F_tot with per-user C_R: the data picks the per-user regime.
 
@@ -401,10 +384,10 @@ class TestMixedRegime:
             assert rep.regime == f"{precoder}/uncommon"
             assert np.isfinite(rep.esr) and rep.esr > 0
 
-    def test_phase_ascent_reevaluates(self):
+    def test_phase_ascent_reevaluates(self, monkeypatch):
+        monkeypatch.setattr(optimize, "ASCENT_MAX_ITER", 5)
         sc, phi, s = self.scenario()
-        opt = OptimizerSettings(ascent_max_iter=5)
-        phases, esr, _ = gradient_ascent_phases(sc, s, None, phi, opt)
+        phases, esr, _ = gradient_ascent_phases(sc, s, None, phi)
         fresh = deterministic_esr(sc, s, phases.phi, "rzf").esr
         assert esr == pytest.approx(fresh, rel=1e-12)
         assert esr >= deterministic_esr(sc, s, phi, "rzf").esr
@@ -451,12 +434,12 @@ class TestSharedDirectLinkOffR:
         assert sc.homogeneous
         assert search_regularization(sc, s, phi) == sc.default_z(s)
 
-    def test_port_selection_and_phase_ascent_run(self):
+    def test_port_selection_and_phase_ascent_run(self, monkeypatch):
         sc, phi, s = self.scenario()
-        assert fw_port_selection(sc, phi, self.M, FAST).sum() == self.M
-        opt = OptimizerSettings(ascent_max_iter=5)
+        assert fw_port_selection(sc, phi, self.M).sum() == self.M
+        monkeypatch.setattr(optimize, "ASCENT_MAX_ITER", 5)
         for precoder in ("rzf", "zf"):
-            phases, esr, _ = gradient_ascent_phases(sc, s, None, phi, opt,
+            phases, esr, _ = gradient_ascent_phases(sc, s, None, phi,
                                                     precoder)
             assert esr >= deterministic_esr(sc, s, phi, precoder).esr
             assert esr == pytest.approx(
@@ -554,26 +537,6 @@ class TestRegularizerSearch:
         assert np.max(np.abs(vals / cold - 1.0)) <= 1e-9
         assert np.argmax(vals) == np.argmax(cold)
 
-    def test_bracket_around_incumbent(self):
-        rng = np.random.default_rng(9)
-        sc = random_scenario(rng, "common", M=12, K=4, L=8, sigma2=0.4)
-        z_full = z_search_profile(sc, None, None)[0]
-        z_inc = 1.1 * z_full
-        z_star, grid, vals, _ = z_search_profile(sc, None, None,
-                                                 incumbent=z_inc)
-        assert len(grid) == len(vals) == 11 and grid[5] == z_inc
-        assert np.allclose(np.diff(np.log10(grid)), 0.2, rtol=1e-12)
-        assert z_star == pytest.approx(z_full, rel=1e-3)
-
-    def test_bracket_edge_falls_back_to_full_grid(self):
-        rng = np.random.default_rng(9)
-        sc = random_scenario(rng, "common", M=12, K=4, L=8, sigma2=0.4)
-        full = z_search_profile(sc, None, None)
-        # two decades above the optimum the bracket's argmax is its low edge
-        far = z_search_profile(sc, None, None, incumbent=100.0 * full[0])
-        assert len(far[1]) == 41
-        assert far[0] == full[0] and np.array_equal(far[2], full[2])
-
     @pytest.mark.parametrize("regime", ["common", "uncommon"])
     def test_refined_optimum_is_stationary(self, regime):
         rng = np.random.default_rng(9)
@@ -593,7 +556,7 @@ class TestRegularizerSearch:
         report = {}
         z = search_regularization(sc, None, None, incumbent=1.01 * z_full,
                                   report=report)
-        assert report["evals"] < Z_BRACKET_POINTS
+        assert report["evals"] < Z_REFINE_STEPS
         assert report["gradient_norm"] <= Z_SLOPE_TOL * deterministic_esr(
             sc, None, None, "rzf", z).esr
         assert z == pytest.approx(z_full, rel=1e-3)
@@ -606,27 +569,33 @@ class TestRegularizerSearch:
         z = search_regularization(sc, None, None, incumbent=100.0 * full[0],
                                   report=report)
         assert z == full[0]
-        assert report["evals"] > Z_GRID_POINTS + Z_BRACKET_POINTS
+        assert report["evals"] > Z_GRID_POINTS
 
 
 def test_design_op_makes_at_most_90_z_evaluations(monkeypatch):
-    # the benchmark's design op; the z points the search's evaluator is
-    # given are counted from outside (a grid is one call of many points),
-    # and each ao record reports the points of its round
-    from fasris import optimize
-    points = []
+    # the benchmark's design op at 80 dB (2 AO rounds) and at 60 dB (3
+    # rounds); the z points the search's evaluator is given are counted from
+    # outside (a grid is one call of many points), and each ao record
+    # reports the points of its round. Later rounds refine from the
+    # incumbent without sweeping a grid again.
+    calls = []
     call = optimize._WarmRzfEsr.__call__
 
     def counted(self, z, *args, **kw):
-        points.extend(np.atleast_1d(z))
+        calls.append(np.size(z))
         return call(self, z, *args, **kw)
 
     monkeypatch.setattr(optimize._WarmRzfEsr, "__call__", counted)
-    sc, M = fig3_scenario(80.0)
-    *_, trace = joint_optimize(sc, M, phi0=np.full(sc.dims.L, 2.0), T_iter=1)
-    assert len(points) <= 90
-    assert sum(r["evals"] for r in trace.records
-               if r["stage"] == "ao") == len(points)
+    for snr_db, rounds in ((80.0, 2), (60.0, 3)):
+        calls.clear()
+        sc, M = fig3_scenario(snr_db)
+        *_, trace = joint_optimize(sc, M, phi0=np.full(sc.dims.L, 2.0),
+                                   T_iter=1)
+        ao = [r for r in trace.records if r["stage"] == "ao"]
+        assert len(ao) == rounds
+        assert sum(calls) <= 90 and calls.count(Z_GRID_POINTS) == 1
+        assert set(calls) == {1, Z_GRID_POINTS}
+        assert sum(r["evals"] for r in ao) == sum(calls)
 
 
 class TestAlternatingOptimization:
@@ -634,8 +603,7 @@ class TestAlternatingOptimization:
         rng = np.random.default_rng(14)
         sc = random_scenario(rng, "common", M=12, K=4, L=8, sigma2=0.4)
         phi0 = rng.uniform(0, 2 * np.pi, 8)
-        z, phases, esr, trace = alternating_optimization(sc, None, phi0,
-                                                         None, FAST)
+        z, phases, esr, trace = alternating_optimization(sc, None, phi0)
         objs = [r["objective"] for r in trace.records if r["stage"] == "ao"]
         assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
         assert z > 0
@@ -647,8 +615,7 @@ class TestAlternatingOptimization:
             C_R=np.diag(rng.uniform(0.5, 1.5, 6))),
                      u=np.full(3, 1.0), t=np.full(3, 0.5), p=np.ones(3))
         phi0 = np.zeros(6)
-        z, phases, esr, trace = alternating_optimization(sc, None, phi0,
-                                                         None, FAST)
+        z, phases, esr, trace = alternating_optimization(sc, None, phi0)
         ao_iters = [r for r in trace.records if r["stage"] == "ao"]
         assert len(ao_iters) <= 2
         assert np.allclose(phases.phi, phi0)
@@ -657,7 +624,6 @@ class TestAlternatingOptimization:
         sc = random_scenario(rng, "common", M=12, K=4, L=8, sigma2=0.4)
         phi0 = rng.uniform(0, 2 * np.pi, 8)
         z, phases, esr, trace = alternating_optimization(sc, None, phi0,
-                                                         None, FAST,
                                                          precoder="zf")
         assert z is None
         fresh = deterministic_esr(sc, None, phases.phi, "zf").esr
@@ -667,21 +633,18 @@ class TestAlternatingOptimization:
 class TestJointOptimize:
     def test_single_iteration_composition(self):
         sc, M = toy_scenario(seed=6, M_tot=12, M=5, K=3, L=6)
-        opt = FAST
         phi0 = np.zeros(6)
-        s, z, phases, rep, trace = joint_optimize(sc, M, phi0, T_iter=1,
-                                                  opt=opt)
+        s, z, phases, rep, trace = joint_optimize(sc, M, phi0, T_iter=1)
         # explicit Alg-1-then-Alg-3 composition
-        s_ref = fw_port_selection(sc, phi0, M, opt)
-        z_ref, ph_ref, esr_ref, _ = alternating_optimization(sc, s_ref, phi0,
-                                                             None, opt)
+        s_ref = fw_port_selection(sc, phi0, M)
+        z_ref, ph_ref, esr_ref, _ = alternating_optimization(sc, s_ref, phi0)
         assert np.array_equal(s, s_ref)
         assert z == pytest.approx(z_ref)
         assert rep.esr == pytest.approx(esr_ref, rel=1e-12)
 
     def test_output_contracts(self):
         sc, M = toy_scenario(seed=7, M_tot=12, M=5, K=3, L=6)
-        s, z, phases, rep, trace = joint_optimize(sc, M, T_iter=2, opt=FAST)
+        s, z, phases, rep, trace = joint_optimize(sc, M, T_iter=2)
         assert set(np.unique(s)) <= {0.0, 1.0} and int(s.sum()) == M
         assert np.allclose(np.abs(np.diag(phases.Phi)), 1.0)
         assert z > 0
