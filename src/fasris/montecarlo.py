@@ -12,8 +12,9 @@ Trials run batched: each draws from a counter-based RNG substream keyed by
 (T, ...) stacks, so per-trial rates are bit-identical however trials are
 blocked. A block's draw re-keys one Philox per trial instead of building a
 generator per trial (`channel.trial_rng` defines the stream). RZF solves
-its regularized Gram on the users' side (K x K) when K <= M. `threads` is
-accepted for compatibility and parallelizes nothing.
+its regularized Gram on the users' side (K x K) when K <= M; ZF takes an SVD
+only for a block its Gram inverse leaves uncertified; the resolvent probe
+works on L x L Grams. `threads` is accepted and parallelizes nothing.
 """
 
 from __future__ import annotations
@@ -67,8 +68,11 @@ def build_precoder(H: np.ndarray, kind: str, p: np.ndarray,
 
     rzf: H (H^H H + z I_K)^{-1} = (H H^H + z I_M)^{-1} H, solved on the
     smaller Gram: K x K when K <= M, else M x M (each side's form is the
-    accurate one there); zf: H (H^H H)^{-1}; mrt: H. H is one (M, K)
-    channel or a (T, M, K) stack of them; each trial is scaled on its own.
+    accurate one there); zf: H (H^H H)^{-1}, full rank certified by
+    (sigma_max/sigma_min)^2 <= ||H||_F^2 ||(H^H H)^{-1}||_F <= 1/RANK_TOL, or
+    else by an SVD (FeasibilityError where sigma_min/sigma_max < RANK_TOL);
+    mrt: H. H is one (M, K) channel or a (T, M, K) stack of them; each trial
+    is scaled on its own.
     """
     Hs = H[None] if H.ndim == 2 else H
     M, K = Hs.shape[-2:]
@@ -84,14 +88,22 @@ def build_precoder(H: np.ndarray, kind: str, p: np.ndarray,
     elif kind == "zf":
         if M < K:
             raise FeasibilityError(f"ZF infeasible: M={M} < K={K}")
-        sv = np.linalg.svd(Hs, compute_uv=False)
-        bad = np.flatnonzero(sv[:, -1] < RANK_TOL * sv[:, 0])
-        if bad.size:
-            t = bad[0]
-            raise FeasibilityError(
-                f"ZF infeasible: H numerically rank deficient "
-                f"(sigma_min/sigma_max = {sv[t, -1] / sv[t, 0]:.3e})")
-        G0 = Hs @ np.linalg.inv(_herm_t(Hs) @ Hs)
+        Gram = _herm_t(Hs) @ Hs
+        try:
+            Ginv = np.linalg.inv(Gram)
+        except np.linalg.LinAlgError:       # exactly singular: the SVD decides
+            Ginv = None
+        if Ginv is None or not np.all(np.linalg.norm(Hs, axis=(1, 2)) ** 2
+                                      * np.linalg.norm(Ginv, axis=(1, 2))
+                                      <= 1.0 / RANK_TOL):
+            sv = np.linalg.svd(Hs, compute_uv=False)
+            bad = np.flatnonzero(sv[:, -1] < RANK_TOL * sv[:, 0])
+            if bad.size:
+                t = bad[0]
+                raise FeasibilityError(
+                    f"ZF infeasible: H numerically rank deficient "
+                    f"(sigma_min/sigma_max = {sv[t, -1] / sv[t, 0]:.3e})")
+        G0 = Hs @ (np.linalg.inv(Gram) if Ginv is None else Ginv)
     elif kind == "mrt":
         G0 = Hs.copy()
     else:
@@ -164,10 +176,11 @@ def resolvent_probe(scenario: Scenario, s: np.ndarray | None,
     Q = (z I + H H^H)^{-1}; Z_k is the cascaded factor R^{1/2} X C_k^{+/2}.
     Used to validate the fixed-point solutions (first order) and the
     Pi/Delta interference blocks (second order, bilinear traces).
-    With B_k = Z_k Z_k^H = (R^{1/2} X) C_k (R^{1/2} X)^H, U_k = Q B_k and
-    V_k = U_k Q: omega_k = tr U_k / L, ups_I_k = tr V_k / L + tr(F_k Q^2) / M
-    and lambda[k,l] = tr(U_k U_l) / L + tr(V_k F_l) / M. Terms linear in Q,
-    Q^2 or V_k are summed over trials before their traces are taken.
+    With A = Q R^{1/2} X and the L x L Grams D = (R^{1/2} X)^H A, E = A^H A:
+    omega_k = tr(C_k D) / L, ups_I_k = tr(C_k E) / L + tr(F_k Q^2) / M and
+    lambda[k,l] = tr(C_k D C_l D) / L + tr(C_k A^H F_l A) / M. Q, Q^2, D, E
+    and A^H F_l A are summed over trials before their traces are taken; the
+    pairs tr(P_k P_l) of P = C D are taken per trial, on (K, L, L) stacks.
     """
     if trials < 1:
         raise ValueError("resolvent probe needs at least 1 trial")
@@ -180,24 +193,26 @@ def resolvent_probe(scenario: Scenario, s: np.ndarray | None,
     C = sampler.C_half @ _herm_t(sampler.C_half)
 
     Q_sums = np.zeros((2, M, M), dtype=complex)     # sums of Q and Q^2
-    V_sum = np.zeros((K, M, M), dtype=complex)
-    omega_acc, upsZ_acc, lam_acc = np.zeros(K), np.zeros(K), np.zeros((K, K))
+    DE_sums = np.zeros((2, L, L), dtype=complex)    # sums of D and E
+    G = np.zeros((K, L, L), dtype=complex)          # sums of A^H F_l A
+    lam_acc = np.zeros((K, K))
+    C_rows, F_rows = C.reshape(-1, L), F.reshape(-1, M)
     for lo, hi in _blocks(trials):
         sample = sampler.draw(range(lo, hi), seed)
         Q = np.linalg.inv(z * np.eye(M) + sample.H @ _herm_t(sample.H))
-        RX = (sampler.R_half @ sample.X)[:, None]       # (T, 1, M, L)
-        U = Q[:, None] @ (RX @ C @ _herm_t(RX))         # (T, K, M, M)
-        V = U @ Q[:, None]
-        omega_acc += np.einsum("tkii->k", U).real
-        upsZ_acc += np.einsum("tkii->k", V).real
-        lam_acc += _pair_traces(U, U).sum(axis=0)
+        RX = sampler.R_half @ sample.X
+        A = Q @ RX                                      # (T, M, L)
+        D = _herm_t(RX) @ A                             # (T, L, L)
+        for A_t, D_t in zip(A, D):
+            P = (C_rows @ D_t).reshape(K, L, L)         # P_k = C_k D
+            lam_acc += _pair_traces(P, P)
+            G += _herm_t(A_t) @ (F_rows @ A_t).reshape(K, M, L)
+        DE_sums += [D.sum(axis=0), np.tensordot(A.conj(), A, ([0, 1], [0, 1]))]
         Q_sums += [Q.sum(axis=0), (Q @ Q).sum(axis=0)]
-        V_sum += V.sum(axis=0)
-    omega = omega_acc / (trials * L)
+    omega, upsZ = _pair_traces(C, DE_sums).T / (trials * L)
     trF, trF2 = _pair_traces(F, Q_sums).T / (trials * M)
     tr_RQ = np.real(np.vdot(scenario.select_R(s), Q_sums[0]))
     return ResolventProbe(
         z=z, trials=trials, delta_hat=float(tr_RQ) / (trials * M),
-        omega_hat=omega, mu_hat=trF + omega,
-        ups_I_hat=upsZ_acc / (trials * L) + trF2,
-        lambda_hat=(lam_acc / L + _pair_traces(V_sum, F) / M) / trials)
+        omega_hat=omega, mu_hat=trF + omega, ups_I_hat=upsZ + trF2,
+        lambda_hat=(lam_acc / L + _pair_traces(C, G) / M) / trials)

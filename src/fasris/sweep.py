@@ -315,6 +315,8 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
     report content, not exceptions. `_tamper(name, so)` is a fault-injection
     hook used by tests to verify the probes catch corrupted blocks.
     """
+    if trials < 2:      # the Monte-Carlo checks need a standard error
+        raise UsageError(f"validate needs at least 2 trials, got {trials}")
     checks: list[dict] = []
 
     def record(name, measured, tol, detail=""):

@@ -13,7 +13,7 @@ from fasris.config import (ConfigError, load_matrix, phases_from_config,
                            save_matrix, scenario_from_config,
                            selection_from_config)
 from fasris.scenarios import random_correlation, uniform_selection
-from fasris.sweep import CSV_HEADER, validate
+from fasris.sweep import CSV_HEADER, UsageError, validate
 
 
 def small_cfg(**overrides):
@@ -461,6 +461,18 @@ class TestValidate:
         by_name = {c["name"]: c for c in checks}
         assert not by_name["mc_block_determinism"]["passed"]
         assert by_name["de_vs_mc"]["passed"]
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_too_few_trials_is_a_usage_error(self, monkeypatch, capsys,
+                                             trials):
+        # refused before any check runs: no scenario is even built
+        from fasris import sweep
+        monkeypatch.setattr(sweep.sc_mod, "fig1_scenario", None)
+        with pytest.raises(UsageError, match="at least 2 trials"):
+            validate(None, trials=trials)
+        assert cli.main(["validate", "--trials", str(trials)]) == 2
+        captured = capsys.readouterr()
+        assert "at least 2 trials" in captured.err and not captured.out
 
     def test_cli_exit_code_on_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "validate",

@@ -1,5 +1,7 @@
 """Monte-Carlo oracle: precoders, instantaneous SINR, ESR estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import rel_err
@@ -9,7 +11,8 @@ from fasris import (Dimensions, CorrelationSet, Scenario, build_precoder,
                     resolvent_probe, solve_rzf_uncommon, sinr_rzf_uncommon)
 from fasris.channel import ChannelSampler
 from fasris.fixed_point import FeasibilityError
-from fasris.scenarios import random_correlation, random_scenario
+from fasris.scenarios import (fig1_scenario, random_correlation,
+                              random_scenario, uniform_selection)
 
 
 def rand_H(rng, M, K):
@@ -71,6 +74,61 @@ class TestBuildPrecoder:
             build_precoder(H, "zf", np.ones(3))
         with pytest.raises(FeasibilityError):
             build_precoder(rand_H(rng, 3, 5), "zf", np.ones(5))
+
+
+def with_sigma_ratio(rng, M, K, ratio):
+    """H = U diag(s) V^H, s falling from 1 to sigma_min / sigma_max = ratio."""
+    U = np.linalg.qr(rand_H(rng, M, K))[0]
+    V = np.linalg.qr(rand_H(rng, K, K))[0]
+    return (U * np.geomspace(1.0, ratio, K)) @ V.conj().T
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """A list that gains one entry per np.linalg.svd call in the test."""
+    calls = []
+
+    def counted(A, *args, _svd=np.linalg.svd, **kw):
+        calls.append(None)
+        return _svd(A, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestZfRankCertificate:
+    """ZF takes (sigma_max / sigma_min)^2 <= ||H||_F^2 ||(H^H H)^{-1}||_F as
+    its rank certificate and runs the exact SVD test only where the bound
+    exceeds 1 / RANK_TOL."""
+
+    def test_below_rank_tol_raises(self, rng):
+        H = np.stack([rand_H(rng, 10, 4), with_sigma_ratio(rng, 10, 4, 1e-11)])
+        with pytest.raises(FeasibilityError, match="rank deficient"):
+            build_precoder(H, "zf", np.ones(4))
+
+    def test_uncertified_block_passes_the_exact_test(self, rng, svd_calls):
+        H = with_sigma_ratio(rng, 10, 4, 1e-7)
+        p = rng.uniform(0.5, 2.0, 4)
+        G = build_precoder(H, "zf", p)
+        assert len(svd_calls) == 1
+        Hs = H[None]            # the stacked arithmetic of the parent code
+        G0 = Hs @ np.linalg.inv(np.swapaxes(Hs.conj(), -1, -2) @ Hs)
+        power = np.real(np.einsum("tmk,k,tmk->t", G0.conj(), p, G0))
+        assert np.array_equal(G, (G0 / np.sqrt(power)[:, None, None])[0])
+
+    def test_exactly_singular_gram_is_infeasible(self, rng):
+        H = np.stack([rand_H(rng, 8, 3), np.zeros((8, 3), dtype=complex)])
+        H[1, 0, 0], H[1, 1:3, 1] = 1.0, [1.0, 1j]
+        H[1, :, 2] = H[1, :, 1]                 # Gram with an exact 0 pivot
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.swapaxes(H.conj(), -1, -2) @ H)
+        with pytest.raises(FeasibilityError, match="rank deficient"):
+            build_precoder(H, "zf", np.ones(3))
+
+    def test_fig1_block_makes_no_svd(self, svd_calls):
+        H = ChannelSampler(fig1_scenario(24, 80)).draw(range(16), 5).H
+        build_precoder(H, "zf", np.ones(12))
+        assert svd_calls == []
 
 
 class TestInstantaneousSinr:
@@ -288,11 +346,11 @@ class TestBatchedTrials:
         build_precoder(np.delete(H, 3, axis=0), "zf", np.ones(3))
 
 
-def _probe_oracle(scenario, phi, z, trials, seed):
+def _probe_oracle(scenario, phi, z, trials, seed, s=None):
     """Per-trial einsum evaluation of every probe trace (reference)."""
-    sampler = ChannelSampler(scenario, None, phi)
+    sampler = ChannelSampler(scenario, s, phi)
     M, K, L = sampler.M, sampler.K, sampler.L
-    R = scenario.select_R(None)
+    R = scenario.select_R(s)
     F_stack = np.stack([Fh @ Fh.conj().T for Fh in sampler.F_half])
     delta, omega, mu = 0.0, np.zeros(K), np.zeros(K)
     ups, lam = np.zeros(K), np.zeros((K, K))
@@ -338,3 +396,34 @@ class TestProbeAgainstEinsumOracle:
         ref = _probe_oracle(small_common, None, 0.05, 3, 2)
         assert rel_err(pr.lambda_hat, ref[4]) < 1e-12
         assert rel_err(pr.ups_I_hat, ref[3]) < 1e-12
+
+    # the probe's traces run on L x L Grams: L > M, L < M and a port
+    # selection (M of M_tot ports) each against the M x M oracle
+    @pytest.mark.parametrize("M,K,L,M_tot", [(5, 3, 11, None),
+                                             (13, 4, 6, None),
+                                             (6, 3, 9, 14)])
+    def test_shapes_and_selection(self, rng, M, K, L, M_tot):
+        sc = random_scenario(rng, "uncommon", M, K, L, M_tot=M_tot)
+        s = None if M_tot is None else uniform_selection(M, M_tot)
+        phi = rng.uniform(0, 2 * np.pi, L)
+        pr = resolvent_probe(sc, s, phi, 0.3, 21, 4)
+        got = [pr.delta_hat, pr.omega_hat, pr.mu_hat, pr.ups_I_hat,
+               pr.lambda_hat]
+        for g, ref in zip(got, _probe_oracle(sc, phi, 0.3, 21, 4, s)):
+            assert rel_err(g, ref) < 1e-12
+
+
+def test_probe_memory_peak():
+    # 40 trials of fig1 at M = L = 32 stay within 6 MiB, where one
+    # (T, K, M, M) stack of a 16-trial block alone takes 3 MiB. A 1-trial
+    # probe first fills the scenario's square-root cache and the lazy
+    # imports of the first draw, which later calls do not allocate again.
+    sc = fig1_scenario(32, 80)
+    resolvent_probe(sc, None, None, sc.default_z(), trials=1, seed=3)
+    tracemalloc.start()
+    try:
+        resolvent_probe(sc, None, None, sc.default_z(), trials=40, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2 ** 20
