@@ -553,17 +553,14 @@ class ChannelSampler:
                   for F in corr.f_tot_list(self.K)]
         self.R_half = root(scenario.select_R(s), "R")
         # gain-weighted direct-link factors sqrt(u_k) F_{c,k}^{1/2}, (K, M, M)
-        self.F_half = np.stack([np.sqrt(scenario.u[k]) * root(F, f"F[{k}]")
-                                for k, F in enumerate(F_list)])
-        CL_half = corr.root(corr.C_L, "C_L")
-        Phi = None if phi is None else phase_matrix(phi, self.L)
-
+        self.F_half = np.sqrt(scenario.u)[:, None, None] * np.stack(
+            [root(F, f"F[{k}]") for k, F in enumerate(F_list)])
         # cascaded factors C_k^{+/2} = sqrt(t_k) C_L^{1/2} Phi C_{R,k}^{1/2}
-        def cascaded(k, CR):
-            A = np.sqrt(scenario.t[k]) * CL_half
-            return (A if Phi is None else A @ Phi) @ corr.root(CR, f"C_R[{k}]")
-        self.C_half = np.stack([cascaded(k, CR) for k, CR
-                                in enumerate(corr.c_r_list(self.K))])
+        A = np.sqrt(scenario.t)[:, None, None] * corr.root(corr.C_L, "C_L")
+        if phi is not None:
+            A = A @ phase_matrix(phi, self.L)
+        self.C_half = A @ np.stack([corr.root(CR, f"C_R[{k}]") for k, CR
+                                    in enumerate(corr.c_r_list(self.K))])
         # the one Philox that `draw` re-keys for every trial
         self._stream = np.random.Generator(np.random.Philox())
 

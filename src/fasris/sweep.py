@@ -20,7 +20,8 @@ from .config import (phases_from_config, scenario_from_config,
 from .fixed_point import (SolverSettings, backsubstitution_residual,
                           solve_iid_zf, solve_rzf_uncommon, solve_zf_uncommon)
 from .gradients import fd_gradient
-from .montecarlo import _trial_rates, empirical_esr, resolvent_probe
+from .montecarlo import (_empirical_esrs, _trial_rates, empirical_esr,
+                         resolvent_probe)
 from .optimize import (RelaxedZfObjective, _WarmRzfEsr, _evaluate,
                        _phase_objective, alternating_optimization,
                        deterministic_esr, joint_optimize, z_search_profile)
@@ -50,33 +51,52 @@ def write_csv(path: Path, rows: list[str]) -> None:
             fh.write(row + "\n")
 
 
-def _eval_point(scenario, s, phi, precoder, method, trials, seed, timing):
+def _z(scenario, s, precoder):
+    return scenario.default_z(s) if precoder == "rzf" else None
+
+
+def _eval_point(scenario, s, phi, precoder, timing):
+    """(esr, None, runtime_ms) of the deterministic equivalent."""
     t0 = time.perf_counter()
-    z = scenario.default_z(s) if precoder == "rzf" else None
-    if method == "de":
-        rep = deterministic_esr(scenario, s, phi, precoder, z)
-        esr, stderr = rep.esr, None
-    else:
-        est = empirical_esr(scenario, s, phi, precoder, trials, seed, z)
-        esr, stderr = est.mean, est.stderr
+    rep = deterministic_esr(scenario, s, phi, precoder,
+                            _z(scenario, s, precoder))
     rt = (time.perf_counter() - t0) * 1e3 if timing else None
-    return esr, stderr, rt
+    return rep.esr, None, rt
 
 
-def _precoder_sweep(points, precoders, methods, trials, seed, timing):
-    """Rows and one series per (precoder, method) over SNR points.
+def _mc_points(points, s, phi, trials, seed, timing):
+    """(esr, stderr, runtime_ms) of every (scenario, precoder) point from
+    one Monte-Carlo call. The scenarios differ in sigma^2 at most, so every
+    point takes the same draws; the call's time is split evenly."""
+    if not points:
+        return []
+    t0 = time.perf_counter()
+    cases = [(precoder, sc.sigma2, _z(sc, s, precoder))
+             for sc, precoder in points]
+    ests = _empirical_esrs(points[0][0], s, phi, cases, trials, seed)
+    rt = ((time.perf_counter() - t0) * 1e3 / len(points)) if timing else None
+    return [(est.mean, est.stderr, rt) for est in ests]
 
-    points yield (snr_db, scenario, s, phi); MRT has no DE, so MC only.
-    """
+
+def _precoder_sweep(scenario, s, phi, snrs, precoders, methods, trials, seed,
+                    timing):
+    """Rows and one series per (precoder, method) over the SNR points: the
+    scenario at each sigma^2 = 10^(-snr/10). MRT has no DE, so MC only; the
+    MC rows come from one call."""
+    points = [(snr_db, replace(scenario, sigma2=db2lin(-snr_db)))
+              for snr_db in snrs]
+    mc_points = [(sc, precoder) for _, sc in points for precoder in precoders]
+    mc = iter(_mc_points(mc_points if "mc" in methods else [], s, phi, trials,
+                         seed, timing))
     rows, series = [], {}
-    for snr_db, scenario, s, phi in points:
+    for snr_db, sc in points:
         for precoder in precoders:
             for method in methods:
                 if precoder == "mrt" and method == "de":
                     continue
-                esr, stderr, rt = _eval_point(scenario, s, phi, precoder,
-                                              method, trials, seed, timing)
-                rows.append(format_row(scenario.name, "snr_db", snr_db,
+                esr, stderr, rt = (next(mc) if method == "mc" else
+                                   _eval_point(sc, s, phi, precoder, timing))
+                rows.append(format_row(sc.name, "snr_db", snr_db,
                                        precoder, method, esr, stderr, rt))
                 xs, ys = series.setdefault((precoder, method), ([], []))
                 xs.append(snr_db)
@@ -111,10 +131,8 @@ def run_experiment(cfg: dict, out_dir: str | Path, seed: int | None = None,
     sc = scenario_from_config(
         {"scenario": {**cfg["scenario"], "sigma2_inv_db": values[0]}})
     s, phi = selection_from_config(cfg, sc), phases_from_config(cfg, sc.dims.L)
-    points = [(snr_db, replace(sc, sigma2=db2lin(-snr_db)), s, phi)
-              for snr_db in values]
-    rows, series = _precoder_sweep(points, precoders, methods, trials, seed,
-                                   timing)
+    rows, series = _precoder_sweep(sc, s, phi, values, precoders, methods,
+                                   trials, seed, timing)
     return _finish(out_dir, f"{sc.name}_sweep", rows, series,
                    "1/sigma^2 [dB]", "ESR [bit/s/Hz]", sc.name)
 
@@ -128,20 +146,26 @@ def _de_vs_mc(out_dir: Path, name: str, groups, axis_name: str, trials: int,
               title: str) -> dict:
     """RZF analysis (DE) vs simulation (MC) at z = K sigma^2/M, all ports.
 
-    Each (label, points) group, points yielding (x, scenario_id, scenario),
-    gives a DE and an MC row per point and one series of each.
+    Each (label, runs) group gives a DE and an MC row per point and one
+    series of each. A run (scenario_id, points) holds (x, scenario) points
+    whose scenarios differ in sigma^2 at most; its MC rows come from one
+    call, on one set of draws.
     """
     rows, series = [], []
-    for label, points in groups:
+    for label, runs in groups:
         xs, de_y, mc_y = [], [], []
-        for x, scenario_id, sc in points:
-            for method, store in (("de", de_y), ("mc", mc_y)):
-                esr, stderr, rt = _eval_point(sc, None, None, "rzf", method,
-                                              trials, seed, timing)
-                rows.append(format_row(scenario_id, axis_name, x, "rzf",
-                                       method, esr, stderr, rt))
-                store.append(esr)
-            xs.append(x)
+        for scenario_id, points in runs:
+            mc = _mc_points([(sc, "rzf") for _, sc in points], None, None,
+                            trials, seed, timing)
+            for (x, sc), mc_row in zip(points, mc):
+                for method, (esr, stderr, rt), store in (
+                        ("de", _eval_point(sc, None, None, "rzf", timing),
+                         de_y),
+                        ("mc", mc_row, mc_y)):
+                    rows.append(format_row(scenario_id, axis_name, x, "rzf",
+                                           method, esr, stderr, rt))
+                    store.append(esr)
+                xs.append(x)
         series.append({"x": xs, "y": de_y, "label": f"{label} analysis"})
         series.append({"x": xs, "y": mc_y, "label": f"{label} simulation",
                        "dashed": True})
@@ -152,11 +176,11 @@ def _de_vs_mc(out_dir: Path, name: str, groups, axis_name: str, trials: int,
 def figure_fig1(out_dir: Path, trials: int, seed: int, timing: bool,
                 snrs=(60, 70, 80, 90, 100), Ms=(16, 20, 24)) -> dict:
     """ESR accuracy vs SNR for M in {16, 20, 24} (RZF, z = K sigma^2/M)."""
-    def points(M):
-        for snr in snrs:
-            sc = sc_mod.fig1_scenario(M, snr)
-            yield snr, sc.name, sc
-    return _de_vs_mc(out_dir, "fig1", [(f"M={M}", points(M)) for M in Ms],
+    def run(M):
+        sc = sc_mod.fig1_scenario(M, snrs[0])   # one set per curve
+        return sc.name, [(snr, replace(sc, sigma2=db2lin(-snr)))
+                         for snr in snrs]
+    return _de_vs_mc(out_dir, "fig1", [(f"M={M}", [run(M)]) for M in Ms],
                      "snr_db", trials, seed, timing,
                      "1/sigma^2 [dB]", "ESR vs SNR, per-user correlation")
 
@@ -164,11 +188,12 @@ def figure_fig1(out_dir: Path, trials: int, seed: int, timing: bool,
 def figure_fig2(out_dir: Path, trials: int, seed: int, timing: bool,
                 scales=(1, 2, 3, 4)) -> dict:
     """DE accuracy vs proportional system size, cases (8,6,16)/(12,6,16)."""
-    def points(case):
-        for scale in scales:
-            yield scale, f"fig2_case{case}", sc_mod.fig2_scenario(case, scale)
+    def runs(case):
+        return [(f"fig2_case{case}",
+                 [(scale, sc_mod.fig2_scenario(case, scale))])
+                for scale in scales]
     return _de_vs_mc(out_dir, "fig2",
-                     [(f"case {case}", points(case)) for case in (1, 2)],
+                     [(f"case {case}", runs(case)) for case in (1, 2)],
                      "scale", trials, seed, timing, "size multiple",
                      "DE accuracy vs system size")
 
@@ -210,13 +235,11 @@ def figure_fig3(out_dir: Path, trials: int, seed: int, timing: bool,
 def figure_fig4(out_dir: Path, trials: int, seed: int, timing: bool,
                 snrs=(60, 70, 80, 90, 100)) -> dict:
     """RZF vs ZF vs MRT on the optimization scenario (uniform ports)."""
-    def points():
-        for snr in snrs:
-            sc, M = sc_mod.fig3_scenario(snr)
-            s = sc_mod.uniform_selection(M, sc.correlations.R_tot.shape[0])
-            yield snr, sc, s, np.zeros(sc.dims.L)
-    rows, series = _precoder_sweep(points(), ("rzf", "zf", "mrt"),
-                                   ("de", "mc"), trials, seed, timing)
+    sc, M = sc_mod.fig3_scenario(snrs[0])
+    s = sc_mod.uniform_selection(M, sc.correlations.R_tot.shape[0])
+    rows, series = _precoder_sweep(sc, s, np.zeros(sc.dims.L), snrs,
+                                   ("rzf", "zf", "mrt"), ("de", "mc"),
+                                   trials, seed, timing)
     return _finish(out_dir, "fig4", rows, series, "1/sigma^2 [dB]",
                    "ESR [bit/s/Hz]", "Precoder comparison")
 
@@ -437,8 +460,9 @@ def validate(cfg: dict | None = None, trials: int = 800, seed: int = 7,
 
     # 8. per-trial MC rates do not depend on how trials are stacked
     sampler = ChannelSampler(scenario, None, None)
-    single, stacked = (_trial_rates(sampler, scenario.p, scenario.sigma2,
-                                    "rzf", z, seed, 64, block)
+    single, stacked = (_trial_rates(sampler, scenario.p,
+                                    [("rzf", scenario.sigma2, z)], seed, 64,
+                                    block)
                        for block in (1, None))
     record("mc_block_determinism", float(np.max(np.abs(single - stacked))),
            0.0, "per-trial rates bit-identical for blocks of 1 and the default")

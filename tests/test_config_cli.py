@@ -452,11 +452,11 @@ class TestValidate:
         assert by_name["probe_first_order"]["passed"]
 
     def test_block_dependent_rates_are_flagged(self, monkeypatch):
-        # a precoder scaled by the stack size makes rates depend on blocking
+        # block rates scaled by the stack size depend on blocking
         from fasris import montecarlo
-        build = montecarlo.build_precoder
-        monkeypatch.setattr(montecarlo, "build_precoder",
-                            lambda H, *a: build(H, *a) * (1.0 + 1e-3 * len(H)))
+        rates = montecarlo._block_rates
+        monkeypatch.setattr(montecarlo, "_block_rates",
+                            lambda H, *a: rates(H, *a) * (1.0 + 1e-3 * len(H)))
         checks = validate(None, trials=400, seed=7)
         by_name = {c["name"]: c for c in checks}
         assert not by_name["mc_block_determinism"]["passed"]
@@ -524,6 +524,26 @@ class TestFigureRecipes:
         assert len(lines) == 1 + 3 * 5 * 2
         assert sum(",de," in ln for ln in lines) == 15
         assert sum(",mc," in ln for ln in lines) == 15
+
+    @pytest.mark.parametrize("name,kw,curves", [
+        ("fig1", {"snrs": (60, 80), "Ms": (12, 16)}, 2),
+        ("fig4", {"snrs": (60, 80)}, 1)])
+    def test_one_draw_pass_per_curve(self, tmp_path, monkeypatch, name, kw,
+                                     curves):
+        # a curve's SNR points (and fig4's precoders) share their channels,
+        # so each curve draws its 20 trials once, in blocks of 16 and 4
+        from fasris import sweep as sw
+        from fasris.channel import ChannelSampler
+        draw, first_trials = ChannelSampler.draw, []
+
+        def counted(self, trials, seed):
+            trials = list(trials)
+            first_trials.append(trials[0])
+            return draw(self, trials, seed)
+
+        monkeypatch.setattr(ChannelSampler, "draw", counted)
+        sw.FIGURES[name](tmp_path, 20, 1, False, **kw)
+        assert first_trials == [0, 16] * curves
 
     def test_rerun_byte_identical(self, tmp_path):
         from fasris.sweep import run_figure

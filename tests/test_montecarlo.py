@@ -309,8 +309,8 @@ class TestBatchedTrials:
         for block in (1, 7, trials):
             monkeypatch.setattr(montecarlo, "_BLOCK", block)
             sampler = ChannelSampler(sc, None, None)
-            rates.append(montecarlo._trial_rates(sampler, sc.p, sc.sigma2,
-                                                 kind, z, 11, trials))
+            rates.append(montecarlo._trial_rates(
+                sampler, sc.p, [(kind, sc.sigma2, z)], 11, trials))
         assert np.array_equal(rates[0], rates[1])
         assert np.array_equal(rates[0], rates[2])
 
@@ -344,6 +344,77 @@ class TestBatchedTrials:
         with pytest.raises(FeasibilityError, match="rank deficient"):
             build_precoder(H, "zf", np.ones(3))
         build_precoder(np.delete(H, 3, axis=0), "zf", np.ones(3))
+
+
+def reference_rates(H, kind, p, sigma2, z=None):
+    """Sum rates from the explicit precoder at tr(G P G^H) = M."""
+    G = build_precoder(H, kind, p, z)
+    gam = instantaneous_sinr(H, np.sqrt(H.shape[-2]) * G, p, sigma2)
+    return np.log2(1.0 + gam).sum(axis=-1)
+
+
+def block_rates(H, kind, p, sigma2s, z=None):
+    Gram = np.swapaxes(H.conj(), -1, -2) @ H
+    return montecarlo._block_rates(H, Gram, kind, z, p, sigma2s)
+
+
+class TestBlockRates:
+    """Rates read off the Gram against the explicit precoder and SINRs."""
+
+    @pytest.mark.parametrize("kind,M,K,z", [
+        ("rzf", 12, 5, 0.1), ("rzf", 12, 5, 1e-7), ("rzf", 12, 12, 0.05),
+        ("rzf", 6, 9, 0.1), ("rzf", 6, 9, 1e-7), ("zf", 12, 5, None),
+        ("zf", 12, 12, None), ("mrt", 12, 5, None), ("mrt", 6, 9, None)])
+    def test_match_explicit_precoder(self, rng, kind, M, K, z):
+        # at sigma^2 well below |h_k^H g_k|^2 the interference, a row sum
+        # less the signal, keeps fewer digits on either side
+        H = np.stack([rand_H(rng, M, K) for _ in range(7)])
+        p, sigma2s = rng.uniform(0.5, 2.0, K), [1e-3, 0.03, 0.4]
+        got = block_rates(H, kind, p, sigma2s, z)
+        for got_s, sigma2 in zip(got, sigma2s):
+            ref = reference_rates(H, kind, p, sigma2, z)
+            assert np.abs(got_s - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", ["rzf", "zf", "mrt"])
+    def test_fig1_block(self, kind):
+        sc = fig1_scenario(24, 80)
+        H = ChannelSampler(sc).draw(range(16), 5).H
+        z = sc.default_z() if kind == "rzf" else None
+        got = block_rates(H, kind, sc.p, [sc.sigma2], z)[0]
+        ref = reference_rates(H, kind, sc.p, sc.sigma2, z)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind,M,K,z", [("rzf", 8, 3, 0.2),
+                                            ("rzf", 3, 5, 0.2),
+                                            ("mrt", 8, 3, None)])
+    def test_zero_channels(self, rng, kind, M, K, z):
+        # trial 1 has no channel at all, trial 2 none to user 0
+        H = np.stack([rand_H(rng, M, K) for _ in range(4)])
+        H[1] = 0.0
+        H[2, :, 0] = 0.0
+        p = rng.uniform(0.5, 2.0, K)
+        got = block_rates(H, kind, p, [0.3], z)[0]
+        ref = reference_rates(H, kind, p, 0.3, z)
+        assert got[1] == ref[1] == 0.0
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_zf_keeps_its_errors(self, rng):
+        H = np.stack([rand_H(rng, 10, 4), with_sigma_ratio(rng, 10, 4, 1e-11)])
+        with pytest.raises(FeasibilityError, match="rank deficient"):
+            block_rates(H, "zf", np.ones(4), [0.3])
+        with pytest.raises(FeasibilityError, match="M=3 < K=5"):
+            block_rates(rand_H(rng, 3, 5)[None], "zf", np.ones(5), [0.3])
+
+    def test_many_cases_equal_one_call_each(self, small_uncommon):
+        sc = small_uncommon
+        cases = [("rzf", 0.4, 0.2), ("zf", 0.4, None), ("mrt", 0.05, None),
+                 ("rzf", 0.05, 0.01), ("zf", 0.05, None), ("rzf", 0.4, 0.01),
+                 ("mrt", 0.4, None)]
+        sampler = ChannelSampler(sc)
+        together = montecarlo._trial_rates(sampler, sc.p, cases, 4, 37)
+        for case, rates in zip(cases, together):
+            alone = montecarlo._trial_rates(sampler, sc.p, [case], 4, 37)
+            assert np.array_equal(rates, alone[0])
 
 
 def _probe_oracle(scenario, phi, z, trials, seed, s=None):
@@ -415,15 +486,21 @@ class TestProbeAgainstEinsumOracle:
 
 def test_probe_memory_peak():
     # 40 trials of fig1 at M = L = 32 stay within 6 MiB, where one
-    # (T, K, M, M) stack of a 16-trial block alone takes 3 MiB. A 1-trial
-    # probe first fills the scenario's square-root cache and the lazy
-    # imports of the first draw, which later calls do not allocate again.
+    # (T, K, M, M) stack of a 16-trial block alone takes 3 MiB, and within
+    # 0.25 MiB of one 16-trial block: a block is freed before the next draw.
+    # A 1-trial probe first fills the scenario's square-root cache and the
+    # lazy imports of the first draw, which later calls do not allocate
+    # again.
     sc = fig1_scenario(32, 80)
     resolvent_probe(sc, None, None, sc.default_z(), trials=1, seed=3)
-    tracemalloc.start()
-    try:
-        resolvent_probe(sc, None, None, sc.default_z(), trials=40, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * 2 ** 20
+    peaks = {}
+    for trials in (16, 40):
+        tracemalloc.start()
+        try:
+            resolvent_probe(sc, None, None, sc.default_z(), trials=trials,
+                            seed=3)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[40] <= 6 * 2 ** 20
+    assert peaks[40] <= peaks[16] + 2 ** 18

@@ -26,7 +26,12 @@ are built here from `random_correlation` and `CorrelationSet`, not by
 - evaluate: `deterministic_esr` SINRs, RZF and ZF, on fig1, fig2 and fig3;
 - zprofile: `z_search_profile` grid, values and z_star on fig3 (80 dB,
   uniform ports) and on a per-user random scenario;
-- simulate: `empirical_esr` (RZF, ZF) and `resolvent_probe` on fig1;
+- simulate: `empirical_esr` (RZF, ZF, MRT) on fig1 M=24 and RZF on fig1
+  M=8 (K > M), one multi-case `montecarlo._empirical_esrs` call (RZF, ZF
+  and MRT at two sigma^2 values on fig1 M=24), so that every branch of
+  the Monte-Carlo block rates is digested, and `resolvent_probe` on fig1;
+  a checkout without `_empirical_esrs` gives the same numbers from one
+  `empirical_esr` per case;
 - setup: every `CorrelationSet` matrix of the scenarios of perfbench's
   `evaluation_points()` (each set once), `fig1_scenario(32, 80)`, fig3 at
   W = 1, 1.5, 2, 2.5, 3, fig6 at K = 4, 8, 12, 16 and fig8;
@@ -177,14 +182,31 @@ def zprofile():
         yield from (grid, vals, z_star)
 
 
+def esr_cases(sc, cases, trials, seed):
+    """One estimate per (kind, sigma2, z) case of `sc`, on shared draws."""
+    from fasris import montecarlo
+    if hasattr(montecarlo, "_empirical_esrs"):
+        return montecarlo._empirical_esrs(sc, None, None, cases, trials, seed)
+    return [montecarlo.empirical_esr(replace(sc, sigma2=sigma2), None, None,
+                                     kind, trials, seed, z)
+            for kind, sigma2, z in cases]
+
+
 def simulate():
     from fasris.montecarlo import empirical_esr, resolvent_probe
     from fasris.scenarios import fig1_scenario
     sc = fig1_scenario(24, 80.0)
     z = sc.dims.K * sc.sigma2 / 24
-    for kind in ("rzf", "zf"):
+    for kind in ("rzf", "zf", "mrt"):
         est = empirical_esr(sc, None, None, kind, 32, 7,
                             z=z if kind == "rzf" else None)
+        yield from (est.mean, est.stderr)
+    wide = fig1_scenario(8, 80.0)           # K = 12 > M = 8
+    est = empirical_esr(wide, None, None, "rzf", 32, 7, wide.default_z())
+    yield from (est.mean, est.stderr)
+    cases = [(kind, c * sc.sigma2, c * z if kind == "rzf" else None)
+             for c in (1.0, 100.0) for kind in ("rzf", "zf", "mrt")]
+    for est in esr_cases(sc, cases, 32, 9):
         yield from (est.mean, est.stderr)
     pr = resolvent_probe(fig1_scenario(16, 80.0), None, None, z, 2, 7)
     yield from (pr.delta_hat, pr.omega_hat, pr.mu_hat, pr.ups_I_hat,
